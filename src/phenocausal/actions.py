@@ -280,8 +280,7 @@ class _Displacements:
 
 
 def unit_displacements(scm: GeneralScm, actions: Sequence[UnitAction],
-                       trials: int, seed: int,
-                       atol: float = 1e-9) -> _Displacements:
+                       trials: int, seed: int) -> _Displacements:
     """Apply every action to ``trials`` sampled baseline states and collect
     the unique displacement vectors per action (in scm node order)."""
     noise = scm.sample_noise(trials, seed)
@@ -462,7 +461,7 @@ def classify_unit(g: Dag, scm: GeneralScm, actions: Sequence[UnitAction],
                   trials: int = 1000, seed: int = 0,
                   eps: float = 1e-9) -> ClassificationReport:
     """Classify state-map actions against ``g`` on sampled units."""
-    disp = unit_displacements(scm, actions, trials, seed, atol=eps)
+    disp = unit_displacements(scm, actions, trials, seed)
     return classify_unit_displacements(g, disp, eps)
 
 
@@ -570,7 +569,7 @@ def valid_graphs(baseline, actions, eps: float = 1e-9, mode: str = "statistical"
         if len(nodes) > cap:
             raise ClassificationError(
                 f"{len(nodes)} nodes exceeds exhaustive cap {cap}")
-        disp = unit_displacements(baseline, actions, trials, seed, atol=eps)
+        disp = unit_displacements(baseline, actions, trials, seed)
         out = []
         for g in all_dags(nodes, cap=cap):
             report = classify_unit_displacements(g, disp, eps)

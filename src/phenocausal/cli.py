@@ -9,7 +9,8 @@ artifacts embed the seed and are byte-identical across reruns with the
 same arguments.
 
 Exit codes: 0 success, 1 verification or classification failure, 2 usage
-error.
+error or bad input (malformed CSV, invalid exemplar parameters, a size cap
+exceeded).
 """
 
 from __future__ import annotations
@@ -20,12 +21,14 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .actions import bivariate_direction, classify_statistical, classify_unit, valid_graphs
+from .actions import (ClassificationError, bivariate_direction, classify_statistical,
+                      classify_unit, valid_graphs)
 from .discovery import (DiscoveryError, lingam_bivariate, lingam_multivariate,
                         localize_mechanism_change)
 from .exemplars import EXEMPLARS, build_exemplar
 from .graphs import Dag
-from .scm import Dataset
+from .scm import Dataset, ScmError
+from .tables import TableError
 from .verify import SuiteConfig, randomized_suite
 
 SPEC_VERSION = "1"
@@ -73,11 +76,20 @@ def _build_from_args(args) -> "Exemplar":
             f"unknown exemplar {args.exemplar!r}; known: {sorted(EXEMPLARS)}")
     try:
         return build_exemplar(args.exemplar, **params)
-    except TypeError as exc:
+    except (TypeError, ScmError, TableError) as exc:
         raise SystemExit2(f"bad parameters for {args.exemplar!r}: {exc}")
 
 
+def _load_dataset(path: str, seed: int) -> Dataset:
+    try:
+        return Dataset.from_csv(Path(path).read_text(), seed=seed)
+    except ScmError as exc:
+        raise SystemExit2(f"bad input {path}: {exc}")
+
+
 def _cmd_exemplar(args) -> int:
+    if args.samples < 1:
+        raise SystemExit2("--samples must be at least 1")
     ex = _build_from_args(args)
     ds = ex.sample(args.samples, args.seed)
     out = Path(args.out)
@@ -123,8 +135,11 @@ def _cmd_classify(args) -> int:
         system, actions = ex.scm, ex.unit_actions
     obj["ground_truth_report"] = report.to_json_obj()
     if args.enumerate:
-        valid = valid_graphs(system, actions, eps=args.eps, mode=mode,
-                             trials=args.trials, seed=args.seed)
+        try:
+            valid = valid_graphs(system, actions, eps=args.eps, mode=mode,
+                                 trials=args.trials, seed=args.seed)
+        except ClassificationError as exc:
+            raise SystemExit2(str(exc))
         obj["valid_graphs"] = [json.loads(g.to_json()) for g, _ in valid]
         if len(system.names if hasattr(system, "names") else system.nodes) == 2:
             obj["direction"] = bivariate_direction(
@@ -142,7 +157,7 @@ def _load_graph(path: str) -> Dag:
 
 
 def _cmd_discover(args) -> int:
-    data = Dataset.from_csv(Path(args.infile).read_text(), seed=args.seed)
+    data = _load_dataset(args.infile, args.seed)
     obj: dict = {
         "spec_version": SPEC_VERSION,
         "kind": "discovery",
@@ -162,7 +177,7 @@ def _cmd_discover(args) -> int:
         elif args.method == "shift":
             if not args.infile2 or not args.graph:
                 raise SystemExit2("--method shift needs --in2 and --graph")
-            data2 = Dataset.from_csv(Path(args.infile2).read_text(), seed=args.seed)
+            data2 = _load_dataset(args.infile2, args.seed)
             g = _load_graph(args.graph)
             results = localize_mechanism_change([data, data2], g, eps=args.eps,
                                                 seed=args.seed)
@@ -176,18 +191,12 @@ def _cmd_discover(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # randomized_suite reads only the trial counts of the selected suites
     config = SuiteConfig(
-        proposition_trials=args.trials if args.which in ("prop1", "all") else 0,
-        boundary_trials=args.trials if args.which in ("boundary", "all") else 0,
-        embedding_trials=(min(args.trials, 5)
-                          if args.which in ("embedding", "all") else 0),
+        proposition_trials=args.trials,
+        boundary_trials=args.trials,
+        embedding_trials=min(args.trials, 5 if args.which == "all" else 10),
     )
-    if args.which == "prop1":
-        config = SuiteConfig(proposition_trials=args.trials)
-    elif args.which == "boundary":
-        config = SuiteConfig(boundary_trials=args.trials)
-    elif args.which == "embedding":
-        config = SuiteConfig(embedding_trials=min(args.trials, 10))
     reports = randomized_suite(config, seed=args.seed, which=args.which,
                                jobs=args.jobs)
     obj = {

@@ -412,8 +412,7 @@ def localize_mechanism_change(environments: Sequence, g: Dag,
             dist = factor_distance(pooled, env_joint, g, v)
             dists[v] = dist
             if dist > thresholds[v]:
-                if _has_thin_context(rows, columns, g, v, level_maps,
-                                     min_context_count):
+                if _has_thin_context(rows, columns, g, v, min_context_count):
                     inconclusive.append(v)
                 else:
                     changed.append(v)
@@ -424,12 +423,11 @@ def localize_mechanism_change(environments: Sequence, g: Dag,
 
 
 def _has_thin_context(rows: np.ndarray, columns: tuple[str, ...], g: Dag,
-                      node: str, level_maps: list[dict],
-                      min_count: int) -> bool:
+                      node: str, min_count: int) -> bool:
     pa = g.parents(node)
     if not pa:
         return rows.shape[0] < min_count
     pa_idx = [columns.index(p) for p in pa]
-    combos, counts = np.unique(rows[:, pa_idx], axis=0, return_counts=True)
+    _, counts = np.unique(rows[:, pa_idx], axis=0, return_counts=True)
     # a context that appears at all but is thinly sampled
     return bool((counts < min_count).any())

@@ -4,9 +4,11 @@ track and the farmers' countertrade.
 Each constructor returns an :class:`Exemplar` bundling the system (a
 general SCM, a linear idealization, and/or an exact joint), an action suite
 in unit and/or statistical encoding, and the declared ground-truth graph.
-The urn-family exemplars also expose the bounded ball-moving process
-itself, which agrees with the linear idealization exactly on every run
-that never empties a ball type.
+The urn-family exemplars also carry the bounded ball-moving process as
+``Exemplar.process``, which states each elementary action once, as a ball
+move; their simulator, unit actions and exact joint are derived from it.
+The process agrees with the linear idealization exactly on every run that
+never empties a ball type.
 
 Conventions: urn nodes are listed cause-first, so the chain over n types
 is ("Kn", ..., "K1") and the mixing matrix S is the lower-bidiagonal
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -28,7 +30,7 @@ import numpy as np
 from .actions import StatisticalAction, UnitAction, unit_action_from_spec
 from .graphs import Dag
 from .scm import Dataset, GeneralScm, LinearScm, NoiseSpec, ScmError
-from .tables import DiscreteJoint
+from .tables import MAX_TABLE_ENTRIES, DiscreteJoint, TableError
 
 __all__ = [
     "Exemplar",
@@ -59,6 +61,7 @@ class Exemplar:
     statistical_actions: tuple[StatisticalAction, ...] = ()
     linear: LinearScm | None = None
     sampler: Callable[[int, int], Dataset] | None = None
+    process: _UrnProcess | None = None
     notes: dict = field(default_factory=dict)
 
     def sample(self, n: int, seed: int) -> Dataset:
@@ -83,46 +86,122 @@ class Exemplar:
 
 
 # ---------------------------------------------------------------------------
-# Bounded urn process: shared simulator and exact bivariate joint
+# Bounded urn process: one description of the elementary actions, from which
+# the simulator, the unit actions and the exact joint are derived
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class _Move:
+    """One elementary action: with probability ``prob`` per round it adds
+    ``deltas`` to the counts, and it is refused while any type listed in
+    ``requires_positive`` is empty."""
+
     label: str
-    deltas: tuple[int, ...]
-    requires: tuple[int, ...]   # column indices that must be > 0 beforehand
+    deltas: Mapping[str, int]
+    requires_positive: tuple[str, ...]
     prob: float
 
 
-def _simulate_process(k0: Sequence[int], moves: Sequence[_Move], rounds: int,
-                      n: int, seed: int, columns: Sequence[str]) -> tuple[Dataset, np.ndarray]:
-    """Vectorized bounded process; returns the dataset and per-row flags
-    marking runs in which at least one action was refused."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    state = np.tile(np.asarray(k0, dtype=float), (n, 1))
-    refused = np.zeros(n, dtype=bool)
-    for _ in range(rounds):
-        for mv in moves:
-            fire = rng.random(n) < mv.prob
-            ok = np.ones(n, dtype=bool)
-            for idx in mv.requires:
-                ok &= state[:, idx] > 0
-            refused |= fire & ~ok
-            hit = fire & ok
-            if hit.any():
-                state[hit] += np.asarray(mv.deltas, dtype=float)
-    return Dataset(tuple(columns), state, seed), refused
+@dataclass(frozen=True)
+class _UrnProcess:
+    """Counts of the ball types ``nodes``, starting at ``k0``. In each of
+    ``rounds`` rounds every move tosses its coin once, in list order.
+
+    Every move that removes balls of a type requires that type to be
+    nonempty, so counts never go negative.
+    """
+
+    nodes: tuple[str, ...]
+    k0: tuple[int, ...]
+    moves: tuple[_Move, ...]
+    rounds: int
+
+    def _steps(self) -> np.ndarray:
+        return np.array([[mv.deltas.get(v, 0) for v in self.nodes]
+                         for mv in self.moves])
+
+    def simulate(self, n: int, seed: int) -> tuple[Dataset, np.ndarray]:
+        """Vectorized runs; returns the dataset and per-row flags marking
+        runs in which at least one move was refused."""
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        col = {v: i for i, v in enumerate(self.nodes)}
+        state = np.tile(np.asarray(self.k0, dtype=float), (n, 1))
+        refused = np.zeros(n, dtype=bool)
+        steps = self._steps()
+        for _ in range(self.rounds):
+            for mv, step in zip(self.moves, steps):
+                fire = rng.random(n) < mv.prob
+                ok = np.ones(n, dtype=bool)
+                for v in mv.requires_positive:
+                    ok &= state[:, col[v]] > 0
+                refused |= fire & ~ok
+                hit = fire & ok
+                if hit.any():
+                    state[hit] += step
+        return Dataset(self.nodes, state, seed), refused
+
+    def sample(self, n: int, seed: int) -> Dataset:
+        return self.simulate(n, seed)[0]
+
+    def unit_actions(self) -> tuple[UnitAction, ...]:
+        return tuple(
+            unit_action_from_spec(mv.label, {
+                "kind": "add-constant", "deltas": mv.deltas,
+                "requires_positive": list(mv.requires_positive)})
+            for mv in self.moves)
+
+    def with_prob(self, label: str, prob: float) -> "_UrnProcess":
+        """The same process with the coin of move ``label`` rebiased."""
+        return replace(self, moves=tuple(
+            replace(mv, prob=prob) if mv.label == label else mv
+            for mv in self.moves))
+
+    def exact_joint(self) -> tuple[DiscreteJoint, dict]:
+        """Exact distribution after ``rounds``, by dynamic programming over
+        the lattice of reachable counts, refusals at empty types included.
+
+        Returns the joint over level indices and the levels of each type.
+        """
+        steps = self._steps()
+        k0 = np.asarray(self.k0)
+        lo = np.maximum(0, k0 - self.rounds * np.maximum(0, -steps).sum(axis=0))
+        hi = k0 + self.rounds * np.maximum(0, steps).sum(axis=0)
+        shape = tuple(int(s) for s in hi - lo + 1)
+        if math.prod(shape) > MAX_TABLE_ENTRIES:
+            raise TableError(f"level grid {shape} exceeds cap {MAX_TABLE_ENTRIES}")
+        levels = [np.arange(a, b + 1) for a, b in zip(lo, hi)]
+        counts = dict(zip(self.nodes, np.meshgrid(*levels, indexing="ij", sparse=True)))
+        # per move: its coin, where it may fire, and the slices that shift the
+        # grid by its step; no run leaves the grid, so no mass is dropped
+        table = []
+        for mv, step in zip(self.moves, steps.tolist()):
+            ok = np.ones(shape, dtype=bool)
+            for v in mv.requires_positive:
+                ok &= counts[v] > 0
+            src = tuple(slice(max(0, -d), n - max(0, d)) for d, n in zip(step, shape))
+            dst = tuple(slice(max(0, d), n - max(0, -d)) for d, n in zip(step, shape))
+            table.append((mv.prob, ok, ~ok, src, dst))
+        pmf = np.zeros(shape)
+        pmf[tuple(k0 - lo)] = 1.0
+        for _ in range(self.rounds):
+            for p, ok, refused, src, dst in table:
+                moved = np.zeros(shape)
+                moved[dst] = pmf[src] * p * ok[src]
+                pmf = pmf * (1.0 - p) + pmf * p * refused + moved
+        joint = DiscreteJoint(self.nodes, pmf)
+        return joint, {v: [int(x) for x in lv] for v, lv in zip(self.nodes, levels)}
 
 
-def _shift2(arr: np.ndarray, db: int, dr: int) -> np.ndarray:
-    out = np.zeros_like(arr)
-    sb = slice(max(0, -db), arr.shape[0] - max(0, db))
-    tb = slice(max(0, db), arr.shape[0] - max(0, -db))
-    sr = slice(max(0, -dr), arr.shape[1] - max(0, dr))
-    tr = slice(max(0, dr), arr.shape[1] - max(0, -dr))
-    out[tb, tr] = arr[sb, sr]
-    return out
+def _urn2_process(kb0: int, kr0: int, rounds: int,
+                  biases: Sequence[float]) -> _UrnProcess:
+    p1p, p1m, p2p, p2m = biases
+    return _UrnProcess(("Kb", "Kr"), (kb0, kr0), (
+        _Move("A1+", {"Kb": 1, "Kr": -1}, ("Kr",), p1p),
+        _Move("A1-", {"Kb": -1, "Kr": 1}, ("Kb",), p1m),
+        _Move("A2+", {"Kr": 1}, (), p2p),
+        _Move("A2-", {"Kr": -1}, ("Kr",), p2m),
+    ), rounds)
 
 
 def exact_urn2_joint(kb0: int, kr0: int, rounds: int,
@@ -134,28 +213,7 @@ def exact_urn2_joint(kb0: int, kr0: int, rounds: int,
     kr0 > 2 * rounds no refusal can occur and the result coincides with the
     linear idealization.
     """
-    p1p, p1m, p2p, p2m = biases
-    kb_lo, kb_hi = max(0, kb0 - rounds), kb0 + rounds
-    kr_lo, kr_hi = max(0, kr0 - 2 * rounds), kr0 + 2 * rounds
-    kb_levels = np.arange(kb_lo, kb_hi + 1)
-    kr_levels = np.arange(kr_lo, kr_hi + 1)
-    pmf = np.zeros((kb_levels.size, kr_levels.size))
-    pmf[kb0 - kb_lo, kr0 - kr_lo] = 1.0
-    kb_pos = kb_levels > 0
-    kr_pos = kr_levels > 0
-    moves = (
-        ((+1, -1), np.outer(np.ones_like(kb_pos), kr_pos), p1p),   # A1+: needs red
-        ((-1, +1), np.outer(kb_pos, np.ones_like(kr_pos)), p1m),   # A1-: needs blue
-        ((0, +1), np.ones(pmf.shape, dtype=bool), p2p),            # A2+
-        ((0, -1), np.outer(np.ones_like(kb_pos), kr_pos), p2m),    # A2-: needs red
-    )
-    for _ in range(rounds):
-        for (db, dr), ok, p in moves:
-            stay = pmf * (1.0 - p) + pmf * p * (~ok)
-            pmf = stay + _shift2(pmf * p * ok, db, dr)
-    joint = DiscreteJoint(("Kb", "Kr"), pmf)
-    levels = {"Kb": [int(v) for v in kb_levels], "Kr": [int(v) for v in kr_levels]}
-    return joint, levels
+    return _urn2_process(kb0, kr0, rounds, biases).exact_joint()
 
 
 # ---------------------------------------------------------------------------
@@ -178,20 +236,7 @@ def urn_bivariate(kb0: int = 50, kr0: int = 50, rounds: int = 5,
         raise ScmError("need at least one round")
     p1p, p1m, p2p, p2m = (float(b) for b in coin_biases)
     truth = Dag(("Kb", "Kr"), [("Kb", "Kr")])
-
-    unit_actions = (
-        unit_action_from_spec("A1+", {"kind": "add-constant",
-                                      "deltas": {"Kb": 1, "Kr": -1},
-                                      "requires_positive": ["Kr"]}),
-        unit_action_from_spec("A1-", {"kind": "add-constant",
-                                      "deltas": {"Kb": -1, "Kr": 1},
-                                      "requires_positive": ["Kb"]}),
-        unit_action_from_spec("A2+", {"kind": "add-constant",
-                                      "deltas": {"Kr": 1}}),
-        unit_action_from_spec("A2-", {"kind": "add-constant",
-                                      "deltas": {"Kr": -1},
-                                      "requires_positive": ["Kr"]}),
-    )
+    process = _urn2_process(kb0, kr0, rounds, (p1p, p1m, p2p, p2m))
 
     scm = GeneralScm(
         nodes=("Kb", "Kr"),
@@ -214,54 +259,34 @@ def urn_bivariate(kb0: int = 50, kr0: int = 50, rounds: int = 5,
                 NoiseSpec.binomdiff(rounds, p2p, p2m)),
     )
 
-    baseline, levels = exact_urn2_joint(kb0, kr0, rounds, (p1p, p1m, p2p, p2m))
+    baseline, levels = process.exact_joint()
 
     def shifted(b: float) -> float:
         return min(0.95, max(0.05, b + bias_shift))
 
     stat_actions = (
-        StatisticalAction(
-            "A1-bias-shift",
-            exact_urn2_joint(kb0, kr0, rounds,
-                             (shifted(p1p), p1m, p2p, p2m))[0]),
-        StatisticalAction(
-            "A2-bias-shift",
-            exact_urn2_joint(kb0, kr0, rounds,
-                             (p1p, p1m, shifted(p2p), p2m))[0]),
+        StatisticalAction("A1-bias-shift",
+                          process.with_prob("A1+", shifted(p1p)).exact_joint()[0]),
+        StatisticalAction("A2-bias-shift",
+                          process.with_prob("A2+", shifted(p2p)).exact_joint()[0]),
     )
-
-    moves = (
-        _Move("A1+", (1, -1), (1,), p1p),
-        _Move("A1-", (-1, 1), (0,), p1m),
-        _Move("A2+", (0, 1), (), p2p),
-        _Move("A2-", (0, -1), (1,), p2m),
-    )
-
-    def sampler(n: int, smp_seed: int) -> Dataset:
-        ds, _ = _simulate_process((kb0, kr0), moves, rounds, n, smp_seed,
-                                  ("Kb", "Kr"))
-        return ds
-
-    def sampler_with_flags(n: int, smp_seed: int):
-        return _simulate_process((kb0, kr0), moves, rounds, n, smp_seed,
-                                 ("Kb", "Kr"))
 
     return Exemplar(
         name="urn2",
         ground_truth=truth,
         scm=scm,
-        unit_actions=unit_actions,
+        unit_actions=process.unit_actions(),
         baseline=baseline,
         statistical_actions=stat_actions,
         linear=linear,
-        sampler=sampler,
+        sampler=process.sample,
+        process=process,
         notes={
             "kb0": kb0, "kr0": kr0, "rounds": rounds,
             "coin_biases": [p1p, p1m, p2p, p2m],
             "bias_shift": bias_shift,
             "levels": levels,
             "class_nodes": {"A1": "Kb", "A2": "Kr"},
-            "sampler_with_flags": sampler_with_flags,
             "seed": seed,
         },
     )
@@ -323,39 +348,18 @@ def urn_chain(n: int = 4, k0: Sequence[int] | None = None, rounds: int = 5,
         class_nodes = {f"A{j}": f"K{j-1}" for j in range(2, n + 1)}
         class_nodes["A1"] = f"K{n}"
 
-    unit_actions = []
     moves = []
-    col = {name: i for i, name in enumerate(nodes)}
     for j in range(n, 1, -1):
-        pj, mj = biases[2 * (j - 1)], biases[2 * (j - 1) + 1]
-        unit_actions.append(unit_action_from_spec(
-            f"A{j}+", {"kind": "add-constant",
-                       "deltas": {f"K{j}": 1, f"K{j-1}": -1},
-                       "requires_positive": [f"K{j-1}"]}))
-        unit_actions.append(unit_action_from_spec(
-            f"A{j}-", {"kind": "add-constant",
-                       "deltas": {f"K{j}": -1, f"K{j-1}": 1},
-                       "requires_positive": [f"K{j}"]}))
-        for sign, prob, req in ((+1, pj, f"K{j-1}"), (-1, mj, f"K{j}")):
-            deltas = [0] * n
-            deltas[col[f"K{j}"]] = sign
-            deltas[col[f"K{j-1}"]] = -sign
-            moves.append(_Move(f"A{j}{'+' if sign > 0 else '-'}",
-                               tuple(deltas), (col[req],), prob))
-    end_type = 1 if endpoint == "low" else n
+        moves.append(_Move(f"A{j}+", {f"K{j}": 1, f"K{j-1}": -1}, (f"K{j-1}",),
+                           biases[2 * (j - 1)]))
+        moves.append(_Move(f"A{j}-", {f"K{j}": -1, f"K{j-1}": 1}, (f"K{j}",),
+                           biases[2 * (j - 1) + 1]))
+    end = f"K{1 if endpoint == 'low' else n}"
     p1, m1 = biases[0], biases[1]
-    unit_actions.append(unit_action_from_spec(
-        "A1+", {"kind": "add-constant", "deltas": {f"K{end_type}": 1}}))
-    unit_actions.append(unit_action_from_spec(
-        "A1-", {"kind": "add-constant", "deltas": {f"K{end_type}": -1},
-                "requires_positive": [f"K{end_type}"]}))
-    for sign, prob in ((+1, p1), (-1, m1)):
-        deltas = [0] * n
-        deltas[col[f"K{end_type}"]] = sign
-        req = (col[f"K{end_type}"],) if sign < 0 else ()
-        moves.append(_Move(f"A1{'+' if sign > 0 else '-'}",
-                           tuple(deltas), req, prob))
-    unit_actions = tuple(unit_actions)
+    moves.append(_Move("A1+", {end: 1}, (), p1))
+    moves.append(_Move("A1-", {end: -1}, (end,), m1))
+    process = _UrnProcess(nodes, tuple(k0_by_type[v] for v in nodes),
+                          tuple(moves), rounds)
 
     # FCM in the truth orientation: each node absorbs the cumulative count
     # of its ancestors, leaving exactly its own action tally as noise.
@@ -398,28 +402,19 @@ def urn_chain(n: int = 4, k0: Sequence[int] | None = None, rounds: int = 5,
                 for v in nodes),
         )
 
-    def sampler(m: int, smp_seed: int) -> Dataset:
-        ds, _ = _simulate_process([k0_by_type[v] for v in nodes], moves,
-                                  rounds, m, smp_seed, nodes)
-        return ds
-
-    def sampler_with_flags(m: int, smp_seed: int):
-        return _simulate_process([k0_by_type[v] for v in nodes], moves,
-                                 rounds, m, smp_seed, nodes)
-
     return Exemplar(
         name="urnN",
         ground_truth=truth,
         scm=scm,
-        unit_actions=unit_actions,
+        unit_actions=process.unit_actions(),
         linear=linear,
-        sampler=sampler,
+        sampler=process.sample,
+        process=process,
         notes={
             "n": n, "k0": list(k0), "rounds": rounds,
             "coin_biases": list(biases), "endpoint": endpoint,
             "mixing": urn_toeplitz_mixing(n).tolist(),
             "class_nodes": class_nodes,
-            "sampler_with_flags": sampler_with_flags,
             "seed": seed,
         },
     )
@@ -461,28 +456,17 @@ def bundles_chain(n: int = 4, rounds: int = 5,
 
     nodes = _chain_nodes(n)
     truth = Dag(nodes, [(nodes[i], nodes[i + 1]) for i in range(n - 1)])
-    col = {name: i for i, name in enumerate(nodes)}
     k0_by_type = {f"K{j}": r0 * (n - j + 1) for j in range(1, n + 1)}
 
-    unit_actions = []
     moves = []
     for j in range(n, 0, -1):
-        pj, mj = biases[2 * (j - 1)], biases[2 * (j - 1) + 1]
-        plus = {f"K{i}": 1 for i in range(1, j + 1)}
-        minus = {f"K{i}": -1 for i in range(1, j + 1)}
-        unit_actions.append(unit_action_from_spec(
-            f"A{j}+", {"kind": "add-constant", "deltas": plus}))
-        unit_actions.append(unit_action_from_spec(
-            f"A{j}-", {"kind": "add-constant", "deltas": minus,
-                       "requires_positive": [f"K{i}" for i in range(1, j + 1)]}))
-        for sign, prob in ((+1, pj), (-1, mj)):
-            deltas = [0] * n
-            for i in range(1, j + 1):
-                deltas[col[f"K{i}"]] = sign
-            req = tuple(col[f"K{i}"] for i in range(1, j + 1)) if sign < 0 else ()
-            moves.append(_Move(f"A{j}{'+' if sign > 0 else '-'}",
-                               tuple(deltas), req, prob))
-    unit_actions = tuple(unit_actions)
+        types = tuple(f"K{i}" for i in range(1, j + 1))
+        moves.append(_Move(f"A{j}+", {v: 1 for v in types}, (),
+                           biases[2 * (j - 1)]))
+        moves.append(_Move(f"A{j}-", {v: -1 for v in types}, types,
+                           biases[2 * (j - 1) + 1]))
+    process = _UrnProcess(nodes, tuple(k0_by_type[v] for v in nodes),
+                          tuple(moves), rounds)
 
     parents = {v: truth.parents(v) for v in nodes}
     mechanisms = {}
@@ -511,29 +495,20 @@ def bundles_chain(n: int = 4, rounds: int = 5,
             for v in nodes),
     )
 
-    def sampler(m: int, smp_seed: int) -> Dataset:
-        ds, _ = _simulate_process([k0_by_type[v] for v in nodes], moves,
-                                  rounds, m, smp_seed, nodes)
-        return ds
-
-    def sampler_with_flags(m: int, smp_seed: int):
-        return _simulate_process([k0_by_type[v] for v in nodes], moves,
-                                 rounds, m, smp_seed, nodes)
-
     return Exemplar(
         name="bundles",
         ground_truth=truth,
         scm=scm,
-        unit_actions=unit_actions,
+        unit_actions=process.unit_actions(),
         linear=linear,
-        sampler=sampler,
+        sampler=process.sample,
+        process=process,
         notes={
             "n": n, "rounds": rounds, "coin_biases": list(biases),
             "initial_packages": r0,
             "k0": [k0_by_type[v] for v in nodes],
             "mixing": bundles_mixing(n).tolist(),
             "class_nodes": {f"A{j}": f"K{j}" for j in range(1, n + 1)},
-            "sampler_with_flags": sampler_with_flags,
             "seed": seed,
         },
     )

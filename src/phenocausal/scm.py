@@ -26,6 +26,7 @@ import scipy.linalg
 import scipy.stats
 
 from .graphs import Dag, CycleError
+from .tables import DiscreteJoint
 
 __all__ = [
     "NoiseSpec",
@@ -249,10 +250,39 @@ class Dataset:
 
     @classmethod
     def from_csv(cls, text: str, seed: int | None = None) -> "Dataset":
+        """Parse a header line and at least one data row; every non-blank
+        row must hold one finite number per column. Malformed input raises
+        ScmError naming the offending line."""
         reader = csv.reader(io.StringIO(text))
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader if row]
-        return cls(tuple(header), np.asarray(rows, dtype=float), seed)
+        header = next(reader, None)
+        if not header:
+            raise ScmError("CSV has no header line")
+        cells, lines = [], []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ScmError(f"line {reader.line_num}: {len(row)} fields, "
+                               f"header has {len(header)}")
+            cells.append(row)
+            lines.append(reader.line_num)
+        if not cells:
+            raise ScmError("CSV has a header but no data rows")
+        try:
+            rows = np.array(cells, dtype=float)
+        except ValueError as exc:
+            # the same parser, row by row, finds the line at fault
+            for row, line in zip(cells, lines):
+                try:
+                    np.array(row, dtype=float)
+                except ValueError:
+                    raise ScmError(f"line {line}: {exc}") from None
+            raise
+        finite = np.isfinite(rows).all(axis=1)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise ScmError(f"line {lines[k]}: non-finite value in {cells[k]}")
+        return cls(tuple(header), rows, seed)
 
 
 def _format_number(v: float) -> str:
@@ -526,8 +556,6 @@ def exact_joint(scm: GeneralScm, max_combos: int = 1 << 16):
         v: tuple(sorted({key[k] for key in weights}))
         for k, v in enumerate(scm.nodes)
     }
-    from .tables import DiscreteJoint  # local import to avoid a cycle
-
     shape = tuple(len(levels[v]) for v in scm.nodes)
     table = np.zeros(shape)
     index = {v: {val: i for i, val in enumerate(levels[v])} for v in scm.nodes}

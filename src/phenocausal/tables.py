@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import Dag, GraphError, d_separated
+from .graphs import EXHAUSTIVE_NODE_CAP, Dag, GraphError, d_separated
 
 __all__ = [
     "DiscreteJoint",
@@ -315,8 +315,9 @@ def markov_report(p: DiscreteJoint, g: Dag, eps: float = 1e-9,
                 worst, worst_triple = r, ((node,), tuple(nondesc), pa)
     elif mode == "all":
         n = len(g.nodes)
-        if n > 7:
-            raise GraphError("mode='all' is exhaustive; refusing above 7 nodes")
+        if n > EXHAUSTIVE_NODE_CAP:
+            raise GraphError("mode='all' is exhaustive; "
+                             f"refusing above {EXHAUSTIVE_NODE_CAP} nodes")
         for assign in np.ndindex(*(4,) * n):
             a = tuple(v for v, k in zip(g.nodes, assign) if k == 0)
             b = tuple(v for v, k in zip(g.nodes, assign) if k == 1)

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .exemplars import Exemplar
-from .graphs import (Dag, CycleError, backdoor_admissible,
+from .graphs import (Dag, CycleError, _reachable_inside, backdoor_admissible,
                      is_graphically_causally_sufficient, marginal_dag,
                      random_dag)
 from .scm import GeneralScm, NoiseSpec, exact_joint
@@ -314,24 +314,6 @@ def verify_embedding_markov(scm: GeneralScm, gtilde: Dag, eps: float = 1e-12,
 # ---------------------------------------------------------------------------
 
 
-def blocking_descendants(g: Dag, j: str, s: Sequence[str]) -> tuple[str, ...]:
-    """Members of ``s`` reachable from ``j`` by directed paths avoiding
-    ``s`` internally; for sufficient ``s`` and j outside it there is at
-    most one, and it blocks every path from j into ``s``."""
-    s_set = set(s)
-    hits = set()
-    stack = [j]
-    seen = {j}
-    while stack:
-        for ch in g.children(stack.pop()):
-            if ch in s_set:
-                hits.add(ch)
-            elif ch not in seen:
-                seen.add(ch)
-                stack.append(ch)
-    return g.sorted_tuple(hits)
-
-
 def verify_boundary_consistency(g: Dag, p: DiscreteJoint, j_perturbed: str,
                                 new_factor: ConditionalTable, s: Sequence[str],
                                 eps: float = 1e-9, index: int = 0,
@@ -353,7 +335,7 @@ def verify_boundary_consistency(g: Dag, p: DiscreteJoint, j_perturbed: str,
         expected: tuple[str, ...] = (j_perturbed,)
         unique_blocker = True
     else:
-        expected = blocking_descendants(g, j_perturbed, s_nodes)
+        expected = _reachable_inside(g, j_perturbed, set(s_nodes))
         unique_blocker = len(expected) <= 1
     ok = len(changed) <= 1 and set(changed) <= set(expected) and unique_blocker
     details = {

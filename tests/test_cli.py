@@ -76,6 +76,21 @@ def test_bad_param_exits_2(tmp_path):
     assert rc == 2
 
 
+def test_exemplar_zero_samples_exits_2(tmp_path):
+    out = tmp_path / "x.csv"
+    rc = run(["exemplar", "urn2", "--seed", "1", "--samples", "0",
+              "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+
+
+def test_exemplar_invalid_parameters_exit_2(tmp_path):
+    out = tmp_path / "x.csv"
+    assert run(["exemplar", "urn2", "--kb0", "5", "--kr0", "5", "--rounds", "7",
+                "--seed", "1", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_exemplar_outputs_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (a, b):
@@ -154,6 +169,42 @@ def test_discover_shift_localizes(tmp_path):
     assert union == {"Kr"}
 
 
+def _discover_rc(tmp_path, text: str) -> int:
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    return run(["discover", "--method", "bivariate", "--in", str(path),
+                "--seed", "1"])
+
+
+def test_discover_empty_csv_exits_2(tmp_path, capfd):
+    assert _discover_rc(tmp_path, "") == 2
+    assert "no header line" in capfd.readouterr().err
+
+
+def test_discover_header_only_csv_exits_2(tmp_path, capfd):
+    assert _discover_rc(tmp_path, "Kb,Kr\n") == 2
+    assert "no data rows" in capfd.readouterr().err
+
+
+def test_discover_ragged_csv_names_line(tmp_path, capfd):
+    assert _discover_rc(tmp_path, "Kb,Kr\n1,2\n3\n4,5\n") == 2
+    assert "line 3: 1 fields, header has 2" in capfd.readouterr().err
+
+
+def test_discover_non_numeric_csv_names_line(tmp_path, capfd):
+    assert _discover_rc(tmp_path, "Kb,Kr\n1,2\n3,x\n") == 2
+    assert "line 3:" in capfd.readouterr().err
+
+
+def test_discover_nan_cell_exits_2_without_lapack_noise(tmp_path, capfd):
+    rows = [f"{i},{(7 * i) % 13}" for i in range(300)]
+    rows[150] = "3,nan"
+    assert _discover_rc(tmp_path, "Kb,Kr\n" + "\n".join(rows) + "\n") == 2
+    err = capfd.readouterr().err
+    assert "line 152: non-finite value" in err
+    assert "DLASCL" not in err
+
+
 # ---------------------------------------------------------------------------
 # classify
 # ---------------------------------------------------------------------------
@@ -170,6 +221,13 @@ def test_classify_urn2_enumerate(tmp_path):
     assert obj["direction"] == "XcausesY"
     assert obj["valid_graphs"] == [{"nodes": ["Kb", "Kr"],
                                     "edges": [["Kb", "Kr"]]}]
+
+
+def test_classify_enumerate_above_cap_exits_2(tmp_path, capfd):
+    rc = run(["classify", "urnN", "--n", "6", "--enumerate", "--trials", "20",
+              "--seed", "1", "--out", str(tmp_path / "cls.json")])
+    assert rc == 2
+    assert "exceeds exhaustive cap" in capfd.readouterr().err
 
 
 def test_classify_statistical_mode(tmp_path):

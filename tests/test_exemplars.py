@@ -63,7 +63,7 @@ def test_rounds_precondition():
 def test_bounded_process_matches_linear_idealization_without_refusals():
     # kr0 > 2*rounds and kb0 > rounds: no boundary can ever be hit
     ex = urn_bivariate(kb0=20, kr0=20, rounds=5)
-    ds, refused = ex.notes["sampler_with_flags"](4000, 17)
+    ds, refused = ex.process.simulate(4000, 17)
     assert not refused.any()
     lin = ex.linear.simulate(4000, 17)
     # same seed drives different generators, so compare distributions
@@ -87,7 +87,7 @@ def test_exact_joint_grid_and_mass():
 def test_boundary_refusals_recorded():
     # tiny red reserve: refusals must occur and be flagged
     ex = urn_bivariate(kb0=30, kr0=4, rounds=3, coin_biases=(0.9, 0.1, 0.1, 0.9))
-    _, refused = ex.notes["sampler_with_flags"](4000, 1)
+    _, refused = ex.process.simulate(4000, 1)
     assert refused.any()
 
 
@@ -186,7 +186,7 @@ def test_endpoint_reversal_flips_every_edge():
 
 def test_chain_process_linear_agreement():
     ex = urn_chain(n=3, k0=(25, 25, 25), rounds=3)
-    ds, refused = ex.notes["sampler_with_flags"](3000, 9)
+    ds, refused = ex.process.simulate(3000, 9)
     assert not refused.any()
     lin = ex.linear.simulate(3000, 9)
     for col in ex.scm.nodes:
@@ -221,7 +221,7 @@ def test_bundle_top_count_equals_tally():
 
 def test_bundle_sampler_never_refuses_at_default_reserve():
     ex = bundles_chain(n=4, rounds=3)
-    _, refused = ex.notes["sampler_with_flags"](3000, 2)
+    _, refused = ex.process.simulate(3000, 2)
     assert not refused.any()
 
 

@@ -8,9 +8,11 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from phenocausal import DiscreteJoint, exact_urn2_joint
+from phenocausal import (DiscreteJoint, TableError, bundles_chain, exact_joint,
+                         exact_urn2_joint, urn_chain)
 
 
 def _shift2(arr: np.ndarray, db: int, dr: int) -> np.ndarray:
@@ -72,3 +74,33 @@ def test_urn2_dp_matches_oracle_on_benchmark_sizes():
             ref, ref_levels = oracle_urn2_joint(kb0, kr0, rounds, biases)
             assert levels == ref_levels
             assert joint.to_json() == ref.to_json()
+
+
+def test_dp_refuses_grid_above_table_cap():
+    # 4001 x 8001 levels: refused before the grid is allocated
+    with pytest.raises(TableError, match="exceeds cap"):
+        exact_urn2_joint(5000, 5000, 2000, (0.5,) * 4)
+
+
+@pytest.mark.parametrize("ex", [
+    urn_chain(n=3, k0=(10, 10, 10), rounds=3,
+              coin_biases=(0.6, 0.3, 0.5, 0.4, 0.7, 0.2)),
+    urn_chain(n=3, k0=(10, 10, 10), rounds=3, endpoint="high"),
+    bundles_chain(n=3, rounds=3, coin_biases=(0.6, 0.3, 0.5, 0.4, 0.7, 0.2)),
+], ids=["urnN-low", "urnN-high", "bundles"])
+def test_chain_dp_matches_linear_idealization_without_refusals(ex):
+    # every reserve exceeds what the moves can remove in ``rounds`` rounds
+    _, refused = ex.process.simulate(2000, 5)
+    assert not refused.any()
+    dp, levels = ex.process.exact_joint()
+    lin, lin_levels = exact_joint(ex.scm)
+    assert dp.names == lin.names
+    cells = np.argwhere(dp.probs > 0)
+    values = [tuple(levels[v][i] for v, i in zip(dp.names, cell)) for cell in cells]
+    index = {v: {x: i for i, x in enumerate(lin_levels[v])} for v in lin.names}
+    lin_cells = [tuple(index[v][x] for v, x in zip(lin.names, value))
+                 for value in values]
+    assert len(lin_cells) == np.count_nonzero(lin.probs)
+    got = dp.probs[tuple(cells.T)]
+    want = lin.probs[tuple(np.asarray(lin_cells).T)]
+    assert np.abs(got - want).max() <= 1e-12
