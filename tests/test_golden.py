@@ -1,14 +1,17 @@
 """Golden artifacts: SHA-256 digests of CLI outputs at fixed seeds.
 
 The digests pin the exact bytes of the urn-family datasets and sidecars,
-two classification reports and the four verification selectors, so any
-refactor of the urn process, its exact joint or the CLI plumbing must
-reproduce them byte for byte.
+the datasets of two exemplars sampled through ``GeneralScm.simulate``,
+three classification reports, the four verification selectors, the
+``report`` summary and a shift-localization run, so any refactor of the
+urn process, the graph core, the structural models or the CLI plumbing
+must reproduce them byte for byte.
 """
 
 from __future__ import annotations
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -58,6 +61,21 @@ GOLDEN = [
     ("verify-all",
      ["verify", "--which", "all", "--trials", "6", "--seed", "5"],
      {".json": "7a5f069659699b9df148a4bd8521e6b319daab42bb47449f4a1832f15c331efa"}),
+    ("report",
+     ["report", "--seed", "3"],
+     {".json": "849be7c4f7228ece03b0c343b7c014faf5e8c522850f195a88b4884efd5703fe"}),
+    ("exemplar-rabbits1",
+     ["exemplar", "rabbits1", "--seed", "7", "--samples", "300"],
+     {".csv": "005c96be9ab2560e3860e072d6734b23324a118fd2e1d54d5bcf1f04d1dd41cb",
+      ".json": "df1138fa43822453dd5677d1092e9a31da096b192fb59e3758284ff61f4c4df2"}),
+    ("exemplar-macro1",
+     ["exemplar", "macro1", "--seed", "7", "--samples", "300"],
+     {".csv": "b905a452570b16e6b900142750d83495a59281de94773dcfcbfbad6a83725f3b",
+      ".json": "3dd1e2b111b252f73f721ed653bae03270d32bd95bdd23efbee1d92eb910ef90"}),
+    ("classify-bundles-4",
+     ["classify", "bundles", "--n", "4", "--enumerate", "--trials", "100",
+      "--seed", "3"],
+     {".json": "dbdcc553012bf1231b409f66623ceee2266d23c109c20effc007c47358d3f922"}),
 ]
 
 
@@ -69,3 +87,19 @@ def test_golden_artifact_digests(case, argv, digests, tmp_path):
     got = {suffix: hashlib.sha256(stem.with_suffix(suffix).read_bytes()).hexdigest()
            for suffix in digests}
     assert got == digests
+
+
+def test_golden_discover_shift(tmp_path, monkeypatch):
+    # relative paths: the artifact records its --in argument verbatim
+    monkeypatch.chdir(tmp_path)
+    common = ["--rounds", "3", "--samples", "2000"]
+    assert run(["exemplar", "urn2", "--kb0", "50", "--kr0", "50", "--seed", "1",
+                "--out", "env1.csv"] + common) == 0
+    assert run(["exemplar", "urn2", "--kb0", "50", "--kr0", "52", "--seed", "2",
+                "--out", "env2.csv"] + common) == 0
+    Path("graph.txt").write_text("Kb -> Kr\n")
+    assert run(["discover", "--method", "shift", "--in", "env1.csv",
+                "--in2", "env2.csv", "--graph", "graph.txt", "--seed", "3",
+                "--out", "shift.json"]) == 0
+    digest = hashlib.sha256(Path("shift.json").read_bytes()).hexdigest()
+    assert digest == "fd7b869191fcc6466e0d501bfebdad688fb50611d9db1ec011729cf9143456bb"
