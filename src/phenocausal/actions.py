@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .graphs import Dag, all_dags
+from .graphs import DAG_ENUMERATION_CAP as VALID_GRAPHS_NODE_CAP, Dag, all_dags
 from .scm import GeneralScm
 from .tables import DiscreteJoint, changed_factors, markov_report
 
@@ -54,7 +54,6 @@ __all__ = [
     "VALID_GRAPHS_NODE_CAP",
 ]
 
-VALID_GRAPHS_NODE_CAP = 5
 _SEARCH_BUDGET = 200_000
 
 
@@ -540,43 +539,36 @@ def classify_unit_displacements(g: Dag, disp: _Displacements,
 
 def valid_graphs(baseline, actions, eps: float = 1e-9, mode: str = "statistical",
                  trials: int = 1000, seed: int = 0,
-                 cap: int = VALID_GRAPHS_NODE_CAP,
                  check_markov: bool = True) -> list[tuple[Dag, ClassificationReport]]:
     """All DAGs over the system's variables that classify without violation.
 
     ``baseline`` is a DiscreteJoint in statistical mode and a GeneralScm in
-    unit mode. Node count is capped (default 5) because enumeration is
-    exhaustive.
+    unit mode. Enumeration is exhaustive, so more than
+    ``VALID_GRAPHS_NODE_CAP`` (5) nodes are refused before any work.
     """
     if mode == "statistical":
         if not isinstance(baseline, DiscreteJoint):
             raise ClassificationError("statistical mode needs a DiscreteJoint baseline")
         nodes = baseline.names
-        if len(nodes) > cap:
-            raise ClassificationError(
-                f"{len(nodes)} nodes exceeds exhaustive cap {cap}")
-        out = []
-        for g in all_dags(nodes, cap=cap):
-            report = classify_statistical(g, baseline, actions, eps,
-                                          check_markov=check_markov)
-            if report.valid:
-                out.append((g, report))
-        return out
-    if mode == "unit":
+    elif mode == "unit":
         if not isinstance(baseline, GeneralScm):
             raise ClassificationError("unit mode needs a GeneralScm system")
         nodes = baseline.nodes
-        if len(nodes) > cap:
-            raise ClassificationError(
-                f"{len(nodes)} nodes exceeds exhaustive cap {cap}")
+    else:
+        raise ClassificationError(f"unknown mode {mode!r}")
+    if len(nodes) > VALID_GRAPHS_NODE_CAP:
+        raise ClassificationError(
+            f"{len(nodes)} nodes exceeds exhaustive cap {VALID_GRAPHS_NODE_CAP}")
+    if mode == "unit":
         disp = unit_displacements(baseline, actions, trials, seed)
-        out = []
-        for g in all_dags(nodes, cap=cap):
-            report = classify_unit_displacements(g, disp, eps)
-            if report.valid:
-                out.append((g, report))
-        return out
-    raise ClassificationError(f"unknown mode {mode!r}")
+    out = []
+    for g in all_dags(nodes):
+        report = (classify_statistical(g, baseline, actions, eps,
+                                       check_markov=check_markov)
+                  if mode == "statistical" else classify_unit_displacements(g, disp, eps))
+        if report.valid:
+            out.append((g, report))
+    return out
 
 
 class DirectionVerdict(str, Enum):

@@ -9,8 +9,9 @@ artifacts embed the seed and are byte-identical across reruns with the
 same arguments.
 
 Exit codes: 0 success, 1 verification or classification failure, 2 usage
-error or bad input (malformed CSV, invalid exemplar parameters, a size cap
-exceeded).
+error or bad input (a missing or malformed CSV or graph file, an output
+path that cannot be written, invalid exemplar parameters, a negative seed,
+a size cap exceeded).
 """
 
 from __future__ import annotations
@@ -34,12 +35,25 @@ from .verify import SuiteConfig, randomized_suite
 SPEC_VERSION = "1"
 
 
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise SystemExit2(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def _emit(obj: dict, out: str | None) -> None:
     text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     if out:
-        Path(out).write_text(text)
+        _write(Path(out), text)
     else:
         sys.stdout.write(text)
+
+
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer: {text!r}")
+    return int(text)
 
 
 def _parse_param(items: list[str]) -> dict:
@@ -76,14 +90,14 @@ def _build_from_args(args) -> "Exemplar":
             f"unknown exemplar {args.exemplar!r}; known: {sorted(EXEMPLARS)}")
     try:
         return build_exemplar(args.exemplar, **params)
-    except (TypeError, ScmError, TableError) as exc:
+    except (TypeError, ValueError) as exc:
         raise SystemExit2(f"bad parameters for {args.exemplar!r}: {exc}")
 
 
 def _load_dataset(path: str, seed: int) -> Dataset:
     try:
         return Dataset.from_csv(Path(path).read_text(), seed=seed)
-    except ScmError as exc:
+    except (OSError, UnicodeDecodeError, ScmError) as exc:
         raise SystemExit2(f"bad input {path}: {exc}")
 
 
@@ -93,7 +107,7 @@ def _cmd_exemplar(args) -> int:
     ex = _build_from_args(args)
     ds = ex.sample(args.samples, args.seed)
     out = Path(args.out)
-    out.write_text(ds.to_csv())
+    _write(out, ds.to_csv())
     sidecar = {
         "spec_version": SPEC_VERSION,
         "tool_version": __version__,
@@ -150,10 +164,13 @@ def _cmd_classify(args) -> int:
 
 
 def _load_graph(path: str) -> Dag:
-    text = Path(path).read_text()
-    if path.endswith(".json") or text.lstrip().startswith("{"):
-        return Dag.from_json(text)
-    return Dag.from_edge_list(text)
+    try:
+        text = Path(path).read_text()
+        if path.endswith(".json") or text.lstrip().startswith("{"):
+            return Dag.from_json(text)
+        return Dag.from_edge_list(text)
+    except (OSError, ValueError, KeyError, TypeError) as exc:  # GraphError included
+        raise SystemExit2(f"bad graph {path}: {exc}")
 
 
 def _cmd_discover(args) -> int:
@@ -184,7 +201,7 @@ def _cmd_discover(args) -> int:
             obj["result"] = [r.to_json_obj() for r in results]
         else:  # pragma: no cover - argparse restricts choices
             raise SystemExit2(f"unknown method {args.method!r}")
-    except DiscoveryError as exc:
+    except (DiscoveryError, TableError) as exc:
         raise SystemExit2(str(exc))
     _emit(obj, args.out)
     return 0
@@ -255,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ex = sub.add_parser("exemplar", help="emit an exemplar dataset + ground truth")
     p_ex.add_argument("exemplar", help=f"one of {sorted(EXEMPLARS)}")
-    p_ex.add_argument("--seed", type=int, required=True)
+    p_ex.add_argument("--seed", type=_seed, required=True)
     p_ex.add_argument("--samples", type=int, default=10_000)
     p_ex.add_argument("--out", required=True, help="CSV path; a .json sidecar is written next to it")
     p_ex.add_argument("--kb0", type=int)
@@ -269,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cl.add_argument("exemplar")
     p_cl.add_argument("--mode", choices=("auto", "unit", "statistical"),
                       default="auto")
-    p_cl.add_argument("--seed", type=int, required=True)
+    p_cl.add_argument("--seed", type=_seed, required=True)
     p_cl.add_argument("--eps", type=float, default=1e-9)
     p_cl.add_argument("--trials", type=int, default=500)
     p_cl.add_argument("--enumerate", action="store_true",
@@ -289,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_di.add_argument("--in2", dest="infile2")
     p_di.add_argument("--graph", help="graph file (JSON or edge list) for --method shift")
     p_di.add_argument("--eps", type=float, default=None)
-    p_di.add_argument("--seed", type=int, required=True)
+    p_di.add_argument("--seed", type=_seed, required=True)
     p_di.add_argument("--out")
     p_di.set_defaults(func=_cmd_discover)
 
@@ -297,14 +314,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_ve.add_argument("--which", choices=("prop1", "embedding", "boundary", "all"),
                       default="all")
     p_ve.add_argument("--trials", type=int, default=100)
-    p_ve.add_argument("--seed", type=int, required=True)
+    p_ve.add_argument("--seed", type=_seed, required=True)
     p_ve.add_argument("--jobs", type=int, default=1,
                       help="worker processes for trials (default serial)")
     p_ve.add_argument("--out")
     p_ve.set_defaults(func=_cmd_verify)
 
     p_re = sub.add_parser("report", help="compact end-to-end summary")
-    p_re.add_argument("--seed", type=int, required=True)
+    p_re.add_argument("--seed", type=_seed, required=True)
     p_re.add_argument("--out")
     p_re.set_defaults(func=_cmd_report)
     return parser
@@ -320,9 +337,6 @@ def run(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SystemExit2 as exc:
         return int(exc.code or 2)
-    except (KeyError, FileNotFoundError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
 
 
 def main() -> None:  # console-script entry point

@@ -20,6 +20,7 @@ type, + before -); outside boundary states the order is immaterial.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -228,7 +229,8 @@ def urn_bivariate(kb0: int = 50, kr0: int = 50, rounds: int = 5,
 
     Elementary actions: A1+/- replace a red ball by a blue one or back,
     A2+/- add or remove a red ball. Statistical actions shift the A1 or A2
-    coin biases by ``bias_shift`` and replace the exact process joint.
+    coin biases by ``bias_shift`` and replace the exact process joint; each
+    is a callable that computes its joint when first resolved.
     """
     if rounds >= min(kb0, kr0):
         raise ScmError("need rounds < min(kb0, kr0)")
@@ -261,14 +263,15 @@ def urn_bivariate(kb0: int = 50, kr0: int = 50, rounds: int = 5,
 
     baseline, levels = process.exact_joint()
 
-    def shifted(b: float) -> float:
-        return min(0.95, max(0.05, b + bias_shift))
+    def shifted(label: str, b: float) -> Callable[[DiscreteJoint], DiscreteJoint]:
+        # the exact joint of the rebiased process, computed on first use
+        joint = functools.cache(process.with_prob(
+            label, min(0.95, max(0.05, b + bias_shift))).exact_joint)
+        return lambda _baseline: joint()[0]
 
     stat_actions = (
-        StatisticalAction("A1-bias-shift",
-                          process.with_prob("A1+", shifted(p1p)).exact_joint()[0]),
-        StatisticalAction("A2-bias-shift",
-                          process.with_prob("A2+", shifted(p2p)).exact_joint()[0]),
+        StatisticalAction("A1-bias-shift", shifted("A1+", p1p)),
+        StatisticalAction("A2-bias-shift", shifted("A2+", p2p)),
     )
 
     return Exemplar(

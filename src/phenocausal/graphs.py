@@ -13,10 +13,11 @@ output.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "Dag",
@@ -31,11 +32,16 @@ __all__ = [
     "all_dags",
     "random_dag",
     "EXHAUSTIVE_NODE_CAP",
+    "DAG_ENUMERATION_CAP",
 ]
 
-# Exhaustive operations (DAG enumeration, all-triples Markov checks) refuse
-# to run above this many nodes unless the caller raises the cap explicitly.
+# All-triples Markov checks (``tables.markov_report(mode="all")``) visit 4^n
+# set assignments and refuse to run above this many nodes.
 EXHAUSTIVE_NODE_CAP = 7
+
+# Exhaustive DAG enumeration refuses to run above this many nodes: 5 nodes
+# have 29,281 DAGs, 6 nodes 3,781,503.
+DAG_ENUMERATION_CAP = 5
 
 
 class GraphError(ValueError):
@@ -68,12 +74,17 @@ class Dag:
 
     ``edges`` are (parent, child) pairs. Construction validates that all
     endpoints are declared nodes, that there are no self loops or duplicate
-    edges, and that a topological order exists.
+    edges, and that a topological order exists. It also stores each node's
+    parents and children and the topological order, so structural queries
+    never scan the edge set.
     """
 
     nodes: tuple[str, ...]
     edges: frozenset[tuple[str, str]]
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _parents: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
+    _children: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
+    _order: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __init__(self, nodes: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
         nodes = tuple(nodes)
@@ -83,72 +94,63 @@ class Dag:
         edge_set = frozenset(edge_list)
         if len(edge_set) != len(edge_list):
             raise GraphError("duplicate edges")
-        node_set = set(nodes)
+        index = {n: i for i, n in enumerate(nodes)}
+        pairs = []
         for a, b in edge_set:
             if a == b:
                 raise GraphError(f"self loop on {a!r}")
-            if a not in node_set or b not in node_set:
+            if a not in index or b not in index:
                 raise GraphError(f"edge ({a!r}, {b!r}) mentions an undeclared node")
+            pairs.append((index[a], index[b]))
+        # one pass over the edges in node order leaves each list sorted
+        parents: list[list[str]] = [[] for _ in nodes]
+        children: list[list[str]] = [[] for _ in nodes]
+        for i, j in sorted(pairs):
+            parents[j].append(nodes[i])
+            children[i].append(nodes[j])
+        # Kahn's algorithm, always taking the ready node first in node order
+        indeg = [len(ps) for ps in parents]
+        ready = [i for i, d in enumerate(indeg) if not d]
+        order: list[str] = []
+        while ready:
+            i = heapq.heappop(ready)
+            order.append(nodes[i])
+            for j in map(index.__getitem__, children[i]):
+                indeg[j] -= 1
+                if not indeg[j]:
+                    heapq.heappush(ready, j)
+        if len(order) != len(nodes):
+            raise CycleError(f"edge set {sorted(edge_set)} contains a cycle")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "edges", edge_set)
-        object.__setattr__(self, "_index", {n: i for i, n in enumerate(nodes)})
-        self.topological_order()  # raises CycleError on cycles
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_parents", dict(zip(nodes, map(tuple, parents))))
+        object.__setattr__(self, "_children", dict(zip(nodes, map(tuple, children))))
+        object.__setattr__(self, "_order", tuple(order))
 
     # -- basic structure ---------------------------------------------------
 
     def parents(self, node: str) -> tuple[str, ...]:
         self._check_nodes([node])
-        return self.sorted_tuple(a for a, b in self.edges if b == node)
+        return self._parents[node]
 
     def children(self, node: str) -> tuple[str, ...]:
         self._check_nodes([node])
-        return self.sorted_tuple(b for a, b in self.edges if a == node)
+        return self._children[node]
 
     def ancestors(self, nodes: Iterable[str]) -> tuple[str, ...]:
         """All nodes with a directed path into ``nodes`` (the set included)."""
-        seen = set(self._check_nodes(nodes))
-        stack = list(seen)
-        while stack:
-            node = stack.pop()
-            for a, b in self.edges:
-                if b == node and a not in seen:
-                    seen.add(a)
-                    stack.append(a)
-        return self.sorted_tuple(seen)
+        return self.sorted_tuple(_reach(self._check_nodes(nodes), self._parents))
 
     def descendants(self, node: str, strict: bool = True) -> tuple[str, ...]:
         """Nodes reachable from ``node`` by a directed path."""
-        self._check_nodes([node])
-        seen = {node}
-        stack = [node]
-        while stack:
-            top = stack.pop()
-            for a, b in self.edges:
-                if a == top and b not in seen:
-                    seen.add(b)
-                    stack.append(b)
+        seen = _reach(self._check_nodes([node]), self._children)
         if strict:
             seen.discard(node)
         return self.sorted_tuple(seen)
 
     def topological_order(self) -> tuple[str, ...]:
-        indeg = {n: 0 for n in self.nodes}
-        for _, b in self.edges:
-            indeg[b] += 1
-        ready = [n for n in self.nodes if indeg[n] == 0]
-        order: list[str] = []
-        while ready:
-            # pop in node order for determinism
-            ready.sort(key=self._index.__getitem__)
-            n = ready.pop(0)
-            order.append(n)
-            for c in (b for a, b in self.edges if a == n):
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    ready.append(c)
-        if len(order) != len(self.nodes):
-            raise CycleError(f"edge set {sorted(self.edges)} contains a cycle")
-        return tuple(order)
+        return self._order
 
     def sorted_tuple(self, names: Iterable[str]) -> tuple[str, ...]:
         """Deduplicate and sort names by this graph's node order."""
@@ -160,10 +162,6 @@ class Dag:
         if unknown:
             raise GraphError(f"unknown node(s) {unknown}; graph has {list(self.nodes)}")
         return names
-
-    def restrict_edges(self, keep: Iterable[str]) -> frozenset[tuple[str, str]]:
-        keep_set = set(keep)
-        return frozenset((a, b) for a, b in self.edges if a in keep_set and b in keep_set)
 
     def relabel(self, mapping: dict[str, str]) -> "Dag":
         return Dag(
@@ -211,6 +209,27 @@ class Dag:
 
 
 # ---------------------------------------------------------------------------
+# Reachability
+# ---------------------------------------------------------------------------
+
+
+def _reach(starts: Iterable[str], step: Mapping[str, tuple[str, ...]],
+           blocked: set[str] | frozenset[str] = frozenset()) -> set[str]:
+    """``starts`` plus every node reached from them by repeatedly following
+    ``step`` (a graph's parents or children map); nodes in ``blocked`` are
+    reached but not walked through. The starts are always walked through."""
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        for nxt in step[stack.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                if nxt not in blocked:
+                    stack.append(nxt)
+    return seen
+
+
+# ---------------------------------------------------------------------------
 # d-separation
 # ---------------------------------------------------------------------------
 
@@ -233,9 +252,7 @@ def d_separated(g: Dag, a: Iterable[str], b: Iterable[str], c: Iterable[str] = (
     if not a_set or not b_set:
         return True
 
-    anc_c = set(g.ancestors(c_set)) if c_set else set()
-    parents = {n: g.parents(n) for n in g.nodes}
-    children = {n: g.children(n) for n in g.nodes}
+    anc_c = _reach(c_set, g._parents)
 
     # Travel states: (node, "up") means the trail enters the node from a
     # child; (node, "down") means it enters from a parent.
@@ -251,13 +268,13 @@ def d_separated(g: Dag, a: Iterable[str], b: Iterable[str], c: Iterable[str] = (
         if direction == "up":
             if node in c_set:
                 continue
-            frontier.extend((p, "up") for p in parents[node])
-            frontier.extend((ch, "down") for ch in children[node])
+            frontier.extend((p, "up") for p in g._parents[node])
+            frontier.extend((ch, "down") for ch in g._children[node])
         else:
             if node not in c_set:
-                frontier.extend((ch, "down") for ch in children[node])
+                frontier.extend((ch, "down") for ch in g._children[node])
             if node in anc_c:  # collider with an observed descendant opens
-                frontier.extend((p, "up") for p in parents[node])
+                frontier.extend((p, "up") for p in g._parents[node])
     return True
 
 
@@ -267,19 +284,11 @@ def d_separated(g: Dag, a: Iterable[str], b: Iterable[str], c: Iterable[str] = (
 
 
 def _reachable_inside(g: Dag, start: str, s: set[str]) -> tuple[str, ...]:
-    """Members of ``s`` reachable from ``start`` by directed paths whose
-    intermediate nodes all lie outside ``s``."""
-    hits: set[str] = set()
-    stack = [start]
-    seen = {start}
-    while stack:
-        for ch in g.children(stack.pop()):
-            if ch in s:
-                hits.add(ch)
-            elif ch not in seen:
-                seen.add(ch)
-                stack.append(ch)
-    return g.sorted_tuple(hits)
+    """Members of ``s`` other than ``start`` reachable from ``start`` by
+    directed paths whose intermediate nodes all lie outside ``s``."""
+    seen = _reach((start,), g._children, s)
+    seen.discard(start)
+    return g.sorted_tuple(seen & s)
 
 
 def hidden_common_causes(g: Dag, s: Iterable[str]) -> tuple[tuple[str, tuple[str, ...]], ...]:
@@ -360,34 +369,25 @@ def backdoor_admissible(g: Dag, x: str, y: str, z: Iterable[str]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def all_dags(nodes: Sequence[str], cap: int = EXHAUSTIVE_NODE_CAP) -> Iterator[Dag]:
-    """Yield every DAG over ``nodes``, deduplicated, in a deterministic order.
+def all_dags(nodes: Sequence[str], cap: int = DAG_ENUMERATION_CAP) -> Iterator[Dag]:
+    """Yield every DAG over ``nodes`` once, ordered by edge count and then by
+    sorted edge list.
 
-    Enumerates permutations x lower-triangular edge masks; above ``cap``
-    nodes this is refused.
+    Enumerates permutations x lower-triangular edge masks, keeping only the
+    edge lists, and builds each DAG as it is yielded. Above ``cap`` nodes the
+    enumeration is refused before any work.
     """
     nodes = tuple(nodes)
     n = len(nodes)
     if n > cap:
         raise GraphError(f"refusing exhaustive enumeration over {n} nodes (cap {cap})")
     pair_slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    seen: set[frozenset[tuple[str, str]]] = set()
-    graphs: list[tuple[tuple[tuple[str, str], ...], Dag]] = []
-    for perm in itertools.permutations(range(n)):
-        for mask in range(1 << len(pair_slots)):
-            edges = tuple(
-                (nodes[perm[i]], nodes[perm[j]])
-                for k, (i, j) in enumerate(pair_slots)
-                if mask >> k & 1
-            )
-            key = frozenset(edges)
-            if key in seen:
-                continue
-            seen.add(key)
-            graphs.append((tuple(sorted(edges)), Dag(nodes, edges)))
-    graphs.sort(key=lambda item: (len(item[0]), item[0]))
-    for _, g in graphs:
-        yield g
+    keys = {tuple(sorted((nodes[perm[i]], nodes[perm[j]])
+                         for k, (i, j) in enumerate(pair_slots) if mask >> k & 1))
+            for perm in itertools.permutations(range(n))
+            for mask in range(1 << len(pair_slots))}
+    for edges in sorted(keys, key=lambda e: (len(e), e)):
+        yield Dag(nodes, edges)
 
 
 def random_dag(nodes: Sequence[str], rng, edge_prob: float = 0.5) -> Dag:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
@@ -41,10 +42,14 @@ __all__ = [
     "unit_map",
     "structure_preserving_intervention",
     "exact_joint",
+    "NOISE_COMBO_CAP",
 ]
 
 _CHUNK = 8192  # fixed chunk size; defines the reproducible parallel layout
 _EDGE_TOL = 1e-12
+
+# Exact joints enumerate every noise assignment and refuse above this many.
+NOISE_COMBO_CAP = 1 << 16
 
 
 class ScmError(ValueError):
@@ -294,6 +299,13 @@ def _format_number(v: float) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _support_dag(nodes: Sequence[str], a: np.ndarray) -> Dag:
+    """Edge i -> j for every nonzero off-diagonal entry a[j, i]; raises
+    CycleError when the support is cyclic."""
+    return Dag(nodes, [(u, v) for j, v in enumerate(nodes) for i, u in enumerate(nodes)
+                       if i != j and abs(a[j, i]) > _EDGE_TOL])
+
+
 @dataclass(frozen=True)
 class LinearScm:
     """X = A X + offsets + N with mutually independent noises.
@@ -333,14 +345,8 @@ class LinearScm:
         self.graph()  # acyclicity check
 
     def graph(self) -> Dag:
-        d = len(self.nodes)
-        edges = [
-            (self.nodes[i], self.nodes[j])
-            for j in range(d) for i in range(d)
-            if i != j and abs(self.a[j, i]) > _EDGE_TOL
-        ]
         try:
-            return Dag(self.nodes, edges)
+            return _support_dag(self.nodes, self.a)
         except CycleError as exc:
             raise ScmError(f"structure matrix support is cyclic: {exc}") from exc
 
@@ -397,10 +403,8 @@ def solve_structure(s: np.ndarray,
     a = np.eye(d) - scipy.linalg.lu_solve((lu, piv), np.eye(d))
     a[np.abs(a) < _EDGE_TOL] = 0.0
     names = tuple(nodes) if nodes is not None else tuple(f"x{i+1}" for i in range(d))
-    edges = [(names[i], names[j]) for j in range(d) for i in range(d)
-             if i != j and abs(a[j, i]) > _EDGE_TOL]
     try:
-        dag = Dag(names, edges)
+        dag = _support_dag(names, a)
     except CycleError:
         dag = None
     return StructureSolution(a, dag)
@@ -435,6 +439,7 @@ class GeneralScm:
     mechanisms: dict[str, Mechanism]
     noises: dict[str, NoiseSpec]
     noise_streams: dict[str, int] = field(default_factory=dict)
+    _order: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
@@ -446,7 +451,8 @@ class GeneralScm:
                    if v not in self.mechanisms or v not in self.noises]
         if missing:
             raise ScmError(f"missing mechanism or noise for {missing}")
-        self.graph()  # validates acyclicity and parent names
+        # validates acyclicity and parent names
+        object.__setattr__(self, "_order", self.graph().topological_order())
 
     def graph(self) -> Dag:
         edges = [(p, v) for v in self.nodes for p in self.parents[v]]
@@ -462,9 +468,10 @@ class GeneralScm:
         }
 
     def evaluate(self, noise_row: Mapping[str, object]) -> dict[str, float]:
-        """Deterministic state implied by one full noise assignment."""
+        """Deterministic state implied by one full noise assignment: the
+        mechanisms applied in topological order."""
         state: dict[str, float] = {}
-        for v in self.graph().topological_order():
+        for v in self._order:
             pa = {p: state[p] for p in self.parents[v]}
             state[v] = self.mechanisms[v](pa, noise_row[v])
         return state
@@ -473,13 +480,9 @@ class GeneralScm:
         if n < 1:
             raise ScmError("need n >= 1 samples")
         noise = self.sample_noise(n, seed)
-        order = self.graph().topological_order()
         rows = np.empty((n, len(self.nodes)))
         for r in range(n):
-            state: dict[str, float] = {}
-            for v in order:
-                pa = {p: state[p] for p in self.parents[v]}
-                state[v] = self.mechanisms[v](pa, noise[v][r])
+            state = self.evaluate({v: noise[v][r] for v in self.nodes})
             rows[r] = [state[v] for v in self.nodes]
         ds = Dataset(self.nodes, rows, seed)
         return (ds, noise) if return_noise else ds
@@ -518,7 +521,7 @@ def structure_preserving_intervention(scm, j: str, fresh_seed: int):
     raise ScmError(f"unsupported model type {type(scm).__name__}")
 
 
-def exact_joint(scm: GeneralScm, max_combos: int = 1 << 16):
+def exact_joint(scm: GeneralScm, max_combos: int = NOISE_COMBO_CAP):
     """Exact joint of a finite general SCM by enumerating noise assignments.
 
     Returns (joint over value indices, levels) where levels maps each node
@@ -526,30 +529,19 @@ def exact_joint(scm: GeneralScm, max_combos: int = 1 << 16):
     finite support and the support product to stay at or below
     ``max_combos``.
     """
-    supports = {}
-    combos = 1
-    for v in scm.nodes:
-        atoms, probs = scm.noises[v].support()
-        supports[v] = (atoms, probs)
-        combos *= len(atoms)
+    supports = [scm.noises[v].support() for v in scm.nodes]
+    combos = math.prod(len(atoms) for atoms, _ in supports)
     if combos > max_combos:
         raise ScmError(
             f"noise support product {combos} exceeds enumeration cap {max_combos}")
-    order = scm.graph().topological_order()
     weights: dict[tuple, float] = {}
-    atom_lists = [supports[v][0] for v in scm.nodes]
-    prob_lists = [supports[v][1] for v in scm.nodes]
-    for combo in itertools.product(*(range(len(a)) for a in atom_lists)):
-        w = 1.0
-        for k, idx in enumerate(combo):
-            w *= prob_lists[k][idx]
+    atom_combos = itertools.product(*(atoms for atoms, _ in supports))
+    prob_combos = itertools.product(*(probs for _, probs in supports))
+    for atoms, probs in zip(atom_combos, prob_combos):
+        w = math.prod(probs)
         if w == 0.0:
             continue
-        noise_row = {v: atom_lists[k][combo[k]] for k, v in enumerate(scm.nodes)}
-        state: dict[str, float] = {}
-        for v in order:
-            pa = {p: state[p] for p in scm.parents[v]}
-            state[v] = scm.mechanisms[v](pa, noise_row[v])
+        state = scm.evaluate(dict(zip(scm.nodes, atoms)))
         key = tuple(state[v] for v in scm.nodes)
         weights[key] = weights.get(key, 0.0) + w
     levels = {

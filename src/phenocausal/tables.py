@@ -297,8 +297,9 @@ def markov_report(p: DiscreteJoint, g: Dag, eps: float = 1e-9,
     ``mode="local"`` checks each node against its non-descendants given its
     parents, which is equivalent to the full set of d-separation constraints
     at eps=0 and is what the exact suites use. ``mode="all"`` enumerates
-    every disjoint (a, b, c) assignment (exponential; small graphs only) and
-    checks each implied separation.
+    every disjoint (a, b, c) assignment, 4^n of them, and checks each
+    implied separation; it refuses graphs above ``EXHAUSTIVE_NODE_CAP`` (7)
+    nodes.
     """
     _check_same_variables(p, g)
     worst = 0.0
@@ -306,8 +307,8 @@ def markov_report(p: DiscreteJoint, g: Dag, eps: float = 1e-9,
     if mode == "local":
         for node in g.nodes:
             pa = g.parents(node)
-            nondesc = [n for n in g.nodes
-                       if n != node and n not in g.descendants(node) and n not in pa]
+            skip = {node, *pa, *g.descendants(node)}
+            nondesc = [n for n in g.nodes if n not in skip]
             if not nondesc:
                 continue
             r = ci_residual(p, (node,), nondesc, pa)

@@ -31,7 +31,7 @@ from .exemplars import Exemplar
 from .graphs import (Dag, CycleError, _reachable_inside, backdoor_admissible,
                      is_graphically_causally_sufficient, marginal_dag,
                      random_dag)
-from .scm import GeneralScm, NoiseSpec, exact_joint
+from .scm import NOISE_COMBO_CAP, GeneralScm, NoiseSpec, exact_joint
 from .tables import (ConditionalTable, DiscreteJoint, changed_factors,
                      hard_intervention, markov_report, product_joint,
                      soft_intervention, tv_distance)
@@ -166,21 +166,6 @@ class ControllerSpec:
         default_factory=dict)
 
 
-def _controller_ranges(spec: ControllerSpec) -> dict[str, tuple]:
-    ranges: dict[str, tuple] = {}
-    for y in spec.dag.topological_order():
-        mech = spec.mechanisms.get(y, lambda pa, nz: nz)
-        atoms, _ = spec.noises[y].support()
-        values = set()
-        parent_ranges = [ranges[p] for p in spec.dag.parents(y)]
-        for combo in itertools.product(*parent_ranges) if parent_ranges else [()]:
-            pa = dict(zip(spec.dag.parents(y), combo))
-            for a in atoms:
-                values.add(mech(pa, a))
-        ranges[y] = tuple(sorted(values))
-    return ranges
-
-
 def build_embedding(exemplar: Exemplar,
                     controllers: ControllerSpec) -> tuple[GeneralScm, Dag]:
     """Joint SCM over (controllers, system) plus the combined graph.
@@ -218,7 +203,23 @@ def build_embedding(exemplar: Exemplar,
     except CycleError as exc:
         raise CycleError(f"combined controller/system graph is cyclic: {exc}")
 
-    ranges = _controller_ranges(controllers)
+    # the controllers alone (one without a mechanism takes its noise value),
+    # and the values each takes under some noise assignment, zero-probability
+    # atoms included
+    ctrl_nodes = controllers.dag.nodes
+    ctrl_scm = GeneralScm(
+        nodes=ctrl_nodes,
+        parents={y: controllers.dag.parents(y) for y in ctrl_nodes},
+        mechanisms={y: controllers.mechanisms.get(y, lambda pa, nz: nz)
+                    for y in ctrl_nodes},
+        noises={y: controllers.noises[y] for y in ctrl_nodes})
+    values: dict[str, set] = {y: set() for y in ctrl_nodes}
+    for combo in itertools.product(*(ctrl_scm.noises[y].support()[0]
+                                     for y in ctrl_nodes)):
+        state = ctrl_scm.evaluate(dict(zip(ctrl_nodes, combo)))
+        for y in ctrl_nodes:
+            values[y].add(state[y])
+    ranges = {y: tuple(sorted(v)) for y, v in values.items()}
     context_specs: dict[str, tuple[tuple, tuple[NoiseSpec, ...]]] = {}
     for label, (ctrl_parents, fn) in controllers.controls.items():
         outside = [y for y in ctrl_parents if y not in ranges]
@@ -230,13 +231,9 @@ def build_embedding(exemplar: Exemplar,
         context_specs[class_nodes[label]] = (
             contexts, tuple(fn(*ctx) for ctx in contexts))
 
-    parents: dict[str, tuple[str, ...]] = {}
-    mechanisms: dict[str, Callable] = {}
-    noises: dict[str, NoiseSpec] = {}
-    for y in controllers.dag.nodes:
-        parents[y] = controllers.dag.parents(y)
-        mechanisms[y] = controllers.mechanisms.get(y, lambda pa, nz: nz)
-        noises[y] = controllers.noises[y]
+    parents = dict(ctrl_scm.parents)
+    mechanisms = dict(ctrl_scm.mechanisms)
+    noises = dict(ctrl_scm.noises)
     for v in base.nodes:
         base_parents = base.parents[v]
         if v in extra_parents:
@@ -297,7 +294,7 @@ def urn2_controllers(rounds: int, base_biases: Sequence[float],
 
 
 def verify_embedding_markov(scm: GeneralScm, gtilde: Dag, eps: float = 1e-12,
-                            max_combos: int = 1 << 16, index: int = 0,
+                            max_combos: int = NOISE_COMBO_CAP, index: int = 0,
                             seed: int = 0) -> TrialRecord:
     """Exactly enumerate the embedding's joint and check Markovness."""
     joint, _levels = exact_joint(scm, max_combos=max_combos)
@@ -449,7 +446,6 @@ class SuiteConfig:
     floor: float = 1e-12
     eps: float = 1e-9
     urn_rounds: int = 3
-    max_combos: int = 1 << 16
 
 
 def _spawn_seed(seed: int, *key: int) -> int:
@@ -503,8 +499,7 @@ def boundary_trial(trial_seed: int, max_nodes: int = 6, eps: float = 1e-9,
     return record
 
 
-def embedding_trial(trial_seed: int, rounds: int = 3,
-                    max_combos: int = 1 << 16, index: int = 0) -> TrialRecord:
+def embedding_trial(trial_seed: int, rounds: int = 3, index: int = 0) -> TrialRecord:
     from .exemplars import urn_bivariate
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(trial_seed)))
@@ -517,8 +512,7 @@ def embedding_trial(trial_seed: int, rounds: int = 3,
                             p_y1=float(rng.uniform(0.3, 0.7)),
                             p_y2=float(rng.uniform(0.3, 0.7)))
     scm, gtilde = build_embedding(ex, spec)
-    return verify_embedding_markov(scm, gtilde, eps=1e-12,
-                                   max_combos=max_combos, index=index,
+    return verify_embedding_markov(scm, gtilde, eps=1e-12, index=index,
                                    seed=trial_seed)
 
 
@@ -570,7 +564,7 @@ def randomized_suite(config: SuiteConfig = SuiteConfig(),
     if which in ("embedding", "all"):
         records = _run_trials(
             embedding_trial,
-            [(_spawn_seed(seed, 2, i), config.urn_rounds, config.max_combos, i)
+            [(_spawn_seed(seed, 2, i), config.urn_rounds, i)
              for i in range(config.embedding_trials)], jobs)
         out["embedding"] = VerificationReport("embedding-markov", tuple(records))
     if not out:

@@ -114,7 +114,8 @@ def test_statistical_permutation_equivariance():
     g2 = g.relabel(swap)
     baseline2 = DiscreteJoint(("Red", "Blue"), ex.baseline.probs)
     actions2 = tuple(
-        StatisticalAction(a.label, DiscreteJoint(("Red", "Blue"), a.effect.probs))
+        StatisticalAction(a.label,
+                          DiscreteJoint(("Red", "Blue"), a.resolve(ex.baseline).probs))
         for a in ex.statistical_actions)
     report2 = classify_statistical(g2, baseline2, actions2)
     assert report2.valid == report.valid

@@ -84,6 +84,19 @@ def test_exemplar_zero_samples_exits_2(tmp_path):
     assert not out.exists()
 
 
+def test_exemplar_malformed_list_parameter_exits_2(tmp_path, capfd):
+    rc = run(["exemplar", "urn2", "--seed", "1", "--param", "coin_biases=abc",
+              "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert "bad parameters for 'urn2'" in capfd.readouterr().err
+
+
+def test_negative_seed_is_usage_error(tmp_path, capfd):
+    rc = run(["exemplar", "urn2", "--seed", "-1", "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert "seed must be a non-negative integer" in capfd.readouterr().err
+
+
 def test_exemplar_invalid_parameters_exit_2(tmp_path):
     out = tmp_path / "x.csv"
     assert run(["exemplar", "urn2", "--kb0", "5", "--kr0", "5", "--rounds", "7",
@@ -203,6 +216,70 @@ def test_discover_nan_cell_exits_2_without_lapack_noise(tmp_path, capfd):
     err = capfd.readouterr().err
     assert "line 152: non-finite value" in err
     assert "DLASCL" not in err
+
+
+def _shift_inputs(tmp_path) -> tuple[Path, Path, Path]:
+    """Two small readable CSVs and an edge-list graph over their columns."""
+    rows = "Kb,Kr\n" + "".join(f"{i % 5},{(3 * i) % 7}\n" for i in range(40))
+    a, b, g = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "g.txt"
+    a.write_text(rows)
+    b.write_text(rows)
+    g.write_text("Kb -> Kr\n")
+    return a, b, g
+
+
+def _assert_bad_input(rc: int, capfd, path) -> None:
+    err = capfd.readouterr().err
+    assert rc == 2
+    assert str(path) in err
+    assert "Traceback" not in err
+
+
+def test_discover_missing_in_exits_2(tmp_path, capfd):
+    missing = tmp_path / "missing.csv"
+    rc = run(["discover", "--method", "bivariate", "--in", str(missing), "--seed", "1"])
+    _assert_bad_input(rc, capfd, missing)
+
+
+def test_discover_missing_in2_exits_2(tmp_path, capfd):
+    a, _, g = _shift_inputs(tmp_path)
+    missing = tmp_path / "missing.csv"
+    rc = run(["discover", "--method", "shift", "--in", str(a), "--in2", str(missing),
+              "--graph", str(g), "--seed", "1"])
+    _assert_bad_input(rc, capfd, missing)
+
+
+def test_discover_missing_graph_exits_2(tmp_path, capfd):
+    a, b, _ = _shift_inputs(tmp_path)
+    missing = tmp_path / "missing.txt"
+    rc = run(["discover", "--method", "shift", "--in", str(a), "--in2", str(b),
+              "--graph", str(missing), "--seed", "1"])
+    _assert_bad_input(rc, capfd, missing)
+
+
+def test_discover_cyclic_graph_exits_2(tmp_path, capfd):
+    a, b, g = _shift_inputs(tmp_path)
+    g.write_text("Kb -> Kr\nKr -> Kb\n")
+    rc = run(["discover", "--method", "shift", "--in", str(a), "--in2", str(b),
+              "--graph", str(g), "--seed", "1"])
+    _assert_bad_input(rc, capfd, g)
+
+
+def test_discover_unparsable_graph_exits_2(tmp_path, capfd):
+    a, b, _ = _shift_inputs(tmp_path)
+    g = tmp_path / "g.json"
+    g.write_text('{"nodes": ["Kb", "Kr"], "edges": [["Kb"')
+    rc = run(["discover", "--method", "shift", "--in", str(a), "--in2", str(b),
+              "--graph", str(g), "--seed", "1"])
+    _assert_bad_input(rc, capfd, g)
+
+
+def test_out_in_missing_directory_exits_2(tmp_path, capfd):
+    out = tmp_path / "no-such-dir" / "report.json"
+    rc = run(["exemplar", "urn2", "--seed", "1", "--samples", "5", "--out", str(out)])
+    _assert_bad_input(rc, capfd, out)
+    rc = run(["classify", "urn2", "--seed", "1", "--trials", "5", "--out", str(out)])
+    _assert_bad_input(rc, capfd, out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,143 @@
+"""Fuzz of the CLI contract: on any argv and any CSV content, ``run`` returns
+0, 1 or 2 and never lets an exception escape (which the console script
+would print as a traceback).
+
+Inputs stay small (few samples, few trials, at most three urn types) so
+the whole module runs in a few seconds.
+"""
+
+from __future__ import annotations
+
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from phenocausal.cli import run
+from phenocausal.exemplars import EXEMPLARS
+
+NAMES = sorted(EXEMPLARS) + ["nope"]
+SEEDS = st.sampled_from(["0", "1", "2", "3", "7", "11", "-1", "x"])
+PARAMS = st.sampled_from([
+    "endpoint=high", "endpoint=middle", "coin_biases=abc", "coin_biases=0.5",
+    "bias_shift=0.1", "scenario=3", "n_rabbits=0", "food_supply=-1",
+    "potato_elasticity=0.5", "shift=nan", "initial_packages=1", "k0=5",
+    "unknown=1", "noequals",
+])
+EPS = st.sampled_from(["1e-9", "0", "-1", "nan", "inf", "0.05"])
+
+FUZZ = settings(max_examples=40, deadline=None, derandomize=True,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _numeric_rows(n: int, cols: int) -> str:
+    return "".join(",".join(str((7 * i + 3 * k) % 11) for k in range(cols)) + "\n"
+                   for i in range(n))
+
+
+CELL = st.sampled_from(["0", "1", "2", "3", "-4", "2.5", "1e300", "x", "nan", ""])
+
+
+@st.composite
+def generated_csv(draw) -> str:
+    """A header of one to three columns and rows that are mostly numeric,
+    occasionally ragged or holding a bad cell."""
+    cols = draw(st.sampled_from([2, 2, 1, 3]))
+    rows = draw(st.sampled_from([220, 120, 0, 1, 3]))
+    bad = draw(st.sampled_from([None, None, None, "cell", "ragged"]))
+    lines = [",".join(["Kb", "Kr", "Kx"][:cols])]
+    lines += [",".join(str((7 * i + 3 * k) % 11) for k in range(cols)) for i in range(rows)]
+    if bad and rows:
+        i = draw(st.integers(1, rows))
+        lines[i] = (",".join([draw(CELL)] * cols) if bad == "cell"
+                    else lines[i] + ",9")
+    return "\n".join(lines) + "\n"
+
+
+CSV = st.one_of(generated_csv(), st.sampled_from([
+    "",
+    "\n\n",
+    "Kb,Kr\n",
+    "Kb,Kr\n1,2\n3\n",
+    "Kb,Kr\n1,2\n3,x\n",
+    "Kb,Kr\n1,nan\n2,3\n",
+    "Kb,Kr\n1,inf\n",
+    "Kb,Kr\n1,2\n",
+    "Kb,Kr\n" + _numeric_rows(5, 2),
+    "Kb\n" + _numeric_rows(150, 1),
+    "Kb,Kr\n" + _numeric_rows(150, 2),
+    "Kb,Kr,Kx\n" + _numeric_rows(30, 3),
+    "Kb,Kb\n" + _numeric_rows(150, 2),
+    "Kb,Kr\n" + "1,1\n" * 150,
+]))
+GRAPH = st.sampled_from([
+    None, "Kb -> Kr\n", "Kr -> Kb\n", "Kb -> Kr\nKr -> Kb\n", "Kb -> Kb\n",
+    "Kb\nKr\n", "A -> B\n", '{"nodes": ["Kb", "Kr"], "edges": [["Kb", "Kr"]]}',
+    '{"nodes": ["Kb"', '{"edges": []}', '{"nodes": 3, "edges": []}',
+])
+
+
+def _assert_contract(argv: list[str], capfd) -> None:
+    capfd.readouterr()
+    rc = run(argv)
+    err = capfd.readouterr().err
+    assert rc in (0, 1, 2), (argv, rc)
+    assert "Traceback" not in err
+
+
+@FUZZ
+@given(name=st.sampled_from(NAMES), seed=SEEDS, samples=st.integers(-1, 30),
+       sizes=st.lists(st.sampled_from(["--kb0", "--kr0", "--rounds", "--n"]), max_size=2),
+       size=st.integers(-1, 8), params=st.lists(PARAMS, max_size=2),
+       missing_dir=st.booleans())
+def test_exemplar_argv_keeps_contract(name, seed, samples, sizes, size, params,
+                                      missing_dir, capfd):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / ("missing" if missing_dir else "") / "out.csv"
+        argv = ["exemplar", name, "--seed", seed, "--samples", str(samples),
+                "--out", str(out)]
+        for flag in sizes:
+            argv += [flag, str(size)]
+        for p in params:
+            argv += ["--param", p]
+        _assert_contract(argv, capfd)
+
+
+@FUZZ
+@given(name=st.sampled_from(NAMES), seed=SEEDS,
+       mode=st.sampled_from(["auto", "unit", "statistical", "bogus"]),
+       trials=st.integers(-1, 8), eps=EPS, enumerate_=st.booleans(),
+       n=st.integers(-1, 3), params=st.lists(PARAMS, max_size=1))
+def test_classify_argv_keeps_contract(name, seed, mode, trials, eps, enumerate_, n,
+                                      params, capfd):
+    argv = ["classify", name, "--seed", seed, "--mode", mode, "--trials", str(trials),
+            "--eps", eps]
+    if name in ("urnN", "bundles"):
+        argv += ["--n", str(n)]
+    if enumerate_:
+        argv.append("--enumerate")
+    for p in params:
+        argv += ["--param", p]
+    _assert_contract(argv, capfd)
+
+
+@FUZZ
+@given(method=st.sampled_from(["bivariate", "multivariate", "shift", "shift", "bogus"]),
+       csv1=CSV, csv2=st.one_of(st.none(), CSV), graph=GRAPH, seed=SEEDS,
+       eps=st.one_of(st.none(), EPS))
+def test_discover_inputs_keep_contract(method, csv1, csv2, graph, seed, eps, capfd):
+    with tempfile.TemporaryDirectory() as tmp:
+        in1 = Path(tmp) / "in1.csv"
+        in1.write_text(csv1)
+        argv = ["discover", "--method", method, "--in", str(in1), "--seed", seed]
+        if csv2 is not None:
+            in2 = Path(tmp) / "in2.csv"
+            in2.write_text(csv2)
+            argv += ["--in2", str(in2)]
+        if graph is not None:
+            g = Path(tmp) / ("g.json" if graph.startswith("{") else "g.txt")
+            g.write_text(graph)
+            argv += ["--graph", str(g)]
+        if eps is not None:
+            argv += ["--eps", eps]
+        _assert_contract(argv, capfd)
