@@ -3,18 +3,23 @@
 Direction decisions follow the regression-residual independence principle:
 in the true direction the residual is independent of the regressor, in the
 reversed direction it is not (unless the noise is Gaussian). Independence
-is measured by distance correlation on standardized values; thresholds,
-when needed, come from a permutation null. Multivariate recovery is a
-DirectLiNGAM-style ordering (iteratively extract the most exogenous
-variable, regress it out, recurse) followed by coefficient pruning.
+is measured by distance correlation on standardized values, computed
+exactly from sorted row sums and a merge-style cross sum in
+O(m log^2 m), never as an m x m matrix; thresholds, when needed, come from
+a permutation null. One-regressor fits are closed-form covariances.
+Multivariate recovery is a DirectLiNGAM-style ordering (iteratively extract
+the most exogenous variable, regress it out, recurse) followed by
+coefficient pruning, with a least-squares fit on all predecessors.
 
 Mechanism-shift localization compares per-environment plug-in conditional
-tables against the pooled ones; on exact joint inputs this reduces to the
-exact factor-change computation.
+tables against the pooled ones; every table, permutation nulls included,
+is a ``bincount`` of the rows' cell codes. On exact joint inputs this
+reduces to the exact factor-change computation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -23,7 +28,8 @@ import scipy.stats
 
 from .graphs import Dag
 from .scm import Dataset
-from .tables import DiscreteJoint, changed_factors, factor_distance
+from .tables import (MAX_TABLE_ENTRIES, DiscreteJoint, TableError,
+                     changed_factors, factor_distance)
 
 __all__ = [
     "DiscoveryError",
@@ -56,9 +62,73 @@ def _subsample(u: np.ndarray, max_points: int) -> np.ndarray:
     return u[idx]
 
 
-def _center_distances(x: np.ndarray) -> np.ndarray:
-    d = np.abs(x[:, None] - x[None, :])
-    return d - d.mean(axis=0, keepdims=True) - d.mean(axis=1, keepdims=True) + d.mean()
+def _distance_row_sums(x: np.ndarray) -> np.ndarray:
+    """a_i = sum_j |x_i - x_j| for every i, from one sort.
+
+    At sorted position k, with C_k the inclusive prefix sum and T the total,
+    a_(k) = (2k - m + 2) x_(k) + T - 2 C_k. Tied values contribute zero
+    whichever order the sort leaves them in.
+    """
+    m = x.size
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    c = np.cumsum(xs)
+    sums = np.empty(m)
+    sums[order] = (2.0 * np.arange(m) - m + 2.0) * xs + (c[-1] - 2.0 * c)
+    return sums
+
+
+def _cross_distance_sum(x: np.ndarray, y: np.ndarray) -> float:
+    """sum_ij |x_i - x_j| |y_i - y_j| in O(m log^2 m) vectorized steps.
+
+    In x-sorted order every pair j < i has |x_i - x_j| = x_i - x_j, so the
+    sum is twice sum_i sum_{j<i} (x_i - x_j) s_ij (y_i - y_j), with
+    s_ij = +1 if y_j < y_i and -1 otherwise (equal y contribute zero). With
+    Q_i(f) = sum_{j<i} f_j and L_i(f) the same sum over y_j < y_i, each
+    inner sum expands over f in (1, x, y, xy) into 2 L_i(f) - Q_i(f). Q is
+    a prefix sum; L is a dominance sum, gathered level by level of a
+    bottom-up merge: at block size s, each element of a right block
+    collects the left sibling's elements whose y rank is below its own.
+    """
+    m = x.size
+    order = np.argsort(x, kind="stable")
+    xs, ys = x[order], y[order]
+    rank = np.unique(ys, return_inverse=True)[1]
+    f = np.stack([np.ones(m), xs, ys, xs * ys])
+    below = np.zeros((4, m))
+    pos = np.arange(m)
+    size = 1
+    while size < m:
+        right = (pos // size) % 2 == 1
+        pair = pos // (2 * size)
+        left_keys = pair[~right] * m + rank[~right]
+        left_order = np.argsort(left_keys, kind="stable")
+        left_keys = left_keys[left_order]
+        csum = np.zeros((4, left_keys.size + 1))
+        np.cumsum(f[:, ~right][:, left_order], axis=1, out=csum[:, 1:])
+        hi = np.searchsorted(left_keys, pair[right] * m + rank[right])
+        lo = np.searchsorted(left_keys, pair[right] * m)
+        below[:, right] += csum[:, hi] - csum[:, lo]
+        size *= 2
+    before = np.zeros((4, m))
+    np.cumsum(f[:, :-1], axis=1, out=before[:, 1:])
+    signed = 2.0 * below - before
+    inner = xs * ys * signed[0] - xs * signed[2] - ys * signed[1] + signed[3]
+    return 2.0 * float(inner.sum())
+
+
+def _dcov2(a: np.ndarray, b: np.ndarray, cross: float) -> float:
+    """V-statistic dCov^2 = S1/m^2 - 2 S2/m^3 + S3/m^4 from the row sums a, b
+    and the cross sum S1."""
+    m = a.size
+    return cross / m**2 - 2.0 * float(a @ b) / m**3 + a.sum() * b.sum() / m**4
+
+
+def _dvar(x: np.ndarray, a: np.ndarray) -> float:
+    """dCov^2(x, x); its S1 = sum_ij (x_i - x_j)^2 is in closed form."""
+    d = x - x.mean()
+    square_sum = 2.0 * x.size * float(d @ d) - 2.0 * float(d.sum()) ** 2
+    return _dcov2(a, a, square_sum)
 
 
 def independence_statistic(u: np.ndarray, v: np.ndarray,
@@ -68,7 +138,10 @@ def independence_statistic(u: np.ndarray, v: np.ndarray,
     Zero iff the (sub)sample is empirically independent under the distance
     covariance functional. Columns are standardized first, so the statistic
     is invariant under affine rescaling; constant columns yield 0. Long
-    columns are strided down to ``max_points`` for the O(m^2) computation.
+    columns are strided down to ``max_points``. The V-statistic is computed
+    exactly in O(m log^2 m) from sorted row sums and a merge-style cross
+    sum (after Huo & Szekely, Technometrics 58(4), 2016), with no m x m
+    matrix.
     """
     u = np.asarray(u, dtype=float).reshape(-1)
     v = np.asarray(v, dtype=float).reshape(-1)
@@ -76,16 +149,20 @@ def independence_statistic(u: np.ndarray, v: np.ndarray,
         raise DiscoveryError("columns must have equal length")
     if u.size < 20:
         raise DiscoveryError("need at least 20 points")
-    if u.std() == 0.0 or v.std() == 0.0:
+    su, sv = u.std(), v.std()
+    if su == 0.0 or sv == 0.0:
         return 0.0
-    u = _subsample((u - u.mean()) / u.std(), max_points)
-    v = _subsample((v - v.mean()) / v.std(), max_points)
-    a = _center_distances(u)
-    b = _center_distances(v)
-    dcov2 = float((a * b).mean())
-    dvar_u = float((a * a).mean())
-    dvar_v = float((b * b).mean())
-    denom = np.sqrt(dvar_u * dvar_v)
+    # stride first: each kept point is standardized by the full column's
+    # moments, exactly as if the whole column had been
+    u = (_subsample(u, max_points) - u.mean()) / su
+    v = (_subsample(v, max_points) - v.mean()) / sv
+    if u.min() == u.max() or v.min() == v.max():
+        # exactly 0 by definition; the closed forms below would leave noise
+        return 0.0
+    a = _distance_row_sums(u)
+    b = _distance_row_sums(v)
+    dcov2 = _dcov2(a, b, _cross_distance_sum(u, v))
+    denom = np.sqrt(_dvar(u, a) * _dvar(v, b))
     if denom <= 0.0:
         return 0.0
     return float(np.sqrt(max(dcov2, 0.0) / denom))
@@ -115,6 +192,19 @@ def _ols(y: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     design = np.column_stack([np.ones(x.shape[0]), x])
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     return coef[1:], y - design @ coef
+
+
+def _ols1(y: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """Regress y on one column x plus intercept; return (slope, residual).
+
+    Closed form slope = cov(x, y) / var(x). A constant x gets slope 0; any
+    slope fits it equally well, and the residual is y - mean(y) either way.
+    """
+    xc = x - x.mean()
+    yc = y - y.mean()
+    sxx = float(xc @ xc)
+    slope = float(xc @ yc) / sxx if sxx > 0.0 else 0.0
+    return slope, yc - slope * xc
 
 
 @dataclass(frozen=True)
@@ -153,12 +243,12 @@ def lingam_bivariate(data: Dataset, x: str | None = None, y: str | None = None,
     if u.std() == 0.0 or v.std() == 0.0:
         return BivariateResult("degenerate", x, y, 0.0, 0.0,
                                {"reason": "constant column"})
-    slope_xy, resid_xy = _ols(v, u[:, None])   # y on x
-    slope_yx, resid_yx = _ols(u, v[:, None])   # x on y
+    slope_xy, resid_xy = _ols1(v, u)   # y on x
+    slope_yx, resid_yx = _ols1(u, v)   # x on y
     tiny = 1e-12
     if resid_xy.std() <= tiny * v.std() or resid_yx.std() <= tiny * u.std():
         return BivariateResult(
-            "degenerate", x, y, float(slope_xy[0]), 0.0,
+            "degenerate", x, y, slope_xy, 0.0,
             {"reason": "zero-noise functional relation"})
     stat_xy = independence_statistic(u, resid_xy, max_points=max_points)
     stat_yx = independence_statistic(v, resid_yx, max_points=max_points)
@@ -170,12 +260,12 @@ def lingam_bivariate(data: Dataset, x: str | None = None, y: str | None = None,
         "n": int(u.size),
     }
     if p_norm_xy > alpha and p_norm_yx > alpha:
-        return BivariateResult("undetermined", x, y, float(slope_xy[0]),
+        return BivariateResult("undetermined", x, y, slope_xy,
                                abs(stat_xy - stat_yx), diagnostics)
     if stat_xy <= stat_yx:
-        return BivariateResult("x->y", x, y, float(slope_xy[0]),
+        return BivariateResult("x->y", x, y, slope_xy,
                                stat_yx - stat_xy, diagnostics)
-    return BivariateResult("y->x", x, y, float(slope_yx[0]),
+    return BivariateResult("y->x", x, y, slope_yx,
                            stat_xy - stat_yx, diagnostics)
 
 
@@ -230,7 +320,7 @@ def lingam_multivariate(data: Dataset, prune_threshold: float = 0.05,
             for other in active:
                 if other == cand:
                     continue
-                _, resid = _ols(work[other], work[cand][:, None])
+                _, resid = _ols1(work[other], work[cand])
                 total += independence_statistic(work[cand], resid,
                                                 max_points=max_points) ** 2
             if best_total is None or total < best_total:
@@ -239,7 +329,7 @@ def lingam_multivariate(data: Dataset, prune_threshold: float = 0.05,
         exo_scores[best] = float(best_total)
         active.remove(best)
         for other in active:
-            _, resid = _ols(work[other], work[best][:, None])
+            _, resid = _ols1(work[other], work[best])
             work[other] = resid
     order.append(active[0])
     exo_scores[active[0]] = 0.0
@@ -301,15 +391,21 @@ class LocalizationResult:
                 "distances": self.distances}
 
 
-def _dataset_joint(rows: np.ndarray, level_maps: list[dict]) -> DiscreteJoint:
-    shape = tuple(len(m) for m in level_maps)
-    counts = np.zeros(shape)
-    idx = np.column_stack([
-        np.asarray([m[v] for v in rows[:, k]]) for k, m in enumerate(level_maps)
-    ])
-    np.add.at(counts, tuple(idx.T), 1.0)
-    return DiscreteJoint([f"c{k}" for k in range(len(level_maps))],
-                         counts / counts.sum())
+def _cell_codes(rows: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Each row's flat cell index in the table over every column's sorted
+    distinct values, and that table's shape."""
+    levels, codes = zip(*(np.unique(rows[:, k], return_inverse=True)
+                          for k in range(rows.shape[1])))
+    shape = tuple(lv.size for lv in levels)
+    if math.prod(shape) > MAX_TABLE_ENTRIES:
+        raise TableError(f"level grid {shape} exceeds cap {MAX_TABLE_ENTRIES}")
+    return np.ravel_multi_index(codes, shape), shape
+
+
+def _counted_joint(columns: Sequence[str], cells: np.ndarray,
+                   shape: tuple[int, ...]) -> DiscreteJoint:
+    counts = np.bincount(cells, minlength=math.prod(shape)).reshape(shape)
+    return DiscreteJoint(columns, counts / counts.sum())
 
 
 def _discretize(env_rows: list[np.ndarray], bins: int | None) -> list[np.ndarray]:
@@ -367,28 +463,22 @@ def localize_mechanism_change(environments: Sequence, g: Dag,
         raise DiscoveryError("graph nodes must match the data columns")
 
     env_rows = _discretize([e.rows.copy() for e in environments], bins)
-    pooled_rows = np.vstack(env_rows)
-    level_maps = [
-        {v: i for i, v in enumerate(np.unique(pooled_rows[:, k]))}
-        for k in range(pooled_rows.shape[1])
-    ]
-
-    def joint_of(rows: np.ndarray) -> DiscreteJoint:
-        return DiscreteJoint(columns, _dataset_joint(rows, level_maps).probs)
-
-    pooled = joint_of(pooled_rows)
-    env_joints = [joint_of(r) for r in env_rows]
+    cells, shape = _cell_codes(np.vstack(env_rows))
+    sizes = [r.shape[0] for r in env_rows]
+    pooled = _counted_joint(columns, cells, shape)
+    env_joints = [_counted_joint(columns, part, shape)
+                  for part in np.split(cells, np.cumsum(sizes)[:-1])]
 
     if eps is None:
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-        sizes = [r.shape[0] for r in env_rows]
         null_stats = {v: [] for v in g.nodes}
         for _ in range(n_perm):
-            perm = rng.permutation(pooled_rows.shape[0])
+            perm = rng.permutation(cells.size)
             start = 0
             worst = {v: 0.0 for v in g.nodes}
             for size in sizes:
-                fake = joint_of(pooled_rows[perm[start:start + size]])
+                fake = _counted_joint(columns, cells[perm[start:start + size]],
+                                      shape)
                 start += size
                 for v in g.nodes:
                     worst[v] = max(worst[v], factor_distance(pooled, fake, g, v))

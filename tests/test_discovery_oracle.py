@@ -1,0 +1,208 @@
+"""Fast discovery paths against their brute-force references.
+
+* The O(m log^2 m) distance-correlation kernel against the dense m x m
+  double-centred form it replaced, on the same strided, standardized points.
+* The closed-form one-regressor OLS against ``lstsq``.
+* Joints counted with ``bincount`` over raveled cell codes against the
+  row-by-row level-map builder.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from phenocausal import discovery
+from phenocausal.discovery import independence_statistic, permutation_threshold
+from phenocausal.tables import DiscreteJoint
+
+# ---------------------------------------------------------------------------
+# Dense reference for the distance correlation
+# ---------------------------------------------------------------------------
+
+
+def _center_distances(x: np.ndarray) -> np.ndarray:
+    d = np.abs(x[:, None] - x[None, :])
+    return d - d.mean(axis=0, keepdims=True) - d.mean(axis=1, keepdims=True) + d.mean()
+
+
+def dense_statistic(u, v, max_points: int = 2000) -> float:
+    """The O(m^2) V-statistic distance correlation, step for step."""
+    u = np.asarray(u, dtype=float).reshape(-1)
+    v = np.asarray(v, dtype=float).reshape(-1)
+    if u.std() == 0.0 or v.std() == 0.0:
+        return 0.0
+    u = discovery._subsample((u - u.mean()) / u.std(), max_points)
+    v = discovery._subsample((v - v.mean()) / v.std(), max_points)
+    a = _center_distances(u)
+    b = _center_distances(v)
+    dcov2 = float((a * b).mean())
+    denom = np.sqrt(float((a * a).mean()) * float((b * b).mean()))
+    if denom <= 0.0:
+        return 0.0
+    return float(np.sqrt(max(dcov2, 0.0) / denom))
+
+
+REL = 1e-10
+# An exact product design (say every (u, v) level pair equally often) has
+# dCor = 0; both kernels then return rounding noise, up to about 1e-7 for
+# the fast one at m = 2000. There the squared statistics are compared on an
+# absolute scale instead.
+SQUARED_FLOOR = 2e-14
+
+
+def close(fast: float, dense: float) -> bool:
+    return (abs(fast - dense) <= REL * dense
+            or abs(fast**2 - dense**2) <= SQUARED_FLOOR)
+
+
+KINDS = ("independent", "functional", "noisy", "ties_one", "ties_both",
+         "urn_counts", "heavy_tail")
+
+
+def _pair(kind: str, m: int, rng: np.random.Generator):
+    if kind == "independent":
+        return rng.normal(size=m), rng.uniform(size=m)
+    if kind == "functional":
+        u = rng.uniform(-1, 1, size=m)
+        return u, np.sin(3 * u) + u**2
+    if kind == "noisy":
+        u = rng.uniform(-1, 1, size=m)
+        return u, u**2 + rng.uniform(-0.3, 0.3, size=m)
+    if kind == "ties_one":
+        return rng.integers(0, 3, size=m).astype(float), rng.normal(size=m)
+    if kind == "ties_both":
+        u = rng.integers(0, 4, size=m).astype(float)
+        return u, (rng.integers(0, 2, size=m) + (u > 1)).astype(float)
+    if kind == "urn_counts":
+        kb = rng.binomial(1000, 0.5, size=m).astype(float)
+        return kb, (1000 - kb + rng.integers(-2, 3, size=m)).astype(float)
+    return rng.standard_cauchy(size=m), rng.exponential(size=m)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(kind=st.sampled_from(KINDS),
+       m=st.integers(20, 2000) | st.sampled_from((1200, 1500, 1999, 2000)),
+       seed=st.integers(0, 2**32 - 1), swap=st.booleans())
+def test_fast_statistic_matches_dense(kind, m, seed, swap):
+    u, v = _pair(kind, m, np.random.default_rng(seed))
+    if swap:
+        u, v = v, u
+    assert close(independence_statistic(u, v), dense_statistic(u, v))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(kind=st.sampled_from(KINDS), m=st.integers(20, 1500),
+       seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(0.01, 100.0), shift=st.floats(-1e3, 1e3),
+       flip=st.booleans())
+def test_fast_statistic_affine_rescaling(kind, m, seed, scale, shift, flip):
+    u, v = _pair(kind, m, np.random.default_rng(seed))
+    u2 = (-scale if flip else scale) * u + shift
+    assert close(independence_statistic(u2, v), dense_statistic(u, v))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(n=st.integers(3000, 6000), max_points=st.sampled_from([50, 500, 1500]),
+       seed=st.integers(0, 2**32 - 1))
+def test_fast_statistic_strided_subsample(n, max_points, seed):
+    rng = np.random.default_rng(seed)
+    u = rng.integers(0, 5, size=n).astype(float)
+    v = u + rng.uniform(size=n)
+    assert close(independence_statistic(u, v, max_points=max_points),
+                 dense_statistic(u, v, max_points=max_points))
+
+
+def test_column_constant_after_subsampling():
+    # non-constant column whose strided subsample is constant
+    n, max_points = 100, 25
+    u = np.ones(n)
+    u[np.linspace(0, n - 1, max_points).astype(int)] = 0.0
+    v = np.random.default_rng(0).normal(size=n)
+    assert u.std() > 0.0
+    assert dense_statistic(u, v, max_points) == 0.0
+    assert independence_statistic(u, v, max_points) == 0.0
+    assert independence_statistic(v, u, max_points) == 0.0
+
+
+def test_exact_product_design_near_zero():
+    # every (u, v) level pair equally often: the empirical joint is the
+    # product of its marginals, so the exact statistic is 0
+    u, v = np.meshgrid(np.arange(4.0), np.array([0.0, 3.0, 7.0]))
+    u, v = np.repeat(u.ravel(), 50), np.repeat(v.ravel(), 50)
+    perm = np.random.default_rng(1).permutation(u.size)
+    assert independence_statistic(u[perm], v[perm]) < 1e-6
+
+
+def test_permutation_threshold_matches_dense():
+    rng = np.random.default_rng(7)
+    u = rng.integers(0, 6, size=600).astype(float)
+    v = u + rng.exponential(size=600)
+    null = np.random.Generator(np.random.Philox(np.random.SeedSequence(11)))
+    dense = float(np.quantile([dense_statistic(u, null.permutation(v))
+                               for _ in range(49)], 0.9))
+    fast = permutation_threshold(u, v, n_perm=49, quantile=0.9, seed=11)
+    assert close(fast, dense)
+
+
+# ---------------------------------------------------------------------------
+# Closed-form one-regressor OLS
+# ---------------------------------------------------------------------------
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(n=st.integers(3, 3000), seed=st.integers(0, 2**32 - 1),
+       ties=st.booleans())
+def test_ols1_matches_lstsq(n, seed, ties):
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 3, size=n).astype(float) if ties else rng.normal(size=n)
+    y = rng.uniform(-2, 2) * x + rng.exponential(size=n) + rng.normal() * 50
+    slope, resid = discovery._ols1(y, x)
+    coefs, ref = discovery._ols(y, x[:, None])
+    if x.std() > 0:  # a constant x leaves the slope free
+        assert abs(slope - coefs[0]) <= 1e-10 * max(1.0, abs(coefs[0]))
+    np.testing.assert_allclose(resid, ref, rtol=0, atol=1e-9 * (1 + np.abs(y).max()))
+
+
+def test_ols1_constant_regressor():
+    y = np.arange(10.0)
+    slope, resid = discovery._ols1(y, np.full(10, 3.0))
+    assert slope == 0.0
+    np.testing.assert_array_equal(resid, y - y.mean())
+
+
+# ---------------------------------------------------------------------------
+# Joints from rows
+# ---------------------------------------------------------------------------
+
+
+def dataset_joint_rowwise(rows: np.ndarray, level_maps: list[dict]) -> DiscreteJoint:
+    """The row-by-row builder: each value mapped to its level through a dict."""
+    shape = tuple(len(m) for m in level_maps)
+    counts = np.zeros(shape)
+    idx = np.column_stack([
+        np.asarray([m[v] for v in rows[:, k]]) for k, m in enumerate(level_maps)
+    ])
+    np.add.at(counts, tuple(idx.T), 1.0)
+    return DiscreteJoint([f"c{k}" for k in range(len(level_maps))],
+                         counts / counts.sum())
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(d=st.integers(1, 4), n=st.integers(1, 400),
+       levels=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_counted_joints_match_rowwise(d, n, levels, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(d, levels)) * 10
+    rows = np.column_stack([rng.choice(values[k], size=n) for k in range(d)])
+    level_maps = [{v: i for i, v in enumerate(np.unique(rows[:, k]))}
+                  for k in range(d)]
+    columns = tuple(f"c{k}" for k in range(d))
+    cells, shape = discovery._cell_codes(rows)
+    perm = rng.permutation(n)
+    for idx in (np.arange(n), perm[: max(1, n // 3)], perm[n // 3:]):
+        fast = discovery._counted_joint(columns, cells[idx], shape)
+        ref = dataset_joint_rowwise(rows[idx], level_maps)
+        assert fast.names == ref.names
+        assert np.array_equal(fast.probs, ref.probs)
