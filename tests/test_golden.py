@@ -2,7 +2,7 @@
 
 The digests pin the exact bytes of the urn-family datasets and sidecars,
 the datasets of two exemplars sampled through ``GeneralScm.simulate``,
-three classification reports, the four verification selectors, the
+six classification reports, the four verification selectors, the
 ``report`` summary and a shift-localization run, so any refactor of the
 urn process, the graph core, the structural models or the CLI plumbing
 must reproduce them byte for byte.
@@ -76,6 +76,25 @@ GOLDEN = [
      ["classify", "bundles", "--n", "4", "--enumerate", "--trials", "100",
       "--seed", "3"],
      {".json": "dbdcc553012bf1231b409f66623ceee2266d23c109c20effc007c47358d3f922"}),
+    ("exemplar-urnN-3",
+     ["exemplar", "urnN", "--n", "3", "--seed", "7", "--samples", "300"],
+     {".csv": "d5e5795b70040900ccfc6b6b1b42a8bb810d23bc301f6253cae65cb7b38b6929",
+      ".json": "6d45f21795f215be794d4685364ab57f6033badc729e1cb7a16175497950a336"}),
+    ("exemplar-bundles-3",
+     ["exemplar", "bundles", "--n", "3", "--seed", "7", "--samples", "300"],
+     {".csv": "f4baf43d0217d6e4e671e294d613082b07882874ad3b053d72c1324a962a14fd",
+      ".json": "807d7ea06a40c99395589b1736a89e17d3f5b011813343666fa3a3b3c8ddbe0f"}),
+    ("classify-urnN-4-high",
+     ["classify", "urnN", "--n", "4", "--param", "endpoint=high", "--enumerate",
+      "--trials", "100", "--seed", "3"],
+     {".json": "20519c20597261b850e0ccc24b2626fc5f8922bef710a3aaa6ca892bd7d2133f"}),
+    ("classify-urn2-unit",
+     ["classify", "urn2", "--mode", "unit", "--enumerate", "--trials", "100",
+      "--seed", "3"],
+     {".json": "5b3336fdec64f5395c3a106e1c92e6c81d0e7fabbbb061fc2374f07556a81a35"}),
+    ("classify-rabbits1",
+     ["classify", "rabbits1", "--enumerate", "--seed", "3"],
+     {".json": "9ac38bc560840e59de1aead27fcd8c878c197f128254ca3310ce4de1fb75d342"}),
 ]
 
 
