@@ -305,25 +305,29 @@ def unit_displacements(scm: GeneralScm, actions: Sequence[UnitAction],
                           tuple(inapplicable))
 
 
-def _system_state(m: np.ndarray, b: np.ndarray, tol: float):
-    """Solve m x = b in the least-squares sense.
-
-    Returns (consistent, solution, free_mask) where free_mask marks
-    coefficients not pinned down by the system.
-    """
-    k = m.shape[1] if m.ndim == 2 else 0
+def _consistent_solution(m: np.ndarray, b: np.ndarray,
+                         eps: float) -> np.ndarray | None:
+    """Least-squares solution of m x = b, or None when its residual exceeds
+    ``eps`` relative to the largest |b| (at least 1)."""
     if m.shape[0] == 0:
-        return True, np.zeros(k), np.ones(k, dtype=bool)
+        return np.zeros(m.shape[1])
+    tol = eps * max(1.0, float(np.abs(b).max()))
+    x0 = np.zeros(0) if m.shape[1] == 0 else np.linalg.lstsq(m, b, rcond=None)[0]
+    return x0 if np.abs(m @ x0 - b).max() <= tol else None
+
+
+def _free_coefficients(m: np.ndarray) -> np.ndarray:
+    """Mask of the coefficients that m x = b does not pin down: those the
+    null space of m touches."""
+    k = m.shape[1]
+    if m.shape[0] == 0:
+        return np.ones(k, dtype=bool)
     if k == 0:
-        return bool(np.abs(b).max() <= tol), np.zeros(0), np.zeros(0, dtype=bool)
-    x0, *_ = np.linalg.lstsq(m, b, rcond=None)
-    consistent = bool(np.abs(m @ x0 - b).max() <= tol)
+        return np.zeros(0, dtype=bool)
     _, s, vt = np.linalg.svd(m, full_matrices=True)
-    cutoff = max(s[0] * 1e-10, 1e-12) if s.size else 1e-12
-    rank = int((s > cutoff).sum())
+    rank = int((s > max(s[0] * 1e-10, 1e-12)).sum())
     null = vt[rank:]
-    free = (np.abs(null) > 1e-8).any(axis=0) if null.size else np.zeros(k, dtype=bool)
-    return consistent, x0, free
+    return (np.abs(null) > 1e-8).any(axis=0) if null.size else np.zeros(k, dtype=bool)
 
 
 class _UnitSolver:
@@ -377,13 +381,9 @@ class _UnitSolver:
 
     def feasible(self, assignment: dict[int, str],
                  nodes: Iterable[str] | None = None) -> bool:
-        for node in (nodes if nodes is not None else self.nodes):
-            m, b = self._node_system(node, assignment)
-            ok, _, _ = _system_state(m, b, self.eps * max(1.0, float(np.abs(b).max())
-                                                          if b.size else 1.0))
-            if not ok:
-                return False
-        return True
+        return all(_consistent_solution(*self._node_system(node, assignment),
+                                        self.eps) is not None
+                   for node in (nodes if nodes is not None else self.nodes))
 
     def solution(self, assignment: dict[int, str]):
         """Fitted coefficients and zero-forced edges for an assignment."""
@@ -391,10 +391,10 @@ class _UnitSolver:
         zero_forced: list[tuple[str, str]] = []
         for node in self.nodes:
             m, b = self._node_system(node, assignment)
-            ok, x0, free = _system_state(
-                m, b, self.eps * max(1.0, float(np.abs(b).max()) if b.size else 1.0))
-            if not ok:
+            x0 = _consistent_solution(m, b, self.eps)
+            if x0 is None:
                 return None
+            free = _free_coefficients(m)
             for k, p in enumerate(self.g.parents(node)):
                 coeffs[(p, node)] = float(x0[k])
                 if not free[k] and abs(x0[k]) <= self.eps:
@@ -410,14 +410,8 @@ class _UnitSolver:
         None when no consistent assignment exists.
         """
         n_actions = len(self.disp.labels)
-        base: dict[int, str] = {}
-        for a in range(n_actions):
-            if self.identity[a]:
-                continue
-            if len(self.forced[a]) >= 2:
-                return None  # handled by the caller as a per-action violation
-            if len(self.forced[a]) == 1:
-                base[a] = self.forced[a][0]
+        # callers never search while an action is forced onto two nodes
+        base = {a: self.forced[a][0] for a in range(n_actions) if self.forced[a]}
         if not self.feasible(base):
             return None
         open_actions = [a for a in range(n_actions)
@@ -591,9 +585,15 @@ def bivariate_direction(baseline, actions, eps: float = 1e-9,
     nodes = baseline.names if isinstance(baseline, DiscreteJoint) else baseline.nodes
     if len(nodes) != 2:
         raise ClassificationError("bivariate_direction needs exactly two variables")
-    x, y = nodes
     valid = valid_graphs(baseline, actions, eps=eps, mode=mode, trials=trials,
                          seed=seed)
+    return _direction_verdict(valid, *nodes)
+
+
+def _direction_verdict(valid: Sequence[tuple[Dag, ClassificationReport]],
+                       x: str, y: str) -> DirectionVerdict:
+    """The verdict of ``bivariate_direction`` from the valid graphs over
+    (x, y)."""
     keys = {frozenset(g.edges) for g, _ in valid}
     fwd = frozenset({(x, y)})
     bwd = frozenset({(y, x)})

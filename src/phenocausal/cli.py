@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .actions import (ClassificationError, bivariate_direction, classify_statistical,
+from .actions import (ClassificationError, _direction_verdict, classify_statistical,
                       classify_unit, valid_graphs)
 from .discovery import (DiscoveryError, lingam_bivariate, lingam_multivariate,
                         localize_mechanism_change)
@@ -141,12 +141,14 @@ def _cmd_classify(args) -> int:
         report = classify_statistical(ex.ground_truth, ex.baseline,
                                       ex.statistical_actions, eps=args.eps)
         system, actions = ex.baseline, ex.statistical_actions
+        nodes = system.names
     else:
         if ex.scm is None:
             raise SystemExit2(f"{ex.name!r} has no unit-level encoding")
         report = classify_unit(ex.ground_truth, ex.scm, ex.unit_actions,
                                trials=args.trials, seed=args.seed, eps=args.eps)
         system, actions = ex.scm, ex.unit_actions
+        nodes = system.nodes
     obj["ground_truth_report"] = report.to_json_obj()
     if args.enumerate:
         try:
@@ -155,10 +157,8 @@ def _cmd_classify(args) -> int:
         except ClassificationError as exc:
             raise SystemExit2(str(exc))
         obj["valid_graphs"] = [json.loads(g.to_json()) for g, _ in valid]
-        if len(system.names if hasattr(system, "names") else system.nodes) == 2:
-            obj["direction"] = bivariate_direction(
-                system, actions, eps=args.eps, mode=mode,
-                trials=args.trials, seed=args.seed).value
+        if len(nodes) == 2:
+            obj["direction"] = _direction_verdict(valid, *nodes).value
     _emit(obj, args.out)
     return 0 if report.valid else 1
 
@@ -208,6 +208,8 @@ def _cmd_discover(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.jobs < 1:
+        raise SystemExit2("--jobs must be at least 1")
     # randomized_suite reads only the trial counts of the selected suites
     config = SuiteConfig(
         proposition_trials=args.trials,
@@ -316,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ve.add_argument("--trials", type=int, default=100)
     p_ve.add_argument("--seed", type=_seed, required=True)
     p_ve.add_argument("--jobs", type=int, default=1,
-                      help="worker processes for trials (default serial)")
+                      help="worker processes for trials, at most one per core "
+                           "(default serial)")
     p_ve.add_argument("--out")
     p_ve.set_defaults(func=_cmd_verify)
 

@@ -28,8 +28,8 @@ import scipy.stats
 
 from .graphs import Dag
 from .scm import Dataset
-from .tables import (MAX_TABLE_ENTRIES, DiscreteJoint, TableError,
-                     changed_factors, factor_distance)
+from .tables import (MAX_TABLE_ENTRIES, ConditionalTable, DiscreteJoint,
+                     TableError, _conditional_distance, conditional)
 
 __all__ = [
     "DiscoveryError",
@@ -442,15 +442,17 @@ def localize_mechanism_change(environments: Sequence, g: Dag,
     if len(environments) < 2:
         raise DiscoveryError("need at least two environments")
     if all(isinstance(e, DiscreteJoint) for e in environments):
-        pooled_probs = sum(e.permute(environments[0].names).probs
-                           for e in environments) / len(environments)
-        pooled = DiscreteJoint(environments[0].names, pooled_probs)
+        names = environments[0].names
+        if set(names) != set(g.nodes):
+            raise DiscoveryError("graph nodes must match the joint's variables")
+        envs = [e.permute(names) for e in environments]
+        pooled = _conditionals(
+            DiscreteJoint(names, sum(e.probs for e in envs) / len(envs)), g)
         thr = eps if eps is not None else 1e-9
         out = []
-        for env in environments:
-            changed = changed_factors(pooled, env.permute(pooled.names), g, thr)
-            dists = {v: factor_distance(pooled, env.permute(pooled.names), g, v)
-                     for v in g.nodes}
+        for env in envs:
+            dists = _distances(pooled, env, g)
+            changed = tuple(v for v in g.nodes if dists[v] > thr)
             out.append(LocalizationResult(changed, (), dists))
         return out
 
@@ -465,7 +467,7 @@ def localize_mechanism_change(environments: Sequence, g: Dag,
     env_rows = _discretize([e.rows.copy() for e in environments], bins)
     cells, shape = _cell_codes(np.vstack(env_rows))
     sizes = [r.shape[0] for r in env_rows]
-    pooled = _counted_joint(columns, cells, shape)
+    pooled = _conditionals(_counted_joint(columns, cells, shape), g)
     env_joints = [_counted_joint(columns, part, shape)
                   for part in np.split(cells, np.cumsum(sizes)[:-1])]
 
@@ -480,8 +482,8 @@ def localize_mechanism_change(environments: Sequence, g: Dag,
                 fake = _counted_joint(columns, cells[perm[start:start + size]],
                                       shape)
                 start += size
-                for v in g.nodes:
-                    worst[v] = max(worst[v], factor_distance(pooled, fake, g, v))
+                for v, dist in _distances(pooled, fake, g).items():
+                    worst[v] = max(worst[v], dist)
             for v in g.nodes:
                 null_stats[v].append(worst[v])
         # Bonferroni across nodes, conservative order statistic
@@ -497,10 +499,8 @@ def localize_mechanism_change(environments: Sequence, g: Dag,
     out = []
     for env_joint, rows in zip(env_joints, env_rows):
         changed, inconclusive = [], []
-        dists = {}
-        for v in g.nodes:
-            dist = factor_distance(pooled, env_joint, g, v)
-            dists[v] = dist
+        dists = _distances(pooled, env_joint, g)
+        for v, dist in dists.items():
             if dist > thresholds[v]:
                 if _has_thin_context(rows, columns, g, v, min_context_count):
                     inconclusive.append(v)
@@ -510,6 +510,18 @@ def localize_mechanism_change(environments: Sequence, g: Dag,
                                       {"distances": dists,
                                        "thresholds": thresholds}))
     return out
+
+
+def _conditionals(p: DiscreteJoint, g: Dag) -> dict[str, ConditionalTable]:
+    return {v: conditional(p, v, g.parents(v)) for v in g.nodes}
+
+
+def _distances(pooled: dict[str, ConditionalTable], q: DiscreteJoint,
+               g: Dag) -> dict[str, float]:
+    """Per node, the factor distance of ``q``'s causal conditional from the
+    pooled one."""
+    return {v: _conditional_distance(pooled[v], conditional(q, v, g.parents(v)))
+            for v in g.nodes}
 
 
 def _has_thin_context(rows: np.ndarray, columns: tuple[str, ...], g: Dag,

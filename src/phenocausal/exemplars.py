@@ -6,9 +6,11 @@ general SCM, a linear idealization, and/or an exact joint), an action suite
 in unit and/or statistical encoding, and the declared ground-truth graph.
 The urn-family exemplars also carry the bounded ball-moving process as
 ``Exemplar.process``, which states each elementary action once, as a ball
-move; their simulator, unit actions and exact joint are derived from it.
-The process agrees with the linear idealization exactly on every run that
-never empties a ball type.
+move. Everything else about them is derived from it: the simulator, the
+unit actions, the exact joint, and -- given the node each action class
+moves (``notes["class_nodes"]``) -- the linear idealization, its general
+SCM and the ground-truth graph. The process agrees with the linear
+idealization exactly on every run that never empties a ball type.
 
 Conventions: urn nodes are listed cause-first, so the chain over n types
 is ("Kn", ..., "K1") and the mixing matrix S is the lower-bidiagonal
@@ -30,7 +32,8 @@ import numpy as np
 
 from .actions import StatisticalAction, UnitAction, unit_action_from_spec
 from .graphs import Dag
-from .scm import Dataset, GeneralScm, LinearScm, NoiseSpec, ScmError
+from .scm import (Dataset, GeneralScm, LinearScm, NoiseSpec, ScmError,
+                  solve_structure)
 from .tables import MAX_TABLE_ENTRIES, DiscreteJoint, TableError
 
 __all__ = [
@@ -88,7 +91,8 @@ class Exemplar:
 
 # ---------------------------------------------------------------------------
 # Bounded urn process: one description of the elementary actions, from which
-# the simulator, the unit actions and the exact joint are derived
+# the simulator, the unit actions, the exact joint and the linear model are
+# derived
 # ---------------------------------------------------------------------------
 
 
@@ -111,6 +115,10 @@ class _UrnProcess:
 
     Every move that removes balls of a type requires that type to be
     nonempty, so counts never go negative.
+
+    This is the one statement of an urn's elementary actions: ``simulate``,
+    ``unit_actions``, ``exact_joint`` and, given the node each action class
+    moves, ``linear`` are all derived from the moves.
     """
 
     nodes: tuple[str, ...]
@@ -193,6 +201,31 @@ class _UrnProcess:
         joint = DiscreteJoint(self.nodes, pmf)
         return joint, {v: [int(x) for x in lv] for v, lv in zip(self.nodes, levels)}
 
+    def linear(self, class_nodes: Mapping[str, str]) -> LinearScm:
+        """The linear idealization, in which every action class ``c`` (the
+        move pair ``c+``/``c-``) changes only the mechanism of its node
+        ``class_nodes[c]`` and no move is ever refused.
+
+        Column v of the mixing matrix S is the state change of one firing of
+        v's class, signed so that S[v, v] = 1, and v's noise is that class's
+        signed tally. The structure matrix is A = I - S^{-1} and the offsets
+        are (I - A) k0, so that X = S (k0 + tallies).
+        """
+        moves = {mv.label: mv for mv in self.moves}
+        col = {v: i for i, v in enumerate(self.nodes)}
+        s = np.zeros((len(self.nodes), len(self.nodes)))
+        noises = [None] * len(self.nodes)
+        for c, v in class_nodes.items():
+            plus, minus = moves[f"{c}+"], moves[f"{c}-"]
+            sign = plus.deltas[v]
+            for u, d in plus.deltas.items():
+                s[col[u], col[v]] = sign * d
+            coins = (plus.prob, minus.prob) if sign > 0 else (minus.prob, plus.prob)
+            noises[col[v]] = NoiseSpec.binomdiff(self.rounds, *coins)
+        a = solve_structure(s).a
+        return LinearScm(self.nodes, a, (np.eye(len(self.nodes)) - a) @ self.k0,
+                         tuple(noises))
+
 
 def _urn2_process(kb0: int, kr0: int, rounds: int,
                   biases: Sequence[float]) -> _UrnProcess:
@@ -237,29 +270,9 @@ def urn_bivariate(kb0: int = 50, kr0: int = 50, rounds: int = 5,
     if rounds < 1:
         raise ScmError("need at least one round")
     p1p, p1m, p2p, p2m = (float(b) for b in coin_biases)
-    truth = Dag(("Kb", "Kr"), [("Kb", "Kr")])
     process = _urn2_process(kb0, kr0, rounds, (p1p, p1m, p2p, p2m))
-
-    scm = GeneralScm(
-        nodes=("Kb", "Kr"),
-        parents={"Kb": (), "Kr": ("Kb",)},
-        mechanisms={
-            "Kb": lambda pa, n1: kb0 + n1,
-            "Kr": lambda pa, n2: kr0 + kb0 - pa["Kb"] + n2,
-        },
-        noises={
-            "Kb": NoiseSpec.binomdiff(rounds, p1p, p1m),
-            "Kr": NoiseSpec.binomdiff(rounds, p2p, p2m),
-        },
-    )
-
-    linear = LinearScm(
-        nodes=("Kb", "Kr"),
-        a=np.array([[0.0, 0.0], [-1.0, 0.0]]),
-        offsets=np.array([float(kb0), float(kr0 + kb0)]),
-        noises=(NoiseSpec.binomdiff(rounds, p1p, p1m),
-                NoiseSpec.binomdiff(rounds, p2p, p2m)),
-    )
+    class_nodes = {"A1": "Kb", "A2": "Kr"}
+    linear = process.linear(class_nodes)
 
     baseline, levels = process.exact_joint()
 
@@ -276,8 +289,8 @@ def urn_bivariate(kb0: int = 50, kr0: int = 50, rounds: int = 5,
 
     return Exemplar(
         name="urn2",
-        ground_truth=truth,
-        scm=scm,
+        ground_truth=linear.graph(),
+        scm=linear.general(),
         unit_actions=process.unit_actions(),
         baseline=baseline,
         statistical_actions=stat_actions,
@@ -289,7 +302,7 @@ def urn_bivariate(kb0: int = 50, kr0: int = 50, rounds: int = 5,
             "coin_biases": [p1p, p1m, p2p, p2m],
             "bias_shift": bias_shift,
             "levels": levels,
-            "class_nodes": {"A1": "Kb", "A2": "Kr"},
+            "class_nodes": class_nodes,
             "seed": seed,
         },
     )
@@ -338,16 +351,9 @@ def urn_chain(n: int = 4, k0: Sequence[int] | None = None, rounds: int = 5,
     if endpoint not in ("low", "high"):
         raise ScmError("endpoint must be 'low' or 'high'")
 
-    nodes = _chain_nodes(n)
-    k0_by_type = {f"K{j}": k0[j - 1] for j in range(1, n + 1)}
-
     if endpoint == "low":
-        truth = Dag(nodes, [(f"K{i}", f"K{j}")
-                            for i in range(n, 0, -1) for j in range(i - 1, 0, -1)])
         class_nodes = {f"A{j}": f"K{j}" for j in range(1, n + 1)}
     else:
-        truth = Dag(nodes, [(f"K{i}", f"K{j}")
-                            for i in range(1, n + 1) for j in range(i + 1, n + 1)])
         class_nodes = {f"A{j}": f"K{j-1}" for j in range(2, n + 1)}
         class_nodes["A1"] = f"K{n}"
 
@@ -358,59 +364,19 @@ def urn_chain(n: int = 4, k0: Sequence[int] | None = None, rounds: int = 5,
         moves.append(_Move(f"A{j}-", {f"K{j}": -1, f"K{j-1}": 1}, (f"K{j}",),
                            biases[2 * (j - 1) + 1]))
     end = f"K{1 if endpoint == 'low' else n}"
-    p1, m1 = biases[0], biases[1]
-    moves.append(_Move("A1+", {end: 1}, (), p1))
-    moves.append(_Move("A1-", {end: -1}, (end,), m1))
-    process = _UrnProcess(nodes, tuple(k0_by_type[v] for v in nodes),
-                          tuple(moves), rounds)
-
-    # FCM in the truth orientation: each node absorbs the cumulative count
-    # of its ancestors, leaving exactly its own action tally as noise.
-    parents = {v: truth.parents(v) for v in nodes}
-    mechanisms = {}
-    noises = {}
-    for v in nodes:
-        j = int(v[1:])
-        anchor = k0_by_type[v]
-
-        def mech(pa: Mapping[str, float], nj: float, anchor=anchor,
-                 pset=parents[v]) -> float:
-            drift = sum(pa[p] - k0_by_type[p] for p in pset)
-            return anchor - drift + nj
-
-        mechanisms[v] = mech
-        if endpoint == "low":
-            pj, mj = biases[2 * (j - 1)], biases[2 * (j - 1) + 1]
-            noises[v] = NoiseSpec.binomdiff(rounds, pj, mj)
-        else:
-            # class A_{j+1} intervenes on K_j; its tally enters negated
-            if j < n:
-                pj, mj = biases[2 * j], biases[2 * j + 1]
-                noises[v] = NoiseSpec.binomdiff(rounds, mj, pj)
-            else:
-                noises[v] = NoiseSpec.binomdiff(rounds, p1, m1)
-    scm = GeneralScm(nodes=nodes, parents=parents, mechanisms=mechanisms,
-                     noises=noises)
-
-    linear = None
-    if endpoint == "low":
-        a = np.zeros((n, n))
-        a[np.tril_indices(n, -1)] = -1.0
-        offsets = np.cumsum([k0_by_type[v] for v in nodes]).astype(float)
-        linear = LinearScm(
-            nodes=nodes, a=a, offsets=offsets,
-            noises=tuple(
-                NoiseSpec.binomdiff(rounds, biases[2 * (int(v[1:]) - 1)],
-                                    biases[2 * (int(v[1:]) - 1) + 1])
-                for v in nodes),
-        )
+    moves.append(_Move("A1+", {end: 1}, (), biases[0]))
+    moves.append(_Move("A1-", {end: -1}, (end,), biases[1]))
+    # nodes run Kn..K1, k0 lists K1..Kn
+    process = _UrnProcess(_chain_nodes(n), k0[::-1], tuple(moves), rounds)
+    linear = process.linear(class_nodes)
 
     return Exemplar(
         name="urnN",
-        ground_truth=truth,
-        scm=scm,
+        ground_truth=linear.graph(),
+        scm=linear.general(),
         unit_actions=process.unit_actions(),
-        linear=linear,
+        # the pinned high-endpoint sidecar carries no linear block
+        linear=linear if endpoint == "low" else None,
         sampler=process.sample,
         process=process,
         notes={
@@ -457,10 +423,6 @@ def bundles_chain(n: int = 4, rounds: int = 5,
     if r0 <= rounds:
         raise ScmError("need initial_packages > rounds")
 
-    nodes = _chain_nodes(n)
-    truth = Dag(nodes, [(nodes[i], nodes[i + 1]) for i in range(n - 1)])
-    k0_by_type = {f"K{j}": r0 * (n - j + 1) for j in range(1, n + 1)}
-
     moves = []
     for j in range(n, 0, -1):
         types = tuple(f"K{i}" for i in range(1, j + 1))
@@ -468,40 +430,16 @@ def bundles_chain(n: int = 4, rounds: int = 5,
                            biases[2 * (j - 1)]))
         moves.append(_Move(f"A{j}-", {v: -1 for v in types}, types,
                            biases[2 * (j - 1) + 1]))
-    process = _UrnProcess(nodes, tuple(k0_by_type[v] for v in nodes),
+    # K_j starts with r0 balls from each of the package types j..n
+    process = _UrnProcess(_chain_nodes(n), tuple(r0 * k for k in range(1, n + 1)),
                           tuple(moves), rounds)
-
-    parents = {v: truth.parents(v) for v in nodes}
-    mechanisms = {}
-    noises = {}
-    for v in nodes:
-        j = int(v[1:])
-
-        def mech(pa: Mapping[str, float], nj: float, r0=r0,
-                 pset=parents[v]) -> float:
-            return (pa[pset[0]] if pset else 0.0) + r0 + nj
-
-        mechanisms[v] = mech
-        noises[v] = NoiseSpec.binomdiff(rounds, biases[2 * (j - 1)],
-                                        biases[2 * (j - 1) + 1])
-    scm = GeneralScm(nodes=nodes, parents=parents, mechanisms=mechanisms,
-                     noises=noises)
-
-    a = np.zeros((n, n))
-    for i in range(1, n):
-        a[i, i - 1] = 1.0
-    linear = LinearScm(
-        nodes=nodes, a=a, offsets=np.full(n, float(r0)),
-        noises=tuple(
-            NoiseSpec.binomdiff(rounds, biases[2 * (int(v[1:]) - 1)],
-                                biases[2 * (int(v[1:]) - 1) + 1])
-            for v in nodes),
-    )
+    class_nodes = {f"A{j}": f"K{j}" for j in range(1, n + 1)}
+    linear = process.linear(class_nodes)
 
     return Exemplar(
         name="bundles",
-        ground_truth=truth,
-        scm=scm,
+        ground_truth=linear.graph(),
+        scm=linear.general(),
         unit_actions=process.unit_actions(),
         linear=linear,
         sampler=process.sample,
@@ -509,9 +447,9 @@ def bundles_chain(n: int = 4, rounds: int = 5,
         notes={
             "n": n, "rounds": rounds, "coin_biases": list(biases),
             "initial_packages": r0,
-            "k0": [k0_by_type[v] for v in nodes],
+            "k0": list(process.k0),
             "mixing": bundles_mixing(n).tolist(),
-            "class_nodes": {f"A{j}": f"K{j}" for j in range(1, n + 1)},
+            "class_nodes": class_nodes,
             "seed": seed,
         },
     )

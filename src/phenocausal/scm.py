@@ -367,6 +367,21 @@ class LinearScm:
         ds = Dataset(self.nodes, x, seed)
         return (ds, noise) if return_noise else ds
 
+    def general(self) -> "GeneralScm":
+        """The same model as one mechanism per node over its parents in
+        ``graph()``: X_v = offset_v + sum_p a[v, p] X_p + N_v, with the same
+        noise specs and streams."""
+        g = self.graph()
+        mechanisms = {}
+        for j, v in enumerate(self.nodes):
+            terms = tuple((p, float(self.a[j, self.nodes.index(p)]))
+                          for p in g.parents(v))
+            mechanisms[v] = _affine(float(self.offsets[j]), terms)
+        return GeneralScm(
+            nodes=self.nodes, parents={v: g.parents(v) for v in self.nodes},
+            mechanisms=mechanisms, noises=dict(zip(self.nodes, self.noises)),
+            noise_streams=dict(zip(self.nodes, self.noise_streams)))
+
     def to_json_obj(self) -> dict:
         return {
             "nodes": list(self.nodes),
@@ -374,6 +389,16 @@ class LinearScm:
             "offsets": [float(v) for v in self.offsets],
             "noises": [s.to_json_obj() for s in self.noises],
         }
+
+
+def _affine(offset: float, terms: tuple[tuple[str, float], ...]) -> Mechanism:
+    def mechanism(pa: Mapping[str, float], noise: float) -> float:
+        x = offset
+        for p, c in terms:
+            x += c * pa[p]
+        return x + noise
+
+    return mechanism
 
 
 @dataclass(frozen=True)

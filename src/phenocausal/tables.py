@@ -391,20 +391,20 @@ def factor_distance(p: DiscreteJoint, q: DiscreteJoint, g: Dag, node: str) -> fl
     positive under exactly one counts as a full difference (1.0).
     """
     pa = g.parents(node)
-    fp = conditional(p, node, pa)
-    fq = conditional(q, node, pa)
-    flat_p = fp.table.reshape(-1, fp.table.shape[-1])
-    flat_q = fq.table.reshape(-1, fq.table.shape[-1])
-    def_p = fp.defined.reshape(-1)
-    def_q = fq.defined.reshape(-1)
-    worst = 0.0
-    for k in range(flat_p.shape[0]):
-        if not def_p[k] and not def_q[k]:
-            continue
-        if def_p[k] != def_q[k]:
-            return 1.0
-        worst = max(worst, 0.5 * float(np.abs(flat_p[k] - flat_q[k]).sum()))
-    return worst
+    return _conditional_distance(conditional(p, node, pa), conditional(q, node, pa))
+
+
+def _conditional_distance(fp: ConditionalTable, fq: ConditionalTable) -> float:
+    """``factor_distance`` between two conditionals of one node given the
+    same parents."""
+    if (fp.defined != fq.defined).any():
+        return 1.0
+    both = fp.defined.reshape(-1)
+    if not both.any():
+        return 0.0
+    width = fp.table.shape[-1]
+    diff = fp.table.reshape(-1, width)[both] - fq.table.reshape(-1, width)[both]
+    return 0.5 * float(np.abs(diff).sum(axis=1).max())
 
 
 def changed_factors(p: DiscreteJoint, q: DiscreteJoint, g: Dag,

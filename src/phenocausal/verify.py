@@ -21,7 +21,9 @@ every record carries the integer seed that regenerates its instance.
 
 from __future__ import annotations
 
+import concurrent.futures
 import itertools
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -235,7 +237,6 @@ def build_embedding(exemplar: Exemplar,
     mechanisms = dict(ctrl_scm.mechanisms)
     noises = dict(ctrl_scm.noises)
     for v in base.nodes:
-        base_parents = base.parents[v]
         if v in extra_parents:
             ctrl = extra_parents[v]
             contexts, specs = context_specs[v]
@@ -245,18 +246,18 @@ def build_embedding(exemplar: Exemplar,
                 float(np.prod(combo))
                 for combo in itertools.product(*(s[1] for s in atom_sets)))
             ctx_index = {ctx: i for i, ctx in enumerate(contexts)}
-            parents[v] = base_parents + ctrl
+            parents[v] = base.parents[v] + ctrl
 
+            # the base mechanism reads its own parents by name and ignores
+            # the controller values that share ``pa`` with them
             def mech(pa, atom, base_mech=base.mechanisms[v], ctrl=ctrl,
-                     ctx_index=ctx_index, base_parents=base_parents):
-                ctx = tuple(pa[y] for y in ctrl)
-                noise = atom[ctx_index[ctx]]
-                return base_mech({p: pa[p] for p in base_parents}, noise)
+                     ctx_index=ctx_index):
+                return base_mech(pa, atom[ctx_index[tuple(pa[y] for y in ctrl)]])
 
             mechanisms[v] = mech
             noises[v] = NoiseSpec.finite(atoms, probs)
         else:
-            parents[v] = base_parents
+            parents[v] = base.parents[v]
             mechanisms[v] = base.mechanisms[v]
             noises[v] = base.noises[v]
     for obs, (x_parents, mech, noise) in controllers.observers.items():
@@ -517,11 +518,12 @@ def embedding_trial(trial_seed: int, rounds: int = 3, index: int = 0) -> TrialRe
 
 
 def _run_trials(fn: Callable, args: list[tuple], jobs: int) -> list[TrialRecord]:
-    if jobs <= 1 or len(args) <= 1:
+    # no more workers than cores or trials: under the fork start method the
+    # pool starts every requested worker at the first submit
+    workers = min(jobs, os.cpu_count() or 1, len(args))
+    if workers <= 1:
         return [fn(*a) for a in args]
-    import concurrent.futures
-
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         records = list(pool.map(_TrialCall(fn), args, chunksize=8))
     return sorted(records, key=lambda r: r.index)
 
@@ -542,7 +544,8 @@ def randomized_suite(config: SuiteConfig = SuiteConfig(),
                      jobs: int = 1) -> dict[str, VerificationReport]:
     """Run the selected verifier suites; every record replays from its seed.
 
-    ``jobs > 1`` distributes trials over worker processes; trials are pure
+    ``jobs > 1`` distributes trials over at most that many worker processes,
+    and never more than there are cores or trials; trials are pure
     functions of their spawned seeds, so the aggregated report is identical
     to the serial one.
     """

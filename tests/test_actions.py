@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phenocausal import (
     ClassificationError,
@@ -309,3 +310,43 @@ def test_unit_action_spec_families():
     assert swap.apply({"x": 1.0, "y": 2.0}) == {"x": 2.0, "y": 1.0}
     with pytest.raises(ClassificationError):
         unit_action_from_spec("bad", {"kind": "nope"})
+
+
+def _reference_system_state(m: np.ndarray, b: np.ndarray, tol: float):
+    """Reference: least squares, consistency and the free-coefficient mask
+    from one combined lstsq-plus-SVD pass."""
+    k = m.shape[1]
+    if m.shape[0] == 0:
+        return True, np.zeros(k), np.ones(k, dtype=bool)
+    if k == 0:
+        return bool(np.abs(b).max() <= tol), np.zeros(0), np.zeros(0, dtype=bool)
+    x0, *_ = np.linalg.lstsq(m, b, rcond=None)
+    consistent = bool(np.abs(m @ x0 - b).max() <= tol)
+    _, s, vt = np.linalg.svd(m, full_matrices=True)
+    cutoff = max(s[0] * 1e-10, 1e-12) if s.size else 1e-12
+    null = vt[int((s > cutoff).sum()):]
+    free = (np.abs(null) > 1e-8).any(axis=0) if null.size else np.zeros(k, dtype=bool)
+    return consistent, x0, free
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6), st.integers(0, 5), st.integers(0, 3),
+       st.booleans(), st.booleans())
+def test_unit_solver_systems_match_reference(seed, rows, k, low_rank, consistent):
+    from phenocausal.actions import _consistent_solution, _free_coefficients
+
+    rng = np.random.default_rng(seed)
+    # small integer displacements, as the urn actions produce
+    m = rng.integers(-2, 3, size=(rows, k)).astype(float)
+    if low_rank and k >= 2:
+        m[:, -1] = m[:, 0]
+    b = (m @ rng.integers(-2, 3, size=k) if consistent
+         else rng.integers(-3, 4, size=rows)).astype(float)
+    eps = 1e-9
+    tol = eps * max(1.0, float(np.abs(b).max()) if b.size else 1.0)
+    ok, x_ref, free_ref = _reference_system_state(m, b, tol)
+    x0 = _consistent_solution(m, b, eps)
+    assert (x0 is not None) == ok
+    if ok:
+        assert np.array_equal(x0, x_ref)
+    assert np.array_equal(_free_coefficients(m), free_ref)

@@ -352,3 +352,42 @@ def test_report_end_to_end(tmp_path):
     assert set(obj["exemplars"]) == {
         "balltrack", "bundles", "farmers", "macro1", "macro2",
         "rabbits1", "rabbits2", "urn2", "urnN"}
+
+
+def test_classify_enumerate_enumerates_two_variable_systems_once(tmp_path,
+                                                                 monkeypatch):
+    from phenocausal import actions, cli
+
+    calls = []
+    original = actions.valid_graphs
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("mode"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "valid_graphs", counting)
+    monkeypatch.setattr(actions, "valid_graphs", counting)
+    out = tmp_path / "cls.json"
+    assert run(["classify", "rabbits1", "--enumerate", "--trials", "60",
+                "--seed", "3", "--out", str(out)]) == 0
+    assert calls == ["unit"]
+    assert _read(out)["direction"] == "YcausesX"
+
+
+def test_verify_jobs_below_one_exits_2(tmp_path, capfd):
+    for jobs in ("0", "-3"):
+        rc = run(["verify", "--which", "prop1", "--trials", "3", "--seed", "1",
+                  "--jobs", jobs, "--out", str(tmp_path / "ver.json")])
+        assert rc == 2
+        assert "--jobs must be at least 1" in capfd.readouterr().err
+    assert not (tmp_path / "ver.json").exists()
+
+
+def test_verify_jobs_report_matches_serial(tmp_path):
+    blobs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"ver-{jobs}.json"
+        assert run(["verify", "--which", "all", "--trials", "6", "--seed", "5",
+                    "--jobs", jobs, "--out", str(out)]) == 0
+        blobs.append(out.read_bytes())
+    assert blobs[0] == blobs[1]

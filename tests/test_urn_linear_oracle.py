@@ -192,3 +192,35 @@ def test_bundles_models_match_hand_written(data, n, rounds, spare):
     ex = bundles_chain(n=n, rounds=rounds, coin_biases=biases,
                        initial_packages=r0)
     _check(ex, *ref_bundles(n, rounds, tuple(float(b) for b in biases), r0))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.data(), st.integers(2, 5), st.sampled_from(("low", "high")))
+def test_process_linear_simulates_like_its_general_form(data, n, endpoint):
+    # the high endpoint keeps no linear block, but its process still has one
+    biases = data.draw(st.lists(_bias, min_size=2 * n, max_size=2 * n))
+    ex = urn_chain(n=n, k0=(20,) * n, rounds=3, coin_biases=biases,
+                   endpoint=endpoint)
+    linear = ex.process.linear(ex.notes["class_nodes"])
+    assert linear.graph() == ex.ground_truth
+    assert np.array_equal(linear.simulate(200, 4).rows, ex.scm.simulate(200, 4).rows)
+    # S is the mixing matrix and S[v, v] = 1 for every node
+    assert np.array_equal(np.diag(linear.mixing()), np.ones(n))
+
+
+def test_general_form_of_a_non_integer_linear_model():
+    linear = LinearScm(
+        nodes=("x", "y", "z"),
+        a=np.array([[0.0, 0.0, 0.0], [0.7, 0.0, 0.0], [-0.3, 1.9, 0.0]]),
+        offsets=np.array([0.5, -1.25, 2.0]),
+        noises=(NoiseSpec.uniform(-1, 1), NoiseSpec.gaussian(0, 0.5),
+                NoiseSpec.discrete_uniform(-2, 2)),
+        noise_streams=(0, 3, 0))
+    scm = linear.general()
+    assert scm.parents == {"x": (), "y": ("x",), "z": ("x", "y")}
+    assert scm.noises == dict(zip(linear.nodes, linear.noises))
+    assert np.allclose(scm.simulate(500, 9).rows, linear.simulate(500, 9).rows,
+                       rtol=0, atol=1e-12)
+    # coefficients and offsets enter as plain floats
+    out = scm.mechanisms["z"]({"x": 1.0, "y": 2.0}, 0.25)
+    assert type(out) is float and out == 2.0 - 0.3 + 3.8 + 0.25

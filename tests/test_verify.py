@@ -291,3 +291,43 @@ def test_report_json_shape():
     obj = reports["boundary"].to_json_obj()
     assert obj["passed"] and obj["trials"] == 2
     assert len(obj["records"]) == 2
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the worker count and runs
+    the trials in this process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers: int):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+@pytest.mark.parametrize("jobs,cores,trials,expected", [
+    (64, 3, 10, [3]),      # capped by the cores
+    (64, 8, 5, [5]),       # capped by the trials
+    (2, 8, 10, [2]),       # as asked
+    (64, 1, 10, []),       # one core: serial, no pool
+    (4, 8, 1, []),         # one trial: serial, no pool
+])
+def test_worker_count_is_clamped(monkeypatch, jobs, cores, trials, expected):
+    import concurrent.futures
+    import os
+
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    config = SuiteConfig(proposition_trials=trials)
+    pooled = randomized_suite(config, seed=4, which="prop1", jobs=jobs)
+    assert _RecordingPool.sizes == expected
+    serial = randomized_suite(config, seed=4, which="prop1")
+    assert pooled["prop1"].to_json_obj() == serial["prop1"].to_json_obj()
