@@ -1,8 +1,8 @@
 """Golden artifacts: SHA-256 digests of CLI outputs at fixed seeds.
 
 The digests pin the exact bytes of the urn-family datasets and sidecars,
-the datasets of two exemplars sampled through ``GeneralScm.simulate``,
-six classification reports, the four verification selectors, the
+the datasets of three exemplars sampled through ``GeneralScm.simulate`` and
+of the two sampled from labeled exact tables, nine classification reports, the four verification selectors, the
 ``report`` summary and a shift-localization run, so any refactor of the
 urn process, the graph core, the structural models or the CLI plumbing
 must reproduce them byte for byte.
@@ -95,6 +95,27 @@ GOLDEN = [
     ("classify-rabbits1",
      ["classify", "rabbits1", "--enumerate", "--seed", "3"],
      {".json": "9ac38bc560840e59de1aead27fcd8c878c197f128254ca3310ce4de1fb75d342"}),
+    ("exemplar-macro2",
+     ["exemplar", "macro2", "--seed", "7", "--samples", "300"],
+     {".csv": "faad34fbec32c9af10c964598e7a2deefe019cda73eacbe3867912e45bfb55ff",
+      ".json": "070e73694db3c23c430f541d93ccdec72f2f13422ad038f5afa5146e6e211469"}),
+    ("exemplar-balltrack",
+     ["exemplar", "balltrack", "--seed", "7", "--samples", "300"],
+     {".csv": "4005fd9c1ed6758fa6dce4243f4fb89ba9b491bb60daa79fe580336d3355552b",
+      ".json": "6fb2f0ca2092d4b7ef331c1c819f746ea6ee788d75033351eb28c4af8c5b92fc"}),
+    ("exemplar-farmers",
+     ["exemplar", "farmers", "--seed", "7", "--samples", "300"],
+     {".csv": "c8f89ce061610a743aef314da68ac2476acd4f2ba778d02eb63f6c5a27a57d83",
+      ".json": "c73eed303ad80ce3df3888f0195653b2e47b1e57dbb8d28b7aa9f7fd9313a883"}),
+    ("classify-balltrack",
+     ["classify", "balltrack", "--enumerate", "--seed", "3"],
+     {".json": "dafd3c2a56d4a04cad050ae7e30d7f34289557294e23d4a76ed11258bce80c6f"}),
+    ("classify-farmers",
+     ["classify", "farmers", "--enumerate", "--seed", "3"],
+     {".json": "c8694b89599903bd712c70eb8d7a6b0df6e105a29664c12e30cd14281686c48d"}),
+    ("classify-macro2",
+     ["classify", "macro2", "--enumerate", "--trials", "100", "--seed", "3"],
+     {".json": "2137722769a173473821211f533c87de998c4c05df2385029955c0bf28ead496"}),
 ]
 
 
