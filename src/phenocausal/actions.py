@@ -213,28 +213,26 @@ class ClassificationReport:
 
 def classify_statistical(g: Dag, baseline: DiscreteJoint,
                          actions: Sequence[StatisticalAction],
-                         eps: float = 1e-9,
-                         check_markov: bool = True) -> ClassificationReport:
+                         eps: float = 1e-9) -> ClassificationReport:
     """Classify replacement-distribution actions against ``g``.
 
     Each action is assigned the unique node whose causal conditional it
     changes; an empty change set is an identity, two or more changed
-    conditionals a violation. With ``check_markov`` the baseline must
-    satisfy ``g``'s Markov condition; a failure is reported as a violation
-    attributed to the baseline itself.
+    conditionals a violation. The baseline must satisfy ``g``'s Markov
+    condition; a failure is reported as a violation attributed to the
+    baseline itself.
     """
     if set(baseline.names) != set(g.nodes):
         raise ClassificationError("baseline variables differ from graph nodes")
     verdicts: list[ActionVerdict] = []
     diagnostics: dict = {"changed": {}}
-    if check_markov:
-        ok, triple, worst = markov_report(baseline, g, eps=max(eps, 1e-9))
-        if not ok:
-            a, b, c = triple
-            verdicts.append(ActionVerdict(
-                "(baseline)", VerdictKind.VIOLATION, None,
-                f"baseline violates {a} _||_ {b} | {c} implied by the graph "
-                f"(residual {worst:.3g})"))
+    ok, triple, worst = markov_report(baseline, g, eps=max(eps, 1e-9))
+    if not ok:
+        a, b, c = triple
+        verdicts.append(ActionVerdict(
+            "(baseline)", VerdictKind.VIOLATION, None,
+            f"baseline violates {a} _||_ {b} | {c} implied by the graph "
+            f"(residual {worst:.3g})"))
     for action in actions:
         effect = action.resolve(baseline)
         changed = changed_factors(baseline, effect, g, eps)
@@ -244,17 +242,16 @@ def classify_statistical(g: Dag, baseline: DiscreteJoint,
                 action.label, VerdictKind.VIOLATION, None,
                 f"changes conditionals of {list(changed)}"))
             continue
-        if check_markov:
-            # a true single-factor change preserves Markovness exactly, so
-            # a non-Markov effect is a violation hiding in a missing edge
-            ok, triple, worst = markov_report(effect, g, eps=max(eps, 1e-9))
-            if not ok:
-                a, b, c = triple
-                verdicts.append(ActionVerdict(
-                    action.label, VerdictKind.VIOLATION, None,
-                    f"effect violates {a} _||_ {b} | {c} implied by the "
-                    f"graph (residual {worst:.3g})"))
-                continue
+        # a true single-factor change preserves Markovness exactly, so a
+        # non-Markov effect is a violation hiding in a missing edge
+        ok, triple, worst = markov_report(effect, g, eps=max(eps, 1e-9))
+        if not ok:
+            a, b, c = triple
+            verdicts.append(ActionVerdict(
+                action.label, VerdictKind.VIOLATION, None,
+                f"effect violates {a} _||_ {b} | {c} implied by the "
+                f"graph (residual {worst:.3g})"))
+            continue
         if not changed:
             verdicts.append(ActionVerdict(action.label, VerdictKind.IDENTITY))
         else:
@@ -282,6 +279,8 @@ def unit_displacements(scm: GeneralScm, actions: Sequence[UnitAction],
                        trials: int, seed: int) -> _Displacements:
     """Apply every action to ``trials`` sampled baseline states and collect
     the unique displacement vectors per action (in scm node order)."""
+    if trials < 1:
+        raise ClassificationError(f"need at least one trial, got {trials}")
     noise = scm.sample_noise(trials, seed)
     states = [scm.evaluate({v: noise[v][r] for v in scm.nodes})
               for r in range(trials)]
@@ -532,8 +531,7 @@ def classify_unit_displacements(g: Dag, disp: _Displacements,
 
 
 def valid_graphs(baseline, actions, eps: float = 1e-9, mode: str = "statistical",
-                 trials: int = 1000, seed: int = 0,
-                 check_markov: bool = True) -> list[tuple[Dag, ClassificationReport]]:
+                 trials: int = 1000, seed: int = 0) -> list[tuple[Dag, ClassificationReport]]:
     """All DAGs over the system's variables that classify without violation.
 
     ``baseline`` is a DiscreteJoint in statistical mode and a GeneralScm in
@@ -557,8 +555,7 @@ def valid_graphs(baseline, actions, eps: float = 1e-9, mode: str = "statistical"
         disp = unit_displacements(baseline, actions, trials, seed)
     out = []
     for g in all_dags(nodes):
-        report = (classify_statistical(g, baseline, actions, eps,
-                                       check_markov=check_markov)
+        report = (classify_statistical(g, baseline, actions, eps)
                   if mode == "statistical" else classify_unit_displacements(g, disp, eps))
         if report.valid:
             out.append((g, report))

@@ -123,6 +123,8 @@ def _cmd_exemplar(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    if args.trials < 1:
+        raise SystemExit2("--trials must be at least 1")
     ex = _build_from_args(args)
     mode = args.mode
     if mode == "auto":
@@ -208,6 +210,8 @@ def _cmd_discover(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise SystemExit2("--trials must be at least 1")
     if args.jobs < 1:
         raise SystemExit2("--jobs must be at least 1")
     # randomized_suite reads only the trial counts of the selected suites

@@ -468,7 +468,7 @@ def localize_mechanism_change(environments: Sequence, g: Dag,
     cells, shape = _cell_codes(np.vstack(env_rows))
     sizes = [r.shape[0] for r in env_rows]
     pooled = _conditionals(_counted_joint(columns, cells, shape), g)
-    env_joints = [_counted_joint(columns, part, shape)
+    env_counts = [np.bincount(part, minlength=math.prod(shape)).reshape(shape)
                   for part in np.split(cells, np.cumsum(sizes)[:-1])]
 
     if eps is None:
@@ -497,12 +497,12 @@ def localize_mechanism_change(environments: Sequence, g: Dag,
         thresholds = {v: float(eps) for v in g.nodes}
 
     out = []
-    for env_joint, rows in zip(env_joints, env_rows):
+    for counts in env_counts:
         changed, inconclusive = [], []
-        dists = _distances(pooled, env_joint, g)
+        dists = _distances(pooled, DiscreteJoint(columns, counts / counts.sum()), g)
         for v, dist in dists.items():
             if dist > thresholds[v]:
-                if _has_thin_context(rows, columns, g, v, min_context_count):
+                if _has_thin_context(counts, columns, g, v, min_context_count):
                     inconclusive.append(v)
                 else:
                     changed.append(v)
@@ -524,12 +524,10 @@ def _distances(pooled: dict[str, ConditionalTable], q: DiscreteJoint,
             for v in g.nodes}
 
 
-def _has_thin_context(rows: np.ndarray, columns: tuple[str, ...], g: Dag,
+def _has_thin_context(counts: np.ndarray, columns: tuple[str, ...], g: Dag,
                       node: str, min_count: int) -> bool:
-    pa = g.parents(node)
-    if not pa:
-        return rows.shape[0] < min_count
-    pa_idx = [columns.index(p) for p in pa]
-    _, counts = np.unique(rows[:, pa_idx], axis=0, return_counts=True)
-    # a context that appears at all but is thinly sampled
-    return bool((counts < min_count).any())
+    """Whether a parent context of ``node`` appears in the cell ``counts``
+    (one axis per column) but fewer than ``min_count`` times."""
+    pa_axes = {columns.index(p) for p in g.parents(node)}
+    context = counts.sum(axis=tuple(k for k in range(counts.ndim) if k not in pa_axes))
+    return bool(((context > 0) & (context < min_count)).any())

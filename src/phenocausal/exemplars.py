@@ -12,6 +12,12 @@ moves (``notes["class_nodes"]``) -- the linear idealization, its general
 SCM and the ground-truth graph. The process agrees with the linear
 idealization exactly on every run that never empties a ball type.
 
+The two macro exemplars are derived from one micro linear model and the
+averaging map W: their actions, general SCM and ground truth follow from
+which micro variables the actions shift. The ball track and the farmers'
+countertrade tabulate labeled exact joints through one helper and sample
+them through ``_level_sampler``.
+
 Conventions: urn nodes are listed cause-first, so the chain over n types
 is ("Kn", ..., "K1") and the mixing matrix S is the lower-bidiagonal
 Toeplitz form (diagonal 1, first sub-diagonal -1) whose structure matrix
@@ -23,6 +29,7 @@ type, + before -); outside boundary states the order is immaterial.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -34,7 +41,7 @@ from .actions import StatisticalAction, UnitAction, unit_action_from_spec
 from .graphs import Dag
 from .scm import (Dataset, GeneralScm, LinearScm, NoiseSpec, ScmError,
                   solve_structure)
-from .tables import MAX_TABLE_ENTRIES, DiscreteJoint, TableError
+from .tables import MAX_TABLE_ENTRIES, DiscreteJoint, TableError, _tabulate
 
 __all__ = [
     "Exemplar",
@@ -79,8 +86,7 @@ class Exemplar:
             "ground_truth": json.loads(self.ground_truth.to_json()),
             "unit_actions": [a.to_json_obj() for a in self.unit_actions],
             "statistical_actions": [a.label for a in self.statistical_actions],
-            "notes": {k: v for k, v in self.notes.items()
-                      if isinstance(v, (int, float, str, bool, list, dict))},
+            "notes": self.notes,
         }
         if self.baseline is not None:
             obj["baseline"] = json.loads(self.baseline.to_json())
@@ -382,7 +388,7 @@ def urn_chain(n: int = 4, k0: Sequence[int] | None = None, rounds: int = 5,
         notes={
             "n": n, "k0": list(k0), "rounds": rounds,
             "coin_biases": list(biases), "endpoint": endpoint,
-            "mixing": urn_toeplitz_mixing(n).tolist(),
+            "mixing": linear.mixing().tolist(),
             "class_nodes": class_nodes,
             "seed": seed,
         },
@@ -448,7 +454,7 @@ def bundles_chain(n: int = 4, rounds: int = 5,
             "n": n, "rounds": rounds, "coin_biases": list(biases),
             "initial_packages": r0,
             "k0": list(process.k0),
-            "mixing": bundles_mixing(n).tolist(),
+            "mixing": linear.mixing().tolist(),
             "class_nodes": class_nodes,
             "seed": seed,
         },
@@ -548,6 +554,22 @@ def rabbits(n_rabbits: int = 5, food_supply: float | None = None,
 # ---------------------------------------------------------------------------
 
 
+# The micro model Y1 = X1, X2 = Y2 with X1 and Y2 uniform on a four-point
+# grid, and the map W that averages it into (Xbar, Ybar).
+_GRID = NoiseSpec.finite((0.0, 1.0, 2.0, 3.0), (0.25,) * 4)
+_MICRO = LinearScm(
+    ("X1", "X2", "Y1", "Y2"),
+    np.array([[0, 0, 0, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 0, 0, 0]]),
+    np.zeros(4),
+    (_GRID, NoiseSpec.degenerate(0.0), NoiseSpec.degenerate(0.0), _GRID))
+_MACRO_NODES = ("Xbar", "Ybar")
+_AVERAGING = np.array([[0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5]])
+# per action choice: the exemplar name and the micro nodes its actions
+# shift, in the micro model's causal order
+_MACRO_CHOICES = {"act-on-1s": ("macro1", ("X1", "Y1")),
+                  "act-on-2s": ("macro2", ("Y2", "X2"))}
+
+
 def macro_pair(action_choice: str = "act-on-1s", shift: float = 1.0) -> Exemplar:
     """Averages Xbar = (X1+X2)/2, Ybar = (Y1+Y2)/2 over the micro model
     Y1 = X1, X2 = Y2.
@@ -555,73 +577,48 @@ def macro_pair(action_choice: str = "act-on-1s", shift: float = 1.0) -> Exemplar
     Whoever moves the averages through the index-1 variables concludes
     Xbar -> Ybar; acting through the index-2 variables yields the opposite
     direction. Identically, Xbar = Ybar holds in every state.
+
+    The macro model is the exact transformation of the micro one by the
+    averaging map W: action ``shift-v`` adds W (shift S[:, v]) to the
+    averages, with S the micro mixing matrix. The average that one action
+    moves alone is the effect; the cause takes the law of its row of W S
+    over the micro noises, and the effect copies it.
     """
-    if action_choice not in ("act-on-1s", "act-on-2s"):
+    if action_choice not in _MACRO_CHOICES:
         raise ScmError("action_choice must be 'act-on-1s' or 'act-on-2s'")
-    grid = NoiseSpec.finite((0.0, 1.0, 2.0, 3.0), (0.25,) * 4)
-    micro = GeneralScm(
-        nodes=("X1", "X2", "Y1", "Y2"),
-        parents={"X1": (), "Y2": (), "Y1": ("X1",), "X2": ("Y2",)},
-        mechanisms={
-            "X1": lambda pa, u: u,
-            "Y2": lambda pa, u: u,
-            "Y1": lambda pa, _n: pa["X1"],
-            "X2": lambda pa, _n: pa["Y2"],
-        },
-        noises={"X1": grid, "Y2": grid,
-                "Y1": NoiseSpec.degenerate(0.0), "X2": NoiseSpec.degenerate(0.0)},
-    )
+    if not (math.isfinite(shift) and shift != 0):
+        raise ScmError("shift must be finite and nonzero")
+    name, shifted = _MACRO_CHOICES[action_choice]
+    s = _MICRO.mixing()
+    actions, alone = [], []
+    for v in shifted:
+        delta = _AVERAGING @ (shift * s[:, _MICRO.nodes.index(v)])
+        deltas = {m: float(d) for m, d in zip(_MACRO_NODES, delta) if d != 0}
+        actions.append(unit_action_from_spec(
+            f"shift-{v}", {"kind": "add-constant", "deltas": deltas}))
+        if len(deltas) == 1:
+            alone.extend(deltas)
+    (effect,) = alone
+    (cause,) = (m for m in _MACRO_NODES if m != effect)
 
-    def aggregate(state: Mapping[str, float]) -> dict[str, float]:
-        return {"Xbar": (state["X1"] + state["X2"]) / 2.0,
-                "Ybar": (state["Y1"] + state["Y2"]) / 2.0}
-
-    # Macro-level law: the two averages coincide, value (X1 + Y2) / 2.
-    pair_sum = NoiseSpec.finite(
-        tuple((a + b) / 2.0 for a in grid.atoms for b in grid.atoms),
-        tuple(pa * pb for pa in grid.probs for pb in grid.probs))
-    if action_choice == "act-on-1s":
-        truth = Dag(("Xbar", "Ybar"), [("Xbar", "Ybar")])
-        scm = GeneralScm(
-            nodes=("Xbar", "Ybar"),
-            parents={"Xbar": (), "Ybar": ("Xbar",)},
-            mechanisms={"Xbar": lambda pa, u: u,
-                        "Ybar": lambda pa, _n: pa["Xbar"]},
-            noises={"Xbar": pair_sum, "Ybar": NoiseSpec.degenerate(0.0)},
-        )
-        actions = (
-            unit_action_from_spec("shift-X1", {
-                "kind": "add-constant",
-                "deltas": {"Xbar": shift / 2.0, "Ybar": shift / 2.0}}),
-            unit_action_from_spec("shift-Y1", {
-                "kind": "add-constant", "deltas": {"Ybar": shift / 2.0}}),
-        )
-    else:
-        truth = Dag(("Xbar", "Ybar"), [("Ybar", "Xbar")])
-        scm = GeneralScm(
-            nodes=("Xbar", "Ybar"),
-            parents={"Ybar": (), "Xbar": ("Ybar",)},
-            mechanisms={"Ybar": lambda pa, u: u,
-                        "Xbar": lambda pa, _n: pa["Ybar"]},
-            noises={"Ybar": pair_sum, "Xbar": NoiseSpec.degenerate(0.0)},
-        )
-        actions = (
-            unit_action_from_spec("shift-Y2", {
-                "kind": "add-constant",
-                "deltas": {"Xbar": shift / 2.0, "Ybar": shift / 2.0}}),
-            unit_action_from_spec("shift-X2", {
-                "kind": "add-constant", "deltas": {"Xbar": shift / 2.0}}),
-        )
-
-    name = "macro1" if action_choice == "act-on-1s" else "macro2"
+    row = (_AVERAGING @ s)[_MACRO_NODES.index(cause)]
+    supports = [spec.support() for spec in _MICRO.noises]
+    law = NoiseSpec.finite(
+        [float(row @ atoms) for atoms in itertools.product(*(a for a, _ in supports))],
+        [math.prod(p) for p in itertools.product(*(p for _, p in supports))])
+    a = np.zeros((2, 2))
+    a[_MACRO_NODES.index(effect), _MACRO_NODES.index(cause)] = 1.0
+    noises = {cause: law, effect: NoiseSpec.degenerate(0.0)}
+    linear = LinearScm(_MACRO_NODES, a, np.zeros(2),
+                       tuple(noises[m] for m in _MACRO_NODES))
+    scm = linear.general()
     return Exemplar(
         name=name,
-        ground_truth=truth,
+        ground_truth=linear.graph(),
         scm=scm,
-        unit_actions=actions,
-        sampler=lambda m, s: scm.simulate(m, s),
-        notes={"action_choice": action_choice, "shift": shift,
-               "micro_scm": micro, "aggregate": aggregate},
+        unit_actions=tuple(actions),
+        sampler=scm.simulate,
+        notes={"action_choice": action_choice, "shift": shift},
     )
 
 
@@ -630,8 +627,8 @@ def macro_pair(action_choice: str = "act-on-1s", shift: float = 1.0) -> Exemplar
 # ---------------------------------------------------------------------------
 
 
-def ball_track(start_distribution_param: float = 0.6, barrier_offset: int = 0,
-               seed: int = 0) -> Exemplar:
+def ball_track(start_distribution_param: float = 0.6,
+               barrier_offset: int = 0) -> Exemplar:
     """Ball on a track: start position X, measured speed Y; truth X -> Y.
 
     Speeds live on a quarter-unit lattice: the height-to-speed map is an
@@ -643,59 +640,32 @@ def ball_track(start_distribution_param: float = 0.6, barrier_offset: int = 0,
     theta = float(start_distribution_param)
     if theta <= 0:
         raise ScmError("start_distribution_param must be positive")
-    positions = np.arange(4)
+    positions = range(4)
     # sqrt speed law in quarter units, sensor-quantized
-    speed_units = np.array([round(4 * math.sqrt(x + 1)) for x in positions])
-    noise_units = np.array([-1, 0, 1])
-    noise_probs = np.array([0.25, 0.5, 0.25])
-    offsets = (int(barrier_offset), int(barrier_offset) + 1)
-    if np.any(np.diff(speed_units) <= 0):
-        raise ScmError("speed map must be strictly increasing in position")
+    speed_units = [round(4 * math.sqrt(x + 1)) for x in positions]
+    jitter = ((-1, 0.25), (0, 0.5), (1, 0.25))
+    offset = int(barrier_offset)
 
-    y_units = sorted({int(speed_units[x] + nz - 2 * o)
-                      for x in positions for nz in noise_units for o in offsets})
-    y_index = {u: i for i, u in enumerate(y_units)}
+    def outcomes(t: float, o: int) -> list:
+        w = t ** np.arange(4.0)
+        px = w / w.sum()
+        return [((x, (speed_units[x] + nz - 2 * o) * 0.25), px[x] * pn)
+                for x in positions for nz, pn in jitter]
 
-    def start_probs(t: float) -> np.ndarray:
-        w = t ** positions.astype(float)
-        return w / w.sum()
-
-    def joint_at(t: float, o: int) -> DiscreteJoint:
-        probs = np.zeros((positions.size, len(y_units)))
-        px = start_probs(t)
-        for x in positions:
-            for nz, pn in zip(noise_units, noise_probs):
-                u = int(speed_units[x] + nz - 2 * o)
-                probs[x, y_index[u]] += px[x] * pn
-        return DiscreteJoint(("X", "Y"), probs)
-
-    baseline = joint_at(theta, offsets[0])
-    stat_actions = (
-        StatisticalAction("older-children", joint_at(1.0 / theta, offsets[0])),
-        StatisticalAction("move-barrier", joint_at(theta, offsets[1])),
-    )
-    truth = Dag(("X", "Y"), [("X", "Y")])
-
-    def sampler(m: int, smp_seed: int) -> Dataset:
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(smp_seed)))
-        idx = baseline.sample(m, rng)
-        rows = np.column_stack([
-            positions[idx[:, 0]].astype(float),
-            np.asarray([y_units[i] for i in idx[:, 1]], dtype=float) * 0.25,
-        ])
-        return Dataset(("X", "Y"), rows, smp_seed)
-
+    levels, (baseline, older, moved) = _tabulate(("X", "Y"), [
+        outcomes(theta, offset), outcomes(1.0 / theta, offset),
+        outcomes(theta, offset + 1)])
     return Exemplar(
         name="balltrack",
-        ground_truth=truth,
+        ground_truth=Dag(("X", "Y"), [("X", "Y")]),
         baseline=baseline,
-        statistical_actions=stat_actions,
-        sampler=sampler,
+        statistical_actions=(StatisticalAction("older-children", older),
+                             StatisticalAction("move-barrier", moved)),
+        sampler=_level_sampler(baseline, levels),
         notes={
             "start_distribution_param": theta,
-            "barrier_offset": int(barrier_offset),
-            "levels": {"X": [int(x) for x in positions],
-                       "Y": [u * 0.25 for u in y_units]},
+            "barrier_offset": offset,
+            "levels": {"X": list(levels[0]), "Y": list(levels[1])},
         },
     )
 
@@ -723,52 +693,44 @@ def farmers(exchange_factor: float = 2.0, potato_elasticity: float = 0.0,
     base = np.array([80.0, 90.0, 100.0, 110.0, 120.0])
     base_probs = np.array([0.1, 0.2, 0.4, 0.2, 0.1])
 
-    def values_at(f: float) -> tuple[np.ndarray, np.ndarray]:
+    def outcomes(f: float) -> list:
         kp = base * f ** (-e)
-        return np.round(kp, 9), np.round(kp * f, 9)
+        return list(zip(zip(np.round(kp, 9), np.round(kp * f, 9)), base_probs))
 
-    kp0, ke0 = values_at(f0)
-    kp1, ke1 = values_at(f1)
-    kp_levels = sorted(set(kp0) | set(kp1))
-    ke_levels = sorted(set(ke0) | set(ke1))
-    kp_index = {v: i for i, v in enumerate(kp_levels)}
-    ke_index = {v: i for i, v in enumerate(ke_levels)}
-
-    def joint_at(kp: np.ndarray, ke: np.ndarray) -> DiscreteJoint:
-        probs = np.zeros((len(kp_levels), len(ke_levels)))
-        for b in range(base.size):
-            probs[kp_index[kp[b]], ke_index[ke[b]]] += base_probs[b]
-        return DiscreteJoint(("KP", "KE"), probs)
-
-    baseline = joint_at(kp0, ke0)
-    stat_actions = (StatisticalAction("change-F", joint_at(kp1, ke1)),)
+    levels, (baseline, changed) = _tabulate(("KP", "KE"), [outcomes(f0), outcomes(f1)])
     if e < 0.5:
         truth = Dag(("KP", "KE"), [("KP", "KE")])
     else:
         truth = Dag(("KP", "KE"), [("KE", "KP")])
-
-    def sampler(m: int, smp_seed: int) -> Dataset:
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(smp_seed)))
-        idx = baseline.sample(m, rng)
-        rows = np.column_stack([
-            np.asarray([kp_levels[i] for i in idx[:, 0]]),
-            np.asarray([ke_levels[i] for i in idx[:, 1]]),
-        ])
-        return Dataset(("KP", "KE"), rows, smp_seed)
-
     return Exemplar(
         name="farmers",
         ground_truth=truth,
         baseline=baseline,
-        statistical_actions=stat_actions,
-        sampler=sampler,
+        statistical_actions=(StatisticalAction("change-F", changed),),
+        sampler=_level_sampler(baseline, levels),
         notes={
             "exchange_factor": f0, "potato_elasticity": e,
             "factor_change": float(factor_change),
             "grey_zone": e not in (0.0, 1.0),
-            "levels": {"KP": list(kp_levels), "KE": list(ke_levels)},
+            "levels": {"KP": list(levels[0]), "KE": list(levels[1])},
         },
     )
+
+
+def _level_sampler(baseline: DiscreteJoint,
+                   levels: Sequence[Sequence[float]]) -> Callable[[int, int], Dataset]:
+    """Rows drawn from ``baseline``, each level index replaced by its value
+    in ``levels`` (one sequence per variable)."""
+    values = [np.asarray(lv, dtype=float) for lv in levels]
+
+    def sample(m: int, seed: int) -> Dataset:
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        idx = baseline.sample(m, rng)
+        return Dataset(baseline.names,
+                       np.column_stack([v[idx[:, k]] for k, v in enumerate(values)]),
+                       seed)
+
+    return sample
 
 
 # ---------------------------------------------------------------------------

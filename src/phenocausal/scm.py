@@ -27,7 +27,7 @@ import scipy.linalg
 import scipy.stats
 
 from .graphs import Dag, CycleError
-from .tables import DiscreteJoint
+from .tables import _tabulate
 
 __all__ = [
     "NoiseSpec",
@@ -559,23 +559,14 @@ def exact_joint(scm: GeneralScm, max_combos: int = NOISE_COMBO_CAP):
     if combos > max_combos:
         raise ScmError(
             f"noise support product {combos} exceeds enumeration cap {max_combos}")
-    weights: dict[tuple, float] = {}
     atom_combos = itertools.product(*(atoms for atoms, _ in supports))
     prob_combos = itertools.product(*(probs for _, probs in supports))
-    for atoms, probs in zip(atom_combos, prob_combos):
-        w = math.prod(probs)
-        if w == 0.0:
-            continue
-        state = scm.evaluate(dict(zip(scm.nodes, atoms)))
-        key = tuple(state[v] for v in scm.nodes)
-        weights[key] = weights.get(key, 0.0) + w
-    levels = {
-        v: tuple(sorted({key[k] for key in weights}))
-        for k, v in enumerate(scm.nodes)
-    }
-    shape = tuple(len(levels[v]) for v in scm.nodes)
-    table = np.zeros(shape)
-    index = {v: {val: i for i, val in enumerate(levels[v])} for v in scm.nodes}
-    for key, w in weights.items():
-        table[tuple(index[v][key[k]] for k, v in enumerate(scm.nodes))] += w
-    return DiscreteJoint(scm.nodes, table), levels
+    outcomes = ((_state_key(scm, atoms), math.prod(probs))
+                for atoms, probs in zip(atom_combos, prob_combos))
+    levels, (joint,) = _tabulate(scm.nodes, [outcomes])
+    return joint, dict(zip(scm.nodes, levels))
+
+
+def _state_key(scm: GeneralScm, atoms: tuple) -> tuple:
+    state = scm.evaluate(dict(zip(scm.nodes, atoms)))
+    return tuple(state[v] for v in scm.nodes)

@@ -134,6 +134,33 @@ class DiscreteJoint:
         return cls(names, probs)
 
 
+def _tabulate(names: Sequence[str], outcome_lists: Iterable[Iterable[tuple[tuple, float]]]
+              ) -> tuple[tuple[tuple, ...], list[DiscreteJoint]]:
+    """Joints over ``names`` from lists of (value tuple, weight) outcomes.
+
+    Within each list the weights of equal tuples are added in list order and
+    zero weights are dropped. Returns the sorted levels of each variable,
+    shared by all lists, and one joint over level indices per list.
+    """
+    totals = []
+    for outcomes in outcome_lists:
+        weights: dict[tuple, float] = {}
+        for key, w in outcomes:
+            if w != 0.0:
+                weights[key] = weights.get(key, 0.0) + w
+        totals.append(weights)
+    levels = tuple(tuple(sorted({key[k] for weights in totals for key in weights}))
+                   for k in range(len(names)))
+    index = [{value: i for i, value in enumerate(lv)} for lv in levels]
+    joints = []
+    for weights in totals:
+        table = np.zeros(tuple(len(lv) for lv in levels))
+        for key, w in weights.items():
+            table[tuple(ix[value] for ix, value in zip(index, key))] = w
+        joints.append(DiscreteJoint(names, table))
+    return levels, joints
+
+
 @dataclass(frozen=True)
 class ConditionalTable:
     """p(target | given), stored with the conditioning axes first.

@@ -295,6 +295,15 @@ def test_unit_mode_type_checks():
                             mode="unit")
 
 
+def test_unit_mode_needs_a_trial():
+    ex = _urn2()
+    for trials in (0, -2):
+        with pytest.raises(ClassificationError, match="at least one trial"):
+            classify_unit(ex.ground_truth, ex.scm, ex.unit_actions, trials=trials)
+        with pytest.raises(ClassificationError, match="at least one trial"):
+            valid_graphs(ex.scm, ex.unit_actions, mode="unit", trials=trials)
+
+
 def test_unit_action_spec_families():
     add = unit_action_from_spec("a", {"kind": "add-constant", "deltas": {"x": 2}})
     assert add.apply({"x": 1.0, "y": 0.0}) == {"x": 3.0, "y": 0.0}

@@ -391,3 +391,14 @@ def test_verify_jobs_report_matches_serial(tmp_path):
                     "--jobs", jobs, "--out", str(out)]) == 0
         blobs.append(out.read_bytes())
     assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+@pytest.mark.parametrize("argv", [["classify", "urn2", "--mode", "unit"],
+                                  ["verify", "--which", "prop1"]],
+                         ids=["classify", "verify"])
+def test_trials_below_one_exit_2(argv, trials, tmp_path, capfd):
+    out = tmp_path / "out.json"
+    assert run(argv + ["--trials", trials, "--seed", "1", "--out", str(out)]) == 2
+    assert "--trials must be at least 1" in capfd.readouterr().err
+    assert not out.exists()

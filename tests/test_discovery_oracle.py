@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phenocausal import discovery
+from phenocausal import discovery, random_dag
 from phenocausal.discovery import independence_statistic, permutation_threshold
 from phenocausal.tables import DiscreteJoint
 
@@ -206,3 +206,32 @@ def test_counted_joints_match_rowwise(d, n, levels, seed):
         ref = dataset_joint_rowwise(rows[idx], level_maps)
         assert fast.names == ref.names
         assert np.array_equal(fast.probs, ref.probs)
+
+
+def has_thin_context_rowwise(rows: np.ndarray, columns: tuple[str, ...], g,
+                             node: str, min_count: int) -> bool:
+    """The former row-sorting check: the parent contexts counted with
+    ``np.unique`` over the environment's rows."""
+    pa = g.parents(node)
+    if not pa:
+        return rows.shape[0] < min_count
+    pa_idx = [columns.index(p) for p in pa]
+    _, counts = np.unique(rows[:, pa_idx], axis=0, return_counts=True)
+    return bool((counts < min_count).any())
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(d=st.integers(1, 4), n=st.integers(2, 300), levels=st.integers(1, 5),
+       min_count=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_thin_context_from_counts_matches_rowwise(d, n, levels, min_count, seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, levels, size=(n, d)).astype(float)
+    columns = tuple(f"c{k}" for k in range(d))
+    g = random_dag(columns, rng)
+    cells, shape = discovery._cell_codes(rows)
+    size = int(rng.integers(1, n))
+    for part, env_rows in ((cells[:size], rows[:size]), (cells[size:], rows[size:])):
+        counts = np.bincount(part, minlength=int(np.prod(shape))).reshape(shape)
+        for v in columns:
+            assert discovery._has_thin_context(counts, columns, g, v, min_count) == \
+                has_thin_context_rowwise(env_rows, columns, g, v, min_count)

@@ -3,9 +3,13 @@ regime reversals, and the registry contract."""
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
+from phenocausal import exemplars
 from phenocausal import (
     Dag,
     DirectionVerdict,
@@ -134,6 +138,17 @@ def test_chain_mixing_matches_linear():
     ex = urn_chain(n=4, k0=(20,) * 4, rounds=3)
     s = np.asarray(ex.notes["mixing"])
     assert np.abs(np.linalg.inv(np.eye(4) - ex.linear.a) - s).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("build", [lambda n: urn_chain(n=n),
+                                   lambda n: urn_chain(n=n, endpoint="high"),
+                                   lambda n: bundles_chain(n=n)],
+                         ids=["urnN-low", "urnN-high", "bundles"])
+def test_recorded_mixing_is_the_process_mixing(build, n):
+    ex = build(n)
+    linear = ex.process.linear(ex.notes["class_nodes"])
+    assert ex.notes["mixing"] == linear.mixing().tolist()
 
 
 def test_changing_one_count_needs_j_elementary_actions():
@@ -290,9 +305,12 @@ def test_macro_directions_opposite():
 
 def test_macro_micro_shift_degenerate_freedom():
     # adding (delta + c, -c) to (X1, X2) moves Xbar by delta/2 whatever c is
-    ex = macro_pair("act-on-1s")
-    micro = ex.notes["micro_scm"]
-    aggregate = ex.notes["aggregate"]
+    micro = exemplars._MICRO.general()
+
+    def aggregate(state):
+        averages = exemplars._AVERAGING @ [state[v] for v in micro.nodes]
+        return dict(zip(("Xbar", "Ybar"), averages))
+
     state = micro.evaluate({"X1": 1.0, "Y2": 2.0, "Y1": 0.0, "X2": 0.0})
     base = aggregate(state)
     delta = 1.0
@@ -308,6 +326,45 @@ def test_macro_identity_between_averages():
     ex = macro_pair("act-on-1s")
     ds = ex.sample(100, 5)
     assert np.allclose(ds.column("Xbar"), ds.column("Ybar"))
+
+
+@pytest.mark.parametrize("shift", [1.0, 0.3, -2.5])
+@pytest.mark.parametrize("choice", ["act-on-1s", "act-on-2s"])
+def test_macro_is_exact_transformation_of_micro(choice, shift):
+    ex = macro_pair(choice, shift=shift)
+    micro = exemplars._MICRO.general()
+    w = exemplars._AVERAGING
+    (cause, effect), = ex.ground_truth.edges
+    cause_atoms, cause_probs = ex.scm.noises[cause].support()
+    (effect_atom,), _ = ex.scm.noises[effect].support()
+    supports = [micro.noises[v].support() for v in micro.nodes]
+    assignments = list(itertools.product(*(atoms for atoms, _ in supports)))
+    weights = [math.prod(p) for p in itertools.product(*(p for _, p in supports))]
+    assert list(cause_probs) == weights
+    for k, atoms in enumerate(assignments):
+        noise = dict(zip(micro.nodes, atoms))
+        state = micro.evaluate(noise)
+        pre = np.array([state[v] for v in micro.nodes])
+        macro = ex.scm.evaluate({cause: cause_atoms[k], effect: effect_atom})
+        assert macro == dict(zip(("Xbar", "Ybar"), w @ pre))
+        for action in ex.unit_actions:
+            v = action.label.removeprefix("shift-")
+            post = micro.evaluate({**noise, v: noise[v] + shift})
+            delta = w @ (np.array([post[u] for u in micro.nodes]) - pre)
+            moved = action.apply(macro)
+            assert [moved[m] - macro[m] for m in ("Xbar", "Ybar")] == \
+                pytest.approx(list(delta), abs=1e-12)
+
+
+def test_macro_edge_follows_the_acted_micro_variables():
+    for choice, acted, edge in (("act-on-1s", {"X1", "Y1"}, ("Xbar", "Ybar")),
+                                ("act-on-2s", {"X2", "Y2"}, ("Ybar", "Xbar"))):
+        ex = macro_pair(choice)
+        assert {a.label.removeprefix("shift-") for a in ex.unit_actions} == acted
+        assert ex.ground_truth.edges == {edge}
+        assert not any(callable(v) for v in ex.notes.values())
+    with pytest.raises(ScmError):
+        macro_pair(shift=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ GOLDEN = [
      ["exemplar", "urnN", "--n", "4", "--param", "endpoint=high",
       "--seed", "7", "--samples", "300"],
      {".csv": "a9039bffd1f66dde4134feebb163f0da59e80ecb37fee957c3a13d0da06739f4",
-      ".json": "b6738bd1af208389c1f35f1f9cc71ef336e156a9cfaaf58637d75686f0bcc3f4"}),
+      ".json": "5318f98d2a2807ad415f6e3d8b4cb00d8d5fd7cc03f769af0d271cb37d120f57"}),
     ("exemplar-bundles",
      ["exemplar", "bundles", "--seed", "7", "--samples", "300"],
      {".csv": "4f87203ca43a0626a2d2e14b99a4b3fbf77b8349d0a5448e959450f72add1f00",

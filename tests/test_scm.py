@@ -4,12 +4,16 @@ structure-preserving interventions and exact enumeration."""
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phenocausal import (
     Dataset,
+    DiscreteJoint,
     GeneralScm,
     LinearScm,
     NoiseSpec,
@@ -286,3 +290,56 @@ def test_structure_preserving_linear_variant():
     d2 = lin2.simulate(1000, 3)
     assert not np.array_equal(d1.column("Kb"), d2.column("Kb"))
     assert lin2.noises == lin.noises
+
+
+def exact_joint_reference(scm: GeneralScm):
+    """The former enumeration: weights summed in a dict keyed by state,
+    zero-weight assignments skipped, then one table over sorted levels."""
+    supports = [scm.noises[v].support() for v in scm.nodes]
+    weights: dict[tuple, float] = {}
+    for atoms, probs in zip(itertools.product(*(a for a, _ in supports)),
+                            itertools.product(*(p for _, p in supports))):
+        w = math.prod(probs)
+        if w == 0.0:
+            continue
+        state = scm.evaluate(dict(zip(scm.nodes, atoms)))
+        key = tuple(state[v] for v in scm.nodes)
+        weights[key] = weights.get(key, 0.0) + w
+    levels = {v: tuple(sorted({key[k] for key in weights}))
+              for k, v in enumerate(scm.nodes)}
+    table = np.zeros(tuple(len(levels[v]) for v in scm.nodes))
+    index = {v: {val: i for i, val in enumerate(levels[v])} for v in scm.nodes}
+    for key, w in weights.items():
+        table[tuple(index[v][key[k]] for k, v in enumerate(scm.nodes))] += w
+    return DiscreteJoint(scm.nodes, table), levels
+
+
+def _wrapped_sum(terms, modulus):
+    # many noise assignments share a state: the sum is taken mod ``modulus``
+    return lambda pa, u: float((u + sum(c * pa[p] for p, c in terms)) % modulus)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data(), st.integers(1, 4))
+def test_exact_joint_matches_dict_then_table_reference(data, d):
+    nodes = tuple(f"V{k}" for k in range(d))
+    parents, mechanisms, noises = {}, {}, {}
+    for j, v in enumerate(nodes):
+        pa = tuple(p for p in nodes[:j] if data.draw(st.booleans()))
+        terms = tuple((p, data.draw(st.integers(-2, 2))) for p in pa)
+        parents[v] = pa
+        mechanisms[v] = _wrapped_sum(terms, data.draw(st.integers(1, 4)))
+        k = data.draw(st.integers(1, 4))
+        atoms = data.draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+        # integer weights with zeros: zero-probability atoms are common
+        w = data.draw(st.lists(st.integers(0, 3), min_size=k, max_size=k)
+                      .filter(lambda ws: sum(ws) > 0))
+        noises[v] = NoiseSpec.finite([float(a) for a in atoms],
+                                     [x / sum(w) for x in w])
+    scm = GeneralScm(nodes=nodes, parents=parents, mechanisms=mechanisms,
+                     noises=noises)
+    joint, levels = exact_joint(scm)
+    ref, ref_levels = exact_joint_reference(scm)
+    assert joint.names == ref.names
+    assert np.array_equal(joint.probs, ref.probs)
+    assert levels == ref_levels
