@@ -647,7 +647,7 @@ def ball_track(start_distribution_param: float = 0.6,
     offset = int(barrier_offset)
 
     def outcomes(t: float, o: int) -> list:
-        w = t ** np.arange(4.0)
+        w = t ** np.array(positions, dtype=float)
         px = w / w.sum()
         return [((x, (speed_units[x] + nz - 2 * o) * 0.25), px[x] * pn)
                 for x in positions for nz, pn in jitter]
