@@ -638,8 +638,8 @@ def ball_track(start_distribution_param: float = 0.6,
     children start higher) or move the light barrier one step.
     """
     theta = float(start_distribution_param)
-    if theta <= 0:
-        raise ScmError("start_distribution_param must be positive")
+    if not 0 < theta < math.inf:
+        raise ScmError("start_distribution_param must be positive and finite")
     positions = range(4)
     # sqrt speed law in quarter units, sensor-quantized
     speed_units = [round(4 * math.sqrt(x + 1)) for x in positions]
@@ -647,8 +647,12 @@ def ball_track(start_distribution_param: float = 0.6,
     offset = int(barrier_offset)
 
     def outcomes(t: float, o: int) -> list:
-        w = t ** np.array(positions, dtype=float)
-        px = w / w.sum()
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = t ** np.array(positions, dtype=float)
+            px = w / w.sum()
+        if not np.isfinite(px).all():
+            raise ScmError(f"start law weights {t!r}**x overflow; "
+                           f"start_distribution_param={theta!r} is too extreme")
         return [((x, (speed_units[x] + nz - 2 * o) * 0.25), px[x] * pn)
                 for x in positions for nz, pn in jitter]
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -50,6 +49,7 @@ _EDGE_TOL = 1e-12
 
 # Exact joints enumerate every noise assignment and refuse above this many.
 NOISE_COMBO_CAP = 1 << 16
+_KEY_BOUND = 1 << 62  # mixed-radix keys in exact_joint stay below this
 
 
 class ScmError(ValueError):
@@ -547,26 +547,70 @@ def structure_preserving_intervention(scm, j: str, fresh_seed: int):
 
 
 def exact_joint(scm: GeneralScm, max_combos: int = NOISE_COMBO_CAP):
-    """Exact joint of a finite general SCM by enumerating noise assignments.
+    """Exact joint of a finite general SCM over all its noise assignments.
 
     Returns (joint over value indices, levels) where levels maps each node
     to its sorted tuple of attainable values. Requires every noise to have
     finite support and the support product to stay at or below
     ``max_combos``.
+
+    One pass over the noise grid in topological order: a node's value
+    depends only on its parents' values and its own atom, so its mechanism
+    runs once per distinct (parent values, atom) and the result is mapped
+    back to every assignment. The cost is at most sum_v (distinct parent
+    contexts of v x |atoms_v|) mechanism calls, where evaluating every
+    assignment makes |nodes| x prod_v |atoms_v|, plus one tabulation of the
+    prod_v |atoms_v| outcomes. Weights are multiplied left to right in node
+    order and each state's weights are added in ``itertools.product`` order,
+    so the tables are bit-identical to full enumeration.
     """
     supports = [scm.noises[v].support() for v in scm.nodes]
-    combos = math.prod(len(atoms) for atoms, _ in supports)
+    shape = tuple(len(atoms) for atoms, _ in supports)
+    combos = math.prod(shape)
     if combos > max_combos:
         raise ScmError(
             f"noise support product {combos} exceeds enumeration cap {max_combos}")
-    atom_combos = itertools.product(*(atoms for atoms, _ in supports))
-    prob_combos = itertools.product(*(probs for _, probs in supports))
-    outcomes = ((_state_key(scm, atoms), math.prod(probs))
-                for atoms, probs in zip(atom_combos, prob_combos))
+    atom_index = np.indices(shape).reshape(len(shape), combos)
+    states = np.empty((combos, len(scm.nodes)), dtype=object)
+    codes, cards = {}, {}  # per node: equal values <-> equal integer codes
+    for v in scm._order:
+        k = scm.nodes.index(v)
+        pa = [(p, scm.nodes.index(p)) for p in scm.parents[v]]
+        first, inverse = _distinct_rows(
+            [codes[p] for p, _ in pa] + [atom_index[k]],
+            [cards[p] for p, _ in pa] + [shape[k]], combos)
+        mech, atoms = scm.mechanisms[v], supports[k][0]
+        results = np.fromiter(
+            (mech({p: states[c, j] for p, j in pa}, atoms[atom_index[k, c]])
+             for c in first.tolist()), dtype=object, count=len(first))
+        code_of: dict = {}
+        result_codes = np.array([code_of.setdefault(x, len(code_of)) for x in results],
+                                dtype=np.int64)
+        states[:, k] = results[inverse]
+        codes[v], cards[v] = result_codes[inverse], len(code_of)
+    weights = np.ones(())
+    for _, probs in supports:
+        weights = np.multiply.outer(weights, probs)
+    # each state's weights added in assignment order, as the tabulation
+    # would add them one by one
+    first, inverse = _distinct_rows([codes[v] for v in scm.nodes],
+                                    [cards[v] for v in scm.nodes], combos)
+    totals = np.bincount(inverse, weights=weights.ravel())
+    outcomes = zip(map(tuple, states[first].tolist()), totals.tolist())
     levels, (joint,) = _tabulate(scm.nodes, [outcomes])
     return joint, dict(zip(scm.nodes, levels))
 
 
-def _state_key(scm: GeneralScm, atoms: tuple) -> tuple:
-    state = scm.evaluate(dict(zip(scm.nodes, atoms)))
-    return tuple(state[v] for v in scm.nodes)
+def _distinct_rows(columns: list[np.ndarray], cards: list[int], rows: int
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each distinct row of integer code ``columns`` (with
+    the given cardinalities) and, for every row, the index of its distinct
+    row: one mixed-radix integer key per row and a 1-D ``np.unique``."""
+    key, bound = np.zeros(rows, dtype=np.int64), 1
+    for column, card in zip(columns, cards):
+        if bound * card > _KEY_BOUND:  # re-code densely to stay in int64
+            _, key = np.unique(key, return_inverse=True)
+            bound = int(key.max()) + 1
+        key, bound = key * card + column, bound * card
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return first, inverse

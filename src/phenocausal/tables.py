@@ -53,8 +53,8 @@ class DiscreteJoint:
     """Exact joint distribution, one axis per variable.
 
     ``names`` orders the variables; ``probs`` has shape equal to the
-    variable cardinalities, entries nonnegative and summing to one within
-    1e-12.
+    variable cardinalities, entries finite, nonnegative and summing to one
+    within 1e-12.
     """
 
     names: tuple[str, ...]
@@ -72,9 +72,11 @@ class DiscreteJoint:
         if probs.size > max_entries:
             raise TableError(
                 f"table with {probs.size} entries exceeds cap {max_entries}")
+        total = float(probs.sum())
+        if not math.isfinite(total):  # a NaN entry passes both checks below
+            raise TableError(f"non-finite entries: they sum to {total!r}")
         if probs.size and probs.min() < -1e-15:
             raise TableError(f"negative entry {probs.min()}")
-        total = float(probs.sum())
         if abs(total - 1.0) > _SUM_TOL:
             raise TableError(f"entries sum to {total!r}, not 1 within {_SUM_TOL}")
         probs = np.where(probs < 0.0, 0.0, probs)

@@ -317,6 +317,21 @@ def test_classify_statistical_mode(tmp_path):
     assert obj["mode"] == "statistical"
 
 
+@pytest.mark.parametrize("argv, theta", [
+    (["classify", "balltrack", "--out", "cls.json"], "1e-120"),
+    (["exemplar", "balltrack", "--samples", "10", "--out", "x.csv"], "1e200"),
+])
+def test_balltrack_overflowing_start_law_exits_2(argv, theta, tmp_path, capfd,
+                                                 monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rc = run(argv + ["--seed", "1", "--param", f"start_distribution_param={theta}"])
+    assert rc == 2
+    err = capfd.readouterr().err
+    assert err.count("\n") == 1 and "overflow" in err
+    assert "Warning" not in err and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # verify and report
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ structure-preserving interventions and exact enumeration."""
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import itertools
 import math
@@ -19,6 +20,7 @@ from phenocausal import (
     NoiseSpec,
     ScmError,
     SingularStructureError,
+    build_embedding,
     bundles_mixing,
     exact_joint,
     is_markov,
@@ -28,6 +30,7 @@ from phenocausal import (
     unit_map,
     urn_bivariate,
     urn_chain,
+    urn2_controllers,
     urn_toeplitz_mixing,
 )
 
@@ -314,28 +317,56 @@ def exact_joint_reference(scm: GeneralScm):
     return DiscreteJoint(scm.nodes, table), levels
 
 
-def _wrapped_sum(terms, modulus):
+def _wrapped_sum(terms, modulus, use_noise=True):
     # many noise assignments share a state: the sum is taken mod ``modulus``
+    if not use_noise:
+        return lambda pa, u: float(sum(c * pa[p] for p, c in terms) % modulus)
     return lambda pa, u: float((u + sum(c * pa[p] for p, c in terms)) % modulus)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.data(), st.integers(1, 4))
+def _by_context(inner, ctx):
+    # a vector noise atom with one component per value of parent ``ctx``, the
+    # component picked by that value, as ``build_embedding`` wires controllers
+    return lambda pa, atom: inner(pa, atom[int(pa[ctx]) % len(atom)])
+
+
+def _integer_weights(data, k):
+    # integer weights with zeros: zero-probability atoms are common
+    w = data.draw(st.lists(st.integers(0, 3), min_size=k, max_size=k)
+                  .filter(lambda ws: sum(ws) > 0))
+    return [x / sum(w) for x in w]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data(), st.integers(1, 5))
 def test_exact_joint_matches_dict_then_table_reference(data, d):
     nodes = tuple(f"V{k}" for k in range(d))
-    parents, mechanisms, noises = {}, {}, {}
-    for j, v in enumerate(nodes):
+    # V0 passes its atom through, and its last atom has weight zero: that
+    # value reaches its children only at zero weight and leaves the levels
+    k0 = data.draw(st.integers(2, 4))
+    atoms0 = data.draw(st.lists(st.integers(-3, 3), min_size=k0, max_size=k0,
+                                unique=True))
+    parents = {"V0": ()}
+    mechanisms = {"V0": lambda pa, u: u}
+    noises = {"V0": NoiseSpec.finite([float(a) for a in atoms0],
+                                     _integer_weights(data, k0 - 1) + [0.0])}
+    for j, v in enumerate(nodes[1:], start=1):
         pa = tuple(p for p in nodes[:j] if data.draw(st.booleans()))
         terms = tuple((p, data.draw(st.integers(-2, 2))) for p in pa)
         parents[v] = pa
-        mechanisms[v] = _wrapped_sum(terms, data.draw(st.integers(1, 4)))
+        mech = _wrapped_sum(terms, data.draw(st.integers(1, 4)),
+                            use_noise=data.draw(st.booleans()))
         k = data.draw(st.integers(1, 4))
-        atoms = data.draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
-        # integer weights with zeros: zero-probability atoms are common
-        w = data.draw(st.lists(st.integers(0, 3), min_size=k, max_size=k)
-                      .filter(lambda ws: sum(ws) > 0))
-        noises[v] = NoiseSpec.finite([float(a) for a in atoms],
-                                     [x / sum(w) for x in w])
+        width = data.draw(st.integers(1, 3)) if pa else 1
+        atoms = [tuple(float(a) for a in data.draw(
+                     st.lists(st.integers(-3, 3), min_size=width, max_size=width)))
+                 for _ in range(k)]
+        if pa and data.draw(st.booleans()):
+            mech = _by_context(mech, data.draw(st.sampled_from(pa)))
+        else:
+            atoms = [a[0] for a in atoms]
+        mechanisms[v] = mech
+        noises[v] = NoiseSpec.finite(atoms, _integer_weights(data, k))
     scm = GeneralScm(nodes=nodes, parents=parents, mechanisms=mechanisms,
                      noises=noises)
     joint, levels = exact_joint(scm)
@@ -343,3 +374,45 @@ def test_exact_joint_matches_dict_then_table_reference(data, d):
     assert joint.names == ref.names
     assert np.array_equal(joint.probs, ref.probs)
     assert levels == ref_levels
+    assert float(atoms0[-1]) not in levels["V0"]
+
+
+def test_exact_joint_calls_each_mechanism_once_per_parent_values_and_atom():
+    base, shifted = (0.5, 0.4, 0.6, 0.3), (0.7, 0.2, 0.4, 0.5)
+    ex = urn_bivariate(kb0=12, kr0=12, rounds=3, coin_biases=base)
+    scm, _ = build_embedding(ex, urn2_controllers(3, base, shifted))
+    calls = collections.Counter()
+
+    def counted(v, mech):
+        def wrapper(pa, atom):
+            calls[v, tuple(sorted(pa.items())), atom] += 1
+            return mech(pa, atom)
+        return wrapper
+
+    counted_scm = dataclasses.replace(
+        scm, mechanisms={v: counted(v, m) for v, m in scm.mechanisms.items()})
+    joint, levels = exact_joint(counted_scm)
+    assert max(calls.values()) == 1
+    # 2 + 2 (Y1, Y2) + 2 x 49 (Kb: Y1 x vector atom) + 7 x 2 x 49 (Kr: Kb x Y2
+    # x vector atom); evaluating all 2 x 2 x 49 x 49 assignments in full
+    # makes 4 x 9604 = 38,416 calls
+    assert sum(calls.values()) == 788
+    ref, ref_levels = exact_joint_reference(scm)
+    assert np.array_equal(joint.probs, ref.probs) and levels == ref_levels
+
+
+@pytest.mark.parametrize("cards", [(3, 5, 2), (2**33, 2**33, 3), (2**62, 2)])
+def test_distinct_rows_groups_equal_rows(cards):
+    # cardinalities whose product leaves int64 take the re-coding path; a
+    # wrapped key would merge (2**31, 0, 0) with (0, 0, 0)
+    from phenocausal.scm import _distinct_rows
+
+    rng = np.random.default_rng(5)
+    columns = [rng.choice(np.array([0, 1, 2**31 % card, card - 1], dtype=np.int64), 200)
+               for card in cards]
+    first, inverse = _distinct_rows(columns, list(cards), 200)
+    rows = list(zip(*(c.tolist() for c in columns)))
+    assert len(first) == len(set(rows))
+    for i, row in enumerate(rows):
+        j = first[inverse[i]]
+        assert rows[j] == row and j == rows.index(row)

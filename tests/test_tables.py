@@ -51,6 +51,13 @@ def test_joint_validation():
         DiscreteJoint(("X", "Y"), np.array([1.5, -0.5]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_joint_rejects_non_finite_entries(bad):
+    # NaN passes both the negative-entry and the sum check on its own
+    with pytest.raises(TableError, match="non-finite"):
+        DiscreteJoint(("X", "Y"), np.array([[0.5, 0.5], [0.0, bad]]))
+
+
 def test_table_cap():
     with pytest.raises(TableError):
         DiscreteJoint(("X",), np.full(2048, 1 / 2048), max_entries=1024)
