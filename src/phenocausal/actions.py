@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .graphs import DAG_ENUMERATION_CAP as VALID_GRAPHS_NODE_CAP, Dag, all_dags
+from .graphs import DAG_ENUMERATION_CAP, Dag, all_dags
 from .scm import GeneralScm
 from .tables import DiscreteJoint, changed_factors, markov_report
 
@@ -51,7 +51,6 @@ __all__ = [
     "valid_graphs",
     "DirectionVerdict",
     "bivariate_direction",
-    "VALID_GRAPHS_NODE_CAP",
 ]
 
 _SEARCH_BUDGET = 200_000
@@ -536,7 +535,7 @@ def valid_graphs(baseline, actions, eps: float = 1e-9, mode: str = "statistical"
 
     ``baseline`` is a DiscreteJoint in statistical mode and a GeneralScm in
     unit mode. Enumeration is exhaustive, so more than
-    ``VALID_GRAPHS_NODE_CAP`` (5) nodes are refused before any work.
+    ``DAG_ENUMERATION_CAP`` (5) nodes are refused before any work.
     """
     if mode == "statistical":
         if not isinstance(baseline, DiscreteJoint):
@@ -548,9 +547,9 @@ def valid_graphs(baseline, actions, eps: float = 1e-9, mode: str = "statistical"
         nodes = baseline.nodes
     else:
         raise ClassificationError(f"unknown mode {mode!r}")
-    if len(nodes) > VALID_GRAPHS_NODE_CAP:
+    if len(nodes) > DAG_ENUMERATION_CAP:
         raise ClassificationError(
-            f"{len(nodes)} nodes exceeds exhaustive cap {VALID_GRAPHS_NODE_CAP}")
+            f"{len(nodes)} nodes exceeds exhaustive cap {DAG_ENUMERATION_CAP}")
     if mode == "unit":
         disp = unit_displacements(baseline, actions, trials, seed)
     out = []

@@ -31,13 +31,8 @@ __all__ = [
     "backdoor_admissible",
     "all_dags",
     "random_dag",
-    "EXHAUSTIVE_NODE_CAP",
     "DAG_ENUMERATION_CAP",
 ]
-
-# All-triples Markov checks (``tables.markov_report(mode="all")``) visit 4^n
-# set assignments and refuse to run above this many nodes.
-EXHAUSTIVE_NODE_CAP = 7
 
 # Exhaustive DAG enumeration refuses to run above this many nodes: 5 nodes
 # have 29,281 DAGs, 6 nodes 3,781,503.
@@ -142,11 +137,11 @@ class Dag:
         """All nodes with a directed path into ``nodes`` (the set included)."""
         return self.sorted_tuple(_reach(self._check_nodes(nodes), self._parents))
 
-    def descendants(self, node: str, strict: bool = True) -> tuple[str, ...]:
-        """Nodes reachable from ``node`` by a directed path."""
+    def descendants(self, node: str) -> tuple[str, ...]:
+        """Nodes reachable from ``node`` by a directed path (``node`` itself
+        excluded)."""
         seen = _reach(self._check_nodes([node]), self._children)
-        if strict:
-            seen.discard(node)
+        seen.discard(node)
         return self.sorted_tuple(seen)
 
     def topological_order(self) -> tuple[str, ...]:
@@ -369,18 +364,20 @@ def backdoor_admissible(g: Dag, x: str, y: str, z: Iterable[str]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def all_dags(nodes: Sequence[str], cap: int = DAG_ENUMERATION_CAP) -> Iterator[Dag]:
+def all_dags(nodes: Sequence[str]) -> Iterator[Dag]:
     """Yield every DAG over ``nodes`` once, ordered by edge count and then by
     sorted edge list.
 
     Enumerates permutations x lower-triangular edge masks, keeping only the
-    edge lists, and builds each DAG as it is yielded. Above ``cap`` nodes the
-    enumeration is refused before any work.
+    edge lists, and builds each DAG as it is yielded. Above
+    ``DAG_ENUMERATION_CAP`` (5) nodes the enumeration is refused before any
+    work.
     """
     nodes = tuple(nodes)
     n = len(nodes)
-    if n > cap:
-        raise GraphError(f"refusing exhaustive enumeration over {n} nodes (cap {cap})")
+    if n > DAG_ENUMERATION_CAP:
+        raise GraphError(f"refusing exhaustive enumeration over {n} nodes "
+                         f"(cap {DAG_ENUMERATION_CAP})")
     pair_slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
     keys = {tuple(sorted((nodes[perm[i]], nodes[perm[j]])
                          for k, (i, j) in enumerate(pair_slots) if mask >> k & 1))

@@ -113,7 +113,8 @@ class NoiseSpec:
         probs = tuple(float(p) for p in probs)
         if len(atoms) != len(probs):
             raise ScmError("atoms and probs must have equal length")
-        if abs(sum(probs) - 1.0) > 1e-12 or min(probs) < 0:
+        total = sum(probs)  # a NaN entry passes both checks after the first
+        if not math.isfinite(total) or abs(total - 1.0) > 1e-12 or min(probs) < 0:
             raise ScmError("probs must be a probability vector")
         return cls("finite", (), tuple(atoms), probs)
 

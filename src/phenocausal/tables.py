@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import EXHAUSTIVE_NODE_CAP, Dag, GraphError, d_separated
+from .graphs import Dag
 
 __all__ = [
     "DiscreteJoint",
@@ -60,8 +60,7 @@ class DiscreteJoint:
     names: tuple[str, ...]
     probs: np.ndarray
 
-    def __init__(self, names: Iterable[str], probs: np.ndarray,
-                 max_entries: int = MAX_TABLE_ENTRIES):
+    def __init__(self, names: Iterable[str], probs: np.ndarray):
         names = tuple(names)
         probs = np.asarray(probs, dtype=float)
         if len(set(names)) != len(names):
@@ -69,9 +68,9 @@ class DiscreteJoint:
         if probs.ndim != len(names):
             raise TableError(
                 f"table has {probs.ndim} axes for {len(names)} variables")
-        if probs.size > max_entries:
+        if probs.size > MAX_TABLE_ENTRIES:
             raise TableError(
-                f"table with {probs.size} entries exceeds cap {max_entries}")
+                f"table with {probs.size} entries exceeds cap {MAX_TABLE_ENTRIES}")
         total = float(probs.sum())
         if not math.isfinite(total):  # a NaN entry passes both checks below
             raise TableError(f"non-finite entries: they sum to {total!r}")
@@ -96,7 +95,8 @@ class DiscreteJoint:
 
     def marginal(self, names: Iterable[str]) -> "DiscreteJoint":
         """Marginal over ``names`` (kept in this joint's variable order)."""
-        keep = [n for n in self.names if n in set(names)]
+        names = tuple(names)
+        keep = [n for n in self.names if n in names]
         missing = set(names) - set(keep)
         if missing:
             raise TableError(f"unknown variable(s) {sorted(missing)}")
@@ -319,55 +319,33 @@ def ci_residual(p: DiscreteJoint, a: Iterable[str], b: Iterable[str],
     return worst
 
 
-def markov_report(p: DiscreteJoint, g: Dag, eps: float = 1e-9,
-                  mode: str = "local") -> tuple[bool, tuple | None, float]:
+def markov_report(p: DiscreteJoint, g: Dag,
+                  eps: float = 1e-9) -> tuple[bool, tuple | None, float]:
     """Check the Markov condition; return (ok, worst triple, worst residual).
 
-    ``mode="local"`` checks each node against its non-descendants given its
-    parents, which is equivalent to the full set of d-separation constraints
-    at eps=0 and is what the exact suites use. ``mode="all"`` enumerates
-    every disjoint (a, b, c) assignment, 4^n of them, and checks each
-    implied separation; it refuses graphs above ``EXHAUSTIVE_NODE_CAP`` (7)
-    nodes.
+    Checks each node against its non-descendants given its parents. For a
+    DAG this local property is equivalent to every d-separation constraint
+    the graph implies (Lauritzen, Dawid, Larsen & Leimer, 1990).
     """
     _check_same_variables(p, g)
     worst = 0.0
     worst_triple: tuple | None = None
-    if mode == "local":
-        for node in g.nodes:
-            pa = g.parents(node)
-            skip = {node, *pa, *g.descendants(node)}
-            nondesc = [n for n in g.nodes if n not in skip]
-            if not nondesc:
-                continue
-            r = ci_residual(p, (node,), nondesc, pa)
-            if r > worst:
-                worst, worst_triple = r, ((node,), tuple(nondesc), pa)
-    elif mode == "all":
-        n = len(g.nodes)
-        if n > EXHAUSTIVE_NODE_CAP:
-            raise GraphError("mode='all' is exhaustive; "
-                             f"refusing above {EXHAUSTIVE_NODE_CAP} nodes")
-        for assign in np.ndindex(*(4,) * n):
-            a = tuple(v for v, k in zip(g.nodes, assign) if k == 0)
-            b = tuple(v for v, k in zip(g.nodes, assign) if k == 1)
-            c = tuple(v for v, k in zip(g.nodes, assign) if k == 2)
-            if not a or not b:
-                continue
-            if not d_separated(g, a, b, c):
-                continue
-            r = ci_residual(p, a, b, c)
-            if r > worst:
-                worst, worst_triple = r, (a, b, c)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    for node in g.nodes:
+        pa = g.parents(node)
+        skip = {node, *pa, *g.descendants(node)}
+        nondesc = [n for n in g.nodes if n not in skip]
+        if not nondesc:
+            continue
+        r = ci_residual(p, (node,), nondesc, pa)
+        if r > worst:
+            worst, worst_triple = r, ((node,), tuple(nondesc), pa)
     return worst <= eps, worst_triple, worst
 
 
-def is_markov(p: DiscreteJoint, g: Dag, eps: float = 1e-9, mode: str = "local") -> bool:
+def is_markov(p: DiscreteJoint, g: Dag, eps: float = 1e-9) -> bool:
     """True iff every conditional independence implied by ``g`` holds in
     ``p`` with residual at most ``eps``."""
-    ok, _, _ = markov_report(p, g, eps, mode)
+    ok, _, _ = markov_report(p, g, eps)
     return ok
 
 
@@ -449,8 +427,10 @@ def changed_factors(p: DiscreteJoint, q: DiscreteJoint, g: Dag,
 
 def tv_distance(p: DiscreteJoint, q: DiscreteJoint) -> float:
     """Total variation distance, 0.5 * sum |p - q|, in [0, 1]."""
-    if p.names != q.names or p.cards != q.cards:
-        q = q.permute(p.names) if set(p.names) == set(q.names) else q
-        if p.cards != q.cards:
-            raise TableError("shape mismatch")
+    if set(p.names) != set(q.names):
+        raise TableError("distributions must share variables")
+    if p.names != q.names:
+        q = q.permute(p.names)
+    if p.cards != q.cards:
+        raise TableError("shape mismatch")
     return 0.5 * float(np.abs(p.probs - q.probs).sum())

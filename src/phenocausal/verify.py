@@ -34,7 +34,7 @@ from .graphs import (Dag, CycleError, _reachable_inside, backdoor_admissible,
                      is_graphically_causally_sufficient, marginal_dag,
                      random_dag)
 from .scm import NOISE_COMBO_CAP, GeneralScm, NoiseSpec, exact_joint
-from .tables import (ConditionalTable, DiscreteJoint, changed_factors,
+from .tables import (ConditionalTable, DiscreteJoint, changed_factors, conditional,
                      hard_intervention, markov_report, product_joint,
                      soft_intervention, tv_distance)
 
@@ -375,17 +375,12 @@ def check_backdoor_preservation(g: Dag, p: DiscreteJoint, s: Sequence[str],
 def _adjustment(ps: DiscreteJoint, x: str, y: str, z: Sequence[str],
                 v: int) -> np.ndarray:
     """Backdoor adjustment sum_z p(y | x=v, z) p(z) on an exact table."""
-    names = (x, *z, y)
-    sub = ps.marginal(names).permute(names)
-    t = sub.probs[v]  # axes: (*z, y)
-    if z:
-        pz = ps.marginal(z).permute(tuple(z)).probs
-        ctx = t.sum(axis=-1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cond = np.where(ctx[..., None] > 0, t / ctx[..., None], 0.0)
-        return (cond * pz[..., None]).reshape(-1, t.shape[-1]).sum(axis=0)
-    total = t.sum()
-    return t / total if total > 0 else t
+    # axes (*z, y); contexts of probability zero contribute nothing
+    cond = np.nan_to_num(conditional(ps, y, (x, *z)).table[v], nan=0.0)
+    if not z:
+        return cond
+    pz = ps.marginal(z).permute(tuple(z)).probs
+    return (cond * pz[..., None]).reshape(-1, cond.shape[-1]).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -393,37 +388,41 @@ def _adjustment(ps: DiscreteJoint, x: str, y: str, z: Sequence[str],
 # ---------------------------------------------------------------------------
 
 
+# weight of the uniform distribution mixed into every random conditional
+_UNIFORM_MIX = 1e-3
+
+# rejection-sampling attempts before random_sufficient_subset falls back
+_SUBSET_TRIES = 200
+
+
 def random_conditional(g: Dag, node: str, cards: dict[str, int],
-                       rng: np.random.Generator,
-                       uniform_mix: float = 1e-3) -> ConditionalTable:
+                       rng: np.random.Generator) -> ConditionalTable:
     """Random strictly positive conditional table for ``node`` given its
     parents: uniform-mixed so every entry is bounded away from zero."""
     pa = g.parents(node)
     shape = tuple(cards[p] for p in pa) + (cards[node],)
     raw = rng.random(shape) + 0.05
     raw = raw / raw.sum(axis=-1, keepdims=True)
-    table = (1.0 - uniform_mix) * raw + uniform_mix / cards[node]
+    table = (1.0 - _UNIFORM_MIX) * raw + _UNIFORM_MIX / cards[node]
     return ConditionalTable(node, pa, table)
 
 
 def random_markov_joint(g: Dag, cards: dict[str, int],
-                        rng: np.random.Generator,
-                        uniform_mix: float = 1e-3) -> DiscreteJoint:
+                        rng: np.random.Generator) -> DiscreteJoint:
     """Strictly positive joint that factorizes exactly over ``g``.
 
     Positivity is enforced factor by factor (mixing each conditional with
     the uniform one), which keeps the product exactly Markov.
     """
-    factors = [random_conditional(g, v, cards, rng, uniform_mix) for v in g.nodes]
+    factors = [random_conditional(g, v, cards, rng) for v in g.nodes]
     return product_joint(g, factors)
 
 
-def random_sufficient_subset(g: Dag, rng: np.random.Generator,
-                             max_tries: int = 200) -> tuple[str, ...]:
+def random_sufficient_subset(g: Dag, rng: np.random.Generator) -> tuple[str, ...]:
     """Rejection-sample a proper graphically causally sufficient subset;
     falls back to the full node set (always sufficient)."""
     nodes = list(g.nodes)
-    for _ in range(max_tries):
+    for _ in range(_SUBSET_TRIES):
         keep = [v for v in nodes if rng.random() < 0.6]
         if not keep or len(keep) == len(nodes):
             continue
@@ -439,14 +438,11 @@ def random_sufficient_subset(g: Dag, rng: np.random.Generator,
 
 @dataclass(frozen=True)
 class SuiteConfig:
+    """Trial counts of the three suites."""
+
     proposition_trials: int = 1000
     boundary_trials: int = 500
     embedding_trials: int = 3
-    max_nodes: int = 6
-    marginal_tv_min: float = 1e-3
-    floor: float = 1e-12
-    eps: float = 1e-9
-    urn_rounds: int = 3
 
 
 def _spawn_seed(seed: int, *key: int) -> int:
@@ -517,15 +513,16 @@ def embedding_trial(trial_seed: int, rounds: int = 3, index: int = 0) -> TrialRe
                                    seed=trial_seed)
 
 
-def _run_trials(fn: Callable, args: list[tuple], jobs: int) -> list[TrialRecord]:
+def _run_trials(fn: Callable, seeds: list[int], jobs: int) -> list[TrialRecord]:
+    """``fn(seed, index=i)`` for each seed, in seed order."""
     # no more workers than cores or trials: under the fork start method the
     # pool starts every requested worker at the first submit
-    workers = min(jobs, os.cpu_count() or 1, len(args))
+    workers = min(jobs, os.cpu_count() or 1, len(seeds))
+    call = _TrialCall(fn)
     if workers <= 1:
-        return [fn(*a) for a in args]
+        return [call(a) for a in enumerate(seeds)]
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        records = list(pool.map(_TrialCall(fn), args, chunksize=8))
-    return sorted(records, key=lambda r: r.index)
+        return list(pool.map(call, enumerate(seeds), chunksize=8))
 
 
 class _TrialCall:
@@ -534,8 +531,9 @@ class _TrialCall:
     def __init__(self, fn: Callable):
         self.fn = fn
 
-    def __call__(self, args: tuple) -> TrialRecord:
-        return self.fn(*args)
+    def __call__(self, args: tuple[int, int]) -> TrialRecord:
+        index, seed = args
+        return self.fn(seed, index=index)
 
 
 def randomized_suite(config: SuiteConfig = SuiteConfig(),
@@ -544,32 +542,25 @@ def randomized_suite(config: SuiteConfig = SuiteConfig(),
                      jobs: int = 1) -> dict[str, VerificationReport]:
     """Run the selected verifier suites; every record replays from its seed.
 
-    ``jobs > 1`` distributes trials over at most that many worker processes,
-    and never more than there are cores or trials; trials are pure
-    functions of their spawned seeds, so the aggregated report is identical
-    to the serial one.
+    Each trial runs with its function's default parameters. ``jobs > 1``
+    distributes trials over at most that many worker processes, and never
+    more than there are cores or trials; trials are pure functions of their
+    spawned seeds, so the aggregated report is identical to the serial one.
     """
+    # (key, report name, seed stream, trial function, trial count)
+    suites = (
+        ("prop1", "identifiability-via-changes", 0, proposition_trial,
+         config.proposition_trials),
+        ("boundary", "boundary-consistency", 1, boundary_trial,
+         config.boundary_trials),
+        ("embedding", "embedding-markov", 2, embedding_trial,
+         config.embedding_trials),
+    )
     out: dict[str, VerificationReport] = {}
-    if which in ("prop1", "all"):
-        records = _run_trials(
-            proposition_trial,
-            [(_spawn_seed(seed, 0, i), config.marginal_tv_min, config.floor, i)
-             for i in range(config.proposition_trials)], jobs)
-        out["prop1"] = VerificationReport("identifiability-via-changes",
-                                          tuple(records))
-    if which in ("boundary", "all"):
-        records = _run_trials(
-            boundary_trial,
-            [(_spawn_seed(seed, 1, i), config.max_nodes, config.eps, i)
-             for i in range(config.boundary_trials)], jobs)
-        out["boundary"] = VerificationReport("boundary-consistency",
-                                             tuple(records))
-    if which in ("embedding", "all"):
-        records = _run_trials(
-            embedding_trial,
-            [(_spawn_seed(seed, 2, i), config.urn_rounds, i)
-             for i in range(config.embedding_trials)], jobs)
-        out["embedding"] = VerificationReport("embedding-markov", tuple(records))
+    for key, name, stream, trial, count in suites:
+        if which in (key, "all"):
+            seeds = [_spawn_seed(seed, stream, i) for i in range(count)]
+            out[key] = VerificationReport(name, tuple(_run_trials(trial, seeds, jobs)))
     if not out:
         raise ValueError(f"unknown suite selector {which!r}")
     return out

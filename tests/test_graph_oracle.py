@@ -46,7 +46,7 @@ def ref_ancestors(g: Dag, nodes) -> tuple[str, ...]:
     return g.sorted_tuple(seen)
 
 
-def ref_descendants(g: Dag, node: str, strict: bool = True) -> tuple[str, ...]:
+def ref_descendants(g: Dag, node: str) -> tuple[str, ...]:
     seen = {node}
     stack = [node]
     while stack:
@@ -55,8 +55,7 @@ def ref_descendants(g: Dag, node: str, strict: bool = True) -> tuple[str, ...]:
             if a == top and b not in seen:
                 seen.add(b)
                 stack.append(b)
-    if strict:
-        seen.discard(node)
+    seen.discard(node)
     return g.sorted_tuple(seen)
 
 
@@ -157,7 +156,6 @@ def test_graph_core_matches_edge_scan_reference(g, data):
         assert g.parents(v) == ref_parents(g, v)
         assert g.children(v) == ref_children(g, v)
         assert g.descendants(v) == ref_descendants(g, v)
-        assert g.descendants(v, strict=False) == ref_descendants(g, v, strict=False)
     subset = data.draw(st.sets(st.sampled_from(g.nodes)))
     s = set(subset)
     assert g.ancestors(subset) == ref_ancestors(g, subset)
@@ -180,7 +178,7 @@ def test_local_markov_checks_the_reference_triples(g):
     original = tables.ci_residual
     tables.ci_residual = record
     try:
-        assert markov_report(joint, g, mode="local") == (True, None, 0.0)
+        assert markov_report(joint, g) == (True, None, 0.0)
     finally:
         tables.ci_residual = original
     assert checked == ref_local_markov_triples(g)

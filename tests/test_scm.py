@@ -60,6 +60,12 @@ def test_finite_noise_requires_probability_vector():
         NoiseSpec.finite((0, 1), (0.5, 0.6))
 
 
+@pytest.mark.parametrize("probs", [(float("nan"), 1.0), (1.0, float("nan"))])
+def test_finite_noise_rejects_non_finite_probs(probs):
+    with pytest.raises(ScmError):
+        NoiseSpec.finite((0, 1), probs)
+
+
 def test_continuous_families_have_no_support():
     with pytest.raises(ScmError):
         NoiseSpec.uniform(0, 1).support()

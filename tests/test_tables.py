@@ -13,7 +13,9 @@ from phenocausal import (
     DiscreteJoint,
     TableError,
     changed_factors,
+    ci_residual,
     conditional,
+    d_separated,
     factorize,
     hard_intervention,
     is_markov,
@@ -27,6 +29,7 @@ from phenocausal import (
     soft_intervention,
     tv_distance,
 )
+from phenocausal.tables import MAX_TABLE_ENTRIES
 
 
 def _chain3():
@@ -59,8 +62,9 @@ def test_joint_rejects_non_finite_entries(bad):
 
 
 def test_table_cap():
-    with pytest.raises(TableError):
-        DiscreteJoint(("X",), np.full(2048, 1 / 2048), max_entries=1024)
+    n = MAX_TABLE_ENTRIES + 1
+    with pytest.raises(TableError, match="exceeds cap"):
+        DiscreteJoint(("X",), np.full(n, 1 / n))
 
 
 def test_marginal_and_permute():
@@ -69,6 +73,16 @@ def test_marginal_and_permute():
     q = p.permute(("Y", "X"))
     assert q.names == ("Y", "X")
     assert np.allclose(q.probs.T, p.probs)
+
+
+def test_marginal_reads_names_once():
+    p = DiscreteJoint(("X", "Y"), np.array([[0.1, 0.2], [0.3, 0.4]]))
+    from_gen = p.marginal(n for n in ("Y",))
+    assert from_gen.names == ("Y",)
+    assert np.array_equal(from_gen.probs, p.marginal(("Y",)).probs)
+    from_iter = p.marginal(iter(["Y", "X"]))
+    assert from_iter.names == ("X", "Y")
+    assert np.array_equal(from_iter.probs, p.probs)
 
 
 def test_joint_json_roundtrip():
@@ -136,16 +150,27 @@ def test_dependent_pair_not_markov_to_empty_graph():
     assert triple is not None
 
 
+def _all_triples_markov(p, g, eps):
+    """Oracle: every disjoint (a, b, c) with a and b d-separated given c,
+    4^n assignments, must hold in ``p`` within ``eps``."""
+    for assign in np.ndindex(*(4,) * len(g.nodes)):
+        a, b, c = (tuple(v for v, k in zip(g.nodes, assign) if k == part)
+                   for part in range(3))
+        if a and b and d_separated(g, a, b, c) and ci_residual(p, a, b, c) > eps:
+            return False
+    return True
+
+
 def test_markov_local_agrees_with_all_mode():
     rng = np.random.default_rng(7)
     for _ in range(15):
         g = random_dag(["a", "b", "c", "d"], rng, edge_prob=0.5)
         p = random_markov_joint(g, {v: 2 for v in g.nodes}, rng)
-        assert is_markov(p, g, 1e-11, mode="local")
-        assert is_markov(p, g, 1e-11, mode="all")
+        assert is_markov(p, g, 1e-11)
+        assert _all_triples_markov(p, g, 1e-11)
         # and a deliberately wrong graph fails both ways when it fails
         h = random_dag(["a", "b", "c", "d"], rng, edge_prob=0.3)
-        assert is_markov(p, h, 1e-7, mode="local") == is_markov(p, h, 1e-7, mode="all")
+        assert is_markov(p, h, 1e-7) == _all_triples_markov(p, h, 1e-7)
 
 
 def test_markov_preserved_under_sufficient_marginalization():
@@ -297,6 +322,13 @@ def test_tv_distance_basics():
     q = DiscreteJoint(("X",), np.array([0.0, 1.0]))
     assert tv_distance(p, p) == 0.0
     assert tv_distance(p, q) == 1.0
+
+
+def test_tv_distance_refuses_different_variables():
+    p = DiscreteJoint(("X", "Y"), np.array([[0.1, 0.2], [0.3, 0.4]]))
+    q = DiscreteJoint(("A", "B"), np.array([[0.3, 0.2], [0.1, 0.4]]))
+    with pytest.raises(TableError, match="share variables"):
+        tv_distance(p, q)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
