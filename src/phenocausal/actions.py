@@ -36,7 +36,8 @@ import numpy as np
 
 from .graphs import DAG_ENUMERATION_CAP, Dag, all_dags
 from .scm import GeneralScm
-from .tables import DiscreteJoint, changed_factors, markov_report
+from .tables import (ConditionalTable, DiscreteJoint, _conditional_distance,
+                     _local_statements, _worst_local_residual, ci_residual, conditional)
 
 __all__ = [
     "StatisticalAction",
@@ -221,42 +222,101 @@ def classify_statistical(g: Dag, baseline: DiscreteJoint,
     condition; a failure is reported as a violation attributed to the
     baseline itself.
     """
-    if set(baseline.names) != set(g.nodes):
-        raise ClassificationError("baseline variables differ from graph nodes")
-    verdicts: list[ActionVerdict] = []
-    diagnostics: dict = {"changed": {}}
-    ok, triple, worst = markov_report(baseline, g, eps=max(eps, 1e-9))
-    if not ok:
-        a, b, c = triple
-        verdicts.append(ActionVerdict(
-            "(baseline)", VerdictKind.VIOLATION, None,
-            f"baseline violates {a} _||_ {b} | {c} implied by the graph "
-            f"(residual {worst:.3g})"))
-    for action in actions:
-        effect = action.resolve(baseline)
-        changed = changed_factors(baseline, effect, g, eps)
-        diagnostics["changed"][action.label] = list(changed)
-        if len(changed) >= 2:
-            verdicts.append(ActionVerdict(
-                action.label, VerdictKind.VIOLATION, None,
-                f"changes conditionals of {list(changed)}"))
-            continue
-        # a true single-factor change preserves Markovness exactly, so a
-        # non-Markov effect is a violation hiding in a missing edge
-        ok, triple, worst = markov_report(effect, g, eps=max(eps, 1e-9))
+    return _StatisticalSuite(baseline, actions, eps).classify(g)
+
+
+class _StatisticalSuite:
+    """Replacement-distribution actions against one baseline, with every
+    node-local quantity computed once for all graphs classified.
+
+    Whether an action changes v's conditional depends on (v, pa(v)) alone,
+    and each local Markov residual on (v, nondesc(v), pa(v)), so candidate
+    graphs that share those keys share the values. Joint 0 is the baseline,
+    joint a + 1 the effect of action a, resolved on first use.
+    """
+
+    def __init__(self, baseline: DiscreteJoint,
+                 actions: Sequence[StatisticalAction], eps: float):
+        self.baseline = baseline
+        self.actions = tuple(actions)
+        self.eps = eps
+        self._joints: dict[int, DiscreteJoint] = {0: baseline}
+        self._conditionals: dict[tuple, ConditionalTable] = {}
+        self._distances: dict[tuple, float] = {}
+        self._residuals: dict[tuple, float] = {}
+
+    def _joint(self, j: int) -> DiscreteJoint:
+        if j not in self._joints:
+            self._joints[j] = self.actions[j - 1].resolve(self.baseline)
+        return self._joints[j]
+
+    def _conditional(self, j: int, v: str, pa: tuple[str, ...]) -> ConditionalTable:
+        key = (j, v, pa)
+        if key not in self._conditionals:
+            self._conditionals[key] = conditional(self._joint(j), v, pa)
+        return self._conditionals[key]
+
+    def _changed(self, a: int, g: Dag) -> tuple[str, ...]:
+        """``changed_factors(baseline, effect of action a, g, eps)``."""
+        out = []
+        for v in g.nodes:
+            pa = g.parents(v)
+            key = (a, v, pa)
+            if key not in self._distances:
+                self._distances[key] = _conditional_distance(
+                    self._conditional(0, v, pa), self._conditional(a + 1, v, pa))
+            if self._distances[key] > self.eps:
+                out.append(v)
+        return tuple(out)
+
+    def _markov(self, j: int, statements) -> tuple[bool, tuple | None, float]:
+        """``markov_report(joint j, g)`` from the statements of ``g``."""
+
+        def residual(v, nondesc, pa):
+            key = (j, v, nondesc, pa)
+            if key not in self._residuals:
+                self._residuals[key] = ci_residual(self._joint(j), (v,), nondesc, pa)
+            return self._residuals[key]
+
+        return _worst_local_residual(statements, residual, max(self.eps, 1e-9))
+
+    def classify(self, g: Dag) -> ClassificationReport:
+        if set(self.baseline.names) != set(g.nodes):
+            raise ClassificationError("baseline variables differ from graph nodes")
+        statements = _local_statements(g)
+        verdicts: list[ActionVerdict] = []
+        diagnostics: dict = {"changed": {}}
+        ok, triple, worst = self._markov(0, statements)
         if not ok:
             a, b, c = triple
             verdicts.append(ActionVerdict(
-                action.label, VerdictKind.VIOLATION, None,
-                f"effect violates {a} _||_ {b} | {c} implied by the "
-                f"graph (residual {worst:.3g})"))
-            continue
-        if not changed:
-            verdicts.append(ActionVerdict(action.label, VerdictKind.IDENTITY))
-        else:
-            verdicts.append(ActionVerdict(action.label, VerdictKind.ASSIGNED,
-                                          changed[0]))
-    return ClassificationReport(g, tuple(verdicts), diagnostics)
+                "(baseline)", VerdictKind.VIOLATION, None,
+                f"baseline violates {a} _||_ {b} | {c} implied by the graph "
+                f"(residual {worst:.3g})"))
+        for k, action in enumerate(self.actions):
+            changed = self._changed(k, g)
+            diagnostics["changed"][action.label] = list(changed)
+            if len(changed) >= 2:
+                verdicts.append(ActionVerdict(
+                    action.label, VerdictKind.VIOLATION, None,
+                    f"changes conditionals of {list(changed)}"))
+                continue
+            # a true single-factor change preserves Markovness exactly, so a
+            # non-Markov effect is a violation hiding in a missing edge
+            ok, triple, worst = self._markov(k + 1, statements)
+            if not ok:
+                a, b, c = triple
+                verdicts.append(ActionVerdict(
+                    action.label, VerdictKind.VIOLATION, None,
+                    f"effect violates {a} _||_ {b} | {c} implied by the "
+                    f"graph (residual {worst:.3g})"))
+                continue
+            if not changed:
+                verdicts.append(ActionVerdict(action.label, VerdictKind.IDENTITY))
+            else:
+                verdicts.append(ActionVerdict(action.label, VerdictKind.ASSIGNED,
+                                              changed[0]))
+        return ClassificationReport(g, tuple(verdicts), diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -328,59 +388,90 @@ def _free_coefficients(m: np.ndarray) -> np.ndarray:
     return (np.abs(null) > 1e-8).any(axis=0) if null.size else np.zeros(k, dtype=bool)
 
 
+class _UnitSuite:
+    """Unit displacements of one action suite, with every node-local result
+    computed once for all graphs and assignments examined.
+
+    Whether an action is forced onto v depends on (action, v, pa(v)) alone.
+    v's equation is the stacked block of the rows of the non-identity
+    actions not assigned to v, so a solve depends on (v, pa(v), those
+    actions in assignment order); the order is part of the key because it
+    is the row order ``lstsq`` sees.
+    """
+
+    def __init__(self, disp: _Displacements, eps: float):
+        self.disp = disp
+        self.eps = eps
+        self.col = {name: k for k, name in enumerate(disp.columns)}
+        self.identity = [bool(r.size == 0 or np.abs(r).max() <= eps)
+                         for r in disp.rows]
+        self._hits: dict[tuple, bool] = {}
+        self._solutions: dict[tuple, np.ndarray | None] = {}
+        self._free: dict[tuple, np.ndarray] = {}
+
+    def hit(self, a: int, v: str, pa: tuple[str, ...]) -> bool:
+        """Whether some unit of action ``a`` moves v with v's parents still."""
+        key = (a, v, pa)
+        if key not in self._hits:
+            rows = self.disp.rows[a]
+            moved = np.abs(rows[:, self.col[v]]) > self.eps
+            pa_still = (np.abs(rows[:, [self.col[p] for p in pa]]).max(axis=1) <= self.eps
+                        if pa else np.ones(len(rows), dtype=bool))
+            self._hits[key] = bool((moved & pa_still).any())
+        return self._hits[key]
+
+    def _system(self, v: str, pa: tuple[str, ...], block: tuple[int, ...]):
+        """m x = b for v's coefficients on ``pa`` from the rows of ``block``."""
+        if not block:
+            return np.empty((0, len(pa))), np.empty(0)
+        idx = [self.col[p] for p in pa]
+        rows = [self.disp.rows[a] for a in block]
+        return (np.vstack([r[:, idx] for r in rows]),
+                np.concatenate([r[:, self.col[v]] for r in rows]))
+
+    def solution(self, v: str, pa: tuple[str, ...],
+                 block: tuple[int, ...]) -> np.ndarray | None:
+        key = (v, pa, block)
+        if key not in self._solutions:
+            self._solutions[key] = _consistent_solution(*self._system(*key), self.eps)
+        return self._solutions[key]
+
+    def free(self, v: str, pa: tuple[str, ...], block: tuple[int, ...]) -> np.ndarray:
+        key = (v, pa, block)
+        if key not in self._free:
+            self._free[key] = _free_coefficients(self._system(*key)[0])
+        return self._free[key]
+
+    def classify(self, g: Dag) -> ClassificationReport:
+        return _classify_unit(_UnitSolver(g, self))
+
+
 class _UnitSolver:
     """Search for a class assignment and shared affine coefficients."""
 
-    def __init__(self, g: Dag, disp: _Displacements, eps: float):
-        if set(g.nodes) != set(disp.columns):
+    def __init__(self, g: Dag, suite: _UnitSuite):
+        if set(g.nodes) != set(suite.disp.columns):
             raise ClassificationError("graph nodes differ from system variables")
         self.g = g
         self.nodes = g.nodes
-        self.disp = disp
-        self.eps = eps
-        col = {name: k for k, name in enumerate(disp.columns)}
-        self.col = col
-        self.pa_idx = {v: [col[p] for p in g.parents(v)] for v in self.nodes}
-        self.identity = [bool(r.size == 0 or np.abs(r).max() <= eps)
-                         for r in disp.rows]
-        self.forced: list[tuple[str, ...]] = []
-        for a, rows in enumerate(disp.rows):
-            if self.identity[a]:
-                self.forced.append(())
-                continue
-            hits = []
-            for v in self.nodes:
-                i = col[v]
-                pa = self.pa_idx[v]
-                moved = np.abs(rows[:, i]) > eps
-                pa_still = (np.abs(rows[:, pa]).max(axis=1) <= eps
-                            if pa else np.ones(len(rows), dtype=bool))
-                if bool((moved & pa_still).any()):
-                    hits.append(v)
-            self.forced.append(tuple(hits))
+        self.suite = suite
+        self.disp = suite.disp
+        self.identity = suite.identity
+        self.parents = {v: g.parents(v) for v in self.nodes}
+        self.forced: list[tuple[str, ...]] = [
+            () if self.identity[a] else
+            tuple(v for v in self.nodes if suite.hit(a, v, self.parents[v]))
+            for a in range(len(self.disp.rows))]
 
-    def constraint_block(self, a: int, node: str):
-        rows = self.disp.rows[a]
-        pa = self.pa_idx[node]
-        return rows[:, pa], rows[:, self.col[node]]
-
-    def _node_system(self, node: str, assignment: dict[int, str]):
-        blocks_m, blocks_b = [], []
-        for a, cls in assignment.items():
-            if cls == node or self.identity[a]:
-                continue
-            m, b = self.constraint_block(a, node)
-            blocks_m.append(m)
-            blocks_b.append(b)
-        k = len(self.pa_idx[node])
-        if not blocks_m:
-            return np.empty((0, k)), np.empty(0)
-        return np.vstack(blocks_m), np.concatenate(blocks_b)
+    def _block(self, node: str, assignment: dict[int, str]) -> tuple[int, ...]:
+        """The actions whose rows make ``node``'s equation, in assignment order."""
+        return tuple(a for a, cls in assignment.items()
+                     if cls != node and not self.identity[a])
 
     def feasible(self, assignment: dict[int, str],
                  nodes: Iterable[str] | None = None) -> bool:
-        return all(_consistent_solution(*self._node_system(node, assignment),
-                                        self.eps) is not None
+        return all(self.suite.solution(node, self.parents[node],
+                                       self._block(node, assignment)) is not None
                    for node in (nodes if nodes is not None else self.nodes))
 
     def solution(self, assignment: dict[int, str]):
@@ -388,14 +479,14 @@ class _UnitSolver:
         coeffs: dict[tuple[str, str], float] = {}
         zero_forced: list[tuple[str, str]] = []
         for node in self.nodes:
-            m, b = self._node_system(node, assignment)
-            x0 = _consistent_solution(m, b, self.eps)
+            pa, block = self.parents[node], self._block(node, assignment)
+            x0 = self.suite.solution(node, pa, block)
             if x0 is None:
                 return None
-            free = _free_coefficients(m)
-            for k, p in enumerate(self.g.parents(node)):
+            free = self.suite.free(node, pa, block)
+            for k, p in enumerate(pa):
                 coeffs[(p, node)] = float(x0[k])
-                if not free[k] and abs(x0[k]) <= self.eps:
+                if not free[k] and abs(x0[k]) <= self.suite.eps:
                     zero_forced.append((p, node))
         return coeffs, zero_forced
 
@@ -458,7 +549,11 @@ def classify_unit(g: Dag, scm: GeneralScm, actions: Sequence[UnitAction],
 
 def classify_unit_displacements(g: Dag, disp: _Displacements,
                                 eps: float = 1e-9) -> ClassificationReport:
-    solver = _UnitSolver(g, disp, eps)
+    return _UnitSuite(disp, eps).classify(g)
+
+
+def _classify_unit(solver: _UnitSolver) -> ClassificationReport:
+    g, disp = solver.g, solver.disp
     verdicts: list[ActionVerdict] = []
     diagnostics: dict = {}
 
@@ -535,7 +630,10 @@ def valid_graphs(baseline, actions, eps: float = 1e-9, mode: str = "statistical"
 
     ``baseline`` is a DiscreteJoint in statistical mode and a GeneralScm in
     unit mode. Enumeration is exhaustive, so more than
-    ``DAG_ENUMERATION_CAP`` (5) nodes are refused before any work.
+    ``DAG_ENUMERATION_CAP`` (5) nodes are refused before any work. Every
+    test behind a verdict is local to a node, so each runs once per call and
+    later candidates look it up; the reports equal those of classifying
+    each graph alone.
     """
     if mode == "statistical":
         if not isinstance(baseline, DiscreteJoint):
@@ -550,12 +648,11 @@ def valid_graphs(baseline, actions, eps: float = 1e-9, mode: str = "statistical"
     if len(nodes) > DAG_ENUMERATION_CAP:
         raise ClassificationError(
             f"{len(nodes)} nodes exceeds exhaustive cap {DAG_ENUMERATION_CAP}")
-    if mode == "unit":
-        disp = unit_displacements(baseline, actions, trials, seed)
+    suite = (_StatisticalSuite(baseline, actions, eps) if mode == "statistical"
+             else _UnitSuite(unit_displacements(baseline, actions, trials, seed), eps))
     out = []
     for g in all_dags(nodes):
-        report = (classify_statistical(g, baseline, actions, eps)
-                  if mode == "statistical" else classify_unit_displacements(g, disp, eps))
+        report = suite.classify(g)
         if report.valid:
             out.append((g, report))
     return out

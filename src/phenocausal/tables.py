@@ -328,17 +328,35 @@ def markov_report(p: DiscreteJoint, g: Dag,
     the graph implies (Lauritzen, Dawid, Larsen & Leimer, 1990).
     """
     _check_same_variables(p, g)
-    worst = 0.0
-    worst_triple: tuple | None = None
+    return _worst_local_residual(
+        _local_statements(g),
+        lambda node, nondesc, pa: ci_residual(p, (node,), nondesc, pa), eps)
+
+
+def _local_statements(g: Dag) -> list[tuple[str, tuple[str, ...], tuple[str, ...]]]:
+    """(node, non-descendants outside the parents, parents) for each node of
+    ``g`` in node order, skipping nodes with no such non-descendant."""
+    out = []
     for node in g.nodes:
         pa = g.parents(node)
         skip = {node, *pa, *g.descendants(node)}
-        nondesc = [n for n in g.nodes if n not in skip]
-        if not nondesc:
-            continue
-        r = ci_residual(p, (node,), nondesc, pa)
+        nondesc = tuple(n for n in g.nodes if n not in skip)
+        if nondesc:
+            out.append((node, nondesc, pa))
+    return out
+
+
+def _worst_local_residual(statements, residual, eps: float
+                          ) -> tuple[bool, tuple | None, float]:
+    """``markov_report``'s verdict from ``residual(node, nondesc, pa)`` over
+    the statements of ``_local_statements``: the first largest residual
+    wins."""
+    worst = 0.0
+    worst_triple: tuple | None = None
+    for node, nondesc, pa in statements:
+        r = residual(node, nondesc, pa)
         if r > worst:
-            worst, worst_triple = r, ((node,), tuple(nondesc), pa)
+            worst, worst_triple = r, ((node,), nondesc, pa)
     return worst <= eps, worst_triple, worst
 
 

@@ -164,6 +164,22 @@ def test_criterion_06_classification_ground_truths():
                "urnN admit exactly one valid DAG")
 
 
+def test_criterion_06_five_node_unit_enumeration():
+    # all 29,281 five-node DAGs; the time bound is a gate
+    t0 = time.monotonic()
+    found = {}
+    for ex in (urn_chain(n=5), bundles_chain(n=5)):
+        valid = valid_graphs(ex.scm, ex.unit_actions, mode="unit",
+                             trials=80, seed=606)
+        assert [frozenset(g.edges) for g, _ in valid] == \
+            [frozenset(ex.ground_truth.edges)], ex.name
+        found[ex.name] = len(valid)
+    elapsed = time.monotonic() - t0
+    assert elapsed < 60.0
+    _report(6, f"unit reading over all five-node DAGs: {found} valid, the "
+               f"ground truth each, {elapsed:.1f}s")
+
+
 def test_criterion_07_regime_reversal():
     r1 = rabbits(scenario=1)
     r2 = rabbits(scenario=2)
