@@ -16,9 +16,11 @@ action touches. Two encodings are supported:
   coefficients shared across units (intercepts absorb the per-unit noise),
   such that each action breaks at most its own node's equation. With
   displacement vectors d = post - pre, an action sits in class j exactly
-  when (I - C) d is supported on {j}, which turns classification into a
-  small constraint-satisfaction problem over the coefficient matrix C and
-  the class assignment. An edge whose coefficient the action suite forces
+  when (I - C) d is supported on {j}. The class needs no search: in any
+  unit the action moves, the first node in topological order that moves
+  has its parents still, so the action is forced onto that node. What is
+  left is a least-squares consistency check of each node's equation under
+  the forced assignment. An edge whose coefficient the action suite forces
   to zero is treated as unwitnessed and invalidates the candidate.
 
 Identity actions (no detectable change) are classifiable to any node and
@@ -30,7 +32,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -53,9 +55,6 @@ __all__ = [
     "DirectionVerdict",
     "bivariate_direction",
 ]
-
-_SEARCH_BUDGET = 200_000
-
 
 class ClassificationError(ValueError):
     """Invalid classification request (mismatched variables, cap exceeded)."""
@@ -237,6 +236,8 @@ class _StatisticalSuite:
 
     def __init__(self, baseline: DiscreteJoint,
                  actions: Sequence[StatisticalAction], eps: float):
+        if not eps >= 0:
+            raise ClassificationError(f"eps must be a number >= 0, got {eps!r}")
         self.baseline = baseline
         self.actions = tuple(actions)
         self.eps = eps
@@ -337,7 +338,8 @@ class _Displacements:
 def unit_displacements(scm: GeneralScm, actions: Sequence[UnitAction],
                        trials: int, seed: int) -> _Displacements:
     """Apply every action to ``trials`` sampled baseline states and collect
-    the unique displacement vectors per action (in scm node order)."""
+    the unique displacement vectors per action (in scm node order). A
+    non-finite displacement is refused: it has no consistent equation."""
     if trials < 1:
         raise ClassificationError(f"need at least one trial, got {trials}")
     noise = scm.sample_noise(trials, seed)
@@ -347,13 +349,17 @@ def unit_displacements(scm: GeneralScm, actions: Sequence[UnitAction],
     for action in actions:
         deltas = []
         refused = False
-        for s in states:
-            post = action.apply(s)
-            if post is None:
-                refused = True
-                continue
-            deltas.append([post[v] - s[v] for v in scm.nodes])
+        with np.errstate(invalid="ignore", over="ignore"):  # refused below
+            for s in states:
+                post = action.apply(s)
+                if post is None:
+                    refused = True
+                    continue
+                deltas.append([post[v] - s[v] for v in scm.nodes])
         arr = np.asarray(deltas, dtype=float) if deltas else np.empty((0, len(scm.nodes)))
+        if not np.isfinite(arr).all():
+            raise ClassificationError(
+                f"action {action.label!r} gives a non-finite displacement")
         if arr.size:
             arr = np.unique(np.round(arr, 12), axis=0)
         labels.append(action.label)
@@ -390,7 +396,7 @@ def _free_coefficients(m: np.ndarray) -> np.ndarray:
 
 class _UnitSuite:
     """Unit displacements of one action suite, with every node-local result
-    computed once for all graphs and assignments examined.
+    computed once for all graphs classified.
 
     Whether an action is forced onto v depends on (action, v, pa(v)) alone.
     v's equation is the stacked block of the rows of the non-identity
@@ -400,6 +406,8 @@ class _UnitSuite:
     """
 
     def __init__(self, disp: _Displacements, eps: float):
+        if not eps >= 0:
+            raise ClassificationError(f"eps must be a number >= 0, got {eps!r}")
         self.disp = disp
         self.eps = eps
         self.col = {name: k for k, name in enumerate(disp.columns)}
@@ -443,100 +451,84 @@ class _UnitSuite:
         return self._free[key]
 
     def classify(self, g: Dag) -> ClassificationReport:
-        return _classify_unit(_UnitSolver(g, self))
+        """Assign every non-identity action to the node it is forced onto.
 
-
-class _UnitSolver:
-    """Search for a class assignment and shared affine coefficients."""
-
-    def __init__(self, g: Dag, suite: _UnitSuite):
-        if set(g.nodes) != set(suite.disp.columns):
-            raise ClassificationError("graph nodes differ from system variables")
-        self.g = g
-        self.nodes = g.nodes
-        self.suite = suite
-        self.disp = suite.disp
-        self.identity = suite.identity
-        self.parents = {v: g.parents(v) for v in self.nodes}
-        self.forced: list[tuple[str, ...]] = [
-            () if self.identity[a] else
-            tuple(v for v in self.nodes if suite.hit(a, v, self.parents[v]))
-            for a in range(len(self.disp.rows))]
-
-    def _block(self, node: str, assignment: dict[int, str]) -> tuple[int, ...]:
-        """The actions whose rows make ``node``'s equation, in assignment order."""
-        return tuple(a for a, cls in assignment.items()
-                     if cls != node and not self.identity[a])
-
-    def feasible(self, assignment: dict[int, str],
-                 nodes: Iterable[str] | None = None) -> bool:
-        return all(self.suite.solution(node, self.parents[node],
-                                       self._block(node, assignment)) is not None
-                   for node in (nodes if nodes is not None else self.nodes))
-
-    def solution(self, assignment: dict[int, str]):
-        """Fitted coefficients and zero-forced edges for an assignment."""
-        coeffs: dict[tuple[str, str], float] = {}
-        zero_forced: list[tuple[str, str]] = []
-        for node in self.nodes:
-            pa, block = self.parents[node], self._block(node, assignment)
-            x0 = self.suite.solution(node, pa, block)
-            if x0 is None:
-                return None
-            free = self.suite.free(node, pa, block)
-            for k, p in enumerate(pa):
-                coeffs[(p, node)] = float(x0[k])
-                if not free[k] and abs(x0[k]) <= self.suite.eps:
-                    zero_forced.append((p, node))
-        return coeffs, zero_forced
-
-    def search(self):
-        """Complete backtracking over class assignments.
-
-        Returns (assignment, coeffs, zero_forced) for the first consistent
-        assignment without zero-forced edges, falling back to the first
-        consistent assignment if all of them leave some edge unwitnessed;
-        None when no consistent assignment exists.
+        Take a unit the action moves and the first node, in ``g``'s
+        topological order, that moves by more than eps: its parents come
+        earlier and stay still, so only its own equation can absorb the
+        move. With finite displacements and eps >= 0 every non-identity
+        action is therefore forced onto at least one node, and that node is
+        its only possible class. An action forced onto two or more nodes is
+        a violation. Otherwise ``g`` is valid when the forced assignment
+        leaves every node's equation consistent; when it does not, an
+        in-order pass blames each action whose placement breaks it.
         """
-        n_actions = len(self.disp.labels)
-        # callers never search while an action is forced onto two nodes
-        base = {a: self.forced[a][0] for a in range(n_actions) if self.forced[a]}
-        if not self.feasible(base):
-            return None
-        open_actions = [a for a in range(n_actions)
-                        if not self.identity[a] and a not in base]
-        budget = [_SEARCH_BUDGET]
-        fallback: list = []
+        if set(g.nodes) != set(self.disp.columns):
+            raise ClassificationError("graph nodes differ from system variables")
+        disp = self.disp
+        if any(disp.inapplicable):
+            return ClassificationReport(g, tuple(
+                ActionVerdict(label, VerdictKind.VIOLATION, None,
+                              "inapplicable on a sampled state")
+                for label, refused in zip(disp.labels, disp.inapplicable) if refused),
+                {"reason": "inapplicable actions"})
+        parents = {v: g.parents(v) for v in g.nodes}
+        forced = [() if self.identity[a] else
+                  tuple(v for v in g.nodes if self.hit(a, v, parents[v]))
+                  for a in range(len(disp.labels))]
 
-        def recurse(idx: int, assignment: dict[int, str]):
-            if budget[0] <= 0:
-                raise ClassificationError("unit class assignment search budget exceeded")
-            budget[0] -= 1
-            if idx == len(open_actions):
-                sol = self.solution(assignment)
-                if sol is None:
-                    return None
-                coeffs, zero_forced = sol
-                if not zero_forced:
-                    return dict(assignment), coeffs, zero_forced
-                if not fallback:
-                    fallback.append((dict(assignment), coeffs, zero_forced))
-                return None
-            a = open_actions[idx]
-            for node in self.nodes:
-                assignment[a] = node
-                affected = [v for v in self.nodes if v != node]
-                if self.feasible(assignment, affected):
-                    out = recurse(idx + 1, assignment)
-                    if out is not None:
-                        return out
-                del assignment[a]
-            return None
+        def block(v: str, assignment: dict[int, str]) -> tuple[int, ...]:
+            """The actions whose rows make v's equation, in assignment order."""
+            return tuple(a for a, cls in assignment.items() if cls != v)
 
-        out = recurse(0, base)
-        if out is not None:
-            return out
-        return fallback[0] if fallback else None
+        def feasible(assignment: dict[int, str]) -> bool:
+            return all(self.solution(v, parents[v], block(v, assignment)) is not None
+                       for v in g.nodes)
+
+        assignment = {a: nodes[0] for a, nodes in enumerate(forced) if nodes}
+        if all(len(nodes) <= 1 for nodes in forced) and feasible(assignment):
+            coeffs: dict[str, float] = {}
+            zero_forced: list[str] = []
+            for v in g.nodes:
+                pa, rows = parents[v], block(v, assignment)
+                x0, free = self.solution(v, pa, rows), self.free(v, pa, rows)
+                for k, p in enumerate(pa):
+                    coeffs[f"{p}->{v}"] = float(x0[k])
+                    if not free[k] and abs(x0[k]) <= self.eps:
+                        zero_forced.append(f"{p}->{v}")
+            verdicts = [ActionVerdict(label, VerdictKind.IDENTITY) if self.identity[a]
+                        else ActionVerdict(label, VerdictKind.ASSIGNED, assignment[a])
+                        for a, label in enumerate(disp.labels)]
+            if zero_forced:
+                verdicts.append(ActionVerdict(
+                    "(graph)", VerdictKind.VIOLATION, None,
+                    f"action suite forces zero coefficient on edge(s) "
+                    f"{', '.join(zero_forced)}"))
+            return ClassificationReport(g, tuple(verdicts), {"coefficients": coeffs})
+
+        # Blame: place the actions in order, each on its forced node; an
+        # action whose placement makes some equation inconsistent is the
+        # violation and stays unplaced.
+        verdicts = []
+        assignment = {}
+        for a, label in enumerate(disp.labels):
+            if self.identity[a]:
+                verdicts.append(ActionVerdict(label, VerdictKind.IDENTITY))
+            elif len(forced[a]) >= 2:
+                verdicts.append(ActionVerdict(
+                    label, VerdictKind.VIOLATION, None,
+                    f"breaks equations of {list(forced[a])}"))
+            else:
+                assignment[a] = forced[a][0]
+                if feasible(assignment):
+                    verdicts.append(ActionVerdict(label, VerdictKind.ASSIGNED,
+                                                  forced[a][0]))
+                else:
+                    del assignment[a]
+                    verdicts.append(ActionVerdict(
+                        label, VerdictKind.VIOLATION, None,
+                        "no class assignment keeps the other equations consistent"))
+        return ClassificationReport(g, tuple(verdicts), {"reason": "no assignment"})
 
 
 def classify_unit(g: Dag, scm: GeneralScm, actions: Sequence[UnitAction],
@@ -550,73 +542,6 @@ def classify_unit(g: Dag, scm: GeneralScm, actions: Sequence[UnitAction],
 def classify_unit_displacements(g: Dag, disp: _Displacements,
                                 eps: float = 1e-9) -> ClassificationReport:
     return _UnitSuite(disp, eps).classify(g)
-
-
-def _classify_unit(solver: _UnitSolver) -> ClassificationReport:
-    g, disp = solver.g, solver.disp
-    verdicts: list[ActionVerdict] = []
-    diagnostics: dict = {}
-
-    for a, label in enumerate(disp.labels):
-        if disp.inapplicable[a]:
-            verdicts.append(ActionVerdict(label, VerdictKind.VIOLATION, None,
-                                          "inapplicable on a sampled state"))
-    if any(disp.inapplicable):
-        return ClassificationReport(g, tuple(verdicts),
-                                    {"reason": "inapplicable actions"})
-
-    hard = [a for a in range(len(disp.labels)) if len(solver.forced[a]) >= 2]
-    result = None if hard else solver.search()
-
-    if result is not None:
-        assignment, coeffs, zero_forced = result
-        for a, label in enumerate(disp.labels):
-            if solver.identity[a]:
-                verdicts.append(ActionVerdict(label, VerdictKind.IDENTITY))
-            else:
-                verdicts.append(ActionVerdict(label, VerdictKind.ASSIGNED,
-                                              assignment[a]))
-        diagnostics["coefficients"] = {f"{p}->{c}": v for (p, c), v in coeffs.items()}
-        if zero_forced:
-            edges = ", ".join(f"{p}->{c}" for p, c in zero_forced)
-            verdicts.append(ActionVerdict(
-                "(graph)", VerdictKind.VIOLATION, None,
-                f"action suite forces zero coefficient on edge(s) {edges}"))
-        return ClassificationReport(g, tuple(verdicts), diagnostics)
-
-    # No globally consistent assignment: produce per-action blame with a
-    # deterministic greedy pass (assign forced classes in order, then first
-    # feasible class; an action that breaks every option is the violation).
-    assignment: dict[int, str] = {}
-    for a, label in enumerate(disp.labels):
-        if solver.identity[a]:
-            verdicts.append(ActionVerdict(label, VerdictKind.IDENTITY))
-            continue
-        if len(solver.forced[a]) >= 2:
-            verdicts.append(ActionVerdict(
-                label, VerdictKind.VIOLATION, None,
-                f"breaks equations of {list(solver.forced[a])}"))
-            continue
-        options = ([solver.forced[a][0]] if solver.forced[a] else list(solver.nodes))
-        placed = False
-        for node in options:
-            assignment[a] = node
-            if solver.feasible(assignment):
-                verdicts.append(ActionVerdict(label, VerdictKind.ASSIGNED, node))
-                placed = True
-                break
-            del assignment[a]
-        if not placed:
-            verdicts.append(ActionVerdict(
-                label, VerdictKind.VIOLATION, None,
-                "no class assignment keeps the other equations consistent"))
-    if all(v.kind is not VerdictKind.VIOLATION for v in verdicts):
-        # The greedy pass found a witness the (complete) search should have
-        # found; only reachable if the search hit a zero-forced fallback.
-        verdicts.append(ActionVerdict(
-            "(graph)", VerdictKind.VIOLATION, None,
-            "no consistent class assignment for the full action suite"))
-    return ClassificationReport(g, tuple(verdicts), {"reason": "no assignment"})
 
 
 # ---------------------------------------------------------------------------

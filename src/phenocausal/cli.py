@@ -11,7 +11,7 @@ same arguments.
 Exit codes: 0 success, 1 verification or classification failure, 2 usage
 error or bad input (a missing or malformed CSV or graph file, an output
 path that cannot be written, invalid exemplar parameters, a negative seed,
-a size cap exceeded).
+a negative or NaN eps, a non-finite displacement, a size cap exceeded).
 """
 
 from __future__ import annotations
@@ -54,6 +54,16 @@ def _seed(text: str) -> int:
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"seed must be a non-negative integer: {text!r}")
     return int(text)
+
+
+def _eps(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"eps must be a number >= 0: {text!r}")
+    return value
 
 
 def _parse_param(items: list[str]) -> dict:
@@ -137,30 +147,30 @@ def _cmd_classify(args) -> int:
         "seed": args.seed,
         "eps": args.eps,
     }
-    if mode == "statistical":
-        if ex.baseline is None:
-            raise SystemExit2(f"{ex.name!r} has no statistical encoding")
-        report = classify_statistical(ex.ground_truth, ex.baseline,
-                                      ex.statistical_actions, eps=args.eps)
-        system, actions = ex.baseline, ex.statistical_actions
-        nodes = system.names
-    else:
-        if ex.scm is None:
-            raise SystemExit2(f"{ex.name!r} has no unit-level encoding")
-        report = classify_unit(ex.ground_truth, ex.scm, ex.unit_actions,
-                               trials=args.trials, seed=args.seed, eps=args.eps)
-        system, actions = ex.scm, ex.unit_actions
-        nodes = system.nodes
-    obj["ground_truth_report"] = report.to_json_obj()
-    if args.enumerate:
-        try:
+    try:
+        if mode == "statistical":
+            if ex.baseline is None:
+                raise SystemExit2(f"{ex.name!r} has no statistical encoding")
+            report = classify_statistical(ex.ground_truth, ex.baseline,
+                                          ex.statistical_actions, eps=args.eps)
+            system, actions = ex.baseline, ex.statistical_actions
+            nodes = system.names
+        else:
+            if ex.scm is None:
+                raise SystemExit2(f"{ex.name!r} has no unit-level encoding")
+            report = classify_unit(ex.ground_truth, ex.scm, ex.unit_actions,
+                                   trials=args.trials, seed=args.seed, eps=args.eps)
+            system, actions = ex.scm, ex.unit_actions
+            nodes = system.nodes
+        obj["ground_truth_report"] = report.to_json_obj()
+        if args.enumerate:
             valid = valid_graphs(system, actions, eps=args.eps, mode=mode,
                                  trials=args.trials, seed=args.seed)
-        except ClassificationError as exc:
-            raise SystemExit2(str(exc))
-        obj["valid_graphs"] = [json.loads(g.to_json()) for g, _ in valid]
-        if len(nodes) == 2:
-            obj["direction"] = _direction_verdict(valid, *nodes).value
+            obj["valid_graphs"] = [json.loads(g.to_json()) for g, _ in valid]
+            if len(nodes) == 2:
+                obj["direction"] = _direction_verdict(valid, *nodes).value
+    except ClassificationError as exc:
+        raise SystemExit2(str(exc))
     _emit(obj, args.out)
     return 0 if report.valid else 1
 
@@ -293,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cl.add_argument("--mode", choices=("auto", "unit", "statistical"),
                       default="auto")
     p_cl.add_argument("--seed", type=_seed, required=True)
-    p_cl.add_argument("--eps", type=float, default=1e-9)
+    p_cl.add_argument("--eps", type=_eps, default=1e-9)
     p_cl.add_argument("--trials", type=int, default=500)
     p_cl.add_argument("--enumerate", action="store_true",
                       help="also enumerate all valid graphs")
@@ -311,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_di.add_argument("--in", dest="infile", required=True)
     p_di.add_argument("--in2", dest="infile2")
     p_di.add_argument("--graph", help="graph file (JSON or edge list) for --method shift")
-    p_di.add_argument("--eps", type=float, default=None)
+    p_di.add_argument("--eps", type=_eps, default=None)
     p_di.add_argument("--seed", type=_seed, required=True)
     p_di.add_argument("--out")
     p_di.set_defaults(func=_cmd_discover)

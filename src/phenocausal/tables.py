@@ -246,12 +246,10 @@ def conditional(p: DiscreteJoint, target: str, given: Iterable[str]) -> Conditio
     given = tuple(given)
     sub = p.marginal((*given, target)).permute((*given, target))
     ctx = sub.probs.sum(axis=-1)
-    defined = ctx > 0.0
     with np.errstate(invalid="ignore", divide="ignore"):
         table = sub.probs / ctx[..., None]
-    table[~defined] = np.nan
-    return ConditionalTable(target, given, np.where(defined[..., None], table, np.nan),
-                            defined)
+    # the constructor masks the undefined (zero-probability) contexts
+    return ConditionalTable(target, given, table, ctx > 0.0)
 
 
 def product_joint(g: Dag, factors: Sequence[ConditionalTable]) -> DiscreteJoint:

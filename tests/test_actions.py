@@ -15,6 +15,7 @@ from phenocausal import (
     StatisticalAction,
     VerdictKind,
     bivariate_direction,
+    build_exemplar,
     classify_statistical,
     classify_unit,
     random_conditional,
@@ -302,6 +303,25 @@ def test_unit_mode_needs_a_trial():
             classify_unit(ex.ground_truth, ex.scm, ex.unit_actions, trials=trials)
         with pytest.raises(ClassificationError, match="at least one trial"):
             valid_graphs(ex.scm, ex.unit_actions, mode="unit", trials=trials)
+
+
+@pytest.mark.parametrize("eps", [float("nan"), -1.0, -1e-12])
+def test_eps_must_be_non_negative(eps):
+    ex = _urn2()
+    with pytest.raises(ClassificationError, match="eps must be a number >= 0"):
+        classify_unit(ex.ground_truth, ex.scm, ex.unit_actions, trials=5, eps=eps)
+    with pytest.raises(ClassificationError, match="eps must be a number >= 0"):
+        valid_graphs(ex.scm, ex.unit_actions, mode="unit", trials=5, eps=eps)
+    ball = build_exemplar("balltrack")
+    with pytest.raises(ClassificationError, match="eps must be a number >= 0"):
+        classify_statistical(ball.ground_truth, ball.baseline,
+                             ball.statistical_actions, eps=eps)
+
+
+def test_non_finite_displacement_refused():
+    ex = build_exemplar("rabbits1", demand_per_rabbit=float("inf"))
+    with pytest.raises(ClassificationError, match="non-finite displacement"):
+        classify_unit(ex.ground_truth, ex.scm, ex.unit_actions, trials=5, seed=1)
 
 
 def test_unit_action_spec_families():

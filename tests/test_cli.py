@@ -332,6 +332,42 @@ def test_balltrack_overflowing_start_law_exits_2(argv, theta, tmp_path, capfd,
     assert not any(tmp_path.iterdir())
 
 
+def test_classify_non_finite_displacement_exits_2(tmp_path, capfd):
+    out = tmp_path / "cls.json"
+    for extra in ([], ["--enumerate"]):
+        rc = run(["classify", "rabbits1", "--seed", "1", "--param",
+                  "demand_per_rabbit=inf", "--out", str(out)] + extra)
+        err = capfd.readouterr().err
+        assert rc == 2
+        assert "non-finite displacement" in err
+        assert "Traceback" not in err and "DLASCL" not in err
+        assert "Warning" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["classify", "balltrack"], ["classify", "urn2"]])
+@pytest.mark.parametrize("eps", ["nan", "-1"])
+def test_classify_bad_eps_exits_2(argv, eps, tmp_path, capfd):
+    out = tmp_path / "cls.json"
+    rc = run(argv + ["--seed", "1", "--trials", "5", "--eps", eps, "--out", str(out)])
+    err = capfd.readouterr().err
+    assert rc == 2
+    assert "eps must be a number >= 0" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("eps", ["nan", "-1"])
+def test_discover_shift_bad_eps_exits_2(eps, tmp_path, capfd):
+    a, b, g = _shift_inputs(tmp_path)
+    out = tmp_path / "shift.json"
+    rc = run(["discover", "--method", "shift", "--in", str(a), "--in2", str(b),
+              "--graph", str(g), "--seed", "1", "--eps", eps, "--out", str(out)])
+    err = capfd.readouterr().err
+    assert rc == 2
+    assert "eps must be a number >= 0" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # verify and report
 # ---------------------------------------------------------------------------

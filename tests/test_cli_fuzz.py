@@ -22,7 +22,7 @@ PARAMS = st.sampled_from([
     "endpoint=high", "endpoint=middle", "coin_biases=abc", "coin_biases=0.5",
     "bias_shift=0.1", "scenario=3", "n_rabbits=0", "food_supply=-1",
     "potato_elasticity=0.5", "shift=nan", "initial_packages=1", "k0=5",
-    "unknown=1", "noequals",
+    "unknown=1", "noequals", "demand_per_rabbit=inf",
 ])
 EPS = st.sampled_from(["1e-9", "0", "-1", "nan", "inf", "0.05"])
 

@@ -3,13 +3,16 @@
 ``valid_graphs`` computes each node-local quantity once per call and looks
 it up for every later candidate DAG. The oracles here classify every DAG of
 ``all_dags`` from scratch: the statistical one with fresh ``markov_report``
-and ``changed_factors`` calls, the unit one with a fresh solver per graph.
-The call-count tests pin the sharing itself.
+and ``changed_factors`` calls, the unit one with a fresh suite per graph and
+the complete backtracking search over class assignments that the forced
+assignment of ``actions._UnitSuite.classify`` replaces. The call-count tests
+pin the sharing itself.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from typing import Iterable
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -35,7 +38,8 @@ from phenocausal import (
     valid_graphs,
 )
 from phenocausal import actions
-from phenocausal.actions import classify_unit_displacements
+from phenocausal.actions import (ClassificationError, _Displacements,
+                                 classify_unit_displacements)
 
 
 def _markov_violation(label: str, what: str, joint, g, eps: float):
@@ -80,10 +84,179 @@ def _statistical_oracle(baseline: DiscreteJoint, suite, eps: float = 1e-9
     return out
 
 
+# Reference unit-level classifier: a complete backtracking search over class
+# assignments, with a search budget, a zero-forced fallback and a greedy
+# blame pass. ``actions._UnitSuite.classify`` must give the same reports by
+# assigning each action its forced node, without any search.
+
+_SEARCH_BUDGET = 200_000
+
+
+class _UnitSolver:
+    """Search for a class assignment and shared affine coefficients."""
+
+    def __init__(self, g: Dag, suite: actions._UnitSuite):
+        if set(g.nodes) != set(suite.disp.columns):
+            raise ClassificationError("graph nodes differ from system variables")
+        self.g = g
+        self.nodes = g.nodes
+        self.suite = suite
+        self.disp = suite.disp
+        self.identity = suite.identity
+        self.parents = {v: g.parents(v) for v in self.nodes}
+        self.forced: list[tuple[str, ...]] = [
+            () if self.identity[a] else
+            tuple(v for v in self.nodes if suite.hit(a, v, self.parents[v]))
+            for a in range(len(self.disp.rows))]
+
+    def _block(self, node: str, assignment: dict[int, str]) -> tuple[int, ...]:
+        """The actions whose rows make ``node``'s equation, in assignment order."""
+        return tuple(a for a, cls in assignment.items()
+                     if cls != node and not self.identity[a])
+
+    def feasible(self, assignment: dict[int, str],
+                 nodes: Iterable[str] | None = None) -> bool:
+        return all(self.suite.solution(node, self.parents[node],
+                                       self._block(node, assignment)) is not None
+                   for node in (nodes if nodes is not None else self.nodes))
+
+    def solution(self, assignment: dict[int, str]):
+        """Fitted coefficients and zero-forced edges for an assignment."""
+        coeffs: dict[tuple[str, str], float] = {}
+        zero_forced: list[tuple[str, str]] = []
+        for node in self.nodes:
+            pa, block = self.parents[node], self._block(node, assignment)
+            x0 = self.suite.solution(node, pa, block)
+            if x0 is None:
+                return None
+            free = self.suite.free(node, pa, block)
+            for k, p in enumerate(pa):
+                coeffs[(p, node)] = float(x0[k])
+                if not free[k] and abs(x0[k]) <= self.suite.eps:
+                    zero_forced.append((p, node))
+        return coeffs, zero_forced
+
+    def search(self):
+        """Complete backtracking over class assignments.
+
+        Returns (assignment, coeffs, zero_forced) for the first consistent
+        assignment without zero-forced edges, falling back to the first
+        consistent assignment if all of them leave some edge unwitnessed;
+        None when no consistent assignment exists.
+        """
+        n_actions = len(self.disp.labels)
+        # callers never search while an action is forced onto two nodes
+        base = {a: self.forced[a][0] for a in range(n_actions) if self.forced[a]}
+        if not self.feasible(base):
+            return None
+        open_actions = [a for a in range(n_actions)
+                        if not self.identity[a] and a not in base]
+        budget = [_SEARCH_BUDGET]
+        fallback: list = []
+
+        def recurse(idx: int, assignment: dict[int, str]):
+            if budget[0] <= 0:
+                raise ClassificationError("unit class assignment search budget exceeded")
+            budget[0] -= 1
+            if idx == len(open_actions):
+                sol = self.solution(assignment)
+                if sol is None:
+                    return None
+                coeffs, zero_forced = sol
+                if not zero_forced:
+                    return dict(assignment), coeffs, zero_forced
+                if not fallback:
+                    fallback.append((dict(assignment), coeffs, zero_forced))
+                return None
+            a = open_actions[idx]
+            for node in self.nodes:
+                assignment[a] = node
+                affected = [v for v in self.nodes if v != node]
+                if self.feasible(assignment, affected):
+                    out = recurse(idx + 1, assignment)
+                    if out is not None:
+                        return out
+                del assignment[a]
+            return None
+
+        out = recurse(0, base)
+        if out is not None:
+            return out
+        return fallback[0] if fallback else None
+
+
+def _classify_unit(solver: _UnitSolver) -> ClassificationReport:
+    g, disp = solver.g, solver.disp
+    verdicts: list[ActionVerdict] = []
+    diagnostics: dict = {}
+
+    for a, label in enumerate(disp.labels):
+        if disp.inapplicable[a]:
+            verdicts.append(ActionVerdict(label, VerdictKind.VIOLATION, None,
+                                          "inapplicable on a sampled state"))
+    if any(disp.inapplicable):
+        return ClassificationReport(g, tuple(verdicts),
+                                    {"reason": "inapplicable actions"})
+
+    hard = [a for a in range(len(disp.labels)) if len(solver.forced[a]) >= 2]
+    result = None if hard else solver.search()
+
+    if result is not None:
+        assignment, coeffs, zero_forced = result
+        for a, label in enumerate(disp.labels):
+            if solver.identity[a]:
+                verdicts.append(ActionVerdict(label, VerdictKind.IDENTITY))
+            else:
+                verdicts.append(ActionVerdict(label, VerdictKind.ASSIGNED,
+                                              assignment[a]))
+        diagnostics["coefficients"] = {f"{p}->{c}": v for (p, c), v in coeffs.items()}
+        if zero_forced:
+            edges = ", ".join(f"{p}->{c}" for p, c in zero_forced)
+            verdicts.append(ActionVerdict(
+                "(graph)", VerdictKind.VIOLATION, None,
+                f"action suite forces zero coefficient on edge(s) {edges}"))
+        return ClassificationReport(g, tuple(verdicts), diagnostics)
+
+    # No globally consistent assignment: produce per-action blame with a
+    # deterministic greedy pass (assign forced classes in order, then first
+    # feasible class; an action that breaks every option is the violation).
+    assignment: dict[int, str] = {}
+    for a, label in enumerate(disp.labels):
+        if solver.identity[a]:
+            verdicts.append(ActionVerdict(label, VerdictKind.IDENTITY))
+            continue
+        if len(solver.forced[a]) >= 2:
+            verdicts.append(ActionVerdict(
+                label, VerdictKind.VIOLATION, None,
+                f"breaks equations of {list(solver.forced[a])}"))
+            continue
+        options = ([solver.forced[a][0]] if solver.forced[a] else list(solver.nodes))
+        placed = False
+        for node in options:
+            assignment[a] = node
+            if solver.feasible(assignment):
+                verdicts.append(ActionVerdict(label, VerdictKind.ASSIGNED, node))
+                placed = True
+                break
+            del assignment[a]
+        if not placed:
+            verdicts.append(ActionVerdict(
+                label, VerdictKind.VIOLATION, None,
+                "no class assignment keeps the other equations consistent"))
+    if all(v.kind is not VerdictKind.VIOLATION for v in verdicts):
+        # The greedy pass found a witness the (complete) search should have
+        # found; only reachable if the search hit a zero-forced fallback.
+        verdicts.append(ActionVerdict(
+            "(graph)", VerdictKind.VIOLATION, None,
+            "no consistent class assignment for the full action suite"))
+    return ClassificationReport(g, tuple(verdicts), {"reason": "no assignment"})
+
+
 def _unit_oracle(disp, eps: float = 1e-9) -> list[ClassificationReport]:
-    """The report of every DAG over the system's variables, each from a
-    fresh solver that shares nothing with the others."""
-    return [classify_unit_displacements(g, disp, eps) for g in all_dags(disp.columns)]
+    """The report of every DAG over the system's variables, each from the
+    reference search over a fresh suite that shares nothing with the others."""
+    return [_classify_unit(_UnitSolver(g, actions._UnitSuite(disp, eps)))
+            for g in all_dags(disp.columns)]
 
 
 def _as_json(pairs):
@@ -184,11 +357,7 @@ _UNIT_SYSTEMS = {
 }
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(name=st.sampled_from(sorted(_UNIT_SYSTEMS)), trials=st.integers(1, 120),
-       seed=st.integers(0, 2**31))
-def test_unit_valid_graphs_match_brute_force(name, trials, seed):
-    ex = _UNIT_SYSTEMS[name]()
+def _check_unit(ex, trials: int, seed: int) -> None:
     disp = actions.unit_displacements(ex.scm, ex.unit_actions, trials, seed)
     reports = _unit_oracle(disp)
     expected = [(r.graph, r) for r in reports if r.valid]
@@ -197,6 +366,101 @@ def test_unit_valid_graphs_match_brute_force(name, trials, seed):
     shared = actions._UnitSuite(disp, 1e-9)
     assert [shared.classify(r.graph).to_json_obj() for r in reports] == \
         [r.to_json_obj() for r in reports]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(_UNIT_SYSTEMS)), trials=st.integers(1, 120),
+       seed=st.integers(0, 2**31))
+def test_unit_valid_graphs_match_brute_force(name, trials, seed):
+    _check_unit(_UNIT_SYSTEMS[name](), trials, seed)
+
+
+_MORE_UNIT_SYSTEMS = {
+    # so few balls that removals are refused on some sampled states
+    "urn2-refusal": lambda: urn_bivariate(kb0=6, kr0=6),
+    "urnN-3-high": lambda: urn_chain(n=3, endpoint="high"),
+    "urnN-4": lambda: urn_chain(n=4),
+    "urnN-4-high": lambda: urn_chain(n=4, endpoint="high"),
+    "bundles-4": lambda: bundles_chain(n=4),
+}
+
+
+# about 1 s per four-node system
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(_MORE_UNIT_SYSTEMS)), trials=st.integers(1, 120),
+       seed=st.integers(0, 2**31))
+def test_unit_valid_graphs_match_brute_force_more_systems(name, trials, seed):
+    _check_unit(_MORE_UNIT_SYSTEMS[name](), trials, seed)
+
+
+def _random_displacements(n: int, kinds: list[str], seed: int) -> _Displacements:
+    """Finite unit displacements of one action per entry of ``kinds`` over
+    n nodes, deduplicated as ``unit_displacements`` does.
+
+    ``identity`` rows are zero, ``sparse`` rows small integers that are
+    mostly zero, ``real`` rows Gaussian. A ``linear`` action shifts one node
+    of a random integer linear system shared by the suite and propagates the
+    shift to the node's descendants, so some graphs classify it cleanly.
+    """
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n)
+    coef = np.zeros((n, n))  # coef[child, parent]
+    for i in range(n):
+        for j in range(i):
+            if rng.random() < 0.6:
+                coef[order[i], order[j]] = rng.integers(-2, 3)
+    rows = []
+    for kind in kinds:
+        r = int(rng.integers(1, 5))
+        if kind == "identity":
+            arr = np.zeros((r, n))
+        elif kind == "sparse":
+            arr = rng.integers(-2, 3, size=(r, n)) * (rng.random((r, n)) < 0.4)
+        elif kind == "real":
+            arr = rng.normal(size=(r, n))
+        else:
+            target = int(rng.integers(n))
+            arr = np.zeros((r, n))
+            arr[:, target] = rng.integers(1, 4, size=r) * rng.choice([-1, 1])
+            for v in order:  # parents come first in the order
+                if v != target:
+                    arr[:, v] = arr @ coef[v]
+        rows.append(np.unique(np.round(arr.astype(float), 12), axis=0))
+    return _Displacements(tuple(f"X{i}" for i in range(n)),
+                          tuple(f"a{k}-{kind}" for k, kind in enumerate(kinds)),
+                          tuple(rows), (False,) * len(kinds))
+
+
+_SUITES = dict(n=st.integers(2, 4),
+               kinds=st.lists(st.sampled_from(["identity", "sparse", "linear", "real"]),
+                              min_size=1, max_size=5),
+               seed=st.integers(0, 2**31), eps=st.sampled_from([0.0, 1e-9, 0.5]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(**_SUITES)
+def test_unit_forced_assignment_matches_search(n, kinds, seed, eps):
+    disp = _random_displacements(n, kinds, seed)
+    reports = _unit_oracle(disp, eps)
+    shared = actions._UnitSuite(disp, eps)
+    assert [shared.classify(r.graph).to_json_obj() for r in reports] == \
+        [r.to_json_obj() for r in reports]
+    assert [classify_unit_displacements(r.graph, disp, eps).to_json_obj()
+            for r in reports[:3]] == [r.to_json_obj() for r in reports[:3]]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(**_SUITES)
+def test_every_non_identity_action_is_forced(n, kinds, seed, eps):
+    """For finite rows and eps >= 0, the first node in topological order
+    that a unit moves has its parents still, so every non-identity action
+    is forced onto some node of every DAG."""
+    disp = _random_displacements(n, kinds, seed)
+    suite = actions._UnitSuite(disp, eps)
+    moved = [a for a in range(len(kinds)) if not suite.identity[a]]
+    for g in all_dags(disp.columns):
+        for a in moved:
+            assert any(suite.hit(a, v, g.parents(v)) for v in g.nodes), (g, a)
 
 
 def _content(joint: DiscreteJoint) -> tuple:
