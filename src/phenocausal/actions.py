@@ -38,8 +38,8 @@ import numpy as np
 
 from .graphs import DAG_ENUMERATION_CAP, Dag, all_dags
 from .scm import GeneralScm
-from .tables import (ConditionalTable, DiscreteJoint, _conditional_distance,
-                     _local_statements, _worst_local_residual, ci_residual, conditional)
+from .tables import (DiscreteJoint, _conditional_distance, _local_statements,
+                     _worst_local_residual, ci_residual, conditional)
 
 __all__ = [
     "StatisticalAction",
@@ -242,7 +242,6 @@ class _StatisticalSuite:
         self.actions = tuple(actions)
         self.eps = eps
         self._joints: dict[int, DiscreteJoint] = {0: baseline}
-        self._conditionals: dict[tuple, ConditionalTable] = {}
         self._distances: dict[tuple, float] = {}
         self._residuals: dict[tuple, float] = {}
 
@@ -250,12 +249,6 @@ class _StatisticalSuite:
         if j not in self._joints:
             self._joints[j] = self.actions[j - 1].resolve(self.baseline)
         return self._joints[j]
-
-    def _conditional(self, j: int, v: str, pa: tuple[str, ...]) -> ConditionalTable:
-        key = (j, v, pa)
-        if key not in self._conditionals:
-            self._conditionals[key] = conditional(self._joint(j), v, pa)
-        return self._conditionals[key]
 
     def _changed(self, a: int, g: Dag) -> tuple[str, ...]:
         """``changed_factors(baseline, effect of action a, g, eps)``."""
@@ -265,7 +258,8 @@ class _StatisticalSuite:
             key = (a, v, pa)
             if key not in self._distances:
                 self._distances[key] = _conditional_distance(
-                    self._conditional(0, v, pa), self._conditional(a + 1, v, pa))
+                    conditional(self.baseline, v, pa),
+                    conditional(self._joint(a + 1), v, pa))
             if self._distances[key] > self.eps:
                 out.append(v)
         return tuple(out)

@@ -126,12 +126,16 @@ class Dag:
     # -- basic structure ---------------------------------------------------
 
     def parents(self, node: str) -> tuple[str, ...]:
-        self._check_nodes([node])
-        return self._parents[node]
+        parents = self._parents.get(node)
+        if parents is None:
+            self._check_nodes([node])  # raises the unknown-node error
+        return parents
 
     def children(self, node: str) -> tuple[str, ...]:
-        self._check_nodes([node])
-        return self._children[node]
+        children = self._children.get(node)
+        if children is None:
+            self._check_nodes([node])  # raises the unknown-node error
+        return children
 
     def ancestors(self, nodes: Iterable[str]) -> tuple[str, ...]:
         """All nodes with a directed path into ``nodes`` (the set included)."""

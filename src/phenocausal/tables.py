@@ -9,13 +9,19 @@ new values.
 Zero-probability conditioning contexts are never fabricated: conditional
 tables flag them as undefined, and factor-change detection skips contexts
 that are unreachable under both distributions being compared.
+
+Every check here is a question about conditionals, so the conditional is
+the cached unit: ``conditional(p, target, given)`` is computed once per
+joint, straight from ``p``'s array, and kept on ``p`` for every later call
+(the joint is frozen and its array read-only). Only returned values are
+validated; no intermediate joint is built on the way.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -59,6 +65,9 @@ class DiscreteJoint:
 
     names: tuple[str, ...]
     probs: np.ndarray
+    # conditional(self, target, given) by (target, given); sound because the
+    # joint is frozen and its array read-only
+    _conditionals: dict = field(init=False, repr=False, compare=False)
 
     def __init__(self, names: Iterable[str], probs: np.ndarray):
         names = tuple(names)
@@ -82,6 +91,7 @@ class DiscreteJoint:
         probs.flags.writeable = False
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "_conditionals", {})
 
     @property
     def cards(self) -> tuple[int, ...]:
@@ -103,7 +113,10 @@ class DiscreteJoint:
         drop = tuple(i for i, n in enumerate(self.names) if n not in keep)
         return DiscreteJoint(keep, self.probs.sum(axis=drop) if drop else self.probs)
 
-    def permute(self, names: Sequence[str]) -> "DiscreteJoint":
+    def permute(self, names: Iterable[str]) -> "DiscreteJoint":
+        names = tuple(names)
+        if names == self.names:
+            return self
         if set(names) != set(self.names) or len(names) != len(self.names):
             raise TableError("permute requires the same variable set")
         order = [self.axis(n) for n in names]
@@ -167,10 +180,10 @@ def _tabulate(names: Sequence[str], outcome_lists: Iterable[Iterable[tuple[tuple
 class ConditionalTable:
     """p(target | given), stored with the conditioning axes first.
 
-    ``table`` has shape (*given_cards, target_card); each defined slice sums
-    to one within 1e-12. Slices whose conditioning context has probability
-    zero are flagged in ``defined`` (False) and hold NaN rather than an
-    invented distribution.
+    ``table`` has shape (*given_cards, target_card); each defined slice has
+    finite, nonnegative entries summing to one within 1e-12. Slices whose
+    conditioning context has probability zero are flagged in ``defined``
+    (False) and hold NaN rather than an invented distribution.
     """
 
     target: str
@@ -187,17 +200,28 @@ class ConditionalTable:
                 f"table has {table.ndim} axes; expected {len(given) + 1}")
         if defined is None:
             defined = np.ones(table.shape[:-1], dtype=bool)
-        defined = np.asarray(defined, dtype=bool)
+        defined = np.array(defined, dtype=bool)
         if defined.shape != table.shape[:-1]:
             raise TableError("defined mask shape mismatch")
-        sums = table.sum(axis=-1)
-        bad = defined & (np.abs(sums - 1.0) > _SUM_TOL)
-        if bad.any():
+        # entries of undefined slices are never read. NaN and -inf show in
+        # the lowest entry and +inf in the worst sum; taking the lowest entry
+        # first keeps inf - inf out of the sums.
+        inside = defined[..., None]
+        lowest = float(np.minimum.reduce(table, axis=None, where=inside, initial=0.0))
+        if not math.isfinite(lowest):
+            raise TableError("non-finite entries in a defined slice")
+        if lowest < -1e-15:
+            raise TableError(f"negative entry {lowest} in a defined slice")
+        worst = float(np.maximum.reduce(
+            np.abs(np.add.reduce(table, axis=-1, where=inside) - 1.0),
+            axis=None, where=defined, initial=0.0))
+        if not math.isfinite(worst):
+            raise TableError("non-finite entries in a defined slice")
+        if worst > _SUM_TOL:
             raise TableError("a defined conditional slice does not sum to 1")
-        table = table.copy()
-        table[~defined] = np.nan
+        # sums over a table add in its memory order: keep every table C-ordered
+        table = np.ascontiguousarray(np.where(inside, table, np.nan))
         table.flags.writeable = False
-        defined = defined.copy()
         defined.flags.writeable = False
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "given", given)
@@ -243,13 +267,39 @@ def factorize(p: DiscreteJoint, g: Dag) -> list[ConditionalTable]:
 
 
 def conditional(p: DiscreteJoint, target: str, given: Iterable[str]) -> ConditionalTable:
+    """p(target | given), computed once per joint and then looked up."""
     given = tuple(given)
-    sub = p.marginal((*given, target)).permute((*given, target))
-    ctx = sub.probs.sum(axis=-1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        table = sub.probs / ctx[..., None]
-    # the constructor masks the undefined (zero-probability) contexts
-    return ConditionalTable(target, given, table, ctx > 0.0)
+    key = (target, given)
+    memo = p._conditionals
+    if key not in memo:
+        memo[key] = _conditional(p, target, given)
+    return memo[key]
+
+
+def _conditional(p: DiscreteJoint, target: str, given: tuple[str, ...]
+                 ) -> ConditionalTable:
+    sub = _marginal_array(p, (*given, target))
+    ctx = sub.sum(axis=-1)
+    defined = ctx > 0.0
+    # the slices of zero-probability contexts stay unset (out=None): the
+    # constructor neither reads them nor keeps them
+    table = np.divide(sub, ctx[..., None], out=None, where=defined[..., None])
+    return ConditionalTable(target, given, table, defined)
+
+
+def _marginal_array(p: DiscreteJoint, names: tuple[str, ...]) -> np.ndarray:
+    """The marginal table of ``p`` over ``names``, axes in that order.
+
+    The values of ``p.marginal(names).permute(names).probs``, laid out in
+    the same memory order, so reductions over it add in the same order.
+    """
+    axes = [p.axis(n) for n in names]
+    if len(set(axes)) != len(axes):
+        raise TableError(f"repeated variable in {list(names)}")
+    drop = tuple(i for i in range(len(p.names)) if i not in axes)
+    kept = sorted(axes)
+    t = p.probs.sum(axis=drop) if drop else p.probs
+    return np.transpose(t, [kept.index(i) for i in axes])
 
 
 def product_joint(g: Dag, factors: Sequence[ConditionalTable]) -> DiscreteJoint:
@@ -272,7 +322,7 @@ def product_joint(g: Dag, factors: Sequence[ConditionalTable]) -> DiscreteJoint:
             raise TableError(
                 f"factor for {f.target!r} conditions on {f.given}, graph parents "
                 f"are {g.parents(f.target)}")
-        tab = np.nan_to_num(f.table, nan=0.0)
+        tab = np.where(f.defined[..., None], f.table, 0.0)
         axes = [g.nodes.index(v) for v in (*f.given, f.target)]
         # transpose the factor so its axes are in ascending destination
         # order, then pad singleton axes for broadcasting
@@ -298,23 +348,23 @@ def ci_residual(p: DiscreteJoint, a: Iterable[str], b: Iterable[str],
     independence holds exactly.
     """
     a, b, c = tuple(a), tuple(b), tuple(c)
-    sub = p.marginal((*c, *a, *b)).permute((*c, *a, *b))
-    nc, na, nb = len(c), len(a), len(b)
-    t = sub.probs
+    t = _marginal_array(p, (*c, *a, *b))
+    nc, na = len(c), len(a)
     c_shape = t.shape[:nc]
     a_shape = t.shape[nc:nc + na]
     b_shape = t.shape[nc + na:]
     t = t.reshape(int(np.prod(c_shape or (1,))), int(np.prod(a_shape or (1,))),
                   int(np.prod(b_shape or (1,))))
     ctx = t.sum(axis=(1, 2))
-    worst = 0.0
-    for k in range(t.shape[0]):
-        if ctx[k] <= 0.0:
-            continue
-        joint = t[k] / ctx[k]
-        prod = joint.sum(axis=1, keepdims=True) * joint.sum(axis=0, keepdims=True)
-        worst = max(worst, 0.5 * float(np.abs(joint - prod).sum()))
-    return worst
+    positive = ctx > 0.0
+    if not positive.any():
+        return 0.0
+    # indexing the context axis keeps each context's (a, b) block in the
+    # memory order of t, so every sum adds as it would on that block alone
+    joint = t[positive] / ctx[positive, None, None]
+    prod = joint.sum(axis=2, keepdims=True) * joint.sum(axis=1, keepdims=True)
+    diff = np.abs(joint - prod).reshape(len(joint), -1)
+    return 0.5 * float(diff.sum(axis=1).max())
 
 
 def markov_report(p: DiscreteJoint, g: Dag,

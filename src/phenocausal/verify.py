@@ -542,10 +542,12 @@ def randomized_suite(config: SuiteConfig = SuiteConfig(),
                      jobs: int = 1) -> dict[str, VerificationReport]:
     """Run the selected verifier suites; every record replays from its seed.
 
-    Each trial runs with its function's default parameters. ``jobs > 1``
-    distributes trials over at most that many worker processes, and never
-    more than there are cores or trials; trials are pure functions of their
-    spawned seeds, so the aggregated report is identical to the serial one.
+    A selected suite needs at least 1 trial (``ValueError`` otherwise): an
+    empty run would report a pass it never checked. Each trial runs with its
+    function's default parameters. ``jobs > 1`` distributes trials over at
+    most that many worker processes, and never more than there are cores or
+    trials; trials are pure functions of their spawned seeds, so the
+    aggregated report is identical to the serial one.
     """
     # (key, report name, seed stream, trial function, trial count)
     suites = (
@@ -556,11 +558,14 @@ def randomized_suite(config: SuiteConfig = SuiteConfig(),
         ("embedding", "embedding-markov", 2, embedding_trial,
          config.embedding_trials),
     )
-    out: dict[str, VerificationReport] = {}
-    for key, name, stream, trial, count in suites:
-        if which in (key, "all"):
-            seeds = [_spawn_seed(seed, stream, i) for i in range(count)]
-            out[key] = VerificationReport(name, tuple(_run_trials(trial, seeds, jobs)))
-    if not out:
+    selected = [s for s in suites if which in (s[0], "all")]
+    if not selected:
         raise ValueError(f"unknown suite selector {which!r}")
+    for key, _, _, _, count in selected:
+        if count < 1:
+            raise ValueError(f"{key} suite needs at least 1 trial, got {count}")
+    out: dict[str, VerificationReport] = {}
+    for key, name, stream, trial, count in selected:
+        seeds = [_spawn_seed(seed, stream, i) for i in range(count)]
+        out[key] = VerificationReport(name, tuple(_run_trials(trial, seeds, jobs)))
     return out

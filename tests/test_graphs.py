@@ -122,6 +122,26 @@ def test_dag_validation():
         Dag(("a", "b"), [("a", "b"), ("b", "a")])
 
 
+def test_parents_and_children_look_up_without_validation(monkeypatch):
+    g = Dag(("a", "b", "c"), [("a", "b"), ("a", "c")])
+    checked = []
+    real = Dag._check_nodes
+
+    def check(self, names):
+        names = tuple(names)
+        checked.append(names)
+        return real(self, names)
+
+    monkeypatch.setattr(Dag, "_check_nodes", check)
+    assert g.parents("b") == ("a",) and g.children("a") == ("b", "c")
+    assert g.parents("a") == () and g.children("c") == ()
+    assert checked == []
+    for lookup in (g.parents, g.children):
+        with pytest.raises(GraphError,
+                           match=r"unknown node\(s\) \['z'\]; graph has \['a', 'b', 'c'\]"):
+            lookup("z")
+
+
 def test_topological_order_stable():
     g = Dag(("c", "a", "b"), [("a", "b")])
     assert g.topological_order() == ("c", "a", "b")

@@ -85,6 +85,17 @@ def test_marginal_reads_names_once():
     assert np.array_equal(from_iter.probs, p.probs)
 
 
+def test_permute_reads_names_once():
+    p = DiscreteJoint(("X", "Y"), np.array([[0.1, 0.2], [0.3, 0.4]]))
+    q = p.permute(iter(["Y", "X"]))
+    assert q.names == ("Y", "X")
+    assert np.array_equal(q.probs, p.probs.T)
+    assert p.permute(n for n in ("X", "Y")) is p
+    for bad in (("X",), ("X", "Z"), ("X", "Y", "Y"), iter(["Y", "X", "X"])):
+        with pytest.raises(TableError, match="same variable set"):
+            p.permute(bad)
+
+
 def test_joint_json_roundtrip():
     p = DiscreteJoint(("X", "Y"), np.array([[0.1, 0.2], [0.3, 0.4]]))
     q = DiscreteJoint.from_json(p.to_json())
@@ -127,6 +138,23 @@ def test_undefined_contexts_flagged_not_fabricated():
     t = conditional(p, "Y", ("X",))
     assert t.defined[0] and not t.defined[1]
     assert np.isnan(t.table[1]).all()
+
+
+@pytest.mark.parametrize("row", [[np.nan, 0.5], [1.5, -0.5], [np.inf, -np.inf],
+                                 [np.nan, np.nan], [0.5, np.inf]])
+def test_conditional_table_refuses_bad_defined_entries(row):
+    with pytest.raises(TableError, match="non-finite|negative"):
+        ConditionalTable("Y", ("X",), [row, [0.5, 0.5]])
+    # the same slice is accepted where its context is undefined
+    t = ConditionalTable("Y", ("X",), [row, [0.5, 0.5]], defined=[False, True])
+    assert np.isnan(t.table[0]).all() and list(t.table[1]) == [0.5, 0.5]
+
+
+def test_conditional_table_accepts_rounding_negatives():
+    t = ConditionalTable("Y", (), [1.0 + 1e-16, -1e-16])
+    assert t.table[1] == -1e-16
+    with pytest.raises(TableError, match="negative entry"):
+        ConditionalTable("Y", (), [1.0 + 1e-13, -1e-13])
 
 
 # ---------------------------------------------------------------------------

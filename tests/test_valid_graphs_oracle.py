@@ -37,7 +37,7 @@ from phenocausal import (
     urn_chain,
     valid_graphs,
 )
-from phenocausal import actions
+from phenocausal import actions, tables
 from phenocausal.actions import (ClassificationError, _Displacements,
                                  classify_unit_displacements)
 
@@ -475,6 +475,7 @@ def test_statistical_node_local_work_runs_once_per_key(monkeypatch):
     residuals: Counter = Counter()
     effects: Counter = Counter()
 
+    # the computation behind tables.conditional, which memoizes per joint
     def conditional(joint, target, given):
         conditionals[(_content(joint), target, tuple(given))] += 1
         return real_conditional(joint, target, given)
@@ -489,8 +490,8 @@ def test_statistical_node_local_work_runs_once_per_key(monkeypatch):
             return action.resolve(base)
         return StatisticalAction(action.label, effect)
 
-    real_conditional, real_residual = actions.conditional, actions.ci_residual
-    monkeypatch.setattr(actions, "conditional", conditional)
+    real_conditional, real_residual = tables._conditional, actions.ci_residual
+    monkeypatch.setattr(tables, "_conditional", conditional)
     monkeypatch.setattr(actions, "ci_residual", ci_residual)
     out = valid_graphs(p, [counted(a) for a in suite], mode="statistical")
     assert out

@@ -258,11 +258,25 @@ def test_backdoor_preservation_random_instances():
 # ---------------------------------------------------------------------------
 
 
-def test_zero_trial_suite_is_empty_pass():
-    reports = randomized_suite(SuiteConfig(proposition_trials=0,
-                                           boundary_trials=0,
-                                           embedding_trials=0), seed=1)
-    assert all(r.passed and r.trials == 0 for r in reports.values())
+@pytest.mark.parametrize("config,which", [
+    (SuiteConfig(0, 0, 0), "all"),
+    (SuiteConfig(0, -3, 0), "all"),
+    (SuiteConfig(5, 5, 0), "all"),
+    (SuiteConfig(5, -3, 5), "boundary"),
+], ids=["all-zero", "all-negative", "embedding-zero", "boundary-negative"])
+def test_suite_below_one_trial_is_refused(monkeypatch, config, which):
+    import phenocausal.verify as verify
+
+    ran = []
+    monkeypatch.setattr(verify, "_run_trials", lambda *args: ran.append(args))
+    with pytest.raises(ValueError, match="at least 1 trial"):
+        randomized_suite(config, seed=1, which=which)
+    assert ran == []  # refused before any suite runs
+
+
+def test_unselected_suite_count_is_not_read():
+    out = randomized_suite(SuiteConfig(2, 0, -1), seed=1, which="prop1")
+    assert out["prop1"].passed and out["prop1"].trials == 2
 
 
 def test_suite_records_replay_identically():
