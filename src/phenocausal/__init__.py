@@ -6,103 +6,16 @@ one causal mechanism. The package provides the graph calculus, exact
 discrete distributions, structural models, action classification, worked
 example systems, LiNGAM-style statistical recovery, and machine-checked
 consistency suites for the underlying formal guarantees.
+
+The package namespace is the union of its modules' ``__all__`` lists.
 """
 
 __version__ = "0.1.0"
 
-from .graphs import (
-    Dag,
-    GraphError,
-    CycleError,
-    SufficiencyError,
-    d_separated,
-    is_graphically_causally_sufficient,
-    marginal_dag,
-    backdoor_admissible,
-    all_dags,
-    random_dag,
-)
-from .tables import (
-    DiscreteJoint,
-    ConditionalTable,
-    TableError,
-    factorize,
-    product_joint,
-    conditional,
-    is_markov,
-    markov_report,
-    ci_residual,
-    hard_intervention,
-    soft_intervention,
-    changed_factors,
-    factor_distance,
-    tv_distance,
-)
-from .scm import (
-    NoiseSpec,
-    Dataset,
-    LinearScm,
-    GeneralScm,
-    ScmError,
-    SingularStructureError,
-    solve_structure,
-    total_effect,
-    unit_map,
-    structure_preserving_intervention,
-    exact_joint,
-)
-from .actions import (
-    StatisticalAction,
-    UnitAction,
-    unit_action_from_spec,
-    VerdictKind,
-    ActionVerdict,
-    ClassificationReport,
-    ClassificationError,
-    classify_statistical,
-    classify_unit,
-    valid_graphs,
-    DirectionVerdict,
-    bivariate_direction,
-)
-from .exemplars import (
-    Exemplar,
-    urn_bivariate,
-    urn_chain,
-    bundles_chain,
-    rabbits,
-    macro_pair,
-    ball_track,
-    farmers,
-    EXEMPLARS,
-    build_exemplar,
-    urn_toeplitz_mixing,
-    bundles_mixing,
-    exact_urn2_joint,
-)
-from .discovery import (
-    DiscoveryError,
-    independence_statistic,
-    permutation_threshold,
-    BivariateResult,
-    lingam_bivariate,
-    DiscoveryResult,
-    lingam_multivariate,
-    LocalizationResult,
-    localize_mechanism_change,
-)
-from .verify import (
-    TrialRecord,
-    VerificationReport,
-    verify_identifiability,
-    ControllerSpec,
-    build_embedding,
-    urn2_controllers,
-    verify_embedding_markov,
-    verify_boundary_consistency,
-    random_markov_joint,
-    random_conditional,
-    random_sufficient_subset,
-    SuiteConfig,
-    randomized_suite,
-)
+from .graphs import *
+from .tables import *
+from .scm import *
+from .actions import *
+from .exemplars import *
+from .discovery import *
+from .verify import *

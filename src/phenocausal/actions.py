@@ -106,9 +106,9 @@ def unit_action_from_spec(label: str, spec: Mapping) -> UnitAction:
     """Build a unit action from a serializable map-spec.
 
     Families: ``add-constant`` (per-variable deltas, with
-    ``requires_positive`` listing variables that must be > 0 beforehand),
-    ``scale`` (per-variable factors), ``replace-count`` (set variables to
-    fixed values) and ``swap-count`` (exchange two variables' values).
+    ``requires_positive`` listing variables that must be > 0 beforehand)
+    and ``scale`` (per-variable factors). Any other kind raises
+    ``ClassificationError``.
     """
     spec = dict(spec)
     kind = spec.get("kind")
@@ -136,24 +136,6 @@ def unit_action_from_spec(label: str, spec: Mapping) -> UnitAction:
             return out
 
         return UnitAction(label, apply_scale, {"kind": kind, "factors": factors})
-    if kind == "replace-count":
-        values = {k: float(v) for k, v in spec.get("values", {}).items()}
-
-        def apply_set(state: Mapping[str, float]) -> dict[str, float]:
-            out = dict(state)
-            out.update(values)
-            return out
-
-        return UnitAction(label, apply_set, {"kind": kind, "values": values})
-    if kind == "swap-count":
-        a, b = spec["vars"]
-
-        def apply_swap(state: Mapping[str, float]) -> dict[str, float]:
-            out = dict(state)
-            out[a], out[b] = out[b], out[a]
-            return out
-
-        return UnitAction(label, apply_swap, {"kind": kind, "vars": [a, b]})
     raise ClassificationError(f"unknown map-spec kind {kind!r}")
 
 

@@ -11,13 +11,16 @@ same arguments.
 Exit codes: 0 success, 1 verification or classification failure, 2 usage
 error or bad input (a missing or malformed CSV or graph file, an output
 path that cannot be written, invalid exemplar parameters, a negative seed,
-a negative or NaN eps, a non-finite displacement, a size cap exceeded).
+a negative, NaN or infinite eps, a non-finite displacement, a non-finite
+exemplar parameter, duplicate CSV column names, a size cap exceeded, an
+artifact value that is not finite and so has no strict-JSON form).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -42,8 +45,16 @@ def _write(path: Path, text: str) -> None:
         raise SystemExit2(f"cannot write {path}: {exc.strerror or exc}")
 
 
+def _dumps(obj: dict) -> str:
+    """Strict JSON: a NaN or infinite value is refused, not written."""
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise SystemExit2(f"artifact has a non-finite value: {exc}")
+
+
 def _emit(obj: dict, out: str | None) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    text = _dumps(obj)
     if out:
         _write(Path(out), text)
     else:
@@ -61,8 +72,9 @@ def _eps(text: str) -> float:
         value = float(text)
     except ValueError:
         value = float("nan")
-    if not value >= 0:
-        raise argparse.ArgumentTypeError(f"eps must be a number >= 0: {text!r}")
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"eps must be a number >= 0 and finite: {text!r}")
     return value
 
 
@@ -100,7 +112,7 @@ def _build_from_args(args) -> "Exemplar":
             f"unknown exemplar {args.exemplar!r}; known: {sorted(EXEMPLARS)}")
     try:
         return build_exemplar(args.exemplar, **params)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
         raise SystemExit2(f"bad parameters for {args.exemplar!r}: {exc}")
 
 
@@ -117,7 +129,6 @@ def _cmd_exemplar(args) -> int:
     ex = _build_from_args(args)
     ds = ex.sample(args.samples, args.seed)
     out = Path(args.out)
-    _write(out, ds.to_csv())
     sidecar = {
         "spec_version": SPEC_VERSION,
         "tool_version": __version__,
@@ -128,7 +139,10 @@ def _cmd_exemplar(args) -> int:
         "columns": list(ds.columns),
         **ex.to_json_obj(),
     }
-    _emit(sidecar, str(out.with_suffix(".json")))
+    # a sidecar that cannot be written as strict JSON refuses the whole run
+    text = _dumps(sidecar)
+    _write(out, ds.to_csv())
+    _write(out.with_suffix(".json"), text)
     return 0
 
 

@@ -29,7 +29,7 @@ import scipy.stats
 from .graphs import Dag
 from .scm import Dataset
 from .tables import (MAX_TABLE_ENTRIES, ConditionalTable, DiscreteJoint,
-                     TableError, _conditional_distance, conditional)
+                     TableError, _conditional_distance, conditional, factorize)
 
 __all__ = [
     "DiscoveryError",
@@ -44,6 +44,14 @@ __all__ = [
 ]
 
 _MAX_DCOR_POINTS = 2000
+# residuals whose normality-test p-value exceeds this count as Gaussian
+_NORMALITY_ALPHA = 0.05
+# standardized coefficients below this are pruned from a recovered DAG
+_PRUNE_THRESHOLD = 0.05
+# a calibrated shift threshold never falls below this factor distance
+_MIN_EFFECT = 0.02
+# a parent context seen fewer times than this makes a shift inconclusive
+_MIN_CONTEXT_COUNT = 5
 
 
 class DiscoveryError(ValueError):
@@ -223,14 +231,14 @@ class BivariateResult:
 
 
 def lingam_bivariate(data: Dataset, x: str | None = None, y: str | None = None,
-                     alpha: float = 0.05,
                      max_points: int = _MAX_DCOR_POINTS) -> BivariateResult:
     """Decide between x -> y and y -> x for a linear non-Gaussian pair.
 
     Both regressions are fitted; the winning direction is the one whose
     residual is more independent of its regressor. Near-Gaussian pairs
-    (both residuals pass a normality test at ``alpha``) are reported as
-    undetermined; an exact functional fit is reported as degenerate.
+    (both residuals pass a normality test at ``_NORMALITY_ALPHA``) are
+    reported as undetermined; an exact functional fit is reported as
+    degenerate.
     """
     if len(data.columns) < 2:
         raise DiscoveryError("need at least two columns")
@@ -259,7 +267,7 @@ def lingam_bivariate(data: Dataset, x: str | None = None, y: str | None = None,
         "normality_p_forward": p_norm_xy, "normality_p_backward": p_norm_yx,
         "n": int(u.size),
     }
-    if p_norm_xy > alpha and p_norm_yx > alpha:
+    if p_norm_xy > _NORMALITY_ALPHA and p_norm_yx > _NORMALITY_ALPHA:
         return BivariateResult("undetermined", x, y, slope_xy,
                                abs(stat_xy - stat_yx), diagnostics)
     if stat_xy <= stat_yx:
@@ -293,8 +301,7 @@ class DiscoveryResult:
         }
 
 
-def lingam_multivariate(data: Dataset, prune_threshold: float = 0.05,
-                        alpha: float = 0.05,
+def lingam_multivariate(data: Dataset,
                         max_points: int = _MAX_DCOR_POINTS) -> DiscoveryResult:
     """DirectLiNGAM-style recovery of a linear non-Gaussian DAG.
 
@@ -302,7 +309,8 @@ def lingam_multivariate(data: Dataset, prune_threshold: float = 0.05,
     most independent of it, regresses it out of the rest, and recurses.
     Edges are then estimated by regressing each variable on all its
     predecessors and pruning standardized coefficients below
-    ``prune_threshold``.
+    ``_PRUNE_THRESHOLD``. The fit is flagged near-Gaussian when every
+    residual passes a normality test at ``_NORMALITY_ALPHA``.
     """
     cols = data.columns
     d = len(cols)
@@ -352,18 +360,19 @@ def lingam_multivariate(data: Dataset, prune_threshold: float = 0.05,
         for p, c in zip(preds, coefs):
             scale = stds[p] / stds[node] if stds[node] > 0 else 1.0
             standardized = abs(c) * scale
-            if standardized >= prune_threshold:
+            if standardized >= _PRUNE_THRESHOLD:
                 matrix[cols.index(node), cols.index(p)] = c
                 edges.append((p, node))
                 edge_scores[f"{p}->{node}"] = float(standardized)
     dag = Dag(cols, edges)
-    near_gaussian = bool(normality) and all(p > alpha for p in normality.values())
+    near_gaussian = bool(normality) and all(p > _NORMALITY_ALPHA
+                                              for p in normality.values())
     return DiscoveryResult(
         dag=dag, matrix=matrix, order=tuple(order), scores=edge_scores,
         metadata={
             "method": "direct-lingam",
             "statistic": "distance-correlation",
-            "prune_threshold": prune_threshold,
+            "prune_threshold": _PRUNE_THRESHOLD,
             "max_points": max_points,
             "exogeneity_scores": exo_scores,
             "residual_normality_p": normality,
@@ -425,8 +434,7 @@ def _discretize(env_rows: list[np.ndarray], bins: int | None) -> list[np.ndarray
 def localize_mechanism_change(environments: Sequence, g: Dag,
                               eps: float | None = None, bins: int | None = None,
                               n_perm: int = 60, quantile: float = 0.95,
-                              seed: int = 0, min_effect: float = 0.02,
-                              min_context_count: int = 5) -> list[LocalizationResult]:
+                              seed: int = 0) -> list[LocalizationResult]:
     """Per environment, the nodes whose causal conditional differs from the
     pooled one beyond a threshold.
 
@@ -436,8 +444,9 @@ def localize_mechanism_change(environments: Sequence, g: Dag,
     ``eps=None`` a per-node threshold is calibrated by permuting
     environment labels ``n_perm`` times and taking a Bonferroni-adjusted
     ``quantile`` of the max-over-environment factor distances; shifts
-    below ``min_effect`` are additionally treated as sampling noise
-    (set it to 0 to disable the floor).
+    below ``_MIN_EFFECT`` are additionally treated as sampling noise. A
+    shift at a node with a parent context seen in an environment but fewer
+    than ``_MIN_CONTEXT_COUNT`` times is reported as inconclusive.
     """
     if len(environments) < 2:
         raise DiscoveryError("need at least two environments")
@@ -446,8 +455,8 @@ def localize_mechanism_change(environments: Sequence, g: Dag,
         if set(names) != set(g.nodes):
             raise DiscoveryError("graph nodes must match the joint's variables")
         envs = [e.permute(names) for e in environments]
-        pooled = _conditionals(
-            DiscreteJoint(names, sum(e.probs for e in envs) / len(envs)), g)
+        mixture = DiscreteJoint(names, sum(e.probs for e in envs) / len(envs))
+        pooled = dict(zip(g.nodes, factorize(mixture, g)))
         thr = eps if eps is not None else 1e-9
         out = []
         for env in envs:
@@ -467,7 +476,7 @@ def localize_mechanism_change(environments: Sequence, g: Dag,
     env_rows = _discretize([e.rows.copy() for e in environments], bins)
     cells, shape = _cell_codes(np.vstack(env_rows))
     sizes = [r.shape[0] for r in env_rows]
-    pooled = _conditionals(_counted_joint(columns, cells, shape), g)
+    pooled = dict(zip(g.nodes, factorize(_counted_joint(columns, cells, shape), g)))
     env_counts = [np.bincount(part, minlength=math.prod(shape)).reshape(shape)
                   for part in np.split(cells, np.cumsum(sizes)[:-1])]
 
@@ -490,7 +499,7 @@ def localize_mechanism_change(environments: Sequence, g: Dag,
         q_eff = 1.0 - (1.0 - quantile) / max(1, len(g.nodes))
         k = min(n_perm - 1, max(0, int(np.ceil((n_perm + 1) * q_eff)) - 1))
         thresholds = {
-            v: max(float(np.sort(null_stats[v])[k]), float(min_effect))
+            v: max(float(np.sort(null_stats[v])[k]), _MIN_EFFECT)
             for v in g.nodes
         }
     else:
@@ -502,7 +511,7 @@ def localize_mechanism_change(environments: Sequence, g: Dag,
         dists = _distances(pooled, DiscreteJoint(columns, counts / counts.sum()), g)
         for v, dist in dists.items():
             if dist > thresholds[v]:
-                if _has_thin_context(counts, columns, g, v, min_context_count):
+                if _has_thin_context(counts, columns, g, v, _MIN_CONTEXT_COUNT):
                     inconclusive.append(v)
                 else:
                     changed.append(v)
@@ -510,10 +519,6 @@ def localize_mechanism_change(environments: Sequence, g: Dag,
                                       {"distances": dists,
                                        "thresholds": thresholds}))
     return out
-
-
-def _conditionals(p: DiscreteJoint, g: Dag) -> dict[str, ConditionalTable]:
-    return {v: conditional(p, v, g.parents(v)) for v in g.nodes}
 
 
 def _distances(pooled: dict[str, ConditionalTable], q: DiscreteJoint,

@@ -275,6 +275,8 @@ def urn_bivariate(kb0: int = 50, kr0: int = 50, rounds: int = 5,
         raise ScmError("need rounds < min(kb0, kr0)")
     if rounds < 1:
         raise ScmError("need at least one round")
+    if not math.isfinite(bias_shift):
+        raise ScmError("bias_shift must be finite")
     p1p, p1m, p2p, p2m = (float(b) for b in coin_biases)
     process = _urn2_process(kb0, kr0, rounds, (p1p, p1m, p2p, p2m))
     class_nodes = {"A1": "Kb", "A2": "Kr"}
@@ -477,8 +479,8 @@ def rabbits(n_rabbits: int = 5, food_supply: float | None = None,
     days (the statistical units); the appetizer scales demand by
     ``appetite_factor``.
     """
-    if n_rabbits <= 0:
-        raise ScmError("need at least one rabbit")
+    if not 0 < n_rabbits < math.inf:
+        raise ScmError("need at least one rabbit, and finitely many")
     if demand_per_rabbit <= 0 or appetite_factor <= 1.0:
         raise ScmError("need positive demand and appetite_factor > 1")
     if scenario not in (1, 2):
@@ -488,6 +490,8 @@ def rabbits(n_rabbits: int = 5, food_supply: float | None = None,
     d_lo, d_hi = 0.8 * d, 1.2 * d
     if food_supply is None:
         food_supply = 4.0 * n * d_hi if scenario == 1 else 0.5 * n * d_lo
+    elif not math.isfinite(food_supply):
+        raise ScmError("food_supply must be finite")
     f = float(food_supply)
     if scenario == 1 and f < appetite_factor * n * d_hi:
         raise ScmError("scenario 1 needs food_supply >= appetite * n * max demand")
@@ -689,17 +693,26 @@ def farmers(exchange_factor: float = 2.0, potato_elasticity: float = 0.0,
     at the egg-invariance elasticity 1 the direction flips; anything in
     between is a declared grey zone.
     """
-    if exchange_factor <= 0 or factor_change <= 0 or factor_change == 1.0:
-        raise ScmError("need positive exchange_factor and factor_change != 1")
     e = float(potato_elasticity)
     f0 = float(exchange_factor)
-    f1 = f0 * float(factor_change)
+    change = float(factor_change)
+    if not all(map(math.isfinite, (e, f0, change))):
+        raise ScmError("exchange_factor, potato_elasticity and factor_change "
+                       "must be finite")
+    if f0 <= 0 or change <= 0 or change == 1.0:
+        raise ScmError("need positive exchange_factor and factor_change != 1")
+    f1 = f0 * change
     base = np.array([80.0, 90.0, 100.0, 110.0, 120.0])
     base_probs = np.array([0.1, 0.2, 0.4, 0.2, 0.1])
 
     def outcomes(f: float) -> list:
-        kp = base * f ** (-e)
-        return list(zip(zip(np.round(kp, 9), np.round(kp * f, 9)), base_probs))
+        with np.errstate(over="ignore"):
+            kp = base * np.power(f, -e)
+            ke = kp * f
+        if not (np.isfinite(kp).all() and np.isfinite(ke).all()):
+            raise ScmError(f"quantities overflow at exchange factor {f!r}; "
+                           "exchange_factor or potato_elasticity is too extreme")
+        return list(zip(zip(np.round(kp, 9), np.round(ke, 9)), base_probs))
 
     levels, (baseline, changed) = _tabulate(("KP", "KE"), [outcomes(f0), outcomes(f1)])
     if e < 0.5:
@@ -714,7 +727,7 @@ def farmers(exchange_factor: float = 2.0, potato_elasticity: float = 0.0,
         sampler=_level_sampler(baseline, levels),
         notes={
             "exchange_factor": f0, "potato_elasticity": e,
-            "factor_change": float(factor_change),
+            "factor_change": change,
             "grey_zone": e not in (0.0, 1.0),
             "levels": {"KP": list(levels[0]), "KE": list(levels[1])},
         },

@@ -235,13 +235,16 @@ class Dataset:
     seed: int | None = None
 
     def __post_init__(self):
+        columns = tuple(self.columns)
+        if len(set(columns)) != len(columns):
+            raise ScmError(f"duplicate column names in {columns}")
         rows = np.asarray(self.rows, dtype=float)
-        if rows.ndim != 2 or rows.shape[1] != len(self.columns):
+        if rows.ndim != 2 or rows.shape[1] != len(columns):
             raise ScmError(
-                f"rows shape {rows.shape} does not match {len(self.columns)} columns")
+                f"rows shape {rows.shape} does not match {len(columns)} columns")
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "columns", tuple(self.columns))
+        object.__setattr__(self, "columns", columns)
 
     def column(self, name: str) -> np.ndarray:
         return self.rows[:, self.columns.index(name)]

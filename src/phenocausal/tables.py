@@ -34,12 +34,14 @@ __all__ = [
     "TableError",
     "factorize",
     "product_joint",
+    "conditional",
     "is_markov",
     "markov_report",
     "ci_residual",
     "hard_intervention",
     "soft_intervention",
     "changed_factors",
+    "factor_distance",
     "tv_distance",
     "MAX_TABLE_ENTRIES",
 ]
@@ -421,20 +423,16 @@ def is_markov(p: DiscreteJoint, g: Dag, eps: float = 1e-9) -> bool:
 
 
 def hard_intervention(p: DiscreteJoint, g: Dag, j: str, v: int) -> DiscreteJoint:
-    """Truncated factorization for do(X_j = v)."""
+    """Truncated factorization for do(X_j = v): the soft intervention whose
+    replacement factor puts all mass on ``v`` in every parent context."""
     _check_same_variables(p, g)
     card = p.cards[p.axis(j)]
     if not 0 <= v < card:
         raise TableError(f"value {v} out of range for {j!r} (cardinality {card})")
-    factors = []
-    for f in factorize(p, g):
-        if f.target == j:
-            point = np.zeros(f.table.shape)
-            point[..., v] = 1.0
-            factors.append(ConditionalTable(j, f.given, point))
-        else:
-            factors.append(f)
-    return product_joint(g, factors).permute(p.names)
+    given = g.parents(j)
+    point = np.zeros((*(p.cards[p.axis(n)] for n in given), card))
+    point[..., v] = 1.0
+    return soft_intervention(p, g, j, ConditionalTable(j, given, point))
 
 
 def soft_intervention(p: DiscreteJoint, g: Dag, j: str,

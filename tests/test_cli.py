@@ -91,6 +91,38 @@ def test_exemplar_malformed_list_parameter_exits_2(tmp_path, capfd):
     assert "bad parameters for 'urn2'" in capfd.readouterr().err
 
 
+@pytest.mark.parametrize("name, params", [
+    ("farmers", ["potato_elasticity=nan"]), ("farmers", ["exchange_factor=inf"]),
+    ("farmers", ["factor_change=nan"]), ("rabbits1", ["n_rabbits=nan"]),
+    ("rabbits2", ["food_supply=nan"]), ("urn2", ["bias_shift=inf"]),
+    # finite parameters whose potato quantities overflow
+    ("farmers", ["exchange_factor=1e-300", "potato_elasticity=2"]),
+    # integer parameters given as infinity
+    ("balltrack", ["barrier_offset=inf"]), ("bundles", ["initial_packages=inf"]),
+])
+def test_exemplar_non_finite_parameter_exits_2(name, params, tmp_path, capfd):
+    argv = ["exemplar", name, "--seed", "1", "--samples", "10",
+            "--out", str(tmp_path / "x.csv")]
+    for p in params:
+        argv += ["--param", p]
+    rc = run(argv)
+    err = capfd.readouterr().err
+    assert rc == 2
+    assert f"bad parameters for {name!r}" in err
+    assert "Traceback" not in err and "Warning" not in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_exemplar_non_finite_sidecar_exits_2_and_writes_nothing(tmp_path, capfd):
+    # the library accepts an infinite demand; the sidecar has no JSON form
+    rc = run(["exemplar", "rabbits1", "--seed", "1", "--samples", "10",
+              "--param", "demand_per_rabbit=inf", "--out", str(tmp_path / "x.csv")])
+    err = capfd.readouterr().err
+    assert rc == 2
+    assert "artifact has a non-finite value" in err and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_negative_seed_is_usage_error(tmp_path, capfd):
     rc = run(["exemplar", "urn2", "--seed", "-1", "--out", str(tmp_path / "x.csv")])
     assert rc == 2
@@ -235,6 +267,23 @@ def _assert_bad_input(rc: int, capfd, path) -> None:
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("method", ["bivariate", "multivariate"])
+@pytest.mark.parametrize("header", ["X,X", "X,Y,X"])
+def test_discover_duplicate_columns_exit_2(method, header, tmp_path, capfd):
+    cols = header.count(",") + 1
+    path = tmp_path / "dup.csv"
+    path.write_text(header + "\n" + "".join(
+        ",".join(str((7 * i + 3 * k) % 11) for k in range(cols)) + "\n"
+        for i in range(300)))
+    out = tmp_path / "d.json"
+    rc = run(["discover", "--method", method, "--in", str(path), "--seed", "1",
+              "--out", str(out)])
+    err = capfd.readouterr().err
+    assert rc == 2
+    assert "duplicate column names" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_discover_missing_in_exits_2(tmp_path, capfd):
     missing = tmp_path / "missing.csv"
     rc = run(["discover", "--method", "bivariate", "--in", str(missing), "--seed", "1"])
@@ -346,7 +395,7 @@ def test_classify_non_finite_displacement_exits_2(tmp_path, capfd):
 
 
 @pytest.mark.parametrize("argv", [["classify", "balltrack"], ["classify", "urn2"]])
-@pytest.mark.parametrize("eps", ["nan", "-1"])
+@pytest.mark.parametrize("eps", ["nan", "-1", "inf"])
 def test_classify_bad_eps_exits_2(argv, eps, tmp_path, capfd):
     out = tmp_path / "cls.json"
     rc = run(argv + ["--seed", "1", "--trials", "5", "--eps", eps, "--out", str(out)])
@@ -356,7 +405,7 @@ def test_classify_bad_eps_exits_2(argv, eps, tmp_path, capfd):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("eps", ["nan", "-1"])
+@pytest.mark.parametrize("eps", ["nan", "-1", "inf"])
 def test_discover_shift_bad_eps_exits_2(eps, tmp_path, capfd):
     a, b, g = _shift_inputs(tmp_path)
     out = tmp_path / "shift.json"

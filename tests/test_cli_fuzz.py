@@ -1,6 +1,7 @@
 """Fuzz of the CLI contract: on any argv and any CSV content, ``run`` returns
-0, 1 or 2 and never lets an exception escape (which the console script
-would print as a traceback).
+0, 1 or 2, never lets an exception escape (which the console script
+would print as a traceback), and writes only strict JSON (no NaN or
+Infinity).
 
 Inputs stay small (few samples, few trials, at most three urn types) so
 the whole module runs in a few seconds.
@@ -8,6 +9,7 @@ the whole module runs in a few seconds.
 
 from __future__ import annotations
 
+import json
 import tempfile
 from pathlib import Path
 
@@ -22,7 +24,8 @@ PARAMS = st.sampled_from([
     "endpoint=high", "endpoint=middle", "coin_biases=abc", "coin_biases=0.5",
     "bias_shift=0.1", "scenario=3", "n_rabbits=0", "food_supply=-1",
     "potato_elasticity=0.5", "shift=nan", "initial_packages=1", "k0=5",
-    "unknown=1", "noequals", "demand_per_rabbit=inf",
+    "unknown=1", "noequals", "demand_per_rabbit=inf", "potato_elasticity=nan",
+    "bias_shift=inf", "barrier_offset=inf",
 ])
 EPS = st.sampled_from(["1e-9", "0", "-1", "nan", "inf", "0.05"])
 
@@ -68,6 +71,8 @@ CSV = st.one_of(generated_csv(), st.sampled_from([
     "Kb,Kr\n" + _numeric_rows(150, 2),
     "Kb,Kr,Kx\n" + _numeric_rows(30, 3),
     "Kb,Kb\n" + _numeric_rows(150, 2),
+    "Kb,Kb\n" + _numeric_rows(300, 2),
+    "Kb,Kr,Kb\n" + _numeric_rows(300, 3),
     "Kb,Kr\n" + "1,1\n" * 150,
 ]))
 GRAPH = st.sampled_from([
@@ -77,12 +82,20 @@ GRAPH = st.sampled_from([
 ])
 
 
-def _assert_contract(argv: list[str], capfd) -> None:
+def _refuse_constant(name: str):
+    raise AssertionError(f"artifact holds {name}, which strict JSON forbids")
+
+
+def _assert_contract(argv: list[str], capfd, sidecar: Path | None = None) -> None:
     capfd.readouterr()
     rc = run(argv)
-    err = capfd.readouterr().err
+    captured = capfd.readouterr()
     assert rc in (0, 1, 2), (argv, rc)
-    assert "Traceback" not in err
+    assert "Traceback" not in captured.err
+    if captured.out:
+        json.loads(captured.out, parse_constant=_refuse_constant)
+    if sidecar is not None and sidecar.exists():
+        json.loads(sidecar.read_text(), parse_constant=_refuse_constant)
 
 
 @FUZZ
@@ -100,7 +113,7 @@ def test_exemplar_argv_keeps_contract(name, seed, samples, sizes, size, params,
             argv += [flag, str(size)]
         for p in params:
             argv += ["--param", p]
-        _assert_contract(argv, capfd)
+        _assert_contract(argv, capfd, out.with_suffix(".json"))
 
 
 @FUZZ

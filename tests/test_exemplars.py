@@ -287,6 +287,27 @@ def test_rabbits_parameter_validation():
         rabbits(scenario=2, food_supply=1000.0)
 
 
+@pytest.mark.parametrize("build, param", [
+    (farmers, "potato_elasticity"), (farmers, "exchange_factor"),
+    (farmers, "factor_change"), (rabbits, "n_rabbits"),
+    (lambda **kw: rabbits(scenario=2, **kw), "food_supply"),
+    (urn_bivariate, "bias_shift"),
+])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_refused(build, param, value):
+    with pytest.raises(ScmError, match="finite"):
+        build(**{param: value})
+
+
+@pytest.mark.parametrize("params", [
+    {"exchange_factor": 1e-300, "potato_elasticity": 2.0},
+    {"exchange_factor": 1e308},
+])
+def test_farmers_overflowing_quantities_refused(params):
+    with pytest.raises(ScmError, match="overflow"):
+        farmers(**params)
+
+
 # ---------------------------------------------------------------------------
 # Macro averages
 # ---------------------------------------------------------------------------

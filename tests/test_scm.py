@@ -88,6 +88,16 @@ def test_dataset_rejects_ragged():
         Dataset(("a", "b"), np.array([1.0, 2.0]))
 
 
+@pytest.mark.parametrize("header", ["a,a", "a,b,a"])
+def test_dataset_rejects_duplicate_columns(header):
+    cols = header.count(",") + 1
+    text = header + "\n" + "1.0," * (cols - 1) + "2.0\n"
+    with pytest.raises(ScmError, match="duplicate column names"):
+        Dataset.from_csv(text)
+    with pytest.raises(ScmError, match="duplicate column names"):
+        Dataset(tuple(header.split(",")), np.zeros((1, cols)))
+
+
 # ---------------------------------------------------------------------------
 # Linear SCM simulation
 # ---------------------------------------------------------------------------
