@@ -32,6 +32,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
@@ -132,29 +133,46 @@ class _UrnProcess:
     moves: tuple[_Move, ...]
     rounds: int
 
+    def __post_init__(self):
+        try:
+            k0 = tuple(operator.index(k) for k in self.k0)
+            rounds = operator.index(self.rounds)
+        except TypeError:
+            raise ScmError(f"ball counts and rounds must be integers, got "
+                           f"k0={list(self.k0)}, rounds={self.rounds!r}") from None
+        object.__setattr__(self, "k0", k0)
+        object.__setattr__(self, "rounds", rounds)
+
     def _steps(self) -> np.ndarray:
         return np.array([[mv.deltas.get(v, 0) for v in self.nodes]
                          for mv in self.moves])
 
     def simulate(self, n: int, seed: int) -> tuple[Dataset, np.ndarray]:
         """Vectorized runs; returns the dataset and per-row flags marking
-        runs in which at least one move was refused."""
+        runs in which at least one move was refused.
+
+        The counts are held type-major, one contiguous row of ``n`` runs per
+        ball type, and a move adds ``hit * delta`` to the rows of the types
+        it changes; one coin draw per move and round."""
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
         col = {v: i for i, v in enumerate(self.nodes)}
-        state = np.tile(np.asarray(self.k0, dtype=float), (n, 1))
+        state = np.repeat(np.asarray(self.k0, dtype=float)[:, None], n, axis=1)
         refused = np.zeros(n, dtype=bool)
-        steps = self._steps()
+        plan = [(mv.prob, [col[v] for v in mv.requires_positive],
+                 [(i, float(d)) for i, d in enumerate(step) if d])
+                for mv, step in zip(self.moves, self._steps().tolist())]
         for _ in range(self.rounds):
-            for mv, step in zip(self.moves, steps):
-                fire = rng.random(n) < mv.prob
-                ok = np.ones(n, dtype=bool)
-                for v in mv.requires_positive:
-                    ok &= state[:, col[v]] > 0
-                refused |= fire & ~ok
-                hit = fire & ok
-                if hit.any():
-                    state[hit] += step
-        return Dataset(self.nodes, state, seed), refused
+            for prob, needs, changes in plan:
+                hit = rng.random(n) < prob
+                if needs:
+                    ok = state[needs[0]] > 0
+                    for i in needs[1:]:
+                        ok &= state[i] > 0
+                    refused |= hit & ~ok
+                    hit &= ok
+                for i, d in changes:
+                    state[i] += hit * d
+        return Dataset(self.nodes, np.ascontiguousarray(state.T), seed), refused
 
     def sample(self, n: int, seed: int) -> Dataset:
         return self.simulate(n, seed)[0]
@@ -348,7 +366,7 @@ def urn_chain(n: int = 4, k0: Sequence[int] | None = None, rounds: int = 5,
         raise ScmError("need n >= 2 ball types")
     if k0 is None:
         k0 = (50,) * n
-    k0 = tuple(int(v) for v in k0)
+    k0 = tuple(k0)
     if rounds >= min(k0) or rounds < 1:
         raise ScmError("need 1 <= rounds < min(k0)")
     if coin_biases is None:
@@ -388,7 +406,7 @@ def urn_chain(n: int = 4, k0: Sequence[int] | None = None, rounds: int = 5,
         sampler=process.sample,
         process=process,
         notes={
-            "n": n, "k0": list(k0), "rounds": rounds,
+            "n": n, "k0": list(process.k0[::-1]), "rounds": rounds,
             "coin_biases": list(biases), "endpoint": endpoint,
             "mixing": linear.mixing().tolist(),
             "class_nodes": class_nodes,
@@ -427,7 +445,7 @@ def bundles_chain(n: int = 4, rounds: int = 5,
     biases = tuple(float(b) for b in coin_biases)
     if len(biases) != 2 * n:
         raise ScmError(f"need 2*{n} coin biases")
-    r0 = int(initial_packages) if initial_packages is not None else rounds + 1
+    r0 = initial_packages if initial_packages is not None else rounds + 1
     if r0 <= rounds:
         raise ScmError("need initial_packages > rounds")
 
@@ -454,7 +472,7 @@ def bundles_chain(n: int = 4, rounds: int = 5,
         process=process,
         notes={
             "n": n, "rounds": rounds, "coin_biases": list(biases),
-            "initial_packages": r0,
+            "initial_packages": process.k0[0],
             "k0": list(process.k0),
             "mixing": linear.mixing().tolist(),
             "class_nodes": class_nodes,

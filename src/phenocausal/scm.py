@@ -147,8 +147,7 @@ class NoiseSpec:
         """(atoms, probabilities) for finite families; error otherwise."""
         if self.family == "binomdiff":
             r, pp, pm = self.params
-            plus = scipy.stats.binom.pmf(np.arange(r + 1), r, pp)
-            minus = scipy.stats.binom.pmf(np.arange(r + 1), r, pm)
+            plus, minus = scipy.stats.binom.pmf(np.arange(r + 1), r, [[pp], [pm]])
             pmf = np.convolve(plus, minus[::-1])
             values = np.arange(-r, r + 1, dtype=float)
             return tuple(values), tuple(float(v) for v in pmf)
@@ -560,13 +559,15 @@ def exact_joint(scm: GeneralScm, max_combos: int = NOISE_COMBO_CAP):
 
     One pass over the noise grid in topological order: a node's value
     depends only on its parents' values and its own atom, so its mechanism
-    runs once per distinct (parent values, atom) and the result is mapped
-    back to every assignment. The cost is at most sum_v (distinct parent
-    contexts of v x |atoms_v|) mechanism calls, where evaluating every
-    assignment makes |nodes| x prod_v |atoms_v|, plus one tabulation of the
-    prod_v |atoms_v| outcomes. Weights are multiplied left to right in node
-    order and each state's weights are added in ``itertools.product`` order,
-    so the tables are bit-identical to full enumeration.
+    runs once per distinct (parent values, atom) row. Each node keeps those
+    results and, for every assignment, the index of its row; values are
+    looked up only at the rows a child or the final table reads. The cost
+    is at most sum_v (distinct parent contexts of v x |atoms_v|) mechanism
+    calls, where evaluating every assignment makes |nodes| x prod_v
+    |atoms_v|, plus one tabulation of the prod_v |atoms_v| outcomes.
+    Weights are multiplied left to right in node order and each state's
+    weights are added in ``itertools.product`` order, so the tables are
+    bit-identical to full enumeration.
     """
     supports = [scm.noises[v].support() for v in scm.nodes]
     shape = tuple(len(atoms) for atoms, _ in supports)
@@ -575,22 +576,23 @@ def exact_joint(scm: GeneralScm, max_combos: int = NOISE_COMBO_CAP):
         raise ScmError(
             f"noise support product {combos} exceeds enumeration cap {max_combos}")
     atom_index = np.indices(shape).reshape(len(shape), combos)
-    states = np.empty((combos, len(scm.nodes)), dtype=object)
-    codes, cards = {}, {}  # per node: equal values <-> equal integer codes
+    # per node: the result of each distinct (parent values, atom) row, the
+    # row of every assignment, and equal values <-> equal integer codes
+    results, row_of, codes, cards = {}, {}, {}, {}
     for v in scm._order:
         k = scm.nodes.index(v)
-        pa = [(p, scm.nodes.index(p)) for p in scm.parents[v]]
+        pa = scm.parents[v]
         first, inverse = _distinct_rows(
-            [codes[p] for p, _ in pa] + [atom_index[k]],
-            [cards[p] for p, _ in pa] + [shape[k]], combos)
+            [codes[p] for p in pa] + [atom_index[k]],
+            [cards[p] for p in pa] + [shape[k]], combos)
         mech, atoms = scm.mechanisms[v], supports[k][0]
-        results = np.fromiter(
-            (mech({p: states[c, j] for p, j in pa}, atoms[atom_index[k, c]])
-             for c in first.tolist()), dtype=object, count=len(first))
+        pa_values = [_values_at(results[p], row_of[p], first) for p in pa]
+        out = [mech(dict(zip(pa, values)), atoms[a])
+               for a, *values in zip(atom_index[k, first].tolist(), *pa_values)]
         code_of: dict = {}
-        result_codes = np.array([code_of.setdefault(x, len(code_of)) for x in results],
+        result_codes = np.array([code_of.setdefault(x, len(code_of)) for x in out],
                                 dtype=np.int64)
-        states[:, k] = results[inverse]
+        results[v], row_of[v] = out, inverse
         codes[v], cards[v] = result_codes[inverse], len(code_of)
     weights = np.ones(())
     for _, probs in supports:
@@ -600,9 +602,16 @@ def exact_joint(scm: GeneralScm, max_combos: int = NOISE_COMBO_CAP):
     first, inverse = _distinct_rows([codes[v] for v in scm.nodes],
                                     [cards[v] for v in scm.nodes], combos)
     totals = np.bincount(inverse, weights=weights.ravel())
-    outcomes = zip(map(tuple, states[first].tolist()), totals.tolist())
+    states = zip(*(_values_at(results[v], row_of[v], first) for v in scm.nodes))
+    outcomes = zip(states, totals.tolist())
     levels, (joint,) = _tabulate(scm.nodes, [outcomes])
     return joint, dict(zip(scm.nodes, levels))
+
+
+def _values_at(results: list, rows: np.ndarray, at: np.ndarray) -> list:
+    """A node's values at the assignments ``at``: the results of their
+    distinct rows."""
+    return [results[i] for i in rows[at].tolist()]
 
 
 def _distinct_rows(columns: list[np.ndarray], cards: list[int], rows: int

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import itertools
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -243,7 +244,7 @@ def build_embedding(exemplar: Exemplar,
             atom_sets = [spec.support() for spec in specs]
             atoms = tuple(itertools.product(*(s[0] for s in atom_sets)))
             probs = tuple(
-                float(np.prod(combo))
+                math.prod(combo)
                 for combo in itertools.product(*(s[1] for s in atom_sets)))
             ctx_index = {ctx: i for i, ctx in enumerate(contexts)}
             parents[v] = base.parents[v] + ctrl
@@ -252,7 +253,7 @@ def build_embedding(exemplar: Exemplar,
             # the controller values that share ``pa`` with them
             def mech(pa, atom, base_mech=base.mechanisms[v], ctrl=ctrl,
                      ctx_index=ctx_index):
-                return base_mech(pa, atom[ctx_index[tuple(pa[y] for y in ctrl)]])
+                return base_mech(pa, atom[ctx_index[tuple([pa[y] for y in ctrl])]])
 
             mechanisms[v] = mech
             noises[v] = NoiseSpec.finite(atoms, probs)

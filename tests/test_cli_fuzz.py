@@ -13,6 +13,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from phenocausal.cli import run
@@ -25,7 +26,8 @@ PARAMS = st.sampled_from([
     "bias_shift=0.1", "scenario=3", "n_rabbits=0", "food_supply=-1",
     "potato_elasticity=0.5", "shift=nan", "initial_packages=1", "k0=5",
     "unknown=1", "noequals", "demand_per_rabbit=inf", "potato_elasticity=nan",
-    "bias_shift=inf", "barrier_offset=inf",
+    "bias_shift=inf", "barrier_offset=inf", "kb0=50.5", "kr0=3.5", "rounds=2.5",
+    "rounds=2.0", "initial_packages=4.7",
 ])
 EPS = st.sampled_from(["1e-9", "0", "-1", "nan", "inf", "0.05"])
 
@@ -132,6 +134,25 @@ def test_classify_argv_keeps_contract(name, seed, mode, trials, eps, enumerate_,
     for p in params:
         argv += ["--param", p]
     _assert_contract(argv, capfd)
+
+
+@pytest.mark.parametrize("argv", [
+    ["exemplar", "urn2", "--param", "kb0=50.5", "--samples", "5"],
+    ["exemplar", "urnN", "--param", "rounds=2.5", "--samples", "5"],
+    ["exemplar", "bundles", "--param", "rounds=2.5", "--samples", "5"],
+    ["exemplar", "bundles", "--param", "rounds=2", "--param", "initial_packages=4.7",
+     "--samples", "5"],
+    ["classify", "urnN", "--param", "rounds=2.5"],
+    ["classify", "urn2", "--param", "rounds=2.5"],
+])
+def test_fractional_urn_counts_exit_2(argv, tmp_path, capfd):
+    out = tmp_path / "out.csv"
+    if argv[0] == "exemplar":
+        argv = argv + ["--out", str(out)]
+    capfd.readouterr()
+    assert run(argv + ["--seed", "1"]) == 2
+    assert "must be integers" in capfd.readouterr().err
+    assert not out.exists()
 
 
 @FUZZ

@@ -9,6 +9,7 @@ import itertools
 import math
 
 import numpy as np
+import scipy.stats
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -432,3 +433,57 @@ def test_distinct_rows_groups_equal_rows(cards):
     for i, row in enumerate(rows):
         j = first[inverse[i]]
         assert rows[j] == row and j == rows.index(row)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 300),
+       st.lists(st.integers(1, 6), min_size=1, max_size=3),
+       st.lists(st.integers(2, 2**40), max_size=3))
+def test_distinct_rows_equals_np_unique_on_dense_and_sparse_keys(seed, rows, cards,
+                                                                 wide):
+    # small cardinalities fill their key space; wide ones leave it sparse
+    # and, past int64, take the re-coding path. The mixed-radix keys must
+    # order rows as np.unique orders the rows themselves.
+    from phenocausal.scm import _distinct_rows
+
+    if not wide:
+        rows = max(rows, math.prod(cards))
+    cards = cards + wide
+    rng = np.random.default_rng(seed)
+    columns = [rng.integers(0, card, rows) for card in cards]
+    _, want_first, want_inverse = np.unique(
+        np.stack(columns, axis=1), axis=0, return_index=True, return_inverse=True)
+    first, inverse = _distinct_rows(columns, cards, rows)
+    assert np.array_equal(first, want_first)
+    assert np.array_equal(inverse, want_inverse.ravel())
+
+
+def _two_pmfs(r, pp, pm):
+    # the former binomdiff support: one binom.pmf call per coin
+    plus = scipy.stats.binom.pmf(np.arange(r + 1), r, pp)
+    minus = scipy.stats.binom.pmf(np.arange(r + 1), r, pm)
+    return np.convolve(plus, minus[::-1])
+
+
+@pytest.mark.parametrize("r", [0, 1, 3, 12])
+@pytest.mark.parametrize("pp, pm", [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0),
+                                    (0.0, 0.35), (1.0, 0.35), (0.35, 0.0),
+                                    (0.35, 1.0), (0.7, 0.2)])
+def test_binomdiff_support_equals_two_separate_pmfs(r, pp, pm):
+    atoms, probs = NoiseSpec.binomdiff(r, pp, pm).support()
+    assert atoms == tuple(float(v) for v in range(-r, r + 1))
+    assert np.array(probs).tobytes() == _two_pmfs(r, pp, pm).tobytes()
+
+
+def _bytes_or_error(pmf):
+    try:
+        return np.array(pmf()).tobytes()
+    except ArithmeticError as exc:  # scipy overflows at some subnormal p
+        return type(exc)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 20), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_binomdiff_support_equals_two_separate_pmfs_at_random(r, pp, pm):
+    got = _bytes_or_error(lambda: NoiseSpec.binomdiff(r, pp, pm).support()[1])
+    assert got == _bytes_or_error(lambda: _two_pmfs(r, pp, pm))

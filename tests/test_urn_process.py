@@ -1,7 +1,8 @@
-"""The shared urn-process DP against its references: a hand-written
+"""The shared urn process against its references: a hand-written
 two-type lattice DP (the original ``exact_urn2_joint``) kept here as the
-oracle, and the enumerated joint of the linear idealization wherever no
-move can be refused."""
+oracle of the exact joint, the enumerated joint of the linear idealization
+wherever no move can be refused, and the former row-scatter simulator as
+the oracle of ``simulate``."""
 
 from __future__ import annotations
 
@@ -11,8 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phenocausal import (DiscreteJoint, TableError, bundles_chain, exact_joint,
-                         exact_urn2_joint, urn_chain)
+from phenocausal import (DiscreteJoint, ScmError, TableError, bundles_chain,
+                         exact_joint, exact_urn2_joint, urn_bivariate, urn_chain)
+from phenocausal.exemplars import _Move, _UrnProcess
 
 
 def _shift2(arr: np.ndarray, db: int, dr: int) -> np.ndarray:
@@ -104,3 +106,89 @@ def test_chain_dp_matches_linear_idealization_without_refusals(ex):
     got = dp.probs[tuple(cells.T)]
     want = lin.probs[tuple(np.asarray(lin_cells).T)]
     assert np.abs(got - want).max() <= 1e-12
+
+
+def simulate_reference(process: _UrnProcess, n: int, seed: int
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """The former simulator: (n, k) rows, each move added to the rows it
+    hits through a boolean-mask scatter."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    col = {v: i for i, v in enumerate(process.nodes)}
+    state = np.tile(np.asarray(process.k0, dtype=float), (n, 1))
+    refused = np.zeros(n, dtype=bool)
+    steps = np.array([[mv.deltas.get(v, 0) for v in process.nodes]
+                      for mv in process.moves])
+    for _ in range(process.rounds):
+        for mv, step in zip(process.moves, steps):
+            fire = rng.random(n) < mv.prob
+            ok = np.ones(n, dtype=bool)
+            for v in mv.requires_positive:
+                ok &= state[:, col[v]] > 0
+            refused |= fire & ~ok
+            hit = fire & ok
+            if hit.any():
+                state[hit] += step
+    return state, refused
+
+
+@st.composite
+def urn_processes(draw) -> _UrnProcess:
+    """Random move sets over one to four types. Reserves of 0..3 balls make
+    refusals common; a move may remove balls of a type it does not require,
+    so counts may also go negative."""
+    nodes = tuple(f"T{i}" for i in range(draw(st.integers(1, 4))))
+    moves = tuple(
+        _Move(f"M{m}", {v: draw(st.integers(-2, 2)) for v in nodes
+                        if draw(st.booleans())},
+              tuple(v for v in nodes if draw(st.booleans())),
+              draw(st.sampled_from([0.0, 1.0, 0.5]) | _bias))
+        for m in range(draw(st.integers(1, 5))))
+    k0 = tuple(draw(st.integers(0, 3)) for _ in nodes)
+    return _UrnProcess(nodes, k0, moves, draw(st.integers(1, 6)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(urn_processes(), st.sampled_from([0, 1, 7, 2000]), st.integers(0, 2**32 - 1))
+def test_simulate_matches_row_scatter_reference(process, n, seed):
+    ds, refused = process.simulate(n, seed)
+    rows, ref_refused = simulate_reference(process, n, seed)
+    assert ds.rows.shape == rows.shape == (n, len(process.nodes))
+    assert ds.rows.flags.c_contiguous
+    assert ds.rows.tobytes() == rows.tobytes()
+    assert refused.dtype == ref_refused.dtype == bool
+    assert refused.tobytes() == ref_refused.tobytes()
+
+
+def test_reference_property_reaches_refusals():
+    # two balls of one type and a coin that always removes one: the third
+    # round is refused in every run
+    process = _UrnProcess(("T0",), (2,), (_Move("M0", {"T0": -1}, ("T0",), 1.0),), 3)
+    ds, refused = process.simulate(7, 1)
+    rows, ref_refused = simulate_reference(process, 7, 1)
+    assert refused.all() and ref_refused.all()
+    assert ds.rows.tobytes() == rows.tobytes() and not ds.rows.any()
+
+
+@pytest.mark.parametrize("k0, rounds", [((50.5, 50), 2), ((50, 50), 2.5),
+                                        ((50.0, 50), 2), ((50, 50), None)])
+def test_process_refuses_non_integer_counts(k0, rounds):
+    moves = (_Move("A+", {"Kb": 1}, (), 0.5),)
+    with pytest.raises(ScmError, match="must be integers"):
+        _UrnProcess(("Kb", "Kr"), k0, moves, rounds)
+
+
+def test_builders_refuse_fractional_counts():
+    with pytest.raises(ScmError, match="must be integers"):
+        urn_bivariate(kb0=50.5)
+    with pytest.raises(ScmError, match="must be integers"):
+        urn_chain(n=3, rounds=2.5)
+    with pytest.raises(ScmError, match="must be integers"):
+        urn_chain(n=3, k0=(10, 10.5, 10), rounds=2)
+    with pytest.raises(ScmError, match="must be integers"):
+        bundles_chain(n=3, rounds=2.5)
+    with pytest.raises(ScmError, match="must be integers"):
+        bundles_chain(n=3, rounds=2, initial_packages=4.7)
+    # integer types other than int are accepted and stored as int
+    ex = urn_chain(n=3, k0=np.array([10, 11, 12]), rounds=np.int64(2))
+    assert ex.process.k0 == (12, 11, 10) and type(ex.process.rounds) is int
+    assert ex.notes["k0"] == [10, 11, 12]
