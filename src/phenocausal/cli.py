@@ -127,7 +127,10 @@ def _cmd_exemplar(args) -> int:
     if args.samples < 1:
         raise SystemExit2("--samples must be at least 1")
     ex = _build_from_args(args)
-    ds = ex.sample(args.samples, args.seed)
+    try:
+        ds = ex.sample(args.samples, args.seed)
+    except ScmError as exc:   # a Dataset refuses non-finite rows
+        raise SystemExit2(f"artifact has a non-finite value: {exc}")
     out = Path(args.out)
     sidecar = {
         "spec_version": SPEC_VERSION,

@@ -4,9 +4,11 @@ Direction decisions follow the regression-residual independence principle:
 in the true direction the residual is independent of the regressor, in the
 reversed direction it is not (unless the noise is Gaussian). Independence
 is measured by distance correlation on standardized values, computed
-exactly from sorted row sums and a merge-style cross sum in
-O(m log^2 m), never as an m x m matrix; thresholds, when needed, come from
-a permutation null. One-regressor fits are closed-form covariances.
+exactly from sorted row sums and a blocked merge-style cross sum in
+O(m·64 + m log^2(m/64)), never as an m x m matrix; thresholds, when
+needed, come from a permutation null. One-regressor fits are closed-form
+covariances, and residual normality is the D'Agostino-Pearson K^2 test
+computed from one pass of central moments.
 Multivariate recovery is a DirectLiNGAM-style ordering (iteratively extract
 the most exogenous variable, regress it out, recurse) followed by
 coefficient pruning, with a least-squares fit on all predecessors.
@@ -24,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import scipy.stats
 
 from .graphs import Dag
 from .scm import Dataset
@@ -44,6 +45,10 @@ __all__ = [
 ]
 
 _MAX_DCOR_POINTS = 2000
+# the distance-correlation cross sum counts pairs inside each run of this
+# many consecutive x-sorted points densely, and the rest level by level
+_BLOCK = 64
+_STRICTLY_LOWER = np.tri(_BLOCK, k=-1, dtype=bool)
 # residuals whose normality-test p-value exceeds this count as Gaussian
 _NORMALITY_ALPHA = 0.05
 # standardized coefficients below this are pruned from a recovered DAG
@@ -87,42 +92,63 @@ def _distance_row_sums(x: np.ndarray) -> np.ndarray:
 
 
 def _cross_distance_sum(x: np.ndarray, y: np.ndarray) -> float:
-    """sum_ij |x_i - x_j| |y_i - y_j| in O(m log^2 m) vectorized steps.
+    """sum_ij |x_i - x_j| |y_i - y_j| in O(m B + m log^2(m / B)) steps.
 
     In x-sorted order every pair j < i has |x_i - x_j| = x_i - x_j, so the
     sum is twice sum_i sum_{j<i} (x_i - x_j) s_ij (y_i - y_j), with
     s_ij = +1 if y_j < y_i and -1 otherwise (equal y contribute zero). With
     Q_i(f) = sum_{j<i} f_j and L_i(f) the same sum over y_j < y_i, each
-    inner sum expands over f in (1, x, y, xy) into 2 L_i(f) - Q_i(f). Q is
-    a prefix sum; L is a dominance sum, gathered level by level of a
-    bottom-up merge: at block size s, each element of a right block
-    collects the left sibling's elements whose y rank is below its own.
+    inner sum expands over f in (1, x, y, xy) into 2 L_i(f) - Q_i(f), and
+    the total is sum_i w_i . (2 L_i - Q_i) with w_i = (x_i y_i, -y_i, -x_i,
+    1). Q is a prefix sum. L is a dominance sum, split by where j falls:
+    within i's block of ``_BLOCK`` consecutive points it is one masked
+    product per block; otherwise it is gathered level by level of a
+    bottom-up merge from block size ``_BLOCK`` up, where each element of a
+    right block collects the left sibling's elements whose y rank is below
+    its own.
     """
     m = x.size
     order = np.argsort(x, kind="stable")
     xs, ys = x[order], y[order]
     rank = np.unique(ys, return_inverse=True)[1]
-    f = np.stack([np.ones(m), xs, ys, xs * ys])
-    below = np.zeros((4, m))
+    nb = -(-m // _BLOCK)
+    # rows past m pad the last block; they follow every real point, so the
+    # strictly lower mask never counts them
+    f = np.zeros((nb * _BLOCK, 4))
+    f[:m, 0] = 1.0
+    f[:m, 1] = xs
+    f[:m, 2] = ys
+    f[:m, 3] = xs * ys
+    rb = np.zeros(nb * _BLOCK, dtype=rank.dtype)
+    rb[:m] = rank
+    rb = rb.reshape(nb, _BLOCK)
+    mask = (rb[:, None, :] < rb[:, :, None]) & _STRICTLY_LOWER
+    below = (mask.astype(float) @ f.reshape(nb, _BLOCK, 4)).reshape(-1, 4)[:m]
+    f = f[:m]
+    w = np.column_stack([xs * ys, -ys, -xs, np.ones(m)])
+    before = np.zeros((m, 4))
+    np.cumsum(f[:-1], axis=0, out=before[1:])
+    total = 2.0 * np.vdot(w, below) - np.vdot(w, before)
     pos = np.arange(m)
-    size = 1
+    size = _BLOCK
     while size < m:
-        right = (pos // size) % 2 == 1
-        pair = pos // (2 * size)
-        left_keys = pair[~right] * m + rank[~right]
-        left_order = np.argsort(left_keys, kind="stable")
-        left_keys = left_keys[left_order]
-        csum = np.zeros((4, left_keys.size + 1))
-        np.cumsum(f[:, ~right][:, left_order], axis=1, out=csum[:, 1:])
-        hi = np.searchsorted(left_keys, pair[right] * m + rank[right])
-        lo = np.searchsorted(left_keys, pair[right] * m)
-        below[:, right] += csum[:, hi] - csum[:, lo]
+        side = pos & size
+        right = np.flatnonzero(side)
+        left = np.flatnonzero(side == 0)
+        shift = size.bit_length()   # pos >> shift is the pair of siblings
+        keys = (left >> shift) * m + rank.take(left)
+        by_key = np.argsort(keys, kind="stable")
+        csum = np.zeros((left.size + 1, 4))
+        np.cumsum(f.take(left.take(by_key), axis=0), axis=0, out=csum[1:])
+        # every left block before the last pair's is full, so the pair's
+        # left elements start at pair * size in key order
+        hi = np.searchsorted(keys.take(by_key),
+                             (right >> shift) * m + rank.take(right))
+        lo = (right >> shift) * size
+        total += 2.0 * np.vdot(w.take(right, axis=0),
+                               csum.take(hi, axis=0) - csum.take(lo, axis=0))
         size *= 2
-    before = np.zeros((4, m))
-    np.cumsum(f[:, :-1], axis=1, out=before[:, 1:])
-    signed = 2.0 * below - before
-    inner = xs * ys * signed[0] - xs * signed[2] - ys * signed[1] + signed[3]
-    return 2.0 * float(inner.sum())
+    return 2.0 * float(total)
 
 
 def _dcov2(a: np.ndarray, b: np.ndarray, cross: float) -> float:
@@ -139,24 +165,41 @@ def _dvar(x: np.ndarray, a: np.ndarray) -> float:
     return _dcov2(a, a, square_sum)
 
 
+def _check_max_points(max_points: int) -> None:
+    if max_points < 20:
+        raise DiscoveryError(f"max_points must be at least 20, got {max_points}")
+
+
+def _binary_normalized(u: np.ndarray) -> np.ndarray:
+    """u times the power of two that brings its largest magnitude into
+    [0.5, 1). The scaling is exact, so standardizing the result gives the
+    same values as standardizing u, without overflow or underflow in the
+    moments of very large or very small columns."""
+    return np.ldexp(u, -np.frexp(np.abs(u).max())[1])
+
+
 def independence_statistic(u: np.ndarray, v: np.ndarray,
                            max_points: int = _MAX_DCOR_POINTS) -> float:
-    """Distance correlation between two columns, in [0, 1].
+    """Distance correlation between two finite columns, in [0, 1].
 
     Zero iff the (sub)sample is empirically independent under the distance
     covariance functional. Columns are standardized first, so the statistic
-    is invariant under affine rescaling; constant columns yield 0. Long
-    columns are strided down to ``max_points``. The V-statistic is computed
-    exactly in O(m log^2 m) from sorted row sums and a merge-style cross
-    sum (after Huo & Szekely, Technometrics 58(4), 2016), with no m x m
-    matrix.
+    is invariant under affine rescaling at any magnitude; constant columns
+    yield 0. Long columns are strided down to ``max_points`` (at least 20).
+    The V-statistic is computed exactly in O(m·64 + m log^2(m/64)) from
+    sorted row sums and a blocked merge-style cross sum (after Huo & Szekely,
+    Technometrics 58(4), 2016), with no m x m matrix.
     """
+    _check_max_points(max_points)
     u = np.asarray(u, dtype=float).reshape(-1)
     v = np.asarray(v, dtype=float).reshape(-1)
     if u.shape != v.shape:
         raise DiscoveryError("columns must have equal length")
     if u.size < 20:
         raise DiscoveryError("need at least 20 points")
+    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+        raise DiscoveryError("columns must be finite")
+    u, v = _binary_normalized(u), _binary_normalized(v)
     su, sv = u.std(), v.std()
     if su == 0.0 or sv == 0.0:
         return 0.0
@@ -215,6 +258,46 @@ def _ols1(y: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
     return slope, yc - slope * xc
 
 
+def _normality_pvalue(r: np.ndarray) -> float:
+    """D'Agostino-Pearson K^2 normality test p-value of a non-constant
+    sample of at least 20 values.
+
+    K^2 = Z_s^2 + Z_k^2 combines the skewness z-score (D'Agostino 1970) and
+    the kurtosis z-score (Anscombe & Glynn 1983), both from the biased
+    central moments, with the same formulas as ``scipy.stats.skewtest``
+    and ``kurtosistest``; under normality K^2 is chi-squared with 2 degrees
+    of freedom, whose survival function is exp(-K^2 / 2)
+    (D'Agostino & Pearson, Biometrika 60, 1973).
+    """
+    n = float(r.size)
+    d = r - r.mean()
+    d2 = d * d
+    m2 = d2.mean()
+    skew = (d2 * d).mean() / m2**1.5
+    kurt = (d2 * d2).mean() / m2**2
+    # skewness z-score
+    y = skew * math.sqrt((n + 1) * (n + 3) / (6.0 * (n - 2)))
+    beta2 = (3.0 * (n * n + 27 * n - 70) * (n + 1) * (n + 3)
+             / ((n - 2) * (n + 5) * (n + 7) * (n + 9)))
+    w2 = -1 + math.sqrt(2 * (beta2 - 1))
+    delta = 1 / math.sqrt(0.5 * math.log(w2))
+    alpha = math.sqrt(2.0 / (w2 - 1))
+    y = (y if y != 0.0 else 1.0) / alpha   # scipy's substitution at y = 0
+    z_skew = delta * math.log(y + math.sqrt(y * y + 1))
+    # kurtosis z-score
+    mean_b2 = 3.0 * (n - 1) / (n + 1)
+    var_b2 = 24.0 * n * (n - 2) * (n - 3) / ((n + 1) ** 2 * (n + 3) * (n + 5))
+    x = (kurt - mean_b2) / math.sqrt(var_b2)
+    sqrt_beta1 = (6.0 * (n * n - 5 * n + 2) / ((n + 7) * (n + 9))
+                  * math.sqrt(6.0 * (n + 3) * (n + 5) / (n * (n - 2) * (n - 3))))
+    a = 6.0 + 8.0 / sqrt_beta1 * (2.0 / sqrt_beta1
+                                  + math.sqrt(1 + 4.0 / sqrt_beta1**2))
+    denom = 1 + x * math.sqrt(2 / (a - 4.0))
+    cube = math.copysign(abs((1 - 2.0 / a) / denom) ** (1 / 3), denom)
+    z_kurt = (1 - 2 / (9.0 * a) - cube) / math.sqrt(2 / (9.0 * a))
+    return math.exp(-0.5 * (z_skew * z_skew + z_kurt * z_kurt))
+
+
 @dataclass(frozen=True)
 class BivariateResult:
     direction: str            # "x->y", "y->x", "undetermined", "degenerate"
@@ -240,6 +323,7 @@ def lingam_bivariate(data: Dataset, x: str | None = None, y: str | None = None,
     reported as undetermined; an exact functional fit is reported as
     degenerate.
     """
+    _check_max_points(max_points)
     if len(data.columns) < 2:
         raise DiscoveryError("need at least two columns")
     x = x or data.columns[0]
@@ -260,8 +344,8 @@ def lingam_bivariate(data: Dataset, x: str | None = None, y: str | None = None,
             {"reason": "zero-noise functional relation"})
     stat_xy = independence_statistic(u, resid_xy, max_points=max_points)
     stat_yx = independence_statistic(v, resid_yx, max_points=max_points)
-    p_norm_xy = float(scipy.stats.normaltest(resid_xy).pvalue)
-    p_norm_yx = float(scipy.stats.normaltest(resid_yx).pvalue)
+    p_norm_xy = _normality_pvalue(resid_xy)
+    p_norm_yx = _normality_pvalue(resid_yx)
     diagnostics = {
         "stat_x_to_y": stat_xy, "stat_y_to_x": stat_yx,
         "normality_p_forward": p_norm_xy, "normality_p_backward": p_norm_yx,
@@ -312,6 +396,7 @@ def lingam_multivariate(data: Dataset,
     ``_PRUNE_THRESHOLD``. The fit is flagged near-Gaussian when every
     residual passes a normality test at ``_NORMALITY_ALPHA``.
     """
+    _check_max_points(max_points)
     cols = data.columns
     d = len(cols)
     n = data.rows.shape[0]
@@ -356,7 +441,7 @@ def lingam_multivariate(data: Dataset,
         else:
             coefs, resid = np.zeros(0), yv - yv.mean()
         if resid.std() > 0 and resid.size >= 20:
-            normality[node] = float(scipy.stats.normaltest(resid).pvalue)
+            normality[node] = _normality_pvalue(resid)
         for p, c in zip(preds, coefs):
             scale = stds[p] / stds[node] if stds[node] > 0 else 1.0
             standardized = abs(c) * scale

@@ -227,7 +227,7 @@ def _noise_column(spec: NoiseSpec, n: int, seed: int, node_index: int,
 
 @dataclass(frozen=True)
 class Dataset:
-    """Rectangular numeric data with its generation seed recorded."""
+    """Rectangular finite numeric data with its generation seed recorded."""
 
     columns: tuple[str, ...]
     rows: np.ndarray
@@ -241,6 +241,10 @@ class Dataset:
         if rows.ndim != 2 or rows.shape[1] != len(columns):
             raise ScmError(
                 f"rows shape {rows.shape} does not match {len(columns)} columns")
+        finite = np.isfinite(rows).all(axis=1)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise ScmError(f"row {k} holds a non-finite value: {rows[k].tolist()}")
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "columns", columns)

@@ -4,6 +4,8 @@ in the acceptance suite; these tests pin behaviour on single seeds."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,59 @@ def test_statistic_input_validation():
         independence_statistic(np.ones(5), np.ones(5))
     with pytest.raises(DiscoveryError):
         independence_statistic(np.ones(30), np.ones(29))
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 2.0**600, 2.0**-600])
+def test_statistic_invariant_at_extreme_scales(scale):
+    # moments of the raw columns would overflow or underflow at these scales
+    rng = np.random.default_rng(4)
+    u = rng.uniform(size=500)
+    v = u + rng.uniform(size=500)
+    ref = independence_statistic(u, v)
+    assert ref > 0.5
+    for su, sv in ((u * scale, v), (u, v * scale), (u * scale, v * scale)):
+        got = independence_statistic(su, sv)
+        if math.frexp(scale)[0] == 0.5:   # a power of two scales exactly
+            assert got == ref
+        else:
+            assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_statistic_refuses_non_finite(bad):
+    u = np.random.default_rng(5).uniform(size=100)
+    w = u.copy()
+    w[17] = bad
+    for args in ((w, u), (u, w)):
+        with pytest.raises(DiscoveryError, match="finite"):
+            independence_statistic(*args)
+
+
+@pytest.mark.parametrize("max_points", [-3, 0, 1, 19])
+def test_max_points_below_twenty_refused(max_points):
+    rng = np.random.default_rng(6)
+    u = rng.exponential(size=300)
+    v = u + rng.exponential(size=300)
+    ds = Dataset(("u", "v"), np.column_stack([u, v]), 6)
+    with pytest.raises(DiscoveryError, match="max_points"):
+        independence_statistic(u, v, max_points=max_points)
+    with pytest.raises(DiscoveryError, match="max_points"):
+        permutation_threshold(u, v, n_perm=5, max_points=max_points)
+    with pytest.raises(DiscoveryError, match="max_points"):
+        lingam_bivariate(ds, max_points=max_points)
+    with pytest.raises(DiscoveryError, match="max_points"):
+        lingam_multivariate(ds, max_points=max_points)
+    # refused before the data is read: a degenerate pair is refused too
+    flat = Dataset(("u", "v"), np.ones((300, 2)), 6)
+    with pytest.raises(DiscoveryError, match="max_points"):
+        lingam_bivariate(flat, max_points=max_points)
+
+
+def test_max_points_twenty_accepted():
+    rng = np.random.default_rng(6)
+    u = rng.exponential(size=300)
+    v = u + rng.exponential(size=300)
+    assert 0.0 < independence_statistic(u, v, max_points=20) <= 1.0
 
 
 # ---------------------------------------------------------------------------

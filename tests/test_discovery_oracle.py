@@ -1,7 +1,9 @@
 """Fast discovery paths against their brute-force references.
 
-* The O(m log^2 m) distance-correlation kernel against the dense m x m
+* The blocked distance-correlation kernel against the dense m x m
   double-centred form it replaced, on the same strided, standardized points.
+* Its blocked cross sum against the purely dyadic merge it replaced.
+* The in-package K^2 normality p-value against ``scipy.stats.normaltest``.
 * The closed-form one-regressor OLS against ``lstsq``.
 * Joints counted with ``bincount`` over raveled cell codes against the
   row-by-row level-map builder.
@@ -9,7 +11,10 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -144,6 +149,132 @@ def test_permutation_threshold_matches_dense():
                                for _ in range(49)], 0.9))
     fast = permutation_threshold(u, v, n_perm=49, quantile=0.9, seed=11)
     assert close(fast, dense)
+
+
+# ---------------------------------------------------------------------------
+# Blocked cross sum against the dyadic merge
+# ---------------------------------------------------------------------------
+
+
+def dyadic_cross_distance_sum(x: np.ndarray, y: np.ndarray) -> float:
+    """sum_ij |x_i - x_j| |y_i - y_j| by a dominance sum gathered at every
+    level of a bottom-up merge, from block size 1 up, on (4, m) channels."""
+    m = x.size
+    order = np.argsort(x, kind="stable")
+    xs, ys = x[order], y[order]
+    rank = np.unique(ys, return_inverse=True)[1]
+    f = np.stack([np.ones(m), xs, ys, xs * ys])
+    below = np.zeros((4, m))
+    pos = np.arange(m)
+    size = 1
+    while size < m:
+        right = (pos // size) % 2 == 1
+        pair = pos // (2 * size)
+        left_keys = pair[~right] * m + rank[~right]
+        left_order = np.argsort(left_keys, kind="stable")
+        left_keys = left_keys[left_order]
+        csum = np.zeros((4, left_keys.size + 1))
+        np.cumsum(f[:, ~right][:, left_order], axis=1, out=csum[:, 1:])
+        hi = np.searchsorted(left_keys, pair[right] * m + rank[right])
+        lo = np.searchsorted(left_keys, pair[right] * m)
+        below[:, right] += csum[:, hi] - csum[:, lo]
+        size *= 2
+    before = np.zeros((4, m))
+    np.cumsum(f[:, :-1], axis=1, out=before[:, 1:])
+    signed = 2.0 * below - before
+    inner = xs * ys * signed[0] - xs * signed[2] - ys * signed[1] + signed[3]
+    return 2.0 * float(inner.sum())
+
+
+# block edges of the dense within-block pass and of the first merge levels
+CROSS_SIZES = (20, 63, 64, 65, 127, 128, 129, 1200, 1500, 1999, 2000)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(kind=st.sampled_from(KINDS), m=st.sampled_from(CROSS_SIZES),
+       seed=st.integers(0, 2**32 - 1), swap=st.booleans(),
+       standardize=st.booleans())
+def test_blocked_cross_sum_matches_dyadic(kind, m, seed, swap, standardize):
+    u, v = _pair(kind, m, np.random.default_rng(seed))
+    if swap:
+        u, v = v, u
+    if standardize:
+        u, v = (u - u.mean()) / u.std(), (v - v.mean()) / v.std()
+    ref = dyadic_cross_distance_sum(u, v)
+    assert ref > 0.0
+    assert abs(discovery._cross_distance_sum(u, v) - ref) <= 1e-12 * ref
+
+
+def test_blocked_cross_sum_matches_dyadic_on_every_kind():
+    # each input family at each block edge, so a random draw cannot skip one
+    rng = np.random.default_rng(15)
+    for kind in KINDS:
+        for m in CROSS_SIZES:
+            u, v = _pair(kind, m, rng)
+            ref = dyadic_cross_distance_sum(u, v)
+            assert abs(discovery._cross_distance_sum(u, v) - ref) <= 1e-12 * ref
+
+
+# ---------------------------------------------------------------------------
+# K^2 normality p-value against scipy
+# ---------------------------------------------------------------------------
+
+
+def _sample(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    if kind == "normal":
+        return rng.normal(size=n)
+    if kind == "exponential":
+        return rng.exponential(size=n)
+    if kind == "uniform":
+        return rng.uniform(size=n)
+    if kind == "t3":
+        return rng.standard_t(3, size=n)
+    if kind == "levels":
+        return rng.integers(0, 3, size=n).astype(float)
+    # a near-Gaussian residual: the sum of a few uniforms
+    return rng.uniform(-1, 1, size=(n, 4)).sum(axis=1)
+
+
+def normality_close(fast: float, ref: float) -> bool:
+    # below 1e-300 subnormal rounding would dominate a relative gap; every
+    # such p-value rejects normality all the same
+    if ref < 1e-300:
+        return fast < 1e-290
+    return abs(fast - ref) <= 1e-12 * ref
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(kind=st.sampled_from(("normal", "exponential", "uniform", "t3",
+                             "levels", "sum")),
+       n=st.integers(20, 200) | st.sampled_from((20, 1000, 10_000)),
+       seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(1e-3, 1e3), shift=st.floats(-1e3, 1e3))
+def test_normality_pvalue_matches_scipy(kind, n, seed, scale, shift):
+    r = scale * _sample(kind, n, np.random.default_rng(seed)) + shift
+    if r.std() == 0.0:
+        return
+    fast = discovery._normality_pvalue(r)
+    assert normality_close(fast, float(scipy.stats.normaltest(r).pvalue))
+
+
+def test_normality_pvalue_zero_skew_branch():
+    # exactly symmetric samples have skewness 0, where scipy's skew z-score
+    # substitutes 1 for the scaled skewness
+    for r in (np.tile([-5.0, -1.0, 0.0, 1.0, 5.0], 4),
+              np.repeat([-2.0, 2.0], 10),
+              np.tile([-3.0, -1.0, 1.0, 3.0], 250)):
+        assert scipy.stats.skew(r) == 0.0
+        fast = discovery._normality_pvalue(r)
+        assert normality_close(fast, float(scipy.stats.normaltest(r).pvalue))
+
+
+def test_normality_pvalue_at_twenty_points():
+    rng = np.random.default_rng(20)
+    for kind in ("normal", "exponential", "uniform", "t3", "levels", "sum"):
+        r = _sample(kind, 20, rng)
+        fast = discovery._normality_pvalue(r)
+        assert normality_close(fast, float(scipy.stats.normaltest(r).pvalue))
+        assert math.isfinite(fast)
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,18 @@ def test_dataset_rejects_ragged():
         Dataset(("a", "b"), np.array([1.0, 2.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_rows(bad):
+    rows = np.arange(8.0).reshape(4, 2)
+    rows[2, 1] = bad
+    with pytest.raises(ScmError, match="row 2 holds a non-finite value"):
+        Dataset(("a", "b"), rows)
+    # the CSV reader names the line at fault, before the rows reach Dataset
+    text = "a,b\n0,1\n2,3\n4," + repr(float(bad)) + "\n6,7\n"
+    with pytest.raises(ScmError, match="line 4: non-finite value"):
+        Dataset.from_csv(text)
+
+
 @pytest.mark.parametrize("header", ["a,a", "a,b,a"])
 def test_dataset_rejects_duplicate_columns(header):
     cols = header.count(",") + 1
