@@ -19,6 +19,7 @@ artifact value that is not finite and so has no strict-JSON form).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -296,6 +297,7 @@ def _cmd_report(args) -> int:
     return 0 if ok_all else 1
 
 
+@functools.cache  # parse_args leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="phenocausal",

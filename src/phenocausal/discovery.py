@@ -75,15 +75,25 @@ def _subsample(u: np.ndarray, max_points: int) -> np.ndarray:
     return u[idx]
 
 
-def _distance_row_sums(x: np.ndarray) -> np.ndarray:
-    """a_i = sum_j |x_i - x_j| for every i, from one sort.
+def _dense_rank(x: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """0-based rank of each x_i among the distinct values of x, given the
+    order that sorts x."""
+    xs = x[order]
+    steps = np.zeros(x.size, dtype=np.intp)
+    steps[1:] = xs[1:] != xs[:-1]
+    rank = np.empty(x.size, dtype=np.intp)
+    rank[order] = np.cumsum(steps)
+    return rank
+
+
+def _distance_row_sums(x: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """a_i = sum_j |x_i - x_j| for every i, from the order that sorts x.
 
     At sorted position k, with C_k the inclusive prefix sum and T the total,
     a_(k) = (2k - m + 2) x_(k) + T - 2 C_k. Tied values contribute zero
     whichever order the sort leaves them in.
     """
     m = x.size
-    order = np.argsort(x, kind="stable")
     xs = x[order]
     c = np.cumsum(xs)
     sums = np.empty(m)
@@ -91,8 +101,12 @@ def _distance_row_sums(x: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _cross_distance_sum(x: np.ndarray, y: np.ndarray) -> float:
+def _cross_distance_sum(x: np.ndarray, y: np.ndarray, order: np.ndarray | None = None,
+                        y_rank: np.ndarray | None = None) -> float:
     """sum_ij |x_i - x_j| |y_i - y_j| in O(m B + m log^2(m / B)) steps.
+
+    ``order`` sorts x stably and ``y_rank`` is ``_dense_rank`` of y; both
+    are computed here when not given.
 
     In x-sorted order every pair j < i has |x_i - x_j| = x_i - x_j, so the
     sum is twice sum_i sum_{j<i} (x_i - x_j) s_ij (y_i - y_j), with
@@ -108,9 +122,12 @@ def _cross_distance_sum(x: np.ndarray, y: np.ndarray) -> float:
     its own.
     """
     m = x.size
-    order = np.argsort(x, kind="stable")
+    if order is None:
+        order = np.argsort(x, kind="stable")
+    if y_rank is None:
+        y_rank = _dense_rank(y, np.argsort(y, kind="stable"))
     xs, ys = x[order], y[order]
-    rank = np.unique(ys, return_inverse=True)[1]
+    rank = y_rank[order]
     nb = -(-m // _BLOCK)
     # rows past m pad the last block; they follow every real point, so the
     # strictly lower mask never counts them
@@ -210,9 +227,11 @@ def independence_statistic(u: np.ndarray, v: np.ndarray,
     if u.min() == u.max() or v.min() == v.max():
         # exactly 0 by definition; the closed forms below would leave noise
         return 0.0
-    a = _distance_row_sums(u)
-    b = _distance_row_sums(v)
-    dcov2 = _dcov2(a, b, _cross_distance_sum(u, v))
+    u_order = np.argsort(u, kind="stable")
+    v_order = np.argsort(v, kind="stable")
+    a = _distance_row_sums(u, u_order)
+    b = _distance_row_sums(v, v_order)
+    dcov2 = _dcov2(a, b, _cross_distance_sum(u, v, u_order, _dense_rank(v, v_order)))
     denom = np.sqrt(_dvar(u, a) * _dvar(v, b))
     if denom <= 0.0:
         return 0.0

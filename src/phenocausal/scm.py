@@ -147,7 +147,11 @@ class NoiseSpec:
         """(atoms, probabilities) for finite families; error otherwise."""
         if self.family == "binomdiff":
             r, pp, pm = self.params
-            plus, minus = scipy.stats.binom.pmf(np.arange(r + 1), r, [[pp], [pm]])
+            try:
+                plus, minus = scipy.stats.binom.pmf(np.arange(r + 1), r, [[pp], [pm]])
+            except OverflowError:  # scipy's pmf overflows for some subnormal biases
+                raise ScmError(f"binomdiff p_plus={pp!r}, p_minus={pm!r} over {r} rounds: "
+                               "scipy's binomial pmf overflows") from None
             pmf = np.convolve(plus, minus[::-1])
             values = np.arange(-r, r + 1, dtype=float)
             return tuple(values), tuple(float(v) for v in pmf)
@@ -253,52 +257,113 @@ class Dataset:
         return self.rows[:, self.columns.index(name)]
 
     def to_csv(self) -> str:
+        """Header line, then one line per row; integral values below 1e15
+        in magnitude print as integers, others as ``repr(float)``."""
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.columns)
-        for row in self.rows:
-            writer.writerow([_format_number(v) for v in row])
-        return buf.getvalue()
+        csv.writer(buf, lineterminator="\n").writerow(self.columns)
+        if not self.columns:
+            return buf.getvalue() + "\n" * len(self.rows)
+        cells = [_format_column(col) for col in self.rows.T]
+        return buf.getvalue() + "".join(
+            line + "\n" for line in map(",".join, zip(*cells)))
 
     @classmethod
     def from_csv(cls, text: str, seed: int | None = None) -> "Dataset":
         """Parse a header line and at least one data row; every non-blank
         row must hold one finite number per column. Malformed input raises
         ScmError naming the offending line."""
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader, None)
-        if not header:
-            raise ScmError("CSV has no header line")
-        cells, lines = [], []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ScmError(f"line {reader.line_num}: {len(row)} fields, "
-                               f"header has {len(header)}")
-            cells.append(row)
-            lines.append(reader.line_num)
-        if not cells:
-            raise ScmError("CSV has a header but no data rows")
-        try:
-            rows = np.array(cells, dtype=float)
-        except ValueError as exc:
-            # the same parser, row by row, finds the line at fault
-            for row, line in zip(cells, lines):
-                try:
-                    np.array(row, dtype=float)
-                except ValueError:
-                    raise ScmError(f"line {line}: {exc}") from None
-            raise
-        finite = np.isfinite(rows).all(axis=1)
-        if not finite.all():
-            k = int(np.argmin(finite))
-            raise ScmError(f"line {lines[k]}: non-finite value in {cells[k]}")
-        return cls(tuple(header), rows, seed)
+        parsed = _read_plain_csv(text)
+        header, rows = parsed if parsed is not None else _read_csv(text)
+        return cls(header, rows, seed)
 
 
 def _format_number(v: float) -> str:
     return repr(int(v)) if float(v).is_integer() and abs(v) < 1e15 else repr(float(v))
+
+
+def _format_column(col: np.ndarray) -> list[str]:
+    """``_format_number`` of every entry, with one int64 cast when all of
+    them print as integers."""
+    if (np.abs(col) < 1e15).all() and (col == np.trunc(col)).all():
+        return list(map(str, col.astype(np.int64).tolist()))
+    return list(map(_format_number, col.tolist()))
+
+
+def _read_plain_csv(text: str) -> tuple[tuple[str, ...], np.ndarray] | None:
+    """Column-wise reading of well-formed CSV text without quotes, CR or NUL.
+
+    Returns None whenever the text needs the csv module or is malformed, so
+    that ``_read_csv`` reads it and names the line at fault. Lines are split
+    on "\n" and fields on ",", which is what ``csv.reader`` does with such
+    text; the fields are converted by the same ``np.array(..., dtype=float)``
+    call, so both readers accept the same numbers.
+    """
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    first, _, body = text.partition("\n")
+    if not first:
+        return None
+    header = first.split(",")
+    if "\n\n" in body or body.startswith("\n"):
+        return None  # blank lines: csv.reader skips them
+    if body.endswith("\n"):
+        body = body[:-1]
+    if not body:
+        return None
+    try:
+        # every line holds len(header) fields iff the separators, in order
+        # and with the end of the text as a last one, are a line end
+        # exactly at every len(header)-th place (UTF-8 never uses the bytes
+        # of "," or "\n" inside a multi-byte character)
+        raw = np.frombuffer(body.encode(), dtype=np.uint8)
+        ends = np.append(raw[(raw == ord(",")) | (raw == ord("\n"))] == ord("\n"), True)
+        if not np.array_equal(ends, np.arange(1, ends.size + 1) % len(header) == 0):
+            return None
+        fields = body.replace("\n", ",").split(",")
+        if len(text) > csv.field_size_limit() and max(
+                map(len, header + fields)) > csv.field_size_limit():
+            return None
+        rows = np.array(fields, dtype=float).reshape(-1, len(header))
+    except ValueError:  # also a lone surrogate that cannot be encoded
+        return None
+    if not np.isfinite(rows).all():
+        return None
+    return tuple(header), rows
+
+
+def _read_csv(text: str) -> tuple[tuple[str, ...], np.ndarray]:
+    """Row-by-row reading with ``csv.reader``: quoted fields and CR line
+    ends, and the ScmError that names a malformed line."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if not header:
+        raise ScmError("CSV has no header line")
+    cells, lines = [], []
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ScmError(f"line {reader.line_num}: {len(row)} fields, "
+                           f"header has {len(header)}")
+        cells.append(row)
+        lines.append(reader.line_num)
+    if not cells:
+        raise ScmError("CSV has a header but no data rows")
+    try:
+        rows = np.array(cells, dtype=float)
+    except ValueError as exc:
+        # the same parser, row by row, finds the line at fault
+        for row, line in zip(cells, lines):
+            try:
+                np.array(row, dtype=float)
+            except ValueError:
+                raise ScmError(f"line {line}: {exc}") from None
+        raise
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ScmError(f"line {lines[k]}: non-finite value in {cells[k]}")
+    return tuple(header), rows
 
 
 # ---------------------------------------------------------------------------

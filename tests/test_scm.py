@@ -4,9 +4,13 @@ structure-preserving interventions and exact enumeration."""
 from __future__ import annotations
 
 import collections
+import csv
 import dataclasses
+import io
 import itertools
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import scipy.stats
@@ -109,6 +113,164 @@ def test_dataset_rejects_duplicate_columns(header):
         Dataset.from_csv(text)
     with pytest.raises(ScmError, match="duplicate column names"):
         Dataset(tuple(header.split(",")), np.zeros((1, cols)))
+
+
+def _reference_format_number(v):
+    return repr(int(v)) if float(v).is_integer() and abs(v) < 1e15 else repr(float(v))
+
+
+def _reference_to_csv(ds):
+    # the former writer: csv.writer, one row at a time
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(ds.columns)
+    for row in ds.rows:
+        writer.writerow([_reference_format_number(v) for v in row])
+    return buf.getvalue()
+
+
+def _reference_from_csv(text):
+    # the former reader: csv.reader, one row at a time
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if not header:
+        raise ScmError("CSV has no header line")
+    cells, lines = [], []
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ScmError(f"line {reader.line_num}: {len(row)} fields, "
+                           f"header has {len(header)}")
+        cells.append(row)
+        lines.append(reader.line_num)
+    if not cells:
+        raise ScmError("CSV has a header but no data rows")
+    try:
+        rows = np.array(cells, dtype=float)
+    except ValueError as exc:
+        for row, line in zip(cells, lines):
+            try:
+                np.array(row, dtype=float)
+            except ValueError:
+                raise ScmError(f"line {line}: {exc}") from None
+        raise
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ScmError(f"line {lines[k]}: non-finite value in {cells[k]}")
+    return Dataset(tuple(header), rows)
+
+
+def _read_outcome(read, text):
+    try:
+        ds = read(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return ds.columns, ds.rows.shape, ds.rows.tobytes()
+
+
+_ODD_FIELDS = ["1_0", "0x10", "nan", "-inf", "Infinity", "1e400", "1e-400", " 1", "2 ",
+               " 3 ", "", "x", "1e5", "1E+2", "+4", "-0", ".5", "5.", "١٢",
+               "\x0c6", "7\u2028", "\u00a08", "\x1c9", "\x859", '"1"', '"2,3"', "1\x00"]
+_CSV_FIELDS = st.one_of(st.integers(-10**6, 10**6).map(str),
+                        st.integers(-10**20, 10**20).map(str),
+                        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                        st.sampled_from(_ODD_FIELDS))
+
+
+@st.composite
+def _csv_texts(draw):
+    width = draw(st.integers(1, 3))
+    names = draw(st.lists(st.sampled_from(["a", "b", "c", " d", "e f", "é"]),
+                          min_size=width, max_size=width))
+    header = ",".join(names)
+    if draw(st.integers(0, 9)) == 0:
+        header = '"' + header + ',q"'
+    lines = [header]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            lines.append("")
+        else:
+            n = width if kind > 1 else draw(st.integers(0, 4))
+            lines.append(",".join(draw(st.lists(_CSV_FIELDS, min_size=n, max_size=n))))
+    if draw(st.integers(0, 14)) == 0:
+        lines.insert(0, "")
+    end = draw(st.sampled_from(["\n"] * 6 + ["\r\n", "\r"]))
+    text = end.join(lines) + draw(st.sampled_from(["", end, end + end]))
+    if draw(st.integers(0, 14)) == 0:
+        k = draw(st.integers(0, len(text)))
+        text = text[:k] + "\x00" + text[k:]
+    return text
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_csv_texts())
+def test_from_csv_matches_row_by_row_reader(text):
+    assert _read_outcome(Dataset.from_csv, text) == _read_outcome(_reference_from_csv, text)
+
+
+@pytest.mark.parametrize("text", [
+    "", "\n", "\na,b\n1,2\n", "a,b", "a,b\n", "a,b\n\n\n", "a,b\n1,2\n3\n", "a,b\n1,2,3\n",
+    "a,b\n1\n2,3\n", "a,b\n1,2,3\n4\n", "a,b,c\n1\n2,3,4,5\n", "a,b\n1,2\n3,4", "a,b\n\n1,2\n\n3,4\n\n", "a\n1\n \n", "a\n1\n,\n",
+    "a,b\n1,\n", "a,b\n1_0,0x10\n", "a,b\n1,nan\n", "a,b\n1,1e400\n", "a,a\n1,2\n",
+    "a, b\n 1 ,2 \n", '"a,b",c\n1,2,3\n', '"a",b\r\n1,2\r\n', "a,b\r1,2\r", "a,b\n1,\x002\n",
+    "a,,b\n1,2,3\n", "a\u2028b,c\n1\u2028,2\n", "a\x85b,c\n1,2\x85\n",
+])
+def test_from_csv_matches_row_by_row_reader_on_edge_texts(text):
+    assert _read_outcome(Dataset.from_csv, text) == _read_outcome(_reference_from_csv, text)
+
+
+@pytest.mark.parametrize("width, accepted", [(20, True), (21, False), (40, False)])
+def test_from_csv_keeps_the_csv_field_size_limit(width, accepted):
+    text = "a,b\n1," + " " * (width - 1) + "2\n3,4\n"
+    old = csv.field_size_limit(20)
+    try:
+        outcome = _read_outcome(Dataset.from_csv, text)
+        assert outcome == _read_outcome(_reference_from_csv, text)
+        assert (outcome[0] == ("a", "b")) == accepted
+    finally:
+        csv.field_size_limit(old)
+
+
+_EDGE_VALUES = [0.0, -0.0, 1.0, -1.0, 0.5, 1e15, -1e15, np.nextafter(1e15, 0.0),
+                -np.nextafter(1e15, 0.0), np.nextafter(1e15, 2e15), 2.0 ** 53,
+                2.0 ** 53 + 2, -(2.0 ** 53), 5e-324, -5e-324, 2.2250738585072014e-308,
+                1e-310, 1e300, -1e300, 1.7976931348623157e308, 1.2345678901234568e17,
+                1e16, 1e-7, 123.25]
+_INTEGRAL = st.one_of(st.integers(-10**6, 10**6).map(float),
+                      st.integers(-10**15 + 1, 10**15 - 1).map(float),
+                      st.sampled_from([0.0, -0.0, 2.0 ** 52, np.nextafter(1e15, 0.0)]))
+_ANY_VALUE = st.one_of(_INTEGRAL, st.sampled_from(_EDGE_VALUES),
+                       st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _datasets(draw, names, min_width=0, min_rows=0):
+    width = draw(st.integers(min_width, 4))
+    columns = tuple(draw(st.lists(st.sampled_from(names), min_size=width,
+                                  max_size=width, unique=True)))
+    n = draw(st.integers(min_rows, 8))
+    cols = [draw(st.lists(draw(st.sampled_from([_INTEGRAL, _ANY_VALUE])),
+                          min_size=n, max_size=n)) for _ in range(width)]
+    return Dataset(columns, np.array(cols, dtype=float).T.reshape(n, width))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_datasets(["a", "b", "c d", "a,b", 'q"x', " s", "", "é"]))
+def test_to_csv_matches_row_by_row_writer(ds):
+    assert ds.to_csv() == _reference_to_csv(ds)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_datasets(["a", "b", "c d", " s", "é", "Kb", "Kr"], min_width=1, min_rows=1))
+def test_reading_written_csv_skips_the_csv_module(ds):
+    text = ds.to_csv()
+    with mock.patch.object(csv, "reader", side_effect=AssertionError("csv.reader called")):
+        again = Dataset.from_csv(text)
+    assert again.columns == ds.columns
+    assert np.array_equal(again.rows, ds.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +652,7 @@ def test_binomdiff_support_equals_two_separate_pmfs(r, pp, pm):
 def _bytes_or_error(pmf):
     try:
         return np.array(pmf()).tobytes()
-    except ArithmeticError as exc:  # scipy overflows at some subnormal p
+    except (ArithmeticError, ScmError) as exc:  # scipy overflows at some subnormal p
         return type(exc)
 
 
@@ -498,4 +660,16 @@ def _bytes_or_error(pmf):
 @given(st.integers(0, 20), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
 def test_binomdiff_support_equals_two_separate_pmfs_at_random(r, pp, pm):
     got = _bytes_or_error(lambda: NoiseSpec.binomdiff(r, pp, pm).support()[1])
-    assert got == _bytes_or_error(lambda: _two_pmfs(r, pp, pm))
+    want = _bytes_or_error(lambda: _two_pmfs(r, pp, pm))
+    # support() reports scipy's overflow as an ScmError
+    assert got == (ScmError if want is OverflowError else want)
+
+
+@pytest.mark.parametrize("r, pp, pm", [
+    (2, 0.0, 1.1125369292536007e-308),
+    (5, 2.2250738585072014e-308, 0.5),
+])
+def test_binomdiff_pmf_overflow_names_the_bias(r, pp, pm):
+    want = f"binomdiff p_plus={pp!r}, p_minus={pm!r} over {r} rounds"
+    with pytest.raises(ScmError, match=re.escape(want)):
+        NoiseSpec.binomdiff(r, pp, pm).support()
