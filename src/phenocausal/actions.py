@@ -109,6 +109,11 @@ def unit_action_from_spec(label: str, spec: Mapping) -> UnitAction:
     ``requires_positive`` listing variables that must be > 0 beforehand)
     and ``scale`` (per-variable factors). Any other kind raises
     ``ClassificationError``.
+
+    The map carries a column form, ``apply.columns(x, nodes)``: for states
+    stacked as the rows of ``x`` (columns in ``nodes`` order) it returns
+    the mask of units the map applies to and the post-states of every
+    unit, with the same float operation per element as ``apply``.
     """
     spec = dict(spec)
     kind = spec.get("kind")
@@ -124,6 +129,15 @@ def unit_action_from_spec(label: str, spec: Mapping) -> UnitAction:
                 out[k] = out[k] + v
             return out
 
+        def add_columns(x: np.ndarray, nodes: Sequence[str]):
+            col = {v: i for i, v in enumerate(nodes)}
+            applicable = ~(x[:, [col[v] for v in requires]] <= 0).any(axis=1)
+            post = x.copy()
+            for k, v in deltas.items():
+                post[:, col[k]] += v
+            return applicable, post
+
+        apply_add.columns = add_columns
         return UnitAction(label, apply_add, {"kind": kind, "deltas": deltas,
                                              "requires_positive": list(requires)})
     if kind == "scale":
@@ -135,6 +149,14 @@ def unit_action_from_spec(label: str, spec: Mapping) -> UnitAction:
                 out[k] = out[k] * v
             return out
 
+        def scale_columns(x: np.ndarray, nodes: Sequence[str]):
+            col = {v: i for i, v in enumerate(nodes)}
+            post = x.copy()
+            for k, v in factors.items():
+                post[:, col[k]] *= v
+            return np.ones(len(x), dtype=bool), post
+
+        apply_scale.columns = scale_columns
         return UnitAction(label, apply_scale, {"kind": kind, "factors": factors})
     raise ClassificationError(f"unknown map-spec kind {kind!r}")
 
@@ -314,25 +336,35 @@ class _Displacements:
 def unit_displacements(scm: GeneralScm, actions: Sequence[UnitAction],
                        trials: int, seed: int) -> _Displacements:
     """Apply every action to ``trials`` sampled baseline states and collect
-    the unique displacement vectors per action (in scm node order). A
-    non-finite displacement is refused: it has no consistent equation."""
+    the unique displacement vectors per action (in scm node order). A map
+    with a column form (``unit_action_from_spec``) runs on all states at
+    once; any other map runs state by state. A non-finite displacement is
+    refused: it has no consistent equation."""
     if trials < 1:
         raise ClassificationError(f"need at least one trial, got {trials}")
     noise = scm.sample_noise(trials, seed)
     states = [scm.evaluate({v: noise[v][r] for v in scm.nodes})
               for r in range(trials)]
+    x = np.array([[s[v] for v in scm.nodes] for s in states], dtype=float)
     labels, rows, inapplicable = [], [], []
     for action in actions:
-        deltas = []
-        refused = False
+        columns = getattr(action.apply, "columns", None)
         with np.errstate(invalid="ignore", over="ignore"):  # refused below
-            for s in states:
-                post = action.apply(s)
-                if post is None:
-                    refused = True
-                    continue
-                deltas.append([post[v] - s[v] for v in scm.nodes])
-        arr = np.asarray(deltas, dtype=float) if deltas else np.empty((0, len(scm.nodes)))
+            if columns is not None:
+                applicable, post = columns(x, scm.nodes)
+                refused = not applicable.all()
+                arr = post[applicable] - x[applicable]
+            else:  # an opaque map runs state by state
+                deltas = []
+                refused = False
+                for s in states:
+                    post = action.apply(s)
+                    if post is None:
+                        refused = True
+                        continue
+                    deltas.append([post[v] - s[v] for v in scm.nodes])
+                arr = (np.asarray(deltas, dtype=float) if deltas
+                       else np.empty((0, len(scm.nodes))))
         if not np.isfinite(arr).all():
             raise ClassificationError(
                 f"action {action.label!r} gives a non-finite displacement")

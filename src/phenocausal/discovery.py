@@ -101,12 +101,11 @@ def _distance_row_sums(x: np.ndarray, order: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _cross_distance_sum(x: np.ndarray, y: np.ndarray, order: np.ndarray | None = None,
-                        y_rank: np.ndarray | None = None) -> float:
+def _cross_distance_sum(x: np.ndarray, y: np.ndarray, order: np.ndarray,
+                        y_rank: np.ndarray) -> float:
     """sum_ij |x_i - x_j| |y_i - y_j| in O(m B + m log^2(m / B)) steps.
 
-    ``order`` sorts x stably and ``y_rank`` is ``_dense_rank`` of y; both
-    are computed here when not given.
+    ``order`` sorts x stably and ``y_rank`` is ``_dense_rank`` of y.
 
     In x-sorted order every pair j < i has |x_i - x_j| = x_i - x_j, so the
     sum is twice sum_i sum_{j<i} (x_i - x_j) s_ij (y_i - y_j), with
@@ -122,10 +121,6 @@ def _cross_distance_sum(x: np.ndarray, y: np.ndarray, order: np.ndarray | None =
     its own.
     """
     m = x.size
-    if order is None:
-        order = np.argsort(x, kind="stable")
-    if y_rank is None:
-        y_rank = _dense_rank(y, np.argsort(y, kind="stable"))
     xs, ys = x[order], y[order]
     rank = y_rank[order]
     nb = -(-m // _BLOCK)

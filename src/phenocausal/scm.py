@@ -22,8 +22,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-import scipy.linalg
-import scipy.stats
 
 from .graphs import Dag, CycleError
 from .tables import _tabulate
@@ -146,6 +144,8 @@ class NoiseSpec:
     def support(self) -> tuple[tuple, tuple[float, ...]]:
         """(atoms, probabilities) for finite families; error otherwise."""
         if self.family == "binomdiff":
+            import scipy.stats  # here, so that importing the package loads no scipy
+
             r, pp, pm = self.params
             try:
                 plus, minus = scipy.stats.binom.pmf(np.arange(r + 1), r, [[pp], [pm]])
@@ -335,18 +335,21 @@ def _read_csv(text: str) -> tuple[tuple[str, ...], np.ndarray]:
     """Row-by-row reading with ``csv.reader``: quoted fields and CR line
     ends, and the ScmError that names a malformed line."""
     reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if not header:
-        raise ScmError("CSV has no header line")
-    cells, lines = [], []
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise ScmError(f"line {reader.line_num}: {len(row)} fields, "
-                           f"header has {len(header)}")
-        cells.append(row)
-        lines.append(reader.line_num)
+    try:
+        header = next(reader, None)
+        if not header:
+            raise ScmError("CSV has no header line")
+        cells, lines = [], []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ScmError(f"line {reader.line_num}: {len(row)} fields, "
+                               f"header has {len(header)}")
+            cells.append(row)
+            lines.append(reader.line_num)
+    except csv.Error as exc:  # a bare CR in a field, a field above the size limit
+        raise ScmError(f"line {reader.line_num}: {exc}") from None
     if not cells:
         raise ScmError("CSV has a header but no data rows")
     try:
@@ -488,6 +491,8 @@ def solve_structure(s: np.ndarray,
     If the support of A is acyclic the implied DAG is returned alongside
     (nodes default to x1..xd). Singularity is detected from the LU pivots.
     """
+    import scipy.linalg  # here, so that importing the package loads no scipy
+
     s = np.asarray(s, dtype=float)
     d = s.shape[0]
     if s.shape != (d, d):

@@ -3,6 +3,8 @@ and bivariate verdicts."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,10 @@ from phenocausal import (
     Dag,
     DirectionVerdict,
     DiscreteJoint,
+    GeneralScm,
+    NoiseSpec,
     StatisticalAction,
+    UnitAction,
     VerdictKind,
     bivariate_direction,
     build_exemplar,
@@ -337,6 +342,150 @@ def test_unit_action_spec_families():
     for kind in ("replace-count", "swap-count", "nope"):
         with pytest.raises(ClassificationError, match="unknown map-spec kind"):
             unit_action_from_spec("bad", {"kind": kind})
+
+
+def _reference_unit_displacements(scm, actions, trials, seed):
+    # the former per-state path, for every map
+    from phenocausal.actions import _Displacements
+
+    if trials < 1:
+        raise ClassificationError(f"need at least one trial, got {trials}")
+    noise = scm.sample_noise(trials, seed)
+    states = [scm.evaluate({v: noise[v][r] for v in scm.nodes})
+              for r in range(trials)]
+    labels, rows, inapplicable = [], [], []
+    for action in actions:
+        deltas = []
+        refused = False
+        with np.errstate(invalid="ignore", over="ignore"):  # refused below
+            for s in states:
+                post = action.apply(s)
+                if post is None:
+                    refused = True
+                    continue
+                deltas.append([post[v] - s[v] for v in scm.nodes])
+        arr = np.asarray(deltas, dtype=float) if deltas else np.empty((0, len(scm.nodes)))
+        if not np.isfinite(arr).all():
+            raise ClassificationError(
+                f"action {action.label!r} gives a non-finite displacement")
+        if arr.size:
+            arr = np.unique(np.round(arr, 12), axis=0)
+        labels.append(action.label)
+        rows.append(arr)
+        inapplicable.append(refused)
+    return _Displacements(tuple(scm.nodes), tuple(labels), tuple(rows),
+                          tuple(inapplicable))
+
+
+def _displacement_outcome(scm, suite, trials, seed, compute=None):
+    from phenocausal.actions import unit_displacements
+
+    try:
+        d = (compute or unit_displacements)(scm, suite, trials, seed)
+    except ClassificationError as exc:
+        return type(exc), str(exc)
+    return (d.columns, d.labels, d.inapplicable,
+            [(r.shape, r.tobytes()) for r in d.rows])
+
+
+_UNIT_EXEMPLARS = ("urn2", "urnN", "bundles", "rabbits1", "rabbits2", "macro1", "macro2")
+
+
+@pytest.mark.parametrize("name", _UNIT_EXEMPLARS)
+def test_unit_displacements_match_per_state_reference(name):
+    ex = build_exemplar(name)
+    for seed in range(4):
+        assert (_displacement_outcome(ex.scm, ex.unit_actions, 200, seed)
+                == _displacement_outcome(ex.scm, ex.unit_actions, 200, seed,
+                                         _reference_unit_displacements))
+
+
+def test_spec_maps_skip_the_per_state_call():
+    ex = urn_bivariate(kb0=3, kr0=3, rounds=2)
+
+    def columns_only(action):
+        def per_state(state):
+            raise AssertionError("per-state call")
+
+        per_state.columns = action.apply.columns
+        return UnitAction(action.label, per_state)
+
+    suite = [columns_only(a) for a in ex.unit_actions]
+    assert (_displacement_outcome(ex.scm, suite, 50, 1)
+            == _displacement_outcome(ex.scm, ex.unit_actions, 50, 1))
+
+
+def _real_scm():
+    # non-integer states of either sign, so ``requires_positive`` refuses some
+    return GeneralScm(
+        nodes=("a", "b", "c"), parents={"b": ("a",), "c": ("a", "b")},
+        mechanisms={"a": lambda pa, n: n, "b": lambda pa, n: 0.5 * pa["a"] + n,
+                    "c": lambda pa, n: pa["a"] - pa["b"] + n},
+        noises={"a": NoiseSpec.gaussian(0.3, 1.0), "b": NoiseSpec.uniform(-1.0, 2.0),
+                "c": NoiseSpec.finite([-1.0, 0.0, 0.5], [0.25, 0.25, 0.5])})
+
+
+def _nan_scm():
+    # a NaN state is not <= 0, so ``requires_positive`` lets the unit through
+    return GeneralScm(
+        nodes=("a", "b"), parents={"b": ("a",)},
+        mechanisms={"a": lambda pa, n: n, "b": lambda pa, n: pa["a"] * 0.0 + n},
+        noises={"a": NoiseSpec.finite([math.nan, 1.0, -1.0], [0.2, 0.4, 0.4]),
+                "b": NoiseSpec.finite([-2.0, 0.0, 3.0], [0.3, 0.3, 0.4])})
+
+
+_DISPLACEMENT_SCMS = [_real_scm(), _nan_scm(), urn_bivariate(kb0=4, kr0=4, rounds=3).scm,
+                      urn_chain(n=3, k0=(4, 5, 4), rounds=3).scm,
+                      build_exemplar("rabbits1").scm, build_exemplar("macro2").scm]
+# deltas equal to minus an urn count drive those units to zero
+_DELTAS = st.one_of(st.sampled_from([-1.0, -2.0, 1.0, 0.5, -0.0, 1e-13, 1e308, math.inf]),
+                    st.floats(-10.0, 10.0))
+_FACTORS = st.one_of(st.sampled_from([0.0, -0.0, -1.0, -2.5, 0.5, 1e308, math.nan]),
+                     st.floats(-100.0, 100.0))
+
+
+def _negate(state):
+    return {k: -v for k, v in state.items()}
+
+
+def _refuse_positive_first(state):
+    first = next(iter(state))
+    return None if state[first] > 0 else dict(state)
+
+
+@st.composite
+def _unit_suites(draw, nodes):
+    suite = []
+    for i in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["add-constant", "scale", "described", "opaque"]))
+        vars_ = st.lists(st.sampled_from(nodes), unique=True, max_size=len(nodes))
+        if kind == "opaque":
+            suite.append(UnitAction(f"o{i}", draw(st.sampled_from(
+                [_negate, _refuse_positive_first, dict]))))
+            continue
+        if kind == "scale":
+            spec = {"kind": "scale", "factors": {v: draw(_FACTORS) for v in draw(vars_)}}
+        else:
+            spec = {"kind": "add-constant",
+                    "deltas": {v: draw(_DELTAS) for v in draw(vars_)},
+                    "requires_positive": draw(vars_)}
+        action = unit_action_from_spec(f"m{i}", spec)
+        if kind == "described":
+            # hand-built: the spec only describes the map, which runs per state
+            action = UnitAction(action.label, lambda s, f=action.apply: f(s), action.spec)
+        suite.append(action)
+    return suite
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data(), st.integers(0, len(_DISPLACEMENT_SCMS) - 1), st.integers(1, 300),
+       st.integers(0, 2**31 - 1))
+def test_column_form_matches_per_state_reference(data, which, trials, seed):
+    scm = _DISPLACEMENT_SCMS[which]
+    suite = data.draw(_unit_suites(scm.nodes))
+    assert (_displacement_outcome(scm, suite, trials, seed)
+            == _displacement_outcome(scm, suite, trials, seed,
+                                     _reference_unit_displacements))
 
 
 def _reference_system_state(m: np.ndarray, b: np.ndarray, tol: float):

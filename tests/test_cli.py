@@ -241,6 +241,24 @@ def test_discover_non_numeric_csv_names_line(tmp_path, capfd):
     assert "line 3:" in capfd.readouterr().err
 
 
+def test_discover_oversized_field_exits_2(tmp_path, capfd):
+    rows = [f"{i},{(7 * i) % 13}" for i in range(300)]
+    rows[150] = "3," + "4" * 200_000
+    assert _discover_rc(tmp_path, "Kb,Kr\n" + "\n".join(rows) + "\n") == 2
+    err = capfd.readouterr().err
+    assert "Traceback" not in err
+    assert [line.startswith("bad input") for line in err.splitlines()] == [True]
+    assert "line 152: field larger than field limit" in err
+
+
+def test_discover_reads_cr_line_ends(tmp_path, capfd):
+    rows = [f"{i},{(7 * i) % 13}" for i in range(300)]
+    (tmp_path / "lf").mkdir()
+    assert _discover_rc(tmp_path, "Kb,Kr\r" + "\r".join(rows) + "\r") == 0
+    assert _discover_rc(tmp_path / "lf", "Kb,Kr\n" + "\n".join(rows) + "\n") == 0
+    assert "Traceback" not in capfd.readouterr().err
+
+
 def test_discover_nan_cell_exits_2_without_lapack_noise(tmp_path, capfd):
     rows = [f"{i},{(7 * i) % 13}" for i in range(300)]
     rows[150] = "3,nan"

@@ -1,9 +1,16 @@
-"""The package namespace is the union of its modules' ``__all__`` lists."""
+"""The package namespace is the union of its modules' ``__all__`` lists, and
+importing it loads numpy but no scipy module."""
 
 from __future__ import annotations
 
 import importlib
+import json
+import os
+import subprocess
+import sys
+import textwrap
 import types
+from pathlib import Path
 
 import phenocausal
 
@@ -63,3 +70,49 @@ def test_package_exports_exactly_the_declared_names():
 def test_no_earlier_export_is_lost():
     assert len(EXPORTED) == 82
     assert set(EXPORTED) <= set(_declared())
+
+
+_START_UP = textwrap.dedent("""
+    import json, os, sys, tempfile
+
+    def scipy_loaded():
+        return ["scipy.linalg" in sys.modules, "scipy.stats" in sys.modules]
+
+    steps = {}
+    import phenocausal, phenocausal.cli
+    steps["import"] = scipy_loaded()
+    import numpy as np
+    rng = np.random.default_rng(1)
+    x = rng.uniform(0, 1, 400)
+    data = phenocausal.Dataset(("x", "y"), np.column_stack([x, x + rng.uniform(0, 1, 400)]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.csv")
+        with open(path, "w") as fh:
+            fh.write(data.to_csv())
+        steps["discover_rc"] = phenocausal.cli.run(
+            ["discover", "--method", "bivariate", "--in", path, "--seed", "1",
+             "--out", os.path.join(tmp, "out.json")])
+    steps["discover"] = scipy_loaded()
+    phenocausal.urn_bivariate()
+    steps["urn_bivariate"] = scipy_loaded()
+    phenocausal.NoiseSpec.binomdiff(3, 0.5, 0.5).support()
+    steps["binomdiff_support"] = scipy_loaded()
+    print(json.dumps(steps))
+""")
+
+
+def test_scipy_modules_load_only_where_they_are_called():
+    # a fresh interpreter: this process has long since loaded both modules
+    src = Path(phenocausal.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", _START_UP], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # [scipy.linalg loaded, scipy.stats loaded] after each step
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        "import": [False, False],
+        "discover_rc": 0,
+        "discover": [False, False],
+        "urn_bivariate": [True, False],
+        "binomdiff_support": [True, True],
+    }

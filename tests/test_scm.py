@@ -170,6 +170,18 @@ def _read_outcome(read, text):
     return ds.columns, ds.rows.shape, ds.rows.tobytes()
 
 
+def _assert_reads_like_reference(text):
+    outcome = _read_outcome(Dataset.from_csv, text)
+    expected = _read_outcome(_reference_from_csv, text)
+    if expected[0] is csv.Error:
+        # the csv module's own error arrives as an ScmError naming the line
+        assert outcome[0] is ScmError
+        assert re.fullmatch(r"line \d+: " + re.escape(expected[1]), outcome[1])
+    else:
+        assert outcome == expected
+    return outcome
+
+
 _ODD_FIELDS = ["1_0", "0x10", "nan", "-inf", "Infinity", "1e400", "1e-400", " 1", "2 ",
                " 3 ", "", "x", "1e5", "1E+2", "+4", "-0", ".5", "5.", "١٢",
                "\x0c6", "7\u2028", "\u00a08", "\x1c9", "\x859", '"1"', '"2,3"', "1\x00"]
@@ -208,7 +220,7 @@ def _csv_texts(draw):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(_csv_texts())
 def test_from_csv_matches_row_by_row_reader(text):
-    assert _read_outcome(Dataset.from_csv, text) == _read_outcome(_reference_from_csv, text)
+    _assert_reads_like_reference(text)
 
 
 @pytest.mark.parametrize("text", [
@@ -219,7 +231,7 @@ def test_from_csv_matches_row_by_row_reader(text):
     "a,,b\n1,2,3\n", "a\u2028b,c\n1\u2028,2\n", "a\x85b,c\n1,2\x85\n",
 ])
 def test_from_csv_matches_row_by_row_reader_on_edge_texts(text):
-    assert _read_outcome(Dataset.from_csv, text) == _read_outcome(_reference_from_csv, text)
+    _assert_reads_like_reference(text)
 
 
 @pytest.mark.parametrize("width, accepted", [(20, True), (21, False), (40, False)])
@@ -227,11 +239,21 @@ def test_from_csv_keeps_the_csv_field_size_limit(width, accepted):
     text = "a,b\n1," + " " * (width - 1) + "2\n3,4\n"
     old = csv.field_size_limit(20)
     try:
-        outcome = _read_outcome(Dataset.from_csv, text)
-        assert outcome == _read_outcome(_reference_from_csv, text)
+        outcome = _assert_reads_like_reference(text)
         assert (outcome[0] == ("a", "b")) == accepted
     finally:
         csv.field_size_limit(old)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a,b\r1,2\r", "line 1: new-line character seen in unquoted field"),
+    ("a,b\n1,2\r3,4\n", "line 2: new-line character seen in unquoted field"),
+    ("a,b\n1,2\n3," + "4" * 200_000 + "\n", "line 3: field larger than field limit"),
+    ("a," + "b" * 200_000 + "\n1,2\n", "line 1: field larger than field limit"),
+])
+def test_csv_module_errors_are_scm_errors(text, message):
+    with pytest.raises(ScmError, match="^" + re.escape(message)):
+        Dataset.from_csv(text)
 
 
 _EDGE_VALUES = [0.0, -0.0, 1.0, -1.0, 0.5, 1e15, -1e15, np.nextafter(1e15, 0.0),
