@@ -89,14 +89,24 @@ class StatisticalAction:
 class UnitAction:
     """A (possibly partial) map from system states to system states.
 
-    ``apply`` returns the transformed state dict, or None when the action
-    is not applicable in the given state. ``spec`` optionally records a
-    serializable description (one of the parametric map families).
+    ``columns(x, nodes)`` applies the map to states stacked as the rows of
+    ``x`` (columns in ``nodes`` order) and returns the mask of the units it
+    applies to and the post-states of every unit. ``spec`` optionally
+    records a serializable description (one of the parametric map
+    families).
     """
 
     label: str
-    apply: Callable[[Mapping[str, float]], dict[str, float] | None]
+    columns: Callable[[np.ndarray, Sequence[str]], tuple[np.ndarray, np.ndarray]]
     spec: dict | None = None
+
+    def apply(self, state: Mapping[str, float]) -> dict[str, float] | None:
+        """The map on one unit: the post-state, or None when the map
+        refuses ``state``. It runs ``columns`` on a one-row array."""
+        nodes = tuple(state)
+        applicable, post = self.columns(
+            np.array([[state[v] for v in nodes]], dtype=float), nodes)
+        return dict(zip(nodes, post[0].tolist())) if applicable[0] else None
 
     def to_json_obj(self) -> dict:
         return {"label": self.label, "map": self.spec or {"kind": "opaque"}}
@@ -108,56 +118,43 @@ def unit_action_from_spec(label: str, spec: Mapping) -> UnitAction:
     Families: ``add-constant`` (per-variable deltas, with
     ``requires_positive`` listing variables that must be > 0 beforehand)
     and ``scale`` (per-variable factors). Any other kind raises
-    ``ClassificationError``.
-
-    The map carries a column form, ``apply.columns(x, nodes)``: for states
-    stacked as the rows of ``x`` (columns in ``nodes`` order) it returns
-    the mask of units the map applies to and the post-states of every
-    unit, with the same float operation per element as ``apply``.
+    ``ClassificationError``, and so does applying the map to a system that
+    lacks a variable the spec names.
     """
     spec = dict(spec)
     kind = spec.get("kind")
+
+    def index(nodes: Sequence[str], names) -> list[int]:
+        col = {v: i for i, v in enumerate(nodes)}
+        for v in names:
+            if v not in col:
+                raise ClassificationError(
+                    f"action {label!r} names variable {v!r}, which the system lacks")
+        return [col[v] for v in names]
+
     if kind == "add-constant":
         deltas = {k: float(v) for k, v in spec.get("deltas", {}).items()}
         requires = tuple(spec.get("requires_positive", ()))
 
-        def apply_add(state: Mapping[str, float]) -> dict[str, float] | None:
-            if any(state[v] <= 0 for v in requires):
-                return None
-            out = dict(state)
-            for k, v in deltas.items():
-                out[k] = out[k] + v
-            return out
-
         def add_columns(x: np.ndarray, nodes: Sequence[str]):
-            col = {v: i for i, v in enumerate(nodes)}
-            applicable = ~(x[:, [col[v] for v in requires]] <= 0).any(axis=1)
+            needs, moved = index(nodes, requires), index(nodes, deltas)
             post = x.copy()
-            for k, v in deltas.items():
-                post[:, col[k]] += v
-            return applicable, post
+            for i, v in zip(moved, deltas.values()):
+                post[:, i] += v
+            return ~(x[:, needs] <= 0).any(axis=1), post
 
-        apply_add.columns = add_columns
-        return UnitAction(label, apply_add, {"kind": kind, "deltas": deltas,
-                                             "requires_positive": list(requires)})
+        return UnitAction(label, add_columns, {"kind": kind, "deltas": deltas,
+                                               "requires_positive": list(requires)})
     if kind == "scale":
         factors = {k: float(v) for k, v in spec.get("factors", {}).items()}
 
-        def apply_scale(state: Mapping[str, float]) -> dict[str, float]:
-            out = dict(state)
-            for k, v in factors.items():
-                out[k] = out[k] * v
-            return out
-
         def scale_columns(x: np.ndarray, nodes: Sequence[str]):
-            col = {v: i for i, v in enumerate(nodes)}
             post = x.copy()
-            for k, v in factors.items():
-                post[:, col[k]] *= v
+            for i, v in zip(index(nodes, factors), factors.values()):
+                post[:, i] *= v
             return np.ones(len(x), dtype=bool), post
 
-        apply_scale.columns = scale_columns
-        return UnitAction(label, apply_scale, {"kind": kind, "factors": factors})
+        return UnitAction(label, scale_columns, {"kind": kind, "factors": factors})
     raise ClassificationError(f"unknown map-spec kind {kind!r}")
 
 
@@ -335,44 +332,29 @@ class _Displacements:
 
 def unit_displacements(scm: GeneralScm, actions: Sequence[UnitAction],
                        trials: int, seed: int) -> _Displacements:
-    """Apply every action to ``trials`` sampled baseline states and collect
-    the unique displacement vectors per action (in scm node order). A map
-    with a column form (``unit_action_from_spec``) runs on all states at
-    once; any other map runs state by state. A non-finite displacement is
-    refused: it has no consistent equation."""
+    """Apply every action to ``trials`` sampled baseline states at once and
+    collect the unique displacement vectors per action (in scm node order,
+    rounded to 12 decimals). A displacement that is not finite, or too
+    large to round, is refused: it has no consistent equation."""
     if trials < 1:
         raise ClassificationError(f"need at least one trial, got {trials}")
     noise = scm.sample_noise(trials, seed)
-    states = [scm.evaluate({v: noise[v][r] for v in scm.nodes})
-              for r in range(trials)]
-    x = np.array([[s[v] for v in scm.nodes] for s in states], dtype=float)
+    x = np.array([[s[v] for v in scm.nodes] for s in
+                  (scm.evaluate({v: noise[v][r] for v in scm.nodes})
+                   for r in range(trials))], dtype=float)
     labels, rows, inapplicable = [], [], []
     for action in actions:
-        columns = getattr(action.apply, "columns", None)
         with np.errstate(invalid="ignore", over="ignore"):  # refused below
-            if columns is not None:
-                applicable, post = columns(x, scm.nodes)
-                refused = not applicable.all()
-                arr = post[applicable] - x[applicable]
-            else:  # an opaque map runs state by state
-                deltas = []
-                refused = False
-                for s in states:
-                    post = action.apply(s)
-                    if post is None:
-                        refused = True
-                        continue
-                    deltas.append([post[v] - s[v] for v in scm.nodes])
-                arr = (np.asarray(deltas, dtype=float) if deltas
-                       else np.empty((0, len(scm.nodes))))
+            applicable, post = action.columns(x, scm.nodes)
+            arr = np.round(post[applicable] - x[applicable], 12)
         if not np.isfinite(arr).all():
             raise ClassificationError(
                 f"action {action.label!r} gives a non-finite displacement")
         if arr.size:
-            arr = np.unique(np.round(arr, 12), axis=0)
+            arr = np.unique(arr, axis=0)
         labels.append(action.label)
         rows.append(arr)
-        inapplicable.append(refused)
+        inapplicable.append(not applicable.all())
     return _Displacements(tuple(scm.nodes), tuple(labels), tuple(rows),
                           tuple(inapplicable))
 

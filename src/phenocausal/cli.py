@@ -11,9 +11,10 @@ same arguments.
 Exit codes: 0 success, 1 verification or classification failure, 2 usage
 error or bad input (a missing or malformed CSV or graph file, an output
 path that cannot be written, invalid exemplar parameters, a negative seed,
-a negative, NaN or infinite eps, a non-finite displacement, a non-finite
-exemplar parameter, duplicate CSV column names, a size cap exceeded, an
-artifact value that is not finite and so has no strict-JSON form).
+a negative, NaN or infinite eps, a non-finite displacement or one too
+large to round to 12 decimals, a non-finite exemplar parameter, duplicate
+CSV column names, a size cap exceeded, an artifact value that is not
+finite and so has no strict-JSON form).
 """
 
 from __future__ import annotations

@@ -486,6 +486,11 @@ def bundles_chain(n: int = 4, rounds: int = 5,
 # ---------------------------------------------------------------------------
 
 
+def _unchanged(x: np.ndarray, nodes: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The identity unit map: every unit applies and stays where it is."""
+    return np.ones(len(x), dtype=bool), x.copy()
+
+
 def rabbits(n_rabbits: int = 5, food_supply: float | None = None,
             demand_per_rabbit: float = 2.0, scenario: int = 1,
             appetite_factor: float = 1.25) -> Exemplar:
@@ -527,11 +532,15 @@ def rabbits(n_rabbits: int = 5, food_supply: float | None = None,
             noises={"Y": demand_noise, "X": NoiseSpec.degenerate(0.0)},
         )
         # In the plenty regime X = n * d, so d is recoverable from the state.
+        def add_rabbit(x: np.ndarray, nodes: Sequence[str]):
+            post = x.copy()
+            post[:, nodes.index("X")] += x[:, nodes.index("Y")]
+            return np.ones(len(x), dtype=bool), post
+
         actions = (
-            UnitAction("add-rabbit",
-                       lambda s: {"X": s["X"] + s["Y"], "Y": s["Y"]},
+            UnitAction("add-rabbit", add_rabbit,
                        {"kind": "opaque", "family": "rabbit-count"}),
-            UnitAction("more-food", lambda s: dict(s),
+            UnitAction("more-food", _unchanged,
                        {"kind": "opaque", "family": "food-supply"}),
             unit_action_from_spec(
                 "appetizer", {"kind": "scale",
@@ -548,14 +557,19 @@ def rabbits(n_rabbits: int = 5, food_supply: float | None = None,
             noises={"X": NoiseSpec.degenerate(f), "Y": NoiseSpec.degenerate(0.0)},
         )
         food_factor = 0.8
+
+        def add_rabbit(x: np.ndarray, nodes: Sequence[str]):
+            post = x.copy()
+            post[:, nodes.index("Y")] = x[:, nodes.index("X")] / (n + 1)
+            return np.ones(len(x), dtype=bool), post
+
         actions = (
-            UnitAction("add-rabbit",
-                       lambda s: {"X": s["X"], "Y": s["X"] / (n + 1)},
+            UnitAction("add-rabbit", add_rabbit,
                        {"kind": "opaque", "family": "rabbit-count"}),
             unit_action_from_spec(
                 "more-food", {"kind": "scale",
                               "factors": {"X": food_factor, "Y": food_factor}}),
-            UnitAction("appetizer", lambda s: dict(s),
+            UnitAction("appetizer", _unchanged,
                        {"kind": "opaque", "family": "appetizer"}),
         )
 

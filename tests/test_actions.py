@@ -175,10 +175,8 @@ def test_inapplicable_action_reported():
         "drain", {"kind": "add-constant", "deltas": {"Kr": -1000},
                   "requires_positive": []})
 
-    def refuse(state):
-        return None
-
-    from phenocausal import UnitAction
+    def refuse(x, nodes):
+        return np.zeros(len(x), dtype=bool), x.copy()
 
     refuser = UnitAction("refuser", refuse)
     report = classify_unit(ex.ground_truth, ex.scm,
@@ -329,6 +327,30 @@ def test_non_finite_displacement_refused():
         classify_unit(ex.ground_truth, ex.scm, ex.unit_actions, trials=5, seed=1)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_displacement_too_large_to_round_refused():
+    from phenocausal.actions import unit_displacements
+
+    # np.round(d, 12) scales by 1e12 first: a finite 1e300 rounds to inf
+    scm = urn_bivariate(kb0=4, kr0=4, rounds=3).scm
+    big = unit_action_from_spec("big", {"kind": "add-constant", "deltas": {"Kb": 1e300}})
+    with pytest.raises(ClassificationError, match="'big' gives a non-finite displacement"):
+        unit_displacements(scm, [big], 5, 1)
+    fine = unit_action_from_spec("fine", {"kind": "add-constant", "deltas": {"Kb": 1e290}})
+    assert unit_displacements(scm, [fine], 5, 1).rows[0].tolist() == [[1e290, 0.0]]
+
+
+def test_spec_naming_a_missing_variable_refused():
+    ex = _urn2()
+    for spec in ({"kind": "add-constant", "deltas": {"Z": 1}},
+                 {"kind": "add-constant", "deltas": {"Kb": 1}, "requires_positive": ["Z"]},
+                 {"kind": "scale", "factors": {"Kb": 2, "Z": 2}}):
+        action = unit_action_from_spec("a", spec)
+        with pytest.raises(ClassificationError,
+                           match="action 'a' names variable 'Z', which the system lacks"):
+            classify_unit(ex.ground_truth, ex.scm, [action], trials=5, seed=1)
+
+
 def test_unit_action_spec_families():
     add = unit_action_from_spec("a", {"kind": "add-constant", "deltas": {"x": 2}})
     assert add.apply({"x": 1.0, "y": 0.0}) == {"x": 3.0, "y": 0.0}
@@ -344,22 +366,67 @@ def test_unit_action_spec_families():
             unit_action_from_spec("bad", {"kind": kind})
 
 
-def _reference_unit_displacements(scm, actions, trials, seed):
-    # the former per-state path, for every map
+def _spec_reference_map(spec):
+    # the former per-state maps of ``unit_action_from_spec``, or None
+    kind = (spec or {}).get("kind")
+    if kind == "add-constant":
+        deltas = {k: float(v) for k, v in spec.get("deltas", {}).items()}
+        requires = tuple(spec.get("requires_positive", ()))
+
+        def apply_add(state):
+            if any(state[v] <= 0 for v in requires):
+                return None
+            out = dict(state)
+            for k, v in deltas.items():
+                out[k] = out[k] + v
+            return out
+
+        return apply_add
+    if kind == "scale":
+        factors = {k: float(v) for k, v in spec.get("factors", {}).items()}
+
+        def apply_scale(state):
+            out = dict(state)
+            for k, v in factors.items():
+                out[k] = out[k] * v
+            return out
+
+        return apply_scale
+    return None
+
+
+def _former_rabbit_maps(ex):
+    # the rabbits' former per-state opaque maps
+    if ex.name == "rabbits1":
+        return {"add-rabbit": lambda s: {"X": s["X"] + s["Y"], "Y": s["Y"]},
+                "more-food": dict}
+    if ex.name == "rabbits2":
+        n = ex.notes["n_rabbits"]
+        return {"add-rabbit": lambda s: {"X": s["X"], "Y": s["X"] / (n + 1)},
+                "appetizer": dict}
+    return {}
+
+
+def _reference_unit_displacements(scm, actions, trials, seed, maps=None):
+    # the former per-state path: a spec-built action runs its former
+    # per-state map, any other ``maps[label]`` or else its one-unit view
     from phenocausal.actions import _Displacements
 
     if trials < 1:
         raise ClassificationError(f"need at least one trial, got {trials}")
+    maps = maps or {}
     noise = scm.sample_noise(trials, seed)
     states = [scm.evaluate({v: noise[v][r] for v in scm.nodes})
               for r in range(trials)]
     labels, rows, inapplicable = [], [], []
     for action in actions:
+        apply = (maps.get(action.label) or _spec_reference_map(action.spec)
+                 or action.apply)
         deltas = []
         refused = False
         with np.errstate(invalid="ignore", over="ignore"):  # refused below
             for s in states:
-                post = action.apply(s)
+                post = apply(s)
                 if post is None:
                     refused = True
                     continue
@@ -369,7 +436,12 @@ def _reference_unit_displacements(scm, actions, trials, seed):
             raise ClassificationError(
                 f"action {action.label!r} gives a non-finite displacement")
         if arr.size:
-            arr = np.unique(np.round(arr, 12), axis=0)
+            with np.errstate(over="ignore"):  # too large to round: refused below
+                arr = np.round(arr, 12)
+            if not np.isfinite(arr).all():
+                raise ClassificationError(
+                    f"action {action.label!r} gives a non-finite displacement")
+            arr = np.unique(arr, axis=0)
         labels.append(action.label)
         rows.append(arr)
         inapplicable.append(refused)
@@ -377,11 +449,11 @@ def _reference_unit_displacements(scm, actions, trials, seed):
                           tuple(inapplicable))
 
 
-def _displacement_outcome(scm, suite, trials, seed, compute=None):
+def _displacement_outcome(scm, suite, trials, seed, compute=None, **kwargs):
     from phenocausal.actions import unit_displacements
 
     try:
-        d = (compute or unit_displacements)(scm, suite, trials, seed)
+        d = (compute or unit_displacements)(scm, suite, trials, seed, **kwargs)
     except ClassificationError as exc:
         return type(exc), str(exc)
     return (d.columns, d.labels, d.inapplicable,
@@ -391,28 +463,40 @@ def _displacement_outcome(scm, suite, trials, seed, compute=None):
 _UNIT_EXEMPLARS = ("urn2", "urnN", "bundles", "rabbits1", "rabbits2", "macro1", "macro2")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name", _UNIT_EXEMPLARS)
 def test_unit_displacements_match_per_state_reference(name):
     ex = build_exemplar(name)
     for seed in range(4):
         assert (_displacement_outcome(ex.scm, ex.unit_actions, 200, seed)
                 == _displacement_outcome(ex.scm, ex.unit_actions, 200, seed,
-                                         _reference_unit_displacements))
+                                         _reference_unit_displacements,
+                                         maps=_former_rabbit_maps(ex)))
 
 
-def test_spec_maps_skip_the_per_state_call():
-    ex = urn_bivariate(kb0=3, kr0=3, rounds=2)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", ["rabbits1", "rabbits2", "urn2"])
+def test_unit_displacements_call_each_map_once(name):
+    from phenocausal.actions import unit_displacements
 
-    def columns_only(action):
-        def per_state(state):
-            raise AssertionError("per-state call")
+    ex = build_exemplar(name)
+    calls = []
 
-        per_state.columns = action.apply.columns
-        return UnitAction(action.label, per_state)
+    def counted(action):
+        def columns(x, nodes):
+            calls.append(action.label)
+            return action.columns(x, nodes)
 
-    suite = [columns_only(a) for a in ex.unit_actions]
-    assert (_displacement_outcome(ex.scm, suite, 50, 1)
-            == _displacement_outcome(ex.scm, ex.unit_actions, 50, 1))
+        return UnitAction(action.label, columns, action.spec)
+
+    suite = [counted(a) for a in ex.unit_actions]
+    labels = [a.label for a in ex.unit_actions]
+    for trials in (1, 60, 200):
+        calls.clear()
+        unit_displacements(ex.scm, suite, trials, 1)
+        assert calls == labels
+        assert (_displacement_outcome(ex.scm, suite, trials, 1)
+                == _displacement_outcome(ex.scm, ex.unit_actions, trials, 1))
 
 
 def _real_scm():
@@ -444,24 +528,27 @@ _FACTORS = st.one_of(st.sampled_from([0.0, -0.0, -1.0, -2.5, 0.5, 1e308, math.na
                      st.floats(-100.0, 100.0))
 
 
-def _negate(state):
-    return {k: -v for k, v in state.items()}
+def _negate(x, nodes):
+    return np.ones(len(x), dtype=bool), -x
 
 
-def _refuse_positive_first(state):
-    first = next(iter(state))
-    return None if state[first] > 0 else dict(state)
+def _refuse_positive_first(x, nodes):
+    return ~(x[:, 0] > 0), x.copy()
+
+
+def _unchanged(x, nodes):
+    return np.ones(len(x), dtype=bool), x.copy()
 
 
 @st.composite
 def _unit_suites(draw, nodes):
     suite = []
     for i in range(draw(st.integers(0, 4))):
-        kind = draw(st.sampled_from(["add-constant", "scale", "described", "opaque"]))
+        kind = draw(st.sampled_from(["add-constant", "scale", "opaque"]))
         vars_ = st.lists(st.sampled_from(nodes), unique=True, max_size=len(nodes))
         if kind == "opaque":
             suite.append(UnitAction(f"o{i}", draw(st.sampled_from(
-                [_negate, _refuse_positive_first, dict]))))
+                [_negate, _refuse_positive_first, _unchanged]))))
             continue
         if kind == "scale":
             spec = {"kind": "scale", "factors": {v: draw(_FACTORS) for v in draw(vars_)}}
@@ -469,14 +556,11 @@ def _unit_suites(draw, nodes):
             spec = {"kind": "add-constant",
                     "deltas": {v: draw(_DELTAS) for v in draw(vars_)},
                     "requires_positive": draw(vars_)}
-        action = unit_action_from_spec(f"m{i}", spec)
-        if kind == "described":
-            # hand-built: the spec only describes the map, which runs per state
-            action = UnitAction(action.label, lambda s, f=action.apply: f(s), action.spec)
-        suite.append(action)
+        suite.append(unit_action_from_spec(f"m{i}", spec))
     return suite
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.data(), st.integers(0, len(_DISPLACEMENT_SCMS) - 1), st.integers(1, 300),
        st.integers(0, 2**31 - 1))

@@ -412,6 +412,19 @@ def test_classify_non_finite_displacement_exits_2(tmp_path, capfd):
     assert not out.exists()
 
 
+def test_classify_displacement_too_large_to_round_exits_2(tmp_path, capfd):
+    # finite, but rounding to 12 decimals scales it past the float range
+    out = tmp_path / "cls.json"
+    for extra in ([], ["--enumerate"]):
+        rc = run(["classify", "macro1", "--param", "shift=1e300", "--seed", "1",
+                  "--trials", "5", "--out", str(out)] + extra)
+        captured = capfd.readouterr()
+        assert rc == 2
+        assert captured.err == "action 'shift-X1' gives a non-finite displacement\n"
+        assert "DLASCL" not in captured.out
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [["classify", "balltrack"], ["classify", "urn2"]])
 @pytest.mark.parametrize("eps", ["nan", "-1", "inf"])
 def test_classify_bad_eps_exits_2(argv, eps, tmp_path, capfd):
