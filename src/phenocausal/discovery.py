@@ -182,12 +182,18 @@ def _check_max_points(max_points: int) -> None:
         raise DiscoveryError(f"max_points must be at least 20, got {max_points}")
 
 
+def _binary_exponent(u: np.ndarray) -> int:
+    """The power of two whose inverse brings u's largest magnitude into
+    [0.5, 1)."""
+    return int(np.frexp(np.abs(u).max())[1])
+
+
 def _binary_normalized(u: np.ndarray) -> np.ndarray:
     """u times the power of two that brings its largest magnitude into
     [0.5, 1). The scaling is exact, so standardizing the result gives the
     same values as standardizing u, without overflow or underflow in the
     moments of very large or very small columns."""
-    return np.ldexp(u, -np.frexp(np.abs(u).max())[1])
+    return np.ldexp(u, -_binary_exponent(u))
 
 
 def independence_statistic(u: np.ndarray, v: np.ndarray,
@@ -346,11 +352,19 @@ def lingam_bivariate(data: Dataset, x: str | None = None, y: str | None = None,
     v = data.column(y)
     if u.size < 100:
         raise DiscoveryError("need at least 100 samples")
+    # fit on the columns scaled by powers of two: exact, so the statistics
+    # and p-values are those of u and v, with moments that neither overflow
+    # nor underflow; the slopes are scaled back exactly
+    eu, ev = _binary_exponent(u), _binary_exponent(v)
+    u, v = np.ldexp(u, -eu), np.ldexp(v, -ev)
     if u.std() == 0.0 or v.std() == 0.0:
         return BivariateResult("degenerate", x, y, 0.0, 0.0,
                                {"reason": "constant column"})
     slope_xy, resid_xy = _ols1(v, u)   # y on x
     slope_yx, resid_yx = _ols1(u, v)   # x on y
+    with np.errstate(over="ignore"):   # a slope beyond the float range is inf
+        slope_xy = float(np.ldexp(slope_xy, ev - eu))
+        slope_yx = float(np.ldexp(slope_yx, eu - ev))
     tiny = 1e-12
     if resid_xy.std() <= tiny * v.std() or resid_yx.std() <= tiny * u.std():
         return BivariateResult(

@@ -9,7 +9,9 @@ The urn-family exemplars also carry the bounded ball-moving process as
 move. Everything else about them is derived from it: the simulator, the
 unit actions, the exact joint, and -- given the node each action class
 moves (``notes["class_nodes"]``) -- the linear idealization, its general
-SCM and the ground-truth graph. The process agrees with the linear
+SCM and the ground-truth graph. Each derived value is computed on its
+first read and kept (``_Lazy``), so a caller that only samples runs neither
+the lattice DP nor the linear solve. The process agrees with the linear
 idealization exactly on every run that never empties a ball type.
 
 The two macro exemplars are derived from one micro linear model and the
@@ -28,7 +30,6 @@ type, + before -); outside boundary states the order is immaterial.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -61,9 +62,28 @@ __all__ = [
 ]
 
 
+class _Lazy:
+    """A value computed on its first read and then kept; call it to read
+    the value. An :class:`Exemplar` field holding a ``_Lazy`` reads as its
+    value."""
+
+    __slots__ = ("_compute", "_value")
+
+    def __init__(self, compute: Callable[[], object]):
+        self._compute = compute
+
+    def __call__(self):
+        if self._compute is not None:
+            self._value = self._compute()
+            self._compute = None
+        return self._value
+
+
 @dataclass(frozen=True)
 class Exemplar:
-    """A system, its elementary actions, and the declared causal graph."""
+    """A system, its elementary actions, and the declared causal graph.
+
+    Any field may hold a ``_Lazy``; reading the field reads its value."""
 
     name: str
     ground_truth: Dag
@@ -75,6 +95,10 @@ class Exemplar:
     sampler: Callable[[int, int], Dataset] | None = None
     process: _UrnProcess | None = None
     notes: dict = field(default_factory=dict)
+
+    def __getattribute__(self, name: str):
+        value = object.__getattribute__(self, name)
+        return value() if type(value) is _Lazy else value
 
     def sample(self, n: int, seed: int) -> Dataset:
         if self.sampler is None:
@@ -190,12 +214,10 @@ class _UrnProcess:
             replace(mv, prob=prob) if mv.label == label else mv
             for mv in self.moves))
 
-    def exact_joint(self) -> tuple[DiscreteJoint, dict]:
-        """Exact distribution after ``rounds``, by dynamic programming over
-        the lattice of reachable counts, refusals at empty types included.
-
-        Returns the joint over level indices and the levels of each type.
-        """
+    def grid(self) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+        """The move steps, the lowest reachable count of each type and the
+        shape of the lattice of reachable counts; a lattice above the table
+        cap is refused."""
         steps = self._steps()
         k0 = np.asarray(self.k0)
         lo = np.maximum(0, k0 - self.rounds * np.maximum(0, -steps).sum(axis=0))
@@ -203,7 +225,17 @@ class _UrnProcess:
         shape = tuple(int(s) for s in hi - lo + 1)
         if math.prod(shape) > MAX_TABLE_ENTRIES:
             raise TableError(f"level grid {shape} exceeds cap {MAX_TABLE_ENTRIES}")
-        levels = [np.arange(a, b + 1) for a, b in zip(lo, hi)]
+        return steps, lo, shape
+
+    def exact_joint(self) -> tuple[DiscreteJoint, dict]:
+        """Exact distribution after ``rounds``, by dynamic programming over
+        the lattice of reachable counts, refusals at empty types included.
+
+        Returns the joint over level indices and the levels of each type.
+        """
+        steps, lo, shape = self.grid()
+        k0 = np.asarray(self.k0)
+        levels = [np.arange(a, a + n) for a, n in zip(lo, shape)]
         counts = dict(zip(self.nodes, np.meshgrid(*levels, indexing="ij", sparse=True)))
         # per move: its coin, where it may fire, and the slices that shift the
         # grid by its step; no run leaves the grid, so no mass is dropped
@@ -249,6 +281,22 @@ class _UrnProcess:
         a = solve_structure(s).a
         return LinearScm(self.nodes, a, (np.eye(len(self.nodes)) - a) @ self.k0,
                          tuple(noises))
+
+
+def _urn_exemplar(name: str, process: _UrnProcess, model: _Lazy,
+                  notes: Callable[[], dict], **fields) -> Exemplar:
+    """An urn exemplar that samples ``process`` and derives its ground
+    truth, general SCM, unit actions and ``notes`` on first read, the first
+    two from the linear idealization ``model``."""
+    return Exemplar(
+        name=name,
+        ground_truth=_Lazy(lambda: model().graph()),
+        scm=_Lazy(lambda: model().general()),
+        unit_actions=_Lazy(process.unit_actions),
+        sampler=process.sample,
+        process=process,
+        notes=_Lazy(notes),
+        **fields)
 
 
 def _urn2_process(kb0: int, kr0: int, rounds: int,
@@ -297,41 +345,33 @@ def urn_bivariate(kb0: int = 50, kr0: int = 50, rounds: int = 5,
         raise ScmError("bias_shift must be finite")
     p1p, p1m, p2p, p2m = (float(b) for b in coin_biases)
     process = _urn2_process(kb0, kr0, rounds, (p1p, p1m, p2p, p2m))
+    process.grid()  # refuse an oversized lattice now, not at the first read
     class_nodes = {"A1": "Kb", "A2": "Kr"}
-    linear = process.linear(class_nodes)
-
-    baseline, levels = process.exact_joint()
+    linear = _Lazy(lambda: process.linear(class_nodes))
+    exact = _Lazy(process.exact_joint)
 
     def shifted(label: str, b: float) -> Callable[[DiscreteJoint], DiscreteJoint]:
-        # the exact joint of the rebiased process, computed on first use
-        joint = functools.cache(process.with_prob(
+        # the exact joint of the rebiased process
+        joint = _Lazy(process.with_prob(
             label, min(0.95, max(0.05, b + bias_shift))).exact_joint)
         return lambda _baseline: joint()[0]
 
-    stat_actions = (
-        StatisticalAction("A1-bias-shift", shifted("A1+", p1p)),
-        StatisticalAction("A2-bias-shift", shifted("A2+", p2p)),
-    )
-
-    return Exemplar(
-        name="urn2",
-        ground_truth=linear.graph(),
-        scm=linear.general(),
-        unit_actions=process.unit_actions(),
-        baseline=baseline,
-        statistical_actions=stat_actions,
-        linear=linear,
-        sampler=process.sample,
-        process=process,
-        notes={
+    return _urn_exemplar(
+        "urn2", process, linear,
+        lambda: {
             "kb0": kb0, "kr0": kr0, "rounds": rounds,
             "coin_biases": [p1p, p1m, p2p, p2m],
             "bias_shift": bias_shift,
-            "levels": levels,
+            "levels": exact()[1],
             "class_nodes": class_nodes,
             "seed": seed,
         },
-    )
+        baseline=_Lazy(lambda: exact()[0]),
+        statistical_actions=(
+            StatisticalAction("A1-bias-shift", shifted("A1+", p1p)),
+            StatisticalAction("A2-bias-shift", shifted("A2+", p2p)),
+        ),
+        linear=linear)
 
 
 # ---------------------------------------------------------------------------
@@ -394,25 +434,19 @@ def urn_chain(n: int = 4, k0: Sequence[int] | None = None, rounds: int = 5,
     moves.append(_Move("A1-", {end: -1}, (end,), biases[1]))
     # nodes run Kn..K1, k0 lists K1..Kn
     process = _UrnProcess(_chain_nodes(n), k0[::-1], tuple(moves), rounds)
-    linear = process.linear(class_nodes)
+    linear = _Lazy(lambda: process.linear(class_nodes))
 
-    return Exemplar(
-        name="urnN",
-        ground_truth=linear.graph(),
-        scm=linear.general(),
-        unit_actions=process.unit_actions(),
-        # the pinned high-endpoint sidecar carries no linear block
-        linear=linear if endpoint == "low" else None,
-        sampler=process.sample,
-        process=process,
-        notes={
+    return _urn_exemplar(
+        "urnN", process, linear,
+        lambda: {
             "n": n, "k0": list(process.k0[::-1]), "rounds": rounds,
             "coin_biases": list(biases), "endpoint": endpoint,
-            "mixing": linear.mixing().tolist(),
+            "mixing": linear().mixing().tolist(),
             "class_nodes": class_nodes,
             "seed": seed,
         },
-    )
+        # the pinned high-endpoint sidecar carries no linear block
+        linear=linear if endpoint == "low" else None)
 
 
 # ---------------------------------------------------------------------------
@@ -460,25 +494,19 @@ def bundles_chain(n: int = 4, rounds: int = 5,
     process = _UrnProcess(_chain_nodes(n), tuple(r0 * k for k in range(1, n + 1)),
                           tuple(moves), rounds)
     class_nodes = {f"A{j}": f"K{j}" for j in range(1, n + 1)}
-    linear = process.linear(class_nodes)
+    linear = _Lazy(lambda: process.linear(class_nodes))
 
-    return Exemplar(
-        name="bundles",
-        ground_truth=linear.graph(),
-        scm=linear.general(),
-        unit_actions=process.unit_actions(),
-        linear=linear,
-        sampler=process.sample,
-        process=process,
-        notes={
+    return _urn_exemplar(
+        "bundles", process, linear,
+        lambda: {
             "n": n, "rounds": rounds, "coin_biases": list(biases),
             "initial_packages": process.k0[0],
             "k0": list(process.k0),
-            "mixing": linear.mixing().tolist(),
+            "mixing": linear().mixing().tolist(),
             "class_nodes": class_nodes,
             "seed": seed,
         },
-    )
+        linear=linear)
 
 
 # ---------------------------------------------------------------------------

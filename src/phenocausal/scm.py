@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
@@ -489,20 +488,32 @@ def solve_structure(s: np.ndarray,
     """Derive A = I - S^{-1} from an invertible mixing matrix S.
 
     If the support of A is acyclic the implied DAG is returned alongside
-    (nodes default to x1..xd). Singularity is detected from the LU pivots.
+    (nodes default to x1..xd). Singularity is detected from the pivots of
+    one partial-pivot LU factorization, whose two triangular solves give
+    S^{-1}.
     """
-    import scipy.linalg  # here, so that importing the package loads no scipy
-
     s = np.asarray(s, dtype=float)
-    d = s.shape[0]
-    if s.shape != (d, d):
-        raise ScmError("S must be square")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(s)
-    if np.abs(np.diag(lu)).min() < 1e-10:
-        raise SingularStructureError("mixing matrix is singular (pivot < 1e-10)")
-    a = np.eye(d) - scipy.linalg.lu_solve((lu, piv), np.eye(d))
+    if s.ndim != 2 or s.shape[0] != s.shape[1] or s.size == 0:
+        raise ScmError("S must be a nonempty square matrix")
+    d = len(s)
+    if not np.isfinite(s).all():
+        raise ScmError("S must be finite")
+    lu = s.copy()
+    inv = np.eye(d)
+    for k in range(d):
+        p = k + int(np.abs(lu[k:, k]).argmax())
+        lu[[k, p]] = lu[[p, k]]
+        inv[[k, p]] = inv[[p, k]]
+        if abs(lu[k, k]) < 1e-10:
+            raise SingularStructureError("mixing matrix is singular (pivot < 1e-10)")
+        lu[k + 1:, k] /= lu[k, k]
+        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
+    for k in range(d):                # L y = P I, L unit lower triangular
+        inv[k + 1:] -= np.outer(lu[k + 1:, k], inv[k])
+    for k in range(d - 1, -1, -1):    # U x = y
+        inv[k] /= lu[k, k]
+        inv[:k] -= np.outer(lu[:k, k], inv[k])
+    a = np.eye(d) - inv
     a[np.abs(a) < _EDGE_TOL] = 0.0
     names = tuple(nodes) if nodes is not None else tuple(f"x{i+1}" for i in range(d))
     try:

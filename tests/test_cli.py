@@ -4,6 +4,7 @@ reruns, and schema validity of every emitted JSON."""
 from __future__ import annotations
 
 import json
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import jsonschema
 import pytest
 
 from phenocausal.cli import run
+from phenocausal.scm import Dataset
 
 
 def _schema_store():
@@ -169,6 +171,20 @@ def test_discover_bivariate_recovers_urn_direction(urn_csv, tmp_path):
     _validate(obj, "discovery")
     assert obj["result"]["edge"] == "Kb->Kr"
     assert -1.05 <= obj["result"]["slope"] <= -0.95
+
+
+def test_discover_bivariate_at_huge_scale(urn_csv, tmp_path):
+    # moments of the raw columns would overflow; no warning may escape
+    ds = Dataset.from_csv(urn_csv.read_text())
+    scaled = tmp_path / "scaled.csv"
+    scaled.write_text(Dataset(ds.columns, ds.rows * 1e154).to_csv())
+    out = tmp_path / "disc.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run(["discover", "--method", "bivariate", "--in", str(scaled),
+                  "--seed", "1", "--out", str(out)])
+    assert rc == 0
+    assert _read(out)["result"]["edge"] == "Kb->Kr"
 
 
 def test_discover_byte_identical(urn_csv, tmp_path):

@@ -5,9 +5,11 @@ in the acceptance suite; these tests pin behaviour on single seeds."""
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phenocausal import (
     Dag,
@@ -246,6 +248,42 @@ def test_direction_verdict_affine_invariant():
                                       -0.5 * ds.rows[:, 1] + 7.0]), 55)
     res2 = lingam_bivariate(scaled)
     assert res.direction == res2.direction == "x->y"
+
+
+@pytest.fixture(scope="module")
+def urn_pair():
+    return urn_bivariate(kb0=1000, kr0=1000, rounds=2).sample(10_000, 3)
+
+
+@pytest.mark.parametrize("scale", [1e154, 1e-160, 1e-200])
+def test_bivariate_at_extreme_scales(urn_pair, scale):
+    # the raw moments overflow at 1e154 and underflow at 1e-160 and 1e-200
+    ref = lingam_bivariate(urn_pair, max_points=1500)
+    scaled = Dataset(urn_pair.columns, urn_pair.rows * scale, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = lingam_bivariate(scaled, max_points=1500)
+    assert got.direction == ref.direction == "x->y"
+    assert got.slope == pytest.approx(ref.slope, rel=1e-12)
+    assert got.confidence == pytest.approx(ref.confidence, rel=1e-9)
+    assert got.diagnostics == pytest.approx(ref.diagnostics, rel=1e-9)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**16), st.integers(-500, 500), st.integers(-500, 500))
+def test_bivariate_exact_under_power_of_two_scaling(seed, a, b):
+    # x in [1, 2), y in [3, 6) and a slope near 0.5: every scaled value and
+    # the scaled slope stay normal floats
+    rng = np.random.default_rng(seed)
+    x = 1.0 + rng.uniform(size=400) ** 2
+    y = 3.0 + 0.5 * x + rng.uniform(size=400)
+    ref = lingam_bivariate(Dataset(("x", "y"), np.column_stack([x, y])))
+    got = lingam_bivariate(Dataset(("x", "y"),
+                                   np.column_stack([np.ldexp(x, a), np.ldexp(y, b)])))
+    assert (got.direction, got.confidence, got.diagnostics) == \
+        (ref.direction, ref.confidence, ref.diagnostics)
+    slope_scale = b - a if got.direction != "y->x" else a - b
+    assert got.slope == math.ldexp(ref.slope, slope_scale)
 
 
 def test_multivariate_flags_gaussian_data():

@@ -3,7 +3,10 @@ regime reversals, and the registry contract."""
 
 from __future__ import annotations
 
+import collections
+import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -15,6 +18,7 @@ from phenocausal import (
     DirectionVerdict,
     EXEMPLARS,
     ScmError,
+    TableError,
     ball_track,
     bivariate_direction,
     build_exemplar,
@@ -481,3 +485,77 @@ def test_unit_and_statistical_encodings_agree_for_urn2():
     unit = bivariate_direction(ex.scm, ex.unit_actions, mode="unit",
                                trials=50, seed=1)
     assert stat is unit is DirectionVerdict.X_CAUSES_Y
+
+
+# ---------------------------------------------------------------------------
+# Urn exemplars as lazy views over their process
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def derivations(monkeypatch):
+    """Counts of the process's lattice DPs and linear solves."""
+    calls = collections.Counter()
+    for name in ("exact_joint", "linear"):
+        original = getattr(exemplars._UrnProcess, name)
+
+        def counted(self, *args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(exemplars._UrnProcess, name, counted)
+    return calls
+
+
+URN_BUILDS = [
+    lambda: urn_bivariate(),
+    lambda: urn_bivariate(kb0=1000, kr0=1000, rounds=2),
+    lambda: urn_chain(n=4),
+    lambda: urn_chain(n=3, endpoint="high"),
+    lambda: bundles_chain(n=4),
+]
+URN_IDS = ["urn2", "urn2-big", "urnN", "urnN-high", "bundles"]
+
+
+@pytest.mark.parametrize("build", URN_BUILDS, ids=URN_IDS)
+def test_sampling_an_urn_derives_nothing(build, derivations):
+    build().sample(50, 1)
+    assert derivations == {}
+
+
+@pytest.mark.parametrize("build", URN_BUILDS, ids=URN_IDS)
+def test_each_urn_value_is_derived_at_most_once(build, derivations):
+    ex = build()
+    for _ in range(2):
+        ex.baseline, ex.linear, ex.notes, ex.ground_truth, ex.scm
+        ex.unit_actions, ex.to_json_obj()
+    assert derivations["exact_joint"] <= 1 and derivations["linear"] <= 1
+    assert derivations["exact_joint"] == (ex.baseline is not None)
+    assert ex.notes is ex.notes and ex.scm is ex.scm
+
+
+def test_oversized_urn_lattice_refused_at_build():
+    with pytest.raises(TableError, match="exceeds cap"):
+        urn_bivariate(kb0=5000, kr0=5000, rounds=2000)
+
+
+# sha256 of json.dumps(build_exemplar(name).to_json_obj()), recorded while
+# every value was still computed at build time
+EXEMPLAR_JSON_SHA256 = {
+    "urn2": "a5fab7b3fee4c35aaf4b7b021a98f0bc93d2aa5f7832723401c6eb8da01ddbaa",
+    "urnN": "cd658f856d7c3bbcded545f563ca75d864c9ef3c26fddd7f6e93c0a8909df99f",
+    "bundles": "6aad676ca681b86cc5146a3ecb738ff8c33c8e84dcc2515e5778834cffb1be57",
+    "rabbits1": "fa312ae187a000aaf91c1378f5fcbe7f2724761d9c82be9dfa3eab636df3d027",
+    "rabbits2": "e90ce699d9c2d6e202e0aecdd5303fd1444e9c0b4727ccdc7f83b427d1e14244",
+    "macro1": "5c4ee34c0067c60533ace6ac7c4699dbefc33efface5be171896974a59f79558",
+    "macro2": "715e2c7a309a8dcc2cbc741b4af462cdf87b5e77d2852d6e04d67ad3bb5b0755",
+    "balltrack": "fcefbb6a8dcba2597e0867a7d34754e36afeea35b1104fb3cac907ddb026f2c3",
+    "farmers": "a3b9d362581f7bdb5e6e686dc5478e4aaa5cb6cf0ad2dff7517d51952ec5d66a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXEMPLARS))
+def test_exemplar_json_bytes_pinned(name):
+    assert set(EXEMPLAR_JSON_SHA256) == set(EXEMPLARS)
+    text = json.dumps(build_exemplar(name).to_json_obj())
+    assert hashlib.sha256(text.encode()).hexdigest() == EXEMPLAR_JSON_SHA256[name]

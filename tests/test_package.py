@@ -1,5 +1,6 @@
-"""The package namespace is the union of its modules' ``__all__`` lists, and
-importing it loads numpy but no scipy module."""
+"""The package namespace is the union of its modules' ``__all__`` lists;
+importing it, building and reading the urn exemplars, and the ``exemplar``
+and ``classify`` commands load numpy but no scipy module."""
 
 from __future__ import annotations
 
@@ -92,9 +93,19 @@ _START_UP = textwrap.dedent("""
         steps["discover_rc"] = phenocausal.cli.run(
             ["discover", "--method", "bivariate", "--in", path, "--seed", "1",
              "--out", os.path.join(tmp, "out.json")])
-    steps["discover"] = scipy_loaded()
-    phenocausal.urn_bivariate()
-    steps["urn_bivariate"] = scipy_loaded()
+        steps["discover"] = scipy_loaded()
+        ex = phenocausal.urn_bivariate()
+        steps["urn_bivariate"] = scipy_loaded()
+        ex.ground_truth, ex.scm, ex.linear
+        steps["urn_bivariate_model"] = scipy_loaded()
+        steps["exemplar_rc"] = phenocausal.cli.run(
+            ["exemplar", "urn2", "--seed", "7", "--samples", "300",
+             "--out", os.path.join(tmp, "urn2.csv")])
+        steps["exemplar"] = scipy_loaded()
+        steps["classify_rc"] = phenocausal.cli.run(
+            ["classify", "urnN", "--n", "3", "--seed", "1", "--trials", "50",
+             "--out", os.path.join(tmp, "urnN.json")])
+        steps["classify"] = scipy_loaded()
     phenocausal.NoiseSpec.binomdiff(3, 0.5, 0.5).support()
     steps["binomdiff_support"] = scipy_loaded()
     print(json.dumps(steps))
@@ -113,6 +124,11 @@ def test_scipy_modules_load_only_where_they_are_called():
         "import": [False, False],
         "discover_rc": 0,
         "discover": [False, False],
-        "urn_bivariate": [True, False],
+        "urn_bivariate": [False, False],
+        "urn_bivariate_model": [False, False],
+        "exemplar_rc": 0,
+        "exemplar": [False, False],
+        "classify_rc": 0,
+        "classify": [False, False],
         "binomdiff_support": [True, True],
     }

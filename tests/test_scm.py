@@ -13,10 +13,12 @@ import re
 from unittest import mock
 
 import numpy as np
+import scipy.linalg
 import scipy.stats
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from phenocausal import exemplars
 from phenocausal import (
     Dataset,
     DiscreteJoint,
@@ -26,6 +28,7 @@ from phenocausal import (
     ScmError,
     SingularStructureError,
     build_embedding,
+    bundles_chain,
     bundles_mixing,
     exact_joint,
     is_markov,
@@ -392,6 +395,78 @@ def test_singular_mixing_rejected():
         solve_structure(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
+def _scipy_structure(s: np.ndarray) -> tuple[bool, np.ndarray]:
+    """The LAPACK path solve_structure once took: (singular verdict, A)."""
+    lu, piv = scipy.linalg.lu_factor(s)
+    a = np.eye(len(s)) - scipy.linalg.lu_solve((lu, piv), np.eye(len(s)))
+    a[np.abs(a) < 1e-12] = 0.0
+    return bool(np.abs(np.diag(lu)).min() < 1e-10), a
+
+
+def _exemplar_mixings() -> list[np.ndarray]:
+    """Every mixing matrix the urn exemplars solve, n = 2..8."""
+    seen = []
+
+    def recording(s):
+        seen.append(s)
+        return solve_structure(s)
+
+    with mock.patch.object(exemplars, "solve_structure", recording):
+        urn_bivariate().linear
+        for n in range(2, 9):
+            urn_chain(n=n).ground_truth
+            urn_chain(n=n, endpoint="high").ground_truth
+            bundles_chain(n=n).ground_truth
+    return seen
+
+
+def test_solve_structure_matches_lapack_on_exemplar_mixings():
+    mixings = _exemplar_mixings()
+    assert len(mixings) == 22
+    for s in mixings:
+        singular, a = _scipy_structure(s)
+        assert not singular
+        assert np.array_equal(solve_structure(s).a, a)
+
+
+def test_solve_structure_close_to_lapack_on_random_mixings():
+    # on an arbitrary S the last bits may differ from LAPACK's, whose
+    # kernels order and fuse the operations differently
+    rng = np.random.default_rng(20)
+    for _ in range(300):
+        d = int(rng.integers(2, 7))
+        s = rng.normal(size=(d, d)) + d * np.diag(rng.choice([-1.0, 1.0], d))
+        _, a = _scipy_structure(s)
+        got = solve_structure(s).a
+        assert np.abs(got - a).max() <= 1e-12 * max(1.0, np.abs(a).max())
+
+
+@pytest.mark.parametrize("pivot, singular", [(1e-12, True), (1e-8, False)])
+def test_singular_verdict_matches_lapack(pivot, singular):
+    # S = L U with |L| < 1 below the diagonal, so partial pivoting keeps U's
+    # diagonal as the pivots, one of which is ``pivot``
+    rng = np.random.default_rng(21)
+    for _ in range(50):
+        d = int(rng.integers(2, 7))
+        lower = np.eye(d) + np.tril(rng.uniform(-0.5, 0.5, (d, d)), -1)
+        diag = rng.uniform(1.0, 2.0, d) * rng.choice([-1.0, 1.0], d)
+        diag[rng.integers(d)] = pivot
+        s = lower @ (np.diag(diag) + np.triu(rng.uniform(-1, 1, (d, d)), 1))
+        assert _scipy_structure(s)[0] is singular
+        if singular:
+            with pytest.raises(SingularStructureError):
+                solve_structure(s)
+        else:
+            solve_structure(s)
+
+
+@pytest.mark.parametrize("s", [np.zeros((0, 0)), np.float64(1.0), np.ones(3),
+                               np.ones((2, 3)), np.array([[1.0, 0.0], [np.nan, 1.0]])])
+def test_solve_structure_refuses_malformed_mixing(s):
+    with pytest.raises(ScmError):
+        solve_structure(s)
+
+
 def test_total_effect_cancellation():
     lin = urn_chain(n=5).linear
     for j in range(5, 2, -1):
@@ -401,8 +476,6 @@ def test_total_effect_cancellation():
 
 
 def test_total_effect_bundles_propagates_everywhere():
-    from phenocausal import bundles_chain
-
     blin = bundles_chain(n=4).linear
     assert total_effect(blin, "K4", "K1") == 1.0
     assert total_effect(blin, "K4", "K3") == 1.0
