@@ -430,7 +430,16 @@ def lingam_multivariate(data: Dataset,
     n = data.rows.shape[0]
     if n < 100 * d:
         raise DiscoveryError(f"need at least {100 * d} samples for {d} columns")
-    work = {c: data.column(c).astype(float).copy() for c in cols}
+    # fit on the columns scaled by powers of two, as lingam_bivariate does:
+    # exact, so the order, scores and p-values are those of the raw columns,
+    # with moments that neither overflow nor underflow; the coefficients are
+    # scaled back exactly
+    exps = {c: _binary_exponent(data.column(c)) for c in cols}
+
+    def scaled(c: str) -> np.ndarray:
+        return np.ldexp(data.column(c), -exps[c])
+
+    work = {c: scaled(c) for c in cols}
     active = list(cols)
     order: list[str] = []
     exo_scores: dict[str, float] = {}
@@ -454,17 +463,19 @@ def lingam_multivariate(data: Dataset,
             work[other] = resid
     order.append(active[0])
     exo_scores[active[0]] = 0.0
+    del work  # the residual columns, before the regressions below
 
     matrix = np.zeros((d, d))
-    stds = {c: data.column(c).std() for c in cols}
+    stds = {c: scaled(c).std() for c in cols}
     edges = []
     edge_scores: dict[str, float] = {}
     normality = {}
     for pos, node in enumerate(order):
         preds = order[:pos]
-        yv = data.column(node)
+        yv = scaled(node)
         if preds:
             xv = np.column_stack([data.column(p) for p in preds])
+            np.ldexp(xv, [-exps[p] for p in preds], out=xv)
             coefs, resid = _ols(yv, xv)
         else:
             coefs, resid = np.zeros(0), yv - yv.mean()
@@ -474,6 +485,8 @@ def lingam_multivariate(data: Dataset,
             scale = stds[p] / stds[node] if stds[node] > 0 else 1.0
             standardized = abs(c) * scale
             if standardized >= _PRUNE_THRESHOLD:
+                with np.errstate(over="ignore"):  # beyond the float range is inf
+                    c = np.ldexp(c, exps[node] - exps[p])
                 matrix[cols.index(node), cols.index(p)] = c
                 edges.append((p, node))
                 edge_scores[f"{p}->{node}"] = float(standardized)

@@ -286,6 +286,39 @@ def test_bivariate_exact_under_power_of_two_scaling(seed, a, b):
     assert got.slope == math.ldexp(ref.slope, slope_scale)
 
 
+@pytest.fixture(scope="module")
+def urn_chain3():
+    return urn_chain(n=3, k0=(1000,) * 3, rounds=1).sample(3000, 1)
+
+
+@pytest.mark.parametrize("scale", [1e154, 1e-200])
+def test_multivariate_at_extreme_scales(urn_chain3, scale):
+    # the raw moments overflow at 1e154 and underflow at 1e-200
+    ref = lingam_multivariate(urn_chain3, max_points=600)
+    scaled = Dataset(urn_chain3.columns, urn_chain3.rows * scale, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = lingam_multivariate(scaled, max_points=600)
+    assert got.order == ref.order
+    assert got.dag.edges == ref.dag.edges and len(ref.dag.edges) == 3
+    assert got.scores == pytest.approx(ref.scores, rel=1e-9)
+    np.testing.assert_allclose(got.matrix, ref.matrix, rtol=1e-9, atol=0.0)
+    for key in ("exogeneity_scores", "residual_normality_p"):
+        assert got.metadata[key] == pytest.approx(ref.metadata[key], rel=1e-9)
+
+
+def test_multivariate_exact_under_power_of_two_scaling(urn_chain3):
+    exps = np.array([-700, 300, 5])
+    ref = lingam_multivariate(urn_chain3, max_points=600)
+    got = lingam_multivariate(Dataset(urn_chain3.columns,
+                                      np.ldexp(urn_chain3.rows, exps), 1),
+                              max_points=600)
+    assert (got.order, got.dag.edges, got.scores) == (ref.order, ref.dag.edges, ref.scores)
+    assert got.metadata == ref.metadata
+    # A[j, i] scales by 2^(e_j - e_i)
+    assert np.array_equal(got.matrix, np.ldexp(ref.matrix, exps[:, None] - exps[None, :]))
+
+
 def test_multivariate_flags_gaussian_data():
     rng = np.random.default_rng(8)
     x = rng.normal(size=2000)

@@ -57,10 +57,10 @@ GOLDEN = [
      {".json": "4af51135e0d263c746992d3f9562ad70e9cb6f3a829357ad1e25e1ab29c5632b"}),
     ("verify-embedding",
      ["verify", "--which", "embedding", "--trials", "6", "--seed", "5"],
-     {".json": "415a902ebd0858713737c8b90db1ed64d3723dca076d754b7fc1bf2e92e1c04e"}),
+     {".json": "68d9f475788639418bc0fdcbef45adb0e3308c84cf657e7060e3b9163aa58b37"}),
     ("verify-all",
      ["verify", "--which", "all", "--trials", "6", "--seed", "5"],
-     {".json": "7a5f069659699b9df148a4bd8521e6b319daab42bb47449f4a1832f15c331efa"}),
+     {".json": "a0a54336738348c07d31d495bea091d6b49bcd18493a0151396e48574b572e1e"}),
     ("report",
      ["report", "--seed", "3"],
      {".json": "849be7c4f7228ece03b0c343b7c014faf5e8c522850f195a88b4884efd5703fe"}),

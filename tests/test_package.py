@@ -1,14 +1,17 @@
 """The package namespace is the union of its modules' ``__all__`` lists;
-importing it, building and reading the urn exemplars, and the ``exemplar``
-and ``classify`` commands load numpy but no scipy module."""
+importing it, building and reading the urn exemplars, the commands, and the
+binomdiff pmf load numpy but no scipy module, and the package source
+imports none."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import os
 import subprocess
 import sys
+import re
 import textwrap
 import types
 from pathlib import Path
@@ -77,7 +80,8 @@ _START_UP = textwrap.dedent("""
     import json, os, sys, tempfile
 
     def scipy_loaded():
-        return ["scipy.linalg" in sys.modules, "scipy.stats" in sys.modules]
+        return ["scipy.linalg" in sys.modules, "scipy.stats" in sys.modules,
+                sorted(m for m in sys.modules if m.startswith("scipy"))]
 
     steps = {}
     import phenocausal, phenocausal.cli
@@ -106,6 +110,13 @@ _START_UP = textwrap.dedent("""
             ["classify", "urnN", "--n", "3", "--seed", "1", "--trials", "50",
              "--out", os.path.join(tmp, "urnN.json")])
         steps["classify"] = scipy_loaded()
+        steps["verify_rc"] = phenocausal.cli.run(
+            ["verify", "--which", "embedding", "--trials", "3", "--seed", "1",
+             "--out", os.path.join(tmp, "verify.json")])
+        steps["verify"] = scipy_loaded()
+        steps["report_rc"] = phenocausal.cli.run(
+            ["report", "--seed", "3", "--out", os.path.join(tmp, "report.json")])
+        steps["report"] = scipy_loaded()
     phenocausal.NoiseSpec.binomdiff(3, 0.5, 0.5).support()
     steps["binomdiff_support"] = scipy_loaded()
     print(json.dumps(steps))
@@ -119,16 +130,51 @@ def test_scipy_modules_load_only_where_they_are_called():
     proc = subprocess.run([sys.executable, "-c", _START_UP], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    # [scipy.linalg loaded, scipy.stats loaded] after each step
+    # [scipy.linalg loaded, scipy.stats loaded, every scipy module] after each step
+    none = [False, False, []]
     assert json.loads(proc.stdout.splitlines()[-1]) == {
-        "import": [False, False],
+        "import": none,
         "discover_rc": 0,
-        "discover": [False, False],
-        "urn_bivariate": [False, False],
-        "urn_bivariate_model": [False, False],
+        "discover": none,
+        "urn_bivariate": none,
+        "urn_bivariate_model": none,
         "exemplar_rc": 0,
-        "exemplar": [False, False],
+        "exemplar": none,
         "classify_rc": 0,
-        "classify": [False, False],
-        "binomdiff_support": [True, True],
+        "classify": none,
+        "verify_rc": 0,
+        "verify": none,
+        "report_rc": 0,
+        "report": none,
+        "binomdiff_support": none,
     }
+
+
+def _imported_modules(path: Path) -> set[str]:
+    modules = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module)
+    return modules
+
+
+def _requirement_names(pyproject: str, key: str) -> list[str]:
+    """The package names in the one-requirement-per-line list ``key = [...]``."""
+    block = re.search(rf"^{key} = \[(.*?)^\]", pyproject, re.M | re.S).group(1)
+    return [re.match(r"[A-Za-z0-9_.-]+", req).group(0)
+            for req in re.findall(r'"([^"]+)"', block)]
+
+
+def test_package_source_imports_no_scipy_and_depends_on_numpy_only():
+    package = Path(phenocausal.__file__).resolve().parent
+    sources = sorted(package.rglob("*.py"))
+    assert {path.stem for path in sources} >= {*MODULES, "cli"}
+    for path in sources:
+        scipy_imports = {m for m in _imported_modules(path)
+                         if m == "scipy" or m.startswith("scipy.")}
+        assert not scipy_imports, (path.name, scipy_imports)
+    pyproject = (package.parents[1] / "pyproject.toml").read_text()
+    assert _requirement_names(pyproject, "dependencies") == ["numpy"]
+    assert "scipy" in _requirement_names(pyproject, "test")

@@ -10,6 +10,7 @@ import io
 import itertools
 import math
 import re
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from phenocausal import exemplars
+from phenocausal.scm import NOISE_COMBO_CAP, _binomial_pmf
 from phenocausal import (
     Dataset,
     DiscreteJoint,
@@ -727,11 +729,57 @@ def test_distinct_rows_equals_np_unique_on_dense_and_sparse_keys(seed, rows, car
     assert np.array_equal(inverse, want_inverse.ravel())
 
 
-def _two_pmfs(r, pp, pm):
-    # the former binomdiff support: one binom.pmf call per coin
+# The binomdiff pmf against the exact rational pmf of its float biases, and
+# against scipy's binom.pmf as a second, looser oracle.
+PMF_ULPS = 4          # each binomial, r <= 50: 3.2 ulp at worst over 4500 biases
+SUPPORT_ULPS = 8      # the convolved support, entries >= 1e-300: 3.5 ulp measured
+LARGE_R_REL = 1e-14   # each binomial at r > 1000: 6e-16 measured
+SCIPY_REL = 2e-12     # scipy's own binom.pmf is up to 3362 ulp (7.5e-13) off
+
+
+def _exact_pmf(r, q, ks=None):
+    """Binomial(r, q) pmf entries at ks (default all) for the float bias q,
+    as exact fractions."""
+    q = Fraction(q)
+    ks = range(r + 1) if ks is None else ks
+    return [math.comb(r, k) * q**k * (1 - q) ** (r - k) for k in ks]
+
+
+def _exact_support(r, pp, pm):
+    plus, minus = _exact_pmf(r, pp), _exact_pmf(r, pm)
+    return [sum(plus[k] * minus[k - d] for k in range(max(d, 0), min(r, r + d) + 1))
+            for d in range(-r, r + 1)]
+
+
+def _ulps(got, want):
+    """|got - want| in ulps of the float nearest want (2**-1074 below the
+    normal range)."""
+    return abs(Fraction(got) - want) / Fraction(math.ulp(float(want)))
+
+
+def _assert_support_is_exact(r, pp, pm):
+    atoms, probs = NoiseSpec.binomdiff(r, pp, pm).support()
+    assert atoms == tuple(float(v) for v in range(-r, r + 1))
+    for q in (pp, pm):
+        for got, want in zip(_binomial_pmf(r, q), _exact_pmf(r, q), strict=True):
+            assert _ulps(got, want) <= PMF_ULPS, (q, got, want)
+    for got, want in zip(probs, _exact_support(r, pp, pm), strict=True):
+        if want >= 1e-300:
+            assert _ulps(got, want) <= SUPPORT_ULPS, (got, want)
+        else:  # sums of products below the normal range
+            assert abs(got - want) <= 1e-300
+
+
+def _scipy_support(r, pp, pm):
     plus = scipy.stats.binom.pmf(np.arange(r + 1), r, pp)
     minus = scipy.stats.binom.pmf(np.arange(r + 1), r, pm)
     return np.convolve(plus, minus[::-1])
+
+
+def _assert_support_near_scipy(r, pp, pm):
+    probs = np.array(NoiseSpec.binomdiff(r, pp, pm).support()[1])
+    want = _scipy_support(r, pp, pm)
+    assert (np.abs(probs - want) <= SCIPY_REL * want + 1e-300).all()
 
 
 @pytest.mark.parametrize("r", [0, 1, 3, 12])
@@ -739,32 +787,49 @@ def _two_pmfs(r, pp, pm):
                                     (0.0, 0.35), (1.0, 0.35), (0.35, 0.0),
                                     (0.35, 1.0), (0.7, 0.2)])
 def test_binomdiff_support_equals_two_separate_pmfs(r, pp, pm):
-    atoms, probs = NoiseSpec.binomdiff(r, pp, pm).support()
-    assert atoms == tuple(float(v) for v in range(-r, r + 1))
-    assert np.array(probs).tobytes() == _two_pmfs(r, pp, pm).tobytes()
-
-
-def _bytes_or_error(pmf):
-    try:
-        return np.array(pmf()).tobytes()
-    except (ArithmeticError, ScmError) as exc:  # scipy overflows at some subnormal p
-        return type(exc)
+    _assert_support_is_exact(r, pp, pm)
+    _assert_support_near_scipy(r, pp, pm)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.integers(0, 20), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
 def test_binomdiff_support_equals_two_separate_pmfs_at_random(r, pp, pm):
-    got = _bytes_or_error(lambda: NoiseSpec.binomdiff(r, pp, pm).support()[1])
-    want = _bytes_or_error(lambda: _two_pmfs(r, pp, pm))
-    # support() reports scipy's overflow as an ScmError
-    assert got == (ScmError if want is OverflowError else want)
+    _assert_support_is_exact(r, pp, pm)
+    try:
+        _scipy_support(r, pp, pm)
+    except ArithmeticError:  # scipy's pmf overflows at some subnormal biases
+        return
+    _assert_support_near_scipy(r, pp, pm)
 
 
 @pytest.mark.parametrize("r, pp, pm", [
     (2, 0.0, 1.1125369292536007e-308),
     (5, 2.2250738585072014e-308, 0.5),
 ])
-def test_binomdiff_pmf_overflow_names_the_bias(r, pp, pm):
-    want = f"binomdiff p_plus={pp!r}, p_minus={pm!r} over {r} rounds"
-    with pytest.raises(ScmError, match=re.escape(want)):
-        NoiseSpec.binomdiff(r, pp, pm).support()
+def test_binomdiff_pmf_at_subnormal_bias_equals_reference(r, pp, pm):
+    # scipy's pmf overflows at these biases; the closed form does not
+    _assert_support_is_exact(r, pp, pm)
+
+
+@pytest.mark.parametrize("r", [1029, 1030, 2000])  # float(math.comb) overflows from 1030
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.999, 1e-3])
+def test_binomial_pmf_past_float_comb_matches_reference(r, q):
+    got = _binomial_pmf(r, q)
+    ks = sorted({*range(0, r + 1, 41), round(r * q), r})
+    for k, want in zip(ks, _exact_pmf(r, q, ks)):
+        if want >= 1e-300:
+            assert abs(Fraction(got[k]) - want) <= LARGE_R_REL * want, k
+        else:
+            assert abs(got[k] - want) <= 1e-300, k
+
+
+def test_binomdiff_support_at_the_largest_rounds_exact_joint_admits():
+    r = (NOISE_COMBO_CAP - 1) // 2
+    probs = np.array(NoiseSpec.binomdiff(r, 0.3, 0.6).support()[1])
+    assert probs.size == 2 * r + 1 <= NOISE_COMBO_CAP
+    assert (probs >= 0).all() and abs(probs.sum() - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("q", [-0.1, 1.5, float("nan")])
+def test_binomdiff_support_is_nan_for_a_bias_outside_the_unit_interval(q):
+    assert np.isnan(NoiseSpec.binomdiff(3, q, 0.2).support()[1]).all()
