@@ -338,10 +338,9 @@ def unit_displacements(scm: GeneralScm, actions: Sequence[UnitAction],
     large to round, is refused: it has no consistent equation."""
     if trials < 1:
         raise ClassificationError(f"need at least one trial, got {trials}")
-    noise = scm.sample_noise(trials, seed)
-    x = np.array([[s[v] for v in scm.nodes] for s in
-                  (scm.evaluate({v: noise[v][r] for v in scm.nodes})
-                   for r in range(trials))], dtype=float)
+    state = scm.evaluate(scm.sample_noise(trials, seed))
+    x = np.column_stack([np.broadcast_to(state[v], trials) for v in scm.nodes]
+                        ).astype(float)
     labels, rows, inapplicable = [], [], []
     for action in actions:
         with np.errstate(invalid="ignore", over="ignore"):  # refused below

@@ -17,6 +17,8 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
@@ -76,8 +78,8 @@ class NoiseSpec:
     * ``gaussian(mu, sigma)`` -- normal; note that linear models with all
       Gaussian noises are not identifiable by LiNGAM-style discovery.
     * ``degenerate(value)`` -- point mass.
-    * ``finite(atoms, probs)`` -- explicit atoms (any hashable values,
-      tuples allowed) with probabilities.
+    * ``finite(atoms, probs)`` -- explicit real atoms, stored as floats,
+      with probabilities.
     """
 
     family: str
@@ -87,7 +89,16 @@ class NoiseSpec:
 
     @classmethod
     def binomdiff(cls, rounds: int, p_plus: float, p_minus: float) -> "NoiseSpec":
-        return cls("binomdiff", (int(rounds), float(p_plus), float(p_minus)))
+        try:
+            r = operator.index(rounds)
+        except TypeError:
+            r = -1
+        if r < 0:
+            raise ScmError(f"binomdiff rounds must be an integer >= 0, got {rounds!r}")
+        for name, q in (("p_plus", p_plus), ("p_minus", p_minus)):
+            if not 0.0 <= float(q) <= 1.0:
+                raise ScmError(f"binomdiff {name} must lie in [0, 1], got {q!r}")
+        return cls("binomdiff", (r, float(p_plus), float(p_minus)))
 
     @classmethod
     def discrete_uniform(cls, lo: int, hi: int) -> "NoiseSpec":
@@ -113,7 +124,9 @@ class NoiseSpec:
         total = sum(probs)  # a NaN entry passes both checks after the first
         if not math.isfinite(total) or abs(total - 1.0) > 1e-12 or min(probs) < 0:
             raise ScmError("probs must be a probability vector")
-        return cls("finite", (), tuple(atoms), probs)
+        if not all(isinstance(a, numbers.Real) for a in atoms):
+            raise ScmError(f"finite noise atoms must be real numbers, got {atoms!r}")
+        return cls("finite", (), tuple(map(float, atoms)), probs)
 
     # -- law ----------------------------------------------------------------
 
@@ -134,10 +147,7 @@ class NoiseSpec:
             return np.full(size, float(self.params[0]))
         if self.family == "finite":
             idx = rng.choice(len(self.atoms), size=size, p=np.asarray(self.probs))
-            try:
-                return np.asarray([self.atoms[i] for i in idx], dtype=float)
-            except (TypeError, ValueError):
-                return np.asarray([self.atoms[i] for i in idx], dtype=object)
+            return np.asarray(self.atoms)[idx]
         raise ScmError(f"unknown noise family {self.family!r}")
 
     def support(self) -> tuple[tuple, tuple[float, ...]]:
@@ -222,8 +232,8 @@ def _frexp_power(m: float, n: int) -> tuple[float, int]:
 
 
 def _binomial_pmf(r: int, q: float) -> np.ndarray:
-    """Binomial(r, q) pmf, entry k = C(r, k) q^k (1 - q)^(r - k), NaN for a
-    bias outside [0, 1].
+    """Binomial(r, q) pmf, entry k = C(r, k) q^k (1 - q)^(r - k), for a bias
+    q in [0, 1].
 
     Each of the three factors is split into a mantissa in [0.5, 1) and a
     binary exponent (the integer C(r, k) by its bit length), so the product
@@ -232,8 +242,6 @@ def _binomial_pmf(r: int, q: float) -> np.ndarray:
     and |t / a| <= 2**-53, so (1 - q)^n = a^n (1 + n t / a) up to a relative
     (n 2**-53)^2, far below an ulp for the r that ``exact_joint`` admits.
     """
-    if not 0.0 <= q <= 1.0:
-        return np.full(r + 1, np.nan)
     a = 1.0 - q
     t = (1.0 - a) - q
     m_q, e_q = math.frexp(q)
@@ -589,8 +597,11 @@ Mechanism = Callable[[Mapping[str, float], object], float]
 class GeneralScm:
     """Per-node deterministic mechanisms driven by independent noises.
 
-    ``mechanisms[v]`` is called as f(parent_values, noise_value) where
-    parent_values maps each declared parent name to its value.
+    ``mechanisms[v]`` is called as f(parent_values, noise) where
+    parent_values maps each declared parent name to its value. Mechanisms
+    are elementwise: on parent and noise columns of one shape they return a
+    column of that shape (a scalar if they read neither), on scalars a
+    scalar, so ``evaluate`` is the one forward pass for one unit or many.
     """
 
     nodes: tuple[str, ...]
@@ -627,8 +638,8 @@ class GeneralScm:
         }
 
     def evaluate(self, noise_row: Mapping[str, object]) -> dict[str, float]:
-        """Deterministic state implied by one full noise assignment: the
-        mechanisms applied in topological order."""
+        """Deterministic state implied by a full noise assignment (scalars or
+        columns): the mechanisms applied in topological order."""
         state: dict[str, float] = {}
         for v in self._order:
             pa = {p: state[p] for p in self.parents[v]}
@@ -639,10 +650,8 @@ class GeneralScm:
         if n < 1:
             raise ScmError("need n >= 1 samples")
         noise = self.sample_noise(n, seed)
-        rows = np.empty((n, len(self.nodes)))
-        for r in range(n):
-            state = self.evaluate({v: noise[v][r] for v in self.nodes})
-            rows[r] = [state[v] for v in self.nodes]
+        state = self.evaluate(noise)
+        rows = np.column_stack([np.broadcast_to(state[v], n) for v in self.nodes])
         ds = Dataset(self.nodes, rows, seed)
         return (ds, noise) if return_noise else ds
 
@@ -690,15 +699,15 @@ def exact_joint(scm: GeneralScm, max_combos: int = NOISE_COMBO_CAP):
 
     One pass over the noise grid in topological order: a node's value
     depends only on its parents' values and its own atom, so its mechanism
-    runs once per distinct (parent values, atom) row. Each node keeps those
-    results and, for every assignment, the index of its row; values are
-    looked up only at the rows a child or the final table reads. The cost
-    is at most sum_v (distinct parent contexts of v x |atoms_v|) mechanism
-    calls, where evaluating every assignment makes |nodes| x prod_v
-    |atoms_v|, plus one tabulation of the prod_v |atoms_v| outcomes.
-    Weights are multiplied left to right in node order and each state's
-    weights are added in ``itertools.product`` order, so the tables are
-    bit-identical to full enumeration.
+    runs once, on the column of its distinct (parent values, atom) rows.
+    Each node keeps its value at every assignment and integer codes of
+    those values (equal values <-> equal codes). The cost is one mechanism
+    call per node on at most (distinct parent contexts x |atoms_v|) rows,
+    where evaluating every assignment reads |nodes| x prod_v |atoms_v|
+    values, plus one tabulation of the prod_v |atoms_v| outcomes. Weights
+    are multiplied left to right in node order and each state's weights are
+    added in ``itertools.product`` order, so the tables are bit-identical to
+    full enumeration.
     """
     supports = [scm.noises[v].support() for v in scm.nodes]
     shape = tuple(len(atoms) for atoms, _ in supports)
@@ -707,24 +716,18 @@ def exact_joint(scm: GeneralScm, max_combos: int = NOISE_COMBO_CAP):
         raise ScmError(
             f"noise support product {combos} exceeds enumeration cap {max_combos}")
     atom_index = np.indices(shape).reshape(len(shape), combos)
-    # per node: the result of each distinct (parent values, atom) row, the
-    # row of every assignment, and equal values <-> equal integer codes
-    results, row_of, codes, cards = {}, {}, {}, {}
+    values, codes, cards = {}, {}, {}
     for v in scm._order:
         k = scm.nodes.index(v)
         pa = scm.parents[v]
         first, inverse = _distinct_rows(
             [codes[p] for p in pa] + [atom_index[k]],
             [cards[p] for p in pa] + [shape[k]], combos)
-        mech, atoms = scm.mechanisms[v], supports[k][0]
-        pa_values = [_values_at(results[p], row_of[p], first) for p in pa]
-        out = [mech(dict(zip(pa, values)), atoms[a])
-               for a, *values in zip(atom_index[k, first].tolist(), *pa_values)]
-        code_of: dict = {}
-        result_codes = np.array([code_of.setdefault(x, len(code_of)) for x in out],
-                                dtype=np.int64)
-        results[v], row_of[v] = out, inverse
-        codes[v], cards[v] = result_codes[inverse], len(code_of)
+        out = scm.mechanisms[v]({p: values[p][first] for p in pa},
+                                np.asarray(supports[k][0])[atom_index[k, first]])
+        out = np.broadcast_to(out, first.shape)
+        distinct, out_codes = np.unique(out, return_inverse=True)
+        values[v], codes[v], cards[v] = out[inverse], out_codes[inverse], len(distinct)
     weights = np.ones(())
     for _, probs in supports:
         weights = np.multiply.outer(weights, probs)
@@ -733,16 +736,10 @@ def exact_joint(scm: GeneralScm, max_combos: int = NOISE_COMBO_CAP):
     first, inverse = _distinct_rows([codes[v] for v in scm.nodes],
                                     [cards[v] for v in scm.nodes], combos)
     totals = np.bincount(inverse, weights=weights.ravel())
-    states = zip(*(_values_at(results[v], row_of[v], first) for v in scm.nodes))
+    states = zip(*(values[v][first].tolist() for v in scm.nodes))
     outcomes = zip(states, totals.tolist())
     levels, (joint,) = _tabulate(scm.nodes, [outcomes])
     return joint, dict(zip(scm.nodes, levels))
-
-
-def _values_at(results: list, rows: np.ndarray, at: np.ndarray) -> list:
-    """A node's values at the assignments ``at``: the results of their
-    distinct rows."""
-    return [results[i] for i in rows[at].tolist()]
 
 
 def _distinct_rows(columns: list[np.ndarray], cards: list[int], rows: int

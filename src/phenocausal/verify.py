@@ -158,7 +158,8 @@ class ControllerSpec:
     ``controls`` maps an action-class label to (controller parents, fn)
     where fn maps the tuple of controller values to the NoiseSpec of the
     class tally under that setting. ``observers`` adds downstream variables
-    influenced by system nodes.
+    influenced by system nodes. Controller and observer mechanisms are
+    elementwise, as ``GeneralScm`` mechanisms are.
     """
 
     dag: Dag
@@ -174,10 +175,12 @@ def build_embedding(exemplar: Exemplar,
     """Joint SCM over (controllers, system) plus the combined graph.
 
     An edge runs from a controller to the node whose action class it
-    drives; the class tally of a controlled node becomes a vector noise
-    with one independent component per controller context, and the
-    mechanism picks the component matching its controller parents. The
-    combined edge set must be acyclic.
+    drives; the controllers' ranges come from one ``evaluate`` on the grid
+    of their atoms. The class tally of a controlled node becomes a vector
+    with one independent component per controller context. Its noise is
+    the index of the vector's joint atom (``itertools.product`` order), and
+    its mechanism picks the component of its controller parents' context by
+    array indexing. The combined edge set must be acyclic.
     """
     base = exemplar.scm
     if base is None:
@@ -216,23 +219,19 @@ def build_embedding(exemplar: Exemplar,
         mechanisms={y: controllers.mechanisms.get(y, lambda pa, nz: nz)
                     for y in ctrl_nodes},
         noises={y: controllers.noises[y] for y in ctrl_nodes})
-    values: dict[str, set] = {y: set() for y in ctrl_nodes}
-    for combo in itertools.product(*(ctrl_scm.noises[y].support()[0]
-                                     for y in ctrl_nodes)):
-        state = ctrl_scm.evaluate(dict(zip(ctrl_nodes, combo)))
-        for y in ctrl_nodes:
-            values[y].add(state[y])
-    ranges = {y: tuple(sorted(v)) for y, v in values.items()}
-    context_specs: dict[str, tuple[tuple, tuple[NoiseSpec, ...]]] = {}
+    grid = np.meshgrid(*(ctrl_scm.noises[y].support()[0] for y in ctrl_nodes),
+                       indexing="ij")
+    state = ctrl_scm.evaluate(dict(zip(ctrl_nodes, grid)))
+    ranges = {y: tuple(np.unique(state[y]).tolist()) for y in ctrl_nodes}
+    context_specs: dict[str, tuple[NoiseSpec, ...]] = {}
     for label, (ctrl_parents, fn) in controllers.controls.items():
         outside = [y for y in ctrl_parents if y not in ranges]
         if outside:
             raise ValueError(
                 f"class {label!r} is driven by {outside}, which are not pure "
                 "controller variables with enumerable ranges")
-        contexts = tuple(itertools.product(*(ranges[y] for y in ctrl_parents)))
-        context_specs[class_nodes[label]] = (
-            contexts, tuple(fn(*ctx) for ctx in contexts))
+        context_specs[class_nodes[label]] = tuple(
+            fn(*ctx) for ctx in itertools.product(*(ranges[y] for y in ctrl_parents)))
 
     parents = dict(ctrl_scm.parents)
     mechanisms = dict(ctrl_scm.mechanisms)
@@ -240,23 +239,24 @@ def build_embedding(exemplar: Exemplar,
     for v in base.nodes:
         if v in extra_parents:
             ctrl = extra_parents[v]
-            contexts, specs = context_specs[v]
-            atom_sets = [spec.support() for spec in specs]
-            atoms = tuple(itertools.product(*(s[0] for s in atom_sets)))
+            atom_sets = [spec.support() for spec in context_specs[v]]
             probs = tuple(
                 math.prod(combo)
                 for combo in itertools.product(*(s[1] for s in atom_sets)))
-            ctx_index = {ctx: i for i, ctx in enumerate(contexts)}
+            # components[i, c1, ...]: joint atom i's tally in context (c1, ...)
+            components = np.array(list(itertools.product(*(s[0] for s in atom_sets))))
+            components = components.reshape(-1, *(len(ranges[y]) for y in ctrl))
             parents[v] = base.parents[v] + ctrl
 
             # the base mechanism reads its own parents by name and ignores
             # the controller values that share ``pa`` with them
             def mech(pa, atom, base_mech=base.mechanisms[v], ctrl=ctrl,
-                     ctx_index=ctx_index):
-                return base_mech(pa, atom[ctx_index[tuple([pa[y] for y in ctrl])]])
+                     components=components):
+                at = [np.searchsorted(ranges[y], pa[y]) for y in ctrl]
+                return base_mech(pa, components[(np.asarray(atom, dtype=np.intp), *at)])
 
             mechanisms[v] = mech
-            noises[v] = NoiseSpec.finite(atoms, probs)
+            noises[v] = NoiseSpec.finite(range(len(probs)), probs)
         else:
             parents[v] = base.parents[v]
             mechanisms[v] = base.mechanisms[v]

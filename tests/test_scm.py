@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from phenocausal import exemplars
+from phenocausal.actions import unit_displacements
 from phenocausal.scm import NOISE_COMBO_CAP, _binomial_pmf
 from phenocausal import (
     Dataset,
@@ -74,6 +75,18 @@ def test_finite_noise_requires_probability_vector():
 def test_finite_noise_rejects_non_finite_probs(probs):
     with pytest.raises(ScmError):
         NoiseSpec.finite((0, 1), probs)
+
+
+@pytest.mark.parametrize("atoms", [((0.0, 1.0), (1.0, 0.0)), ("a", "b"), (0.0, "1")])
+def test_finite_noise_refuses_atoms_that_are_not_real(atoms):
+    with pytest.raises(ScmError, match="real"):
+        NoiseSpec.finite(atoms, (0.5, 0.5))
+
+
+def test_finite_noise_stores_real_atoms_as_floats():
+    spec = NoiseSpec.finite((0, np.int64(2), 0.5, math.nan), (0.25,) * 4)
+    assert all(type(a) is float for a in spec.atoms)
+    assert spec.atoms[:3] == (0.0, 2.0, 0.5) and math.isnan(spec.atoms[3])
 
 
 def test_continuous_families_have_no_support():
@@ -606,16 +619,20 @@ def exact_joint_reference(scm: GeneralScm):
 
 
 def _wrapped_sum(terms, modulus, use_noise=True):
-    # many noise assignments share a state: the sum is taken mod ``modulus``
-    if not use_noise:
-        return lambda pa, u: float(sum(c * pa[p] for p, c in terms) % modulus)
-    return lambda pa, u: float((u + sum(c * pa[p] for p, c in terms)) % modulus)
+    # many noise assignments share a state: the sum is taken mod ``modulus``;
+    # with neither noise nor terms it returns a constant
+    return lambda pa, u: np.remainder(
+        (u if use_noise else 0.0) + sum(c * pa[p] for p, c in terms), modulus)
 
 
-def _by_context(inner, ctx):
-    # a vector noise atom with one component per value of parent ``ctx``, the
-    # component picked by that value, as ``build_embedding`` wires controllers
-    return lambda pa, atom: inner(pa, atom[int(pa[ctx]) % len(atom)])
+def _by_context(inner, ctx, components):
+    # the atom is the integer code of a vector (a row of ``components``) with
+    # one component per value of parent ``ctx``, the component picked by that
+    # value, as ``build_embedding`` wires controllers
+    table = np.asarray(components, dtype=float)
+    return lambda pa, code: inner(pa, table[
+        np.asarray(code, dtype=np.intp),
+        np.remainder(pa[ctx], table.shape[1]).astype(np.intp)])
 
 
 def _integer_weights(data, k):
@@ -625,19 +642,18 @@ def _integer_weights(data, k):
     return [x / sum(w) for x in w]
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(st.data(), st.integers(1, 5))
-def test_exact_joint_matches_dict_then_table_reference(data, d):
+def _random_scm(data, d):
+    """Random elementwise mechanisms over V0..V{d-1}: wrapped affine sums,
+    some reading a coded vector noise, some constant; finite and degenerate
+    noises. V0 passes its atom through, and its last atom has weight zero:
+    that value reaches its children only at zero weight."""
     nodes = tuple(f"V{k}" for k in range(d))
-    # V0 passes its atom through, and its last atom has weight zero: that
-    # value reaches its children only at zero weight and leaves the levels
     k0 = data.draw(st.integers(2, 4))
     atoms0 = data.draw(st.lists(st.integers(-3, 3), min_size=k0, max_size=k0,
                                 unique=True))
     parents = {"V0": ()}
     mechanisms = {"V0": lambda pa, u: u}
-    noises = {"V0": NoiseSpec.finite([float(a) for a in atoms0],
-                                     _integer_weights(data, k0 - 1) + [0.0])}
+    noises = {"V0": NoiseSpec.finite(atoms0, _integer_weights(data, k0 - 1) + [0.0])}
     for j, v in enumerate(nodes[1:], start=1):
         pa = tuple(p for p in nodes[:j] if data.draw(st.booleans()))
         terms = tuple((p, data.draw(st.integers(-2, 2))) for p in pa)
@@ -646,47 +662,122 @@ def test_exact_joint_matches_dict_then_table_reference(data, d):
                             use_noise=data.draw(st.booleans()))
         k = data.draw(st.integers(1, 4))
         width = data.draw(st.integers(1, 3)) if pa else 1
-        atoms = [tuple(float(a) for a in data.draw(
-                     st.lists(st.integers(-3, 3), min_size=width, max_size=width)))
-                 for _ in range(k)]
+        components = data.draw(st.lists(
+            st.lists(st.integers(-3, 3), min_size=width, max_size=width),
+            min_size=k, max_size=k))
         if pa and data.draw(st.booleans()):
-            mech = _by_context(mech, data.draw(st.sampled_from(pa)))
+            mech = _by_context(mech, data.draw(st.sampled_from(pa)), components)
+            atoms = list(range(k))
         else:
-            atoms = [a[0] for a in atoms]
+            atoms = [c[0] for c in components]
         mechanisms[v] = mech
-        noises[v] = NoiseSpec.finite(atoms, _integer_weights(data, k))
-    scm = GeneralScm(nodes=nodes, parents=parents, mechanisms=mechanisms,
-                     noises=noises)
+        noises[v] = (NoiseSpec.degenerate(atoms[0]) if data.draw(st.booleans())
+                     else NoiseSpec.finite(atoms, _integer_weights(data, k)))
+    return GeneralScm(nodes=nodes, parents=parents, mechanisms=mechanisms,
+                      noises=noises)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data(), st.integers(1, 5))
+def test_exact_joint_matches_dict_then_table_reference(data, d):
+    scm = _random_scm(data, d)
     joint, levels = exact_joint(scm)
     ref, ref_levels = exact_joint_reference(scm)
     assert joint.names == ref.names
     assert np.array_equal(joint.probs, ref.probs)
     assert levels == ref_levels
-    assert float(atoms0[-1]) not in levels["V0"]
+    assert scm.noises["V0"].atoms[-1] not in levels["V0"]
 
 
 def test_exact_joint_calls_each_mechanism_once_per_parent_values_and_atom():
     base, shifted = (0.5, 0.4, 0.6, 0.3), (0.7, 0.2, 0.4, 0.5)
     ex = urn_bivariate(kb0=12, kr0=12, rounds=3, coin_biases=base)
     scm, _ = build_embedding(ex, urn2_controllers(3, base, shifted))
-    calls = collections.Counter()
+    calls = collections.defaultdict(list)
 
     def counted(v, mech):
         def wrapper(pa, atom):
-            calls[v, tuple(sorted(pa.items())), atom] += 1
+            calls[v].append(np.column_stack(
+                [np.broadcast_to(pa[p], np.shape(atom)) for p in sorted(pa)] + [atom]))
             return mech(pa, atom)
         return wrapper
 
     counted_scm = dataclasses.replace(
         scm, mechanisms={v: counted(v, m) for v, m in scm.mechanisms.items()})
     joint, levels = exact_joint(counted_scm)
-    assert max(calls.values()) == 1
-    # 2 + 2 (Y1, Y2) + 2 x 49 (Kb: Y1 x vector atom) + 7 x 2 x 49 (Kr: Kb x Y2
-    # x vector atom); evaluating all 2 x 2 x 49 x 49 assignments in full
-    # makes 4 x 9604 = 38,416 calls
-    assert sum(calls.values()) == 788
+    assert sorted(calls) == sorted(scm.nodes)
+    assert all(len(rows) == 1 for rows in calls.values())
+    for (rows,) in calls.values():
+        assert len(np.unique(rows, axis=0)) == len(rows)
+    # 2 + 2 (Y1, Y2) + 2 x 49 (Kb: Y1 x joint atom) + 7 x 2 x 49 (Kr: Kb x Y2
+    # x joint atom) rows; evaluating all 2 x 2 x 49 x 49 assignments in full
+    # reads 4 x 9604 = 38,416
+    assert sum(len(rows) for (rows,) in calls.values()) == 788
     ref, ref_levels = exact_joint_reference(scm)
     assert np.array_equal(joint.probs, ref.probs) and levels == ref_levels
+
+
+# The forward pass: ``simulate``, ``unit_displacements`` and ``exact_joint``
+# each run every elementwise mechanism once, on whole columns.
+
+
+def _per_unit_rows(scm, noise, n):
+    """The per-unit reference: one scalar ``evaluate`` per row."""
+    rows = np.empty((n, len(scm.nodes)))
+    for r in range(n):
+        state = scm.evaluate({v: noise[v][r] for v in scm.nodes})
+        rows[r] = [state[v] for v in scm.nodes]
+    return rows
+
+
+def _assert_one_forward_pass(scm, actions, n, seed):
+    calls = collections.Counter()
+
+    def counted(v, mech):
+        def wrapper(pa, noise):
+            calls[v] += 1
+            return mech(pa, noise)
+        return wrapper
+
+    counted_scm = dataclasses.replace(
+        scm, mechanisms={v: counted(v, m) for v, m in scm.mechanisms.items()})
+    once = collections.Counter(scm.nodes)
+    ds, noise = counted_scm.simulate(n, seed, return_noise=True)
+    assert calls == once
+    assert ds.rows.tobytes() == _per_unit_rows(scm, noise, n).tobytes()
+    calls.clear()
+    unit_displacements(counted_scm, actions, n, seed)
+    assert calls == once
+    calls.clear()
+    exact_joint(counted_scm)
+    assert calls == once
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data(), st.integers(1, 5), st.sampled_from([1, 7, 8193]),
+       st.integers(0, 2**32 - 1))
+def test_forward_pass_equals_per_unit_evaluate_on_random_scms(data, d, n, seed):
+    # 8193 rows cross the 8192-row noise chunk
+    _assert_one_forward_pass(_random_scm(data, d), (), n, seed)
+
+
+_SCM_EXEMPLARS = [name for name in sorted(exemplars.EXEMPLARS)
+                  if exemplars.build_exemplar(name).scm is not None]
+
+
+@pytest.mark.parametrize("n", [1, 7, 8193])
+@pytest.mark.parametrize("name", _SCM_EXEMPLARS)
+def test_forward_pass_equals_per_unit_evaluate_on_exemplars(name, n):
+    ex = exemplars.build_exemplar(name)
+    _assert_one_forward_pass(ex.scm, ex.unit_actions, n, 11)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8193])
+def test_forward_pass_equals_per_unit_evaluate_on_an_embedding(n):
+    base, shifted = (0.5, 0.4, 0.6, 0.3), (0.7, 0.2, 0.4, 0.5)
+    ex = urn_bivariate(kb0=12, kr0=12, rounds=3, coin_biases=base)
+    scm, _ = build_embedding(ex, urn2_controllers(3, base, shifted))
+    _assert_one_forward_pass(scm, (), n, 11)
 
 
 @pytest.mark.parametrize("cards", [(3, 5, 2), (2**33, 2**33, 3), (2**62, 2)])
@@ -831,5 +922,14 @@ def test_binomdiff_support_at_the_largest_rounds_exact_joint_admits():
 
 
 @pytest.mark.parametrize("q", [-0.1, 1.5, float("nan")])
-def test_binomdiff_support_is_nan_for_a_bias_outside_the_unit_interval(q):
-    assert np.isnan(NoiseSpec.binomdiff(3, q, 0.2).support()[1]).all()
+def test_binomdiff_refuses_a_bias_outside_the_unit_interval(q):
+    with pytest.raises(ScmError, match="p_plus"):
+        NoiseSpec.binomdiff(3, q, 0.2)
+    with pytest.raises(ScmError, match="p_minus"):
+        NoiseSpec.binomdiff(3, 0.2, q)
+
+
+@pytest.mark.parametrize("rounds", [-1, 2.5])
+def test_binomdiff_refuses_rounds_that_are_not_a_non_negative_integer(rounds):
+    with pytest.raises(ScmError, match="rounds"):
+        NoiseSpec.binomdiff(rounds, 0.5, 0.5)
