@@ -29,8 +29,8 @@ import numpy as np
 
 from .graphs import Dag
 from .scm import Dataset
-from .tables import (MAX_TABLE_ENTRIES, ConditionalTable, DiscreteJoint,
-                     TableError, _conditional_distance, conditional, factorize)
+from .tables import (ConditionalTable, DiscreteJoint, _cells, _conditional_distance,
+                     conditional, factorize)
 
 __all__ = [
     "DiscoveryError",
@@ -526,17 +526,6 @@ class LocalizationResult:
                 "distances": self.distances}
 
 
-def _cell_codes(rows: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Each row's flat cell index in the table over every column's sorted
-    distinct values, and that table's shape."""
-    levels, codes = zip(*(np.unique(rows[:, k], return_inverse=True)
-                          for k in range(rows.shape[1])))
-    shape = tuple(lv.size for lv in levels)
-    if math.prod(shape) > MAX_TABLE_ENTRIES:
-        raise TableError(f"level grid {shape} exceeds cap {MAX_TABLE_ENTRIES}")
-    return np.ravel_multi_index(codes, shape), shape
-
-
 def _counted_joint(columns: Sequence[str], cells: np.ndarray,
                    shape: tuple[int, ...]) -> DiscreteJoint:
     counts = np.bincount(cells, minlength=math.prod(shape)).reshape(shape)
@@ -600,7 +589,7 @@ def localize_mechanism_change(environments: Sequence, g: Dag,
         raise DiscoveryError("graph nodes must match the data columns")
 
     env_rows = _discretize([e.rows.copy() for e in environments], bins)
-    cells, shape = _cell_codes(np.vstack(env_rows))
+    _, cells, shape = _cells(np.vstack(env_rows).T)
     sizes = [r.shape[0] for r in env_rows]
     pooled = dict(zip(g.nodes, factorize(_counted_joint(columns, cells, shape), g)))
     env_counts = [np.bincount(part, minlength=math.prod(shape)).reshape(shape)

@@ -710,15 +710,18 @@ def ball_track(start_distribution_param: float = 0.6,
     jitter = ((-1, 0.25), (0, 0.5), (1, 0.25))
     offset = int(barrier_offset)
 
-    def outcomes(t: float, o: int) -> list:
+    x = np.repeat(np.arange(len(positions)), len(jitter))
+
+    def outcomes(t: float, o: int) -> tuple:
         with np.errstate(over="ignore", invalid="ignore"):
             w = t ** np.array(positions, dtype=float)
             px = w / w.sum()
         if not np.isfinite(px).all():
             raise ScmError(f"start law weights {t!r}**x overflow; "
                            f"start_distribution_param={theta!r} is too extreme")
-        return [((x, (speed_units[x] + nz - 2 * o) * 0.25), px[x] * pn)
-                for x in positions for nz, pn in jitter]
+        y = np.array([(speed_units[k] + nz - 2 * o) * 0.25
+                      for k in positions for nz, _ in jitter])
+        return (x, y), np.outer(px, [pn for _, pn in jitter]).ravel()
 
     levels, (baseline, older, moved) = _tabulate(("X", "Y"), [
         outcomes(theta, offset), outcomes(1.0 / theta, offset),
@@ -765,14 +768,14 @@ def farmers(exchange_factor: float = 2.0, potato_elasticity: float = 0.0,
     base = np.array([80.0, 90.0, 100.0, 110.0, 120.0])
     base_probs = np.array([0.1, 0.2, 0.4, 0.2, 0.1])
 
-    def outcomes(f: float) -> list:
+    def outcomes(f: float) -> tuple:
         with np.errstate(over="ignore"):
             kp = base * np.power(f, -e)
             ke = kp * f
         if not (np.isfinite(kp).all() and np.isfinite(ke).all()):
             raise ScmError(f"quantities overflow at exchange factor {f!r}; "
                            "exchange_factor or potato_elasticity is too extreme")
-        return list(zip(zip(np.round(kp, 9), np.round(ke, 9)), base_probs))
+        return (np.round(kp, 9), np.round(ke, 9)), base_probs
 
     levels, (baseline, changed) = _tabulate(("KP", "KE"), [outcomes(f0), outcomes(f1)])
     if e < 0.5:

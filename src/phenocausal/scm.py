@@ -48,7 +48,6 @@ _EDGE_TOL = 1e-12
 
 # Exact joints enumerate every noise assignment and refuse above this many.
 NOISE_COMBO_CAP = 1 << 16
-_KEY_BOUND = 1 << 62  # mixed-radix keys in exact_joint stay below this
 
 
 class ScmError(ValueError):
@@ -73,11 +72,13 @@ class NoiseSpec:
     * ``binomdiff(rounds, p_plus, p_minus)`` -- difference of two
       independent binomial counts, the law of a coin-controlled action
       tally. Finite support {-rounds, ..., rounds}.
-    * ``discrete_uniform(lo, hi)`` -- uniform on the integers lo..hi.
+    * ``discrete_uniform(lo, hi)`` -- uniform on the integers lo..hi,
+      lo <= hi.
     * ``uniform(lo, hi)`` -- continuous uniform.
     * ``gaussian(mu, sigma)`` -- normal; note that linear models with all
       Gaussian noises are not identifiable by LiNGAM-style discovery.
-    * ``degenerate(value)`` -- point mass.
+    * ``degenerate(value)`` -- point mass at a real value, stored as a
+      float.
     * ``finite(atoms, probs)`` -- explicit real atoms, stored as floats,
       with probabilities.
     """
@@ -102,7 +103,14 @@ class NoiseSpec:
 
     @classmethod
     def discrete_uniform(cls, lo: int, hi: int) -> "NoiseSpec":
-        return cls("discrete_uniform", (int(lo), int(hi)))
+        try:
+            bounds = (operator.index(lo), operator.index(hi))
+        except TypeError:
+            raise ScmError(f"discrete_uniform bounds must be integers, "
+                           f"got {lo!r}, {hi!r}") from None
+        if bounds[0] > bounds[1]:
+            raise ScmError(f"discrete_uniform needs lo <= hi, got {lo!r} > {hi!r}")
+        return cls("discrete_uniform", bounds)
 
     @classmethod
     def uniform(cls, lo: float, hi: float) -> "NoiseSpec":
@@ -114,7 +122,9 @@ class NoiseSpec:
 
     @classmethod
     def degenerate(cls, value: float) -> "NoiseSpec":
-        return cls("degenerate", (value,))
+        if not isinstance(value, numbers.Real):
+            raise ScmError(f"degenerate noise value must be a real number, got {value!r}")
+        return cls("degenerate", (float(value),))
 
     @classmethod
     def finite(cls, atoms: Sequence, probs: Sequence[float]) -> "NoiseSpec":
@@ -144,7 +154,7 @@ class NoiseSpec:
             mu, sigma = self.params
             return rng.normal(mu, sigma, size)
         if self.family == "degenerate":
-            return np.full(size, float(self.params[0]))
+            return np.full(size, self.params[0])
         if self.family == "finite":
             idx = rng.choice(len(self.atoms), size=size, p=np.asarray(self.probs))
             return np.asarray(self.atoms)[idx]
@@ -170,7 +180,7 @@ class NoiseSpec:
             k = hi - lo + 1
             return tuple(float(v) for v in range(lo, hi + 1)), (1.0 / k,) * k
         if self.family == "degenerate":
-            return (float(self.params[0]),), (1.0,)
+            return self.params, (1.0,)
         if self.family == "finite":
             return self.atoms, self.probs
         raise ScmError(f"noise family {self.family!r} has no finite support")
@@ -188,7 +198,7 @@ class NoiseSpec:
         if self.family == "gaussian":
             return self.params[0]
         if self.family == "degenerate":
-            return float(self.params[0])
+            return self.params[0]
         atoms, probs = self.support()
         return float(np.dot(np.asarray(atoms, dtype=float), probs))
 
@@ -689,69 +699,37 @@ def structure_preserving_intervention(scm, j: str, fresh_seed: int):
     raise ScmError(f"unsupported model type {type(scm).__name__}")
 
 
-def exact_joint(scm: GeneralScm, max_combos: int = NOISE_COMBO_CAP):
+def exact_joint(scm: GeneralScm):
     """Exact joint of a finite general SCM over all its noise assignments.
 
     Returns (joint over value indices, levels) where levels maps each node
     to its sorted tuple of attainable values. Requires every noise to have
-    finite support and the support product to stay at or below
-    ``max_combos``.
+    finite support, the support product to stay at or below
+    ``NOISE_COMBO_CAP`` and every state on the grid to be finite.
 
-    One pass over the noise grid in topological order: a node's value
-    depends only on its parents' values and its own atom, so its mechanism
-    runs once, on the column of its distinct (parent values, atom) rows.
-    Each node keeps its value at every assignment and integer codes of
-    those values (equal values <-> equal codes). The cost is one mechanism
-    call per node on at most (distinct parent contexts x |atoms_v|) rows,
-    where evaluating every assignment reads |nodes| x prod_v |atoms_v|
-    values, plus one tabulation of the prod_v |atoms_v| outcomes. Weights
-    are multiplied left to right in node order and each state's weights are
-    added in ``itertools.product`` order, so the tables are bit-identical to
-    full enumeration.
+    One ``evaluate`` on the whole noise grid (each mechanism runs once, on
+    columns of prod_v |atoms_v| rows), then one ``_tabulate`` of the state
+    columns. An assignment's weight is the product of its atoms'
+    probabilities, multiplied left to right in node order, and each state's
+    weights are added in ``itertools.product`` order, so the tables are
+    bit-identical to enumerating the assignments one by one.
     """
     supports = [scm.noises[v].support() for v in scm.nodes]
     shape = tuple(len(atoms) for atoms, _ in supports)
     combos = math.prod(shape)
-    if combos > max_combos:
+    if combos > NOISE_COMBO_CAP:
         raise ScmError(
-            f"noise support product {combos} exceeds enumeration cap {max_combos}")
-    atom_index = np.indices(shape).reshape(len(shape), combos)
-    values, codes, cards = {}, {}, {}
+            f"noise support product {combos} exceeds enumeration cap {NOISE_COMBO_CAP}")
+    grid = np.indices(shape).reshape(len(shape), combos)
+    state = scm.evaluate({v: np.asarray(atoms)[index]
+                          for v, (atoms, _), index in zip(scm.nodes, supports, grid)})
+    columns = {v: np.broadcast_to(state[v], combos) for v in scm.nodes}
     for v in scm._order:
-        k = scm.nodes.index(v)
-        pa = scm.parents[v]
-        first, inverse = _distinct_rows(
-            [codes[p] for p in pa] + [atom_index[k]],
-            [cards[p] for p in pa] + [shape[k]], combos)
-        out = scm.mechanisms[v]({p: values[p][first] for p in pa},
-                                np.asarray(supports[k][0])[atom_index[k, first]])
-        out = np.broadcast_to(out, first.shape)
-        distinct, out_codes = np.unique(out, return_inverse=True)
-        values[v], codes[v], cards[v] = out[inverse], out_codes[inverse], len(distinct)
+        if not np.isfinite(columns[v]).all():
+            raise ScmError(f"node {v!r} takes a non-finite value on the noise grid")
     weights = np.ones(())
     for _, probs in supports:
         weights = np.multiply.outer(weights, probs)
-    # each state's weights added in assignment order, as the tabulation
-    # would add them one by one
-    first, inverse = _distinct_rows([codes[v] for v in scm.nodes],
-                                    [cards[v] for v in scm.nodes], combos)
-    totals = np.bincount(inverse, weights=weights.ravel())
-    states = zip(*(values[v][first].tolist() for v in scm.nodes))
-    outcomes = zip(states, totals.tolist())
-    levels, (joint,) = _tabulate(scm.nodes, [outcomes])
+    levels, (joint,) = _tabulate(scm.nodes, [([columns[v] for v in scm.nodes],
+                                              weights.ravel())])
     return joint, dict(zip(scm.nodes, levels))
-
-
-def _distinct_rows(columns: list[np.ndarray], cards: list[int], rows: int
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """The first row of each distinct row of integer code ``columns`` (with
-    the given cardinalities) and, for every row, the index of its distinct
-    row: one mixed-radix integer key per row and a 1-D ``np.unique``."""
-    key, bound = np.zeros(rows, dtype=np.int64), 1
-    for column, card in zip(columns, cards):
-        if bound * card > _KEY_BOUND:  # re-code densely to stay in int64
-            _, key = np.unique(key, return_inverse=True)
-            bound = int(key.max()) + 1
-        key, bound = key * card + column, bound * card
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    return first, inverse

@@ -151,31 +151,39 @@ class DiscreteJoint:
         return cls(names, probs)
 
 
-def _tabulate(names: Sequence[str], outcome_lists: Iterable[Iterable[tuple[tuple, float]]]
-              ) -> tuple[tuple[tuple, ...], list[DiscreteJoint]]:
-    """Joints over ``names`` from lists of (value tuple, weight) outcomes.
+def _cells(columns: Sequence[np.ndarray]
+           ) -> tuple[tuple[np.ndarray, ...], np.ndarray, tuple[int, ...]]:
+    """Each column's sorted distinct values, each row's flat cell index in
+    the table over those levels, and that table's shape. A table above
+    ``MAX_TABLE_ENTRIES`` is refused before anything of its size exists."""
+    levels = tuple(np.unique(c) for c in columns)
+    shape = tuple(lv.size for lv in levels)
+    if math.prod(shape) > MAX_TABLE_ENTRIES:
+        raise TableError(f"level grid {shape} exceeds cap {MAX_TABLE_ENTRIES}")
+    codes = [np.searchsorted(lv, c) for lv, c in zip(levels, columns)]
+    return levels, np.ravel_multi_index(codes, shape), shape
 
-    Within each list the weights of equal tuples are added in list order and
-    zero weights are dropped. Returns the sorted levels of each variable,
-    shared by all lists, and one joint over level indices per list.
+
+def _tabulate(names: Sequence[str],
+              outcomes: Sequence[tuple[Sequence[np.ndarray], np.ndarray]]
+              ) -> tuple[tuple[tuple, ...], list[DiscreteJoint]]:
+    """Joints over ``names`` from (value columns, weights) outcomes.
+
+    Each outcome holds one value column per variable and one weight per
+    row. Rows of zero weight are dropped, so a value only they reach is no
+    level; the weights of equal rows are added in row order (one
+    ``np.bincount``). Returns the sorted levels of each variable as Python
+    scalars, shared by all outcomes, and one joint over level indices per
+    outcome.
     """
-    totals = []
-    for outcomes in outcome_lists:
-        weights: dict[tuple, float] = {}
-        for key, w in outcomes:
-            if w != 0.0:
-                weights[key] = weights.get(key, 0.0) + w
-        totals.append(weights)
-    levels = tuple(tuple(sorted({key[k] for weights in totals for key in weights}))
-                   for k in range(len(names)))
-    index = [{value: i for i, value in enumerate(lv)} for lv in levels]
-    joints = []
-    for weights in totals:
-        table = np.zeros(tuple(len(lv) for lv in levels))
-        for key, w in weights.items():
-            table[tuple(ix[value] for ix, value in zip(index, key))] = w
-        joints.append(DiscreteJoint(names, table))
-    return levels, joints
+    kept = [([c[w != 0.0] for c in columns], w[w != 0.0]) for columns, w in outcomes]
+    levels, cells, shape = _cells([np.concatenate(parts)
+                                   for parts in zip(*(c for c, _ in kept))])
+    parts = np.split(cells, np.cumsum([w.size for _, w in kept])[:-1])
+    joints = [DiscreteJoint(names, np.bincount(part, weights=w, minlength=math.prod(shape))
+                            .reshape(shape))
+              for part, (_, w) in zip(parts, kept)]
+    return tuple(tuple(lv.tolist()) for lv in levels), joints
 
 
 @dataclass(frozen=True)

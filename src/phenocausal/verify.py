@@ -34,7 +34,7 @@ from .exemplars import Exemplar
 from .graphs import (Dag, CycleError, _reachable_inside, backdoor_admissible,
                      is_graphically_causally_sufficient, marginal_dag,
                      random_dag)
-from .scm import NOISE_COMBO_CAP, GeneralScm, NoiseSpec, exact_joint
+from .scm import GeneralScm, NoiseSpec, exact_joint
 from .tables import (ConditionalTable, DiscreteJoint, changed_factors, conditional,
                      hard_intervention, markov_report, product_joint,
                      soft_intervention, tv_distance)
@@ -296,10 +296,9 @@ def urn2_controllers(rounds: int, base_biases: Sequence[float],
 
 
 def verify_embedding_markov(scm: GeneralScm, gtilde: Dag, eps: float = 1e-12,
-                            max_combos: int = NOISE_COMBO_CAP, index: int = 0,
-                            seed: int = 0) -> TrialRecord:
+                            index: int = 0, seed: int = 0) -> TrialRecord:
     """Exactly enumerate the embedding's joint and check Markovness."""
-    joint, _levels = exact_joint(scm, max_combos=max_combos)
+    joint, _levels = exact_joint(scm)
     ok, triple, worst = markov_report(joint, gtilde, eps=eps)
     details = {"worst_residual": worst, "states": int(joint.probs.size)}
     if triple is not None:

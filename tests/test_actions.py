@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from phenocausal.actions import unit_displacements
 from phenocausal import (
     ClassificationError,
     Dag,
@@ -16,6 +17,7 @@ from phenocausal import (
     DiscreteJoint,
     GeneralScm,
     NoiseSpec,
+    ScmError,
     StatisticalAction,
     UnitAction,
     VerdictKind,
@@ -23,6 +25,7 @@ from phenocausal import (
     build_exemplar,
     classify_statistical,
     classify_unit,
+    exact_joint,
     random_conditional,
     random_dag,
     random_markov_joint,
@@ -516,6 +519,35 @@ def _nan_scm():
         mechanisms={"a": lambda pa, n: n, "b": lambda pa, n: pa["a"] * 0.0 + n},
         noises={"a": NoiseSpec.finite([math.nan, 1.0, -1.0], [0.2, 0.4, 0.4]),
                 "b": NoiseSpec.finite([-2.0, 0.0, 3.0], [0.3, 0.3, 0.4])})
+
+
+def test_exact_joint_refuses_a_nan_state_that_unit_displacements_samples():
+    scm = _nan_scm()
+    with pytest.raises(ScmError, match="node 'a' takes a non-finite value"):
+        exact_joint(scm)
+
+    def shift_finite_b(x, nodes):
+        post = x.copy()
+        post[:, 1] += 1.0
+        return np.isfinite(x).all(axis=1), post
+
+    # sampling keeps NaN units: the map refuses them and the rest move by (0, 1)
+    out = unit_displacements(scm, [UnitAction("b+1", shift_finite_b)], 200, 3)
+    assert out.inapplicable == (True,)
+    assert np.array_equal(out.rows[0], [[0.0, 1.0]])
+
+
+@pytest.mark.parametrize("a", [2.0, -3.0])
+def test_exact_joint_refuses_an_infinite_state(a):
+    # b overflows to +inf or -inf at its large atom
+    scm = GeneralScm(
+        nodes=("a", "b"), parents={"b": ("a",)},
+        mechanisms={"a": lambda pa, n: n, "b": lambda pa, n: pa["a"] * n},
+        noises={"a": NoiseSpec.finite([a, 1.0], [0.5, 0.5]),
+                "b": NoiseSpec.finite([1.0, 1e308], [0.5, 0.5])})
+    with np.errstate(over="ignore"), \
+            pytest.raises(ScmError, match="node 'b' takes a non-finite value"):
+        exact_joint(scm)
 
 
 _DISPLACEMENT_SCMS = [_real_scm(), _nan_scm(), urn_bivariate(kb0=4, kr0=4, rounds=3).scm,

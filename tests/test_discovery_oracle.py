@@ -18,7 +18,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phenocausal import discovery, random_dag
+from phenocausal import discovery, random_dag, tables
 from phenocausal.discovery import independence_statistic, permutation_threshold
 from phenocausal.tables import DiscreteJoint
 
@@ -336,7 +336,7 @@ def test_counted_joints_match_rowwise(d, n, levels, seed):
     level_maps = [{v: i for i, v in enumerate(np.unique(rows[:, k]))}
                   for k in range(d)]
     columns = tuple(f"c{k}" for k in range(d))
-    cells, shape = discovery._cell_codes(rows)
+    _, cells, shape = tables._cells(rows.T)
     perm = rng.permutation(n)
     for idx in (np.arange(n), perm[: max(1, n // 3)], perm[n // 3:]):
         fast = discovery._counted_joint(columns, cells[idx], shape)
@@ -365,7 +365,7 @@ def test_thin_context_from_counts_matches_rowwise(d, n, levels, min_count, seed)
     rows = rng.integers(0, levels, size=(n, d)).astype(float)
     columns = tuple(f"c{k}" for k in range(d))
     g = random_dag(columns, rng)
-    cells, shape = discovery._cell_codes(rows)
+    _, cells, shape = tables._cells(rows.T)
     size = int(rng.integers(1, n))
     for part, env_rows in ((cells[:size], rows[:size]), (cells[size:], rows[size:])):
         counts = np.bincount(part, minlength=int(np.prod(shape))).reshape(shape)

@@ -10,6 +10,7 @@ import io
 import itertools
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -30,6 +31,7 @@ from phenocausal import (
     NoiseSpec,
     ScmError,
     SingularStructureError,
+    TableError,
     build_embedding,
     bundles_chain,
     bundles_mixing,
@@ -87,6 +89,32 @@ def test_finite_noise_stores_real_atoms_as_floats():
     spec = NoiseSpec.finite((0, np.int64(2), 0.5, math.nan), (0.25,) * 4)
     assert all(type(a) is float for a in spec.atoms)
     assert spec.atoms[:3] == (0.0, 2.0, 0.5) and math.isnan(spec.atoms[3])
+
+
+@pytest.mark.parametrize("value", [(1.0, 2.0), "1", None])
+def test_degenerate_noise_refuses_a_value_that_is_not_real(value):
+    with pytest.raises(ScmError, match="real"):
+        NoiseSpec.degenerate(value)
+
+
+def test_degenerate_noise_stores_its_value_as_a_float():
+    for value in (3, np.int64(-2), np.float32(0.25), math.nan):
+        spec = NoiseSpec.degenerate(value)
+        (atom,) = spec.params
+        assert type(atom) is float and (atom == value or math.isnan(value))
+        assert spec.support() == ((atom,), (1.0,)) or math.isnan(value)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.5, 3), (0, 3.0), ("0", 3), (0, None)])
+def test_discrete_uniform_refuses_bounds_that_are_not_integers(lo, hi):
+    with pytest.raises(ScmError, match="integers"):
+        NoiseSpec.discrete_uniform(lo, hi)
+
+
+def test_discrete_uniform_refuses_lo_above_hi():
+    with pytest.raises(ScmError, match="lo <= hi"):
+        NoiseSpec.discrete_uniform(3, 1)
+    assert NoiseSpec.discrete_uniform(np.int64(2), 2).support() == ((2.0,), (1.0,))
 
 
 def test_continuous_families_have_no_support():
@@ -561,10 +589,48 @@ def test_exact_joint_is_markov_to_induced_dag():
     assert levels["Kb"] == tuple(range(12, 19))
 
 
+def _counted(scm):
+    """``scm`` with every mechanism call counted per node, and the counter."""
+    calls = collections.Counter()
+
+    def counted(v, mech):
+        def wrapper(pa, noise):
+            calls[v] += 1
+            return mech(pa, noise)
+        return wrapper
+
+    return dataclasses.replace(
+        scm, mechanisms={v: counted(v, m) for v, m in scm.mechanisms.items()}), calls
+
+
 def test_exact_joint_cap():
-    ex = urn_bivariate(kb0=40, kr0=40, rounds=6)
-    with pytest.raises(ScmError):
-        exact_joint(ex.scm, max_combos=10)
+    # 11^5 = 161,051 noise assignments; refused before any mechanism runs
+    scm = urn_chain(n=5).scm
+    counted_scm, calls = _counted(scm)
+    with pytest.raises(ScmError, match="161051 exceeds enumeration cap 65536"):
+        exact_joint(counted_scm)
+    assert not calls
+
+
+def test_exact_joint_refuses_a_table_above_the_cap_before_allocating_it():
+    # 2^16 assignments, within the noise cap, but V0 takes 2 values and every
+    # later node 3: a 2 x 3^15 = 28.7M-entry (230 MB) table, refused from the
+    # level counts
+    nodes = tuple(f"V{k}" for k in range(16))
+    mechanisms = {"V0": lambda pa, u: u}
+    for p, v in zip(nodes, nodes[1:]):
+        mechanisms[v] = lambda pa, u, p=p: np.remainder(pa[p] + u, 3)
+    scm = GeneralScm(nodes=nodes, parents={v: (p,) for p, v in zip(nodes, nodes[1:])},
+                     mechanisms=mechanisms,
+                     noises={v: NoiseSpec.finite((0.0, 1.0), (0.5, 0.5)) for v in nodes})
+    tracemalloc.start()
+    try:
+        with pytest.raises(TableError, match=r"level grid \(2, 3, 3, .*exceeds cap"):
+            exact_joint(scm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6  # 45 MB measured
 
 
 # ---------------------------------------------------------------------------
@@ -690,29 +756,13 @@ def test_exact_joint_matches_dict_then_table_reference(data, d):
 
 
 def test_exact_joint_calls_each_mechanism_once_per_parent_values_and_atom():
+    # one call per node, on the whole 2 x 2 x 49 x 49 noise grid
     base, shifted = (0.5, 0.4, 0.6, 0.3), (0.7, 0.2, 0.4, 0.5)
     ex = urn_bivariate(kb0=12, kr0=12, rounds=3, coin_biases=base)
     scm, _ = build_embedding(ex, urn2_controllers(3, base, shifted))
-    calls = collections.defaultdict(list)
-
-    def counted(v, mech):
-        def wrapper(pa, atom):
-            calls[v].append(np.column_stack(
-                [np.broadcast_to(pa[p], np.shape(atom)) for p in sorted(pa)] + [atom]))
-            return mech(pa, atom)
-        return wrapper
-
-    counted_scm = dataclasses.replace(
-        scm, mechanisms={v: counted(v, m) for v, m in scm.mechanisms.items()})
+    counted_scm, calls = _counted(scm)
     joint, levels = exact_joint(counted_scm)
-    assert sorted(calls) == sorted(scm.nodes)
-    assert all(len(rows) == 1 for rows in calls.values())
-    for (rows,) in calls.values():
-        assert len(np.unique(rows, axis=0)) == len(rows)
-    # 2 + 2 (Y1, Y2) + 2 x 49 (Kb: Y1 x joint atom) + 7 x 2 x 49 (Kr: Kb x Y2
-    # x joint atom) rows; evaluating all 2 x 2 x 49 x 49 assignments in full
-    # reads 4 x 9604 = 38,416
-    assert sum(len(rows) for (rows,) in calls.values()) == 788
+    assert calls == collections.Counter(scm.nodes)
     ref, ref_levels = exact_joint_reference(scm)
     assert np.array_equal(joint.probs, ref.probs) and levels == ref_levels
 
@@ -731,16 +781,7 @@ def _per_unit_rows(scm, noise, n):
 
 
 def _assert_one_forward_pass(scm, actions, n, seed):
-    calls = collections.Counter()
-
-    def counted(v, mech):
-        def wrapper(pa, noise):
-            calls[v] += 1
-            return mech(pa, noise)
-        return wrapper
-
-    counted_scm = dataclasses.replace(
-        scm, mechanisms={v: counted(v, m) for v, m in scm.mechanisms.items()})
+    counted_scm, calls = _counted(scm)
     once = collections.Counter(scm.nodes)
     ds, noise = counted_scm.simulate(n, seed, return_noise=True)
     assert calls == once
@@ -778,46 +819,6 @@ def test_forward_pass_equals_per_unit_evaluate_on_an_embedding(n):
     ex = urn_bivariate(kb0=12, kr0=12, rounds=3, coin_biases=base)
     scm, _ = build_embedding(ex, urn2_controllers(3, base, shifted))
     _assert_one_forward_pass(scm, (), n, 11)
-
-
-@pytest.mark.parametrize("cards", [(3, 5, 2), (2**33, 2**33, 3), (2**62, 2)])
-def test_distinct_rows_groups_equal_rows(cards):
-    # cardinalities whose product leaves int64 take the re-coding path; a
-    # wrapped key would merge (2**31, 0, 0) with (0, 0, 0)
-    from phenocausal.scm import _distinct_rows
-
-    rng = np.random.default_rng(5)
-    columns = [rng.choice(np.array([0, 1, 2**31 % card, card - 1], dtype=np.int64), 200)
-               for card in cards]
-    first, inverse = _distinct_rows(columns, list(cards), 200)
-    rows = list(zip(*(c.tolist() for c in columns)))
-    assert len(first) == len(set(rows))
-    for i, row in enumerate(rows):
-        j = first[inverse[i]]
-        assert rows[j] == row and j == rows.index(row)
-
-
-@settings(max_examples=120, deadline=None, derandomize=True)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 300),
-       st.lists(st.integers(1, 6), min_size=1, max_size=3),
-       st.lists(st.integers(2, 2**40), max_size=3))
-def test_distinct_rows_equals_np_unique_on_dense_and_sparse_keys(seed, rows, cards,
-                                                                 wide):
-    # small cardinalities fill their key space; wide ones leave it sparse
-    # and, past int64, take the re-coding path. The mixed-radix keys must
-    # order rows as np.unique orders the rows themselves.
-    from phenocausal.scm import _distinct_rows
-
-    if not wide:
-        rows = max(rows, math.prod(cards))
-    cards = cards + wide
-    rng = np.random.default_rng(seed)
-    columns = [rng.integers(0, card, rows) for card in cards]
-    _, want_first, want_inverse = np.unique(
-        np.stack(columns, axis=1), axis=0, return_index=True, return_inverse=True)
-    first, inverse = _distinct_rows(columns, cards, rows)
-    assert np.array_equal(first, want_first)
-    assert np.array_equal(inverse, want_inverse.ravel())
 
 
 # The binomdiff pmf against the exact rational pmf of its float biases, and

@@ -29,7 +29,7 @@ from phenocausal import (
     soft_intervention,
     tv_distance,
 )
-from phenocausal.tables import MAX_TABLE_ENTRIES
+from phenocausal.tables import MAX_TABLE_ENTRIES, _tabulate
 
 
 def _chain3():
@@ -65,6 +65,79 @@ def test_table_cap():
     n = MAX_TABLE_ENTRIES + 1
     with pytest.raises(TableError, match="exceeds cap"):
         DiscreteJoint(("X",), np.full(n, 1 / n))
+
+
+# ---------------------------------------------------------------------------
+# Labeled tables from value columns
+# ---------------------------------------------------------------------------
+
+
+def _tabulate_reference(names, outcome_lists):
+    """The former dict-based ``_tabulate`` over lists of (value tuple,
+    weight) outcomes, verbatim."""
+    totals = []
+    for outcomes in outcome_lists:
+        weights: dict[tuple, float] = {}
+        for key, w in outcomes:
+            if w != 0.0:
+                weights[key] = weights.get(key, 0.0) + w
+        totals.append(weights)
+    levels = tuple(tuple(sorted({key[k] for weights in totals for key in weights}))
+                   for k in range(len(names)))
+    index = [{value: i for i, value in enumerate(lv)} for lv in levels]
+    joints = []
+    for weights in totals:
+        table = np.zeros(tuple(len(lv) for lv in levels))
+        for key, w in weights.items():
+            table[tuple(ix[value] for ix, value in zip(index, key))] = w
+        joints.append(DiscreteJoint(names, table))
+    return levels, joints
+
+
+# few distinct values, so rows tie; 99 and 99.5 appear only at zero weight
+_INT_VALUES = st.integers(-3, 3)
+_FLOAT_VALUES = st.sampled_from([-2.5, -1.0, 0.0, 0.1, 0.2, 0.30000000000000004,
+                                 1e-300, 1.0, 7.25])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data(), st.integers(1, 3), st.integers(1, 4))
+def test_tabulate_equals_dict_reference(data, n_joints, d):
+    names = tuple(f"V{k}" for k in range(d))
+    is_int = data.draw(st.lists(st.booleans(), min_size=d, max_size=d))
+    outcomes, reference = [], []
+    for j in range(n_joints):
+        rows = data.draw(st.integers(1, 12))
+        columns = [np.array(data.draw(st.lists(_INT_VALUES if i else _FLOAT_VALUES,
+                                               min_size=rows, max_size=rows)),
+                            dtype=np.int64 if i else float)
+                   for i in is_int]
+        counts = data.draw(st.lists(st.integers(0, 3), min_size=rows, max_size=rows)
+                           .filter(lambda c: sum(c) > 0))
+        weights = np.array(counts) / sum(counts)
+        if j == 0:  # a value reached only at zero weight
+            columns = [np.append(c, 99 if i else 99.5) for c, i in zip(columns, is_int)]
+            weights = np.append(weights, 0.0)
+        outcomes.append((columns, weights))
+        reference.append(list(zip(zip(*(c.tolist() for c in columns)), weights.tolist())))
+    levels, joints = _tabulate(names, outcomes)
+    ref_levels, ref_joints = _tabulate_reference(names, reference)
+    assert levels == ref_levels
+    assert [[type(v) for v in lv] for lv in levels] == \
+        [[type(v) for v in lv] for lv in ref_levels]
+    assert all(type(v) is (int if i else float) for lv, i in zip(levels, is_int)
+               for v in lv)
+    assert not {99, 99.5} & {v for lv in levels for v in lv}
+    for joint, ref in zip(joints, ref_joints, strict=True):
+        assert joint.names == ref.names == names
+        assert np.array_equal(joint.probs, ref.probs)
+
+
+def test_tabulate_refuses_a_level_grid_above_the_cap():
+    side = 1025  # 1025^2 cells, just above 2^20
+    column = np.arange(side)
+    with pytest.raises(TableError, match=r"level grid \(1025, 1025\) exceeds cap"):
+        _tabulate(("X", "Y"), [((column, column), np.full(side, 1 / side))])
 
 
 def test_marginal_and_permute():

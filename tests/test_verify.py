@@ -155,7 +155,7 @@ def test_observer_edges_and_cycle_detection():
     )
     scm, gtilde = build_embedding(ex, with_observer)
     assert ("Kr", "Z") in gtilde.edges
-    rec = verify_embedding_markov(scm, gtilde, eps=1e-12, max_combos=1 << 17)
+    rec = verify_embedding_markov(scm, gtilde, eps=1e-12)
     assert rec.ok
     # an observer feeding back into a controller's class makes a cycle
     cyclic = type(spec)(
