@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import Dag
-from .scm import Dataset
+from .scm import Dataset, _philox
 from .tables import (ConditionalTable, DiscreteJoint, _cells, _conditional_distance,
                      conditional, factorize)
 
@@ -243,7 +243,7 @@ def permutation_threshold(u: np.ndarray, v: np.ndarray, n_perm: int = 199,
                           quantile: float = 0.95, seed: int = 0,
                           max_points: int = _MAX_DCOR_POINTS) -> float:
     """Null quantile of the statistic under random pairing of u and v."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = _philox(seed)
     u = np.asarray(u, dtype=float).reshape(-1)
     v = np.asarray(v, dtype=float).reshape(-1)
     stats = [
@@ -333,9 +333,10 @@ class BivariateResult:
                 "diagnostics": self.diagnostics}
 
 
-def lingam_bivariate(data: Dataset, x: str | None = None, y: str | None = None,
+def lingam_bivariate(data: Dataset,
                      max_points: int = _MAX_DCOR_POINTS) -> BivariateResult:
-    """Decide between x -> y and y -> x for a linear non-Gaussian pair.
+    """Decide between x -> y and y -> x for a linear non-Gaussian pair, x and
+    y the first two columns of ``data``.
 
     Both regressions are fitted; the winning direction is the one whose
     residual is more independent of its regressor. Near-Gaussian pairs
@@ -346,8 +347,7 @@ def lingam_bivariate(data: Dataset, x: str | None = None, y: str | None = None,
     _check_max_points(max_points)
     if len(data.columns) < 2:
         raise DiscoveryError("need at least two columns")
-    x = x or data.columns[0]
-    y = y or data.columns[1]
+    x, y = data.columns[:2]
     u = data.column(x)
     v = data.column(y)
     if u.size < 100:
@@ -596,7 +596,7 @@ def localize_mechanism_change(environments: Sequence, g: Dag,
                   for part in np.split(cells, np.cumsum(sizes)[:-1])]
 
     if eps is None:
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        rng = _philox(seed)
         null_stats = {v: [] for v in g.nodes}
         for _ in range(n_perm):
             perm = rng.permutation(cells.size)

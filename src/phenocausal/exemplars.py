@@ -41,7 +41,7 @@ import numpy as np
 
 from .actions import StatisticalAction, UnitAction, unit_action_from_spec
 from .graphs import Dag
-from .scm import (Dataset, GeneralScm, LinearScm, NoiseSpec, ScmError,
+from .scm import (Dataset, GeneralScm, LinearScm, NoiseSpec, ScmError, _philox,
                   solve_structure)
 from .tables import MAX_TABLE_ENTRIES, DiscreteJoint, TableError, _tabulate
 
@@ -178,7 +178,7 @@ class _UrnProcess:
         The counts are held type-major, one contiguous row of ``n`` runs per
         ball type, and a move adds ``hit * delta`` to the rows of the types
         it changes; one coin draw per move and round."""
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        rng = _philox(seed)
         col = {v: i for i, v in enumerate(self.nodes)}
         state = np.repeat(np.asarray(self.k0, dtype=float)[:, None], n, axis=1)
         refused = np.zeros(n, dtype=bool)
@@ -227,6 +227,16 @@ class _UrnProcess:
             raise TableError(f"level grid {shape} exceeds cap {MAX_TABLE_ENTRIES}")
         return steps, lo, shape
 
+    def levels(self) -> dict[str, list[int]]:
+        """The reachable counts of each type: the axes of ``grid()``'s
+        lattice."""
+        _, lo, shape = self.grid()
+        return self._axes(lo, shape)
+
+    def _axes(self, lo: np.ndarray, shape: tuple[int, ...]) -> dict[str, list[int]]:
+        return {v: list(range(int(a), int(a) + n))
+                for v, a, n in zip(self.nodes, lo, shape)}
+
     def exact_joint(self) -> tuple[DiscreteJoint, dict]:
         """Exact distribution after ``rounds``, by dynamic programming over
         the lattice of reachable counts, refusals at empty types included.
@@ -235,8 +245,9 @@ class _UrnProcess:
         """
         steps, lo, shape = self.grid()
         k0 = np.asarray(self.k0)
-        levels = [np.arange(a, a + n) for a, n in zip(lo, shape)]
-        counts = dict(zip(self.nodes, np.meshgrid(*levels, indexing="ij", sparse=True)))
+        levels = self._axes(lo, shape)
+        counts = dict(zip(self.nodes, np.meshgrid(*map(np.asarray, levels.values()),
+                                                  indexing="ij", sparse=True)))
         # per move: its coin, where it may fire, and the slices that shift the
         # grid by its step; no run leaves the grid, so no mass is dropped
         table = []
@@ -254,8 +265,7 @@ class _UrnProcess:
                 moved = np.zeros(shape)
                 moved[dst] = pmf[src] * p * ok[src]
                 pmf = pmf * (1.0 - p) + pmf * p * refused + moved
-        joint = DiscreteJoint(self.nodes, pmf)
-        return joint, {v: [int(x) for x in lv] for v, lv in zip(self.nodes, levels)}
+        return DiscreteJoint(self.nodes, pmf), levels
 
     def linear(self, class_nodes: Mapping[str, str]) -> LinearScm:
         """The linear idealization, in which every action class ``c`` (the
@@ -362,7 +372,7 @@ def urn_bivariate(kb0: int = 50, kr0: int = 50, rounds: int = 5,
             "kb0": kb0, "kr0": kr0, "rounds": rounds,
             "coin_biases": [p1p, p1m, p2p, p2m],
             "bias_shift": bias_shift,
-            "levels": exact()[1],
+            "levels": process.levels(),
             "class_nodes": class_nodes,
             "seed": seed,
         },
@@ -804,7 +814,7 @@ def _level_sampler(baseline: DiscreteJoint,
     values = [np.asarray(lv, dtype=float) for lv in levels]
 
     def sample(m: int, seed: int) -> Dataset:
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        rng = _philox(seed)
         idx = baseline.sample(m, rng)
         return Dataset(baseline.names,
                        np.column_stack([v[idx[:, k]] for k, v in enumerate(values)]),

@@ -6,10 +6,10 @@ the coefficient of variable i in the equation for variable j, so that
 X = A X + offsets + N and X = (I - A)^{-1} (offsets + N). General models
 carry one deterministic mechanism per node plus an independent noise term.
 
-Random draws use counter-based Philox generators keyed by
-(seed, node index, stream, chunk), so per-node noise columns are
-reproducible independently of each other and chunks can be filled in any
-order (or in parallel) with identical output.
+Random draws use counter-based Philox generators (``_philox``). Noise
+columns are keyed by (seed, node index, stream, chunk), so per-node noise
+columns are reproducible independently of each other and chunks can be
+filled in any order (or in parallel) with identical output.
 """
 
 from __future__ import annotations
@@ -114,11 +114,19 @@ class NoiseSpec:
 
     @classmethod
     def uniform(cls, lo: float, hi: float) -> "NoiseSpec":
-        return cls("uniform", (float(lo), float(hi)))
+        lo, hi = _finite_params("uniform", lo=lo, hi=hi)
+        if not lo <= hi:
+            raise ScmError(f"uniform needs lo <= hi, got {lo!r} > {hi!r}")
+        if not math.isfinite(hi - lo):
+            raise ScmError(f"uniform range hi - lo overflows, got {lo!r}, {hi!r}")
+        return cls("uniform", (lo, hi))
 
     @classmethod
     def gaussian(cls, mu: float, sigma: float) -> "NoiseSpec":
-        return cls("gaussian", (float(mu), float(sigma)))
+        mu, sigma = _finite_params("gaussian", mu=mu, sigma=sigma)
+        if sigma < 0:
+            raise ScmError(f"gaussian sigma must be >= 0, got {sigma!r}")
+        return cls("gaussian", (mu, sigma))
 
     @classmethod
     def degenerate(cls, value: float) -> "NoiseSpec":
@@ -185,47 +193,24 @@ class NoiseSpec:
             return self.atoms, self.probs
         raise ScmError(f"noise family {self.family!r} has no finite support")
 
-    def mean(self) -> float:
-        if self.family == "binomdiff":
-            r, pp, pm = self.params
-            return r * (pp - pm)
-        if self.family == "discrete_uniform":
-            lo, hi = self.params
-            return (lo + hi) / 2.0
-        if self.family == "uniform":
-            lo, hi = self.params
-            return (lo + hi) / 2.0
-        if self.family == "gaussian":
-            return self.params[0]
-        if self.family == "degenerate":
-            return self.params[0]
-        atoms, probs = self.support()
-        return float(np.dot(np.asarray(atoms, dtype=float), probs))
-
-    def var(self) -> float:
-        if self.family == "binomdiff":
-            r, pp, pm = self.params
-            return r * (pp * (1 - pp) + pm * (1 - pm))
-        if self.family == "discrete_uniform":
-            lo, hi = self.params
-            k = hi - lo + 1
-            return (k * k - 1) / 12.0
-        if self.family == "uniform":
-            lo, hi = self.params
-            return (hi - lo) ** 2 / 12.0
-        if self.family == "gaussian":
-            return self.params[1] ** 2
-        if self.family == "degenerate":
-            return 0.0
-        atoms, probs = self.support()
-        values = np.asarray(atoms, dtype=float)
-        return float(np.dot(values**2, probs) - np.dot(values, probs) ** 2)
-
     def to_json_obj(self) -> dict:
         if self.family == "finite":
             return {"family": "finite", "atoms": list(self.atoms),
                     "probs": list(self.probs)}
         return {"family": self.family, "params": list(self.params)}
+
+
+def _finite_params(family: str, **params) -> tuple[float, ...]:
+    """The values of ``params`` as floats; an ScmError names the first one
+    that is not a finite real number."""
+    for name, value in params.items():
+        try:
+            ok = isinstance(value, numbers.Real) and math.isfinite(value)
+        except OverflowError:  # an integer beyond the float range
+            ok = False
+        if not ok:
+            raise ScmError(f"{family} {name} must be a finite real number, got {value!r}")
+    return tuple(float(v) for v in params.values())
 
 
 def _frexp_power(m: float, n: int) -> tuple[float, int]:
@@ -271,8 +256,10 @@ def _binomial_pmf(r: int, q: float) -> np.ndarray:
     return out
 
 
-def _node_rng(seed: int, node_index: int, stream: int, chunk: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(seed, spawn_key=(node_index, stream, chunk))
+def _philox(seed: int, *key: int) -> np.random.Generator:
+    """The package's one seeded generator: Philox on ``SeedSequence(seed)``,
+    or on its child ``key`` (``SeedSequence(seed, spawn_key=key)``)."""
+    ss = np.random.SeedSequence(seed, spawn_key=key)
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -281,7 +268,7 @@ def _noise_column(spec: NoiseSpec, n: int, seed: int, node_index: int,
     parts = []
     for chunk, start in enumerate(range(0, n, _CHUNK)):
         size = min(_CHUNK, n - start)
-        parts.append(spec.sample(_node_rng(seed, node_index, stream, chunk), size))
+        parts.append(spec.sample(_philox(seed, node_index, stream, chunk), size))
     if not parts:
         return np.empty(0)
     return np.concatenate(parts)
@@ -457,7 +444,6 @@ class LinearScm:
     a: np.ndarray
     offsets: np.ndarray
     noises: tuple[NoiseSpec, ...]
-    noise_streams: tuple[int, ...] = ()
 
     def __post_init__(self):
         nodes = tuple(self.nodes)
@@ -470,16 +456,12 @@ class LinearScm:
             raise ScmError("offsets must be one per node")
         if len(self.noises) != d:
             raise ScmError("need one noise spec per node")
-        streams = self.noise_streams or (0,) * d
-        if len(streams) != d:
-            raise ScmError("need one stream index per node")
         a.flags.writeable = False
         offsets.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "noises", tuple(self.noises))
-        object.__setattr__(self, "noise_streams", tuple(streams))
         self.graph()  # acyclicity check
 
     def graph(self) -> Dag:
@@ -493,22 +475,11 @@ class LinearScm:
         d = len(self.nodes)
         return np.linalg.solve(np.eye(d) - self.a, np.eye(d))
 
-    def simulate(self, n: int, seed: int,
-                 return_noise: bool = False) -> Dataset | tuple[Dataset, np.ndarray]:
-        if n < 1:
-            raise ScmError("need n >= 1 samples")
-        noise = np.column_stack([
-            _noise_column(spec, n, seed, k, self.noise_streams[k])
-            for k, spec in enumerate(self.noises)
-        ])
-        x = (noise + self.offsets) @ self.mixing().T
-        ds = Dataset(self.nodes, x, seed)
-        return (ds, noise) if return_noise else ds
-
     def general(self) -> "GeneralScm":
         """The same model as one mechanism per node over its parents in
         ``graph()``: X_v = offset_v + sum_p a[v, p] X_p + N_v, with the same
-        noise specs and streams."""
+        noise specs. ``general().simulate`` is how a linear model is
+        simulated."""
         g = self.graph()
         mechanisms = {}
         for j, v in enumerate(self.nodes):
@@ -517,8 +488,7 @@ class LinearScm:
             mechanisms[v] = _affine(float(self.offsets[j]), terms)
         return GeneralScm(
             nodes=self.nodes, parents={v: g.parents(v) for v in self.nodes},
-            mechanisms=mechanisms, noises=dict(zip(self.nodes, self.noises)),
-            noise_streams=dict(zip(self.nodes, self.noise_streams)))
+            mechanisms=mechanisms, noises=dict(zip(self.nodes, self.noises)))
 
     def to_json_obj(self) -> dict:
         return {
@@ -656,14 +626,13 @@ class GeneralScm:
             state[v] = self.mechanisms[v](pa, noise_row[v])
         return state
 
-    def simulate(self, n: int, seed: int, return_noise: bool = False):
+    def simulate(self, n: int, seed: int) -> Dataset:
+        """``evaluate`` on ``sample_noise(n, seed)``, as rows in node order."""
         if n < 1:
             raise ScmError("need n >= 1 samples")
-        noise = self.sample_noise(n, seed)
-        state = self.evaluate(noise)
+        state = self.evaluate(self.sample_noise(n, seed))
         rows = np.column_stack([np.broadcast_to(state[v], n) for v in self.nodes])
-        ds = Dataset(self.nodes, rows, seed)
-        return (ds, noise) if return_noise else ds
+        return Dataset(self.nodes, rows, seed)
 
 
 def unit_map(scm: GeneralScm, j: str, noise_value) -> Callable[[Mapping[str, float]], float]:
@@ -679,24 +648,21 @@ def unit_map(scm: GeneralScm, j: str, noise_value) -> Callable[[Mapping[str, flo
     return section
 
 
-def structure_preserving_intervention(scm, j: str, fresh_seed: int):
+def structure_preserving_intervention(scm: GeneralScm, j: str,
+                                      fresh_seed: int) -> GeneralScm:
     """Replace node ``j``'s noise by an independent copy with the same law.
 
     The mechanism is untouched, so all dependences on the parents are
-    preserved; only the noise stream index changes.
+    preserved; only the noise stream index changes. A linear model is
+    intervened on through ``LinearScm.general()``.
     """
-    if isinstance(scm, LinearScm):
-        k = scm.nodes.index(j)
-        streams = list(scm.noise_streams)
-        streams[k] = int(fresh_seed)
-        return replace(scm, noise_streams=tuple(streams))
-    if isinstance(scm, GeneralScm):
-        if j not in scm.nodes:
-            raise ScmError(f"unknown node {j!r}")
-        streams = dict(scm.noise_streams)
-        streams[j] = int(fresh_seed)
-        return replace(scm, noise_streams=streams)
-    raise ScmError(f"unsupported model type {type(scm).__name__}")
+    if not isinstance(scm, GeneralScm):
+        raise ScmError(f"unsupported model type {type(scm).__name__}")
+    if j not in scm.nodes:
+        raise ScmError(f"unknown node {j!r}")
+    streams = dict(scm.noise_streams)
+    streams[j] = int(fresh_seed)
+    return replace(scm, noise_streams=streams)
 
 
 def exact_joint(scm: GeneralScm):

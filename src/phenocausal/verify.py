@@ -34,7 +34,7 @@ from .exemplars import Exemplar
 from .graphs import (Dag, CycleError, _reachable_inside, backdoor_admissible,
                      is_graphically_causally_sufficient, marginal_dag,
                      random_dag)
-from .scm import GeneralScm, NoiseSpec, exact_joint
+from .scm import GeneralScm, NoiseSpec, _philox, exact_joint
 from .tables import (ConditionalTable, DiscreteJoint, changed_factors, conditional,
                      hard_intervention, markov_report, product_joint,
                      soft_intervention, tv_distance)
@@ -451,7 +451,7 @@ def _spawn_seed(seed: int, *key: int) -> int:
 
 def proposition_trial(trial_seed: int, tol: float = 1e-3,
                       floor: float = 1e-12, index: int = 0) -> TrialRecord:
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(trial_seed)))
+    rng = _philox(trial_seed)
     k = int(rng.integers(2, 5))
     for _ in range(100):
         m = rng.random((k, k)) + 0.05
@@ -471,7 +471,7 @@ def proposition_trial(trial_seed: int, tol: float = 1e-3,
 
 def boundary_trial(trial_seed: int, max_nodes: int = 6, eps: float = 1e-9,
                    index: int = 0) -> TrialRecord:
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(trial_seed)))
+    rng = _philox(trial_seed)
     n = int(rng.integers(3, max_nodes + 1))
     g = random_dag([f"X{i+1}" for i in range(n)], rng, edge_prob=0.5)
     cards = {v: 2 for v in g.nodes}
@@ -499,7 +499,7 @@ def boundary_trial(trial_seed: int, max_nodes: int = 6, eps: float = 1e-9,
 def embedding_trial(trial_seed: int, rounds: int = 3, index: int = 0) -> TrialRecord:
     from .exemplars import urn_bivariate
 
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(trial_seed)))
+    rng = _philox(trial_seed)
     base = tuple(rng.uniform(0.2, 0.8, size=4))
     shifted = tuple(np.clip(np.asarray(base) + rng.uniform(-0.15, 0.15, size=4),
                             0.05, 0.95))

@@ -233,7 +233,7 @@ def test_random_linear_models_recovered():
     good = 0
     for seed in range(10):
         lin = random_linear(seed)
-        res = lingam_multivariate(lin.simulate(100_000, 5000 + seed),
+        res = lingam_multivariate(lin.general().simulate(100_000, 5000 + seed),
                                   max_points=1200)
         good += frozenset(res.dag.edges) == frozenset(lin.graph().edges)
     assert good >= 9

@@ -73,7 +73,7 @@ def test_bounded_process_matches_linear_idealization_without_refusals():
     ex = urn_bivariate(kb0=20, kr0=20, rounds=5)
     ds, refused = ex.process.simulate(4000, 17)
     assert not refused.any()
-    lin = ex.linear.simulate(4000, 17)
+    lin = ex.linear.general().simulate(4000, 17)
     # same seed drives different generators, so compare distributions
     assert abs(ds.column("Kb").mean() - lin.column("Kb").mean()) < 0.15
     assert abs(ds.column("Kr").var() - lin.column("Kr").var()) < 0.6
@@ -207,7 +207,7 @@ def test_chain_process_linear_agreement():
     ex = urn_chain(n=3, k0=(25, 25, 25), rounds=3)
     ds, refused = ex.process.simulate(3000, 9)
     assert not refused.any()
-    lin = ex.linear.simulate(3000, 9)
+    lin = ex.linear.general().simulate(3000, 9)
     for col in ex.scm.nodes:
         assert abs(ds.column(col).mean() - lin.column(col).mean()) < 0.2
 
@@ -233,7 +233,7 @@ def test_bundle_ground_truth_chain():
 
 def test_bundle_top_count_equals_tally():
     ex = bundles_chain(n=4, rounds=4)
-    ds, noise = ex.scm.simulate(200, 6, return_noise=True)
+    ds, noise = ex.scm.simulate(200, 6), ex.scm.sample_noise(200, 6)
     k0_top = ex.notes["k0"][0]
     assert np.array_equal(ds.column("K4") - k0_top, noise["K4"])
 

@@ -57,15 +57,21 @@ def _urn2_linear(rounds=4):
 # ---------------------------------------------------------------------------
 
 
+def _moments(spec: NoiseSpec) -> tuple[float, float]:
+    """Mean and variance of a finite noise, from its support."""
+    atoms, probs = (np.asarray(x) for x in spec.support())
+    mean = float(probs @ atoms)
+    return mean, float(probs @ atoms**2) - mean**2
+
+
 def test_binomdiff_moments_and_pmf():
     spec = NoiseSpec.binomdiff(6, 0.7, 0.2)
-    assert spec.mean() == pytest.approx(6 * 0.5)
-    assert spec.var() == pytest.approx(6 * (0.21 + 0.16))
     atoms, probs = spec.support()
     assert atoms[0] == -6 and atoms[-1] == 6
     assert sum(probs) == pytest.approx(1.0, abs=1e-12)
-    mean = sum(a * p for a, p in zip(atoms, probs))
-    assert mean == pytest.approx(spec.mean(), abs=1e-12)
+    mean, var = _moments(spec)
+    assert mean == pytest.approx(6 * (0.7 - 0.2), abs=1e-12)
+    assert var == pytest.approx(6 * (0.7 * 0.3 + 0.2 * 0.8), abs=1e-12)
 
 
 def test_finite_noise_requires_probability_vector():
@@ -115,6 +121,43 @@ def test_discrete_uniform_refuses_lo_above_hi():
     with pytest.raises(ScmError, match="lo <= hi"):
         NoiseSpec.discrete_uniform(3, 1)
     assert NoiseSpec.discrete_uniform(np.int64(2), 2).support() == ((2.0,), (1.0,))
+
+
+@pytest.mark.parametrize("family, params, name", [
+    ("gaussian", (math.nan, 1.0), "mu"),
+    ("gaussian", (0.0, math.inf), "sigma"),
+    ("gaussian", ("0", 1.0), "mu"),
+    ("gaussian", (0.0, None), "sigma"),
+    ("uniform", (-math.inf, 0.0), "lo"),
+    ("uniform", (0.0, math.nan), "hi"),
+    ("uniform", (0, 10**400), "hi"),
+    ("uniform", ((0.0,), 1.0), "lo"),
+])
+def test_continuous_noise_refuses_a_parameter_that_is_not_a_finite_real(family, params,
+                                                                         name):
+    with pytest.raises(ScmError, match=f"{family} {name} must be a finite real number"):
+        getattr(NoiseSpec, family)(*params)
+
+
+def test_gaussian_refuses_a_negative_sigma():
+    with pytest.raises(ScmError, match="sigma must be >= 0"):
+        NoiseSpec.gaussian(0, -1)
+    spec = NoiseSpec.gaussian(np.int64(2), 0)  # a point mass
+    assert all(type(p) is float for p in spec.params)
+    assert spec.sample(np.random.default_rng(0), 3).tolist() == [2.0] * 3
+
+
+def test_uniform_refuses_lo_above_hi():
+    with pytest.raises(ScmError, match="lo <= hi"):
+        NoiseSpec.uniform(2, 1)
+    spec = NoiseSpec.uniform(1.5, np.float32(1.5))  # a point mass
+    assert all(type(p) is float for p in spec.params)
+    assert spec.sample(np.random.default_rng(0), 3).tolist() == [1.5] * 3
+
+
+def test_uniform_refuses_a_range_above_the_float_range():
+    with pytest.raises(ScmError, match="overflows"):
+        NoiseSpec.uniform(-1e308, 1e308)
 
 
 def test_continuous_families_have_no_support():
@@ -348,10 +391,10 @@ def test_reading_written_csv_skips_the_csv_module(ds):
 
 def test_simulation_deterministic_given_seed():
     lin = _urn2_linear()
-    d1 = lin.simulate(2000, 5)
-    d2 = lin.simulate(2000, 5)
+    d1 = lin.general().simulate(2000, 5)
+    d2 = lin.general().simulate(2000, 5)
     assert np.array_equal(d1.rows, d2.rows)
-    d3 = lin.simulate(2000, 6)
+    d3 = lin.general().simulate(2000, 6)
     assert not np.array_equal(d1.rows, d3.rows)
 
 
@@ -359,7 +402,7 @@ def test_degenerate_noise_propagates_offsets():
     lin = _urn2_linear()
     frozen = dataclasses.replace(
         lin, noises=tuple(NoiseSpec.degenerate(0.0) for _ in lin.nodes))
-    rows = frozen.simulate(4, 1).rows
+    rows = frozen.general().simulate(4, 1).rows
     assert np.array_equal(rows, np.full((4, 2), 30.0))
 
 
@@ -368,7 +411,7 @@ def test_urn_sample_means_match_noise_moments():
     biases = (0.7, 0.2, 0.4, 0.4)
     lin = urn_bivariate(kb0=40, kr0=40, rounds=rounds, coin_biases=biases).linear
     n = 40_000
-    ds = lin.simulate(n, 3)
+    ds = lin.general().simulate(n, 3)
     e1 = rounds * (biases[0] - biases[1])
     e2 = rounds * (biases[2] - biases[3])
     v1 = rounds * (biases[0] * 0.3 + biases[1] * 0.8)
@@ -381,9 +424,9 @@ def test_urn_sample_means_match_noise_moments():
 def test_empirical_covariance_matches_mixing():
     lin = _urn2_linear(rounds=5)
     n = 100_000
-    ds, noise = lin.simulate(n, 8, return_noise=True)
+    ds = lin.general().simulate(n, 8)
     s = lin.mixing()
-    cov_n = np.diag([spec.var() for spec in lin.noises])
+    cov_n = np.diag([_moments(spec)[1] for spec in lin.noises])
     expected = s @ cov_n @ s.T
     observed = np.cov(ds.rows.T)
     stderr = np.abs(expected).max() * 5 / np.sqrt(n) + 5 * 2.0 / np.sqrt(n)
@@ -573,7 +616,7 @@ def test_urn_unit_relation_after_a1_actions():
 
 def test_unit_map_reproduces_simulated_rows():
     ex = urn_bivariate(kb0=20, kr0=20, rounds=4)
-    ds, noise = ex.scm.simulate(50, 12, return_noise=True)
+    ds, noise = ex.scm.simulate(50, 12), ex.scm.sample_noise(50, 12)
     for r in range(50):
         state = {v: ds.rows[r][k] for k, v in enumerate(ex.scm.nodes)}
         for v in ex.scm.nodes:
@@ -641,8 +684,8 @@ def test_exact_joint_refuses_a_table_above_the_cap_before_allocating_it():
 def test_structure_preserving_keeps_law_changes_units():
     ex = urn_bivariate(kb0=25, kr0=25, rounds=4)
     scm2 = structure_preserving_intervention(ex.scm, "Kr", fresh_seed=99)
-    d1, n1 = ex.scm.simulate(3000, 21, return_noise=True)
-    d2, n2 = scm2.simulate(3000, 21, return_noise=True)
+    d1 = ex.scm.simulate(3000, 21)
+    d2 = scm2.simulate(3000, 21)
     # non-descendants of Kr bit-identical under shared upstream noise
     assert np.array_equal(d1.column("Kb"), d2.column("Kb"))
     # unit values of Kr change
@@ -654,12 +697,13 @@ def test_structure_preserving_keeps_law_changes_units():
 
 
 def test_structure_preserving_linear_variant():
+    # a linear model has no noise streams; its general form does
     lin = _urn2_linear()
-    lin2 = structure_preserving_intervention(lin, "Kb", fresh_seed=5)
-    d1 = lin.simulate(1000, 3)
-    d2 = lin2.simulate(1000, 3)
-    assert not np.array_equal(d1.column("Kb"), d2.column("Kb"))
-    assert lin2.noises == lin.noises
+    with pytest.raises(ScmError, match="unsupported model type LinearScm"):
+        structure_preserving_intervention(lin, "Kb", fresh_seed=5)
+    scm2 = structure_preserving_intervention(lin.general(), "Kb", fresh_seed=5)
+    assert not np.array_equal(lin.general().simulate(1000, 3).column("Kb"),
+                              scm2.simulate(1000, 3).column("Kb"))
 
 
 def exact_joint_reference(scm: GeneralScm):
@@ -783,7 +827,7 @@ def _per_unit_rows(scm, noise, n):
 def _assert_one_forward_pass(scm, actions, n, seed):
     counted_scm, calls = _counted(scm)
     once = collections.Counter(scm.nodes)
-    ds, noise = counted_scm.simulate(n, seed, return_noise=True)
+    ds, noise = counted_scm.simulate(n, seed), counted_scm.sample_noise(n, seed)
     assert calls == once
     assert ds.rows.tobytes() == _per_unit_rows(scm, noise, n).tobytes()
     calls.clear()

@@ -76,6 +76,8 @@ def test_urn2_dp_matches_oracle_on_benchmark_sizes():
             ref, ref_levels = oracle_urn2_joint(kb0, kr0, rounds, biases)
             assert levels == ref_levels
             assert joint.to_json() == ref.to_json()
+            assert urn_bivariate(kb0, kr0, rounds,
+                                 coin_biases=biases).notes["levels"] == ref_levels
 
 
 def test_dp_refuses_grid_above_table_cap():

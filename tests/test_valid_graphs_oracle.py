@@ -449,6 +449,26 @@ def test_unit_forced_assignment_matches_search(n, kinds, seed, eps):
             for r in reports[:3]] == [r.to_json_obj() for r in reports[:3]]
 
 
+def test_unit_forced_assignment_is_checked_whole_against_a_scaled_tolerance():
+    """A consistent full block is not refused for a prefix of it.
+
+    The residual tolerance scales with the largest |b| of the block, so the
+    prefix {A, B} of v's equation on w -> p -> v (residual 2e-9 against
+    about 1e-9) is refused while the full block {A, B, C} (residual 4e-9
+    against about 1e-6) is accepted. All three actions are forced onto w,
+    and the graph is valid, as the reference search says.
+    """
+    rows = ((1.0, 1.0, 1.0), (1.0, 1.0, 1.0 + 4e-9), (1000.0, 1000.0, 1000.0))
+    disp = _Displacements(("w", "p", "v"), ("A", "B", "C"),
+                          tuple(np.array([r]) for r in rows), (False,) * 3)
+    reports = _unit_oracle(disp)
+    chain = Dag(("w", "p", "v"), [("w", "p"), ("p", "v")])
+    assert next(r for r in reports if r.graph == chain).valid
+    shared = actions._UnitSuite(disp, 1e-9)
+    assert [shared.classify(r.graph).to_json_obj() for r in reports] == \
+        [r.to_json_obj() for r in reports]
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(**_SUITES)
 def test_every_non_identity_action_is_forced(n, kinds, seed, eps):

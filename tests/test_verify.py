@@ -24,6 +24,7 @@ from phenocausal import (
     verify_embedding_markov,
     verify_identifiability,
 )
+from phenocausal.exemplars import _UrnProcess
 from phenocausal.graphs import CycleError
 from phenocausal.verify import (
     boundary_trial,
@@ -171,6 +172,16 @@ def test_observer_edges_and_cycle_detection():
 def test_embedding_trials_pass():
     for i in range(3):
         assert embedding_trial(900 + i, index=i).ok
+
+
+def test_embedding_trial_runs_no_urn_lattice_dp(monkeypatch):
+    # the embedding reads the exemplar's notes, whose levels are the lattice
+    # axes; the process's exact joint is never needed
+    def refuse(self):
+        raise AssertionError("the urn lattice DP ran")
+
+    monkeypatch.setattr(_UrnProcess, "exact_joint", refuse)
+    assert embedding_trial(900).ok
 
 
 # ---------------------------------------------------------------------------
