@@ -11,7 +11,8 @@ covariances, and residual normality is the D'Agostino-Pearson K^2 test
 computed from one pass of central moments.
 Multivariate recovery is a DirectLiNGAM-style ordering (iteratively extract
 the most exogenous variable, regress it out, recurse) followed by
-coefficient pruning, with a least-squares fit on all predecessors.
+coefficient pruning, with a least-squares fit on all predecessors, all from
+one Gram matrix of the centred columns and their strided points.
 
 Mechanism-shift localization compares per-environment plug-in conditional
 tables against the pooled ones; every table, permutation nulls included,
@@ -258,13 +259,6 @@ def permutation_threshold(u: np.ndarray, v: np.ndarray, n_perm: int = 199,
 # ---------------------------------------------------------------------------
 
 
-def _ols(y: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Regress y on columns of x plus intercept; return (coefs, residual)."""
-    design = np.column_stack([np.ones(x.shape[0]), x])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    return coef[1:], y - design @ coef
-
-
 def _ols1(y: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
     """Regress y on one column x plus intercept; return (slope, residual).
 
@@ -423,6 +417,17 @@ def lingam_multivariate(data: Dataset,
     predecessors and pruning standardized coefficients below
     ``_PRUNE_THRESHOLD``. The fit is flagged near-Gaussian when every
     residual passes a normality test at ``_NORMALITY_ALPHA``.
+
+    The n rows are read in one O(n·d^2) pass: a centred copy of the data
+    and its Gram matrix. Every working column is then a coefficient vector
+    over that copy, so a pairwise slope is a quadratic form in the Gram
+    matrix, a residual is formed only at the ``max_points`` strided points
+    the statistic reads (distance correlation is affine invariant, so the
+    statistic is that of the full residual column), and regressing a node
+    out updates vectors: a pairwise test costs O(max_points·d) besides the
+    statistic, whatever n. The edge fits are least squares on blocks of the
+    Gram matrix. The only full-length work left is one residual per node,
+    one at a time, for its normality test.
     """
     _check_max_points(max_points)
     cols = data.columns
@@ -434,24 +439,32 @@ def lingam_multivariate(data: Dataset,
     # exact, so the order, scores and p-values are those of the raw columns,
     # with moments that neither overflow nor underflow; the coefficients are
     # scaled back exactly
-    exps = {c: _binary_exponent(data.column(c)) for c in cols}
+    exps = [_binary_exponent(data.rows[:, k]) for k in range(d)]
+    xc = np.ldexp(data.rows, [-e for e in exps])
+    xc -= xc.mean(axis=0)
+    gram = xc.T @ xc
+    points = _subsample(xc, max_points)
 
-    def scaled(c: str) -> np.ndarray:
-        return np.ldexp(data.column(c), -exps[c])
+    def residual(bx: np.ndarray, by: np.ndarray) -> np.ndarray:
+        """The coefficients of _ols1's residual of xc @ by on xc @ bx."""
+        sxx = float(bx @ gram @ bx)
+        return by - (float(bx @ gram @ by) / sxx if sxx > 0.0 else 0.0) * bx
 
-    work = {c: scaled(c) for c in cols}
+    work = dict(zip(cols, np.eye(d)))   # working column c is xc @ work[c]
     active = list(cols)
     order: list[str] = []
     exo_scores: dict[str, float] = {}
     while len(active) > 1:
         best, best_total = None, None
         for cand in active:
+            bx = work[cand]
+            u = points @ bx
             total = 0.0
             for other in active:
                 if other == cand:
                     continue
-                _, resid = _ols1(work[other], work[cand])
-                total += independence_statistic(work[cand], resid,
+                resid = points @ residual(bx, work[other])
+                total += independence_statistic(u, resid,
                                                 max_points=max_points) ** 2
             if best_total is None or total < best_total:
                 best, best_total = cand, total
@@ -459,37 +472,37 @@ def lingam_multivariate(data: Dataset,
         exo_scores[best] = float(best_total)
         active.remove(best)
         for other in active:
-            _, resid = _ols1(work[other], work[best])
-            work[other] = resid
+            work[other] = residual(work[best], work[other])
     order.append(active[0])
     exo_scores[active[0]] = 0.0
-    del work  # the residual columns, before the regressions below
 
     matrix = np.zeros((d, d))
-    stds = {c: scaled(c).std() for c in cols}
+    stds = np.sqrt(np.diag(gram) / n)
     edges = []
     edge_scores: dict[str, float] = {}
     normality = {}
     for pos, node in enumerate(order):
-        preds = order[:pos]
-        yv = scaled(node)
-        if preds:
-            xv = np.column_stack([data.column(p) for p in preds])
-            np.ldexp(xv, [-exps[p] for p in preds], out=xv)
-            coefs, resid = _ols(yv, xv)
-        else:
-            coefs, resid = np.zeros(0), yv - yv.mean()
-        if resid.std() > 0 and resid.size >= 20:
+        j = cols.index(node)
+        preds = [cols.index(p) for p in order[:pos]]
+        # lstsq, not solve: a constant or duplicated predecessor makes the
+        # Gram block singular, and lstsq gives the minimum-norm fit, as on
+        # the rows
+        coefs = np.linalg.lstsq(gram[np.ix_(preds, preds)], gram[preds, j],
+                                rcond=None)[0]
+        w = np.zeros(d)
+        w[j] = 1.0
+        w[preds] = -coefs
+        resid = xc @ w
+        if resid.std() > 0:
             normality[node] = _normality_pvalue(resid)
-        for p, c in zip(preds, coefs):
-            scale = stds[p] / stds[node] if stds[node] > 0 else 1.0
+        for k, c in zip(preds, coefs):
+            scale = stds[k] / stds[j] if stds[j] > 0 else 1.0
             standardized = abs(c) * scale
             if standardized >= _PRUNE_THRESHOLD:
                 with np.errstate(over="ignore"):  # beyond the float range is inf
-                    c = np.ldexp(c, exps[node] - exps[p])
-                matrix[cols.index(node), cols.index(p)] = c
-                edges.append((p, node))
-                edge_scores[f"{p}->{node}"] = float(standardized)
+                    matrix[j, k] = np.ldexp(c, exps[j] - exps[k])
+                edges.append((cols[k], node))
+                edge_scores[f"{cols[k]}->{node}"] = float(standardized)
     dag = Dag(cols, edges)
     near_gaussian = bool(normality) and all(p > _NORMALITY_ALPHA
                                               for p in normality.values())

@@ -9,8 +9,10 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
+from phenocausal import urn_chain
 from phenocausal.cli import run
 from phenocausal.scm import Dataset
 
@@ -195,6 +197,26 @@ def test_discover_byte_identical(urn_csv, tmp_path):
                     "--seed", "1", "--out", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_discover_multivariate_constant_column(tmp_path, capfd):
+    # a constant column makes the Gram block of the edge fits singular
+    ds = urn_chain(n=2, k0=(1000,) * 2, rounds=1).sample(3000, 4)
+    path = tmp_path / "const.csv"
+    path.write_text(Dataset(ds.columns + ("C",),
+                            np.column_stack([ds.rows, np.full(3000, 7.0)])).to_csv())
+    out = tmp_path / "disc.json"
+    rc = run(["discover", "--method", "multivariate", "--in", str(path),
+              "--seed", "1", "--out", str(out)])
+    assert rc == 0 and "Traceback" not in capfd.readouterr().err
+    obj = _read(out)
+    _validate(obj, "discovery")
+    res = obj["result"]
+    assert res["order"] == ["C", "K2", "K1"]
+    assert res["dag"] == {"nodes": ["K2", "K1", "C"], "edges": [["K2", "K1"]]}
+    assert res["matrix"][1][0] == pytest.approx(-1.0075445816185116, rel=1e-9)
+    assert [res["matrix"][i][j] for i in range(3) for j in range(3)
+            if (i, j) != (1, 0)] == [0.0] * 8
 
 
 def test_discover_shift_needs_graph(urn_csv):

@@ -5,6 +5,7 @@ in the acceptance suite; these tests pin behaviour on single seeds."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -317,6 +318,19 @@ def test_multivariate_exact_under_power_of_two_scaling(urn_chain3):
     assert got.metadata == ref.metadata
     # A[j, i] scales by 2^(e_j - e_i)
     assert np.array_equal(got.matrix, np.ldexp(ref.matrix, exps[:, None] - exps[None, :]))
+
+
+def test_multivariate_memory_stays_near_one_copy():
+    # one centred copy of the rows, and one residual with the normality
+    # test's temporaries at a time: about 2x
+    ds = urn_chain(n=4, k0=(1000,) * 4, rounds=1).sample(100_000, 2001)
+    tracemalloc.start()
+    try:
+        lingam_multivariate(ds, max_points=1200)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * ds.rows.nbytes
 
 
 def test_multivariate_flags_gaussian_data():

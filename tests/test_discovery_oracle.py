@@ -5,6 +5,8 @@
 * Its blocked cross sum against the purely dyadic merge it replaced.
 * The in-package K^2 normality p-value against ``scipy.stats.normaltest``.
 * The closed-form one-regressor OLS against ``lstsq``.
+* Multivariate LiNGAM from one Gram matrix and the strided points against
+  the full-column DirectLiNGAM it replaced.
 * Joints counted with ``bincount`` over raveled cell codes against the
   row-by-row level-map builder.
 """
@@ -14,12 +16,17 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phenocausal import discovery, random_dag, tables
-from phenocausal.discovery import independence_statistic, permutation_threshold
+from phenocausal import (Dag, Dataset, bundles_chain, discovery, lingam_multivariate,
+                         random_dag, tables, urn_chain)
+from phenocausal.discovery import (_MAX_DCOR_POINTS, _NORMALITY_ALPHA, _PRUNE_THRESHOLD,
+                                   DiscoveryError, DiscoveryResult, _binary_exponent,
+                                   _check_max_points, _normality_pvalue, _ols1,
+                                   independence_statistic, permutation_threshold)
 from phenocausal.tables import DiscreteJoint
 
 # ---------------------------------------------------------------------------
@@ -288,6 +295,13 @@ def test_normality_pvalue_at_twenty_points():
 # ---------------------------------------------------------------------------
 
 
+def _ols(y: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Regress y on columns of x plus intercept; return (coefs, residual)."""
+    design = np.column_stack([np.ones(x.shape[0]), x])
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    return coef[1:], y - design @ coef
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(n=st.integers(3, 3000), seed=st.integers(0, 2**32 - 1),
        ties=st.booleans())
@@ -296,7 +310,7 @@ def test_ols1_matches_lstsq(n, seed, ties):
     x = rng.integers(0, 3, size=n).astype(float) if ties else rng.normal(size=n)
     y = rng.uniform(-2, 2) * x + rng.exponential(size=n) + rng.normal() * 50
     slope, resid = discovery._ols1(y, x)
-    coefs, ref = discovery._ols(y, x[:, None])
+    coefs, ref = _ols(y, x[:, None])
     if x.std() > 0:  # a constant x leaves the slope free
         assert abs(slope - coefs[0]) <= 1e-10 * max(1.0, abs(coefs[0]))
     np.testing.assert_allclose(resid, ref, rtol=0, atol=1e-9 * (1 + np.abs(y).max()))
@@ -307,6 +321,166 @@ def test_ols1_constant_regressor():
     slope, resid = discovery._ols1(y, np.full(10, 3.0))
     assert slope == 0.0
     np.testing.assert_array_equal(resid, y - y.mean())
+
+
+# ---------------------------------------------------------------------------
+# Multivariate LiNGAM from the Gram matrix
+# ---------------------------------------------------------------------------
+
+
+def lingam_multivariate_full_columns(
+        data: Dataset, max_points: int = _MAX_DCOR_POINTS) -> DiscoveryResult:
+    """The former ``lingam_multivariate``, its body kept verbatim: every
+    pairwise test builds a full-length residual column for the statistic to
+    stride, and the edge fits are ``lstsq`` on the rows."""
+    _check_max_points(max_points)
+    cols = data.columns
+    d = len(cols)
+    n = data.rows.shape[0]
+    if n < 100 * d:
+        raise DiscoveryError(f"need at least {100 * d} samples for {d} columns")
+    # fit on the columns scaled by powers of two, as lingam_bivariate does:
+    # exact, so the order, scores and p-values are those of the raw columns,
+    # with moments that neither overflow nor underflow; the coefficients are
+    # scaled back exactly
+    exps = {c: _binary_exponent(data.column(c)) for c in cols}
+
+    def scaled(c: str) -> np.ndarray:
+        return np.ldexp(data.column(c), -exps[c])
+
+    work = {c: scaled(c) for c in cols}
+    active = list(cols)
+    order: list[str] = []
+    exo_scores: dict[str, float] = {}
+    while len(active) > 1:
+        best, best_total = None, None
+        for cand in active:
+            total = 0.0
+            for other in active:
+                if other == cand:
+                    continue
+                _, resid = _ols1(work[other], work[cand])
+                total += independence_statistic(work[cand], resid,
+                                                max_points=max_points) ** 2
+            if best_total is None or total < best_total:
+                best, best_total = cand, total
+        order.append(best)
+        exo_scores[best] = float(best_total)
+        active.remove(best)
+        for other in active:
+            _, resid = _ols1(work[other], work[best])
+            work[other] = resid
+    order.append(active[0])
+    exo_scores[active[0]] = 0.0
+    del work  # the residual columns, before the regressions below
+
+    matrix = np.zeros((d, d))
+    stds = {c: scaled(c).std() for c in cols}
+    edges = []
+    edge_scores: dict[str, float] = {}
+    normality = {}
+    for pos, node in enumerate(order):
+        preds = order[:pos]
+        yv = scaled(node)
+        if preds:
+            xv = np.column_stack([data.column(p) for p in preds])
+            np.ldexp(xv, [-exps[p] for p in preds], out=xv)
+            coefs, resid = _ols(yv, xv)
+        else:
+            coefs, resid = np.zeros(0), yv - yv.mean()
+        if resid.std() > 0 and resid.size >= 20:
+            normality[node] = _normality_pvalue(resid)
+        for p, c in zip(preds, coefs):
+            scale = stds[p] / stds[node] if stds[node] > 0 else 1.0
+            standardized = abs(c) * scale
+            if standardized >= _PRUNE_THRESHOLD:
+                with np.errstate(over="ignore"):  # beyond the float range is inf
+                    c = np.ldexp(c, exps[node] - exps[p])
+                matrix[cols.index(node), cols.index(p)] = c
+                edges.append((p, node))
+                edge_scores[f"{p}->{node}"] = float(standardized)
+    dag = Dag(cols, edges)
+    near_gaussian = bool(normality) and all(p > _NORMALITY_ALPHA
+                                              for p in normality.values())
+    return DiscoveryResult(
+        dag=dag, matrix=matrix, order=tuple(order), scores=edge_scores,
+        metadata={
+            "method": "direct-lingam",
+            "statistic": "distance-correlation",
+            "prune_threshold": _PRUNE_THRESHOLD,
+            "max_points": max_points,
+            "exogeneity_scores": exo_scores,
+            "residual_normality_p": normality,
+            "near_gaussian": near_gaussian,
+            "seed": data.seed,
+            "n": int(n),
+        },
+    )
+
+
+def _assert_same_discovery(got, ref, normality: bool = True) -> None:
+    assert got.order == ref.order
+    assert got.dag.edges == ref.dag.edges
+    np.testing.assert_allclose(got.matrix, ref.matrix, rtol=1e-9, atol=0.0)
+    assert got.scores.keys() == ref.scores.keys()
+    assert got.scores == pytest.approx(ref.scores, rel=1e-9, abs=0.0)
+    keys = ("exogeneity_scores", "residual_normality_p") if normality \
+        else ("exogeneity_scores",)
+    if normality:
+        assert got.metadata["near_gaussian"] == ref.metadata["near_gaussian"]
+    for key in keys:
+        assert got.metadata[key].keys() == ref.metadata[key].keys()
+        assert got.metadata[key] == pytest.approx(ref.metadata[key], rel=1e-9, abs=0.0)
+
+
+CHAINS = {
+    "urn_chain": lambda n: urn_chain(n=n, k0=(1000,) * n, rounds=1),
+    "bundles_chain": lambda n: bundles_chain(n=n, rounds=1),
+    "urn_chain_default": lambda n: urn_chain(n=n),
+}
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(chain=st.sampled_from(sorted(CHAINS)), n=st.integers(2, 5),
+       size=st.sampled_from([(3000, 600), (10_000, 2000), (100_000, 1200)]),
+       seed=st.integers(0, 2**32 - 1))
+def test_gram_lingam_matches_full_columns(chain, n, size, seed):
+    rows, max_points = size
+    data = CHAINS[chain](n).sample(rows, seed)
+    _assert_same_discovery(lingam_multivariate(data, max_points=max_points),
+                           lingam_multivariate_full_columns(data, max_points=max_points))
+
+
+def _with_column(data: Dataset, pos: int, name: str, column: np.ndarray) -> Dataset:
+    cols = list(data.columns)
+    cols.insert(pos, name)
+    return Dataset(tuple(cols), np.insert(data.rows, pos, column, axis=1), data.seed)
+
+
+@pytest.fixture(scope="module")
+def chain3():
+    return bundles_chain(n=3, rounds=1).sample(3000, 5)
+
+
+# A rank-deficient Gram block is fitted by lstsq: a solve on it would raise.
+# The residual of a duplicated column is exactly 0 on the Gram path and
+# rounding noise on the rows, so normality p-values are left out there.
+@pytest.mark.parametrize("value", [7.0, 0.1, 0.0, -3.3e5])
+@pytest.mark.parametrize("pos", [0, 3])
+def test_gram_lingam_constant_column(chain3, value, pos):
+    data = _with_column(chain3, pos, "C", np.full(3000, value))
+    got = lingam_multivariate(data, max_points=600)
+    _assert_same_discovery(got, lingam_multivariate_full_columns(data, max_points=600))
+    assert got.order[0] == "C" and all("C" not in e for e in got.dag.edges)
+
+
+@pytest.mark.parametrize("source", [0, 1, 2])
+@pytest.mark.parametrize("pos", [0, 3])
+def test_gram_lingam_duplicate_column(chain3, source, pos):
+    data = _with_column(chain3, pos, "D", chain3.rows[:, source])
+    _assert_same_discovery(lingam_multivariate(data, max_points=600),
+                           lingam_multivariate_full_columns(data, max_points=600),
+                           normality=False)
 
 
 # ---------------------------------------------------------------------------
