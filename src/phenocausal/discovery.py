@@ -4,8 +4,9 @@ Direction decisions follow the regression-residual independence principle:
 in the true direction the residual is independent of the regressor, in the
 reversed direction it is not (unless the noise is Gaussian). Independence
 is measured by distance correlation on standardized values, computed
-exactly from sorted row sums and a blocked merge-style cross sum in
-O(m·64 + m log^2(m/64)), never as an m x m matrix; thresholds, when
+exactly over the K distinct points of the sample, each weighted by its
+count, from row sums per level and a blocked merge-style cross sum in
+O(K·64 + K log^2(K/64)), never as an m x m matrix; thresholds, when
 needed, come from a permutation null. One-regressor fits are closed-form
 covariances, and residual normality is the D'Agostino-Pearson K^2 test
 computed from one pass of central moments.
@@ -52,6 +53,9 @@ _BLOCK = 64
 _STRICTLY_LOWER = np.tri(_BLOCK, k=-1, dtype=bool)
 # residuals whose normality-test p-value exceeds this count as Gaussian
 _NORMALITY_ALPHA = 0.05
+# a residual whose std is at most this fraction of its column's is an exact
+# fit up to rounding
+_TINY_RESIDUAL = 1e-12
 # standardized coefficients below this are pruned from a recovered DAG
 _PRUNE_THRESHOLD = 0.05
 # a calibrated shift threshold never falls below this factor distance
@@ -76,69 +80,55 @@ def _subsample(u: np.ndarray, max_points: int) -> np.ndarray:
     return u[idx]
 
 
-def _dense_rank(x: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """0-based rank of each x_i among the distinct values of x, given the
-    order that sorts x."""
-    xs = x[order]
-    steps = np.zeros(x.size, dtype=np.intp)
-    steps[1:] = xs[1:] != xs[:-1]
-    rank = np.empty(x.size, dtype=np.intp)
-    rank[order] = np.cumsum(steps)
-    return rank
+def _distance_row_sums(levels: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """a_k = sum_j c_j |x_k - x_j| at every level x_k, from the sorted
+    distinct levels and their counts c.
 
-
-def _distance_row_sums(x: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """a_i = sum_j |x_i - x_j| for every i, from the order that sorts x.
-
-    At sorted position k, with C_k the inclusive prefix sum and T the total,
-    a_(k) = (2k - m + 2) x_(k) + T - 2 C_k. Tied values contribute zero
-    whichever order the sort leaves them in.
+    With N_k and C_k the inclusive prefix sums of c and of c x, and m and T
+    their totals, a_k = (2 N_k - m) x_k + T - 2 C_k.
     """
-    m = x.size
-    xs = x[order]
-    c = np.cumsum(xs)
-    sums = np.empty(m)
-    sums[order] = (2.0 * np.arange(m) - m + 2.0) * xs + (c[-1] - 2.0 * c)
-    return sums
+    n = np.cumsum(count)
+    c = np.cumsum(count * levels)
+    return (2.0 * n - n[-1]) * levels + (c[-1] - 2.0 * c)
 
 
-def _cross_distance_sum(x: np.ndarray, y: np.ndarray, order: np.ndarray,
-                        y_rank: np.ndarray) -> float:
-    """sum_ij |x_i - x_j| |y_i - y_j| in O(m B + m log^2(m / B)) steps.
+def _cross_distance_sum(x: np.ndarray, y: np.ndarray, y_rank: np.ndarray,
+                        weight: np.ndarray) -> float:
+    """sum_ij c_i c_j |x_i - x_j| |y_i - y_j| over K weighted points in
+    O(K B + K log^2(K / B)) steps.
 
-    ``order`` sorts x stably and ``y_rank`` is ``_dense_rank`` of y.
+    The points come sorted by x (ties in any order), ``y_rank`` ranks y
+    among its distinct values and ``weight`` holds each point's count c.
 
     In x-sorted order every pair j < i has |x_i - x_j| = x_i - x_j, so the
-    sum is twice sum_i sum_{j<i} (x_i - x_j) s_ij (y_i - y_j), with
+    sum is twice sum_i c_i sum_{j<i} c_j (x_i - x_j) s_ij (y_i - y_j), with
     s_ij = +1 if y_j < y_i and -1 otherwise (equal y contribute zero). With
     Q_i(f) = sum_{j<i} f_j and L_i(f) the same sum over y_j < y_i, each
-    inner sum expands over f in (1, x, y, xy) into 2 L_i(f) - Q_i(f), and
-    the total is sum_i w_i . (2 L_i - Q_i) with w_i = (x_i y_i, -y_i, -x_i,
-    1). Q is a prefix sum. L is a dominance sum, split by where j falls:
-    within i's block of ``_BLOCK`` consecutive points it is one masked
-    product per block; otherwise it is gathered level by level of a
+    inner sum expands over f in c (1, x, y, xy) into 2 L_i(f) - Q_i(f), and
+    the total is sum_i w_i . (2 L_i - Q_i) with w_i = c_i (x_i y_i, -y_i,
+    -x_i, 1). Q is a prefix sum. L is a dominance sum, split by where j
+    falls: within i's block of ``_BLOCK`` consecutive points it is one
+    masked product per block; otherwise it is gathered level by level of a
     bottom-up merge from block size ``_BLOCK`` up, where each element of a
     right block collects the left sibling's elements whose y rank is below
     its own.
     """
     m = x.size
-    xs, ys = x[order], y[order]
-    rank = y_rank[order]
     nb = -(-m // _BLOCK)
     # rows past m pad the last block; they follow every real point, so the
     # strictly lower mask never counts them
     f = np.zeros((nb * _BLOCK, 4))
-    f[:m, 0] = 1.0
-    f[:m, 1] = xs
-    f[:m, 2] = ys
-    f[:m, 3] = xs * ys
-    rb = np.zeros(nb * _BLOCK, dtype=rank.dtype)
-    rb[:m] = rank
+    f[:m, 0] = weight
+    f[:m, 1] = weight * x
+    f[:m, 2] = weight * y
+    f[:m, 3] = f[:m, 1] * y
+    rb = np.zeros(nb * _BLOCK, dtype=y_rank.dtype)
+    rb[:m] = y_rank
     rb = rb.reshape(nb, _BLOCK)
     mask = (rb[:, None, :] < rb[:, :, None]) & _STRICTLY_LOWER
     below = (mask.astype(float) @ f.reshape(nb, _BLOCK, 4)).reshape(-1, 4)[:m]
     f = f[:m]
-    w = np.column_stack([xs * ys, -ys, -xs, np.ones(m)])
+    w = f[:, ::-1] * np.array([1.0, -1.0, -1.0, 1.0])
     before = np.zeros((m, 4))
     np.cumsum(f[:-1], axis=0, out=before[1:])
     total = 2.0 * np.vdot(w, below) - np.vdot(w, before)
@@ -149,14 +139,14 @@ def _cross_distance_sum(x: np.ndarray, y: np.ndarray, order: np.ndarray,
         right = np.flatnonzero(side)
         left = np.flatnonzero(side == 0)
         shift = size.bit_length()   # pos >> shift is the pair of siblings
-        keys = (left >> shift) * m + rank.take(left)
+        keys = (left >> shift) * m + y_rank.take(left)
         by_key = np.argsort(keys, kind="stable")
         csum = np.zeros((left.size + 1, 4))
         np.cumsum(f.take(left.take(by_key), axis=0), axis=0, out=csum[1:])
         # every left block before the last pair's is full, so the pair's
         # left elements start at pair * size in key order
         hi = np.searchsorted(keys.take(by_key),
-                             (right >> shift) * m + rank.take(right))
+                             (right >> shift) * m + y_rank.take(right))
         lo = (right >> shift) * size
         total += 2.0 * np.vdot(w.take(right, axis=0),
                                csum.take(hi, axis=0) - csum.take(lo, axis=0))
@@ -164,18 +154,22 @@ def _cross_distance_sum(x: np.ndarray, y: np.ndarray, order: np.ndarray,
     return 2.0 * float(total)
 
 
-def _dcov2(a: np.ndarray, b: np.ndarray, cross: float) -> float:
-    """V-statistic dCov^2 = S1/m^2 - 2 S2/m^3 + S3/m^4 from the row sums a, b
-    and the cross sum S1."""
-    m = a.size
-    return cross / m**2 - 2.0 * float(a @ b) / m**3 + a.sum() * b.sum() / m**4
+def _dcov2(m: float, cross: float, rows: float, total: float) -> float:
+    """V-statistic dCov^2 = S1/m^2 - 2 S2/m^3 + S3/m^4 over m points, from
+    the cross sum S1, S2 = sum_i a_i b_i of the row sums and their total
+    product S3 = sum_i a_i sum_i b_i."""
+    return cross / m**2 - 2.0 * rows / m**3 + total / m**4
 
 
-def _dvar(x: np.ndarray, a: np.ndarray) -> float:
-    """dCov^2(x, x); its S1 = sum_ij (x_i - x_j)^2 is in closed form."""
-    d = x - x.mean()
-    square_sum = 2.0 * x.size * float(d @ d) - 2.0 * float(d.sum()) ** 2
-    return _dcov2(a, a, square_sum)
+def _dvar(levels: np.ndarray, count: np.ndarray, a: np.ndarray) -> float:
+    """dCov^2(x, x) from x's levels, their counts and row sums; its
+    S1 = sum_ij (x_i - x_j)^2 is in closed form."""
+    m = float(count.sum())
+    d = levels - float(count @ levels) / m
+    cd = count * d
+    a_total = float(count @ a)
+    return _dcov2(m, 2.0 * m * float(cd @ d) - 2.0 * float(cd.sum()) ** 2,
+                  float(count @ (a * a)), a_total * a_total)
 
 
 def _check_max_points(max_points: int) -> None:
@@ -205,9 +199,12 @@ def independence_statistic(u: np.ndarray, v: np.ndarray,
     covariance functional. Columns are standardized first, so the statistic
     is invariant under affine rescaling at any magnitude; constant columns
     yield 0. Long columns are strided down to ``max_points`` (at least 20).
-    The V-statistic is computed exactly in O(m·64 + m log^2(m/64)) from
-    sorted row sums and a blocked merge-style cross sum (after Huo & Szekely,
-    Technometrics 58(4), 2016), with no m x m matrix.
+    The V-statistic over these m points is computed exactly over their K
+    distinct (u, v) pairs, each weighted by its count, in O(m log m) for
+    the sorts plus O(K·64 + K log^2(K/64)) for row sums per level and a
+    blocked merge-style cross sum (after Huo & Szekely, Technometrics
+    58(4), 2016), with no m x m matrix. Count data has K far below m; a
+    tie-free sample has K = m, all weights 1.
     """
     _check_max_points(max_points)
     u = np.asarray(u, dtype=float).reshape(-1)
@@ -229,12 +226,23 @@ def independence_statistic(u: np.ndarray, v: np.ndarray,
     if u.min() == u.max() or v.min() == v.max():
         # exactly 0 by definition; the closed forms below would leave noise
         return 0.0
-    u_order = np.argsort(u, kind="stable")
-    v_order = np.argsort(v, kind="stable")
-    a = _distance_row_sums(u, u_order)
-    b = _distance_row_sums(v, v_order)
-    dcov2 = _dcov2(a, b, _cross_distance_sum(u, v, u_order, _dense_rank(v, v_order)))
-    denom = np.sqrt(_dvar(u, a) * _dvar(v, b))
+    # the sums run over the K distinct (u, v) points, each weighted by its
+    # count: count data has few levels, and a tie-free sample is all ones
+    u_levels, u_level, u_count = np.unique(u, return_inverse=True,
+                                           return_counts=True)
+    v_levels, v_level, v_count = np.unique(v, return_inverse=True,
+                                           return_counts=True)
+    # sorted pair codes order the points by u level, then v level
+    codes, weight = np.unique(u_level * v_levels.size + v_level,
+                              return_counts=True)
+    x_level, y_level = np.divmod(codes, v_levels.size)
+    a = _distance_row_sums(u_levels, u_count)
+    b = _distance_row_sums(v_levels, v_count)
+    cross = _cross_distance_sum(u_levels[x_level], v_levels[y_level], y_level,
+                                weight)
+    dcov2 = _dcov2(float(u.size), cross, float(weight @ (a[x_level] * b[y_level])),
+                   float(u_count @ a) * float(v_count @ b))
+    denom = np.sqrt(_dvar(u_levels, u_count, a) * _dvar(v_levels, v_count, b))
     if denom <= 0.0:
         return 0.0
     return float(np.sqrt(max(dcov2, 0.0) / denom))
@@ -359,8 +367,8 @@ def lingam_bivariate(data: Dataset,
     with np.errstate(over="ignore"):   # a slope beyond the float range is inf
         slope_xy = float(np.ldexp(slope_xy, ev - eu))
         slope_yx = float(np.ldexp(slope_yx, eu - ev))
-    tiny = 1e-12
-    if resid_xy.std() <= tiny * v.std() or resid_yx.std() <= tiny * u.std():
+    if (resid_xy.std() <= _TINY_RESIDUAL * v.std()
+            or resid_yx.std() <= _TINY_RESIDUAL * u.std()):
         return BivariateResult(
             "degenerate", x, y, slope_xy, 0.0,
             {"reason": "zero-noise functional relation"})
@@ -416,7 +424,9 @@ def lingam_multivariate(data: Dataset,
     Edges are then estimated by regressing each variable on all its
     predecessors and pruning standardized coefficients below
     ``_PRUNE_THRESHOLD``. The fit is flagged near-Gaussian when every
-    residual passes a normality test at ``_NORMALITY_ALPHA``.
+    residual passes a normality test at ``_NORMALITY_ALPHA``; a residual
+    whose std is at most ``_TINY_RESIDUAL`` times its column's is an exact
+    fit up to rounding and is left untested, as a constant one is.
 
     The n rows are read in one O(n·d^2) pass: a centred copy of the data
     and its Gram matrix. Every working column is then a coefficient vector
@@ -493,7 +503,8 @@ def lingam_multivariate(data: Dataset,
         w[j] = 1.0
         w[preds] = -coefs
         resid = xc @ w
-        if resid.std() > 0:
+        # an exact fit leaves only rounding noise, whose p-value means nothing
+        if resid.std() > _TINY_RESIDUAL * stds[j]:
             normality[node] = _normality_pvalue(resid)
         for k, c in zip(preds, coefs):
             scale = stds[k] / stds[j] if stds[j] > 0 else 1.0

@@ -4,6 +4,7 @@ in the acceptance suite; these tests pin behaviour on single seeds."""
 
 from __future__ import annotations
 
+import inspect
 import math
 import tracemalloc
 import warnings
@@ -133,6 +134,13 @@ def test_max_points_twenty_accepted():
     u = rng.exponential(size=300)
     v = u + rng.exponential(size=300)
     assert 0.0 < independence_statistic(u, v, max_points=20) <= 1.0
+
+
+def test_statistic_parameter_names():
+    # callers bind them by keyword: perfbench/tracing.py reads u and
+    # max_points from the bound arguments to count the pairs of a call
+    params = inspect.signature(independence_statistic).parameters
+    assert list(params) == ["u", "v", "max_points"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Fast discovery paths against their brute-force references.
 
-* The blocked distance-correlation kernel against the dense m x m
-  double-centred form it replaced, on the same strided, standardized points.
-* Its blocked cross sum against the purely dyadic merge it replaced.
+* The blocked distance-correlation kernel, run over the distinct points
+  weighted by their counts, against the dense m x m double-centred form it
+  replaced, on the same strided, standardized points.
+* Its blocked cross sum against the purely dyadic merge it replaced, with
+  unit weights and with the rows expanded by their weights.
 * The in-package K^2 normality p-value against ``scipy.stats.normaltest``.
 * The closed-form one-regressor OLS against ``lstsq``.
 * Multivariate LiNGAM from one Gram matrix and the strided points against
@@ -126,6 +128,75 @@ def test_fast_statistic_strided_subsample(n, max_points, seed):
                  dense_statistic(u, v, max_points=max_points))
 
 
+# distinct-point counts at the edges of the dense block and the first merge
+# levels of the weighted cross sum
+TIE_POINTS = (2, 63, 64, 65, 127, 128, 129)
+
+
+def _tied_pair(k: int, m: int, rng: np.random.Generator):
+    """m rows over exactly k >= 2 distinct (u, v) points, each used at
+    least once, on a few random levels per column; the grid cells (0, 0)
+    and (1, 1) are always among them, so neither column is constant."""
+    side = int(np.ceil(np.sqrt(k))) + 1
+    rest = np.setdiff1d(np.arange(side * side), [0, side + 1])
+    cells = np.concatenate([[0, side + 1], rng.choice(rest, size=k - 2, replace=False)])
+    u_levels, v_levels = rng.normal(size=side), rng.exponential(size=side)
+    pick = rng.permutation(np.concatenate([np.arange(k),
+                                           rng.integers(0, k, size=m - k)]))
+    ui, vi = np.divmod(cells[pick], side)
+    return u_levels[ui], v_levels[vi]
+
+
+def _kernel_points(u, v) -> tuple[float, list[int]]:
+    """The statistic of u and v, and the point count of each cross sum it
+    ran."""
+    sizes = []
+    kernel = discovery._cross_distance_sum
+
+    def spy(x, *rest):
+        sizes.append(x.size)
+        return kernel(x, *rest)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(discovery, "_cross_distance_sum", spy)
+        return independence_statistic(u, v), sizes
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(k=st.sampled_from(TIE_POINTS), m=st.integers(129, 2000),
+       seed=st.integers(0, 2**32 - 1), swap=st.booleans())
+def test_fast_statistic_on_tied_points_matches_dense(k, m, seed, swap):
+    u, v = _tied_pair(k, m, np.random.default_rng(seed))
+    if swap:
+        u, v = v, u
+    stat, sizes = _kernel_points(u, v)
+    assert close(stat, dense_statistic(u, v))
+    assert sizes == [k]
+
+
+def test_fast_statistic_on_every_tie_family():
+    # each distinct-point count at the smallest and largest sizes, so a
+    # random draw cannot skip one
+    rng = np.random.default_rng(27)
+    for k in TIE_POINTS:
+        for m in (max(k, 20), 2000):
+            u, v = _tied_pair(k, m, rng)
+            stat, sizes = _kernel_points(u, v)
+            assert close(stat, dense_statistic(u, v))
+            assert sizes == [k]
+
+
+def test_fast_statistic_one_level_in_one_column():
+    # K = 1 in one column: every point shares that column's level, so the
+    # statistic is exactly 0 and the kernel never runs
+    for m in (20, 2000):
+        v = np.random.default_rng(m).normal(size=m)
+        for u, w in ((np.full(m, 3.0), v), (v, np.full(m, -0.5))):
+            stat, sizes = _kernel_points(u, w)
+            assert stat == dense_statistic(u, w) == 0.0
+            assert sizes == []
+
+
 def test_column_constant_after_subsampling():
     # non-constant column whose strided subsample is constant
     n, max_points = 100, 25
@@ -193,10 +264,15 @@ def dyadic_cross_distance_sum(x: np.ndarray, y: np.ndarray) -> float:
     return 2.0 * float(inner.sum())
 
 
-def _blocked_cross_sum(u: np.ndarray, v: np.ndarray) -> float:
-    return discovery._cross_distance_sum(
-        u, v, np.argsort(u, kind="stable"),
-        discovery._dense_rank(v, np.argsort(v, kind="stable")))
+def _blocked_cross_sum(u: np.ndarray, v: np.ndarray,
+                       weight: np.ndarray | None = None) -> float:
+    """The kernel's weighted cross sum of the points (u_i, v_i), unit
+    weights by default, in the x-sorted order it expects."""
+    order = np.argsort(u, kind="stable")
+    weight = np.ones(u.size) if weight is None else np.asarray(weight, dtype=float)
+    rank = np.unique(v, return_inverse=True)[1]
+    return discovery._cross_distance_sum(u[order], v[order], rank[order],
+                                         weight[order])
 
 
 # block edges of the dense within-block pass and of the first merge levels
@@ -226,6 +302,32 @@ def test_blocked_cross_sum_matches_dyadic_on_every_kind():
             u, v = _pair(kind, m, rng)
             ref = dyadic_cross_distance_sum(u, v)
             assert abs(_blocked_cross_sum(u, v) - ref) <= 1e-12 * ref
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(kind=st.sampled_from(KINDS), k=st.sampled_from(CROSS_SIZES),
+       seed=st.integers(0, 2**32 - 1), max_weight=st.sampled_from((1, 2, 5, 40)))
+def test_weighted_cross_sum_matches_dyadic_on_expanded_rows(kind, k, seed,
+                                                            max_weight):
+    # the weight of a point is its count: the weighted sum over k points is
+    # the plain sum over the rows they stand for
+    rng = np.random.default_rng(seed)
+    u, v = _pair(kind, k, rng)
+    weight = rng.integers(1, max_weight + 1, size=k)
+    ref = dyadic_cross_distance_sum(np.repeat(u, weight), np.repeat(v, weight))
+    assert ref > 0.0
+    assert abs(_blocked_cross_sum(u, v, weight) - ref) <= 1e-12 * ref
+
+
+def test_weighted_cross_sum_matches_dyadic_on_every_kind():
+    rng = np.random.default_rng(16)
+    for kind in KINDS:
+        for k in CROSS_SIZES:
+            u, v = _pair(kind, k, rng)
+            weight = rng.integers(1, 6, size=k)
+            ref = dyadic_cross_distance_sum(np.repeat(u, weight),
+                                            np.repeat(v, weight))
+            assert abs(_blocked_cross_sum(u, v, weight) - ref) <= 1e-12 * ref
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +583,20 @@ def test_gram_lingam_duplicate_column(chain3, source, pos):
     _assert_same_discovery(lingam_multivariate(data, max_points=600),
                            lingam_multivariate_full_columns(data, max_points=600),
                            normality=False)
+
+
+def test_gram_lingam_skips_rounding_noise_residual(chain3):
+    # D repeats K2, so its edge fit on the predecessors is exact and leaves
+    # a residual of rounding noise (about 1e-16), whose K^2 p-value (4.65e-57
+    # here before) means nothing; it is left out as a constant one is
+    data = _with_column(chain3, 3, "D", chain3.column("K2"))
+    got = lingam_multivariate(data, max_points=600)
+    assert got.order[-1] == "D"
+    assert set(got.metadata["residual_normality_p"]) == {"K1", "K2", "K3"}
+    ref = lingam_multivariate(chain3, max_points=600)
+    for node in ("K1", "K2", "K3"):
+        assert got.metadata["residual_normality_p"][node] == pytest.approx(
+            ref.metadata["residual_normality_p"][node], rel=1e-9, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

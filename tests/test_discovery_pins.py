@@ -19,6 +19,7 @@ from phenocausal import (
     Dag,
     Dataset,
     bundles_chain,
+    discovery,
     lingam_bivariate,
     lingam_multivariate,
     localize_mechanism_change,
@@ -110,6 +111,40 @@ def test_multivariate_pinned(name):
     assert res.scores == pytest.approx(scores, rel=REL, abs=0.0)
     assert res.metadata["exogeneity_scores"] == pytest.approx(exo, rel=REL, abs=0.0)
     np.testing.assert_allclose(res.matrix, matrix, rtol=REL, atol=0.0)
+
+
+def _kernel_sizes(monkeypatch) -> list[int]:
+    """Records the point count of every cross sum the statistic runs."""
+    sizes = []
+    kernel = discovery._cross_distance_sum
+
+    def spy(x, *rest):
+        sizes.append(x.size)
+        return kernel(x, *rest)
+
+    monkeypatch.setattr(discovery, "_cross_distance_sum", spy)
+    return sizes
+
+
+def test_bivariate_kernel_runs_on_distinct_points(monkeypatch):
+    # Kb takes 5 values and Kr 9 in this sample, so each regressor and its
+    # residual form at most 45 distinct points of the 1500 strided rows
+    sizes = _kernel_sizes(monkeypatch)
+    ds = urn_bivariate(kb0=1000, kr0=1000, rounds=2).sample(10_000, 100)
+    assert [np.unique(ds.rows[:, k]).size for k in (0, 1)] == [5, 9]
+    _check_bivariate(lingam_bivariate(ds, max_points=1500), BIVARIATE[100])
+    assert len(sizes) == 2 and max(sizes) <= 45
+
+
+def test_multivariate_kernel_runs_on_distinct_points(monkeypatch):
+    # the 1200 strided rows of the urn_chain pin sample hold 81 distinct
+    # rows, and every working column is a function of the row
+    sizes = _kernel_sizes(monkeypatch)
+    build, seed, order, *_ = MULTIVARIATE["urn_chain"]
+    ds = build().sample(100_000, seed)
+    assert np.unique(discovery._subsample(ds.rows, 1200), axis=0).shape[0] == 81
+    assert lingam_multivariate(ds, max_points=1200).order == order
+    assert len(sizes) == 4 * 3 + 3 * 2 + 2 * 1 and max(sizes) <= 81
 
 
 def _digest(results) -> str:
