@@ -29,7 +29,6 @@ are reported separately; they never cause violations.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Mapping, Sequence
@@ -199,7 +198,7 @@ class ClassificationReport:
 
     def to_json_obj(self) -> dict:
         return {
-            "graph": json.loads(self.graph.to_json()),
+            "graph": self.graph.to_json_obj(),
             "valid": self.valid,
             "verdicts": [v.to_json_obj() for v in self.verdicts],
             "diagnostics": self.diagnostics,

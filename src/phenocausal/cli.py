@@ -185,7 +185,7 @@ def _cmd_classify(args) -> int:
         if args.enumerate:
             valid = valid_graphs(system, actions, eps=args.eps, mode=mode,
                                  trials=args.trials, seed=args.seed)
-            obj["valid_graphs"] = [json.loads(g.to_json()) for g, _ in valid]
+            obj["valid_graphs"] = [g.to_json_obj() for g, _ in valid]
             if len(nodes) == 2:
                 obj["direction"] = _direction_verdict(valid, *nodes).value
     except ClassificationError as exc:
@@ -247,7 +247,7 @@ def _cmd_verify(args) -> int:
     config = SuiteConfig(
         proposition_trials=args.trials,
         boundary_trials=args.trials,
-        embedding_trials=min(args.trials, 5 if args.which == "all" else 10),
+        embedding_trials=args.trials,
     )
     reports = randomized_suite(config, seed=args.seed, which=args.which,
                                jobs=args.jobs)

@@ -58,6 +58,9 @@ _NORMALITY_ALPHA = 0.05
 _TINY_RESIDUAL = 1e-12
 # standardized coefficients below this are pruned from a recovered DAG
 _PRUNE_THRESHOLD = 0.05
+# a calibrated shift threshold is this quantile of the permutation null,
+# Bonferroni-adjusted over the nodes
+_NULL_QUANTILE = 0.95
 # a calibrated shift threshold never falls below this factor distance
 _MIN_EFFECT = 0.02
 # a parent context seen fewer times than this makes a shift inconclusive
@@ -405,9 +408,8 @@ class DiscoveryResult:
     metadata: dict = field(default_factory=dict)
 
     def to_json_obj(self) -> dict:
-        import json as _json
         return {
-            "dag": _json.loads(self.dag.to_json()),
+            "dag": self.dag.to_json_obj(),
             "matrix": [[float(v) for v in row] for row in self.matrix],
             "order": list(self.order),
             "scores": self.scores,
@@ -556,36 +558,22 @@ def _counted_joint(columns: Sequence[str], cells: np.ndarray,
     return DiscreteJoint(columns, counts / counts.sum())
 
 
-def _discretize(env_rows: list[np.ndarray], bins: int | None) -> list[np.ndarray]:
-    pooled = np.vstack(env_rows)
-    out = [r.copy() for r in env_rows]
-    for k in range(pooled.shape[1]):
-        uniques = np.unique(pooled[:, k])
-        if bins is None and uniques.size <= 32:
-            continue
-        nbins = bins or 5
-        edges = np.quantile(pooled[:, k], np.linspace(0, 1, nbins + 1)[1:-1])
-        for r in out:
-            r[:, k] = np.searchsorted(edges, r[:, k])
-    return out
-
-
 def localize_mechanism_change(environments: Sequence, g: Dag,
-                              eps: float | None = None, bins: int | None = None,
-                              n_perm: int = 60, quantile: float = 0.95,
+                              eps: float | None = None, n_perm: int = 60,
                               seed: int = 0) -> list[LocalizationResult]:
     """Per environment, the nodes whose causal conditional differs from the
     pooled one beyond a threshold.
 
-    Environments are Datasets sharing columns (values are discretized when
-    a column takes more than 32 distinct values) or exact DiscreteJoints,
-    in which case the computation is the exact factor-change one. With
-    ``eps=None`` a per-node threshold is calibrated by permuting
-    environment labels ``n_perm`` times and taking a Bonferroni-adjusted
-    ``quantile`` of the max-over-environment factor distances; shifts
-    below ``_MIN_EFFECT`` are additionally treated as sampling noise. A
-    shift at a node with a parent context seen in an environment but fewer
-    than ``_MIN_CONTEXT_COUNT`` times is reported as inconclusive.
+    Environments are Datasets sharing columns (a column with more than 32
+    distinct pooled values is cut into 5 bins at its pooled quantiles) or
+    exact DiscreteJoints, in which case the computation is the exact
+    factor-change one. With ``eps=None`` a per-node threshold is calibrated
+    by permuting environment labels ``n_perm`` times and taking a
+    Bonferroni-adjusted ``_NULL_QUANTILE`` of the max-over-environment
+    factor distances; shifts below ``_MIN_EFFECT`` are additionally treated
+    as sampling noise. A shift at a node with a parent context seen in an
+    environment but fewer than ``_MIN_CONTEXT_COUNT`` times is reported as
+    inconclusive.
     """
     if len(environments) < 2:
         raise DiscoveryError("need at least two environments")
@@ -612,9 +600,13 @@ def localize_mechanism_change(environments: Sequence, g: Dag,
     if tuple(sorted(columns)) != tuple(sorted(g.nodes)):
         raise DiscoveryError("graph nodes must match the data columns")
 
-    env_rows = _discretize([e.rows.copy() for e in environments], bins)
-    _, cells, shape = _cells(np.vstack(env_rows).T)
-    sizes = [r.shape[0] for r in env_rows]
+    sizes = [e.rows.shape[0] for e in environments]
+    rows = np.vstack([e.rows for e in environments])  # a new, writable array
+    for column in rows.T:  # 5 bins at the pooled quantiles above 32 levels
+        if np.unique(column).size > 32:
+            edges = np.quantile(column, np.linspace(0, 1, 6)[1:-1])
+            column[:] = np.searchsorted(edges, column)
+    _, cells, shape = _cells(rows.T)
     pooled = dict(zip(g.nodes, factorize(_counted_joint(columns, cells, shape), g)))
     env_counts = [np.bincount(part, minlength=math.prod(shape)).reshape(shape)
                   for part in np.split(cells, np.cumsum(sizes)[:-1])]
@@ -635,7 +627,7 @@ def localize_mechanism_change(environments: Sequence, g: Dag,
             for v in g.nodes:
                 null_stats[v].append(worst[v])
         # Bonferroni across nodes, conservative order statistic
-        q_eff = 1.0 - (1.0 - quantile) / max(1, len(g.nodes))
+        q_eff = 1.0 - (1.0 - _NULL_QUANTILE) / max(1, len(g.nodes))
         k = min(n_perm - 1, max(0, int(np.ceil((n_perm + 1) * q_eff)) - 1))
         thresholds = {
             v: max(float(np.sort(null_stats[v])[k]), _MIN_EFFECT)

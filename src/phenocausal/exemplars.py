@@ -31,7 +31,6 @@ type, + before -); outside boundary states the order is immaterial.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import operator
 from dataclasses import dataclass, field, replace
@@ -56,9 +55,6 @@ __all__ = [
     "farmers",
     "EXEMPLARS",
     "build_exemplar",
-    "urn_toeplitz_mixing",
-    "bundles_mixing",
-    "exact_urn2_joint",
 ]
 
 
@@ -108,13 +104,13 @@ class Exemplar:
     def to_json_obj(self) -> dict:
         obj = {
             "name": self.name,
-            "ground_truth": json.loads(self.ground_truth.to_json()),
+            "ground_truth": self.ground_truth.to_json_obj(),
             "unit_actions": [a.to_json_obj() for a in self.unit_actions],
             "statistical_actions": [a.label for a in self.statistical_actions],
             "notes": self.notes,
         }
         if self.baseline is not None:
-            obj["baseline"] = json.loads(self.baseline.to_json())
+            obj["baseline"] = self.baseline.to_json_obj()
         if self.linear is not None:
             obj["linear"] = self.linear.to_json_obj()
         return obj
@@ -320,18 +316,6 @@ def _urn2_process(kb0: int, kr0: int, rounds: int,
     ), rounds)
 
 
-def exact_urn2_joint(kb0: int, kr0: int, rounds: int,
-                     biases: Sequence[float]) -> tuple[DiscreteJoint, dict]:
-    """Exact distribution of the bounded two-ball process after ``rounds``.
-
-    Computed by dynamic programming over the lattice of reachable counts,
-    including refusal behaviour at empty types; with kb0 > rounds and
-    kr0 > 2 * rounds no refusal can occur and the result coincides with the
-    linear idealization.
-    """
-    return _urn2_process(kb0, kr0, rounds, biases).exact_joint()
-
-
 # ---------------------------------------------------------------------------
 # Example: two-ball urn
 # ---------------------------------------------------------------------------
@@ -387,14 +371,6 @@ def urn_bivariate(kb0: int = 50, kr0: int = 50, rounds: int = 5,
 # ---------------------------------------------------------------------------
 # Example: n ball types in a row
 # ---------------------------------------------------------------------------
-
-
-def urn_toeplitz_mixing(n: int) -> np.ndarray:
-    """Lower-bidiagonal Toeplitz S (diagonal 1, first sub-diagonal -1)."""
-    s = np.eye(n)
-    for i in range(1, n):
-        s[i, i - 1] = -1.0
-    return s
 
 
 def _chain_nodes(n: int) -> tuple[str, ...]:
@@ -462,11 +438,6 @@ def urn_chain(n: int = 4, k0: Sequence[int] | None = None, rounds: int = 5,
 # ---------------------------------------------------------------------------
 # Example: bundled packages
 # ---------------------------------------------------------------------------
-
-
-def bundles_mixing(n: int) -> np.ndarray:
-    """Lower-triangular all-ones S of the package urn."""
-    return np.tril(np.ones((n, n)))
 
 
 def bundles_chain(n: int = 4, rounds: int = 5,
@@ -554,6 +525,11 @@ def rabbits(n_rabbits: int = 5, food_supply: float | None = None,
     elif not math.isfinite(food_supply):
         raise ScmError("food_supply must be finite")
     f = float(food_supply)
+    # the food and the largest X after the appetizer and after add-rabbit
+    if scenario == 1 and not all(map(math.isfinite, (n * d_hi * appetite_factor,
+                                                     (n + 1) * d_hi, f))):
+        raise ScmError(f"n_rabbits={n!r}, demand_per_rabbit={d!r} and appetite_factor="
+                       f"{appetite_factor!r} give non-finite scenario 1 states")
     if scenario == 1 and f < appetite_factor * n * d_hi:
         raise ScmError("scenario 1 needs food_supply >= appetite * n * max demand")
     if scenario == 2 and f >= n * d_lo:

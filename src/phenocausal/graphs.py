@@ -137,10 +137,6 @@ class Dag:
             self._check_nodes([node])  # raises the unknown-node error
         return children
 
-    def ancestors(self, nodes: Iterable[str]) -> tuple[str, ...]:
-        """All nodes with a directed path into ``nodes`` (the set included)."""
-        return self.sorted_tuple(_reach(self._check_nodes(nodes), self._parents))
-
     def descendants(self, node: str) -> tuple[str, ...]:
         """Nodes reachable from ``node`` by a directed path (``node`` itself
         excluded)."""
@@ -162,48 +158,34 @@ class Dag:
             raise GraphError(f"unknown node(s) {unknown}; graph has {list(self.nodes)}")
         return names
 
-    def relabel(self, mapping: dict[str, str]) -> "Dag":
-        return Dag(
-            (mapping.get(n, n) for n in self.nodes),
-            ((mapping.get(a, a), mapping.get(b, b)) for a, b in self.edges),
-        )
-
     # -- serialization -----------------------------------------------------
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"nodes": list(self.nodes), "edges": sorted(list(e) for e in self.edges)},
-            sort_keys=True,
-        )
+    def to_json_obj(self) -> dict:  # keys in sorted order
+        return {"edges": sorted(list(e) for e in self.edges), "nodes": list(self.nodes)}
 
     @classmethod
     def from_json(cls, text: str) -> "Dag":
         obj = json.loads(text)
         return cls(obj["nodes"], [tuple(e) for e in obj["edges"]])
 
-    def to_edge_list(self) -> str:
-        """Text form: one ``a -> b`` line per edge, bare lines for isolated nodes."""
-        lines = [f"{a} -> {b}" for a, b in sorted(self.edges)]
-        touched = {n for e in self.edges for n in e}
-        lines.extend(n for n in self.nodes if n not in touched)
-        return "\n".join(lines) + ("\n" if lines else "")
-
     @classmethod
     def from_edge_list(cls, text: str) -> "Dag":
+        """One ``a -> b`` line per edge and a bare name per isolated node;
+        blank lines and ``#`` comments are skipped."""
         nodes: list[str] = []
         edges = []
-        for raw in text.splitlines():
+        for k, raw in enumerate(text.splitlines(), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            if "->" in line:
-                a, b = (part.strip() for part in line.split("->", 1))
-                for n in (a, b):
-                    if n not in nodes:
-                        nodes.append(n)
-                edges.append((a, b))
-            elif line not in nodes:
-                nodes.append(line)
+            names = [part.strip() for part in line.split("->")]
+            if len(names) > 2 or not all(names):
+                raise GraphError(f"line {k}: {line!r} is neither 'a -> b' nor a node name")
+            for n in names:
+                if n not in nodes:
+                    nodes.append(n)
+            if len(names) == 2:
+                edges.append(tuple(names))
         return cls(nodes, edges)
 
 
@@ -310,26 +292,21 @@ def is_graphically_causally_sufficient(g: Dag, s: Iterable[str]) -> bool:
     return not hidden_common_causes(g, s)
 
 
-def marginal_dag(g: Dag, s: Iterable[str], check: bool = True) -> Dag:
+def marginal_dag(g: Dag, s: Iterable[str]) -> Dag:
     """Marginalize ``g`` onto the subset ``s``.
 
     The result has nodes ``s`` (in ``g``'s order) and an edge x -> y exactly
     when ``g`` has a directed path from x to y passing through no other
-    member of ``s``.
-
-    With ``check=True`` (default) the subset must be graphically causally
-    sufficient, otherwise :class:`SufficiencyError` is raised naming a
-    hidden common cause. ``check=False`` computes the same edge set as a
-    plain graph operation without the guarantee that the result carries
-    marginal causal semantics.
+    member of ``s``. The subset must be graphically causally sufficient,
+    otherwise :class:`SufficiencyError` is raised naming a hidden common
+    cause: without sufficiency the result has no marginal causal meaning.
     """
     s_nodes = g.sorted_tuple(g._check_nodes(s))
     s_set = set(s_nodes)
-    if check:
-        bad = hidden_common_causes(g, s_set)
-        if bad:
-            witness, reached = bad[0]
-            raise SufficiencyError(s_nodes, witness, reached)
+    bad = hidden_common_causes(g, s_set)
+    if bad:
+        witness, reached = bad[0]
+        raise SufficiencyError(s_nodes, witness, reached)
     edges = []
     for u in s_nodes:
         for v in _reachable_inside(g, u, s_set):

@@ -517,14 +517,12 @@ class StructureSolution:
     dag: Dag | None
 
 
-def solve_structure(s: np.ndarray,
-                    nodes: Sequence[str] | None = None) -> StructureSolution:
+def solve_structure(s: np.ndarray) -> StructureSolution:
     """Derive A = I - S^{-1} from an invertible mixing matrix S.
 
-    If the support of A is acyclic the implied DAG is returned alongside
-    (nodes default to x1..xd). Singularity is detected from the pivots of
-    one partial-pivot LU factorization, whose two triangular solves give
-    S^{-1}.
+    If the support of A is acyclic the implied DAG over x1..xd is returned
+    alongside. Singularity is detected from the pivots of one partial-pivot
+    LU factorization, whose two triangular solves give S^{-1}.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1] or s.size == 0:
@@ -549,9 +547,8 @@ def solve_structure(s: np.ndarray,
         inv[:k] -= np.outer(lu[:k, k], inv[k])
     a = np.eye(d) - inv
     a[np.abs(a) < _EDGE_TOL] = 0.0
-    names = tuple(nodes) if nodes is not None else tuple(f"x{i+1}" for i in range(d))
     try:
-        dag = _support_dag(names, a)
+        dag = _support_dag([f"x{i + 1}" for i in range(d)], a)
     except CycleError:
         dag = None
     return StructureSolution(a, dag)

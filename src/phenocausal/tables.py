@@ -19,7 +19,6 @@ validated; no intermediate joint is built on the way.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -130,25 +129,12 @@ class DiscreteJoint:
         idx = rng.choice(flat.size, size=n, p=flat)
         return np.stack(np.unravel_index(idx, self.probs.shape), axis=1)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "variables": [
-                    {"name": n, "cardinality": int(c)}
-                    for n, c in zip(self.names, self.cards)
-                ],
-                "probs": [float(v) for v in self.probs.reshape(-1)],
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "DiscreteJoint":
-        obj = json.loads(text)
-        names = [v["name"] for v in obj["variables"]]
-        cards = [v["cardinality"] for v in obj["variables"]]
-        probs = np.asarray(obj["probs"], dtype=float).reshape(cards)
-        return cls(names, probs)
+    def to_json_obj(self) -> dict:  # keys in sorted order
+        return {
+            "probs": [float(v) for v in self.probs.reshape(-1)],
+            "variables": [{"cardinality": int(c), "name": n}
+                          for n, c in zip(self.names, self.cards)],
+        }
 
 
 def _cells(columns: Sequence[np.ndarray]
@@ -237,18 +223,6 @@ class ConditionalTable:
         object.__setattr__(self, "given", given)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "defined", defined)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "target": self.target,
-                "given": list(self.given),
-                "shape": [int(s) for s in self.table.shape],
-                "table": [None if math.isnan(v) else float(v)
-                          for v in self.table.reshape(-1)],
-            },
-            sort_keys=True,
-        )
 
 
 # ---------------------------------------------------------------------------

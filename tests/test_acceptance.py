@@ -14,7 +14,6 @@ from phenocausal import (
     bivariate_direction,
     build_exemplar,
     bundles_chain,
-    bundles_mixing,
     classify_statistical,
     classify_unit,
     lingam_bivariate,
@@ -29,7 +28,6 @@ from phenocausal import (
     urn2_controllers,
     urn_bivariate,
     urn_chain,
-    urn_toeplitz_mixing,
     valid_graphs,
     verify_boundary_consistency,
     verify_embedding_markov,
@@ -37,6 +35,7 @@ from phenocausal import (
 )
 from phenocausal.cli import run
 from phenocausal.verify import boundary_trial, proposition_trial, _spawn_seed
+from urn_oracles import bundles_mixing, urn_toeplitz_mixing
 
 
 def _report(criterion: int, message: str) -> None:

@@ -121,7 +121,8 @@ def test_statistical_permutation_equivariance():
     g = ex.ground_truth
     report = classify_statistical(g, ex.baseline, ex.statistical_actions)
     swap = {"Kb": "Red", "Kr": "Blue"}
-    g2 = g.relabel(swap)
+    assert g == Dag(("Kb", "Kr"), [("Kb", "Kr")])
+    g2 = Dag(("Red", "Blue"), [("Red", "Blue")])
     baseline2 = DiscreteJoint(("Red", "Blue"), ex.baseline.probs)
     actions2 = tuple(
         StatisticalAction(a.label,
@@ -325,9 +326,11 @@ def test_eps_must_be_non_negative(eps):
 
 
 def test_non_finite_displacement_refused():
-    ex = build_exemplar("rabbits1", demand_per_rabbit=float("inf"))
-    with pytest.raises(ClassificationError, match="non-finite displacement"):
-        classify_unit(ex.ground_truth, ex.scm, ex.unit_actions, trials=5, seed=1)
+    ex = urn_bivariate(kb0=4, kr0=4, rounds=3)
+    blow_up = UnitAction("blow-up", lambda x, nodes: (np.ones(len(x), dtype=bool),
+                                                      x * np.inf), {"kind": "opaque"})
+    with pytest.raises(ClassificationError, match="'blow-up' gives a non-finite displacement"):
+        classify_unit(ex.ground_truth, ex.scm, [blow_up], trials=5, seed=1)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -103,6 +103,8 @@ def test_exemplar_malformed_list_parameter_exits_2(tmp_path, capfd):
     ("farmers", ["exchange_factor=1e-300", "potato_elasticity=2"]),
     # integer parameters given as infinity
     ("balltrack", ["barrier_offset=inf"]), ("bundles", ["initial_packages=inf"]),
+    # finite parameters whose rabbit states overflow
+    ("rabbits1", ["n_rabbits=1e308"]), ("rabbits1", ["demand_per_rabbit=1e308"]),
 ])
 def test_exemplar_non_finite_parameter_exits_2(name, params, tmp_path, capfd):
     argv = ["exemplar", name, "--seed", "1", "--samples", "10",
@@ -112,15 +114,16 @@ def test_exemplar_non_finite_parameter_exits_2(name, params, tmp_path, capfd):
     rc = run(argv)
     err = capfd.readouterr().err
     assert rc == 2
-    assert f"bad parameters for {name!r}" in err
+    assert err.startswith(f"bad parameters for {name!r}") and err.count("\n") == 1
     assert "Traceback" not in err and "Warning" not in err
     assert not any(tmp_path.iterdir())
 
 
 def test_exemplar_non_finite_sidecar_exits_2_and_writes_nothing(tmp_path, capfd):
-    # the library accepts an infinite demand; the sidecar has no JSON form
-    rc = run(["exemplar", "rabbits1", "--seed", "1", "--samples", "10",
-              "--param", "demand_per_rabbit=inf", "--out", str(tmp_path / "x.csv")])
+    # the library accepts an infinite appetite in scenario 2, where no state
+    # depends on it; the sidecar has no JSON form
+    rc = run(["exemplar", "rabbits2", "--seed", "1", "--samples", "10",
+              "--param", "appetite_factor=inf", "--out", str(tmp_path / "x.csv")])
     err = capfd.readouterr().err
     assert rc == 2
     assert "artifact has a non-finite value" in err and "Traceback" not in err
@@ -370,6 +373,17 @@ def test_discover_cyclic_graph_exits_2(tmp_path, capfd):
     _assert_bad_input(rc, capfd, g)
 
 
+@pytest.mark.parametrize("line", ["Kb -> Kr -> Kb", "-> Kr"])
+def test_discover_malformed_graph_line_exits_2(line, tmp_path, capfd):
+    a, b, g = _shift_inputs(tmp_path)
+    g.write_text(f"# comment\n{line}\n")
+    rc = run(["discover", "--method", "shift", "--in", str(a), "--in2", str(b),
+              "--graph", str(g), "--seed", "1"])
+    err = capfd.readouterr().err
+    assert rc == 2
+    assert err == f"bad graph {g}: line 2: {line!r} is neither 'a -> b' nor a node name\n"
+
+
 def test_discover_unparsable_graph_exits_2(tmp_path, capfd):
     a, b, _ = _shift_inputs(tmp_path)
     g = tmp_path / "g.json"
@@ -440,13 +454,25 @@ def test_balltrack_overflowing_start_law_exits_2(argv, theta, tmp_path, capfd,
 def test_classify_non_finite_displacement_exits_2(tmp_path, capfd):
     out = tmp_path / "cls.json"
     for extra in ([], ["--enumerate"]):
-        rc = run(["classify", "rabbits1", "--seed", "1", "--param",
-                  "demand_per_rabbit=inf", "--out", str(out)] + extra)
+        rc = run(["classify", "rabbits2", "--seed", "1", "--param",
+                  "n_rabbits=1e308", "--out", str(out)] + extra)
         err = capfd.readouterr().err
         assert rc == 2
         assert "non-finite displacement" in err
         assert "Traceback" not in err and "DLASCL" not in err
         assert "Warning" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("param", ["n_rabbits=1e308", "demand_per_rabbit=1e308"])
+def test_classify_rabbits_overflowing_states_exit_2(param, tmp_path, capfd):
+    # refused at build, before the baseline states reach the unit reading
+    out = tmp_path / "cls.json"
+    rc = run(["classify", "rabbits1", "--seed", "1", "--param", param, "--out", str(out)])
+    err = capfd.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and "give non-finite scenario 1 states" in err
+    assert "Warning" not in err and "add-rabbit" not in err
     assert not out.exists()
 
 
@@ -499,6 +525,18 @@ def test_verify_boundary_pass(tmp_path):
     obj = _read(out)
     _validate(obj, "verification")
     assert obj["passed"] and obj["reports"]["boundary"]["trials"] == 25
+
+
+@pytest.mark.parametrize("which", ["embedding", "all"])
+def test_verify_runs_the_requested_trials_in_every_suite(which, tmp_path):
+    out = tmp_path / "ver.json"
+    assert run(["verify", "--which", which, "--trials", "12", "--seed", "2",
+                "--out", str(out)]) == 0
+    obj = _read(out)
+    assert obj["trials"] == 12
+    assert {k: r["trials"] for k, r in obj["reports"].items()} == dict.fromkeys(
+        obj["reports"], 12)
+    assert "embedding" in obj["reports"]
 
 
 def test_verify_byte_identical(tmp_path):

@@ -4,15 +4,20 @@ in the acceptance suite; these tests pin behaviour on single seeds."""
 
 from __future__ import annotations
 
+import ast
+import importlib.util
 import inspect
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import phenocausal.cli
+import phenocausal.verify
 from phenocausal import (
     Dag,
     Dataset,
@@ -141,6 +146,54 @@ def test_statistic_parameter_names():
     # max_points from the bound arguments to count the pairs of a call
     params = inspect.signature(independence_statistic).parameters
     assert list(params) == ["u", "v", "max_points"]
+
+
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  _PERFBENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_traced_functions_bind_their_counter_parameters():
+    # the tracer wraps each attribute and its counters read the bound
+    # arguments by name, so a renamed function or parameter breaks the run
+    tracing = _load_tracing()
+    bound = set()
+    for _, owner, attr, _, counter in tracing.TRACED:
+        assert hasattr(owner, attr), attr
+        if counter is None:
+            continue
+        args = next(iter(inspect.signature(counter).parameters))
+        read = {node.slice.value
+                for node in ast.walk(ast.parse(inspect.getsource(counter)))
+                if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                and node.value.id == args}
+        assert read <= set(inspect.signature(getattr(owner, attr)).parameters), attr
+        bound |= read
+    assert bound >= {"u", "max_points", "environments", "n_perm", "eps", "scm", "argv"}
+
+
+def test_benchmark_keyword_calls_bind():
+    # every call the workloads make through the package's modules binds
+    modules = {"pc": phenocausal, "pv": phenocausal.verify, "cli": phenocausal.cli}
+    tree = ast.parse((_PERFBENCH / "workloads.py").read_text())
+    keywords = set()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in modules):
+            continue
+        fn = getattr(modules[node.func.value.id], node.func.attr)
+        names = [k.arg for k in node.keywords if k.arg is not None]
+        inspect.signature(fn).bind(*node.args, **dict.fromkeys(names))
+        keywords.update(names)
+    assert keywords >= {"mode", "trials", "seed", "max_nodes", "rounds",
+                        "edge_prob", "k0", "coin_biases", "max_points"}
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +451,7 @@ def test_continuous_columns_are_binned():
     v2 = -u2 + 0.1 * rng.uniform(size=n)  # flipped mechanism for v
     e1 = Dataset(("u", "v"), np.column_stack([u1, v1]), 1)
     e2 = Dataset(("u", "v"), np.column_stack([u2, v2]), 2)
-    out = localize_mechanism_change([e1, e2], g, bins=4, seed=3)
+    out = localize_mechanism_change([e1, e2], g, seed=3)  # 5 pooled-quantile bins
     union = set().union(*(set(r.changed) for r in out))
     assert "v" in union and "u" not in union
 

@@ -185,6 +185,6 @@ def test_localization_binned_bit_identical():
     v2 = -u2 + 0.1 * rng.uniform(size=n)
     out = localize_mechanism_change(
         [Dataset(("u", "v"), np.column_stack([u1, v1]), 1),
-         Dataset(("u", "v"), np.column_stack([u2, v2]), 2)], g, bins=4, seed=3)
-    assert _digest(out) == ("a71894eddd142ce9f040abfd94df1a12"
-                            "205bc73c70fd073d4e66653013bbeb6f")
+         Dataset(("u", "v"), np.column_stack([u2, v2]), 2)], g, seed=3)
+    assert _digest(out) == ("becd7daaf7ecced499c911270324616e"
+                            "0213ebcb57b9177f92bde2335690f26a")

@@ -26,13 +26,13 @@ from phenocausal import (
     changed_factors,
     classify_statistical,
     classify_unit,
-    exact_urn2_joint,
     farmers,
     macro_pair,
     rabbits,
     urn_bivariate,
     urn_chain,
 )
+from urn_oracles import exact_urn2_joint
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +301,21 @@ def test_rabbits_parameter_validation():
 def test_non_finite_parameters_refused(build, param, value):
     with pytest.raises(ScmError, match="finite"):
         build(**{param: value})
+
+
+@pytest.mark.parametrize("params", [
+    {"n_rabbits": 1e308}, {"demand_per_rabbit": 1e308}, {"appetite_factor": 1e308},
+    {"demand_per_rabbit": math.inf}, {"demand_per_rabbit": math.nan},
+    {"appetite_factor": math.inf}, {"appetite_factor": math.nan},
+    # only (n + 1) * d_hi overflows
+    {"n_rabbits": 1, "demand_per_rabbit": 1e308 / 1.2, "food_supply": 1.5e308},
+    # only the default food supply 4 * n * d_hi overflows
+    {"n_rabbits": 1, "demand_per_rabbit": 5e307 / 1.2},
+])
+def test_rabbits_non_finite_states_refused(params):
+    with pytest.raises(ScmError, match=r"n_rabbits=.*, demand_per_rabbit=.* and "
+                                       r"appetite_factor=.* give non-finite scenario 1"):
+        rabbits(**params)
 
 
 @pytest.mark.parametrize("params", [

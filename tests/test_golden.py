@@ -60,7 +60,7 @@ GOLDEN = [
      {".json": "68d9f475788639418bc0fdcbef45adb0e3308c84cf657e7060e3b9163aa58b37"}),
     ("verify-all",
      ["verify", "--which", "all", "--trials", "6", "--seed", "5"],
-     {".json": "a0a54336738348c07d31d495bea091d6b49bcd18493a0151396e48574b572e1e"}),
+     {".json": "c0936c2f36aef1972a6a2d75200f13890aec0bf60ef8ded400c5d9dce3b5d88a"}),
     ("report",
      ["report", "--seed", "3"],
      {".json": "849be7c4f7228ece03b0c343b7c014faf5e8c522850f195a88b4884efd5703fe"}),

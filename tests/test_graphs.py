@@ -7,6 +7,7 @@ enumeration oracles that apply the blocking rules literally.
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from phenocausal import (
     marginal_dag,
     random_dag,
 )
-from phenocausal.graphs import hidden_common_causes
 
 
 # ---------------------------------------------------------------------------
@@ -149,15 +149,18 @@ def test_topological_order_stable():
 
 def test_json_roundtrip():
     g = Dag(("x", "y", "z"), [("x", "y"), ("y", "z")])
-    assert Dag.from_json(g.to_json()) == g
+    assert Dag.from_json(json.dumps(g.to_json_obj())) == g
 
 
-def test_edge_list_roundtrip():
-    g = Dag(("x", "y", "lonely"), [("x", "y")])
-    text = g.to_edge_list()
-    assert "x -> y" in text and "lonely" in text
-    g2 = Dag.from_edge_list(text)
-    assert g2.edges == g.edges and set(g2.nodes) == set(g.nodes)
+def test_edge_list_reads_edges_and_isolated_nodes():
+    text = "# a comment\nx -> y\n\n  lonely  \ny\n"
+    assert Dag.from_edge_list(text) == Dag(("x", "y", "lonely"), [("x", "y")])
+
+
+@pytest.mark.parametrize("line", ["a -> b -> c", "-> b", "a ->", "->", "a -> -> b"])
+def test_edge_list_refuses_malformed_lines(line):
+    with pytest.raises(GraphError, match=rf"^line 2: '{line}' is neither"):
+        Dag.from_edge_list(f"x -> y\n{line}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -275,20 +278,6 @@ def test_marginal_dag_insufficient_raises_with_witness():
     with pytest.raises(SufficiencyError) as exc:
         marginal_dag(g, ("X", "Y"))
     assert exc.value.witness == "C"
-
-
-def test_marginal_edges_match_path_enumeration_even_unchecked():
-    # The spec's Figure-7 subset {K5,K3,K2,K1} is not causally sufficient
-    # (K4 confounds the rest), so the edge computation is exercised with
-    # check=False against the path-enumeration oracle.
-    from phenocausal import urn_chain
-
-    g = urn_chain(n=5).ground_truth
-    s = ("K5", "K3", "K2", "K1")
-    assert hidden_common_causes(g, s)
-    m = marginal_dag(g, s, check=False)
-    assert set(m.edges) == marginal_edges_oracle(g, s)
-    assert ("K5", "K3") in m.edges
 
 
 @pytest.mark.parametrize("seed", range(25))

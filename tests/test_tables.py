@@ -169,13 +169,6 @@ def test_permute_reads_names_once():
             p.permute(bad)
 
 
-def test_joint_json_roundtrip():
-    p = DiscreteJoint(("X", "Y"), np.array([[0.1, 0.2], [0.3, 0.4]]))
-    q = DiscreteJoint.from_json(p.to_json())
-    assert q.names == p.names
-    assert np.allclose(q.probs, p.probs)
-
-
 def test_sampling_matches_distribution():
     p = DiscreteJoint(("X", "Y"), np.array([[0.7, 0.1], [0.1, 0.1]]))
     rows = p.sample(20_000, np.random.default_rng(0))

@@ -158,7 +158,7 @@ def assert_same_general(got: GeneralScm, want: GeneralScm, exact: bool) -> None:
 
 def _check(ex, truth: Dag, scm: GeneralScm, linear: LinearScm | None) -> None:
     assert ex.ground_truth == truth
-    assert ex.ground_truth.to_json() == truth.to_json()
+    assert ex.ground_truth.to_json_obj() == truth.to_json_obj()
     assert_same_linear(ex.linear, linear)
     rounds = scm.noises[scm.nodes[0]].params[0]
     # exact joints only where the noise product stays small
