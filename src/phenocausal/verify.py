@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .exemplars import Exemplar
-from .graphs import (Dag, CycleError, _reachable_inside, backdoor_admissible,
+from .graphs import (Dag, _reachable_inside, backdoor_admissible,
                      is_graphically_causally_sufficient, marginal_dag,
                      random_dag)
 from .scm import GeneralScm, NoiseSpec, _philox, exact_joint
@@ -111,8 +111,13 @@ class VerificationReport:
 # ---------------------------------------------------------------------------
 
 
+# a replaced marginal of x that moves by at most this total variation is
+# not a change; a change of p(y) or p(x|y) must exceed the floor
+_MARGINAL_TOL = 1e-3
+_CHANGE_FLOOR = 1e-12
+
+
 def verify_identifiability(p_xy: DiscreteJoint, new_marginal: np.ndarray,
-                           tol: float = 1e-3, floor: float = 1e-12,
                            index: int = 0, seed: int = 0) -> TrialRecord:
     """Check that replacing p(x) (keeping p(y|x)) moves p(y) and p(x|y).
 
@@ -140,8 +145,8 @@ def verify_identifiability(p_xy: DiscreteJoint, new_marginal: np.ndarray,
     back_new = tilde / tilde.sum(axis=0, keepdims=True)
     tv_back = 0.5 * float(np.abs(back_new - back_old).sum(axis=0).max())
     ok = True
-    if tv_x > tol:
-        ok = tv_y > floor and tv_back > floor
+    if tv_x > _MARGINAL_TOL:
+        ok = tv_y > _CHANGE_FLOOR and tv_back > _CHANGE_FLOOR
     return TrialRecord("identifiability", index, seed, ok,
                        {"tv_x": tv_x, "tv_y": tv_y, "tv_x_given_y": tv_back})
 
@@ -153,21 +158,16 @@ def verify_identifiability(p_xy: DiscreteJoint, new_marginal: np.ndarray,
 
 @dataclass(frozen=True)
 class ControllerSpec:
-    """Controller variables and which action classes they drive.
+    """Independent controller variables and the action class each drives.
 
-    ``controls`` maps an action-class label to (controller parents, fn)
-    where fn maps the tuple of controller values to the NoiseSpec of the
-    class tally under that setting. ``observers`` adds downstream variables
-    influenced by system nodes. Controller and observer mechanisms are
-    elementwise, as ``GeneralScm`` mechanisms are.
+    Each controller is a root that takes its noise value. ``controls`` maps
+    an action-class label to (controller, fn), where fn maps the
+    controller's value to the NoiseSpec of the class tally under that
+    setting.
     """
 
-    dag: Dag
     noises: dict[str, NoiseSpec]
-    mechanisms: dict[str, Callable] = field(default_factory=dict)
-    controls: dict[str, tuple[tuple[str, ...], Callable]] = field(default_factory=dict)
-    observers: dict[str, tuple[tuple[str, ...], Callable, NoiseSpec]] = field(
-        default_factory=dict)
+    controls: dict[str, tuple[str, Callable]]
 
 
 def build_embedding(exemplar: Exemplar,
@@ -175,96 +175,59 @@ def build_embedding(exemplar: Exemplar,
     """Joint SCM over (controllers, system) plus the combined graph.
 
     An edge runs from a controller to the node whose action class it
-    drives; the controllers' ranges come from one ``evaluate`` on the grid
-    of their atoms. The class tally of a controlled node becomes a vector
-    with one independent component per controller context. Its noise is
+    drives. The class tally of a controlled node becomes a vector with one
+    independent component per value of its controller: the sorted distinct
+    atoms of the controller's law, zero-weight atoms included. Its noise is
     the index of the vector's joint atom (``itertools.product`` order), and
-    its mechanism picks the component of its controller parents' context by
-    array indexing. The combined edge set must be acyclic.
+    its mechanism picks the component of the controller's value by array
+    indexing.
     """
     base = exemplar.scm
     if base is None:
         raise ValueError(f"exemplar {exemplar.name!r} has no unit-level system")
     class_nodes: dict[str, str] = exemplar.notes["class_nodes"]
-
-    # assemble the combined edge set first so that cyclic wiring is
-    # reported as such before any range enumeration
-    edges = list(controllers.dag.edges) + list(exemplar.ground_truth.edges)
-    extra_parents: dict[str, tuple[str, ...]] = {}
-    for label, (ctrl_parents, _fn) in controllers.controls.items():
+    driven: dict[str, tuple[str, Callable]] = {}
+    for label, (ctrl, fn) in controllers.controls.items():
         if label not in class_nodes:
             raise ValueError(f"unknown action class {label!r}")
+        if ctrl not in controllers.noises:
+            raise ValueError(f"class {label!r} is driven by {ctrl!r}, which is "
+                             "not a controller variable")
         target = class_nodes[label]
-        if target in extra_parents:
+        if target in driven:
             raise ValueError(f"node {target!r} controlled by two classes")
-        edges.extend((y, target) for y in ctrl_parents)
-        extra_parents[target] = tuple(ctrl_parents)
-    for obs, (x_parents, _mech, _noise) in controllers.observers.items():
-        edges.extend((x, obs) for x in x_parents)
+        driven[target] = (ctrl, fn)
 
-    nodes = (tuple(controllers.dag.nodes) + tuple(base.nodes)
-             + tuple(controllers.observers))
-    try:
-        gtilde = Dag(nodes, set(edges))
-    except CycleError as exc:
-        raise CycleError(f"combined controller/system graph is cyclic: {exc}")
-
-    # the controllers alone (one without a mechanism takes its noise value),
-    # and the values each takes under some noise assignment, zero-probability
-    # atoms included
-    ctrl_nodes = controllers.dag.nodes
-    ctrl_scm = GeneralScm(
-        nodes=ctrl_nodes,
-        parents={y: controllers.dag.parents(y) for y in ctrl_nodes},
-        mechanisms={y: controllers.mechanisms.get(y, lambda pa, nz: nz)
-                    for y in ctrl_nodes},
-        noises={y: controllers.noises[y] for y in ctrl_nodes})
-    grid = np.meshgrid(*(ctrl_scm.noises[y].support()[0] for y in ctrl_nodes),
-                       indexing="ij")
-    state = ctrl_scm.evaluate(dict(zip(ctrl_nodes, grid)))
-    ranges = {y: tuple(np.unique(state[y]).tolist()) for y in ctrl_nodes}
-    context_specs: dict[str, tuple[NoiseSpec, ...]] = {}
-    for label, (ctrl_parents, fn) in controllers.controls.items():
-        outside = [y for y in ctrl_parents if y not in ranges]
-        if outside:
-            raise ValueError(
-                f"class {label!r} is driven by {outside}, which are not pure "
-                "controller variables with enumerable ranges")
-        context_specs[class_nodes[label]] = tuple(
-            fn(*ctx) for ctx in itertools.product(*(ranges[y] for y in ctrl_parents)))
-
-    parents = dict(ctrl_scm.parents)
-    mechanisms = dict(ctrl_scm.mechanisms)
-    noises = dict(ctrl_scm.noises)
+    nodes = tuple(controllers.noises) + tuple(base.nodes)
+    gtilde = Dag(nodes, set(exemplar.ground_truth.edges)
+                 | {(ctrl, v) for v, (ctrl, _fn) in driven.items()})
+    parents: dict[str, tuple[str, ...]] = {y: () for y in controllers.noises}
+    mechanisms: dict[str, Callable] = {y: lambda pa, nz: nz for y in controllers.noises}
+    noises = dict(controllers.noises)
     for v in base.nodes:
-        if v in extra_parents:
-            ctrl = extra_parents[v]
-            atom_sets = [spec.support() for spec in context_specs[v]]
-            probs = tuple(
-                math.prod(combo)
-                for combo in itertools.product(*(s[1] for s in atom_sets)))
-            # components[i, c1, ...]: joint atom i's tally in context (c1, ...)
-            components = np.array(list(itertools.product(*(s[0] for s in atom_sets))))
-            components = components.reshape(-1, *(len(ranges[y]) for y in ctrl))
-            parents[v] = base.parents[v] + ctrl
-
-            # the base mechanism reads its own parents by name and ignores
-            # the controller values that share ``pa`` with them
-            def mech(pa, atom, base_mech=base.mechanisms[v], ctrl=ctrl,
-                     components=components):
-                at = [np.searchsorted(ranges[y], pa[y]) for y in ctrl]
-                return base_mech(pa, components[(np.asarray(atom, dtype=np.intp), *at)])
-
-            mechanisms[v] = mech
-            noises[v] = NoiseSpec.finite(range(len(probs)), probs)
-        else:
+        if v not in driven:
             parents[v] = base.parents[v]
             mechanisms[v] = base.mechanisms[v]
             noises[v] = base.noises[v]
-    for obs, (x_parents, mech, noise) in controllers.observers.items():
-        parents[obs] = tuple(x_parents)
-        mechanisms[obs] = mech
-        noises[obs] = noise
+            continue
+        ctrl, fn = driven[v]
+        values = tuple(np.unique(controllers.noises[ctrl].support()[0]).tolist())
+        atom_sets = [fn(c).support() for c in values]
+        probs = tuple(math.prod(combo)
+                      for combo in itertools.product(*(s[1] for s in atom_sets)))
+        # components[i, c]: joint atom i's tally under controller value c
+        components = np.array(list(itertools.product(*(s[0] for s in atom_sets))))
+        parents[v] = base.parents[v] + (ctrl,)
+
+        # the base mechanism reads its own parents by name and ignores the
+        # controller value that shares ``pa`` with them
+        def mech(pa, atom, base_mech=base.mechanisms[v], ctrl=ctrl, values=values,
+                 components=components):
+            at = np.searchsorted(values, pa[ctrl])
+            return base_mech(pa, components[np.asarray(atom, dtype=np.intp), at])
+
+        mechanisms[v] = mech
+        noises[v] = NoiseSpec.finite(range(len(probs)), probs)
 
     scm = GeneralScm(nodes=nodes, parents=parents, mechanisms=mechanisms,
                      noises=noises)
@@ -288,18 +251,22 @@ def urn2_controllers(rounds: int, base_biases: Sequence[float],
         return NoiseSpec.binomdiff(rounds, pp, pm)
 
     return ControllerSpec(
-        dag=Dag(("Y1", "Y2")),
         noises={"Y1": NoiseSpec.finite((0.0, 1.0), (1 - p_y1, p_y1)),
                 "Y2": NoiseSpec.finite((0.0, 1.0), (1 - p_y2, p_y2))},
-        controls={"A1": (("Y1",), a1_spec), "A2": (("Y2",), a2_spec)},
+        controls={"A1": ("Y1", a1_spec), "A2": ("Y2", a2_spec)},
     )
 
 
-def verify_embedding_markov(scm: GeneralScm, gtilde: Dag, eps: float = 1e-12,
-                            index: int = 0, seed: int = 0) -> TrialRecord:
+# largest conditional-independence residual of an embedding joint that
+# still counts as Markov
+_EMBEDDING_EPS = 1e-12
+
+
+def verify_embedding_markov(scm: GeneralScm, gtilde: Dag, index: int = 0,
+                            seed: int = 0) -> TrialRecord:
     """Exactly enumerate the embedding's joint and check Markovness."""
     joint, _levels = exact_joint(scm)
-    ok, triple, worst = markov_report(joint, gtilde, eps=eps)
+    ok, triple, worst = markov_report(joint, gtilde, eps=_EMBEDDING_EPS)
     details = {"worst_residual": worst, "states": int(joint.probs.size)}
     if triple is not None:
         a, bt, c = triple
@@ -312,10 +279,15 @@ def verify_embedding_markov(scm: GeneralScm, gtilde: Dag, eps: float = 1e-12,
 # ---------------------------------------------------------------------------
 
 
+# factor distance above which a marginal factor counts as changed, and the
+# largest deviation of a backdoor adjustment from the full model's
+# do-marginal
+_BOUNDARY_EPS = 1e-9
+
+
 def verify_boundary_consistency(g: Dag, p: DiscreteJoint, j_perturbed: str,
                                 new_factor: ConditionalTable, s: Sequence[str],
-                                eps: float = 1e-9, index: int = 0,
-                                seed: int = 0) -> TrialRecord:
+                                index: int = 0, seed: int = 0) -> TrialRecord:
     """Perturb one factor, marginalize onto a sufficient subset, and check
     that at most one marginal factor changed -- the perturbed node itself
     when it survives marginalization, otherwise its unique blocking
@@ -328,7 +300,7 @@ def verify_boundary_consistency(g: Dag, p: DiscreteJoint, j_perturbed: str,
     gs = marginal_dag(g, s_nodes)
     ps = p.marginal(s_nodes)
     ps_tilde = p_tilde.marginal(s_nodes)
-    changed = changed_factors(ps, ps_tilde, gs, eps)
+    changed = changed_factors(ps, ps_tilde, gs, _BOUNDARY_EPS)
     if j_perturbed in s_nodes:
         expected: tuple[str, ...] = (j_perturbed,)
         unique_blocker = True
@@ -349,8 +321,7 @@ def verify_boundary_consistency(g: Dag, p: DiscreteJoint, j_perturbed: str,
 
 
 def check_backdoor_preservation(g: Dag, p: DiscreteJoint, s: Sequence[str],
-                                x: str, y: str, z: Sequence[str],
-                                eps: float = 1e-9) -> tuple[bool, dict]:
+                                x: str, y: str, z: Sequence[str]) -> tuple[bool, dict]:
     """If z is backdoor-admissible for (x, y) in the marginal graph, it must
     be admissible in the full graph and the adjustment on the marginal
     distribution must match truncated factorization in the full model."""
@@ -367,7 +338,7 @@ def check_backdoor_preservation(g: Dag, p: DiscreteJoint, s: Sequence[str],
         do_full = hard_intervention(p, g, x, v).marginal((y,)).probs
         adj = _adjustment(ps, x, y, z, v)
         worst = max(worst, float(np.abs(do_full - adj).max()))
-    ok = inherited and worst <= eps
+    ok = inherited and worst <= _BOUNDARY_EPS
     return ok, {"x": x, "y": y, "z": list(z), "admissible_in_full": inherited,
                 "max_dev": worst}
 
@@ -449,8 +420,7 @@ def _spawn_seed(seed: int, *key: int) -> int:
     return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1)[0])
 
 
-def proposition_trial(trial_seed: int, tol: float = 1e-3,
-                      floor: float = 1e-12, index: int = 0) -> TrialRecord:
+def proposition_trial(trial_seed: int, index: int = 0) -> TrialRecord:
     rng = _philox(trial_seed)
     k = int(rng.integers(2, 5))
     for _ in range(100):
@@ -463,14 +433,12 @@ def proposition_trial(trial_seed: int, tol: float = 1e-3,
     for _ in range(100):
         raw = rng.random(k) + 0.05
         new_marginal = raw / raw.sum()
-        if 0.5 * np.abs(new_marginal - px).sum() > tol:
+        if 0.5 * np.abs(new_marginal - px).sum() > _MARGINAL_TOL:
             break
-    return verify_identifiability(p, new_marginal, tol=tol, floor=floor,
-                                  index=index, seed=trial_seed)
+    return verify_identifiability(p, new_marginal, index=index, seed=trial_seed)
 
 
-def boundary_trial(trial_seed: int, max_nodes: int = 6, eps: float = 1e-9,
-                   index: int = 0) -> TrialRecord:
+def boundary_trial(trial_seed: int, max_nodes: int = 6, index: int = 0) -> TrialRecord:
     rng = _philox(trial_seed)
     n = int(rng.integers(3, max_nodes + 1))
     g = random_dag([f"X{i+1}" for i in range(n)], rng, edge_prob=0.5)
@@ -479,8 +447,8 @@ def boundary_trial(trial_seed: int, max_nodes: int = 6, eps: float = 1e-9,
     j = g.nodes[int(rng.integers(n))]
     new_factor = random_conditional(g, j, cards, rng)
     s = random_sufficient_subset(g, rng)
-    record = verify_boundary_consistency(g, p, j, new_factor, s, eps=eps,
-                                         index=index, seed=trial_seed)
+    record = verify_boundary_consistency(g, p, j, new_factor, s, index=index,
+                                         seed=trial_seed)
     # Backdoor preservation side check on the same instance.
     s_nodes = g.sorted_tuple(s)
     if len(s_nodes) >= 2 and record.ok:
@@ -488,7 +456,7 @@ def boundary_trial(trial_seed: int, max_nodes: int = 6, eps: float = 1e-9,
         x, y = s_nodes[idx[0]], s_nodes[idx[1]]
         rest = [v for v in s_nodes if v not in (x, y)]
         z = tuple(v for v in rest if rng.random() < 0.5)
-        ok_bd, bd = check_backdoor_preservation(g, p, s_nodes, x, y, z, eps=eps)
+        ok_bd, bd = check_backdoor_preservation(g, p, s_nodes, x, y, z)
         details = dict(record.details)
         details["backdoor"] = bd
         record = TrialRecord(record.kind, record.index, record.seed,
@@ -509,8 +477,7 @@ def embedding_trial(trial_seed: int, rounds: int = 3, index: int = 0) -> TrialRe
                             p_y1=float(rng.uniform(0.3, 0.7)),
                             p_y2=float(rng.uniform(0.3, 0.7)))
     scm, gtilde = build_embedding(ex, spec)
-    return verify_embedding_markov(scm, gtilde, eps=1e-12, index=index,
-                                   seed=trial_seed)
+    return verify_embedding_markov(scm, gtilde, index=index, seed=trial_seed)
 
 
 def _run_trials(fn: Callable, seeds: list[int], jobs: int) -> list[TrialRecord]:

@@ -34,6 +34,7 @@ from phenocausal import (
     build_embedding,
 )
 from phenocausal.cli import run
+from phenocausal import verify
 from phenocausal.verify import boundary_trial, proposition_trial, _spawn_seed
 from urn_oracles import bundles_mixing, urn_toeplitz_mixing
 
@@ -43,9 +44,11 @@ def _report(criterion: int, message: str) -> None:
 
 
 def test_criterion_01_proposition_suite():
+    # the tolerances the trials run at
+    assert verify._MARGINAL_TOL == 1e-3 and verify._CHANGE_FLOOR == 1e-12
     t0 = time.monotonic()
-    records = [proposition_trial(_spawn_seed(101, 0, i), tol=1e-3,
-                                 floor=1e-12, index=i) for i in range(1000)]
+    records = [proposition_trial(_spawn_seed(101, 0, i), index=i)
+               for i in range(1000)]
     elapsed = time.monotonic() - t0
     failures = [r for r in records if not r.ok]
     moved = [r for r in records if r.details["tv_x"] > 1e-3]
@@ -59,9 +62,10 @@ def test_criterion_01_proposition_suite():
 
 
 def test_criterion_02_boundary_suite():
+    assert verify._BOUNDARY_EPS == 1e-9  # the tolerance the trials run at
     t0 = time.monotonic()
-    records = [boundary_trial(_spawn_seed(202, 1, i), max_nodes=6, eps=1e-9,
-                              index=i) for i in range(500)]
+    records = [boundary_trial(_spawn_seed(202, 1, i), max_nodes=6, index=i)
+               for i in range(500)]
     elapsed = time.monotonic() - t0
     failures = [r for r in records if not r.ok]
     assert not failures
@@ -82,13 +86,14 @@ def test_criterion_02_boundary_suite():
 
 
 def test_criterion_03_embedding_markov():
+    assert verify._EMBEDDING_EPS == 1e-12  # the tolerance the check runs at
     t0 = time.monotonic()
     rounds = 3
     base = (0.5, 0.5, 0.5, 0.5)
     shifted = (0.8, 0.2, 0.7, 0.3)
     ex = urn_bivariate(kb0=12, kr0=12, rounds=rounds, coin_biases=base)
     scm, gtilde = build_embedding(ex, urn2_controllers(rounds, base, shifted))
-    rec = verify_embedding_markov(scm, gtilde, eps=1e-12)
+    rec = verify_embedding_markov(scm, gtilde)
     elapsed = time.monotonic() - t0
     assert rec.ok
     assert rec.details["states"] <= 2**14

@@ -11,6 +11,7 @@ from phenocausal import (
     Dag,
     DiscreteJoint,
     NoiseSpec,
+    ControllerSpec,
     SuiteConfig,
     build_embedding,
     random_conditional,
@@ -25,7 +26,6 @@ from phenocausal import (
     verify_identifiability,
 )
 from phenocausal.exemplars import _UrnProcess
-from phenocausal.graphs import CycleError
 from phenocausal.verify import (
     boundary_trial,
     check_backdoor_preservation,
@@ -41,7 +41,7 @@ from phenocausal.verify import (
 
 def test_worked_example_changes_both_objects():
     p = DiscreteJoint(("X", "Y"), np.array([[0.3, 0.2], [0.1, 0.4]]))
-    rec = verify_identifiability(p, np.array([0.6, 0.4]), tol=1e-3)
+    rec = verify_identifiability(p, np.array([0.6, 0.4]))
     assert rec.ok
     # oracle: direct Bayes-rule recomputation
     assert rec.details["tv_y"] == pytest.approx(0.04, abs=1e-12)
@@ -50,7 +50,7 @@ def test_worked_example_changes_both_objects():
 
 def test_identity_marginal_changes_nothing():
     p = DiscreteJoint(("X", "Y"), np.array([[0.3, 0.2], [0.1, 0.4]]))
-    rec = verify_identifiability(p, np.array([0.5, 0.5]), tol=1e-3)
+    rec = verify_identifiability(p, np.array([0.5, 0.5]))
     assert rec.ok
     assert rec.details["tv_x"] == 0.0
     assert rec.details["tv_y"] == 0.0
@@ -98,7 +98,7 @@ def test_embedding_graph_edges():
 def test_embedding_exact_joint_markov():
     ex, spec = _embedding()
     scm, gtilde = build_embedding(ex, spec)
-    rec = verify_embedding_markov(scm, gtilde, eps=1e-12)
+    rec = verify_embedding_markov(scm, gtilde)
     assert rec.ok
     assert rec.details["worst_residual"] <= 1e-12
 
@@ -107,16 +107,14 @@ def test_embedding_wrong_graph_fails_with_named_independence():
     ex, spec = _embedding()
     scm, gtilde = build_embedding(ex, spec)
     wrong = Dag(gtilde.nodes, [e for e in gtilde.edges if e != ("Y1", "Kb")])
-    rec = verify_embedding_markov(scm, wrong, eps=1e-12)
+    rec = verify_embedding_markov(scm, wrong)
     assert not rec.ok
     assert "Y1" in rec.details["worst_independence"]
 
 
 def test_no_controllers_reduces_to_ground_truth():
     ex, _ = _embedding()
-    spec = urn2_controllers(3, (0.5,) * 4, (0.5,) * 4)
-    empty = type(spec)(dag=Dag(()), noises={}, controls={})
-    scm, gtilde = build_embedding(ex, empty)
+    scm, gtilde = build_embedding(ex, ControllerSpec(noises={}, controls={}))
     assert set(gtilde.edges) == set(ex.ground_truth.edges)
     assert scm.nodes == ex.scm.nodes
 
@@ -127,46 +125,8 @@ def test_constant_controllers_reduce_to_exemplar_check():
     spec = urn2_controllers(rounds, (0.5,) * 4, (0.8, 0.2, 0.7, 0.3),
                             p_y1=0.0, p_y2=0.0)  # controllers pinned to 0
     scm, gtilde = build_embedding(ex, spec)
-    rec = verify_embedding_markov(scm, gtilde, eps=1e-12)
+    rec = verify_embedding_markov(scm, gtilde)
     assert rec.ok
-
-
-def test_controller_chain_edge_rule():
-    ex, _ = _embedding()
-    spec = urn2_controllers(3, (0.5,) * 4, (0.5,) * 4)
-    chained = type(spec)(
-        dag=Dag(("Y1", "Y2"), [("Y1", "Y2")]),
-        noises={"Y1": NoiseSpec.finite((0.0, 1.0), (0.5, 0.5)),
-                "Y2": NoiseSpec.finite((0.0, 1.0), (0.5, 0.5))},
-        mechanisms={"Y2": lambda pa, nz: (pa["Y1"] + nz) % 2},
-        controls={"A2": (("Y1", "Y2"),
-                         lambda y1, y2: NoiseSpec.binomdiff(3, 0.5, 0.5))},
-    )
-    _, gtilde = build_embedding(ex, chained)
-    assert set(gtilde.edges) == {("Y1", "Y2"), ("Y1", "Kr"), ("Y2", "Kr"),
-                                 ("Kb", "Kr")}
-
-
-def test_observer_edges_and_cycle_detection():
-    ex, spec = _embedding()
-    with_observer = type(spec)(
-        dag=spec.dag, noises=spec.noises, controls=spec.controls,
-        observers={"Z": (("Kr",), lambda pa, nz: pa["Kr"] + nz,
-                         NoiseSpec.finite((0.0, 1.0), (0.5, 0.5)))},
-    )
-    scm, gtilde = build_embedding(ex, with_observer)
-    assert ("Kr", "Z") in gtilde.edges
-    rec = verify_embedding_markov(scm, gtilde, eps=1e-12)
-    assert rec.ok
-    # an observer feeding back into a controller's class makes a cycle
-    cyclic = type(spec)(
-        dag=spec.dag, noises=spec.noises,
-        controls={"A1": (("Y1",), lambda y: NoiseSpec.binomdiff(3, 0.5, 0.5)),
-                  "A2": (("Z",), lambda z: NoiseSpec.binomdiff(3, 0.5, 0.5))},
-        observers={"Z": (("Kr",), lambda pa, nz: pa["Kr"], NoiseSpec.degenerate(0.0))},
-    )
-    with pytest.raises(CycleError):
-        build_embedding(ex, cyclic)
 
 
 def test_embedding_trials_pass():
