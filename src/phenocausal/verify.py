@@ -6,14 +6,14 @@ Three verifiers are provided, each producing replayable trial records:
 * identifiability -- for a full-rank strictly positive p(x, y), replacing
   the marginal of x while keeping p(y|x) must change both the marginal of
   y and the backward conditional p(x|y).
-* embedding Markov -- when elementary actions are driven by controller
-  variables, the exact joint over (controllers, system) must satisfy the
+* embedding Markov -- when each action class is driven by its own
+  independent controller variable, the exact joint over (controllers, system) must satisfy the
   Markov condition of the combined graph.
 * boundary consistency -- a single-factor perturbation, pushed through
   marginalization onto a graphically causally sufficient subset, changes
   at most one factor of the marginal model; on the side, backdoor sets of
-  the marginal graph must reproduce interventional marginals computed by
-  truncated factorization in the full graph.
+  the marginal graph must reproduce the full model's interventional
+  marginals, read by adjusting for the parents of the intervened node.
 
 Failures are treated as implementation bugs (the statements are theorems);
 every record carries the integer seed that regenerates its instance.
@@ -31,13 +31,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .exemplars import Exemplar
-from .graphs import (Dag, _reachable_inside, backdoor_admissible,
+from .graphs import (Dag, SufficiencyError, _reachable_inside, backdoor_admissible,
                      is_graphically_causally_sufficient, marginal_dag,
                      random_dag)
 from .scm import GeneralScm, NoiseSpec, _philox, exact_joint
 from .tables import (ConditionalTable, DiscreteJoint, changed_factors, conditional,
-                     hard_intervention, markov_report, product_joint,
-                     soft_intervention, tv_distance)
+                     markov_report, product_joint, soft_intervention, tv_distance)
 
 __all__ = [
     "TrialRecord",
@@ -292,12 +291,13 @@ def verify_boundary_consistency(g: Dag, p: DiscreteJoint, j_perturbed: str,
     that at most one marginal factor changed -- the perturbed node itself
     when it survives marginalization, otherwise its unique blocking
     descendant inside the subset."""
-    if not is_graphically_causally_sufficient(g, s):
+    s_nodes = g.sorted_tuple(s)
+    try:
+        gs = marginal_dag(g, s_nodes)
+    except SufficiencyError:
         return TrialRecord("boundary-rejected", index, seed, True,
                            {"reason": "subset not causally sufficient"})
     p_tilde = soft_intervention(p, g, j_perturbed, new_factor)
-    s_nodes = g.sorted_tuple(s)
-    gs = marginal_dag(g, s_nodes)
     ps = p.marginal(s_nodes)
     ps_tilde = p_tilde.marginal(s_nodes)
     changed = changed_factors(ps, ps_tilde, gs, _BOUNDARY_EPS)
@@ -324,7 +324,7 @@ def check_backdoor_preservation(g: Dag, p: DiscreteJoint, s: Sequence[str],
                                 x: str, y: str, z: Sequence[str]) -> tuple[bool, dict]:
     """If z is backdoor-admissible for (x, y) in the marginal graph, it must
     be admissible in the full graph and the adjustment on the marginal
-    distribution must match truncated factorization in the full model."""
+    distribution must match the full model's p(y | do(x))."""
     s_nodes = g.sorted_tuple(s)
     gs = marginal_dag(g, s_nodes)
     z = gs.sorted_tuple(z)
@@ -335,12 +335,22 @@ def check_backdoor_preservation(g: Dag, p: DiscreteJoint, s: Sequence[str],
     x_card = ps.cards[ps.axis(x)]
     worst = 0.0
     for v in range(x_card):
-        do_full = hard_intervention(p, g, x, v).marginal((y,)).probs
+        do_full = _do_marginal(p, g, x, y, v)
         adj = _adjustment(ps, x, y, z, v)
         worst = max(worst, float(np.abs(do_full - adj).max()))
     ok = inherited and worst <= _BOUNDARY_EPS
     return ok, {"x": x, "y": y, "z": list(z), "admissible_in_full": inherited,
                 "max_dev": worst}
+
+
+def _do_marginal(p: DiscreteJoint, g: Dag, x: str, y: str, v: int) -> np.ndarray:
+    """p(y | do(x = v)) on a strictly positive joint Markov to ``g``: the
+    adjustment for the parents of x, which is the truncated factorization;
+    p(y) when y is a parent of x, which do(x) cannot move."""
+    pa_x = g.parents(x)
+    if y in pa_x:
+        return p.marginal((y,)).probs
+    return _adjustment(p, x, y, pa_x, v)
 
 
 def _adjustment(ps: DiscreteJoint, x: str, y: str, z: Sequence[str],

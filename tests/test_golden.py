@@ -54,13 +54,13 @@ GOLDEN = [
      {".json": "2dfe8cd9f6d1425bf560d76a71b6df98d2ad9a56fbc878a8b2f1295df1dbd092"}),
     ("verify-boundary",
      ["verify", "--which", "boundary", "--trials", "6", "--seed", "5"],
-     {".json": "4af51135e0d263c746992d3f9562ad70e9cb6f3a829357ad1e25e1ab29c5632b"}),
+     {".json": "e363f41bbf79e5e09528f5cc25ce24a7a952bdac0ab49e44a4ead1468e0d4b51"}),
     ("verify-embedding",
      ["verify", "--which", "embedding", "--trials", "6", "--seed", "5"],
      {".json": "68d9f475788639418bc0fdcbef45adb0e3308c84cf657e7060e3b9163aa58b37"}),
     ("verify-all",
      ["verify", "--which", "all", "--trials", "6", "--seed", "5"],
-     {".json": "c0936c2f36aef1972a6a2d75200f13890aec0bf60ef8ded400c5d9dce3b5d88a"}),
+     {".json": "bc64c30a087f007e1fabffc4142c2d75267496d9319d3ceff5185dbc92af1d5c"}),
     ("report",
      ["report", "--seed", "3"],
      {".json": "849be7c4f7228ece03b0c343b7c014faf5e8c522850f195a88b4884efd5703fe"}),

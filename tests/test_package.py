@@ -76,9 +76,12 @@ def test_no_earlier_export_is_lost():
 
 
 # exported for the concept of the paper or the method that each names,
-# although nothing in the package or the benchmark calls them
+# although nothing in the package or the benchmark calls them;
+# ``hard_intervention`` is the do-operator that the paper's definition of
+# causal structure by elementary actions replaces
 CONCEPTS = {"is_markov", "total_effect", "unit_map",
-            "structure_preserving_intervention", "permutation_threshold"}
+            "structure_preserving_intervention", "permutation_threshold",
+            "hard_intervention"}
 
 
 def _referenced(path: Path) -> set[str]:

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phenocausal import (
     Dag,
@@ -14,6 +16,7 @@ from phenocausal import (
     ControllerSpec,
     SuiteConfig,
     build_embedding,
+    hard_intervention,
     random_conditional,
     random_dag,
     random_markov_joint,
@@ -27,6 +30,7 @@ from phenocausal import (
 )
 from phenocausal.exemplars import _UrnProcess
 from phenocausal.verify import (
+    _do_marginal,
     boundary_trial,
     check_backdoor_preservation,
     embedding_trial,
@@ -222,6 +226,20 @@ def test_backdoor_preservation_random_instances():
         ok, details = check_backdoor_preservation(g, p, s, x, y, z)
         assert ok, details
         checked += 1
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1))
+def test_do_marginal_by_adjustment_equals_truncated_factorization(n, seed):
+    # every ordered pair, so y a parent of x and x without parents both occur
+    rng = np.random.default_rng(seed)
+    g = random_dag([f"X{i}" for i in range(n)], rng, edge_prob=0.5)
+    p = random_markov_joint(g, {v: 2 for v in g.nodes}, rng)
+    for x in g.nodes:
+        for y in (w for w in g.nodes if w != x):
+            for v in range(2):
+                want = hard_intervention(p, g, x, v).marginal((y,)).probs
+                assert np.abs(_do_marginal(p, g, x, y, v) - want).max() <= 1e-15
 
 
 # ---------------------------------------------------------------------------
