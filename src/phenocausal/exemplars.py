@@ -530,6 +530,9 @@ def rabbits(n_rabbits: int = 5, food_supply: float | None = None,
                                                      (n + 1) * d_hi, f))):
         raise ScmError(f"n_rabbits={n!r}, demand_per_rabbit={d!r} and appetite_factor="
                        f"{appetite_factor!r} give non-finite scenario 1 states")
+    if scenario == 2 and not (math.isfinite(d) and math.isfinite(f)):
+        raise ScmError(f"n_rabbits={n!r} and demand_per_rabbit={d!r} give a non-finite "
+                       "scenario 2 demand or default food supply")
     if scenario == 1 and f < appetite_factor * n * d_hi:
         raise ScmError("scenario 1 needs food_supply >= appetite * n * max demand")
     if scenario == 2 and f >= n * d_lo:

@@ -105,6 +105,8 @@ def test_exemplar_malformed_list_parameter_exits_2(tmp_path, capfd):
     ("balltrack", ["barrier_offset=inf"]), ("bundles", ["initial_packages=inf"]),
     # finite parameters whose rabbit states overflow
     ("rabbits1", ["n_rabbits=1e308"]), ("rabbits1", ["demand_per_rabbit=1e308"]),
+    # a non-finite demand, and a demand whose default food supply overflows
+    ("rabbits2", ["demand_per_rabbit=nan"]), ("rabbits2", ["demand_per_rabbit=1e308"]),
 ])
 def test_exemplar_non_finite_parameter_exits_2(name, params, tmp_path, capfd):
     argv = ["exemplar", name, "--seed", "1", "--samples", "10",
@@ -474,6 +476,21 @@ def test_classify_rabbits_overflowing_states_exit_2(param, tmp_path, capfd):
     assert err.count("\n") == 1 and "give non-finite scenario 1 states" in err
     assert "Warning" not in err and "add-rabbit" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("param", ["demand_per_rabbit=nan", "demand_per_rabbit=1e308"])
+def test_classify_rabbits2_non_finite_demand_or_food_exits_2(param, tmp_path, capfd):
+    # refused at build: neither add-rabbit nor a food supply the user never
+    # gave is blamed
+    out = tmp_path / "cls.json"
+    rc = run(["classify", "rabbits2", "--seed", "1", "--param", param, "--out", str(out)])
+    err = capfd.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1
+    assert err.startswith("bad parameters for 'rabbits2': n_rabbits=5 and "
+                          f"demand_per_rabbit={float(param.split('=')[1])!r} give a "
+                          "non-finite scenario 2 demand or default food supply")
+    assert not any(tmp_path.iterdir())
 
 
 def test_classify_displacement_too_large_to_round_exits_2(tmp_path, capfd):

@@ -319,6 +319,24 @@ def test_rabbits_non_finite_states_refused(params):
 
 
 @pytest.mark.parametrize("params", [
+    {"demand_per_rabbit": math.nan}, {"demand_per_rabbit": math.inf},
+    {"demand_per_rabbit": math.nan, "food_supply": 1.0},
+    # only the default food supply 0.5 * n * d_lo overflows
+    {"demand_per_rabbit": 1e308},
+])
+def test_rabbits2_non_finite_demand_or_food_refused(params):
+    with pytest.raises(ScmError, match=r"n_rabbits=5 and demand_per_rabbit=.* give a "
+                                       r"non-finite scenario 2 demand or default food"):
+        rabbits(scenario=2, **params)
+
+
+def test_rabbits2_huge_demand_with_finite_food_builds():
+    # n * d_lo overflows, but only bounds the food; every state is finite
+    ex = rabbits(scenario=2, demand_per_rabbit=1e308, food_supply=1.0)
+    assert np.isfinite(ex.sample(5, 1).rows).all()
+
+
+@pytest.mark.parametrize("params", [
     {"exchange_factor": 1e-300, "potato_elasticity": 2.0},
     {"exchange_factor": 1e308},
 ])
