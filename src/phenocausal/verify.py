@@ -7,8 +7,8 @@ Three verifiers are provided, each producing replayable trial records:
   the marginal of x while keeping p(y|x) must change both the marginal of
   y and the backward conditional p(x|y).
 * embedding Markov -- when each action class is driven by its own
-  independent controller variable, the exact joint over (controllers, system) must satisfy the
-  Markov condition of the combined graph.
+  independent controller variable, the exact joint over (controllers,
+  system) must satisfy the Markov condition of the combined graph.
 * boundary consistency -- a single-factor perturbation, pushed through
   marginalization onto a graphically causally sufficient subset, changes
   at most one factor of the marginal model; on the side, backdoor sets of
@@ -25,7 +25,7 @@ import concurrent.futures
 import itertools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -56,6 +56,15 @@ __all__ = [
     "boundary_trial",
     "embedding_trial",
 ]
+
+# Tolerances: a new marginal of x within _MARGINAL_TOL (total variation) is
+# no change, and a change moves p(y) and p(x|y) by more than _CHANGE_FLOOR;
+# a factor changed, or a backdoor adjustment deviates, above _BOUNDARY_EPS;
+# an embedding joint is Markov up to residuals of _EMBEDDING_EPS.
+_MARGINAL_TOL = 1e-3
+_CHANGE_FLOOR = 1e-12
+_BOUNDARY_EPS = 1e-9
+_EMBEDDING_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -110,12 +119,6 @@ class VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-# a replaced marginal of x that moves by at most this total variation is
-# not a change; a change of p(y) or p(x|y) must exceed the floor
-_MARGINAL_TOL = 1e-3
-_CHANGE_FLOOR = 1e-12
-
-
 def verify_identifiability(p_xy: DiscreteJoint, new_marginal: np.ndarray,
                            index: int = 0, seed: int = 0) -> TrialRecord:
     """Check that replacing p(x) (keeping p(y|x)) moves p(y) and p(x|y).
@@ -159,7 +162,7 @@ def verify_identifiability(p_xy: DiscreteJoint, new_marginal: np.ndarray,
 class ControllerSpec:
     """Independent controller variables and the action class each drives.
 
-    Each controller is a root that takes its noise value. ``controls`` maps
+    Each controller is a root that takes its noise value; ``controls`` maps
     an action-class label to (controller, fn), where fn maps the
     controller's value to the NoiseSpec of the class tally under that
     setting.
@@ -197,19 +200,15 @@ def build_embedding(exemplar: Exemplar,
             raise ValueError(f"node {target!r} controlled by two classes")
         driven[target] = (ctrl, fn)
 
-    nodes = tuple(controllers.noises) + tuple(base.nodes)
+    nodes = tuple(controllers.noises) + base.nodes
     gtilde = Dag(nodes, set(exemplar.ground_truth.edges)
                  | {(ctrl, v) for v, (ctrl, _fn) in driven.items()})
-    parents: dict[str, tuple[str, ...]] = {y: () for y in controllers.noises}
-    mechanisms: dict[str, Callable] = {y: lambda pa, nz: nz for y in controllers.noises}
-    noises = dict(controllers.noises)
-    for v in base.nodes:
-        if v not in driven:
-            parents[v] = base.parents[v]
-            mechanisms[v] = base.mechanisms[v]
-            noises[v] = base.noises[v]
-            continue
-        ctrl, fn = driven[v]
+    # each controller is a root that takes its noise value
+    parents = {**{y: () for y in controllers.noises}, **base.parents}
+    mechanisms = {**{y: lambda pa, nz: nz for y in controllers.noises},
+                  **base.mechanisms}
+    noises = {**controllers.noises, **base.noises}
+    for v, (ctrl, fn) in driven.items():
         values = tuple(np.unique(controllers.noises[ctrl].support()[0]).tolist())
         atom_sets = [fn(c).support() for c in values]
         probs = tuple(math.prod(combo)
@@ -241,24 +240,15 @@ def urn2_controllers(rounds: int, base_biases: Sequence[float],
     b = tuple(float(v) for v in base_biases)
     s = tuple(float(v) for v in shifted_biases)
 
-    def a1_spec(y1):
-        pp, pm = (b[0], b[1]) if y1 == 0 else (s[0], s[1])
-        return NoiseSpec.binomdiff(rounds, pp, pm)
-
-    def a2_spec(y2):
-        pp, pm = (b[2], b[3]) if y2 == 0 else (s[2], s[3])
-        return NoiseSpec.binomdiff(rounds, pp, pm)
+    def tally(k):  # class k + 1 under its controller's value y
+        return lambda y: NoiseSpec.binomdiff(
+            rounds, *(b if y == 0 else s)[2 * k:2 * k + 2])
 
     return ControllerSpec(
         noises={"Y1": NoiseSpec.finite((0.0, 1.0), (1 - p_y1, p_y1)),
                 "Y2": NoiseSpec.finite((0.0, 1.0), (1 - p_y2, p_y2))},
-        controls={"A1": ("Y1", a1_spec), "A2": ("Y2", a2_spec)},
+        controls={"A1": ("Y1", tally(0)), "A2": ("Y2", tally(1))},
     )
-
-
-# largest conditional-independence residual of an embedding joint that
-# still counts as Markov
-_EMBEDDING_EPS = 1e-12
 
 
 def verify_embedding_markov(scm: GeneralScm, gtilde: Dag, index: int = 0,
@@ -276,12 +266,6 @@ def verify_embedding_markov(scm: GeneralScm, gtilde: Dag, index: int = 0,
 # ---------------------------------------------------------------------------
 # Boundary consistency
 # ---------------------------------------------------------------------------
-
-
-# factor distance above which a marginal factor counts as changed, and the
-# largest deviation of a backdoor adjustment from the full model's
-# do-marginal
-_BOUNDARY_EPS = 1e-9
 
 
 def verify_boundary_consistency(g: Dag, p: DiscreteJoint, j_perturbed: str,
@@ -332,12 +316,9 @@ def check_backdoor_preservation(g: Dag, p: DiscreteJoint, s: Sequence[str],
         return True, {"skipped": "z not admissible in marginal graph"}
     inherited = backdoor_admissible(g, x, y, z)
     ps = p.marginal(s_nodes)
-    x_card = ps.cards[ps.axis(x)]
-    worst = 0.0
-    for v in range(x_card):
-        do_full = _do_marginal(p, g, x, y, v)
-        adj = _adjustment(ps, x, y, z, v)
-        worst = max(worst, float(np.abs(do_full - adj).max()))
+    worst = max(float(np.abs(_do_marginal(p, g, x, y, v)
+                             - _adjustment(ps, x, y, z, v)).max())
+                for v in range(ps.cards[ps.axis(x)]))
     ok = inherited and worst <= _BOUNDARY_EPS
     return ok, {"x": x, "y": y, "z": list(z), "admissible_in_full": inherited,
                 "max_dev": worst}
@@ -345,8 +326,7 @@ def check_backdoor_preservation(g: Dag, p: DiscreteJoint, s: Sequence[str],
 
 def _do_marginal(p: DiscreteJoint, g: Dag, x: str, y: str, v: int) -> np.ndarray:
     """p(y | do(x = v)) on a strictly positive joint Markov to ``g``: the
-    adjustment for the parents of x, which is the truncated factorization;
-    p(y) when y is a parent of x, which do(x) cannot move."""
+    adjustment for the parents of x, or p(y) when y is one of them."""
     pa_x = g.parents(x)
     if y in pa_x:
         return p.marginal((y,)).probs
@@ -467,10 +447,8 @@ def boundary_trial(trial_seed: int, max_nodes: int = 6, index: int = 0) -> Trial
         rest = [v for v in s_nodes if v not in (x, y)]
         z = tuple(v for v in rest if rng.random() < 0.5)
         ok_bd, bd = check_backdoor_preservation(g, p, s_nodes, x, y, z)
-        details = dict(record.details)
-        details["backdoor"] = bd
-        record = TrialRecord(record.kind, record.index, record.seed,
-                             record.ok and ok_bd, details)
+        record = replace(record, ok=record.ok and ok_bd,
+                         details={**record.details, "backdoor": bd})
     return record
 
 

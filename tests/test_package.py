@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -104,6 +105,45 @@ def test_every_export_but_the_concept_names_has_a_caller():
     sources = [*(root / "src").rglob("*.py"), *(root / "perfbench").rglob("*.py")]
     referenced = set().union(*map(_referenced, sources))
     assert set(_declared()) - referenced == CONCEPTS
+
+
+def _passed_parameters(path: Path, signatures: dict[str, list[str]]) -> set[str]:
+    """``name.param`` for each parameter of ``signatures[name]`` that some
+    call of ``name`` (bare or as an attribute) in a source file passes, by
+    position or keyword."""
+    passed = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        if name not in signatures:
+            continue
+        positional = [a for a in node.args if not isinstance(a, ast.Starred)]
+        passed |= {f"{name}.{p}" for p in signatures[name][:len(positional)]}
+        passed |= {f"{name}.{k.arg}" for k in node.keywords if k.arg is not None}
+    return passed
+
+
+# defaulted parameters of ``verify`` exports that no call the scan can read
+# sets: ``_TrialCall`` passes each trial function's ``index`` through
+# ``self.fn``, and ``VerificationReport.extras`` is an artifact field kept
+# empty until the report schema changes
+UNREAD_DEFAULTS = {"proposition_trial.index", "boundary_trial.index",
+                   "embedding_trial.index", "VerificationReport.extras"}
+
+
+def test_every_defaulted_verify_parameter_is_passed_by_a_caller():
+    # a tolerance or option that every caller leaves at its default fails here
+    verify = importlib.import_module("phenocausal.verify")
+    signatures = {name: list(inspect.signature(getattr(verify, name)).parameters)
+                  for name in verify.__all__ if callable(getattr(verify, name))}
+    defaulted = {f"{name}.{p.name}" for name in signatures
+                 for p in inspect.signature(getattr(verify, name)).parameters.values()
+                 if p.default is not inspect.Parameter.empty}
+    root = Path(phenocausal.__file__).resolve().parents[2]
+    sources = [*(root / "src").rglob("*.py"), *(root / "perfbench").rglob("*.py")]
+    passed = set().union(*(_passed_parameters(path, signatures) for path in sources))
+    assert defaulted - passed == UNREAD_DEFAULTS
 
 
 _START_UP = textwrap.dedent("""

@@ -4,18 +4,25 @@ determinism."""
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from phenocausal import (
     Dag,
     DiscreteJoint,
+    Exemplar,
     NoiseSpec,
     ControllerSpec,
     SuiteConfig,
     build_embedding,
+    exact_joint,
+    farmers,
     hard_intervention,
     random_conditional,
     random_dag,
@@ -24,11 +31,13 @@ from phenocausal import (
     randomized_suite,
     urn2_controllers,
     urn_bivariate,
+    urn_chain,
     verify_boundary_consistency,
     verify_embedding_markov,
     verify_identifiability,
 )
 from phenocausal.exemplars import _UrnProcess
+from phenocausal.scm import NOISE_COMBO_CAP
 from phenocausal.verify import (
     _do_marginal,
     boundary_trial,
@@ -131,6 +140,94 @@ def test_constant_controllers_reduce_to_exemplar_check():
     scm, gtilde = build_embedding(ex, spec)
     rec = verify_embedding_markov(scm, gtilde)
     assert rec.ok
+
+
+def _fair_tally(rounds):
+    return lambda y: NoiseSpec.binomdiff(rounds, 0.5, 0.5)
+
+
+@pytest.mark.parametrize("controls, match", [
+    ({"A9": ("Y1", _fair_tally(3))}, "unknown action class 'A9'"),
+    ({"A1": ("Kr", _fair_tally(3))}, "class 'A1' is driven by 'Kr', which is not a "
+                                  "controller variable"),
+], ids=["unknown-class", "not-a-controller"])
+def test_embedding_refuses_bad_controls(controls, match):
+    ex, spec = _embedding()
+    with pytest.raises(ValueError, match=match):
+        build_embedding(ex, ControllerSpec(noises=spec.noises, controls=controls))
+
+
+def test_embedding_refuses_an_exemplar_without_a_unit_level_system():
+    _, spec = _embedding()
+    with pytest.raises(ValueError, match="'farmers' has no unit-level system"):
+        build_embedding(farmers(), spec)
+
+
+def test_embedding_refuses_a_node_driven_by_two_classes():
+    ex, spec = _embedding()
+    both_on_kb = Exemplar(name="urn2", ground_truth=ex.ground_truth, scm=ex.scm,
+                          notes={"class_nodes": {"A1": "Kb", "A2": "Kb"}})
+    with pytest.raises(ValueError, match="node 'Kb' controlled by two classes"):
+        build_embedding(both_on_kb, spec)
+
+
+_BIASES = st.sampled_from([0.0, 0.3, 0.5, 1.0])
+
+
+def _controller(data):
+    """A controller law over 2-3 atoms, one of them possibly of zero weight,
+    and the tally law of its class under each atom."""
+    k = data.draw(st.integers(2, 3))
+    atoms = data.draw(st.lists(st.integers(-2, 4), min_size=k, max_size=k, unique=True))
+    weights = data.draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+    if data.draw(st.booleans()):
+        weights[data.draw(st.integers(0, k - 1))] = 0
+    law = NoiseSpec.finite([float(a) for a in atoms], [w / sum(weights) for w in weights])
+    tallies = {float(a): (data.draw(_BIASES), data.draw(_BIASES)) for a in atoms}
+    return law, tallies
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data(), st.sampled_from(["urn2", "urnN"]))
+def test_embedding_given_the_controllers_is_the_exemplar_under_their_tallies(data, name):
+    rounds = data.draw(st.integers(1, 2))
+    if name == "urn2":
+        ex = urn_bivariate(kb0=4, kr0=4, rounds=rounds,
+                           coin_biases=[data.draw(_BIASES) for _ in range(4)])
+    else:  # A3 stays uncontrolled
+        ex = urn_chain(n=3, k0=(4, 4, 4), rounds=rounds,
+                       coin_biases=[data.draw(_BIASES) for _ in range(6)])
+    controlled = ("A1", "A2")
+    laws, tallies = {}, {}
+    for j, label in enumerate(controlled):
+        laws[f"Y{j}"], tallies[label] = _controller(data)
+    controls = {label: (f"Y{j}", lambda c, label=label: NoiseSpec.binomdiff(
+        rounds, *tallies[label][c])) for j, label in enumerate(controlled)}
+    scm, _ = build_embedding(ex, ControllerSpec(noises=laws, controls=controls))
+    grid = math.prod(len(scm.noises[v].support()[0]) for v in scm.nodes)
+    assume(grid <= NOISE_COMBO_CAP)
+    joint, levels = exact_joint(scm)
+    ctrl, system = tuple(laws), ex.scm.nodes
+    assert joint.names == ctrl + system
+
+    # the controllers' marginal is the product of their laws
+    p_ctrl = joint.marginal(ctrl).probs
+    for at in itertools.product(*(range(len(levels[y])) for y in ctrl)):
+        want = math.prod(dict(zip(*laws[y].support()))[levels[y][i]]
+                         for y, i in zip(ctrl, at))
+        assert abs(p_ctrl[at] - want) <= 1e-15
+    for at in itertools.product(*(range(len(levels[y])) for y in ctrl)):
+        setting = dict(zip(ctrl, (levels[y][i] for y, i in zip(ctrl, at))))
+        noises = dict(ex.scm.noises)
+        for label, (y, fn) in controls.items():
+            noises[ex.notes["class_nodes"][label]] = fn(setting[y])
+        ref, ref_levels = exact_joint(dataclasses.replace(ex.scm, noises=noises))
+        given = joint.probs[at] / p_ctrl[at]
+        ref_at = {tuple(ref_levels[v][i] for v, i in zip(system, cell)): q
+                  for cell, q in np.ndenumerate(ref.probs)}
+        for cell, q in np.ndenumerate(given):
+            state = tuple(levels[v][i] for v, i in zip(system, cell))
+            assert abs(q - ref_at.get(state, 0.0)) <= 1e-15, (setting, state)
 
 
 def test_embedding_trials_pass():
