@@ -14,11 +14,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from phenocausal import (
+    ControllerSpec,
     Dag,
     DiscreteJoint,
     Exemplar,
     NoiseSpec,
-    ControllerSpec,
     SuiteConfig,
     build_embedding,
     exact_joint,
@@ -142,13 +142,13 @@ def test_constant_controllers_reduce_to_exemplar_check():
     assert rec.ok
 
 
-def _fair_tally(rounds):
-    return lambda y: NoiseSpec.binomdiff(rounds, 0.5, 0.5)
+def _fair_tally(y):
+    return NoiseSpec.binomdiff(3, 0.5, 0.5)
 
 
 @pytest.mark.parametrize("controls, match", [
-    ({"A9": ("Y1", _fair_tally(3))}, "unknown action class 'A9'"),
-    ({"A1": ("Kr", _fair_tally(3))}, "class 'A1' is driven by 'Kr', which is not a "
+    ({"A9": ("Y1", _fair_tally)}, "unknown action class 'A9'"),
+    ({"A1": ("Kr", _fair_tally)}, "class 'A1' is driven by 'Kr', which is not a "
                                   "controller variable"),
 ], ids=["unknown-class", "not-a-controller"])
 def test_embedding_refuses_bad_controls(controls, match):
@@ -210,14 +210,13 @@ def test_embedding_given_the_controllers_is_the_exemplar_under_their_tallies(dat
     ctrl, system = tuple(laws), ex.scm.nodes
     assert joint.names == ctrl + system
 
-    # the controllers' marginal is the product of their laws
     p_ctrl = joint.marginal(ctrl).probs
+    # every setting of positive weight: exact_joint keeps no other level
     for at in itertools.product(*(range(len(levels[y])) for y in ctrl)):
-        want = math.prod(dict(zip(*laws[y].support()))[levels[y][i]]
-                         for y, i in zip(ctrl, at))
+        setting = {y: levels[y][i] for y, i in zip(ctrl, at)}
+        # the controllers' marginal is the product of their laws
+        want = math.prod(dict(zip(*laws[y].support()))[c] for y, c in setting.items())
         assert abs(p_ctrl[at] - want) <= 1e-15
-    for at in itertools.product(*(range(len(levels[y])) for y in ctrl)):
-        setting = dict(zip(ctrl, (levels[y][i] for y, i in zip(ctrl, at))))
         noises = dict(ex.scm.noises)
         for label, (y, fn) in controls.items():
             noises[ex.notes["class_nodes"][label]] = fn(setting[y])
