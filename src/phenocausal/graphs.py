@@ -215,25 +215,33 @@ def _reach(starts: Iterable[str], step: Mapping[str, tuple[str, ...]],
 # ---------------------------------------------------------------------------
 
 
-def d_separated(g: Dag, a: Iterable[str], b: Iterable[str], c: Iterable[str] = ()) -> bool:
+def d_separated(g: Dag, a: Iterable[str], b: Iterable[str], c: Iterable[str] = (),
+                cut: Iterable[str] = ()) -> bool:
     """True iff every path between ``a`` and ``b`` is blocked by ``c``.
 
     A path is blocked when it contains a chain or fork whose middle node is
     in ``c``, or an inverted fork (collider) whose middle node is neither in
     ``c`` nor an ancestor of ``c``. Computed by reachability over
-    (node, travel-direction) states rather than path enumeration.
+    (node, travel-direction) states rather than path enumeration. The edges
+    out of the nodes in ``cut`` are skipped, as if removed from ``g``.
 
     ``a``, ``b``, ``c`` must be pairwise disjoint.
     """
     a_set = set(g._check_nodes(a))
     b_set = set(g._check_nodes(b))
     c_set = set(g._check_nodes(c))
+    cut_set = set(g._check_nodes(cut))
     if a_set & b_set or a_set & c_set or b_set & c_set:
         raise GraphError("d_separated requires pairwise disjoint node sets")
     if not a_set or not b_set:
         return True
+    parents, children = g._parents, g._children
+    if cut_set:
+        parents = {v: tuple(u for u in ps if u not in cut_set)
+                   for v, ps in parents.items()}
+        children = {**children, **dict.fromkeys(cut_set, ())}
 
-    anc_c = _reach(c_set, g._parents)
+    anc_c = _reach(c_set, parents)
 
     # Travel states: (node, "up") means the trail enters the node from a
     # child; (node, "down") means it enters from a parent.
@@ -249,13 +257,13 @@ def d_separated(g: Dag, a: Iterable[str], b: Iterable[str], c: Iterable[str] = (
         if direction == "up":
             if node in c_set:
                 continue
-            frontier.extend((p, "up") for p in g._parents[node])
-            frontier.extend((ch, "down") for ch in g._children[node])
+            frontier.extend((p, "up") for p in parents[node])
+            frontier.extend((ch, "down") for ch in children[node])
         else:
             if node not in c_set:
-                frontier.extend((ch, "down") for ch in g._children[node])
+                frontier.extend((ch, "down") for ch in children[node])
             if node in anc_c:  # collider with an observed descendant opens
-                frontier.extend((p, "up") for p in g._parents[node])
+                frontier.extend((p, "up") for p in parents[node])
     return True
 
 
@@ -325,8 +333,8 @@ def backdoor_admissible(g: Dag, x: str, y: str, z: Iterable[str]) -> bool:
 
     ``z`` must contain no descendant of ``x`` and must block every path
     from x to y that starts with an edge into x. The blocking condition is
-    checked as d-separation of x and y in the graph with x's outgoing
-    edges removed.
+    checked as d-separation of x and y with x's outgoing edges skipped, so
+    no trimmed graph is built.
     """
     g._check_nodes([x, y])
     z_set = set(g._check_nodes(z))
@@ -336,8 +344,7 @@ def backdoor_admissible(g: Dag, x: str, y: str, z: Iterable[str]) -> bool:
         raise GraphError("z must exclude x and y")
     if z_set & set(g.descendants(x)):
         return False
-    trimmed = Dag(g.nodes, ((a, b) for a, b in g.edges if a != x))
-    return d_separated(trimmed, {x}, {y}, z_set)
+    return d_separated(g, {x}, {y}, z_set, cut=(x,))
 
 
 # ---------------------------------------------------------------------------

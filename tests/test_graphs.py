@@ -356,6 +356,35 @@ def test_backdoor_matches_path_oracle(seed):
             assert backdoor_admissible(g, x, y, z) == backdoor_oracle(g, x, y, z)
 
 
+def test_backdoor_check_builds_no_dag(monkeypatch):
+    g = Dag(("C", "X", "M", "Y"), [("C", "X"), ("C", "Y"), ("X", "M"), ("M", "Y")])
+    built = []
+    init = Dag.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Dag, "__init__", counted)
+    assert backdoor_admissible(g, "X", "Y", {"C"})
+    assert not backdoor_admissible(g, "X", "Y", set())
+    assert built == []
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1))
+def test_d_separation_with_cut_out_edges_equals_the_trimmed_graph(n, seed):
+    rng = np.random.default_rng(seed)
+    g = random_dag([f"v{i}" for i in range(n)], rng, edge_prob=0.5)
+    nodes = list(rng.permutation(g.nodes))
+    cut = set(nodes[:int(rng.integers(0, n + 1))])
+    trimmed = Dag(g.nodes, [(u, v) for u, v in g.edges if u not in cut])
+    for a, b in itertools.permutations(g.nodes, 2):
+        others = [v for v in g.nodes if v not in (a, b)]
+        c = {v for v in others if rng.random() < 0.4}
+        assert d_separated(g, {a}, {b}, c, cut=cut) == d_separated(trimmed, {a}, {b}, c)
+
+
 # ---------------------------------------------------------------------------
 # Enumeration
 # ---------------------------------------------------------------------------
