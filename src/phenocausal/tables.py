@@ -421,14 +421,20 @@ def soft_intervention(p: DiscreteJoint, g: Dag, j: str,
                       t: ConditionalTable) -> DiscreteJoint:
     """Replace the factor of ``j`` by ``t``; all other factors unchanged."""
     _check_same_variables(p, g)
+    return product_joint(g, _replace_factor(g, factorize(p, g), j, t)).permute(p.names)
+
+
+def _replace_factor(g: Dag, factors: Sequence[ConditionalTable], j: str,
+                    t: ConditionalTable) -> list[ConditionalTable]:
+    """``factors`` with the factor of ``j`` replaced by ``t``, which must be
+    a conditional of ``j`` given its parents in ``g``."""
     if t.target != j:
         raise TableError(f"replacement targets {t.target!r}, expected {j!r}")
     if tuple(t.given) != g.parents(j):
         raise TableError(
             f"replacement conditions on {t.given}, but parents of {j!r} are "
             f"{g.parents(j)}")
-    factors = [t if f.target == j else f for f in factorize(p, g)]
-    return product_joint(g, factors).permute(p.names)
+    return [t if f.target == j else f for f in factors]
 
 
 # ---------------------------------------------------------------------------

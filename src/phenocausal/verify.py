@@ -31,12 +31,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .exemplars import Exemplar
-from .graphs import (Dag, SufficiencyError, _reachable_inside, backdoor_admissible,
+from .graphs import (Dag, _reachable_inside, backdoor_admissible,
                      is_graphically_causally_sufficient, marginal_dag,
                      random_dag)
 from .scm import GeneralScm, NoiseSpec, _philox, exact_joint
-from .tables import (ConditionalTable, DiscreteJoint, changed_factors, conditional,
-                     markov_report, product_joint, soft_intervention, tv_distance)
+from .tables import (ConditionalTable, DiscreteJoint, _marginal_array, _replace_factor,
+                     changed_factors, conditional, markov_report, product_joint,
+                     tv_distance)
 
 __all__ = [
     "TrialRecord",
@@ -268,21 +269,19 @@ def verify_embedding_markov(scm: GeneralScm, gtilde: Dag, index: int = 0,
 # ---------------------------------------------------------------------------
 
 
-def verify_boundary_consistency(g: Dag, p: DiscreteJoint, j_perturbed: str,
-                                new_factor: ConditionalTable, s: Sequence[str],
+def verify_boundary_consistency(g: Dag, p: DiscreteJoint, p_tilde: DiscreteJoint,
+                                j_perturbed: str, gs: Dag, ps: DiscreteJoint,
                                 index: int = 0, seed: int = 0) -> TrialRecord:
-    """Perturb one factor, marginalize onto a sufficient subset, and check
-    that at most one marginal factor changed -- the perturbed node itself
-    when it survives marginalization, otherwise its unique blocking
-    descendant inside the subset."""
-    s_nodes = g.sorted_tuple(s)
-    try:
-        gs = marginal_dag(g, s_nodes)
-    except SufficiencyError:
-        return TrialRecord("boundary-rejected", index, seed, True,
-                           {"reason": "subset not causally sufficient"})
-    p_tilde = soft_intervention(p, g, j_perturbed, new_factor)
-    ps = p.marginal(s_nodes)
+    """Check that perturbing one factor, ``p`` to ``p_tilde`` at
+    ``j_perturbed``, changes at most one factor of the marginal model -- the
+    perturbed node itself when it survives marginalization, otherwise its
+    unique blocking descendant inside the subset.
+
+    The marginal model is ``gs = marginal_dag(g, s)`` for a graphically
+    causally sufficient subset s (``marginal_dag`` refuses any other) and
+    ``ps``, the marginal of ``p`` over ``gs.nodes``.
+    """
+    s_nodes = gs.nodes
     ps_tilde = p_tilde.marginal(s_nodes)
     changed = changed_factors(ps, ps_tilde, gs, _BOUNDARY_EPS)
     if j_perturbed in s_nodes:
@@ -304,44 +303,41 @@ def verify_boundary_consistency(g: Dag, p: DiscreteJoint, j_perturbed: str,
     return TrialRecord("boundary", index, seed, ok, details)
 
 
-def check_backdoor_preservation(g: Dag, p: DiscreteJoint, s: Sequence[str],
+def check_backdoor_preservation(g: Dag, p: DiscreteJoint, gs: Dag, ps: DiscreteJoint,
                                 x: str, y: str, z: Sequence[str]) -> tuple[bool, dict]:
-    """If z is backdoor-admissible for (x, y) in the marginal graph, it must
-    be admissible in the full graph and the adjustment on the marginal
-    distribution must match the full model's p(y | do(x))."""
-    s_nodes = g.sorted_tuple(s)
-    gs = marginal_dag(g, s_nodes)
+    """If z is backdoor-admissible for (x, y) in the marginal graph ``gs``,
+    it must be admissible in the full graph ``g``, and the adjustment on the
+    marginal joint ``ps`` must match the full model's p(y | do(x))."""
     z = gs.sorted_tuple(z)
     if not backdoor_admissible(gs, x, y, z):
         return True, {"skipped": "z not admissible in marginal graph"}
     inherited = backdoor_admissible(g, x, y, z)
-    ps = p.marginal(s_nodes)
-    worst = max(float(np.abs(_do_marginal(p, g, x, y, v)
-                             - _adjustment(ps, x, y, z, v)).max())
-                for v in range(ps.cards[ps.axis(x)]))
+    worst = float(np.abs(_do_marginal(p, g, x, y) - _adjustment(ps, x, y, z)).max())
     ok = inherited and worst <= _BOUNDARY_EPS
     return ok, {"x": x, "y": y, "z": list(z), "admissible_in_full": inherited,
                 "max_dev": worst}
 
 
-def _do_marginal(p: DiscreteJoint, g: Dag, x: str, y: str, v: int) -> np.ndarray:
-    """p(y | do(x = v)) on a strictly positive joint Markov to ``g``: the
-    adjustment for the parents of x, or p(y) when y is one of them."""
+def _do_marginal(p: DiscreteJoint, g: Dag, x: str, y: str) -> np.ndarray:
+    """p(y | do(x = v)), one row per value v of x, on a strictly positive
+    joint Markov to ``g``: the adjustment for the parents of x, or p(y) when
+    y is one of them."""
     pa_x = g.parents(x)
     if y in pa_x:
-        return p.marginal((y,)).probs
-    return _adjustment(p, x, y, pa_x, v)
+        py = _marginal_array(p, (y,))
+        return np.broadcast_to(py, (p.cards[p.axis(x)], py.size))
+    return _adjustment(p, x, y, pa_x)
 
 
-def _adjustment(ps: DiscreteJoint, x: str, y: str, z: Sequence[str],
-                v: int) -> np.ndarray:
-    """Backdoor adjustment sum_z p(y | x=v, z) p(z) on an exact table."""
-    # axes (*z, y); contexts of probability zero contribute nothing
-    cond = np.nan_to_num(conditional(ps, y, (x, *z)).table[v], nan=0.0)
+def _adjustment(ps: DiscreteJoint, x: str, y: str, z: Sequence[str]) -> np.ndarray:
+    """Backdoor adjustment sum_z p(y | x=v, z) p(z) on an exact table, one
+    row per value v of x."""
+    # axes (x, *z, y); contexts of probability zero contribute nothing
+    cond = np.nan_to_num(conditional(ps, y, (x, *z)).table, nan=0.0)
     if not z:
         return cond
-    pz = ps.marginal(z).permute(tuple(z)).probs
-    return (cond * pz[..., None]).reshape(-1, cond.shape[-1]).sum(axis=0)
+    pz = _marginal_array(ps, tuple(z))[..., None]
+    return np.array([(c * pz).reshape(-1, c.shape[-1]).sum(axis=0) for c in cond])
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +371,13 @@ def random_markov_joint(g: Dag, cards: dict[str, int],
     Positivity is enforced factor by factor (mixing each conditional with
     the uniform one), which keeps the product exactly Markov.
     """
-    factors = [random_conditional(g, v, cards, rng) for v in g.nodes]
-    return product_joint(g, factors)
+    return product_joint(g, _random_factors(g, cards, rng))
+
+
+def _random_factors(g: Dag, cards: dict[str, int],
+                    rng: np.random.Generator) -> list[ConditionalTable]:
+    """One random conditional per node of ``g``, drawn in node order."""
+    return [random_conditional(g, v, cards, rng) for v in g.nodes]
 
 
 def random_sufficient_subset(g: Dag, rng: np.random.Generator) -> tuple[str, ...]:
@@ -429,24 +430,36 @@ def proposition_trial(trial_seed: int, index: int = 0) -> TrialRecord:
 
 
 def boundary_trial(trial_seed: int, max_nodes: int = 6, index: int = 0) -> TrialRecord:
+    """One boundary instance: a random binary Markov joint over 3 to
+    ``max_nodes`` nodes, one factor replaced by a random one, and a random
+    sufficient subset; then, when the boundary check passes, the backdoor
+    side check on a random (x, y, z) inside the subset.
+
+    Each joint is the product of known factors, so none is factorized
+    again, and the marginal graph and joint are built once for both checks.
+    """
+    if max_nodes < 3:
+        raise ValueError(f"max_nodes must be at least 3, got {max_nodes}")
     rng = _philox(trial_seed)
     n = int(rng.integers(3, max_nodes + 1))
     g = random_dag([f"X{i+1}" for i in range(n)], rng, edge_prob=0.5)
     cards = {v: 2 for v in g.nodes}
-    p = random_markov_joint(g, cards, rng)
+    factors = _random_factors(g, cards, rng)
     j = g.nodes[int(rng.integers(n))]
     new_factor = random_conditional(g, j, cards, rng)
-    s = random_sufficient_subset(g, rng)
-    record = verify_boundary_consistency(g, p, j, new_factor, s, index=index,
+    gs = marginal_dag(g, random_sufficient_subset(g, rng))
+    p = product_joint(g, factors)
+    p_tilde = product_joint(g, _replace_factor(g, factors, j, new_factor))
+    ps = p.marginal(gs.nodes)
+    record = verify_boundary_consistency(g, p, p_tilde, j, gs, ps, index=index,
                                          seed=trial_seed)
-    # Backdoor preservation side check on the same instance.
-    s_nodes = g.sorted_tuple(s)
+    s_nodes = gs.nodes
     if len(s_nodes) >= 2 and record.ok:
         idx = rng.permutation(len(s_nodes))[:2]
         x, y = s_nodes[idx[0]], s_nodes[idx[1]]
         rest = [v for v in s_nodes if v not in (x, y)]
         z = tuple(v for v in rest if rng.random() < 0.5)
-        ok_bd, bd = check_backdoor_preservation(g, p, s_nodes, x, y, z)
+        ok_bd, bd = check_backdoor_preservation(g, p, gs, ps, x, y, z)
         record = replace(record, ok=record.ok and ok_bd,
                          details={**record.details, "backdoor": bd})
     return record
@@ -455,6 +468,8 @@ def boundary_trial(trial_seed: int, max_nodes: int = 6, index: int = 0) -> Trial
 def embedding_trial(trial_seed: int, rounds: int = 3, index: int = 0) -> TrialRecord:
     from .exemplars import urn_bivariate
 
+    if rounds < 1:
+        raise ValueError(f"rounds must be at least 1, got {rounds}")
     rng = _philox(trial_seed)
     base = tuple(rng.uniform(0.2, 0.8, size=4))
     shifted = tuple(np.clip(np.asarray(base) + rng.uniform(-0.15, 0.15, size=4),

@@ -20,9 +20,11 @@ from phenocausal import (
     lingam_multivariate,
     localize_mechanism_change,
     macro_pair,
+    marginal_dag,
     rabbits,
     random_conditional,
     random_markov_joint,
+    soft_intervention,
     solve_structure,
     total_effect,
     urn2_controllers,
@@ -77,8 +79,9 @@ def test_criterion_02_boundary_suite():
     rng = np.random.default_rng(99)
     cards = {v: 2 for v in g.nodes}
     p = random_markov_joint(g, cards, rng)
-    rec = verify_boundary_consistency(
-        g, p, "X2", random_conditional(g, "X2", cards, rng), ("X1", "X3"))
+    p_tilde = soft_intervention(p, g, "X2", random_conditional(g, "X2", cards, rng))
+    gs = marginal_dag(g, ("X1", "X3"))
+    rec = verify_boundary_consistency(g, p, p_tilde, "X2", gs, p.marginal(gs.nodes))
     assert rec.ok and rec.details["changed"] == ["X3"]
     assert elapsed < 60.0
     _report(2, f"500/500 boundary trials with <= 1 changed marginal factor, "

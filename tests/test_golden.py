@@ -54,13 +54,13 @@ GOLDEN = [
      {".json": "2dfe8cd9f6d1425bf560d76a71b6df98d2ad9a56fbc878a8b2f1295df1dbd092"}),
     ("verify-boundary",
      ["verify", "--which", "boundary", "--trials", "6", "--seed", "5"],
-     {".json": "e363f41bbf79e5e09528f5cc25ce24a7a952bdac0ab49e44a4ead1468e0d4b51"}),
+     {".json": "1577c343da0318efb6be75aa23370fd44cafdae558c8d7f4e4325076b64f4f59"}),
     ("verify-embedding",
      ["verify", "--which", "embedding", "--trials", "6", "--seed", "5"],
      {".json": "68d9f475788639418bc0fdcbef45adb0e3308c84cf657e7060e3b9163aa58b37"}),
     ("verify-all",
      ["verify", "--which", "all", "--trials", "6", "--seed", "5"],
-     {".json": "bc64c30a087f007e1fabffc4142c2d75267496d9319d3ceff5185dbc92af1d5c"}),
+     {".json": "8832ab2b9c73dc257fd1a1ac147803e0d5b76a9fbce591f9a215de7e565b54ec"}),
     ("report",
      ["report", "--seed", "3"],
      {".json": "849be7c4f7228ece03b0c343b7c014faf5e8c522850f195a88b4884efd5703fe"}),

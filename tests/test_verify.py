@@ -14,21 +14,30 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from phenocausal import (
+    ConditionalTable,
     ControllerSpec,
     Dag,
     DiscreteJoint,
     Exemplar,
     NoiseSpec,
+    SufficiencyError,
     SuiteConfig,
+    TableError,
+    TrialRecord,
     build_embedding,
+    changed_factors,
+    conditional,
     exact_joint,
     farmers,
     hard_intervention,
+    marginal_dag,
     random_conditional,
     random_dag,
     random_markov_joint,
     random_sufficient_subset,
     randomized_suite,
+    soft_intervention,
+    tv_distance,
     urn2_controllers,
     urn_bivariate,
     urn_chain,
@@ -36,10 +45,14 @@ from phenocausal import (
     verify_embedding_markov,
     verify_identifiability,
 )
+from phenocausal import graphs, tables
 from phenocausal.exemplars import _UrnProcess
-from phenocausal.scm import NOISE_COMBO_CAP
+from phenocausal.graphs import _reachable_inside
+from phenocausal.scm import NOISE_COMBO_CAP, _philox
+from phenocausal.tables import _replace_factor
 from phenocausal.verify import (
     _do_marginal,
+    _random_factors,
     boundary_trial,
     check_backdoor_preservation,
     embedding_trial,
@@ -244,9 +257,22 @@ def test_embedding_trial_runs_no_urn_lattice_dp(monkeypatch):
     assert embedding_trial(900).ok
 
 
+@pytest.mark.parametrize("rounds", [0, -2])
+def test_embedding_trial_refuses_rounds_below_one(rounds):
+    with pytest.raises(ValueError, match=f"rounds must be at least 1, got {rounds}"):
+        embedding_trial(900, rounds=rounds)
+
+
 # ---------------------------------------------------------------------------
 # Boundary consistency
 # ---------------------------------------------------------------------------
+
+
+def _boundary(g, p, j, new_factor, s):
+    """The boundary check of ``p`` with ``j``'s factor replaced, on ``s``."""
+    gs = marginal_dag(g, s)
+    return verify_boundary_consistency(g, p, soft_intervention(p, g, j, new_factor),
+                                       j, gs, p.marginal(gs.nodes))
 
 
 def test_figure9_instance_changed_factor_is_x3():
@@ -255,7 +281,7 @@ def test_figure9_instance_changed_factor_is_x3():
     cards = {v: 2 for v in g.nodes}
     p = random_markov_joint(g, cards, rng)
     new_factor = random_conditional(g, "X2", cards, rng)
-    rec = verify_boundary_consistency(g, p, "X2", new_factor, ("X1", "X3"))
+    rec = _boundary(g, p, "X2", new_factor, ("X1", "X3"))
     assert rec.ok
     assert rec.details["changed"] == ["X3"]
     assert rec.details["expected_at_most"] == ["X3"]
@@ -269,8 +295,7 @@ def test_perturbing_member_of_subset_changes_its_own_factor():
         p = random_markov_joint(g, cards, rng)
         s = random_sufficient_subset(g, rng)
         j = s[int(rng.integers(len(s)))]
-        rec = verify_boundary_consistency(
-            g, p, j, random_conditional(g, j, cards, rng), s)
+        rec = _boundary(g, p, j, random_conditional(g, j, cards, rng), s)
         assert rec.ok
         assert set(rec.details["changed"]) <= {j}
 
@@ -281,14 +306,161 @@ def test_boundary_trials_random_batch():
         assert rec.ok, rec.details
 
 
-def test_insufficient_subset_rejected_record():
+def test_insufficient_subset_is_refused_before_the_boundary_check():
+    # the check takes the marginal graph, which exists only for a
+    # sufficient subset
     g = Dag(("X", "C", "Y"), [("C", "X"), ("C", "Y")])
     rng = np.random.default_rng(2)
     cards = {v: 2 for v in g.nodes}
     p = random_markov_joint(g, cards, rng)
-    rec = verify_boundary_consistency(
-        g, p, "C", random_conditional(g, "C", cards, rng), ("X", "Y"))
-    assert rec.kind == "boundary-rejected"
+    with pytest.raises(SufficiencyError) as refused:
+        _boundary(g, p, "C", random_conditional(g, "C", cards, rng), ("X", "Y"))
+    assert refused.value.witness == "C"
+
+
+@pytest.mark.parametrize("max_nodes", [2, 0, -1])
+def test_boundary_trial_refuses_max_nodes_below_three(max_nodes):
+    with pytest.raises(ValueError, match=f"max_nodes must be at least 3, got {max_nodes}"):
+        boundary_trial(5, max_nodes=max_nodes)
+
+
+def test_replacement_factor_must_target_the_node_given_its_parents():
+    # the trial's perturbed joint keeps soft_intervention's refusals
+    g = Dag(("X1", "X2", "X3"), [("X1", "X2"), ("X2", "X3")])
+    factors = _random_factors(g, {v: 2 for v in g.nodes}, np.random.default_rng(5))
+    wrong_target = ConditionalTable("X3", ("X1",), np.full((2, 2), 0.5))
+    with pytest.raises(TableError, match="replacement targets 'X3', expected 'X2'"):
+        _replace_factor(g, factors, "X2", wrong_target)
+    wrong_parents = ConditionalTable("X2", (), np.array([0.5, 0.5]))
+    with pytest.raises(TableError, match="parents of 'X2' are"):
+        _replace_factor(g, factors, "X2", wrong_parents)
+
+
+# The former trial, kept as the reference: the perturbed joint by
+# soft_intervention on p, the marginal graph and joint built in each check,
+# and p(z) by marginal().permute() for every value of x.
+
+
+def _reference_boundary(g, p, j, new_factor, s, index, seed):
+    s_nodes = g.sorted_tuple(s)
+    gs = marginal_dag(g, s_nodes)
+    p_tilde = soft_intervention(p, g, j, new_factor)
+    ps = p.marginal(s_nodes)
+    ps_tilde = p_tilde.marginal(s_nodes)
+    changed = changed_factors(ps, ps_tilde, gs, 1e-9)
+    if j in s_nodes:
+        expected, unique_blocker = (j,), True
+    else:
+        expected = _reachable_inside(g, j, set(s_nodes))
+        unique_blocker = len(expected) <= 1
+    ok = len(changed) <= 1 and set(changed) <= set(expected) and unique_blocker
+    return TrialRecord("boundary", index, seed, ok, {
+        "perturbed": j, "subset": list(s_nodes), "changed": list(changed),
+        "expected_at_most": list(expected), "unique_blocker": unique_blocker,
+        "tv_full": tv_distance(p, p_tilde), "tv_marginal": tv_distance(ps, ps_tilde)})
+
+
+def _reference_adjustment(ps, x, y, z, v):
+    cond = np.nan_to_num(conditional(ps, y, (x, *z)).table[v], nan=0.0)
+    if not z:
+        return cond
+    pz = ps.marginal(z).permute(tuple(z)).probs
+    return (cond * pz[..., None]).reshape(-1, cond.shape[-1]).sum(axis=0)
+
+
+def _reference_backdoor(g, p, s, x, y, z):
+    s_nodes = g.sorted_tuple(s)
+    gs = marginal_dag(g, s_nodes)
+    z = gs.sorted_tuple(z)
+    if not graphs.backdoor_admissible(gs, x, y, z):
+        return True, {"skipped": "z not admissible in marginal graph"}
+    inherited = graphs.backdoor_admissible(g, x, y, z)
+    ps = p.marginal(s_nodes)
+    pa_x = g.parents(x)
+
+    def do(v):
+        if y in pa_x:
+            return p.marginal((y,)).probs
+        return _reference_adjustment(p, x, y, pa_x, v)
+
+    worst = max(float(np.abs(do(v) - _reference_adjustment(ps, x, y, z, v)).max())
+                for v in range(ps.cards[ps.axis(x)]))
+    return inherited and worst <= 1e-9, {"x": x, "y": y, "z": list(z),
+                                         "admissible_in_full": inherited,
+                                         "max_dev": worst}
+
+
+def _reference_trial(trial_seed, max_nodes=6, index=0):
+    rng = _philox(trial_seed)
+    n = int(rng.integers(3, max_nodes + 1))
+    g = random_dag([f"X{i+1}" for i in range(n)], rng, edge_prob=0.5)
+    cards = {v: 2 for v in g.nodes}
+    p = random_markov_joint(g, cards, rng)
+    j = g.nodes[int(rng.integers(n))]
+    new_factor = random_conditional(g, j, cards, rng)
+    s = random_sufficient_subset(g, rng)
+    record = _reference_boundary(g, p, j, new_factor, s, index, trial_seed)
+    s_nodes = g.sorted_tuple(s)
+    if len(s_nodes) >= 2 and record.ok:
+        idx = rng.permutation(len(s_nodes))[:2]
+        x, y = s_nodes[idx[0]], s_nodes[idx[1]]
+        rest = [v for v in s_nodes if v not in (x, y)]
+        z = tuple(v for v in rest if rng.random() < 0.5)
+        ok_bd, bd = _reference_backdoor(g, p, s_nodes, x, y, z)
+        record = dataclasses.replace(record, ok=record.ok and ok_bd,
+                                     details={**record.details, "backdoor": bd})
+    return record
+
+
+_TRIAL_FLOATS = ("tv_full", "tv_marginal")
+
+
+def _split_floats(record):
+    """The record without its float fields, and those fields by name."""
+    details = dict(record.details)
+    floats = {k: details.pop(k) for k in _TRIAL_FLOATS}
+    if "max_dev" in details.get("backdoor", {}):
+        details["backdoor"] = dict(details["backdoor"])
+        floats["max_dev"] = details["backdoor"].pop("max_dev")
+    return dataclasses.replace(record, details=details), floats
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 2**63 - 1), st.integers(3, 6))
+def test_boundary_trial_equals_the_former_trial(trial_seed, max_nodes):
+    got, got_floats = _split_floats(boundary_trial(trial_seed, max_nodes=max_nodes,
+                                                   index=7))
+    want, want_floats = _split_floats(_reference_trial(trial_seed, max_nodes, index=7))
+    assert got == want
+    assert got_floats.keys() == want_floats.keys()
+    for key, value in want_floats.items():
+        assert abs(got_floats[key] - value) <= 1e-15, key
+
+
+def test_boundary_trial_marginalizes_once_and_never_refactorizes(monkeypatch):
+    import phenocausal.verify as verify
+
+    calls = {"marginal_dag": 0}
+    real = verify.marginal_dag
+
+    def counted(g, s):
+        calls["marginal_dag"] += 1
+        return real(g, s)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a joint was factorized again")
+
+    monkeypatch.setattr(verify, "marginal_dag", counted)
+    monkeypatch.setattr(tables, "soft_intervention", refuse)
+    monkeypatch.setattr(tables, "factorize", refuse)
+    trials = 40
+    backdoor = 0
+    for i in range(trials):
+        rec = boundary_trial(31_000 + i, index=i)
+        assert rec.ok, rec.details
+        backdoor += "x" in rec.details.get("backdoor", {})
+    assert calls["marginal_dag"] == trials
+    assert backdoor > 0  # the side check ran on the shared marginal model
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +472,8 @@ def test_backdoor_adjustment_matches_truncated_factorization():
     g = Dag(("C", "X", "Y"), [("C", "X"), ("C", "Y"), ("X", "Y")])
     rng = np.random.default_rng(3)
     p = random_markov_joint(g, {v: 2 for v in g.nodes}, rng)
-    ok, details = check_backdoor_preservation(g, p, g.nodes, "X", "Y", ("C",))
+    # the subset is every node: the marginal model is the model itself
+    ok, details = check_backdoor_preservation(g, p, g, p, "X", "Y", ("C",))
     assert ok
     assert details["admissible_in_full"]
     assert details["max_dev"] <= 1e-9
@@ -319,7 +492,9 @@ def test_backdoor_preservation_random_instances():
         rng.shuffle(nodes)
         x, y = nodes[0], nodes[1]
         z = tuple(v for v in nodes[2:] if rng.random() < 0.5)
-        ok, details = check_backdoor_preservation(g, p, s, x, y, z)
+        gs = marginal_dag(g, s)
+        ok, details = check_backdoor_preservation(g, p, gs, p.marginal(gs.nodes),
+                                                  x, y, z)
         assert ok, details
         checked += 1
 
@@ -335,7 +510,7 @@ def test_do_marginal_by_adjustment_equals_truncated_factorization(n, seed):
         for y in (w for w in g.nodes if w != x):
             for v in range(2):
                 want = hard_intervention(p, g, x, v).marginal((y,)).probs
-                assert np.abs(_do_marginal(p, g, x, y, v) - want).max() <= 1e-15
+                assert np.abs(_do_marginal(p, g, x, y)[v] - want).max() <= 1e-15
 
 
 # ---------------------------------------------------------------------------
