@@ -99,14 +99,6 @@ class UnitAction:
     columns: Callable[[np.ndarray, Sequence[str]], tuple[np.ndarray, np.ndarray]]
     spec: dict | None = None
 
-    def apply(self, state: Mapping[str, float]) -> dict[str, float] | None:
-        """The map on one unit: the post-state, or None when the map
-        refuses ``state``. It runs ``columns`` on a one-row array."""
-        nodes = tuple(state)
-        applicable, post = self.columns(
-            np.array([[state[v] for v in nodes]], dtype=float), nodes)
-        return dict(zip(nodes, post[0].tolist())) if applicable[0] else None
-
     def to_json_obj(self) -> dict:
         return {"label": self.label, "map": self.spec or {"kind": "opaque"}}
 
@@ -189,12 +181,6 @@ class ClassificationReport:
     @property
     def valid(self) -> bool:
         return all(v.kind is not VerdictKind.VIOLATION for v in self.verdicts)
-
-    def verdict_for(self, label: str) -> ActionVerdict:
-        for v in self.verdicts:
-            if v.label == label:
-                return v
-        raise KeyError(label)
 
     def to_json_obj(self) -> dict:
         return {

@@ -255,6 +255,8 @@ def permutation_threshold(u: np.ndarray, v: np.ndarray, n_perm: int = 199,
                           quantile: float = 0.95, seed: int = 0,
                           max_points: int = _MAX_DCOR_POINTS) -> float:
     """Null quantile of the statistic under random pairing of u and v."""
+    if n_perm < 1:
+        raise DiscoveryError(f"n_perm must be at least 1, got {n_perm}")
     rng = _philox(seed)
     u = np.asarray(u, dtype=float).reshape(-1)
     v = np.asarray(v, dtype=float).reshape(-1)
@@ -577,6 +579,10 @@ def localize_mechanism_change(environments: Sequence, g: Dag,
     """
     if len(environments) < 2:
         raise DiscoveryError("need at least two environments")
+    if n_perm < 1:
+        raise DiscoveryError(f"n_perm must be at least 1, got {n_perm}")
+    if eps is not None and not eps >= 0:
+        raise DiscoveryError(f"eps must be a number >= 0, got {eps!r}")
     if all(isinstance(e, DiscreteJoint) for e in environments):
         names = environments[0].names
         if set(names) != set(g.nodes):

@@ -284,7 +284,7 @@ class _UrnProcess:
                 s[col[u], col[v]] = sign * d
             coins = (plus.prob, minus.prob) if sign > 0 else (minus.prob, plus.prob)
             noises[col[v]] = NoiseSpec.binomdiff(self.rounds, *coins)
-        a = solve_structure(s).a
+        a = solve_structure(s)
         return LinearScm(self.nodes, a, (np.eye(len(self.nodes)) - a) @ self.k0,
                          tuple(noises))
 
@@ -400,6 +400,8 @@ def urn_chain(n: int = 4, k0: Sequence[int] | None = None, rounds: int = 5,
     biases = tuple(float(b) for b in coin_biases)  # (p1+, p1-, ..., pn+, pn-)
     if len(biases) != 2 * n:
         raise ScmError(f"need 2*{n} coin biases")
+    if len(k0) != n:
+        raise ScmError(f"need {n} initial counts k0, got {len(k0)}")
     if endpoint not in ("low", "high"):
         raise ScmError("endpoint must be 'low' or 'high'")
 

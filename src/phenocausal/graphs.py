@@ -131,12 +131,6 @@ class Dag:
             self._check_nodes([node])  # raises the unknown-node error
         return parents
 
-    def children(self, node: str) -> tuple[str, ...]:
-        children = self._children.get(node)
-        if children is None:
-            self._check_nodes([node])  # raises the unknown-node error
-        return children
-
     def descendants(self, node: str) -> tuple[str, ...]:
         """Nodes reachable from ``node`` by a directed path (``node`` itself
         excluded)."""

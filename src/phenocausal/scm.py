@@ -34,7 +34,6 @@ __all__ = [
     "GeneralScm",
     "ScmError",
     "SingularStructureError",
-    "StructureSolution",
     "solve_structure",
     "total_effect",
     "unit_map",
@@ -67,16 +66,12 @@ class SingularStructureError(ScmError):
 class NoiseSpec:
     """Noise distribution given as a family name plus parameters.
 
-    Families:
+    Every family has finite support, so every model built from these specs
+    has an exact joint. Families:
 
     * ``binomdiff(rounds, p_plus, p_minus)`` -- difference of two
       independent binomial counts, the law of a coin-controlled action
       tally. Finite support {-rounds, ..., rounds}.
-    * ``discrete_uniform(lo, hi)`` -- uniform on the integers lo..hi,
-      lo <= hi.
-    * ``uniform(lo, hi)`` -- continuous uniform.
-    * ``gaussian(mu, sigma)`` -- normal; note that linear models with all
-      Gaussian noises are not identifiable by LiNGAM-style discovery.
     * ``degenerate(value)`` -- point mass at a real value, stored as a
       float.
     * ``finite(atoms, probs)`` -- explicit real atoms, stored as floats,
@@ -102,33 +97,6 @@ class NoiseSpec:
         return cls("binomdiff", (r, float(p_plus), float(p_minus)))
 
     @classmethod
-    def discrete_uniform(cls, lo: int, hi: int) -> "NoiseSpec":
-        try:
-            bounds = (operator.index(lo), operator.index(hi))
-        except TypeError:
-            raise ScmError(f"discrete_uniform bounds must be integers, "
-                           f"got {lo!r}, {hi!r}") from None
-        if bounds[0] > bounds[1]:
-            raise ScmError(f"discrete_uniform needs lo <= hi, got {lo!r} > {hi!r}")
-        return cls("discrete_uniform", bounds)
-
-    @classmethod
-    def uniform(cls, lo: float, hi: float) -> "NoiseSpec":
-        lo, hi = _finite_params("uniform", lo=lo, hi=hi)
-        if not lo <= hi:
-            raise ScmError(f"uniform needs lo <= hi, got {lo!r} > {hi!r}")
-        if not math.isfinite(hi - lo):
-            raise ScmError(f"uniform range hi - lo overflows, got {lo!r}, {hi!r}")
-        return cls("uniform", (lo, hi))
-
-    @classmethod
-    def gaussian(cls, mu: float, sigma: float) -> "NoiseSpec":
-        mu, sigma = _finite_params("gaussian", mu=mu, sigma=sigma)
-        if sigma < 0:
-            raise ScmError(f"gaussian sigma must be >= 0, got {sigma!r}")
-        return cls("gaussian", (mu, sigma))
-
-    @classmethod
     def degenerate(cls, value: float) -> "NoiseSpec":
         if not isinstance(value, numbers.Real):
             raise ScmError(f"degenerate noise value must be a real number, got {value!r}")
@@ -152,15 +120,6 @@ class NoiseSpec:
         if self.family == "binomdiff":
             r, pp, pm = self.params
             return (rng.binomial(r, pp, size) - rng.binomial(r, pm, size)).astype(float)
-        if self.family == "discrete_uniform":
-            lo, hi = self.params
-            return rng.integers(lo, hi + 1, size).astype(float)
-        if self.family == "uniform":
-            lo, hi = self.params
-            return rng.uniform(lo, hi, size)
-        if self.family == "gaussian":
-            mu, sigma = self.params
-            return rng.normal(mu, sigma, size)
         if self.family == "degenerate":
             return np.full(size, self.params[0])
         if self.family == "finite":
@@ -169,7 +128,8 @@ class NoiseSpec:
         raise ScmError(f"unknown noise family {self.family!r}")
 
     def support(self) -> tuple[tuple, tuple[float, ...]]:
-        """(atoms, probabilities) for finite families; error otherwise.
+        """(atoms, probabilities) of the law; a spec constructed directly
+        with an unknown family is refused.
 
         ``binomdiff`` convolves the two binomial pmfs, each entry in the
         closed form C(r, k) q^k (1 - q)^(r - k) (see ``_binomial_pmf``).
@@ -183,10 +143,6 @@ class NoiseSpec:
             pmf = np.convolve(_binomial_pmf(r, pp), _binomial_pmf(r, pm)[::-1])
             values = np.arange(-r, r + 1, dtype=float)
             return tuple(values), tuple(float(v) for v in pmf)
-        if self.family == "discrete_uniform":
-            lo, hi = self.params
-            k = hi - lo + 1
-            return tuple(float(v) for v in range(lo, hi + 1)), (1.0 / k,) * k
         if self.family == "degenerate":
             return self.params, (1.0,)
         if self.family == "finite":
@@ -198,19 +154,6 @@ class NoiseSpec:
             return {"family": "finite", "atoms": list(self.atoms),
                     "probs": list(self.probs)}
         return {"family": self.family, "params": list(self.params)}
-
-
-def _finite_params(family: str, **params) -> tuple[float, ...]:
-    """The values of ``params`` as floats; an ScmError names the first one
-    that is not a finite real number."""
-    for name, value in params.items():
-        try:
-            ok = isinstance(value, numbers.Real) and math.isfinite(value)
-        except OverflowError:  # an integer beyond the float range
-            ok = False
-        if not ok:
-            raise ScmError(f"{family} {name} must be a finite real number, got {value!r}")
-    return tuple(float(v) for v in params.values())
 
 
 def _frexp_power(m: float, n: int) -> tuple[float, int]:
@@ -509,20 +452,11 @@ def _affine(offset: float, terms: tuple[tuple[str, float], ...]) -> Mechanism:
     return mechanism
 
 
-@dataclass(frozen=True)
-class StructureSolution:
-    """Result of deriving the structure matrix from a mixing matrix."""
+def solve_structure(s: np.ndarray) -> np.ndarray:
+    """The structure matrix A = I - S^{-1} of an invertible mixing matrix S.
 
-    a: np.ndarray
-    dag: Dag | None
-
-
-def solve_structure(s: np.ndarray) -> StructureSolution:
-    """Derive A = I - S^{-1} from an invertible mixing matrix S.
-
-    If the support of A is acyclic the implied DAG over x1..xd is returned
-    alongside. Singularity is detected from the pivots of one partial-pivot
-    LU factorization, whose two triangular solves give S^{-1}.
+    Singularity is detected from the pivots of one partial-pivot LU
+    factorization, whose two triangular solves give S^{-1}.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1] or s.size == 0:
@@ -547,11 +481,7 @@ def solve_structure(s: np.ndarray) -> StructureSolution:
         inv[:k] -= np.outer(lu[:k, k], inv[k])
     a = np.eye(d) - inv
     a[np.abs(a) < _EDGE_TOL] = 0.0
-    try:
-        dag = _support_dag([f"x{i + 1}" for i in range(d)], a)
-    except CycleError:
-        dag = None
-    return StructureSolution(a, dag)
+    return a
 
 
 def total_effect(scm: LinearScm, i: str, j: str) -> float:

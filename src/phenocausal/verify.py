@@ -35,9 +35,9 @@ from .graphs import (Dag, _reachable_inside, backdoor_admissible,
                      is_graphically_causally_sufficient, marginal_dag,
                      random_dag)
 from .scm import GeneralScm, NoiseSpec, _philox, exact_joint
-from .tables import (ConditionalTable, DiscreteJoint, _marginal_array, _replace_factor,
-                     changed_factors, conditional, markov_report, product_joint,
-                     tv_distance)
+from .tables import (MAX_TABLE_ENTRIES, ConditionalTable, DiscreteJoint,
+                     _marginal_array, _replace_factor, changed_factors, conditional,
+                     markov_report, product_joint, tv_distance)
 
 __all__ = [
     "TrialRecord",
@@ -440,6 +440,9 @@ def boundary_trial(trial_seed: int, max_nodes: int = 6, index: int = 0) -> Trial
     """
     if max_nodes < 3:
         raise ValueError(f"max_nodes must be at least 3, got {max_nodes}")
+    most = MAX_TABLE_ENTRIES.bit_length() - 1  # a joint of binary nodes has 2**n entries
+    if max_nodes > most:
+        raise ValueError(f"max_nodes must be at most {most}, got {max_nodes}")
     rng = _philox(trial_seed)
     n = int(rng.integers(3, max_nodes + 1))
     g = random_dag([f"X{i+1}" for i in range(n)], rng, edge_prob=0.5)

@@ -107,18 +107,18 @@ def test_criterion_03_embedding_markov():
 
 
 def test_criterion_04_urn_algebra():
-    sol = solve_structure(urn_toeplitz_mixing(5))
+    a = solve_structure(urn_toeplitz_mixing(5))
     expected = np.zeros((5, 5))
     expected[np.tril_indices(5, -1)] = -1.0
-    assert np.array_equal(sol.a, expected)
-    assert np.abs(np.linalg.inv(np.eye(5) - sol.a)
+    assert np.array_equal(a, expected)
+    assert np.abs(np.linalg.inv(np.eye(5) - a)
                   - urn_toeplitz_mixing(5)).max() <= 1e-12
-    solb = solve_structure(bundles_mixing(4))
+    ab = solve_structure(bundles_mixing(4))
     expected_b = np.zeros((4, 4))
     for i in range(1, 4):
         expected_b[i, i - 1] = 1.0
-    assert np.array_equal(solb.a, expected_b)
-    assert np.abs(np.linalg.inv(np.eye(4) - solb.a)
+    assert np.array_equal(ab, expected_b)
+    assert np.abs(np.linalg.inv(np.eye(4) - ab)
                   - bundles_mixing(4)).max() <= 1e-12
     _report(4, "structure matrices recovered exactly (urn n=5 all -1 strictly "
                "lower, bundles sub-diagonal ones); mixing roundtrip <= 1e-12")

@@ -51,8 +51,9 @@ def test_urn_statistical_assignments():
     report = classify_statistical(ex.ground_truth, ex.baseline,
                                   ex.statistical_actions)
     assert report.valid
-    assert report.verdict_for("A1-bias-shift").node == "Kb"
-    assert report.verdict_for("A2-bias-shift").node == "Kr"
+    verdicts = {v.label: v for v in report.verdicts}
+    assert verdicts["A1-bias-shift"].node == "Kb"
+    assert verdicts["A2-bias-shift"].node == "Kr"
 
 
 def test_urn_statistical_reversed_graph_violates():
@@ -60,7 +61,7 @@ def test_urn_statistical_reversed_graph_violates():
     reversed_g = Dag(("Kb", "Kr"), [("Kr", "Kb")])
     report = classify_statistical(reversed_g, ex.baseline, ex.statistical_actions)
     assert not report.valid
-    v = report.verdict_for("A1-bias-shift")
+    v = {v.label: v for v in report.verdicts}["A1-bias-shift"]
     assert v.kind is VerdictKind.VIOLATION
     assert "Kb" in v.detail and "Kr" in v.detail
 
@@ -69,7 +70,8 @@ def test_identity_action_reported_as_identity():
     ex = _urn2()
     actions = (StatisticalAction("noop", ex.baseline),)
     report = classify_statistical(ex.ground_truth, ex.baseline, actions)
-    assert report.verdict_for("noop").kind is VerdictKind.IDENTITY
+    (verdict,) = report.verdicts
+    assert verdict.label == "noop" and verdict.kind is VerdictKind.IDENTITY
     assert report.valid
 
 
@@ -89,7 +91,8 @@ def test_generator_effects_resolved_from_baseline():
 
     report = classify_statistical(g, ex.baseline,
                                   (StatisticalAction("gen", regenerate),))
-    assert report.verdict_for("gen").node == "Kr"
+    (verdict,) = report.verdicts
+    assert verdict.label == "gen" and verdict.node == "Kr"
 
 
 def test_soft_intervention_actions_classified_by_construction():
@@ -102,7 +105,8 @@ def test_soft_intervention_actions_classified_by_construction():
         t = random_conditional(g, j, cards, rng)
         action = StatisticalAction("soft", soft_intervention(p, g, j, t))
         report = classify_statistical(g, p, (action,))
-        verdict = report.verdict_for("soft")
+        (verdict,) = report.verdicts
+        assert verdict.label == "soft"
         assert verdict.kind in (VerdictKind.ASSIGNED, VerdictKind.IDENTITY)
         if verdict.kind is VerdictKind.ASSIGNED:
             assert verdict.node == j
@@ -144,10 +148,8 @@ def test_urn_unit_assignments_match_example():
     report = classify_unit(ex.ground_truth, ex.scm, ex.unit_actions,
                            trials=100, seed=1)
     assert report.valid
-    assert report.verdict_for("A1+").node == "Kb"
-    assert report.verdict_for("A1-").node == "Kb"
-    assert report.verdict_for("A2+").node == "Kr"
-    assert report.verdict_for("A2-").node == "Kr"
+    assert {v.label: v.node for v in report.verdicts} == {
+        "A1+": "Kb", "A1-": "Kb", "A2+": "Kr", "A2-": "Kr"}
     assert report.diagnostics["coefficients"]["Kb->Kr"] == pytest.approx(-1.0)
 
 
@@ -163,9 +165,9 @@ def test_urn_chain_unit_assignments():
     report = classify_unit(ex.ground_truth, ex.scm, ex.unit_actions,
                            trials=60, seed=2)
     assert report.valid
+    nodes = {v.label: v.node for v in report.verdicts}
     for j in range(1, 5):
-        assert report.verdict_for(f"A{j}+").node == f"K{j}"
-        assert report.verdict_for(f"A{j}-").node == f"K{j}"
+        assert nodes[f"A{j}+"] == nodes[f"A{j}-"] == f"K{j}"
 
 
 def test_inapplicable_action_reported():
@@ -186,7 +188,8 @@ def test_inapplicable_action_reported():
     report = classify_unit(ex.ground_truth, ex.scm,
                            ex.unit_actions + (refuser,), trials=20, seed=3)
     assert not report.valid
-    v = report.verdict_for("refuser")
+    v = report.verdicts[-1]
+    assert v.label == "refuser"
     assert v.kind is VerdictKind.VIOLATION and "inapplicable" in v.detail
     del bad, really_bad
 
@@ -288,7 +291,8 @@ def test_dependence_creating_action_violates_empty_graph():
     report = classify_statistical(Dag(("X", "Y")), p,
                                   (StatisticalAction("couple", coupled),))
     assert not report.valid
-    v = report.verdict_for("couple")
+    (v,) = report.verdicts
+    assert v.label == "couple"
     assert v.kind is VerdictKind.VIOLATION and "effect violates" in v.detail
 
 
@@ -359,13 +363,16 @@ def test_spec_naming_a_missing_variable_refused():
 
 def test_unit_action_spec_families():
     add = unit_action_from_spec("a", {"kind": "add-constant", "deltas": {"x": 2}})
-    assert add.apply({"x": 1.0, "y": 0.0}) == {"x": 3.0, "y": 0.0}
+    ok, post = add.columns(np.array([[1.0, 0.0]]), ("x", "y"))
+    assert ok.tolist() == [True] and post.tolist() == [[3.0, 0.0]]
     guard = unit_action_from_spec(
         "g", {"kind": "add-constant", "deltas": {"x": -1},
               "requires_positive": ["x"]})
-    assert guard.apply({"x": 0.0}) is None
+    ok, post = guard.columns(np.array([[0.0], [2.0]]), ("x",))
+    assert ok.tolist() == [False, True] and post[1].tolist() == [1.0]
     scale = unit_action_from_spec("s", {"kind": "scale", "factors": {"x": 2}})
-    assert scale.apply({"x": 3.0}) == {"x": 6.0}
+    ok, post = scale.columns(np.array([[3.0]]), ("x",))
+    assert ok.tolist() == [True] and post.tolist() == [[6.0]]
     # only the two families the exemplars use exist
     for kind in ("replace-count", "swap-count", "nope"):
         with pytest.raises(ClassificationError, match="unknown map-spec kind"):
@@ -415,7 +422,8 @@ def _former_rabbit_maps(ex):
 
 def _reference_unit_displacements(scm, actions, trials, seed, maps=None):
     # the former per-state path: a spec-built action runs its former
-    # per-state map, any other ``maps[label]`` or else its one-unit view
+    # per-state map, any other ``maps[label]`` or else its column map on
+    # one unit at a time
     from phenocausal.actions import _Displacements
 
     if trials < 1:
@@ -426,13 +434,17 @@ def _reference_unit_displacements(scm, actions, trials, seed, maps=None):
               for r in range(trials)]
     labels, rows, inapplicable = [], [], []
     for action in actions:
-        apply = (maps.get(action.label) or _spec_reference_map(action.spec)
-                 or action.apply)
+        apply = maps.get(action.label) or _spec_reference_map(action.spec)
         deltas = []
         refused = False
         with np.errstate(invalid="ignore", over="ignore"):  # refused below
             for s in states:
-                post = apply(s)
+                if apply is not None:
+                    post = apply(s)
+                else:
+                    ok, out = action.columns(np.array([[s[v] for v in scm.nodes]]),
+                                             scm.nodes)
+                    post = dict(zip(scm.nodes, out[0])) if ok[0] else None
                 if post is None:
                     refused = True
                     continue
@@ -511,7 +523,8 @@ def _real_scm():
         nodes=("a", "b", "c"), parents={"b": ("a",), "c": ("a", "b")},
         mechanisms={"a": lambda pa, n: n, "b": lambda pa, n: 0.5 * pa["a"] + n,
                     "c": lambda pa, n: pa["a"] - pa["b"] + n},
-        noises={"a": NoiseSpec.gaussian(0.3, 1.0), "b": NoiseSpec.uniform(-1.0, 2.0),
+        noises={"a": NoiseSpec.finite([-1.3, -0.4, 0.3, 1.7], [0.2, 0.3, 0.3, 0.2]),
+                "b": NoiseSpec.finite([-0.9, 0.6, 1.85], [0.3, 0.4, 0.3]),
                 "c": NoiseSpec.finite([-1.0, 0.0, 0.5], [0.25, 0.25, 0.5])})
 
 

@@ -277,6 +277,20 @@ def test_multivariate_needs_samples():
         lingam_multivariate(Dataset(("a", "b", "c"), np.zeros((100, 3)), 0))
 
 
+def _uniform_rows(lin, n: int, seed: int) -> Dataset:
+    """Rows of ``lin`` driven by Uniform(-1, 1) noises drawn from the
+    Philox streams that ``GeneralScm.sample_noise`` keys by (seed, node
+    index, stream 0, chunk); the package's noise laws are all finite."""
+    from phenocausal.scm import _CHUNK, _philox
+
+    sizes = [min(_CHUNK, n - start) for start in range(0, n, _CHUNK)]
+    noise = {v: np.concatenate([_philox(seed, k, 0, c).uniform(-1, 1, size)
+                                for c, size in enumerate(sizes)])
+             for k, v in enumerate(lin.nodes)}
+    state = lin.general().evaluate(noise)
+    return Dataset(lin.nodes, np.column_stack([state[v] for v in lin.nodes]), seed)
+
+
 def test_random_linear_models_recovered():
     # calibration target: uniform noises, coefficient magnitudes in
     # [0.5, 2], recovery rate at least 9/10 over pinned seeds at n = 1e5
@@ -289,13 +303,14 @@ def test_random_linear_models_recovered():
             for i in range(j):
                 if rng.random() < 0.5:
                     a[j, i] = rng.uniform(0.5, 2.0) * rng.choice([-1, 1])
+        # the noise specs are placeholders: ``_uniform_rows`` draws the noise
         return LinearScm(tuple(f"v{k}" for k in range(d)), a, np.zeros(d),
-                         tuple(NoiseSpec.uniform(-1, 1) for _ in range(d)))
+                         (NoiseSpec.degenerate(0.0),) * d)
 
     good = 0
     for seed in range(10):
         lin = random_linear(seed)
-        res = lingam_multivariate(lin.general().simulate(100_000, 5000 + seed),
+        res = lingam_multivariate(_uniform_rows(lin, 100_000, 5000 + seed),
                                   max_points=1200)
         good += frozenset(res.dag.edges) == frozenset(lin.graph().edges)
     assert good >= 9
@@ -460,3 +475,23 @@ def test_localization_needs_two_envs():
     ex = urn_bivariate(kb0=50, kr0=50, rounds=3)
     with pytest.raises(DiscoveryError):
         localize_mechanism_change([ex.sample(100, 0)], ex.ground_truth)
+
+
+@pytest.mark.parametrize("n_perm", [0, -2])
+def test_permutation_counts_below_one_are_refused(n_perm):
+    ex = urn_bivariate(kb0=50, kr0=50, rounds=3)
+    envs = [ex.sample(500, 0), ex.sample(500, 1)]
+    message = f"n_perm must be at least 1, got {n_perm}"
+    with pytest.raises(DiscoveryError, match=message):
+        localize_mechanism_change(envs, ex.ground_truth, n_perm=n_perm)
+    with pytest.raises(DiscoveryError, match=message):
+        permutation_threshold(envs[0].column("Kb"), envs[0].column("Kr"), n_perm=n_perm)
+
+
+@pytest.mark.parametrize("eps", [math.nan, -1.0])
+def test_localization_refuses_an_eps_below_zero_or_nan(eps):
+    # NaN flagged nothing and -1 flagged every node of two same-law samples
+    ex = urn_bivariate(kb0=50, kr0=50, rounds=3)
+    for envs in ([ex.sample(500, 0), ex.sample(500, 1)], [ex.baseline] * 2):
+        with pytest.raises(DiscoveryError, match="eps must be a number >= 0"):
+            localize_mechanism_change(envs, ex.ground_truth, eps=eps)

@@ -43,18 +43,20 @@ from urn_oracles import exact_urn2_joint
 def test_a1_plus_moves_one_ball():
     ex = urn_bivariate(kb0=10, kr0=10, rounds=2)
     act = {a.label: a for a in ex.unit_actions}
-    assert act["A1+"].apply({"Kb": 10, "Kr": 10}) == {"Kb": 11, "Kr": 9}
-    assert act["A1-"].apply({"Kb": 10, "Kr": 10}) == {"Kb": 9, "Kr": 11}
-    assert act["A2+"].apply({"Kb": 10, "Kr": 10}) == {"Kb": 10, "Kr": 11}
+    for label, post in (("A1+", [11, 9]), ("A1-", [9, 11]), ("A2+", [10, 11])):
+        ok, out = act[label].columns(np.array([[10.0, 10.0]]), ("Kb", "Kr"))
+        assert ok.tolist() == [True] and out.tolist() == [post]
 
 
 def test_actions_refused_at_empty_type():
     ex = urn_bivariate(kb0=10, kr0=10, rounds=2)
     act = {a.label: a for a in ex.unit_actions}
-    assert act["A2-"].apply({"Kb": 5, "Kr": 0}) is None
-    assert act["A1+"].apply({"Kb": 5, "Kr": 0}) is None
-    assert act["A1-"].apply({"Kb": 0, "Kr": 5}) is None
-    assert act["A2+"].apply({"Kb": 5, "Kr": 0}) == {"Kb": 5, "Kr": 1}
+    x = np.array([[5.0, 0.0], [0.0, 5.0]])  # no red ball, no blue ball
+    for label, applies in (("A2-", [False, True]), ("A1+", [False, True]),
+                           ("A1-", [True, False])):
+        assert act[label].columns(x, ("Kb", "Kr"))[0].tolist() == applies
+    ok, out = act["A2+"].columns(x, ("Kb", "Kr"))
+    assert ok.tolist() == [True, True] and out[0].tolist() == [5, 1]
 
 
 def test_zero_biases_keep_initial_state():
@@ -123,12 +125,16 @@ def test_exact_joint_matches_bounded_sampler_at_boundary():
 def test_chain_action_semantics_n3():
     ex = urn_chain(n=3, k0=(10, 10, 10), rounds=2)
     act = {a.label: a for a in ex.unit_actions}
-    out = act["A2+"].apply({"K3": 10, "K2": 10, "K1": 10})
-    assert out == {"K3": 10, "K2": 11, "K1": 9}
-    out = act["A3+"].apply({"K3": 10, "K2": 10, "K1": 10})
-    assert out == {"K3": 11, "K2": 9, "K1": 10}
-    out = act["A1+"].apply({"K3": 10, "K2": 10, "K1": 10})
-    assert out == {"K3": 10, "K2": 10, "K1": 11}
+    for label, post in (("A2+", [10, 11, 9]), ("A3+", [11, 9, 10]),
+                        ("A1+", [10, 10, 11])):
+        ok, out = act[label].columns(np.array([[10.0, 10.0, 10.0]]), ("K3", "K2", "K1"))
+        assert ok.tolist() == [True] and out.tolist() == [post]
+
+
+@pytest.mark.parametrize("n, k0", [(3, (10, 10)), (2, (10, 10, 10))])
+def test_chain_refuses_initial_counts_of_another_length(n, k0):
+    with pytest.raises(ScmError, match=f"need {n} initial counts k0, got {len(k0)}"):
+        urn_chain(n=n, k0=k0, rounds=2)
 
 
 def test_chain_ground_truth_is_complete_downward():
@@ -158,34 +164,27 @@ def test_recorded_mixing_is_the_process_mixing(build, n):
 def test_changing_one_count_needs_j_elementary_actions():
     # BFS over compositions: raising K_j alone requires at least j actions
     ex = urn_chain(n=3, k0=(5, 5, 5), rounds=2)
-    actions = list(ex.unit_actions)
-    start = {"K3": 5, "K2": 5, "K1": 5}
+    nodes = ("K3", "K2", "K1")
+    start = (5, 5, 5)
 
     def bfs_min_steps(target):
-        frontier = [tuple(sorted(start.items()))]
-        seen = {frontier[0]}
-        depth = 0
+        frontier, seen, depth = {start}, {start}, 0
         while depth <= 4:
-            nxt = []
-            for state_t in frontier:
-                state = dict(state_t)
-                if all(state[k] == target[k] for k in target):
-                    return depth
-                for a in actions:
-                    post = a.apply(state)
-                    if post is None:
-                        continue
-                    key = tuple(sorted(post.items()))
-                    if key not in seen:
-                        seen.add(key)
-                        nxt.append(key)
-            frontier = nxt
+            if target in frontier:
+                return depth
+            x = np.array(sorted(frontier), dtype=float)
+            nxt = set()
+            for a in ex.unit_actions:
+                ok, post = a.columns(x, nodes)
+                nxt |= set(map(tuple, post[ok].tolist()))
+            frontier = nxt - seen
+            seen |= frontier
             depth += 1
         return None
 
-    assert bfs_min_steps({"K1": 6, "K2": 5, "K3": 5}) == 1
-    assert bfs_min_steps({"K1": 5, "K2": 6, "K3": 5}) == 2
-    assert bfs_min_steps({"K1": 5, "K2": 5, "K3": 6}) == 3
+    assert bfs_min_steps((5, 5, 6)) == 1
+    assert bfs_min_steps((5, 6, 5)) == 2
+    assert bfs_min_steps((6, 5, 5)) == 3
 
 
 def test_endpoint_reversal_flips_every_edge():
@@ -220,10 +219,10 @@ def test_chain_process_linear_agreement():
 def test_bundle_action_on_zero_state():
     ex = bundles_chain(n=4, rounds=2)
     act = {a.label: a for a in ex.unit_actions}
-    zero = {"K4": 0, "K3": 0, "K2": 0, "K1": 0}
-    out = act["A3+"].apply(zero)
-    assert (out["K1"], out["K2"], out["K3"], out["K4"]) == (1, 1, 1, 0)
-    assert act["A3-"].apply(zero) is None
+    zero, nodes = np.zeros((1, 4)), ("K1", "K2", "K3", "K4")
+    ok, out = act["A3+"].columns(zero, nodes)
+    assert ok.tolist() == [True] and out.tolist() == [[1, 1, 1, 0]]
+    assert act["A3-"].columns(zero, nodes)[0].tolist() == [False]
 
 
 def test_bundle_ground_truth_chain():
@@ -251,26 +250,25 @@ def test_bundle_sampler_never_refuses_at_default_reserve():
 
 def test_rabbits_scenario1_examples():
     ex = rabbits(scenario=1, n_rabbits=5, demand_per_rabbit=2.0)
-    state = {"X": 10.0, "Y": 2.0}
-    act = {a.label: a for a in ex.unit_actions}
-    out = act["add-rabbit"].apply(state)
-    assert out == {"X": 12.0, "Y": 2.0}  # X moves, Y does not
-    assert act["more-food"].apply(state) == state
-    boosted = act["appetizer"].apply(state)
-    assert boosted["X"] == pytest.approx(boosted["Y"] * 5)  # X = n*Y preserved
+    state = np.array([[10.0, 2.0]])  # X, Y
+    post = {a.label: a.columns(state, ("X", "Y"))[1][0].tolist() for a in ex.unit_actions}
+    assert post["add-rabbit"] == [12.0, 2.0]  # X moves, Y does not
+    assert post["more-food"] == [10.0, 2.0]
+    x, y = post["appetizer"]
+    assert x == pytest.approx(y * 5)  # X = n*Y preserved
 
 
 def test_rabbits_scenario2_examples():
     ex = rabbits(scenario=2, n_rabbits=5, demand_per_rabbit=2.0)
     f = ex.notes["food_supply"]
-    state = {"X": f, "Y": f / 5}
-    act = {a.label: a for a in ex.unit_actions}
-    assert act["appetizer"].apply(state) == state  # no effect
-    fed = act["more-food"].apply(state)
-    assert fed["Y"] == pytest.approx(fed["X"] / 5)  # Y = X/n preserved
-    assert fed["X"] != state["X"]
-    bred = act["add-rabbit"].apply(state)
-    assert bred["X"] == state["X"] and bred["Y"] < state["Y"]
+    state = np.array([[f, f / 5]])  # X, Y
+    post = {a.label: a.columns(state, ("X", "Y"))[1][0].tolist() for a in ex.unit_actions}
+    assert post["appetizer"] == [f, f / 5]  # no effect
+    x, y = post["more-food"]
+    assert y == pytest.approx(x / 5)  # Y = X/n preserved
+    assert x != f
+    x, y = post["add-rabbit"]
+    assert x == f and y < f / 5
 
 
 def test_rabbits_directions_reverse_between_scenarios():
@@ -409,9 +407,10 @@ def test_macro_is_exact_transformation_of_micro(choice, shift):
             v = action.label.removeprefix("shift-")
             post = micro.evaluate({**noise, v: noise[v] + shift})
             delta = w @ (np.array([post[u] for u in micro.nodes]) - pre)
-            moved = action.apply(macro)
-            assert [moved[m] - macro[m] for m in ("Xbar", "Ybar")] == \
-                pytest.approx(list(delta), abs=1e-12)
+            pre_macro = np.array([[macro["Xbar"], macro["Ybar"]]])
+            ok, moved = action.columns(pre_macro, ("Xbar", "Ybar"))
+            assert ok.tolist() == [True]
+            assert (moved - pre_macro)[0].tolist() == pytest.approx(list(delta), abs=1e-12)
 
 
 def test_macro_edge_follows_the_acted_micro_variables():
@@ -443,8 +442,8 @@ def test_balltrack_reversed_graph_violates_both_actions():
     rev = Dag(("X", "Y"), [("Y", "X")])
     report = classify_statistical(rev, ex.baseline, ex.statistical_actions)
     assert not report.valid
-    for a in ex.statistical_actions:
-        assert report.verdict_for(a.label).kind.value == "violation"
+    assert [v.label for v in report.verdicts] == [a.label for a in ex.statistical_actions]
+    assert all(v.kind.value == "violation" for v in report.verdicts)
 
 
 def test_balltrack_speed_monotone():

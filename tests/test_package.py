@@ -107,6 +107,56 @@ def test_every_export_but_the_concept_names_has_a_caller():
     assert set(_declared()) - referenced == CONCEPTS
 
 
+def _attribute_reads(path: Path) -> set[tuple[str | None, str, tuple[str, str] | None]]:
+    """(qualifier, attribute, definition) for each attribute a source file
+    reads. The qualifier is the name the attribute is read on (``C`` in
+    ``C.attr`` and ``mod.C.attr``), the definition the (class, method) whose
+    body holds the read, if any. Each entry of ``perfbench/tracing.py``'s
+    ``TRACED`` also reads its attribute string on its owner."""
+    reads = set()
+
+    def qualifier(owner: ast.AST) -> str | None:
+        return getattr(owner, "id", getattr(owner, "attr", None))
+
+    def visit(node: ast.AST, where: tuple[str, str] | None) -> None:
+        if isinstance(node, ast.Attribute):
+            reads.add((qualifier(node.value), node.attr, where))
+        for child in ast.iter_child_nodes(node):
+            if isinstance(node, ast.ClassDef) and isinstance(child, ast.FunctionDef):
+                visit(child, (node.name, child.name))
+            else:
+                visit(child, where)
+
+    tree = ast.parse(path.read_text(), filename=str(path))
+    visit(tree, None)
+    if path.name == "tracing.py":
+        for stmt in tree.body:
+            if getattr(getattr(stmt, "target", None), "id", None) == "TRACED":
+                for entry in stmt.value.elts:
+                    _, owner, attr, *_ = entry.elts
+                    reads.add((qualifier(owner), attr.value, None))
+    return reads
+
+
+def test_every_public_method_of_an_exported_class_has_a_caller():
+    # a method, property, classmethod or staticmethod that only the tests
+    # read fails here; a classmethod counts as read only as ``Class.attr``
+    members = {(cls.__name__, attr): isinstance(raw, classmethod)
+               for cls in _declared().values() if isinstance(cls, type)
+               for attr, raw in vars(cls).items()
+               if not attr.startswith("_") and isinstance(
+                   raw, (types.FunctionType, property, classmethod, staticmethod))}
+    root = Path(phenocausal.__file__).resolve().parents[2]
+    sources = [*(root / "src").rglob("*.py"), *(root / "perfbench").rglob("*.py")]
+    reads = set().union(*map(_attribute_reads, sources))
+    unread = {(cls, attr) for (cls, attr), on_class_only in members.items()
+              if not any(name == attr and where != (cls, attr)
+                         and (owner == cls or not on_class_only)
+                         for owner, name, where in reads)}
+    assert members["NoiseSpec", "binomdiff"] and ("Dag", "parents") in members
+    assert unread == set()
+
+
 def _passed_parameters(path: Path, signatures: dict[str, list[str]]) -> set[str]:
     """``name.param`` for each parameter of ``signatures[name]`` that some
     call of ``name`` (bare or as an attribute) in a source file passes, by

@@ -223,8 +223,9 @@ def test_general_form_of_a_non_integer_linear_model():
         nodes=("x", "y", "z"),
         a=np.array([[0.0, 0.0, 0.0], [0.7, 0.0, 0.0], [-0.3, 1.9, 0.0]]),
         offsets=np.array([0.5, -1.25, 2.0]),
-        noises=(NoiseSpec.uniform(-1, 1), NoiseSpec.gaussian(0, 0.5),
-                NoiseSpec.discrete_uniform(-2, 2)))
+        noises=(NoiseSpec.binomdiff(2, 0.3, 0.6),
+                NoiseSpec.finite([-0.75, 0.5, 1.25], [0.25, 0.5, 0.25]),
+                NoiseSpec.degenerate(-0.5)))
     scm = dataclasses.replace(linear.general(), noise_streams={"y": 3})
     assert scm.parents == {"x": (), "y": ("x",), "z": ("x", "y")}
     assert scm.noises == dict(zip(linear.nodes, linear.noises))

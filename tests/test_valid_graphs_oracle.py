@@ -328,7 +328,8 @@ def _check_statistical(n, cards, seed, identity, couple, generated):
         [r.to_json_obj() for r in reports]
     if couple:
         truth = next(r for r in reports if r.graph == g)
-        assert "effect violates" in truth.verdict_for("couple").detail
+        (couple_verdict,) = (v for v in truth.verdicts if v.label == "couple")
+        assert "effect violates" in couple_verdict.detail
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

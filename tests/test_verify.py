@@ -324,6 +324,22 @@ def test_boundary_trial_refuses_max_nodes_below_three(max_nodes):
         boundary_trial(5, max_nodes=max_nodes)
 
 
+@pytest.mark.parametrize("max_nodes", [21, 40])
+def test_boundary_trial_refuses_more_binary_nodes_than_a_table_holds(max_nodes,
+                                                                     monkeypatch):
+    # 2**21 entries exceed tables.MAX_TABLE_ENTRIES = 2**20; the refusal
+    # comes before any joint is built
+    import phenocausal.verify as verify
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a joint was built")
+
+    monkeypatch.setattr(verify, "product_joint", refuse)
+    monkeypatch.setattr(tables, "product_joint", refuse)
+    with pytest.raises(ValueError, match=f"max_nodes must be at most 20, got {max_nodes}"):
+        boundary_trial(4, max_nodes=max_nodes)
+
+
 def test_replacement_factor_must_target_the_node_given_its_parents():
     # the trial's perturbed joint keeps soft_intervention's refusals
     g = Dag(("X1", "X2", "X3"), [("X1", "X2"), ("X2", "X3")])
