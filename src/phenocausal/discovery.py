@@ -24,6 +24,7 @@ reduces to the exact factor-change computation.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -251,12 +252,21 @@ def independence_statistic(u: np.ndarray, v: np.ndarray,
     return float(np.sqrt(max(dcov2, 0.0) / denom))
 
 
+def _permutation_count(n_perm: int) -> int:
+    try:
+        count = operator.index(n_perm)
+    except TypeError:
+        raise DiscoveryError(f"n_perm must be an integer, got {n_perm!r}") from None
+    if count < 1:
+        raise DiscoveryError(f"n_perm must be at least 1, got {n_perm}")
+    return count
+
+
 def permutation_threshold(u: np.ndarray, v: np.ndarray, n_perm: int = 199,
                           quantile: float = 0.95, seed: int = 0,
                           max_points: int = _MAX_DCOR_POINTS) -> float:
     """Null quantile of the statistic under random pairing of u and v."""
-    if n_perm < 1:
-        raise DiscoveryError(f"n_perm must be at least 1, got {n_perm}")
+    n_perm = _permutation_count(n_perm)
     rng = _philox(seed)
     u = np.asarray(u, dtype=float).reshape(-1)
     v = np.asarray(v, dtype=float).reshape(-1)
@@ -579,8 +589,7 @@ def localize_mechanism_change(environments: Sequence, g: Dag,
     """
     if len(environments) < 2:
         raise DiscoveryError("need at least two environments")
-    if n_perm < 1:
-        raise DiscoveryError(f"n_perm must be at least 1, got {n_perm}")
+    n_perm = _permutation_count(n_perm)
     if eps is not None and not eps >= 0:
         raise DiscoveryError(f"eps must be a number >= 0, got {eps!r}")
     if all(isinstance(e, DiscreteJoint) for e in environments):

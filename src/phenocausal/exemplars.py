@@ -160,6 +160,10 @@ class _UrnProcess:
         except TypeError:
             raise ScmError(f"ball counts and rounds must be integers, got "
                            f"k0={list(self.k0)}, rounds={self.rounds!r}") from None
+        for mv in self.moves:
+            if not 0.0 <= mv.prob <= 1.0:  # NaN too
+                raise ScmError(f"move {mv.label} coin bias must lie in [0, 1], "
+                               f"got {mv.prob!r}")
         object.__setattr__(self, "k0", k0)
         object.__setattr__(self, "rounds", rounds)
 

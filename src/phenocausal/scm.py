@@ -10,6 +10,11 @@ Random draws use counter-based Philox generators (``_philox``). Noise
 columns are keyed by (seed, node index, stream, chunk), so per-node noise
 columns are reproducible independently of each other and chunks can be
 filled in any order (or in parallel) with identical output.
+
+``Dataset.from_csv`` reads plain CSV (printable ASCII data lines without
+quotes) with one ``np.loadtxt`` call. ``_read_csv``, row by row through
+``csv.reader``, is the fallback for everything else and the oracle: it reads
+quotes and CR line ends and names the line at fault in every refusal.
 """
 
 from __future__ import annotations
@@ -283,43 +288,28 @@ def _format_column(col: np.ndarray) -> list[str]:
 
 
 def _read_plain_csv(text: str) -> tuple[tuple[str, ...], np.ndarray] | None:
-    """Column-wise reading of well-formed CSV text without quotes, CR or NUL.
+    """One ``np.loadtxt`` call on data lines of printable ASCII without
+    quotes, where numpy's parser and ``float`` read a field alike.
 
     Returns None whenever the text needs the csv module or is malformed, so
-    that ``_read_csv`` reads it and names the line at fault. Lines are split
-    on "\n" and fields on ",", which is what ``csv.reader`` does with such
-    text; the fields are converted by the same ``np.array(..., dtype=float)``
-    call, so both readers accept the same numbers.
+    that ``_read_csv`` reads it and names the line at fault. numpy splits
+    lines and skips blank ones as ``csv.reader`` does; a field that it
+    refuses but ``float`` reads, such as ``1_0``, goes to the fallback.
     """
-    if '"' in text or "\r" in text or "\0" in text:
-        return None
     first, _, body = text.partition("\n")
-    if not first:
+    limit = csv.field_size_limit()
+    if (not first or any(c in text for c in '"\r\0') or not body.strip("\n")
+            or not (body.isascii() and body.replace("\n", "").isprintable())
+            # no field is above the limit when no line is
+            or len(text) > limit and max(map(len, text.split("\n"))) > limit):
         return None
     header = first.split(",")
-    if "\n\n" in body or body.startswith("\n"):
-        return None  # blank lines: csv.reader skips them
-    if body.endswith("\n"):
-        body = body[:-1]
-    if not body:
-        return None
     try:
-        # every line holds len(header) fields iff the separators, in order
-        # and with the end of the text as a last one, are a line end
-        # exactly at every len(header)-th place (UTF-8 never uses the bytes
-        # of "," or "\n" inside a multi-byte character)
-        raw = np.frombuffer(body.encode(), dtype=np.uint8)
-        ends = np.append(raw[(raw == ord(",")) | (raw == ord("\n"))] == ord("\n"), True)
-        if not np.array_equal(ends, np.arange(1, ends.size + 1) % len(header) == 0):
-            return None
-        fields = body.replace("\n", ",").split(",")
-        if len(text) > csv.field_size_limit() and max(
-                map(len, header + fields)) > csv.field_size_limit():
-            return None
-        rows = np.array(fields, dtype=float).reshape(-1, len(header))
-    except ValueError:  # also a lone surrogate that cannot be encoded
+        rows = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2,
+                          dtype=float)
+    except ValueError:
         return None
-    if not np.isfinite(rows).all():
+    if rows.shape[1] != len(header) or not np.isfinite(rows).all():
         return None
     return tuple(header), rows
 

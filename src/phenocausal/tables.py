@@ -419,9 +419,35 @@ def hard_intervention(p: DiscreteJoint, g: Dag, j: str, v: int) -> DiscreteJoint
 
 def soft_intervention(p: DiscreteJoint, g: Dag, j: str,
                       t: ConditionalTable) -> DiscreteJoint:
-    """Replace the factor of ``j`` by ``t``; all other factors unchanged."""
+    """Replace the factor of ``j`` by ``t``; all other factors unchanged.
+
+    Refused when the intervened joint reaches a parent context in which a
+    conditional is undefined (``p`` gives that context no mass)."""
     _check_same_variables(p, g)
-    return product_joint(g, _replace_factor(g, factorize(p, g), j, t)).permute(p.names)
+    factors = _replace_factor(g, factorize(p, g), j, t)
+    try:
+        return product_joint(g, factors).permute(p.names)
+    except TableError:
+        _refuse_undefined_context(g, factors)
+        raise
+
+
+def _refuse_undefined_context(g: Dag, factors: Sequence[ConditionalTable]) -> None:
+    """Raise TableError naming the first node, in topological order, whose
+    conditional is undefined in a parent context of positive mass. Uniform
+    rows in the undefined contexts make the product a joint whose context
+    masses are exact up to that node."""
+    q = product_joint(g, [ConditionalTable(f.target, f.given, np.where(
+        f.defined[..., None], f.table, 1.0 / f.table.shape[-1])) for f in factors])
+    by_target = {f.target: f for f in factors}
+    for v in g.topological_order():
+        f = by_target[v]
+        lost = np.where(f.defined, 0.0, q.marginal(f.given).permute(f.given).probs)
+        if lost.max(initial=0.0) > 0.0:
+            at = np.unravel_index(np.argmax(lost), lost.shape)
+            where = ", ".join(f"{u} = {i}" for u, i in zip(f.given, at)) or "no parents"
+            raise TableError(f"the conditional of {v!r} is undefined given {where}, a "
+                             f"context of probability {float(lost[at])!r} after the intervention")
 
 
 def _replace_factor(g: Dag, factors: Sequence[ConditionalTable], j: str,

@@ -188,7 +188,9 @@ def build_embedding(exemplar: Exemplar,
     base = exemplar.scm
     if base is None:
         raise ValueError(f"exemplar {exemplar.name!r} has no unit-level system")
-    class_nodes: dict[str, str] = exemplar.notes["class_nodes"]
+    class_nodes: dict[str, str] | None = exemplar.notes.get("class_nodes")
+    if class_nodes is None:
+        raise ValueError(f"exemplar {exemplar.name!r} has no action-class map")
     driven: dict[str, tuple[str, Callable]] = {}
     for label, (ctrl, fn) in controllers.controls.items():
         if label not in class_nodes:

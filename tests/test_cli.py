@@ -4,6 +4,9 @@ reruns, and schema validity of every emitted JSON."""
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 from importlib import resources
 from pathlib import Path
@@ -12,6 +15,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+import phenocausal
 from phenocausal import urn_chain
 from phenocausal.cli import run
 from phenocausal.scm import Dataset
@@ -272,6 +276,23 @@ def test_discover_empty_csv_exits_2(tmp_path, capfd):
 def test_discover_header_only_csv_exits_2(tmp_path, capfd):
     assert _discover_rc(tmp_path, "Kb,Kr\n") == 2
     assert "no data rows" in capfd.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["Kb,Kr\n", "Kb,Kr\n\n\n"],
+                         ids=["header-only", "blank-lines"])
+def test_discover_without_data_rows_writes_one_line_in_a_fresh_interpreter(tmp_path, text):
+    # pytest's own warning capture would hide a warning that numpy prints
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    src = Path(phenocausal.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "phenocausal.cli", "discover", "--method", "bivariate",
+         "--in", str(path), "--seed", "1"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert "no data rows" in proc.stderr
 
 
 def test_discover_ragged_csv_names_line(tmp_path, capfd):

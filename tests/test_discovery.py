@@ -8,6 +8,7 @@ import ast
 import importlib.util
 import inspect
 import math
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -486,6 +487,28 @@ def test_permutation_counts_below_one_are_refused(n_perm):
         localize_mechanism_change(envs, ex.ground_truth, n_perm=n_perm)
     with pytest.raises(DiscoveryError, match=message):
         permutation_threshold(envs[0].column("Kb"), envs[0].column("Kr"), n_perm=n_perm)
+
+
+@pytest.mark.parametrize("n_perm", [2.5, 3.0, "3", None])
+@pytest.mark.parametrize("eps", [None, 0.1])
+def test_non_integer_permutation_counts_are_refused(n_perm, eps):
+    ex = urn_bivariate(kb0=50, kr0=50, rounds=3)
+    envs = [ex.sample(500, 0), ex.sample(500, 1)]
+    message = f"n_perm must be an integer, got {n_perm!r}"
+    with pytest.raises(DiscoveryError, match="^" + re.escape(message) + "$"):
+        localize_mechanism_change(envs, ex.ground_truth, eps=eps, n_perm=n_perm)
+    with pytest.raises(DiscoveryError, match="^" + re.escape(message) + "$"):
+        permutation_threshold(envs[0].column("Kb"), envs[0].column("Kr"), n_perm=n_perm)
+
+
+def test_numpy_integer_permutation_counts_are_accepted():
+    ex = urn_bivariate(kb0=50, kr0=50, rounds=3)
+    envs = [ex.sample(500, 0), ex.sample(500, 1)]
+    assert (localize_mechanism_change(envs, ex.ground_truth, n_perm=np.int64(5))
+            == localize_mechanism_change(envs, ex.ground_truth, n_perm=5))
+    u, v = envs[0].column("Kb"), envs[0].column("Kr")
+    assert (permutation_threshold(u, v, n_perm=np.int32(5))
+            == permutation_threshold(u, v, n_perm=5))
 
 
 @pytest.mark.parametrize("eps", [math.nan, -1.0])

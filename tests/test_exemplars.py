@@ -8,6 +8,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -68,6 +69,19 @@ def test_zero_biases_keep_initial_state():
 def test_rounds_precondition():
     with pytest.raises(ScmError):
         urn_bivariate(kb0=5, kr0=20, rounds=5)
+
+
+@pytest.mark.parametrize("build, width", [
+    (urn_bivariate, 4), (lambda coin_biases: urn_chain(n=3, coin_biases=coin_biases), 6),
+    (lambda coin_biases: bundles_chain(n=3, coin_biases=coin_biases), 6),
+])
+@pytest.mark.parametrize("bias", [1.5, -0.1, math.nan])
+def test_urn_builders_refuse_a_coin_bias_outside_the_unit_interval(build, width, bias):
+    # the A1+ coin: its bias used to be taken as given until binomdiff saw it
+    biases = (bias,) + (0.5,) * (width - 1)
+    with pytest.raises(ScmError, match=re.escape(
+            f"move A1+ coin bias must lie in [0, 1], got {bias!r}")):
+        build(coin_biases=biases)
 
 
 def test_bounded_process_matches_linear_idealization_without_refusals():

@@ -3,6 +3,8 @@ factor-change detection."""
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -323,6 +325,26 @@ def test_hard_intervention_value_range():
     p = _positive_joint(g, {"A": 2, "B": 2, "C": 2}, 5)
     with pytest.raises(TableError):
         hard_intervention(p, g, "B", 2)
+
+
+@pytest.mark.parametrize("nodes, edges, probs, message", [
+    (("A", "B"), [("A", "B")], [[0.5, 0.5], [0.0, 0.0]],
+     "the conditional of 'B' is undefined given A = 1, a context of probability 0.5 "),
+    (("C", "A", "B"), [("C", "B"), ("A", "B")],
+     [[[0.25, 0.25], [0.0, 0.0]], [[0.25, 0.25], [0.0, 0.0]]],
+     "the conditional of 'B' is undefined given C = 0, A = 1, a context of probability 0.25 "),
+])
+def test_soft_intervention_names_the_undefined_conditional_it_reaches(
+        nodes, edges, probs, message):
+    # p gives A = 1 no mass, so B's conditional is undefined there, and a
+    # uniform factor of A sends mass into that context
+    g = Dag(nodes, edges)
+    p = DiscreteJoint(nodes, np.array(probs))
+    with pytest.raises(TableError, match="^" + re.escape(message)):
+        soft_intervention(p, g, "A", ConditionalTable("A", (), np.array([0.5, 0.5])))
+    # a factor that keeps A = 0 reaches no undefined context
+    kept = soft_intervention(p, g, "A", ConditionalTable("A", (), np.array([1.0, 0.0])))
+    assert np.array_equal(kept.probs, p.probs)
 
 
 def test_hard_intervention_nondescendant_marginals_unchanged():

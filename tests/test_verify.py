@@ -25,6 +25,7 @@ from phenocausal import (
     TableError,
     TrialRecord,
     build_embedding,
+    build_exemplar,
     changed_factors,
     conditional,
     exact_joint,
@@ -174,6 +175,12 @@ def test_embedding_refuses_an_exemplar_without_a_unit_level_system():
     _, spec = _embedding()
     with pytest.raises(ValueError, match="'farmers' has no unit-level system"):
         build_embedding(farmers(), spec)
+
+
+@pytest.mark.parametrize("name", ["rabbits1", "rabbits2", "macro1", "macro2"])
+def test_embedding_refuses_an_exemplar_without_an_action_class_map(name):
+    with pytest.raises(ValueError, match=f"^exemplar '{name}' has no action-class map$"):
+        build_embedding(build_exemplar(name), ControllerSpec({}, {}))
 
 
 def test_embedding_refuses_a_node_driven_by_two_classes():
