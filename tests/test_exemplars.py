@@ -76,8 +76,8 @@ def test_rounds_precondition():
     (lambda coin_biases: bundles_chain(n=3, coin_biases=coin_biases), 6),
 ])
 @pytest.mark.parametrize("bias", [1.5, -0.1, math.nan])
-def test_urn_builders_refuse_a_coin_bias_outside_the_unit_interval(build, width, bias):
-    # the A1+ coin: its bias used to be taken as given until binomdiff saw it
+def test_urn_exemplars_refuse_a_coin_bias_outside_the_unit_interval(build, width, bias):
+    # refused when the process is built, before any sample or exact joint
     biases = (bias,) + (0.5,) * (width - 1)
     with pytest.raises(ScmError, match=re.escape(
             f"move A1+ coin bias must lie in [0, 1], got {bias!r}")):
