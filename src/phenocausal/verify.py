@@ -8,7 +8,8 @@ Three verifiers are provided, each producing replayable trial records:
   y and the backward conditional p(x|y).
 * embedding Markov -- when each action class is driven by its own
   independent controller variable, the exact joint over (controllers,
-  system) must satisfy the Markov condition of the combined graph.
+  system), the p(y)-mixture over controller settings y, must satisfy the
+  Markov condition of the combined graph.
 * boundary consistency -- a single-factor perturbation, pushed through
   marginalization onto a graphically causally sufficient subset, changes
   at most one factor of the marginal model; on the side, backdoor sets of
@@ -34,10 +35,10 @@ from .exemplars import Exemplar
 from .graphs import (Dag, _reachable_inside, backdoor_admissible,
                      is_graphically_causally_sufficient, marginal_dag,
                      random_dag)
-from .scm import GeneralScm, NoiseSpec, _philox, exact_joint
+from .scm import NoiseSpec, _philox, exact_joint
 from .tables import (MAX_TABLE_ENTRIES, ConditionalTable, DiscreteJoint,
-                     _marginal_array, _replace_factor, changed_factors, conditional,
-                     markov_report, product_joint, tv_distance)
+                     _marginal_array, _replace_factor, _tabulate, changed_factors,
+                     conditional, markov_report, product_joint, tv_distance)
 
 __all__ = [
     "TrialRecord",
@@ -173,17 +174,16 @@ class ControllerSpec:
     controls: dict[str, tuple[str, Callable]]
 
 
-def build_embedding(exemplar: Exemplar,
-                    controllers: ControllerSpec) -> tuple[GeneralScm, Dag]:
-    """Joint SCM over (controllers, system) plus the combined graph.
+def build_embedding(exemplar: Exemplar, controllers: ControllerSpec
+                    ) -> tuple[DiscreteJoint, dict[str, tuple], Dag]:
+    """Exact joint over (controllers, system) and its levels, as
+    ``exact_joint`` returns them, plus the combined graph, where an edge runs
+    from a controller to the node whose action class it drives.
 
-    An edge runs from a controller to the node whose action class it
-    drives. The class tally of a controlled node becomes a vector with one
-    independent component per value of its controller: the sorted distinct
-    atoms of the controller's law, zero-weight atoms included. Its noise is
-    the index of the vector's joint atom (``itertools.product`` order), and
-    its mechanism picks the component of the controller's value by array
-    indexing.
+    Given the controllers' values y, the system is the exemplar with each
+    driven class tally at fn(y): the joint is the p(y)-mixture of these
+    systems, one ``exact_joint`` per setting (the controllers' distinct
+    atoms of positive weight, in ``itertools.product`` order).
     """
     base = exemplar.scm
     if base is None:
@@ -203,36 +203,31 @@ def build_embedding(exemplar: Exemplar,
             raise ValueError(f"node {target!r} controlled by two classes")
         driven[target] = (ctrl, fn)
 
-    nodes = tuple(controllers.noises) + base.nodes
+    ctrls = tuple(controllers.noises)
+    nodes = ctrls + base.nodes
     gtilde = Dag(nodes, set(exemplar.ground_truth.edges)
                  | {(ctrl, v) for v, (ctrl, _fn) in driven.items()})
-    # each controller is a root that takes its noise value
-    parents = {**{y: () for y in controllers.noises}, **base.parents}
-    mechanisms = {**{y: lambda pa, nz: nz for y in controllers.noises},
-                  **base.mechanisms}
-    noises = {**controllers.noises, **base.noises}
-    for v, (ctrl, fn) in driven.items():
-        values = tuple(np.unique(controllers.noises[ctrl].support()[0]).tolist())
-        atom_sets = [fn(c).support() for c in values]
-        probs = tuple(math.prod(combo)
-                      for combo in itertools.product(*(s[1] for s in atom_sets)))
-        # components[i, c]: joint atom i's tally under controller value c
-        components = np.array(list(itertools.product(*(s[0] for s in atom_sets))))
-        parents[v] = base.parents[v] + (ctrl,)
-
-        # the base mechanism reads its own parents by name and ignores the
-        # controller value that shares ``pa`` with them
-        def mech(pa, atom, base_mech=base.mechanisms[v], ctrl=ctrl, values=values,
-                 components=components):
-            at = np.searchsorted(values, pa[ctrl])
-            return base_mech(pa, components[np.asarray(atom, dtype=np.intp), at])
-
-        mechanisms[v] = mech
-        noises[v] = NoiseSpec.finite(range(len(probs)), probs)
-
-    scm = GeneralScm(nodes=nodes, parents=parents, mechanisms=mechanisms,
-                     noises=noises)
-    return scm, gtilde
+    laws = []  # each controller's (value, weight) pairs of positive weight
+    for y in ctrls:
+        atoms, probs = controllers.noises[y].support()
+        values, codes = np.unique(atoms, return_inverse=True)
+        mass = np.bincount(codes, weights=probs)
+        laws.append([(v, w) for v, w in zip(values.tolist(), mass.tolist()) if w > 0])
+    settings = math.prod(map(len, laws))
+    if settings > MAX_TABLE_ENTRIES:
+        raise ValueError(f"{settings} controller settings exceed cap {MAX_TABLE_ENTRIES}")
+    columns, weights = [], []  # the rows (y, x) of each setting, weighted p(y) p_y(x)
+    for setting in itertools.product(*laws):
+        y = dict(zip(ctrls, (v for v, _w in setting)))
+        noises = {**base.noises, **{v: fn(y[ctrl]) for v, (ctrl, fn) in driven.items()}}
+        p_y, levels_y = exact_joint(replace(base, noises=noises))
+        cells = np.nonzero(p_y.probs)
+        columns.append([np.full(cells[0].size, v) for v, _w in setting]
+                       + [np.asarray(levels_y[v])[i] for v, i in zip(base.nodes, cells)])
+        weights.append(math.prod(w for _v, w in setting) * p_y.probs[cells])
+    levels, (joint,) = _tabulate(nodes, [(list(map(np.concatenate, zip(*columns))),
+                                          np.concatenate(weights))])
+    return joint, dict(zip(nodes, levels)), gtilde
 
 
 def urn2_controllers(rounds: int, base_biases: Sequence[float],
@@ -254,10 +249,9 @@ def urn2_controllers(rounds: int, base_biases: Sequence[float],
     )
 
 
-def verify_embedding_markov(scm: GeneralScm, gtilde: Dag, index: int = 0,
+def verify_embedding_markov(joint: DiscreteJoint, gtilde: Dag, index: int = 0,
                             seed: int = 0) -> TrialRecord:
-    """Exactly enumerate the embedding's joint and check Markovness."""
-    joint, _levels = exact_joint(scm)
+    """Check the embedding's exact joint for Markovness to ``gtilde``."""
     ok, triple, worst = markov_report(joint, gtilde, eps=_EMBEDDING_EPS)
     details = {"worst_residual": worst, "states": int(joint.probs.size)}
     if triple is not None:
@@ -484,8 +478,8 @@ def embedding_trial(trial_seed: int, rounds: int = 3, index: int = 0) -> TrialRe
     spec = urn2_controllers(rounds, base, shifted,
                             p_y1=float(rng.uniform(0.3, 0.7)),
                             p_y2=float(rng.uniform(0.3, 0.7)))
-    scm, gtilde = build_embedding(ex, spec)
-    return verify_embedding_markov(scm, gtilde, index=index, seed=trial_seed)
+    joint, _levels, gtilde = build_embedding(ex, spec)
+    return verify_embedding_markov(joint, gtilde, index=index, seed=trial_seed)
 
 
 def _run_trials(fn: Callable, seeds: list[int], jobs: int) -> list[TrialRecord]:

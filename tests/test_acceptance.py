@@ -95,8 +95,8 @@ def test_criterion_03_embedding_markov():
     base = (0.5, 0.5, 0.5, 0.5)
     shifted = (0.8, 0.2, 0.7, 0.3)
     ex = urn_bivariate(kb0=12, kr0=12, rounds=rounds, coin_biases=base)
-    scm, gtilde = build_embedding(ex, urn2_controllers(rounds, base, shifted))
-    rec = verify_embedding_markov(scm, gtilde)
+    joint, _levels, gtilde = build_embedding(ex, urn2_controllers(rounds, base, shifted))
+    rec = verify_embedding_markov(joint, gtilde)
     elapsed = time.monotonic() - t0
     assert rec.ok
     assert rec.details["states"] <= 2**14

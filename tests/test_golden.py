@@ -57,10 +57,10 @@ GOLDEN = [
      {".json": "1577c343da0318efb6be75aa23370fd44cafdae558c8d7f4e4325076b64f4f59"}),
     ("verify-embedding",
      ["verify", "--which", "embedding", "--trials", "6", "--seed", "5"],
-     {".json": "68d9f475788639418bc0fdcbef45adb0e3308c84cf657e7060e3b9163aa58b37"}),
+     {".json": "8e65918be106626528ded1301442ec8c89cafcc069e77aeffc70cfc033ced4a4"}),
     ("verify-all",
      ["verify", "--which", "all", "--trials", "6", "--seed", "5"],
-     {".json": "8832ab2b9c73dc257fd1a1ac147803e0d5b76a9fbce591f9a215de7e565b54ec"}),
+     {".json": "ca329aa0ec963b5c67e7bccb47fe7efd725f72851310e17e047ac8cdc41d5c53"}),
     ("report",
      ["report", "--seed", "3"],
      {".json": "849be7c4f7228ece03b0c343b7c014faf5e8c522850f195a88b4884efd5703fe"}),

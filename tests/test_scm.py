@@ -32,7 +32,6 @@ from phenocausal import (
     ScmError,
     SingularStructureError,
     TableError,
-    build_embedding,
     bundles_chain,
     exact_joint,
     is_markov,
@@ -44,6 +43,7 @@ from phenocausal import (
     urn_chain,
     urn2_controllers,
 )
+from embedding_reference import embedding_reference
 from urn_oracles import bundles_mixing, urn_toeplitz_mixing
 
 
@@ -693,7 +693,7 @@ def _wrapped_sum(terms, modulus, use_noise=True):
 def _by_context(inner, ctx, components):
     # the atom is the integer code of a vector (a row of ``components``) with
     # one component per value of parent ``ctx``, the component picked by that
-    # value, as ``build_embedding`` wires controllers
+    # value, as ``embedding_reference`` wires controllers
     table = np.asarray(components, dtype=float)
     return lambda pa, code: inner(pa, table[
         np.asarray(code, dtype=np.intp),
@@ -758,7 +758,7 @@ def test_exact_joint_calls_each_mechanism_once_per_parent_values_and_atom():
     # one call per node, on the whole 2 x 2 x 49 x 49 noise grid
     base, shifted = (0.5, 0.4, 0.6, 0.3), (0.7, 0.2, 0.4, 0.5)
     ex = urn_bivariate(kb0=12, kr0=12, rounds=3, coin_biases=base)
-    scm, _ = build_embedding(ex, urn2_controllers(3, base, shifted))
+    scm = embedding_reference(ex, urn2_controllers(3, base, shifted))
     counted_scm, calls = _counted(scm)
     joint, levels = exact_joint(counted_scm)
     assert calls == collections.Counter(scm.nodes)
@@ -816,7 +816,7 @@ def test_forward_pass_equals_per_unit_evaluate_on_exemplars(name, n):
 def test_forward_pass_equals_per_unit_evaluate_on_an_embedding(n):
     base, shifted = (0.5, 0.4, 0.6, 0.3), (0.7, 0.2, 0.4, 0.5)
     ex = urn_bivariate(kb0=12, kr0=12, rounds=3, coin_biases=base)
-    scm, _ = build_embedding(ex, urn2_controllers(3, base, shifted))
+    scm = embedding_reference(ex, urn2_controllers(3, base, shifted))
     _assert_one_forward_pass(scm, (), n, 11)
 
 

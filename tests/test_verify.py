@@ -59,6 +59,7 @@ from phenocausal.verify import (
     embedding_trial,
     proposition_trial,
 )
+from embedding_reference import embedding_reference
 
 
 # ---------------------------------------------------------------------------
@@ -117,33 +118,35 @@ def _embedding(rounds=3):
 
 def test_embedding_graph_edges():
     ex, spec = _embedding()
-    scm, gtilde = build_embedding(ex, spec)
+    joint, levels, gtilde = build_embedding(ex, spec)
     assert set(gtilde.edges) == {("Y1", "Kb"), ("Y2", "Kr"), ("Kb", "Kr")}
-    assert scm.nodes == ("Y1", "Y2", "Kb", "Kr")
+    assert joint.names == gtilde.nodes == tuple(levels) == ("Y1", "Y2", "Kb", "Kr")
 
 
 def test_embedding_exact_joint_markov():
     ex, spec = _embedding()
-    scm, gtilde = build_embedding(ex, spec)
-    rec = verify_embedding_markov(scm, gtilde)
+    joint, _levels, gtilde = build_embedding(ex, spec)
+    rec = verify_embedding_markov(joint, gtilde)
     assert rec.ok
     assert rec.details["worst_residual"] <= 1e-12
 
 
 def test_embedding_wrong_graph_fails_with_named_independence():
     ex, spec = _embedding()
-    scm, gtilde = build_embedding(ex, spec)
+    joint, _levels, gtilde = build_embedding(ex, spec)
     wrong = Dag(gtilde.nodes, [e for e in gtilde.edges if e != ("Y1", "Kb")])
-    rec = verify_embedding_markov(scm, wrong)
+    rec = verify_embedding_markov(joint, wrong)
     assert not rec.ok
     assert "Y1" in rec.details["worst_independence"]
 
 
 def test_no_controllers_reduces_to_ground_truth():
     ex, _ = _embedding()
-    scm, gtilde = build_embedding(ex, ControllerSpec(noises={}, controls={}))
+    joint, levels, gtilde = build_embedding(ex, ControllerSpec(noises={}, controls={}))
     assert set(gtilde.edges) == set(ex.ground_truth.edges)
-    assert scm.nodes == ex.scm.nodes
+    ref, ref_levels = exact_joint(ex.scm)
+    assert joint.names == ref.names == ex.scm.nodes and levels == ref_levels
+    assert np.array_equal(joint.probs, ref.probs)
 
 
 def test_constant_controllers_reduce_to_exemplar_check():
@@ -151,8 +154,8 @@ def test_constant_controllers_reduce_to_exemplar_check():
     rounds = 3
     spec = urn2_controllers(rounds, (0.5,) * 4, (0.8, 0.2, 0.7, 0.3),
                             p_y1=0.0, p_y2=0.0)  # controllers pinned to 0
-    scm, gtilde = build_embedding(ex, spec)
-    rec = verify_embedding_markov(scm, gtilde)
+    joint, _levels, gtilde = build_embedding(ex, spec)
+    rec = verify_embedding_markov(joint, gtilde)
     assert rec.ok
 
 
@@ -191,6 +194,45 @@ def test_embedding_refuses_a_node_driven_by_two_classes():
         build_embedding(both_on_kb, spec)
 
 
+def _spy_exact_joint(monkeypatch):
+    """Record the noise grid size of every ``exact_joint`` the embedding runs."""
+    import phenocausal.verify as verify
+
+    grids = []
+
+    def spy(scm):
+        grids.append(math.prod(len(scm.noises[v].support()[0]) for v in scm.nodes))
+        return exact_joint(scm)
+
+    monkeypatch.setattr(verify, "exact_joint", spy)
+    return grids
+
+
+@pytest.mark.parametrize("p_y1, count", [(0.5, 4), (0.0, 2)])
+def test_embedding_runs_one_exact_joint_per_positive_weight_setting(
+        monkeypatch, p_y1, count):
+    ex, _ = _embedding()
+    grids = _spy_exact_joint(monkeypatch)
+    spec = urn2_controllers(3, (0.5,) * 4, (0.8, 0.2, 0.7, 0.3), p_y1=p_y1)
+    joint, levels, _ = build_embedding(ex, spec)
+    # no grid beyond the exemplar's own 7 x 7 tallies
+    assert grids == [49] * count
+    assert len(levels["Y1"]) * len(levels["Y2"]) == count
+
+
+def test_embedding_refuses_more_settings_than_a_table_holds_before_any_exact_joint(
+        monkeypatch):
+    ex, _ = _embedding()
+    grids = _spy_exact_joint(monkeypatch)
+    wide = NoiseSpec.finite(range(128), [1 / 128] * 128)
+    # a one-atom tally keeps a vector-noise construction of this small
+    spec = ControllerSpec(noises={"Y1": wide, "Y2": wide, "Y3": wide},
+                          controls={"A1": ("Y1", lambda y: NoiseSpec.degenerate(0.0))})
+    with pytest.raises(ValueError, match="^2097152 controller settings exceed cap 1048576$"):
+        build_embedding(ex, spec)
+    assert grids == []
+
+
 _BIASES = st.sampled_from([0.0, 0.3, 0.5, 1.0])
 
 
@@ -207,31 +249,35 @@ def _controller(data):
     return law, tallies
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(st.data(), st.sampled_from(["urn2", "urnN"]))
-def test_embedding_given_the_controllers_is_the_exemplar_under_their_tallies(data, name):
+def _drawn_embedding(data, name):
+    """An ``urn2``, or an ``urnN`` n = 3 with A3 uncontrolled, whose classes
+    A1 and A2 are driven by drawn controllers; rounds 1-2."""
     rounds = data.draw(st.integers(1, 2))
     if name == "urn2":
         ex = urn_bivariate(kb0=4, kr0=4, rounds=rounds,
                            coin_biases=[data.draw(_BIASES) for _ in range(4)])
-    else:  # A3 stays uncontrolled
+    else:
         ex = urn_chain(n=3, k0=(4, 4, 4), rounds=rounds,
                        coin_biases=[data.draw(_BIASES) for _ in range(6)])
-    controlled = ("A1", "A2")
     laws, tallies = {}, {}
-    for j, label in enumerate(controlled):
+    for j, label in enumerate(("A1", "A2")):
         laws[f"Y{j}"], tallies[label] = _controller(data)
     controls = {label: (f"Y{j}", lambda c, label=label: NoiseSpec.binomdiff(
-        rounds, *tallies[label][c])) for j, label in enumerate(controlled)}
-    scm, _ = build_embedding(ex, ControllerSpec(noises=laws, controls=controls))
-    grid = math.prod(len(scm.noises[v].support()[0]) for v in scm.nodes)
-    assume(grid <= NOISE_COMBO_CAP)
-    joint, levels = exact_joint(scm)
+        rounds, *tallies[label][c])) for j, label in enumerate(("A1", "A2"))}
+    return ex, ControllerSpec(noises=laws, controls=controls)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data(), st.sampled_from(["urn2", "urnN"]))
+def test_embedding_given_the_controllers_is_the_exemplar_under_their_tallies(data, name):
+    ex, spec = _drawn_embedding(data, name)
+    laws, controls = spec.noises, spec.controls
+    joint, levels, _ = build_embedding(ex, spec)
     ctrl, system = tuple(laws), ex.scm.nodes
     assert joint.names == ctrl + system
 
     p_ctrl = joint.marginal(ctrl).probs
-    # every setting of positive weight: exact_joint keeps no other level
+    # every setting of positive weight: the joint keeps no other level
     for at in itertools.product(*(range(len(levels[y])) for y in ctrl)):
         setting = {y: levels[y][i] for y, i in zip(ctrl, at)}
         # the controllers' marginal is the product of their laws
@@ -249,6 +295,19 @@ def test_embedding_given_the_controllers_is_the_exemplar_under_their_tallies(dat
             assert abs(q - ref_at.get(state, 0.0)) <= 1e-15, (setting, state)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data(), st.sampled_from(["urn2", "urnN"]))
+def test_embedding_equals_the_vector_noise_reference(data, name):
+    ex, spec = _drawn_embedding(data, name)
+    ref_scm = embedding_reference(ex, spec)
+    grid = math.prod(len(ref_scm.noises[v].support()[0]) for v in ref_scm.nodes)
+    assume(grid <= NOISE_COMBO_CAP)
+    joint, levels, _ = build_embedding(ex, spec)
+    ref, ref_levels = exact_joint(ref_scm)
+    assert joint.names == ref.names and levels == ref_levels
+    assert np.abs(joint.probs - ref.probs).max() <= 1e-15
+
+
 def test_embedding_trials_pass():
     for i in range(3):
         assert embedding_trial(900 + i, index=i).ok
@@ -262,6 +321,13 @@ def test_embedding_trial_runs_no_urn_lattice_dp(monkeypatch):
 
     monkeypatch.setattr(_UrnProcess, "exact_joint", refuse)
     assert embedding_trial(900).ok
+
+
+@pytest.mark.parametrize("rounds", [6, 7, 8])
+def test_embedding_trial_passes_past_the_vector_noise_grid_cap(rounds):
+    # the vector-noise grid held 2 * 2 * 169 * 169 = 114,244 combos at rounds 6
+    rec = embedding_trial(11, rounds=rounds)
+    assert rec.ok and rec.details["worst_residual"] <= 1e-12
 
 
 @pytest.mark.parametrize("rounds", [0, -2])
