@@ -176,9 +176,16 @@ def _dvar(levels: np.ndarray, count: np.ndarray, a: np.ndarray) -> float:
                   float(count @ (a * a)), a_total * a_total)
 
 
-def _check_max_points(max_points: int) -> None:
-    if max_points < 20:
-        raise DiscoveryError(f"max_points must be at least 20, got {max_points}")
+def _integer_at_least(name: str, value: int, least: int) -> int:
+    """``value`` as an int; a non-integer (numpy integers pass) or a value
+    below ``least`` is refused with a DiscoveryError naming ``name``."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise DiscoveryError(f"{name} must be an integer, got {value!r}") from None
+    if count < least:
+        raise DiscoveryError(f"{name} must be at least {least}, got {value}")
+    return count
 
 
 def _binary_exponent(u: np.ndarray) -> int:
@@ -210,7 +217,7 @@ def independence_statistic(u: np.ndarray, v: np.ndarray,
     58(4), 2016), with no m x m matrix. Count data has K far below m; a
     tie-free sample has K = m, all weights 1.
     """
-    _check_max_points(max_points)
+    max_points = _integer_at_least("max_points", max_points, 20)
     u = np.asarray(u, dtype=float).reshape(-1)
     v = np.asarray(v, dtype=float).reshape(-1)
     if u.shape != v.shape:
@@ -252,21 +259,11 @@ def independence_statistic(u: np.ndarray, v: np.ndarray,
     return float(np.sqrt(max(dcov2, 0.0) / denom))
 
 
-def _permutation_count(n_perm: int) -> int:
-    try:
-        count = operator.index(n_perm)
-    except TypeError:
-        raise DiscoveryError(f"n_perm must be an integer, got {n_perm!r}") from None
-    if count < 1:
-        raise DiscoveryError(f"n_perm must be at least 1, got {n_perm}")
-    return count
-
-
 def permutation_threshold(u: np.ndarray, v: np.ndarray, n_perm: int = 199,
                           quantile: float = 0.95, seed: int = 0,
                           max_points: int = _MAX_DCOR_POINTS) -> float:
     """Null quantile of the statistic under random pairing of u and v."""
-    n_perm = _permutation_count(n_perm)
+    n_perm = _integer_at_least("n_perm", n_perm, 1)
     rng = _philox(seed)
     u = np.asarray(u, dtype=float).reshape(-1)
     v = np.asarray(v, dtype=float).reshape(-1)
@@ -361,7 +358,7 @@ def lingam_bivariate(data: Dataset,
     reported as undetermined; an exact functional fit is reported as
     degenerate.
     """
-    _check_max_points(max_points)
+    max_points = _integer_at_least("max_points", max_points, 20)
     if len(data.columns) < 2:
         raise DiscoveryError("need at least two columns")
     x, y = data.columns[:2]
@@ -453,7 +450,7 @@ def lingam_multivariate(data: Dataset,
     Gram matrix. The only full-length work left is one residual per node,
     one at a time, for its normality test.
     """
-    _check_max_points(max_points)
+    max_points = _integer_at_least("max_points", max_points, 20)
     cols = data.columns
     d = len(cols)
     n = data.rows.shape[0]
@@ -589,7 +586,7 @@ def localize_mechanism_change(environments: Sequence, g: Dag,
     """
     if len(environments) < 2:
         raise DiscoveryError("need at least two environments")
-    n_perm = _permutation_count(n_perm)
+    n_perm = _integer_at_least("n_perm", n_perm, 1)
     if eps is not None and not eps >= 0:
         raise DiscoveryError(f"eps must be a number >= 0, got {eps!r}")
     if all(isinstance(e, DiscreteJoint) for e in environments):

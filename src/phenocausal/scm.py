@@ -14,7 +14,8 @@ filled in any order (or in parallel) with identical output.
 ``Dataset.from_csv`` reads plain CSV (printable ASCII data lines without
 quotes) with one ``np.loadtxt`` call. ``_read_csv``, row by row through
 ``csv.reader``, is the fallback for everything else and the oracle: it reads
-quotes and CR line ends and names the line at fault in every refusal.
+quotes and CR line ends, refuses a data field that holds ``_`` or a non-ASCII
+character, and names the line at fault in every refusal.
 """
 
 from __future__ import annotations
@@ -329,6 +330,9 @@ def _read_csv(text: str) -> tuple[tuple[str, ...], np.ndarray]:
             if len(row) != len(header):
                 raise ScmError(f"line {reader.line_num}: {len(row)} fields, "
                                f"header has {len(header)}")
+            bad = [f for f in row if "_" in f or not f.isascii()]
+            if bad:
+                raise ScmError(f"line {reader.line_num}: {bad[0]!r} is not a CSV number")
             cells.append(row)
             lines.append(reader.line_num)
     except csv.Error as exc:  # a bare CR in a field, a field above the size limit

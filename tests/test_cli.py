@@ -295,6 +295,24 @@ def test_discover_without_data_rows_writes_one_line_in_a_fresh_interpreter(tmp_p
     assert "no data rows" in proc.stderr
 
 
+@pytest.mark.parametrize("text, field", [("Kb,Kr\n1,2\n3,1e5_0\n", "1e5_0"),
+                                         ("Kb,Kr\n1,2\n3,\u0664\n", "\u0664")],
+                         ids=["digit-groups", "arabic-indic-digit"])
+def test_discover_refuses_a_field_that_is_no_csv_number_in_a_fresh_interpreter(
+        tmp_path, text, field):
+    path = tmp_path / "in.csv"
+    path.write_text(text, encoding="utf-8")
+    src = Path(phenocausal.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "phenocausal.cli", "discover", "--method", "bivariate",
+         "--in", str(path), "--seed", "1"],
+        env={**os.environ, "PYTHONPATH": str(src), "PYTHONUTF8": "1"},
+        capture_output=True, text=True, encoding="utf-8", timeout=120)
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert f"line 3: {field!r} is not a CSV number" in proc.stderr
+
+
 def test_discover_ragged_csv_names_line(tmp_path, capfd):
     assert _discover_rc(tmp_path, "Kb,Kr\n1,2\n3\n4,5\n") == 2
     assert "line 3: 1 fields, header has 2" in capfd.readouterr().err

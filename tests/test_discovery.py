@@ -115,7 +115,7 @@ def test_statistic_refuses_non_finite(bad):
             independence_statistic(*args)
 
 
-@pytest.mark.parametrize("max_points", [-3, 0, 1, 19])
+@pytest.mark.parametrize("max_points", [-3, 0, 1, 19, 1500.5, 20.0, "100", None])
 def test_max_points_below_twenty_refused(max_points):
     rng = np.random.default_rng(6)
     u = rng.exponential(size=300)
@@ -133,6 +133,14 @@ def test_max_points_below_twenty_refused(max_points):
     flat = Dataset(("u", "v"), np.ones((300, 2)), 6)
     with pytest.raises(DiscoveryError, match="max_points"):
         lingam_bivariate(flat, max_points=max_points)
+
+
+def test_max_points_numpy_integer_accepted():
+    rng = np.random.default_rng(6)
+    u = rng.exponential(size=300)
+    v = u + rng.exponential(size=300)
+    assert (independence_statistic(u, v, max_points=np.int64(40))
+            == independence_statistic(u, v, max_points=40))
 
 
 def test_max_points_twenty_accepted():

@@ -27,7 +27,7 @@ from phenocausal import (Dag, Dataset, bundles_chain, discovery, lingam_multivar
                          random_dag, tables, urn_chain)
 from phenocausal.discovery import (_MAX_DCOR_POINTS, _NORMALITY_ALPHA, _PRUNE_THRESHOLD,
                                    DiscoveryError, DiscoveryResult, _binary_exponent,
-                                   _check_max_points, _normality_pvalue, _ols1,
+                                   _integer_at_least, _normality_pvalue, _ols1,
                                    independence_statistic, permutation_threshold)
 from phenocausal.tables import DiscreteJoint
 
@@ -435,7 +435,7 @@ def lingam_multivariate_full_columns(
     """The former ``lingam_multivariate``, its body kept verbatim: every
     pairwise test builds a full-length residual column for the statistic to
     stride, and the edge fits are ``lstsq`` on the rows."""
-    _check_max_points(max_points)
+    _integer_at_least("max_points", max_points, 20)
     cols = data.columns
     d = len(cols)
     n = data.rows.shape[0]

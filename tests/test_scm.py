@@ -185,6 +185,9 @@ def _reference_from_csv(text):
         if len(row) != len(header):
             raise ScmError(f"line {reader.line_num}: {len(row)} fields, "
                            f"header has {len(header)}")
+        for field in row:  # digit groups and non-ASCII digits are no CSV numbers
+            if "_" in field or not field.isascii():
+                raise ScmError(f"line {reader.line_num}: {field!r} is not a CSV number")
         cells.append(row)
         lines.append(reader.line_num)
     if not cells:
@@ -301,6 +304,23 @@ def test_from_csv_keeps_the_csv_field_size_limit(width, accepted):
 def test_csv_module_errors_are_scm_errors(text, message):
     with pytest.raises(ScmError, match="^" + re.escape(message)):
         Dataset.from_csv(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a,b\n1_0,2\n3,1e5_0\n", "line 2: '1_0' is not a CSV number"),
+    ("a,b\n1,2\n3,1e5_0\n", "line 3: '1e5_0' is not a CSV number"),
+    ("a,b\n1,2\n3,\u0664\n", "line 3: '\u0664' is not a CSV number"),
+    ('a,b\n1,"\u00a08"\n', "line 2: '\\xa08' is not a CSV number"),
+])
+def test_from_csv_refuses_digit_groups_and_non_ascii_fields(text, message):
+    with pytest.raises(ScmError, match="^" + re.escape(message) + "$"):
+        Dataset.from_csv(text)
+
+
+@pytest.mark.parametrize("row", ["1,2", '"1",2'])  # quotes take the csv module
+def test_from_csv_keeps_any_header_text(row):
+    ds = Dataset.from_csv(f"a_1,\u00e9\u0664\n{row}\n")
+    assert ds.columns == ("a_1", "\u00e9\u0664") and ds.rows.tolist() == [[1.0, 2.0]]
 
 
 _EDGE_VALUES = [0.0, -0.0, 1.0, -1.0, 0.5, 1e15, -1e15, np.nextafter(1e15, 0.0),
