@@ -29,6 +29,7 @@ are reported separately; they never cause violations.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Mapping, Sequence
@@ -57,6 +58,24 @@ __all__ = [
 
 class ClassificationError(ValueError):
     """Invalid classification request (mismatched variables, cap exceeded)."""
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int (numpy integers pass); anything else is refused
+    with a ClassificationError naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ClassificationError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_kind(actions: Sequence, kind: type, mode: str) -> None:
+    """Refuse an action that is not a ``kind``, naming it and the mode."""
+    for action in actions:
+        if not isinstance(action, kind):
+            raise ClassificationError(
+                f"action {getattr(action, 'label', action)!r} is a "
+                f"{type(action).__name__}; {mode} mode takes {kind.__name__}s")
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +243,7 @@ class _StatisticalSuite:
                  actions: Sequence[StatisticalAction], eps: float):
         if not eps >= 0:
             raise ClassificationError(f"eps must be a number >= 0, got {eps!r}")
+        _check_kind(actions, StatisticalAction, "statistical")
         self.baseline = baseline
         self.actions = tuple(actions)
         self.eps = eps
@@ -249,6 +269,11 @@ class _StatisticalSuite:
             if self._distances[key] > self.eps:
                 out.append(v)
         return tuple(out)
+
+    def splits_an_action(self, g: Dag) -> bool:
+        """Whether some action changes two or more of ``g``'s conditionals,
+        which makes ``g`` invalid whatever its Markov statements say."""
+        return any(len(self._changed(k, g)) >= 2 for k in range(len(self.actions)))
 
     def _markov(self, j: int, statements) -> tuple[bool, tuple | None, float]:
         """``markov_report(joint j, g)`` from the statements of ``g``."""
@@ -320,9 +345,15 @@ def unit_displacements(scm: GeneralScm, actions: Sequence[UnitAction],
     """Apply every action to ``trials`` sampled baseline states at once and
     collect the unique displacement vectors per action (in scm node order,
     rounded to 12 decimals). A displacement that is not finite, or too
-    large to round, is refused: it has no consistent equation."""
+    large to round, is refused: it has no consistent equation. A
+    non-integer ``trials`` or ``seed``, a negative seed and an action that is
+    not a UnitAction are refused before any state is sampled."""
+    trials, seed = _integer("trials", trials), _integer("seed", seed)
     if trials < 1:
         raise ClassificationError(f"need at least one trial, got {trials}")
+    if seed < 0:
+        raise ClassificationError(f"seed must be >= 0, got {seed}")
+    _check_kind(actions, UnitAction, "unit")
     state = scm.evaluate(scm.sample_noise(trials, seed))
     x = np.column_stack([np.broadcast_to(state[v], trials) for v in scm.nodes]
                         ).astype(float)
@@ -376,7 +407,8 @@ class _UnitSuite:
     v's equation is the stacked block of the rows of the non-identity
     actions not assigned to v, so a solve depends on (v, pa(v), those
     actions in assignment order); the order is part of the key because it
-    is the row order ``lstsq`` sees.
+    is the row order ``lstsq`` sees. ``candidates`` searches parent sets
+    with these same keys instead of enumerating DAGs.
     """
 
     def __init__(self, disp: _Displacements, eps: float):
@@ -423,6 +455,74 @@ class _UnitSuite:
         if key not in self._free:
             self._free[key] = _free_coefficients(self._system(*key)[0])
         return self._free[key]
+
+    def candidates(self) -> list[Dag]:
+        """The DAGs that ``classify`` finds valid, in ``all_dags`` order,
+        from a depth-first search over each node's parent sets.
+
+        A DAG is valid exactly when every non-identity action is forced onto
+        one node and each node's equation is consistent with no zero-forced
+        edge. The set forced onto v and v's equation (the non-identity
+        actions not forced onto v, in action order) depend on (v, pa(v))
+        alone, so each parent set is checked once: the search keeps those
+        that pass, takes them node by node with pairwise disjoint forced
+        sets, drops a choice as soon as it closes a cycle, and accepts when
+        the forced sets cover every non-identity action.
+        """
+        disp, nodes = self.disp, self.disp.columns
+        if any(disp.inapplicable):
+            return []
+        n = len(nodes)
+        moved = [a for a in range(len(disp.labels)) if not self.identity[a]]
+        options: list[list[tuple[int, int]]] = []  # per node: (parents, forced) bit masks
+        for i, v in enumerate(nodes):
+            options.append([])
+            for pmask in range(1 << n):
+                if pmask >> i & 1:
+                    continue
+                pa = tuple(nodes[j] for j in range(n) if pmask >> j & 1)
+                forced = [a for a in moved if self.hit(a, v, pa)]
+                block = tuple(a for a in moved if a not in forced)
+                x0 = self.solution(v, pa, block)
+                if x0 is None:
+                    continue
+                small = np.abs(x0) <= self.eps
+                if small.any() and (small & ~self.free(v, pa, block)).any():
+                    continue  # a zero-forced edge
+                options[i].append((pmask, sum(1 << a for a in forced)))
+        everything = sum(1 << a for a in moved)
+        parents = [0] * n
+        found: list[tuple[tuple[str, str], ...]] = []
+
+        def closes_cycle(i: int) -> bool:
+            """Whether node i is an ancestor of its new parents, through the
+            parent sets of the nodes placed before it."""
+            seen, frontier = 0, parents[i]
+            while frontier:
+                if frontier >> i & 1:
+                    return True
+                seen |= frontier
+                up = 0
+                for j in range(i):
+                    if frontier >> j & 1:
+                        up |= parents[j]
+                frontier = up & ~seen
+            return False
+
+        def place(i: int, used: int) -> None:
+            if i == n:
+                if used == everything:
+                    found.append(tuple(sorted(
+                        (nodes[j], nodes[k]) for k in range(n)
+                        for j in range(n) if parents[k] >> j & 1)))
+                return
+            for pmask, fmask in options[i]:
+                parents[i] = pmask
+                if not fmask & used and not closes_cycle(i):
+                    place(i + 1, used | fmask)
+
+        place(0, 0)
+        return [Dag(nodes, edges) for edges in sorted(found, key=lambda e: (len(e), e))]
 
     def classify(self, g: Dag) -> ClassificationReport:
         """Assign every non-identity action to the node it is forced onto.
@@ -525,14 +625,19 @@ def classify_unit_displacements(g: Dag, disp: _Displacements,
 
 def valid_graphs(baseline, actions, eps: float = 1e-9, mode: str = "statistical",
                  trials: int = 1000, seed: int = 0) -> list[tuple[Dag, ClassificationReport]]:
-    """All DAGs over the system's variables that classify without violation.
+    """All DAGs over the system's variables that classify without violation,
+    in ``all_dags`` order.
 
     ``baseline`` is a DiscreteJoint in statistical mode and a GeneralScm in
-    unit mode. Enumeration is exhaustive, so more than
-    ``DAG_ENUMERATION_CAP`` (5) nodes are refused before any work. Every
-    test behind a verdict is local to a node, so each runs once per call and
-    later candidates look it up; the reports equal those of classifying
-    each graph alone.
+    unit mode. More than ``DAG_ENUMERATION_CAP`` (5) nodes are refused
+    before any work. Every test behind a verdict is local to a node, so each
+    runs once per call and later candidates look it up. In statistical mode
+    enumeration is exhaustive: every DAG of ``all_dags`` is a candidate,
+    and one in which an action changes two or more conditionals is skipped
+    before its Markov statements are built. In unit mode the candidates come
+    from a search over each node's parent sets (``_UnitSuite.candidates``).
+    Either way only candidates are classified, and each returned report
+    equals that of classifying its graph alone.
     """
     if mode == "statistical":
         if not isinstance(baseline, DiscreteJoint):
@@ -547,10 +652,14 @@ def valid_graphs(baseline, actions, eps: float = 1e-9, mode: str = "statistical"
     if len(nodes) > DAG_ENUMERATION_CAP:
         raise ClassificationError(
             f"{len(nodes)} nodes exceeds exhaustive cap {DAG_ENUMERATION_CAP}")
-    suite = (_StatisticalSuite(baseline, actions, eps) if mode == "statistical"
-             else _UnitSuite(unit_displacements(baseline, actions, trials, seed), eps))
+    if mode == "statistical":
+        suite = _StatisticalSuite(baseline, actions, eps)
+        candidates = (g for g in all_dags(nodes) if not suite.splits_an_action(g))
+    else:
+        suite = _UnitSuite(unit_displacements(baseline, actions, trials, seed), eps)
+        candidates = suite.candidates()
     out = []
-    for g in all_dags(nodes):
+    for g in candidates:
         report = suite.classify(g)
         if report.valid:
             out.append((g, report))
@@ -574,7 +683,14 @@ def bivariate_direction(baseline, actions, eps: float = 1e-9,
     where every action touches exactly one of the two variables);
     Undetermined when several graphs validate or none does.
     """
-    nodes = baseline.names if isinstance(baseline, DiscreteJoint) else baseline.nodes
+    if isinstance(baseline, DiscreteJoint):
+        nodes = baseline.names
+    elif isinstance(baseline, GeneralScm):
+        nodes = baseline.nodes
+    else:
+        raise ClassificationError(
+            f"bivariate_direction needs a DiscreteJoint or a GeneralScm baseline, "
+            f"got {type(baseline).__name__}")
     if len(nodes) != 2:
         raise ClassificationError("bivariate_direction needs exactly two variables")
     valid = valid_graphs(baseline, actions, eps=eps, mode=mode, trials=trials,

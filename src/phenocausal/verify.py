@@ -182,8 +182,10 @@ def build_embedding(exemplar: Exemplar, controllers: ControllerSpec
 
     Given the controllers' values y, the system is the exemplar with each
     driven class tally at fn(y): the joint is the p(y)-mixture of these
-    systems, one ``exact_joint`` per setting (the controllers' distinct
-    atoms of positive weight, in ``itertools.product`` order).
+    systems over the settings (the controllers' distinct atoms of positive
+    weight, in ``itertools.product`` order). A system depends only on the
+    values of the controllers that drive a class, so there is one
+    ``exact_joint`` per distinct tuple of those values.
     """
     base = exemplar.scm
     if base is None:
@@ -216,15 +218,23 @@ def build_embedding(exemplar: Exemplar, controllers: ControllerSpec
     settings = math.prod(map(len, laws))
     if settings > MAX_TABLE_ENTRIES:
         raise ValueError(f"{settings} controller settings exceed cap {MAX_TABLE_ENTRIES}")
+    driving = {ctrl for ctrl, _fn in driven.values()}
+    drivers = [k for k, y in enumerate(ctrls) if y in driving]
+    systems: dict[tuple, tuple[list[np.ndarray], np.ndarray]] = {}
     columns, weights = [], []  # the rows (y, x) of each setting, weighted p(y) p_y(x)
     for setting in itertools.product(*laws):
-        y = dict(zip(ctrls, (v for v, _w in setting)))
-        noises = {**base.noises, **{v: fn(y[ctrl]) for v, (ctrl, fn) in driven.items()}}
-        p_y, levels_y = exact_joint(replace(base, noises=noises))
-        cells = np.nonzero(p_y.probs)
-        columns.append([np.full(cells[0].size, v) for v, _w in setting]
-                       + [np.asarray(levels_y[v])[i] for v, i in zip(base.nodes, cells)])
-        weights.append(math.prod(w for _v, w in setting) * p_y.probs[cells])
+        key = tuple(setting[k][0] for k in drivers)
+        if key not in systems:
+            y = dict(zip(ctrls, (v for v, _w in setting)))
+            noises = {**base.noises,
+                      **{v: fn(y[ctrl]) for v, (ctrl, fn) in driven.items()}}
+            p_y, levels_y = exact_joint(replace(base, noises=noises))
+            cells = np.nonzero(p_y.probs)
+            systems[key] = ([np.asarray(levels_y[v])[i] for v, i in zip(base.nodes, cells)],
+                            p_y.probs[cells])
+        x, p_x = systems[key]
+        columns.append([np.full(p_x.size, v) for v, _w in setting] + x)
+        weights.append(math.prod(w for _v, w in setting) * p_x)
     levels, (joint,) = _tabulate(nodes, [(list(map(np.concatenate, zip(*columns))),
                                           np.concatenate(weights))])
     return joint, dict(zip(nodes, levels)), gtilde

@@ -4,6 +4,7 @@ and bivariate verdicts."""
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -314,6 +315,72 @@ def test_unit_mode_needs_a_trial():
             classify_unit(ex.ground_truth, ex.scm, ex.unit_actions, trials=trials)
         with pytest.raises(ClassificationError, match="at least one trial"):
             valid_graphs(ex.scm, ex.unit_actions, mode="unit", trials=trials)
+
+
+def _refuse_sampling(monkeypatch):
+    def refuse(self, n, seed):
+        raise AssertionError("noise was sampled before the refusal")
+
+    monkeypatch.setattr(GeneralScm, "sample_noise", refuse)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"trials": 2.5}, "^trials must be an integer, got 2.5$"),
+    ({"trials": "80"}, "^trials must be an integer, got '80'$"),
+    ({"seed": 2.5}, "^seed must be an integer, got 2.5$"),
+    ({"seed": None}, "^seed must be an integer, got None$"),
+    ({"seed": -1}, "^seed must be >= 0, got -1$"),
+])
+def test_unit_mode_refuses_bad_trials_and_seed_before_sampling(monkeypatch, kwargs,
+                                                               match):
+    ex = _urn2()
+    args = {"trials": 20, "seed": 1, **kwargs}
+    _refuse_sampling(monkeypatch)
+    with pytest.raises(ClassificationError, match=match):
+        unit_displacements(ex.scm, ex.unit_actions, args["trials"], args["seed"])
+    with pytest.raises(ClassificationError, match=match):
+        classify_unit(ex.ground_truth, ex.scm, ex.unit_actions, **args)
+    with pytest.raises(ClassificationError, match=match):
+        valid_graphs(ex.scm, ex.unit_actions, mode="unit", **args)
+    with pytest.raises(ClassificationError, match=match):
+        bivariate_direction(ex.scm, ex.unit_actions, mode="unit", **args)
+
+
+def test_unit_mode_takes_numpy_integers():
+    ex = _urn2()
+    plain = valid_graphs(ex.scm, ex.unit_actions, mode="unit", trials=30, seed=4)
+    numpy = valid_graphs(ex.scm, ex.unit_actions, mode="unit",
+                         trials=np.int64(30), seed=np.uint8(4))
+    assert [(g, r.to_json_obj()) for g, r in numpy] == \
+        [(g, r.to_json_obj()) for g, r in plain]
+
+
+def test_each_mode_refuses_the_other_modes_actions(monkeypatch):
+    ex = _urn2()
+    _refuse_sampling(monkeypatch)
+    unit_msg = "^action 'A1-bias-shift' is a StatisticalAction; unit mode takes UnitActions$"
+    with pytest.raises(ClassificationError, match=unit_msg):
+        classify_unit(ex.ground_truth, ex.scm, ex.statistical_actions, trials=5)
+    with pytest.raises(ClassificationError, match=unit_msg):
+        valid_graphs(ex.scm, ex.statistical_actions, mode="unit", trials=5)
+    with pytest.raises(ClassificationError, match=unit_msg):
+        bivariate_direction(ex.scm, ex.statistical_actions, mode="unit", trials=5)
+    label = ex.unit_actions[0].label
+    stat_msg = (f"^action {re.escape(repr(label))} is a UnitAction; statistical "
+                "mode takes StatisticalActions$")
+    with pytest.raises(ClassificationError, match=stat_msg):
+        classify_statistical(ex.ground_truth, ex.baseline, ex.unit_actions)
+    with pytest.raises(ClassificationError, match=stat_msg):
+        valid_graphs(ex.baseline, ex.unit_actions, mode="statistical")
+    with pytest.raises(ClassificationError, match=stat_msg):
+        bivariate_direction(ex.baseline, ex.unit_actions)
+
+
+@pytest.mark.parametrize("baseline", [None, ("Kb", "Kr"), Dag(("X", "Y"))])
+def test_bivariate_direction_refuses_a_baseline_of_another_type(baseline):
+    with pytest.raises(ClassificationError,
+                       match="needs a DiscreteJoint or a GeneralScm baseline, got "):
+        bivariate_direction(baseline, ())
 
 
 @pytest.mark.parametrize("eps", [float("nan"), -1.0, -1e-12])

@@ -1,12 +1,13 @@
 """``valid_graphs`` against brute force.
 
 ``valid_graphs`` computes each node-local quantity once per call and looks
-it up for every later candidate DAG. The oracles here classify every DAG of
-``all_dags`` from scratch: the statistical one with fresh ``markov_report``
-and ``changed_factors`` calls, the unit one with a fresh suite per graph and
-the complete backtracking search over class assignments that the forced
-assignment of ``actions._UnitSuite.classify`` replaces. The call-count tests
-pin the sharing itself.
+it up for every later candidate DAG; in unit mode the candidates come from a
+search over parent sets, not from ``all_dags``. The oracles here classify
+every DAG of ``all_dags`` from scratch: the statistical one with fresh
+``markov_report`` and ``changed_factors`` calls, the unit one with a fresh
+suite per graph and the complete backtracking search over class assignments
+that the forced assignment of ``actions._UnitSuite.classify`` replaces. The
+call-count tests pin the sharing itself and which candidates are classified.
 """
 
 from __future__ import annotations
@@ -15,16 +16,19 @@ from collections import Counter
 from typing import Iterable
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from phenocausal import (
     ActionVerdict,
     ClassificationReport,
+    ConditionalTable,
     Dag,
     DiscreteJoint,
     StatisticalAction,
     VerdictKind,
     all_dags,
+    UnitAction,
     build_exemplar,
     bundles_chain,
     changed_factors,
@@ -33,13 +37,16 @@ from phenocausal import (
     random_dag,
     random_markov_joint,
     soft_intervention,
+    unit_action_from_spec,
     urn_bivariate,
     urn_chain,
     valid_graphs,
 )
-from phenocausal import actions, tables
+from phenocausal import actions, graphs, tables
 from phenocausal.actions import (ClassificationError, _Displacements,
                                  classify_unit_displacements)
+from phenocausal.tables import product_joint
+from phenocausal.verify import _random_factors
 
 
 def _markov_violation(label: str, what: str, joint, g, eps: float):
@@ -285,10 +292,30 @@ def _coupling(p: DiscreteJoint, u: str, w: str) -> DiscreteJoint:
     return DiscreteJoint(p.names, q / q.sum())
 
 
+def _zero_cells(g: Dag, card: dict[str, int], rng) -> DiscreteJoint:
+    """A joint that factorizes over ``g`` and has zero cells: the last node
+    in topological order, when it has parents, never takes its first level
+    in its parents' first context. It is a sink, so no conditional of the
+    baseline or of a soft intervention is left undefined."""
+    factors = _random_factors(g, card, rng)
+    sink = g.topological_order()[-1]
+    if g.parents(sink):
+        k = g.nodes.index(sink)
+        t = factors[k].table.copy()
+        first = (0,) * (t.ndim - 1)
+        t[first + (0,)] = 0.0
+        t[first] /= t[first].sum()
+        factors[k] = ConditionalTable(sink, g.parents(sink), t)
+    return product_joint(g, factors)
+
+
 def _statistical_instance(n: int, cards: list[int], seed: int, identity: bool,
-                          couple: bool, generated: bool):
+                          couple: bool, generated: bool, zero: bool = False):
     """A random Markov baseline with one soft intervention per node, plus
-    optional identity, dependence-creating and callable actions."""
+    optional identity, dependence-creating and callable actions. With
+    ``zero`` the baseline has zero cells where it can stay Markov to the
+    generating graph, and an action zeroes the cells where X0 and the last
+    node both take their first level."""
     rng = np.random.default_rng(seed)
     nodes = [f"X{i}" for i in range(n)]
     g = random_dag(nodes, rng, edge_prob=0.5)
@@ -296,7 +323,7 @@ def _statistical_instance(n: int, cards: list[int], seed: int, identity: bool,
     roots = {"X0", "X1"}
     g = Dag(nodes, [(a, b) for a, b in g.edges if b not in roots])
     card = dict(zip(nodes, cards))
-    p = random_markov_joint(g, card, rng)
+    p = _zero_cells(g, card, rng) if zero else random_markov_joint(g, card, rng)
     suite = [StatisticalAction(f"soft-{v}", soft_intervention(
         p, g, v, random_conditional(g, v, card, rng))) for v in nodes]
     if identity:
@@ -308,17 +335,21 @@ def _statistical_instance(n: int, cards: list[int], seed: int, identity: bool,
         t = random_conditional(g, v, card, rng)
         suite.append(StatisticalAction(
             f"gen-{v}", lambda base: soft_intervention(base, g, v, t)))
+    if zero:
+        q = p.probs.copy()
+        q[(0,) + (slice(None),) * (n - 2) + (0,)] = 0.0
+        suite.append(StatisticalAction("zero", DiscreteJoint(p.names, q / q.sum())))
     return g, p, suite
 
 
 _FLAGS = dict(cards=st.lists(st.integers(2, 3), min_size=4, max_size=4),
               seed=st.integers(0, 2**31), identity=st.booleans(),
-              couple=st.booleans(), generated=st.booleans())
+              couple=st.booleans(), generated=st.booleans(), zero=st.booleans())
 
 
-def _check_statistical(n, cards, seed, identity, couple, generated):
+def _check_statistical(n, cards, seed, identity, couple, generated, zero):
     g, p, suite = _statistical_instance(n, cards[:n], seed, identity, couple,
-                                        generated)
+                                        generated, zero)
     reports = _statistical_oracle(p, suite)
     expected = [(r.graph, r) for r in reports if r.valid]
     assert _as_json(valid_graphs(p, suite, mode="statistical")) == _as_json(expected)
@@ -335,16 +366,16 @@ def _check_statistical(n, cards, seed, identity, couple, generated):
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(n=st.integers(2, 3), **_FLAGS)
 def test_statistical_valid_graphs_match_brute_force(n, cards, seed, identity,
-                                                     couple, generated):
-    _check_statistical(n, cards, seed, identity, couple, generated)
+                                                     couple, generated, zero):
+    _check_statistical(n, cards, seed, identity, couple, generated, zero)
 
 
 # the brute-force oracle takes 2.5-4.5 s per four-node instance
 @settings(max_examples=2, deadline=None, derandomize=True)
 @given(**_FLAGS)
 def test_statistical_valid_graphs_match_brute_force_four_nodes(
-        cards, seed, identity, couple, generated):
-    _check_statistical(4, cards, seed, identity, couple, generated)
+        cards, seed, identity, couple, generated, zero):
+    _check_statistical(4, cards, seed, identity, couple, generated, zero)
 
 
 _UNIT_SYSTEMS = {
@@ -482,6 +513,136 @@ def test_every_non_identity_action_is_forced(n, kinds, seed, eps):
     for g in all_dags(disp.columns):
         for a in moved:
             assert any(suite.hit(a, v, g.parents(v)) for v in g.nodes), (g, a)
+
+
+def _unit_brute_force(disp: _Displacements, eps: float = 1e-9):
+    """The valid graphs of every DAG of ``all_dags`` and their reports, from
+    the reference classifier on one suite (whose caches
+    ``test_unit_forced_assignment_matches_search`` checks against fresh
+    ones)."""
+    suite = actions._UnitSuite(disp, eps)
+    reports = (_classify_unit(_UnitSolver(g, suite)) for g in all_dags(disp.columns))
+    return [(r.graph, r) for r in reports if r.valid]
+
+
+def _unit_search(disp: _Displacements, eps: float = 1e-9):
+    """What ``valid_graphs`` returns in unit mode for these displacements:
+    every graph the parent-set search proposes, with its report."""
+    suite = actions._UnitSuite(disp, eps)
+    out = [(g, suite.classify(g)) for g in suite.candidates()]
+    assert all(report.valid for _, report in out)
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(**_SUITES)
+def test_unit_search_matches_brute_force(n, kinds, seed, eps):
+    disp = _random_displacements(n, kinds, seed)
+    assert _as_json(_unit_search(disp, eps)) == _as_json(_unit_brute_force(disp, eps))
+
+
+# the brute force takes 2-3 s per five-node suite
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(**{**_SUITES, "n": st.just(5),
+          "kinds": st.lists(st.sampled_from(["identity", "sparse", "linear", "real"]),
+                            min_size=1, max_size=5).filter(lambda k: "linear" in k)})
+def test_unit_search_matches_brute_force_five_nodes(n, kinds, seed, eps):
+    disp = _random_displacements(n, kinds, seed)
+    assert _as_json(_unit_search(disp, eps)) == _as_json(_unit_brute_force(disp, eps))
+
+
+def test_unit_search_on_the_all_identity_five_node_suite_returns_every_dag():
+    ex = urn_chain(n=5)
+    noop = unit_action_from_spec("noop", {"kind": "scale", "factors": {}})
+    out = valid_graphs(ex.scm, (noop,), mode="unit", trials=10, seed=1)
+    assert len(out) == 29_281
+    assert [g for g, _ in out] == list(all_dags(ex.scm.nodes))
+    assert all(r.verdicts == (ActionVerdict("noop", VerdictKind.IDENTITY),)
+               for _, r in out)
+
+
+def test_unit_search_on_an_inapplicable_suite_returns_nothing():
+    ex = urn_chain(n=3)
+    refuser = UnitAction("refuser", lambda x, nodes: (np.zeros(len(x), dtype=bool),
+                                                      x.copy()))
+    assert valid_graphs(ex.scm, ex.unit_actions + (refuser,), mode="unit",
+                        trials=20, seed=3) == []
+
+
+def test_unit_search_keeps_the_scaled_tolerance_rows():
+    # rows A, B and C of the scaled-tolerance test on w -> p -> v
+    rows = ((1.0, 1.0, 1.0), (1.0, 1.0, 1.0 + 4e-9), (1000.0, 1000.0, 1000.0))
+    disp = _Displacements(("w", "p", "v"), ("A", "B", "C"),
+                          tuple(np.array([r]) for r in rows), (False,) * 3)
+    found = _unit_search(disp)
+    assert _as_json(found) == _as_json(_unit_brute_force(disp))
+    assert Dag(("w", "p", "v"), [("w", "p"), ("p", "v")]) in [g for g, _ in found]
+
+
+@pytest.mark.parametrize("build", [urn_chain, bundles_chain])
+def test_unit_search_on_five_node_chains_returns_the_ground_truth(build):
+    # criterion 6's settings
+    ex = build(n=5)
+    out = valid_graphs(ex.scm, ex.unit_actions, mode="unit", trials=80, seed=606)
+    disp = actions.unit_displacements(ex.scm, ex.unit_actions, 80, 606)
+    assert _as_json(out) == [(ex.ground_truth, classify_unit_displacements(
+        ex.ground_truth, disp).to_json_obj())]
+
+
+def test_unit_valid_graphs_classifies_only_what_the_search_proposes(monkeypatch):
+    def refuse(nodes):
+        raise AssertionError("unit valid_graphs enumerated every DAG")
+
+    monkeypatch.setattr(graphs, "all_dags", refuse)
+    monkeypatch.setattr(actions, "all_dags", refuse)
+    classified: list[Dag] = []
+    real_classify = actions._UnitSuite.classify
+
+    def classify(self, g):
+        classified.append(g)
+        return real_classify(self, g)
+
+    monkeypatch.setattr(actions._UnitSuite, "classify", classify)
+    for name, build in sorted(_UNIT_SYSTEMS.items()):
+        classified.clear()
+        ex = build()
+        out = valid_graphs(ex.scm, ex.unit_actions, mode="unit", trials=80, seed=3)
+        assert out, name
+        assert [g for g, _ in out] == classified, name
+
+
+def test_statistical_valid_graphs_enumerates_once_and_skips_split_actions(monkeypatch):
+    enumerations = Counter()
+    real_all_dags = actions.all_dags
+
+    def counting(nodes):
+        enumerations["all_dags"] += 1
+        return real_all_dags(nodes)
+
+    classified: list[Dag] = []
+    real_classify = actions._StatisticalSuite.classify
+
+    def classify(self, g):
+        classified.append(g)
+        return real_classify(self, g)
+
+    monkeypatch.setattr(actions, "all_dags", counting)
+    monkeypatch.setattr(actions._StatisticalSuite, "classify", classify)
+    skipped = 0
+    for seed in range(4):
+        _, p, suite = _statistical_instance(3, [2, 3, 2], seed, identity=True,
+                                            couple=True, generated=True)
+        enumerations.clear()
+        classified.clear()
+        out = valid_graphs(p, suite, mode="statistical")
+        assert enumerations == {"all_dags": 1}
+        effects = [a.resolve(p) for a in suite]
+        unsplit = [g for g in real_all_dags(p.names)
+                   if all(len(changed_factors(p, q, g)) <= 1 for q in effects)]
+        assert classified == unsplit
+        assert set(g for g, _ in out) <= set(unsplit)
+        skipped += 25 - len(unsplit)
+    assert skipped
 
 
 def _content(joint: DiscreteJoint) -> tuple:

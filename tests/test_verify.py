@@ -220,6 +220,51 @@ def test_embedding_runs_one_exact_joint_per_positive_weight_setting(
     assert len(levels["Y1"]) * len(levels["Y2"]) == count
 
 
+def _embedding_per_setting(exemplar, controllers):
+    """The embedding's joint and levels with one ``exact_joint`` for every
+    controller setting, idle controllers included: the reference for
+    sharing one system among the settings that differ only in idle
+    controllers."""
+    base, class_nodes = exemplar.scm, exemplar.notes["class_nodes"]
+    driven = {class_nodes[label]: (ctrl, fn)
+              for label, (ctrl, fn) in controllers.controls.items()}
+    ctrls = tuple(controllers.noises)
+    laws = []
+    for y in ctrls:
+        atoms, probs = controllers.noises[y].support()
+        values, codes = np.unique(atoms, return_inverse=True)
+        mass = np.bincount(codes, weights=probs)
+        laws.append([(v, w) for v, w in zip(values.tolist(), mass.tolist()) if w > 0])
+    columns, weights = [], []
+    for setting in itertools.product(*laws):
+        y = dict(zip(ctrls, (v for v, _w in setting)))
+        noises = {**base.noises, **{v: fn(y[ctrl]) for v, (ctrl, fn) in driven.items()}}
+        p_y, levels_y = exact_joint(dataclasses.replace(base, noises=noises))
+        cells = np.nonzero(p_y.probs)
+        columns.append([np.full(cells[0].size, v) for v, _w in setting]
+                       + [np.asarray(levels_y[v])[i] for v, i in zip(base.nodes, cells)])
+        weights.append(math.prod(w for _v, w in setting) * p_y.probs[cells])
+    nodes = ctrls + base.nodes
+    levels, (joint,) = tables._tabulate(
+        nodes, [(list(map(np.concatenate, zip(*columns))), np.concatenate(weights))])
+    return joint, dict(zip(nodes, levels))
+
+
+def test_embedding_runs_no_exact_joint_for_an_idle_controller(monkeypatch):
+    ex, spec = _embedding()  # urn_bivariate(12, 12, 3)
+    idle = NoiseSpec.finite([float(i) for i in range(64)], [1 / 64] * 64)
+    # the idle controller comes first, so it varies slowest across settings
+    spec = ControllerSpec(noises={"Y0": idle, **spec.noises}, controls=spec.controls)
+    grids = _spy_exact_joint(monkeypatch)
+    joint, levels, gtilde = build_embedding(ex, spec)
+    assert grids == [49] * 4  # 256 settings, 4 of the driving controllers
+    monkeypatch.undo()
+    ref, ref_levels = _embedding_per_setting(ex, spec)
+    assert joint.names == ref.names and levels == ref_levels
+    assert np.array_equal(joint.probs, ref.probs)
+    assert not any("Y0" in edge for edge in gtilde.edges)
+
+
 def test_embedding_refuses_more_settings_than_a_table_holds_before_any_exact_joint(
         monkeypatch):
     ex, _ = _embedding()
