@@ -683,14 +683,11 @@ def bivariate_direction(baseline, actions, eps: float = 1e-9,
     where every action touches exactly one of the two variables);
     Undetermined when several graphs validate or none does.
     """
-    if isinstance(baseline, DiscreteJoint):
-        nodes = baseline.names
-    elif isinstance(baseline, GeneralScm):
-        nodes = baseline.nodes
-    else:
+    if not isinstance(baseline, (DiscreteJoint, GeneralScm)):
         raise ClassificationError(
             f"bivariate_direction needs a DiscreteJoint or a GeneralScm baseline, "
             f"got {type(baseline).__name__}")
+    nodes = baseline.names if isinstance(baseline, DiscreteJoint) else baseline.nodes
     if len(nodes) != 2:
         raise ClassificationError("bivariate_direction needs exactly two variables")
     valid = valid_graphs(baseline, actions, eps=eps, mode=mode, trials=trials,
