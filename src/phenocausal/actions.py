@@ -243,9 +243,9 @@ class _StatisticalSuite:
                  actions: Sequence[StatisticalAction], eps: float):
         if not eps >= 0:
             raise ClassificationError(f"eps must be a number >= 0, got {eps!r}")
-        _check_kind(actions, StatisticalAction, "statistical")
-        self.baseline = baseline
         self.actions = tuple(actions)
+        _check_kind(self.actions, StatisticalAction, "statistical")
+        self.baseline = baseline
         self.eps = eps
         self._joints: dict[int, DiscreteJoint] = {0: baseline}
         self._distances: dict[tuple, float] = {}
@@ -353,6 +353,7 @@ def unit_displacements(scm: GeneralScm, actions: Sequence[UnitAction],
         raise ClassificationError(f"need at least one trial, got {trials}")
     if seed < 0:
         raise ClassificationError(f"seed must be >= 0, got {seed}")
+    actions = tuple(actions)
     _check_kind(actions, UnitAction, "unit")
     state = scm.evaluate(scm.sample_noise(trials, seed))
     x = np.column_stack([np.broadcast_to(state[v], trials) for v in scm.nodes]

@@ -355,6 +355,16 @@ def test_unit_mode_takes_numpy_integers():
         [(g, r.to_json_obj()) for g, r in plain]
 
 
+def test_actions_may_come_from_a_one_shot_iterable():
+    ex = _urn2()
+    for system, actions, kw in ((ex.scm, ex.unit_actions, {"mode": "unit", "trials": 30}),
+                                (ex.baseline, ex.statistical_actions, {})):
+        listed = valid_graphs(system, list(actions), **kw)
+        once = valid_graphs(system, (a for a in actions), **kw)
+        assert [(g, r.to_json_obj()) for g, r in once] == \
+            [(g, r.to_json_obj()) for g, r in listed]
+
+
 def test_each_mode_refuses_the_other_modes_actions(monkeypatch):
     ex = _urn2()
     _refuse_sampling(monkeypatch)
