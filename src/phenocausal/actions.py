@@ -36,7 +36,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .graphs import DAG_ENUMERATION_CAP, Dag, all_dags
+from .graphs import DAG_ENUMERATION_CAP, Dag, _walk, all_dags
 from .scm import GeneralScm
 from .tables import (DiscreteJoint, _conditional_distance, _local_statements,
                      _worst_local_residual, ci_residual, conditional)
@@ -404,12 +404,14 @@ class _UnitSuite:
     """Unit displacements of one action suite, with every node-local result
     computed once for all graphs classified.
 
-    Whether an action is forced onto v depends on (action, v, pa(v)) alone.
-    v's equation is the stacked block of the rows of the non-identity
-    actions not assigned to v, so a solve depends on (v, pa(v), those
-    actions in assignment order); the order is part of the key because it
-    is the row order ``lstsq`` sees. ``candidates`` searches parent sets
-    with these same keys instead of enumerating DAGs.
+    Validity is a conjunction of facts about (v, pa(v)): the non-identity
+    actions forced onto v, and whether v's equation (the rows of the other
+    non-identity actions, in action order) is consistent with no zero-forced
+    edge. ``equation`` holds that record once per (v, pa(v)), and both
+    ``candidates`` and the accept path of ``classify`` read it, so the unit
+    rule is stated once. The blame pass of ``classify`` solves other blocks
+    through ``solution``, keyed by (v, pa(v), the block's actions in
+    assignment order): the order is the row order ``lstsq`` sees.
     """
 
     def __init__(self, disp: _Displacements, eps: float):
@@ -420,20 +422,9 @@ class _UnitSuite:
         self.col = {name: k for k, name in enumerate(disp.columns)}
         self.identity = [bool(r.size == 0 or np.abs(r).max() <= eps)
                          for r in disp.rows]
-        self._hits: dict[tuple, bool] = {}
+        self.moved = tuple(a for a, same in enumerate(self.identity) if not same)
+        self._equations: dict[tuple, tuple] = {}
         self._solutions: dict[tuple, np.ndarray | None] = {}
-        self._free: dict[tuple, np.ndarray] = {}
-
-    def hit(self, a: int, v: str, pa: tuple[str, ...]) -> bool:
-        """Whether some unit of action ``a`` moves v with v's parents still."""
-        key = (a, v, pa)
-        if key not in self._hits:
-            rows = self.disp.rows[a]
-            moved = np.abs(rows[:, self.col[v]]) > self.eps
-            pa_still = (np.abs(rows[:, [self.col[p] for p in pa]]).max(axis=1) <= self.eps
-                        if pa else np.ones(len(rows), dtype=bool))
-            self._hits[key] = bool((moved & pa_still).any())
-        return self._hits[key]
 
     def _system(self, v: str, pa: tuple[str, ...], block: tuple[int, ...]):
         """m x = b for v's coefficients on ``pa`` from the rows of ``block``."""
@@ -451,79 +442,55 @@ class _UnitSuite:
             self._solutions[key] = _consistent_solution(*self._system(*key), self.eps)
         return self._solutions[key]
 
-    def free(self, v: str, pa: tuple[str, ...], block: tuple[int, ...]) -> np.ndarray:
-        key = (v, pa, block)
-        if key not in self._free:
-            self._free[key] = _free_coefficients(self._system(*key)[0])
-        return self._free[key]
+    def equation(self, v: str, pa: tuple[str, ...]
+                 ) -> tuple[tuple[int, ...], np.ndarray | None, tuple[str, ...]]:
+        """(the non-identity actions forced onto v, v's coefficients on
+        ``pa`` or None, the parents whose coefficient is forced to zero).
+
+        An action is forced onto v when one of its units moves v with v's
+        parents still. v's equation is the block of the other non-identity
+        actions; it has coefficients when the block is consistent, and a
+        coefficient within eps of 0 that the block pins down is forced to
+        zero.
+        """
+        key = (v, pa)
+        if key not in self._equations:
+            rows, cols, eps = self.disp.rows, [self.col[p] for p in pa], self.eps
+            forced = tuple(a for a in self.moved if (
+                (np.abs(rows[a][:, self.col[v]]) > eps)
+                & (np.abs(rows[a][:, cols]) <= eps).all(axis=1)).any())
+            block = tuple(a for a in self.moved if a not in forced)
+            x0 = self.solution(v, pa, block)
+            zero: tuple[str, ...] = ()
+            if x0 is not None and (np.abs(x0) <= eps).any():
+                free = _free_coefficients(self._system(v, pa, block)[0])
+                zero = tuple(p for p, x, f in zip(pa, x0, free) if not f and abs(x) <= eps)
+            self._equations[key] = forced, x0, zero
+        return self._equations[key]
 
     def candidates(self) -> list[Dag]:
-        """The DAGs that ``classify`` finds valid, in ``all_dags`` order,
-        from a depth-first search over each node's parent sets.
+        """The DAGs that ``classify`` finds valid, in ``all_dags`` order.
 
-        A DAG is valid exactly when every non-identity action is forced onto
-        one node and each node's equation is consistent with no zero-forced
-        edge. The set forced onto v and v's equation (the non-identity
-        actions not forced onto v, in action order) depend on (v, pa(v))
-        alone, so each parent set is checked once: the search keeps those
-        that pass, takes them node by node with pairwise disjoint forced
-        sets, drops a choice as soon as it closes a cycle, and accepts when
-        the forced sets cover every non-identity action.
+        A DAG is valid exactly when each node's ``equation`` record has
+        coefficients and no zero-forced parent, and the forced sets are
+        pairwise disjoint and cover every non-identity action. So each
+        parent set is checked once, and ``graphs._walk`` combines the ones
+        that pass, with the forced sets as marks.
         """
-        disp, nodes = self.disp, self.disp.columns
-        if any(disp.inapplicable):
+        nodes = self.disp.columns
+        if any(self.disp.inapplicable):
             return []
         n = len(nodes)
-        moved = [a for a in range(len(disp.labels)) if not self.identity[a]]
-        options: list[list[tuple[int, int]]] = []  # per node: (parents, forced) bit masks
+        options: list[dict[int, int]] = [{} for _ in nodes]
         for i, v in enumerate(nodes):
-            options.append([])
             for pmask in range(1 << n):
-                if pmask >> i & 1:
-                    continue
-                pa = tuple(nodes[j] for j in range(n) if pmask >> j & 1)
-                forced = [a for a in moved if self.hit(a, v, pa)]
-                block = tuple(a for a in moved if a not in forced)
-                x0 = self.solution(v, pa, block)
-                if x0 is None:
-                    continue
-                small = np.abs(x0) <= self.eps
-                if small.any() and (small & ~self.free(v, pa, block)).any():
-                    continue  # a zero-forced edge
-                options[i].append((pmask, sum(1 << a for a in forced)))
-        everything = sum(1 << a for a in moved)
-        parents = [0] * n
-        found: list[tuple[tuple[str, str], ...]] = []
-
-        def closes_cycle(i: int) -> bool:
-            """Whether node i is an ancestor of its new parents, through the
-            parent sets of the nodes placed before it."""
-            seen, frontier = 0, parents[i]
-            while frontier:
-                if frontier >> i & 1:
-                    return True
-                seen |= frontier
-                up = 0
-                for j in range(i):
-                    if frontier >> j & 1:
-                        up |= parents[j]
-                frontier = up & ~seen
-            return False
-
-        def place(i: int, used: int) -> None:
-            if i == n:
-                if used == everything:
-                    found.append(tuple(sorted(
-                        (nodes[j], nodes[k]) for k in range(n)
-                        for j in range(n) if parents[k] >> j & 1)))
-                return
-            for pmask, fmask in options[i]:
-                parents[i] = pmask
-                if not fmask & used and not closes_cycle(i):
-                    place(i + 1, used | fmask)
-
-        place(0, 0)
-        return [Dag(nodes, edges) for edges in sorted(found, key=lambda e: (len(e), e))]
+                if not pmask >> i & 1:
+                    forced, x0, zero = self.equation(
+                        v, tuple(nodes[j] for j in range(n) if pmask >> j & 1))
+                    if x0 is not None and not zero:
+                        options[i][pmask] = sum(1 << a for a in forced)
+        cover = sum(1 << a for a in self.moved)
+        return [Dag(nodes, edges) for edges in _walk(nodes, options, cover)]
 
     def classify(self, g: Dag) -> ClassificationReport:
         """Assign every non-identity action to the node it is forced onto.
@@ -534,9 +501,9 @@ class _UnitSuite:
         move. With finite displacements and eps >= 0 every non-identity
         action is therefore forced onto at least one node, and that node is
         its only possible class. An action forced onto two or more nodes is
-        a violation. Otherwise ``g`` is valid when the forced assignment
-        leaves every node's equation consistent; when it does not, an
-        in-order pass blames each action whose placement breaks it.
+        a violation. Otherwise ``g`` is valid when every node's ``equation``
+        record has coefficients; when one has none, an in-order pass blames
+        each action whose placement breaks some equation.
         """
         if set(g.nodes) != set(self.disp.columns):
             raise ClassificationError("graph nodes differ from system variables")
@@ -548,31 +515,17 @@ class _UnitSuite:
                 for label, refused in zip(disp.labels, disp.inapplicable) if refused),
                 {"reason": "inapplicable actions"})
         parents = {v: g.parents(v) for v in g.nodes}
-        forced = [() if self.identity[a] else
-                  tuple(v for v in g.nodes if self.hit(a, v, parents[v]))
+        records = {v: self.equation(v, parents[v]) for v in g.nodes}
+        forced = [tuple(v for v in g.nodes if a in records[v][0])
                   for a in range(len(disp.labels))]
-
-        def block(v: str, assignment: dict[int, str]) -> tuple[int, ...]:
-            """The actions whose rows make v's equation, in assignment order."""
-            return tuple(a for a, cls in assignment.items() if cls != v)
-
-        def feasible(assignment: dict[int, str]) -> bool:
-            return all(self.solution(v, parents[v], block(v, assignment)) is not None
-                       for v in g.nodes)
-
-        assignment = {a: nodes[0] for a, nodes in enumerate(forced) if nodes}
-        if all(len(nodes) <= 1 for nodes in forced) and feasible(assignment):
-            coeffs: dict[str, float] = {}
-            zero_forced: list[str] = []
-            for v in g.nodes:
-                pa, rows = parents[v], block(v, assignment)
-                x0, free = self.solution(v, pa, rows), self.free(v, pa, rows)
-                for k, p in enumerate(pa):
-                    coeffs[f"{p}->{v}"] = float(x0[k])
-                    if not free[k] and abs(x0[k]) <= self.eps:
-                        zero_forced.append(f"{p}->{v}")
+        if (all(len(nodes) <= 1 for nodes in forced)
+                and all(x0 is not None for _, x0, _ in records.values())):
+            coeffs = {f"{p}->{v}": float(x) for v, (_, x0, _) in records.items()
+                      for p, x in zip(parents[v], x0)}
+            zero_forced = [f"{p}->{v}" for v, (_, _, zero) in records.items()
+                           for p in zero]
             verdicts = [ActionVerdict(label, VerdictKind.IDENTITY) if self.identity[a]
-                        else ActionVerdict(label, VerdictKind.ASSIGNED, assignment[a])
+                        else ActionVerdict(label, VerdictKind.ASSIGNED, forced[a][0])
                         for a, label in enumerate(disp.labels)]
             if zero_forced:
                 verdicts.append(ActionVerdict(
@@ -580,6 +533,13 @@ class _UnitSuite:
                     f"action suite forces zero coefficient on edge(s) "
                     f"{', '.join(zero_forced)}"))
             return ClassificationReport(g, tuple(verdicts), {"coefficients": coeffs})
+
+        def feasible(assignment: dict[int, str]) -> bool:
+            """Whether every node's equation, the rows of the actions not
+            assigned to it in assignment order, is consistent."""
+            return all(self.solution(v, parents[v], tuple(
+                a for a, cls in assignment.items() if cls != v)) is not None
+                for v in g.nodes)
 
         # Blame: place the actions in order, each on its forced node; an
         # action whose placement makes some equation inconsistent is the

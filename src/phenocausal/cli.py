@@ -14,7 +14,7 @@ path that cannot be written, invalid exemplar parameters, a negative seed,
 a negative, NaN or infinite eps, a non-finite displacement or one too
 large to round to 12 decimals, a non-finite exemplar parameter, duplicate
 CSV column names, a size cap exceeded, an artifact value that is not
-finite and so has no strict-JSON form).
+finite and so has no strict-JSON form, a request too large for memory).
 """
 
 from __future__ import annotations
@@ -305,20 +305,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Action-defined causal structure: exemplars, "
                     "classification, discovery and consistency verification.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the exemplar parameters that ``exemplar`` and ``classify`` both take
+    params = argparse.ArgumentParser(add_help=False)
+    for name in ("--kb0", "--kr0", "--rounds", "--n"):
+        params.add_argument(name, type=int)
+    params.add_argument("--param", action="append", metavar="KEY=VALUE")
 
-    p_ex = sub.add_parser("exemplar", help="emit an exemplar dataset + ground truth")
+    p_ex = sub.add_parser("exemplar", parents=[params],
+                          help="emit an exemplar dataset + ground truth")
     p_ex.add_argument("exemplar", help=f"one of {sorted(EXEMPLARS)}")
     p_ex.add_argument("--seed", type=_seed, required=True)
     p_ex.add_argument("--samples", type=int, default=10_000)
     p_ex.add_argument("--out", required=True, help="CSV path; a .json sidecar is written next to it")
-    p_ex.add_argument("--kb0", type=int)
-    p_ex.add_argument("--kr0", type=int)
-    p_ex.add_argument("--rounds", type=int)
-    p_ex.add_argument("--n", type=int)
-    p_ex.add_argument("--param", action="append", metavar="KEY=VALUE")
     p_ex.set_defaults(func=_cmd_exemplar)
 
-    p_cl = sub.add_parser("classify", help="classify an exemplar's actions")
+    p_cl = sub.add_parser("classify", parents=[params],
+                          help="classify an exemplar's actions")
     p_cl.add_argument("exemplar")
     p_cl.add_argument("--mode", choices=("auto", "unit", "statistical"),
                       default="auto")
@@ -328,11 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cl.add_argument("--enumerate", action="store_true",
                       help="also enumerate all valid graphs")
     p_cl.add_argument("--out")
-    p_cl.add_argument("--kb0", type=int)
-    p_cl.add_argument("--kr0", type=int)
-    p_cl.add_argument("--rounds", type=int)
-    p_cl.add_argument("--n", type=int)
-    p_cl.add_argument("--param", action="append", metavar="KEY=VALUE")
     p_cl.set_defaults(func=_cmd_classify)
 
     p_di = sub.add_parser("discover", help="structure recovery from CSV data")
@@ -374,6 +371,9 @@ def run(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SystemExit2 as exc:
         return int(exc.code or 2)
+    except MemoryError:
+        sys.stderr.write(f"{args.command}: request too large for memory\n")
+        return 2
 
 
 def main() -> None:  # console-script entry point

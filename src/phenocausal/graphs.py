@@ -14,7 +14,6 @@ output.
 from __future__ import annotations
 
 import heapq
-import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -346,12 +345,49 @@ def backdoor_admissible(g: Dag, x: str, y: str, z: Iterable[str]) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _walk(nodes: Sequence[str], options: Sequence[Mapping[int, int]],
+          cover: int) -> list[tuple[tuple[str, str], ...]]:
+    """Sorted edge lists, in ``all_dags`` order, of the DAGs that give node i
+    a parent set of ``options[i]``, a map from parent bit masks to marks (bit
+    masks too), with pairwise disjoint marks whose union is ``cover``. The
+    walk is depth-first, node by node, and drops a choice as soon as it
+    closes a cycle."""
+    n = len(nodes)
+    parents = [0] * n
+    found: list[tuple[tuple[str, str], ...]] = []
+
+    def place(i: int, used: int) -> None:
+        if i == n:
+            if used == cover:
+                found.append(tuple(sorted(
+                    (nodes[j], nodes[k]) for k in range(n)
+                    for j in range(n) if parents[k] >> j & 1)))
+            return
+        for pmask, marks in options[i].items():
+            if marks & used:
+                continue
+            # climb from the new parents through the nodes placed so far
+            parents[i] = seen = frontier = pmask
+            while frontier and not frontier >> i & 1:
+                up = 0
+                for j in range(i):
+                    if frontier >> j & 1:
+                        up |= parents[j]
+                frontier = up & ~seen
+                seen |= frontier
+            if not frontier:
+                place(i + 1, used | marks)
+
+    place(0, 0)
+    return sorted(found, key=lambda e: (len(e), e))
+
+
 def all_dags(nodes: Sequence[str]) -> Iterator[Dag]:
     """Yield every DAG over ``nodes`` once, ordered by edge count and then by
     sorted edge list.
 
-    Enumerates permutations x lower-triangular edge masks, keeping only the
-    edge lists, and builds each DAG as it is yielded. Above
+    The DAGs are those of ``_walk`` with every parent set open to each node
+    and no marks; each is built as it is yielded. Above
     ``DAG_ENUMERATION_CAP`` (5) nodes the enumeration is refused before any
     work.
     """
@@ -360,12 +396,9 @@ def all_dags(nodes: Sequence[str]) -> Iterator[Dag]:
     if n > DAG_ENUMERATION_CAP:
         raise GraphError(f"refusing exhaustive enumeration over {n} nodes "
                          f"(cap {DAG_ENUMERATION_CAP})")
-    pair_slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    keys = {tuple(sorted((nodes[perm[i]], nodes[perm[j]])
-                         for k, (i, j) in enumerate(pair_slots) if mask >> k & 1))
-            for perm in itertools.permutations(range(n))
-            for mask in range(1 << len(pair_slots))}
-    for edges in sorted(keys, key=lambda e: (len(e), e)):
+    options = [{pmask: 0 for pmask in range(1 << n) if not pmask >> i & 1}
+               for i in range(n)]
+    for edges in _walk(nodes, options, 0):
         yield Dag(nodes, edges)
 
 

@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 import phenocausal
-from phenocausal import urn_chain
-from phenocausal.cli import run
+from phenocausal import Exemplar, GeneralScm, urn_chain
+from phenocausal.cli import build_parser, run
 from phenocausal.scm import Dataset
 
 
@@ -543,6 +543,41 @@ def test_classify_displacement_too_large_to_round_exits_2(tmp_path, capfd):
         assert captured.err == "action 'shift-X1' gives a non-finite displacement\n"
         assert "DLASCL" not in captured.out
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["exemplar", "urn2", "--out", "x.csv"],
+                                     ["classify", "urn2"]])
+def test_exemplar_and_classify_parse_the_exemplar_parameters_alike(command, capfd):
+    shared = ["--kb0", "5", "--kr0", "6", "--rounds", "3", "--n", "4",
+              "--param", "a=1", "--param", "b=x"]
+    args = build_parser().parse_args(command + ["--seed", "1"] + shared)
+    assert (args.kb0, args.kr0, args.rounds, args.n, args.param) == \
+        (5, 6, 3, 4, ["a=1", "b=x"])
+    bare = build_parser().parse_args(command + ["--seed", "1"])
+    assert (bare.kb0, bare.kr0, bare.rounds, bare.n, bare.param) == (None,) * 5
+    assert run(command + ["--seed", "1", "--kb0", "5.5"]) == 2
+    assert "--kb0: invalid int value: '5.5'" in capfd.readouterr().err
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 23.8 GiB")
+
+
+@pytest.mark.parametrize("argv, owner, attr", [
+    (["classify", "urn2", "--trials", "400000000", "--out", "cls.json"],
+     GeneralScm, "sample_noise"),
+    (["exemplar", "urn2", "--samples", "400000000", "--out", "x.csv"],
+     Exemplar, "sample"),
+])
+def test_request_too_large_for_memory_exits_2(argv, owner, attr, tmp_path, capfd,
+                                              monkeypatch):
+    # the allocation is replaced by its failure, so nothing large is allocated
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(owner, attr, _out_of_memory)
+    rc = run(argv + ["--seed", "1"])
+    assert rc == 2
+    assert capfd.readouterr().err == f"{argv[0]}: request too large for memory\n"
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv", [["classify", "balltrack"], ["classify", "urn2"]])

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from phenocausal import tables
-from phenocausal.graphs import (Dag, GraphError, _reachable_inside, all_dags,
+from phenocausal.graphs import (Dag, GraphError, _reachable_inside, _walk, all_dags,
                                 hidden_common_causes)
 from phenocausal.tables import DiscreteJoint, markov_report
 
@@ -177,11 +177,49 @@ def test_unknown_node_still_raises():
             query("z")
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
 def test_all_dags_order_and_edge_sets_unchanged(n):
-    nodes = tuple("dcba"[:n])
+    nodes = tuple("edcba"[5 - n:])
     got = [(g.nodes, g.edges) for g in all_dags(nodes)]
     assert got == [(g.nodes, g.edges) for g in ref_all_dags(nodes)]
+
+
+@st.composite
+def walk_instances(draw):
+    """Nodes, one option map (parent mask -> marks over two mark bits) per
+    node, and a cover. Most marks are 0, so that many instances have DAGs."""
+    n = draw(st.integers(0, 4))
+    marks = st.sampled_from((0, 0, 0, 1, 2, 3))
+    options = [draw(st.dictionaries(
+        st.sampled_from([m for m in range(1 << n) if not m >> i & 1]), marks,
+        min_size=1 << max(n - 2, 0)))
+        for i in range(n)]
+    return tuple("dcba"[4 - n:]), options, draw(st.integers(0, 3))
+
+
+def ref_walk(nodes, options, cover):
+    """The sorted edge lists of the DAGs of ``ref_all_dags`` whose every
+    parent set is a key of its node's option map, with pairwise disjoint
+    marks whose union is ``cover``."""
+    out = []
+    for g in ref_all_dags(nodes):
+        masks = [sum(1 << nodes.index(p) for p in ref_parents(g, v)) for v in nodes]
+        if not all(m in opts for m, opts in zip(masks, options)):
+            continue
+        marks = [opts[m] for m, opts in zip(masks, options)]
+        union = 0
+        for m in marks:
+            union |= m
+        if union == cover and sum(bin(m).count("1") for m in marks) == bin(cover).count("1"):
+            out.append(tuple(sorted(g.edges)))
+    return out
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(walk_instances())
+def test_walk_is_a_filter_of_the_reference_enumeration(instance):
+    nodes, options, cover = instance
+    assert _walk(nodes, options, cover) == ref_walk(nodes, options, cover)
 
 
 def test_all_dags_refuses_six_nodes_before_enumerating():

@@ -6,8 +6,11 @@ search over parent sets, not from ``all_dags``. The oracles here classify
 every DAG of ``all_dags`` from scratch: the statistical one with fresh
 ``markov_report`` and ``changed_factors`` calls, the unit one with a fresh
 suite per graph and the complete backtracking search over class assignments
-that the forced assignment of ``actions._UnitSuite.classify`` replaces. The
-call-count tests pin the sharing itself and which candidates are classified.
+that the forced assignment of ``actions._UnitSuite.classify`` replaces; it
+reads which actions are forced onto a node and which coefficients are free
+from the displacement rows itself, and takes only the block solves from the
+suite. The call-count tests pin the sharing itself and which candidates are
+classified.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from phenocausal.actions import (ClassificationError, _Displacements,
                                  classify_unit_displacements)
 from phenocausal.tables import product_joint
 from phenocausal.verify import _random_factors
+from test_graph_oracle import ref_all_dags
 
 
 def _markov_violation(label: str, what: str, joint, g, eps: float):
@@ -99,6 +103,30 @@ def _statistical_oracle(baseline: DiscreteJoint, suite, eps: float = 1e-9
 _SEARCH_BUDGET = 200_000
 
 
+def _moves_with_parents_still(disp: _Displacements, a: int, v: str,
+                              pa: tuple[str, ...], eps: float) -> bool:
+    """Whether some displacement row of action ``a`` moves v by more than
+    eps while every parent of v moves by at most eps: ``a`` is then forced
+    onto v."""
+    col = disp.columns.index
+    return any(abs(row[col(v)]) > eps and all(abs(row[col(p)]) <= eps for p in pa)
+               for row in disp.rows[a])
+
+
+def _free_mask(disp: _Displacements, pa: tuple[str, ...],
+               block: tuple[int, ...]) -> np.ndarray:
+    """The coefficients on ``pa`` that the rows of ``block`` leave free.
+    Coefficient k is pinned down exactly when the unit vector e_k is a
+    combination of the rows, that is when m^T y = e_k has an exact
+    least-squares solution."""
+    k = len(pa)
+    if not block or not k:
+        return np.ones(k, dtype=bool)
+    m = np.vstack([disp.rows[a][:, [disp.columns.index(p) for p in pa]] for a in block])
+    y = np.linalg.lstsq(m.T, np.eye(k), rcond=1e-10)[0]
+    return np.linalg.norm(m.T @ y - np.eye(k), axis=0) > 1e-8
+
+
 class _UnitSolver:
     """Search for a class assignment and shared affine coefficients."""
 
@@ -113,7 +141,8 @@ class _UnitSolver:
         self.parents = {v: g.parents(v) for v in self.nodes}
         self.forced: list[tuple[str, ...]] = [
             () if self.identity[a] else
-            tuple(v for v in self.nodes if suite.hit(a, v, self.parents[v]))
+            tuple(v for v in self.nodes
+                  if _moves_with_parents_still(self.disp, a, v, self.parents[v], suite.eps))
             for a in range(len(self.disp.rows))]
 
     def _block(self, node: str, assignment: dict[int, str]) -> tuple[int, ...]:
@@ -136,7 +165,7 @@ class _UnitSolver:
             x0 = self.suite.solution(node, pa, block)
             if x0 is None:
                 return None
-            free = self.suite.free(node, pa, block)
+            free = _free_mask(self.disp, pa, block)
             for k, p in enumerate(pa):
                 coeffs[(p, node)] = float(x0[k])
                 if not free[k] and abs(x0[k]) <= self.suite.eps:
@@ -508,11 +537,11 @@ def test_every_non_identity_action_is_forced(n, kinds, seed, eps):
     that a unit moves has its parents still, so every non-identity action
     is forced onto some node of every DAG."""
     disp = _random_displacements(n, kinds, seed)
-    suite = actions._UnitSuite(disp, eps)
-    moved = [a for a in range(len(kinds)) if not suite.identity[a]]
+    moved = [a for a, rows in enumerate(disp.rows) if np.abs(rows).max() > eps]
     for g in all_dags(disp.columns):
         for a in moved:
-            assert any(suite.hit(a, v, g.parents(v)) for v in g.nodes), (g, a)
+            assert any(_moves_with_parents_still(disp, a, v, g.parents(v), eps)
+                       for v in g.nodes), (g, a)
 
 
 def _unit_brute_force(disp: _Displacements, eps: float = 1e-9):
@@ -556,7 +585,7 @@ def test_unit_search_on_the_all_identity_five_node_suite_returns_every_dag():
     noop = unit_action_from_spec("noop", {"kind": "scale", "factors": {}})
     out = valid_graphs(ex.scm, (noop,), mode="unit", trials=10, seed=1)
     assert len(out) == 29_281
-    assert [g for g, _ in out] == list(all_dags(ex.scm.nodes))
+    assert [g for g, _ in out] == ref_all_dags(ex.scm.nodes)
     assert all(r.verdicts == (ActionVerdict("noop", VerdictKind.IDENTITY),)
                for _, r in out)
 
@@ -682,12 +711,23 @@ def test_statistical_node_local_work_runs_once_per_key(monkeypatch):
     assert effects == {a.label: 1 for a in suite}
 
 
-def test_unit_solves_run_once_per_key(monkeypatch):
+def test_unit_records_and_solves_run_once_per_key(monkeypatch):
     ex = urn_chain(n=4, k0=(30,) * 4, rounds=3)
-    keys: list = []
+    requests: list = []   # (v, pa) of every equation record asked for
+    built: list = []      # (v, pa) of every record computed
+    keys: list = []       # (v, pa, block) of every solution asked for
     solves = Counter()
+    real_equation = actions._UnitSuite.equation
     real_solution = actions._UnitSuite.solution
     real_solve, real_free = actions._consistent_solution, actions._free_coefficients
+
+    def equation(self, v, pa):
+        requests.append((v, pa))
+        building = (v, pa) not in self._equations
+        out = real_equation(self, v, pa)
+        if building:
+            built.append((v, pa))
+        return out
 
     def solution(self, v, pa, block):
         keys.append((v, pa, block))
@@ -701,12 +741,17 @@ def test_unit_solves_run_once_per_key(monkeypatch):
         solves["free"] += 1
         return real_free(m)
 
+    monkeypatch.setattr(actions._UnitSuite, "equation", equation)
     monkeypatch.setattr(actions._UnitSuite, "solution", solution)
     monkeypatch.setattr(actions, "_consistent_solution", solve)
     monkeypatch.setattr(actions, "_free_coefficients", free)
     out = valid_graphs(ex.scm, ex.unit_actions, mode="unit", trials=60, seed=5)
     assert [frozenset(g.edges) for g, _ in out] == [frozenset(ex.ground_truth.edges)]
-    assert solves["solve"] == len(set(keys)) < len(keys)
+    # every parent set of every node is checked once, and the classified
+    # graph reads its nodes' records again
+    assert len(built) == len(set(built)) == 4 * 2 ** 3
+    assert set(requests) == set(built) and len(requests) > len(built)
+    assert solves["solve"] == len(set(keys))
     assert solves["free"] <= len(set(keys))
 
 
