@@ -109,8 +109,9 @@ def _moves_with_parents_still(disp: _Displacements, a: int, v: str,
     eps while every parent of v moves by at most eps: ``a`` is then forced
     onto v."""
     col = disp.columns.index
-    return any(abs(row[col(v)]) > eps and all(abs(row[col(p)]) <= eps for p in pa)
-               for row in disp.rows[a])
+    i, parents = col(v), [col(p) for p in pa]
+    return any(abs(row[i]) > eps and all(abs(row[j]) <= eps for j in parents)
+               for row in disp.rows[a].tolist())
 
 
 def _free_mask(disp: _Displacements, pa: tuple[str, ...],
@@ -130,7 +131,9 @@ def _free_mask(disp: _Displacements, pa: tuple[str, ...],
 class _UnitSolver:
     """Search for a class assignment and shared affine coefficients."""
 
-    def __init__(self, g: Dag, suite: actions._UnitSuite):
+    def __init__(self, g: Dag, suite: actions._UnitSuite, hits: dict | None = None):
+        """``hits`` memoizes ``_moves_with_parents_still`` per (action, v,
+        pa) for the solvers of one suite."""
         if set(g.nodes) != set(suite.disp.columns):
             raise ClassificationError("graph nodes differ from system variables")
         self.g = g
@@ -139,10 +142,16 @@ class _UnitSolver:
         self.disp = suite.disp
         self.identity = suite.identity
         self.parents = {v: g.parents(v) for v in self.nodes}
+        hits = {} if hits is None else hits
+
+        def hit(a: int, v: str) -> bool:
+            key = (a, v, self.parents[v])
+            if key not in hits:
+                hits[key] = _moves_with_parents_still(self.disp, a, v, key[2], suite.eps)
+            return hits[key]
+
         self.forced: list[tuple[str, ...]] = [
-            () if self.identity[a] else
-            tuple(v for v in self.nodes
-                  if _moves_with_parents_still(self.disp, a, v, self.parents[v], suite.eps))
+            () if self.identity[a] else tuple(v for v in self.nodes if hit(a, v))
             for a in range(len(self.disp.rows))]
 
     def _block(self, node: str, assignment: dict[int, str]) -> tuple[int, ...]:
@@ -549,8 +558,8 @@ def _unit_brute_force(disp: _Displacements, eps: float = 1e-9):
     the reference classifier on one suite (whose caches
     ``test_unit_forced_assignment_matches_search`` checks against fresh
     ones)."""
-    suite = actions._UnitSuite(disp, eps)
-    reports = (_classify_unit(_UnitSolver(g, suite)) for g in all_dags(disp.columns))
+    suite, hits = actions._UnitSuite(disp, eps), {}
+    reports = (_classify_unit(_UnitSolver(g, suite, hits)) for g in all_dags(disp.columns))
     return [(r.graph, r) for r in reports if r.valid]
 
 
@@ -711,7 +720,7 @@ def test_statistical_node_local_work_runs_once_per_key(monkeypatch):
     assert effects == {a.label: 1 for a in suite}
 
 
-def test_unit_records_and_solves_run_once_per_key(monkeypatch):
+def test_unit_solves_run_once_per_key(monkeypatch):
     ex = urn_chain(n=4, k0=(30,) * 4, rounds=3)
     requests: list = []   # (v, pa) of every equation record asked for
     built: list = []      # (v, pa) of every record computed
