@@ -32,7 +32,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -270,10 +270,13 @@ class _StatisticalSuite:
                 out.append(v)
         return tuple(out)
 
-    def splits_an_action(self, g: Dag) -> bool:
-        """Whether some action changes two or more of ``g``'s conditionals,
-        which makes ``g`` invalid whatever its Markov statements say."""
-        return any(len(self._changed(k, g)) >= 2 for k in range(len(self.actions)))
+    def candidates(self) -> Iterator[Dag]:
+        """The DAGs of ``all_dags`` in which no action changes two or more
+        conditionals; any other DAG is invalid whatever its Markov
+        statements say."""
+        for g in all_dags(self.baseline.names):
+            if all(len(self._changed(k, g)) < 2 for k in range(len(self.actions))):
+                yield g
 
     def _markov(self, j: int, statements) -> tuple[bool, tuple | None, float]:
         """``markov_report(joint j, g)`` from the statements of ``g``."""
@@ -389,15 +392,9 @@ def _consistent_solution(m: np.ndarray, b: np.ndarray,
 def _free_coefficients(m: np.ndarray) -> np.ndarray:
     """Mask of the coefficients that m x = b does not pin down: those the
     null space of m touches."""
-    k = m.shape[1]
-    if m.shape[0] == 0:
-        return np.ones(k, dtype=bool)
-    if k == 0:
-        return np.zeros(0, dtype=bool)
     _, s, vt = np.linalg.svd(m, full_matrices=True)
-    rank = int((s > max(s[0] * 1e-10, 1e-12)).sum())
-    null = vt[rank:]
-    return (np.abs(null) > 1e-8).any(axis=0) if null.size else np.zeros(k, dtype=bool)
+    rank = int((s > max(s.max(initial=0.0) * 1e-10, 1e-12)).sum())
+    return (np.abs(vt[rank:]) > 1e-8).any(axis=0)
 
 
 class _UnitSuite:
@@ -593,12 +590,11 @@ def valid_graphs(baseline, actions, eps: float = 1e-9, mode: str = "statistical"
     unit mode. More than ``DAG_ENUMERATION_CAP`` (5) nodes are refused
     before any work. Every test behind a verdict is local to a node, so each
     runs once per call and later candidates look it up. In statistical mode
-    enumeration is exhaustive: every DAG of ``all_dags`` is a candidate,
-    and one in which an action changes two or more conditionals is skipped
-    before its Markov statements are built. In unit mode the candidates come
-    from a search over each node's parent sets (``_UnitSuite.candidates``).
-    Either way only candidates are classified, and each returned report
-    equals that of classifying its graph alone.
+    the candidates are the DAGs of ``all_dags`` in which no action changes
+    two or more conditionals (``_StatisticalSuite.candidates``); in unit
+    mode they come from a search over each node's parent sets
+    (``_UnitSuite.candidates``). Either way only candidates are classified,
+    and each returned report equals that of classifying its graph alone.
     """
     if mode == "statistical":
         if not isinstance(baseline, DiscreteJoint):
@@ -613,18 +609,9 @@ def valid_graphs(baseline, actions, eps: float = 1e-9, mode: str = "statistical"
     if len(nodes) > DAG_ENUMERATION_CAP:
         raise ClassificationError(
             f"{len(nodes)} nodes exceeds exhaustive cap {DAG_ENUMERATION_CAP}")
-    if mode == "statistical":
-        suite = _StatisticalSuite(baseline, actions, eps)
-        candidates = (g for g in all_dags(nodes) if not suite.splits_an_action(g))
-    else:
-        suite = _UnitSuite(unit_displacements(baseline, actions, trials, seed), eps)
-        candidates = suite.candidates()
-    out = []
-    for g in candidates:
-        report = suite.classify(g)
-        if report.valid:
-            out.append((g, report))
-    return out
+    suite = (_StatisticalSuite(baseline, actions, eps) if mode == "statistical"
+             else _UnitSuite(unit_displacements(baseline, actions, trials, seed), eps))
+    return [(g, r) for g in suite.candidates() if (r := suite.classify(g)).valid]
 
 
 class DirectionVerdict(str, Enum):
@@ -634,9 +621,8 @@ class DirectionVerdict(str, Enum):
     UNDETERMINED = "Undetermined"
 
 
-def bivariate_direction(baseline, actions, eps: float = 1e-9,
-                        mode: str = "statistical", trials: int = 1000,
-                        seed: int = 0) -> DirectionVerdict:
+def bivariate_direction(baseline, actions, mode: str = "statistical",
+                        trials: int = 1000, seed: int = 0) -> DirectionVerdict:
     """Direction verdict for a two-variable system.
 
     X is the first variable, Y the second. XcausesY iff X->Y is the only
@@ -651,8 +637,7 @@ def bivariate_direction(baseline, actions, eps: float = 1e-9,
     nodes = baseline.names if isinstance(baseline, DiscreteJoint) else baseline.nodes
     if len(nodes) != 2:
         raise ClassificationError("bivariate_direction needs exactly two variables")
-    valid = valid_graphs(baseline, actions, eps=eps, mode=mode, trials=trials,
-                         seed=seed)
+    valid = valid_graphs(baseline, actions, mode=mode, trials=trials, seed=seed)
     return _direction_verdict(valid, *nodes)
 
 

@@ -612,7 +612,7 @@ def localize_mechanism_change(environments: Sequence, g: Dag,
     if tuple(sorted(columns)) != tuple(sorted(g.nodes)):
         raise DiscoveryError("graph nodes must match the data columns")
 
-    sizes = [e.rows.shape[0] for e in environments]
+    cuts = np.cumsum([e.rows.shape[0] for e in environments])[:-1]
     rows = np.vstack([e.rows for e in environments])  # a new, writable array
     for column in rows.T:  # 5 bins at the pooled quantiles above 32 levels
         if np.unique(column).size > 32:
@@ -621,19 +621,15 @@ def localize_mechanism_change(environments: Sequence, g: Dag,
     _, cells, shape = _cells(rows.T)
     pooled = dict(zip(g.nodes, factorize(_counted_joint(columns, cells, shape), g)))
     env_counts = [np.bincount(part, minlength=math.prod(shape)).reshape(shape)
-                  for part in np.split(cells, np.cumsum(sizes)[:-1])]
+                  for part in np.split(cells, cuts)]
 
     if eps is None:
         rng = _philox(seed)
         null_stats = {v: [] for v in g.nodes}
         for _ in range(n_perm):
-            perm = rng.permutation(cells.size)
-            start = 0
             worst = {v: 0.0 for v in g.nodes}
-            for size in sizes:
-                fake = _counted_joint(columns, cells[perm[start:start + size]],
-                                      shape)
-                start += size
+            for part in np.split(cells[rng.permutation(cells.size)], cuts):
+                fake = _counted_joint(columns, part, shape)
                 for v, dist in _distances(pooled, fake, g).items():
                     worst[v] = max(worst[v], dist)
             for v in g.nodes:

@@ -211,10 +211,9 @@ def build_embedding(exemplar: Exemplar, controllers: ControllerSpec
                  | {(ctrl, v) for v, (ctrl, _fn) in driven.items()})
     laws = []  # each controller's (value, weight) pairs of positive weight
     for y in ctrls:
-        atoms, probs = controllers.noises[y].support()
-        values, codes = np.unique(atoms, return_inverse=True)
-        mass = np.bincount(codes, weights=probs)
-        laws.append([(v, w) for v, w in zip(values.tolist(), mass.tolist()) if w > 0])
+        atoms, probs = map(np.asarray, controllers.noises[y].support())
+        (values,), (law,) = _tabulate((y,), [([atoms], probs)])
+        laws.append(list(zip(values, law.probs.tolist())))
     settings = math.prod(map(len, laws))
     if settings > MAX_TABLE_ENTRIES:
         raise ValueError(f"{settings} controller settings exceed cap {MAX_TABLE_ENTRIES}")

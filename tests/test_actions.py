@@ -8,7 +8,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from phenocausal.actions import unit_displacements
 from phenocausal import (
@@ -697,9 +697,26 @@ def test_column_form_matches_per_state_reference(data, which, trials, seed):
                                      _reference_unit_displacements))
 
 
+def _reference_free_coefficients(m: np.ndarray) -> np.ndarray:
+    """The former three-branch mask: no rows leave every coefficient free,
+    no columns have none, and otherwise the null space of the SVD, guarded
+    for being empty. Folding the branches by reading ``s[0]`` raises
+    IndexError on both empty shapes, where the SVD returns no singular
+    value."""
+    k = m.shape[1]
+    if m.shape[0] == 0:
+        return np.ones(k, dtype=bool)
+    if k == 0:
+        return np.zeros(0, dtype=bool)
+    _, s, vt = np.linalg.svd(m, full_matrices=True)
+    rank = int((s > max(s[0] * 1e-10, 1e-12)).sum())
+    null = vt[rank:]
+    return (np.abs(null) > 1e-8).any(axis=0) if null.size else np.zeros(k, dtype=bool)
+
+
 def _reference_system_state(m: np.ndarray, b: np.ndarray, tol: float):
     """Reference: least squares, consistency and the free-coefficient mask
-    from one combined lstsq-plus-SVD pass."""
+    of the three-branch reference."""
     k = m.shape[1]
     if m.shape[0] == 0:
         return True, np.zeros(k), np.ones(k, dtype=bool)
@@ -707,11 +724,7 @@ def _reference_system_state(m: np.ndarray, b: np.ndarray, tol: float):
         return bool(np.abs(b).max() <= tol), np.zeros(0), np.zeros(0, dtype=bool)
     x0, *_ = np.linalg.lstsq(m, b, rcond=None)
     consistent = bool(np.abs(m @ x0 - b).max() <= tol)
-    _, s, vt = np.linalg.svd(m, full_matrices=True)
-    cutoff = max(s[0] * 1e-10, 1e-12) if s.size else 1e-12
-    null = vt[int((s > cutoff).sum()):]
-    free = (np.abs(null) > 1e-8).any(axis=0) if null.size else np.zeros(k, dtype=bool)
-    return consistent, x0, free
+    return consistent, x0, _reference_free_coefficients(m)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -735,3 +748,26 @@ def test_unit_solver_systems_match_reference(seed, rows, k, low_rank, consistent
     if ok:
         assert np.array_equal(x0, x_ref)
     assert np.array_equal(_free_coefficients(m), free_ref)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6), st.integers(0, 5), st.integers(0, 4), st.integers(0, 4),
+       st.sampled_from([1.0, 1e-13, 1e8]))
+@example(seed=0, rows=0, k=3, rank=0, scale=1.0)   # zero rows
+@example(seed=0, rows=3, k=0, rank=0, scale=1.0)   # zero columns
+@example(seed=0, rows=0, k=0, rank=0, scale=1.0)
+@example(seed=1, rows=4, k=3, rank=3, scale=1.0)   # full column rank
+@example(seed=2, rows=4, k=3, rank=1, scale=1.0)   # rank deficient
+@example(seed=3, rows=2, k=4, rank=2, scale=1.0)   # wide, full row rank
+def test_free_coefficients_fold_equals_the_three_branch_reference(seed, rows, k, rank,
+                                                                  scale):
+    from phenocausal.actions import _free_coefficients
+
+    rng = np.random.default_rng(seed)
+    rank = min(rank, rows, k)
+    # integer factors, as the urn displacements give, at a few magnitudes
+    m = scale * (rng.integers(-2, 3, size=(rows, rank))
+                 @ rng.integers(-2, 3, size=(rank, k))).astype(float)
+    free = _free_coefficients(m)
+    assert free.dtype == bool and free.shape == (k,)
+    assert np.array_equal(free, _reference_free_coefficients(m))

@@ -196,3 +196,31 @@ def test_builders_refuse_fractional_counts():
     ex = urn_chain(n=3, k0=np.array([10, 11, 12]), rounds=np.int64(2))
     assert ex.process.k0 == (12, 11, 10) and type(ex.process.rounds) is int
     assert ex.notes["k0"] == [10, 11, 12]
+
+
+_URNS = ([("urn2", urn_bivariate)]
+         + [(f"urnN-{end}-{n}", lambda n=n, end=end: urn_chain(n=n, endpoint=end))
+            for n in range(2, 7) for end in ("low", "high")]
+         + [(f"bundles-{n}", lambda n=n: bundles_chain(n=n)) for n in range(2, 7)])
+
+
+@pytest.mark.parametrize("name, build", _URNS, ids=[name for name, _ in _URNS])
+def test_the_unit_reading_of_the_moves_alone_gives_the_declared_structure(name, build):
+    # one displacement row per move, its deltas: the idealization in which
+    # no move is refused. The definition then leaves exactly the declared
+    # graph, and puts both moves of each class on the declared node.
+    from phenocausal.actions import _Displacements, _UnitSuite
+
+    ex = build()
+    nodes, moves = ex.process.nodes, ex.process.moves
+    disp = _Displacements(nodes, tuple(mv.label for mv in moves),
+                          tuple(np.array([[float(mv.deltas.get(v, 0)) for v in nodes]])
+                                for mv in moves),
+                          (False,) * len(moves))
+    suite = _UnitSuite(disp, 1e-9)
+    [g] = suite.candidates()
+    assert g.nodes == ex.ground_truth.nodes
+    assert set(g.edges) == set(ex.ground_truth.edges)
+    verdicts = suite.classify(g).verdicts
+    assert len(verdicts) == len(moves)
+    assert {(v.label[:-1], v.node) for v in verdicts} == set(ex.notes["class_nodes"].items())

@@ -15,6 +15,7 @@ classified.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from typing import Iterable
 
@@ -650,12 +651,18 @@ def test_unit_valid_graphs_classifies_only_what_the_search_proposes(monkeypatch)
 
 
 def test_statistical_valid_graphs_enumerates_once_and_skips_split_actions(monkeypatch):
-    enumerations = Counter()
-    real_all_dags = actions.all_dags
+    # the benchmark's traced run replaces graphs.all_dags at every package
+    # attribute that holds it, predicts that it runs on the discrete workload
+    # and counts the DAGs it yields as examined: each call draws the whole
+    # enumeration from it once
+    real_all_dags = graphs.all_dags
+    drawn: list[int] = []  # DAGs yielded, per call of all_dags
 
     def counting(nodes):
-        enumerations["all_dags"] += 1
-        return real_all_dags(nodes)
+        drawn.append(0)
+        for g in real_all_dags(nodes):
+            drawn[-1] += 1
+            yield g
 
     classified: list[Dag] = []
     real_classify = actions._StatisticalSuite.classify
@@ -664,16 +671,20 @@ def test_statistical_valid_graphs_enumerates_once_and_skips_split_actions(monkey
         classified.append(g)
         return real_classify(self, g)
 
-    monkeypatch.setattr(actions, "all_dags", counting)
+    for name, mod in list(sys.modules.items()):
+        if name == "phenocausal" or name.startswith("phenocausal."):
+            for attr, value in list(vars(mod).items()):
+                if value is real_all_dags:
+                    monkeypatch.setattr(mod, attr, counting)
     monkeypatch.setattr(actions._StatisticalSuite, "classify", classify)
     skipped = 0
     for seed in range(4):
         _, p, suite = _statistical_instance(3, [2, 3, 2], seed, identity=True,
                                             couple=True, generated=True)
-        enumerations.clear()
+        drawn.clear()
         classified.clear()
         out = valid_graphs(p, suite, mode="statistical")
-        assert enumerations == {"all_dags": 1}
+        assert drawn == [25]
         effects = [a.resolve(p) for a in suite]
         unsplit = [g for g in real_all_dags(p.names)
                    if all(len(changed_factors(p, q, g)) <= 1 for q in effects)]
