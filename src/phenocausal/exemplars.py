@@ -293,8 +293,30 @@ class _UrnProcess:
                          tuple(noises))
 
 
+def _pair(label: str, deltas: Mapping[str, int], p_plus: float,
+          p_minus: float) -> tuple[_Move, _Move]:
+    """The two moves of action class ``label``: ``label+`` adds ``deltas``
+    and ``label-`` takes them back. Each is refused while a type it removes
+    balls from is empty."""
+    back = {v: -d for v, d in deltas.items()}
+    return tuple(_Move(label + sign, d, tuple(v for v, k in d.items() if k < 0), p)
+                 for sign, d, p in (("+", deltas, p_plus), ("-", back, p_minus)))
+
+
+def _coin_biases(coin_biases: Sequence[float] | None, n: int) -> tuple[float, ...]:
+    """The coins (p1+, p1-, ..., pn+, pn-) of n action classes; all 0.5 by
+    default."""
+    if coin_biases is None:
+        return (0.5,) * (2 * n)
+    biases = tuple(float(b) for b in coin_biases)
+    if len(biases) != 2 * n:
+        raise ScmError(f"need 2*{n} coin biases")
+    return biases
+
+
 def _urn_exemplar(name: str, process: _UrnProcess, model: _Lazy,
-                  notes: Callable[[], dict], **fields) -> Exemplar:
+                  notes: Callable[[], dict], linear: _Lazy | None,
+                  **fields) -> Exemplar:
     """An urn exemplar that samples ``process`` and derives its ground
     truth, general SCM, unit actions and ``notes`` on first read, the first
     two from the linear idealization ``model``."""
@@ -306,18 +328,15 @@ def _urn_exemplar(name: str, process: _UrnProcess, model: _Lazy,
         sampler=process.sample,
         process=process,
         notes=_Lazy(notes),
+        linear=linear,
         **fields)
 
 
 def _urn2_process(kb0: int, kr0: int, rounds: int,
                   biases: Sequence[float]) -> _UrnProcess:
-    p1p, p1m, p2p, p2m = biases
     return _UrnProcess(("Kb", "Kr"), (kb0, kr0), (
-        _Move("A1+", {"Kb": 1, "Kr": -1}, ("Kr",), p1p),
-        _Move("A1-", {"Kb": -1, "Kr": 1}, ("Kb",), p1m),
-        _Move("A2+", {"Kr": 1}, (), p2p),
-        _Move("A2-", {"Kr": -1}, ("Kr",), p2m),
-    ), rounds)
+        *_pair("A1", {"Kb": 1, "Kr": -1}, *biases[:2]),
+        *_pair("A2", {"Kr": 1}, *biases[2:])), rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +345,7 @@ def _urn2_process(kb0: int, kr0: int, rounds: int,
 
 
 def urn_bivariate(kb0: int = 50, kr0: int = 50, rounds: int = 5,
-                  coin_biases: Sequence[float] = (0.5, 0.5, 0.5, 0.5),
+                  coin_biases: Sequence[float] | None = None,
                   seed: int = 0, bias_shift: float = 0.2) -> Exemplar:
     """Urn with blue and red balls; ground truth Kb -> Kr.
 
@@ -341,8 +360,8 @@ def urn_bivariate(kb0: int = 50, kr0: int = 50, rounds: int = 5,
         raise ScmError("need at least one round")
     if not math.isfinite(bias_shift):
         raise ScmError("bias_shift must be finite")
-    p1p, p1m, p2p, p2m = (float(b) for b in coin_biases)
-    process = _urn2_process(kb0, kr0, rounds, (p1p, p1m, p2p, p2m))
+    biases = _coin_biases(coin_biases, 2)
+    process = _urn2_process(kb0, kr0, rounds, biases)
     process.grid()  # refuse an oversized lattice now, not at the first read
     class_nodes = {"A1": "Kb", "A2": "Kr"}
     linear = _Lazy(lambda: process.linear(class_nodes))
@@ -358,7 +377,7 @@ def urn_bivariate(kb0: int = 50, kr0: int = 50, rounds: int = 5,
         "urn2", process, linear,
         lambda: {
             "kb0": kb0, "kr0": kr0, "rounds": rounds,
-            "coin_biases": [p1p, p1m, p2p, p2m],
+            "coin_biases": list(biases),
             "bias_shift": bias_shift,
             "levels": process.levels(),
             "class_nodes": class_nodes,
@@ -366,8 +385,8 @@ def urn_bivariate(kb0: int = 50, kr0: int = 50, rounds: int = 5,
         },
         baseline=_Lazy(lambda: exact()[0]),
         statistical_actions=(
-            StatisticalAction("A1-bias-shift", shifted("A1+", p1p)),
-            StatisticalAction("A2-bias-shift", shifted("A2+", p2p)),
+            StatisticalAction("A1-bias-shift", shifted("A1+", biases[0])),
+            StatisticalAction("A2-bias-shift", shifted("A2+", biases[2])),
         ),
         linear=linear)
 
@@ -399,11 +418,7 @@ def urn_chain(n: int = 4, k0: Sequence[int] | None = None, rounds: int = 5,
     k0 = tuple(k0)
     if rounds >= min(k0) or rounds < 1:
         raise ScmError("need 1 <= rounds < min(k0)")
-    if coin_biases is None:
-        coin_biases = (0.5,) * (2 * n)
-    biases = tuple(float(b) for b in coin_biases)  # (p1+, p1-, ..., pn+, pn-)
-    if len(biases) != 2 * n:
-        raise ScmError(f"need 2*{n} coin biases")
+    biases = _coin_biases(coin_biases, n)
     if len(k0) != n:
         raise ScmError(f"need {n} initial counts k0, got {len(k0)}")
     if endpoint not in ("low", "high"):
@@ -415,15 +430,10 @@ def urn_chain(n: int = 4, k0: Sequence[int] | None = None, rounds: int = 5,
         class_nodes = {f"A{j}": f"K{j-1}" for j in range(2, n + 1)}
         class_nodes["A1"] = f"K{n}"
 
-    moves = []
-    for j in range(n, 1, -1):
-        moves.append(_Move(f"A{j}+", {f"K{j}": 1, f"K{j-1}": -1}, (f"K{j-1}",),
-                           biases[2 * (j - 1)]))
-        moves.append(_Move(f"A{j}-", {f"K{j}": -1, f"K{j-1}": 1}, (f"K{j}",),
-                           biases[2 * (j - 1) + 1]))
     end = f"K{1 if endpoint == 'low' else n}"
-    moves.append(_Move("A1+", {end: 1}, (), biases[0]))
-    moves.append(_Move("A1-", {end: -1}, (end,), biases[1]))
+    moves = [mv for j in range(n, 0, -1) for mv in _pair(
+        f"A{j}", {f"K{j}": 1, f"K{j-1}": -1} if j > 1 else {end: 1},
+        *biases[2 * j - 2:2 * j])]
     # nodes run Kn..K1, k0 lists K1..Kn
     process = _UrnProcess(_chain_nodes(n), k0[::-1], tuple(moves), rounds)
     linear = _Lazy(lambda: process.linear(class_nodes))
@@ -461,22 +471,13 @@ def bundles_chain(n: int = 4, rounds: int = 5,
         raise ScmError("need n >= 2 package types")
     if rounds < 1:
         raise ScmError("need at least one round")
-    if coin_biases is None:
-        coin_biases = (0.5,) * (2 * n)
-    biases = tuple(float(b) for b in coin_biases)
-    if len(biases) != 2 * n:
-        raise ScmError(f"need 2*{n} coin biases")
+    biases = _coin_biases(coin_biases, n)
     r0 = initial_packages if initial_packages is not None else rounds + 1
     if r0 <= rounds:
         raise ScmError("need initial_packages > rounds")
 
-    moves = []
-    for j in range(n, 0, -1):
-        types = tuple(f"K{i}" for i in range(1, j + 1))
-        moves.append(_Move(f"A{j}+", {v: 1 for v in types}, (),
-                           biases[2 * (j - 1)]))
-        moves.append(_Move(f"A{j}-", {v: -1 for v in types}, types,
-                           biases[2 * (j - 1) + 1]))
+    moves = [mv for j in range(n, 0, -1) for mv in _pair(
+        f"A{j}", {f"K{i}": 1 for i in range(1, j + 1)}, *biases[2 * j - 2:2 * j])]
     # K_j starts with r0 balls from each of the package types j..n
     process = _UrnProcess(_chain_nodes(n), tuple(r0 * k for k in range(1, n + 1)),
                           tuple(moves), rounds)
@@ -546,7 +547,6 @@ def rabbits(n_rabbits: int = 5, food_supply: float | None = None,
 
     demand_noise = NoiseSpec.finite((d_lo, d, d_hi), (1 / 3, 1 / 3, 1 / 3))
     if scenario == 1:
-        truth = Dag(("X", "Y"), [("Y", "X")])
         scm = GeneralScm(
             nodes=("X", "Y"),
             parents={"X": ("Y",), "Y": ()},
@@ -571,7 +571,6 @@ def rabbits(n_rabbits: int = 5, food_supply: float | None = None,
                                           "Y": appetite_factor}}),
         )
     else:
-        truth = Dag(("X", "Y"), [("X", "Y")])
         scm = GeneralScm(
             nodes=("X", "Y"),
             parents={"X": (), "Y": ("X",)},
@@ -598,10 +597,10 @@ def rabbits(n_rabbits: int = 5, food_supply: float | None = None,
 
     return Exemplar(
         name=f"rabbits{scenario}",
-        ground_truth=truth,
+        ground_truth=scm.graph(),
         scm=scm,
         unit_actions=actions,
-        sampler=lambda m, s: scm.simulate(m, s),
+        sampler=scm.simulate,
         notes={"n_rabbits": n, "food_supply": f,
                "demand_per_rabbit": d, "scenario": scenario,
                "appetite_factor": appetite_factor},

@@ -23,6 +23,7 @@ every record carries the integer seed that regenerates its instance.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import itertools
 import math
 import os
@@ -31,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exemplars import Exemplar
+from .exemplars import Exemplar, urn_bivariate
 from .graphs import (Dag, _reachable_inside, backdoor_admissible,
                      is_graphically_causally_sufficient, marginal_dag,
                      random_dag)
@@ -474,8 +475,6 @@ def boundary_trial(trial_seed: int, max_nodes: int = 6, index: int = 0) -> Trial
 
 
 def embedding_trial(trial_seed: int, rounds: int = 3, index: int = 0) -> TrialRecord:
-    from .exemplars import urn_bivariate
-
     if rounds < 1:
         raise ValueError(f"rounds must be at least 1, got {rounds}")
     rng = _philox(trial_seed)
@@ -496,22 +495,18 @@ def _run_trials(fn: Callable, seeds: list[int], jobs: int) -> list[TrialRecord]:
     # no more workers than cores or trials: under the fork start method the
     # pool starts every requested worker at the first submit
     workers = min(jobs, os.cpu_count() or 1, len(seeds))
-    call = _TrialCall(fn)
+    call = functools.partial(_trial_at, fn)
     if workers <= 1:
         return [call(a) for a in enumerate(seeds)]
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(call, enumerate(seeds), chunksize=8))
 
 
-class _TrialCall:
-    """Picklable wrapper so trial functions can run in worker processes."""
-
-    def __init__(self, fn: Callable):
-        self.fn = fn
-
-    def __call__(self, args: tuple[int, int]) -> TrialRecord:
-        index, seed = args
-        return self.fn(seed, index=index)
+def _trial_at(fn: Callable, args: tuple[int, int]) -> TrialRecord:
+    """``fn(seed, index=index)`` for ``args = (index, seed)``; a module-level
+    function, so a partial of it pickles to worker processes."""
+    index, seed = args
+    return fn(seed, index=index)
 
 
 def randomized_suite(config: SuiteConfig = SuiteConfig(),

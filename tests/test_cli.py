@@ -99,6 +99,16 @@ def test_exemplar_malformed_list_parameter_exits_2(tmp_path, capfd):
     assert "bad parameters for 'urn2'" in capfd.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["urn2", "urnN", "bundles"])
+@pytest.mark.parametrize("value", ["0", "0.5"])
+def test_exemplar_coin_biases_given_as_one_number_exit_2(name, value, tmp_path, capfd):
+    # a number is no list of coins, and zero is not taken for a missing list
+    rc = run(["exemplar", name, "--seed", "1", "--param", f"coin_biases={value}",
+              "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert f"bad parameters for {name!r}" in capfd.readouterr().err
+
+
 @pytest.mark.parametrize("name, params", [
     ("farmers", ["potato_elasticity=nan"]), ("farmers", ["exchange_factor=inf"]),
     ("farmers", ["factor_change=nan"]), ("rabbits1", ["n_rabbits=nan"]),

@@ -6,6 +6,7 @@ imports none."""
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import json
@@ -167,20 +168,37 @@ def test_every_public_method_of_an_exported_class_has_a_caller():
     assert unread == set()
 
 
-def _passed_parameters(path: Path, signatures: dict[str, list[str]]) -> set[str]:
+def _passed_parameters(path: Path, signatures: dict[str, list[str]],
+                       fields: dict[str, set[str]]) -> set[str]:
     """``name.param`` for each parameter of ``signatures[name]`` that some
     call of ``name`` (bare or as an attribute) in a source file passes, by
-    position or keyword."""
+    position or keyword. A ``cls(...)`` call in a classmethod calls the
+    enclosing class, and ``replace(x, k=...)`` passes ``k`` to every
+    dataclass whose ``fields`` hold ``k``."""
     passed = set()
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if not isinstance(node, ast.Call):
-            continue
-        name = getattr(node.func, "id", getattr(node.func, "attr", None))
-        if name not in signatures:
-            continue
-        positional = [a for a in node.args if not isinstance(a, ast.Starred)]
-        passed |= {f"{name}.{p}" for p in signatures[name][:len(positional)]}
-        passed |= {f"{name}.{k.arg}" for k in node.keywords if k.arg is not None}
+
+    def visit(node: ast.AST, owner: str | None) -> None:
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name == "cls":
+                name = owner
+            if name == "replace":
+                passed.update(f"{cls}.{k.arg}" for cls, names in fields.items()
+                              for k in node.keywords if k.arg in names)
+            elif name in signatures:
+                positional = [a for a in node.args if not isinstance(a, ast.Starred)]
+                passed.update(f"{name}.{p}" for p in signatures[name][:len(positional)])
+                passed.update(f"{name}.{k.arg}" for k in node.keywords
+                              if k.arg is not None)
+        for child in ast.iter_child_nodes(node):
+            if isinstance(node, ast.ClassDef) and isinstance(child, ast.FunctionDef):
+                in_classmethod = any(getattr(d, "id", None) == "classmethod"
+                                     for d in child.decorator_list)
+                visit(child, node.name if in_classmethod else None)
+            else:
+                visit(child, owner)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), None)
     return passed
 
 
@@ -190,22 +208,16 @@ def _passed_parameters(path: Path, signatures: dict[str, list[str]]) -> set[str]
 #   the four of ``permutation_threshold``;
 # - ``localize_mechanism_change.n_perm``: the benchmark's traced ``joints``
 #   counter reads it, and ROADMAP item 4 decides its value;
-# - each trial function's ``index``: ``_TrialCall`` passes it through
-#   ``self.fn``;
+# - each trial function's ``index``: ``verify._trial_at`` passes it to the
+#   function it is bound to;
 # - ``VerificationReport.extras``: an artifact field kept empty until the
-#   report schema changes;
-# - ``Exemplar.linear``: the urn constructors pass it through
-#   ``_urn_exemplar``'s ``**fields``;
-# - ``GeneralScm.noise_streams``: set by ``dataclasses.replace``;
-# - ``NoiseSpec``'s ``params``, ``atoms`` and ``probs``: the family
-#   constructors pass them as ``cls(...)``.
+#   report schema changes.
 UNREAD_DEFAULTS = {
     "is_markov.eps", "permutation_threshold.n_perm", "permutation_threshold.quantile",
     "permutation_threshold.seed", "permutation_threshold.max_points",
     "localize_mechanism_change.n_perm",
     "proposition_trial.index", "boundary_trial.index", "embedding_trial.index",
-    "VerificationReport.extras", "Exemplar.linear", "GeneralScm.noise_streams",
-    "NoiseSpec.params", "NoiseSpec.atoms", "NoiseSpec.probs",
+    "VerificationReport.extras",
 }
 
 
@@ -224,7 +236,10 @@ def test_every_defaulted_parameter_is_passed_by_a_caller():
     root = Path(phenocausal.__file__).resolve().parents[2]
     sources = [*(root / "src").rglob("*.py"), *(root / "perfbench").rglob("*.py")]
     names = {name: list(p) for name, p in params.items()}
-    passed = set().union(*(_passed_parameters(path, names) for path in sources))
+    fields = {name: {f.name for f in dataclasses.fields(value)}
+              for name, value in _declared().items()
+              if name in params and dataclasses.is_dataclass(value)}
+    passed = set().union(*(_passed_parameters(path, names, fields) for path in sources))
     assert defaulted - passed == UNREAD_DEFAULTS
 
 

@@ -7,6 +7,7 @@ the oracle of ``simulate``."""
 from __future__ import annotations
 
 import json
+import re
 from typing import Sequence
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from phenocausal import (DiscreteJoint, ScmError, TableError, bundles_chain,
                          exact_joint, urn_bivariate, urn_chain)
 from phenocausal.exemplars import _Move, _UrnProcess
-from urn_oracles import exact_urn2_joint
+from urn_oracles import bundles_moves, chain_moves, exact_urn2_joint, urn2_moves
 
 
 def _shift2(arr: np.ndarray, db: int, dr: int) -> np.ndarray:
@@ -224,3 +225,46 @@ def test_the_unit_reading_of_the_moves_alone_gives_the_declared_structure(name, 
     verdicts = suite.classify(g).verdicts
     assert len(verdicts) == len(moves)
     assert {(v.label[:-1], v.node) for v in verdicts} == set(ex.notes["class_nodes"].items())
+
+
+def _spelled_out(moves) -> list[tuple]:
+    # deltas as an item list: their key order is part of the move
+    return [(mv.label, list(mv.deltas.items()), mv.requires_positive, mv.prob)
+            for mv in moves]
+
+
+_MOVE_CASES = ([("urn2", 2, "low")]
+               + [("urnN", n, end) for n in range(2, 7) for end in ("low", "high")]
+               + [("bundles", n, "low") for n in range(2, 7)])
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind, n, endpoint", _MOVE_CASES,
+                         ids=[f"{k}-{n}-{e}" for k, n, e in _MOVE_CASES])
+def test_each_urn_builds_the_moves_written_out_by_hand(kind, n, endpoint, seed):
+    # every class stated once as a pair gives the former move lists: same
+    # order, labels, deltas in key order, refusal lists and coins
+    biases = tuple(np.random.default_rng([seed, n]).uniform(0, 1, 2 * n).tolist())
+    if kind == "urn2":
+        ex, want = urn_bivariate(coin_biases=biases), urn2_moves(biases)
+    elif kind == "urnN":
+        ex = urn_chain(n=n, coin_biases=biases, endpoint=endpoint)
+        want = chain_moves(n, biases, endpoint)
+    else:
+        ex, want = bundles_chain(n=n, coin_biases=biases), bundles_moves(n, biases)
+    assert _spelled_out(ex.process.moves) == _spelled_out(want)
+    assert ex.process.moves == want
+
+
+@pytest.mark.parametrize("build, n", [
+    (lambda b: urn_bivariate(coin_biases=b), 2),
+    (lambda b: urn_chain(n=3, coin_biases=b), 3),
+    (lambda b: bundles_chain(n=4, coin_biases=b), 4),
+], ids=["urn2", "urnN", "bundles"])
+def test_urn_builders_refuse_coin_biases_of_another_length(build, n):
+    for width in (2 * n - 1, 2 * n + 1):
+        with pytest.raises(ScmError, match=re.escape(f"need 2*{n} coin biases")):
+            build((0.5,) * width)
+    # only a missing list takes the default: a number is no list of coins
+    with pytest.raises(TypeError):
+        build(0)
