@@ -346,7 +346,7 @@ def _urn2_process(kb0: int, kr0: int, rounds: int,
 
 def urn_bivariate(kb0: int = 50, kr0: int = 50, rounds: int = 5,
                   coin_biases: Sequence[float] | None = None,
-                  seed: int = 0, bias_shift: float = 0.2) -> Exemplar:
+                  bias_shift: float = 0.2) -> Exemplar:
     """Urn with blue and red balls; ground truth Kb -> Kr.
 
     Elementary actions: A1+/- replace a red ball by a blue one or back,
@@ -381,7 +381,6 @@ def urn_bivariate(kb0: int = 50, kr0: int = 50, rounds: int = 5,
             "bias_shift": bias_shift,
             "levels": process.levels(),
             "class_nodes": class_nodes,
-            "seed": seed,
         },
         baseline=_Lazy(lambda: exact()[0]),
         statistical_actions=(
@@ -401,7 +400,7 @@ def _chain_nodes(n: int) -> tuple[str, ...]:
 
 
 def urn_chain(n: int = 4, k0: Sequence[int] | None = None, rounds: int = 5,
-              coin_biases: Sequence[float] | None = None, seed: int = 0,
+              coin_biases: Sequence[float] | None = None,
               endpoint: str = "low") -> Exemplar:
     """Urn with n ball types; A_j+/- convert type j-1 into type j and back,
     and the endpoint actions add or remove balls of type 1.
@@ -445,7 +444,6 @@ def urn_chain(n: int = 4, k0: Sequence[int] | None = None, rounds: int = 5,
             "coin_biases": list(biases), "endpoint": endpoint,
             "mixing": linear().mixing().tolist(),
             "class_nodes": class_nodes,
-            "seed": seed,
         },
         # the pinned high-endpoint sidecar carries no linear block
         linear=linear if endpoint == "low" else None)
@@ -457,7 +455,7 @@ def urn_chain(n: int = 4, k0: Sequence[int] | None = None, rounds: int = 5,
 
 
 def bundles_chain(n: int = 4, rounds: int = 5,
-                  coin_biases: Sequence[float] | None = None, seed: int = 0,
+                  coin_biases: Sequence[float] | None = None,
                   initial_packages: int | None = None) -> Exemplar:
     """Package urn: A_j+ drops one package containing one ball of each type
     1..j, A_j- wraps such a package back. Ground truth is the simple chain
@@ -492,7 +490,6 @@ def bundles_chain(n: int = 4, rounds: int = 5,
             "k0": list(process.k0),
             "mixing": linear().mixing().tolist(),
             "class_nodes": class_nodes,
-            "seed": seed,
         },
         linear=linear)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import collections
 import hashlib
+import inspect
 import itertools
 import json
 import math
@@ -517,6 +518,67 @@ def test_every_exemplar_samples_deterministically(name):
     assert d1.seed == 123
 
 
+# per exemplar constructor, the keywords of a build that gives one parameter
+# a second valid value; its twin build resets that parameter to its default
+_CONSTRUCTORS = (urn_bivariate, urn_chain, bundles_chain, rabbits, macro_pair,
+                 ball_track, farmers)
+_SECOND_VALUES = [
+    (urn_bivariate, "kb0", {"kb0": 40}),
+    (urn_bivariate, "kr0", {"kr0": 40}),
+    (urn_bivariate, "rounds", {"rounds": 3}),
+    (urn_bivariate, "coin_biases", {"coin_biases": (0.6, 0.4, 0.5, 0.5)}),
+    (urn_bivariate, "bias_shift", {"bias_shift": 0.3}),
+    (urn_chain, "n", {"n": 3}),
+    (urn_chain, "k0", {"k0": (40, 50, 50, 50)}),
+    (urn_chain, "rounds", {"rounds": 3}),
+    (urn_chain, "coin_biases", {"coin_biases": (0.6, 0.4) + (0.5,) * 6}),
+    (urn_chain, "endpoint", {"endpoint": "high"}),
+    (bundles_chain, "n", {"n": 3}),
+    (bundles_chain, "rounds", {"rounds": 3}),
+    (bundles_chain, "coin_biases", {"coin_biases": (0.6, 0.4) + (0.5,) * 6}),
+    (bundles_chain, "initial_packages", {"initial_packages": 10}),
+    (rabbits, "n_rabbits", {"n_rabbits": 6}),
+    # in scenario 1 every food supply above demand gives the same system
+    (rabbits, "food_supply", {"food_supply": 3.0, "scenario": 2}),
+    (rabbits, "demand_per_rabbit", {"demand_per_rabbit": 3.0}),
+    (rabbits, "scenario", {"scenario": 2}),
+    (rabbits, "appetite_factor", {"appetite_factor": 1.5}),
+    (macro_pair, "action_choice", {"action_choice": "act-on-2s"}),
+    (macro_pair, "shift", {"shift": 2.0}),
+    (ball_track, "start_distribution_param", {"start_distribution_param": 0.7}),
+    (ball_track, "barrier_offset", {"barrier_offset": 1}),
+    (farmers, "exchange_factor", {"exchange_factor": 3.0}),
+    (farmers, "potato_elasticity", {"potato_elasticity": 1.0}),
+    (farmers, "factor_change", {"factor_change": 2.0}),
+]
+
+
+def _beyond_notes(ex) -> tuple:
+    """What an exemplar is apart from its ``notes``: its artifact, a
+    20-row sample and the joint each statistical action leaves."""
+    obj = {k: v for k, v in ex.to_json_obj().items() if k != "notes"}
+    return (json.dumps(obj), ex.sample(20, 0).rows.tobytes(),
+            [json.dumps(a.resolve(ex.baseline).to_json_obj())
+             for a in ex.statistical_actions])
+
+
+def test_the_second_value_table_lists_every_constructor_parameter():
+    listed = {(build.__name__, param) for build, param, _ in _SECOND_VALUES}
+    assert listed == {(build.__name__, param) for build in _CONSTRUCTORS
+                      for param in inspect.signature(build).parameters}
+
+
+@pytest.mark.parametrize("build, param, kwargs", _SECOND_VALUES,
+                         ids=[f"{b.__name__}.{p}" for b, p, _ in _SECOND_VALUES])
+def test_every_constructor_parameter_changes_the_exemplar_beyond_its_notes(
+        build, param, kwargs):
+    # a parameter that only its own notes entry records has no effect
+    default = inspect.signature(build).parameters[param].default
+    assert kwargs[param] != default
+    assert _beyond_notes(build(**kwargs)) != _beyond_notes(
+        build(**{**kwargs, param: default}))
+
+
 def test_unknown_exemplar_rejected():
     with pytest.raises(KeyError):
         build_exemplar("nope")
@@ -586,11 +648,12 @@ def test_oversized_urn_lattice_refused_at_build():
 
 
 # sha256 of json.dumps(build_exemplar(name).to_json_obj()), recorded while
-# every value was still computed at build time
+# every value was still computed at build time; the urn entries were
+# re-recorded when their notes lost the ``seed`` that no build read
 EXEMPLAR_JSON_SHA256 = {
-    "urn2": "a5fab7b3fee4c35aaf4b7b021a98f0bc93d2aa5f7832723401c6eb8da01ddbaa",
-    "urnN": "cd658f856d7c3bbcded545f563ca75d864c9ef3c26fddd7f6e93c0a8909df99f",
-    "bundles": "6aad676ca681b86cc5146a3ecb738ff8c33c8e84dcc2515e5778834cffb1be57",
+    "urn2": "51544055cd5f60af2ac818e1137879e2bacc5dab86a8d5bcf1e19897ce3def63",
+    "urnN": "81a4d038f5a88a7443eac8144b1c8155a37b422c055569426f72819b9c43073b",
+    "bundles": "e23bd5a4753fc0c02510938d1a36735ae8f8c13d88254ad04c62b0dedb9f8070",
     "rabbits1": "fa312ae187a000aaf91c1378f5fcbe7f2724761d9c82be9dfa3eab636df3d027",
     "rabbits2": "e90ce699d9c2d6e202e0aecdd5303fd1444e9c0b4727ccdc7f83b427d1e14244",
     "macro1": "5c4ee34c0067c60533ace6ac7c4699dbefc33efface5be171896974a59f79558",

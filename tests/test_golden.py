@@ -22,25 +22,25 @@ GOLDEN = [
     ("exemplar-urn2",
      ["exemplar", "urn2", "--seed", "7", "--samples", "300"],
      {".csv": "6e8f7a016b2e1bd6d78d32db1c0e35ba429eab50e1df234379dc1c26a80ea423",
-      ".json": "eba2afcf1f24a0fab7d7e22d759fbb21dee8ee6809f43b20454d0f82ac56df0c"}),
+      ".json": "446651dc9d0ec3b43fd95d681d4bb61f2ae373f06f0f64cddcb8bdca3e2dbc54"}),
     ("exemplar-urn2-boundary",
      ["exemplar", "urn2", "--kb0", "6", "--kr0", "4", "--rounds", "3",
       "--seed", "7", "--samples", "300"],
      {".csv": "d270b0ea4d0feb993cdd876aa77177fd949f7fb1bd14e041f89a190065a1dcb6",
-      ".json": "f6f4f62eebe4e25d92fbca57e032c49f406a1ff8072d05d5bd59bdb24def75c3"}),
+      ".json": "bbc75e6f36bc090e35f42a443fa17814c81dc89a98acb8e75da707903976aa1b"}),
     ("exemplar-urnN-4",
      ["exemplar", "urnN", "--n", "4", "--seed", "7", "--samples", "300"],
      {".csv": "779d440fcfecd7a4b8bc125fe51710a6699d32478ce50beb8adeee3be206e85f",
-      ".json": "248a34da6d150e6911ed67c2c19dfcdd36359d00ad5c358d700198582b347791"}),
+      ".json": "c1127ee1fefa25814ce331713440306727efe61421eff53d8daefdd683725ec6"}),
     ("exemplar-urnN-4-high",
      ["exemplar", "urnN", "--n", "4", "--param", "endpoint=high",
       "--seed", "7", "--samples", "300"],
      {".csv": "a9039bffd1f66dde4134feebb163f0da59e80ecb37fee957c3a13d0da06739f4",
-      ".json": "5318f98d2a2807ad415f6e3d8b4cb00d8d5fd7cc03f769af0d271cb37d120f57"}),
+      ".json": "de57516b1efada9fdfd4a4787a75fcc5353706143c99268271064e046509334f"}),
     ("exemplar-bundles",
      ["exemplar", "bundles", "--seed", "7", "--samples", "300"],
      {".csv": "4f87203ca43a0626a2d2e14b99a4b3fbf77b8349d0a5448e959450f72add1f00",
-      ".json": "95ef937698bc112041aff8e37fc0cb71281b9ce8110e3d7d463d9d3fce7e7d6c"}),
+      ".json": "d204747098691b547e87511232723c3f793f2ee3be29174d5c7ef1a1e9429a2a"}),
     ("classify-urn2-statistical",
      ["classify", "urn2", "--mode", "statistical", "--enumerate",
       "--seed", "3"],
@@ -79,11 +79,11 @@ GOLDEN = [
     ("exemplar-urnN-3",
      ["exemplar", "urnN", "--n", "3", "--seed", "7", "--samples", "300"],
      {".csv": "d5e5795b70040900ccfc6b6b1b42a8bb810d23bc301f6253cae65cb7b38b6929",
-      ".json": "6d45f21795f215be794d4685364ab57f6033badc729e1cb7a16175497950a336"}),
+      ".json": "657936950a2c21f8cd35592b521b466b0df51f98eb0c90e0ee65a9d2229bc668"}),
     ("exemplar-bundles-3",
      ["exemplar", "bundles", "--n", "3", "--seed", "7", "--samples", "300"],
      {".csv": "f4baf43d0217d6e4e671e294d613082b07882874ad3b053d72c1324a962a14fd",
-      ".json": "807d7ea06a40c99395589b1736a89e17d3f5b011813343666fa3a3b3c8ddbe0f"}),
+      ".json": "1b150954551625714675e6d1f0756961460e44a3a0ec438fe48d89c7fd9ace3e"}),
     ("classify-urnN-4-high",
      ["classify", "urnN", "--n", "4", "--param", "endpoint=high", "--enumerate",
       "--trials", "100", "--seed", "3"],
