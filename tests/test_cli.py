@@ -100,19 +100,11 @@ def test_exemplar_malformed_list_parameter_exits_2(tmp_path, capfd):
 
 
 @pytest.mark.parametrize("name", ["urn2", "urnN", "bundles"])
-def test_exemplar_seed_parameter_is_unknown_exit_2(name, tmp_path, capfd):
-    # the dataset seed is --seed; no urn constructor takes a seed of its own
-    rc = run(["exemplar", name, "--seed", "7", "--param", "seed=3",
-              "--out", str(tmp_path / "x.csv")])
-    assert rc == 2
-    assert f"bad parameters for {name!r}" in capfd.readouterr().err
-
-
-@pytest.mark.parametrize("name", ["urn2", "urnN", "bundles"])
-@pytest.mark.parametrize("value", ["0", "0.5"])
-def test_exemplar_coin_biases_given_as_one_number_exit_2(name, value, tmp_path, capfd):
-    # a number is no list of coins, and zero is not taken for a missing list
-    rc = run(["exemplar", name, "--seed", "1", "--param", f"coin_biases={value}",
+@pytest.mark.parametrize("param", ["seed=3", "coin_biases=0", "coin_biases=0.5"])
+def test_urn_exemplar_parameters_no_build_takes_exit_2(name, param, tmp_path, capfd):
+    # the dataset seed is --seed, not an urn parameter; a number is no list
+    # of coins, and zero is not taken for a missing list
+    rc = run(["exemplar", name, "--seed", "7", "--param", param,
               "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     assert f"bad parameters for {name!r}" in capfd.readouterr().err

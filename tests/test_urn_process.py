@@ -253,7 +253,6 @@ def test_each_urn_builds_the_moves_written_out_by_hand(kind, n, endpoint, seed):
     else:
         ex, want = bundles_chain(n=n, coin_biases=biases), bundles_moves(n, biases)
     assert _spelled_out(ex.process.moves) == _spelled_out(want)
-    assert ex.process.moves == want
 
 
 @pytest.mark.parametrize("build, n", [
