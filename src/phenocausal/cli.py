@@ -80,20 +80,26 @@ def _eps(text: str) -> float:
     return value
 
 
+def _parse_value(raw: str) -> object:
+    try:
+        return int(raw)
+    except ValueError:
+        try:
+            return float(raw)
+        except ValueError:
+            return raw
+
+
 def _parse_param(items: list[str]) -> dict:
+    """key=value pairs; a value with commas is a tuple of its elements, and
+    each value or element is an int, else a float, else the string."""
     params = {}
     for item in items:
         if "=" not in item:
             raise SystemExit2(f"bad --param {item!r}, expected key=value")
         key, raw = item.split("=", 1)
-        try:
-            value: object = int(raw)
-        except ValueError:
-            try:
-                value = float(raw)
-            except ValueError:
-                value = raw
-        params[key] = value
+        params[key] = (tuple(map(_parse_value, raw.split(","))) if "," in raw
+                       else _parse_value(raw))
     return params
 
 

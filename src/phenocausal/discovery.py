@@ -15,10 +15,14 @@ the most exogenous variable, regress it out, recurse) followed by
 coefficient pruning, with a least-squares fit on all predecessors, all from
 one Gram matrix of the centred columns and their strided points.
 
-Mechanism-shift localization compares per-environment plug-in conditional
-tables against the pooled ones; every table, permutation nulls included,
-is a ``bincount`` of the rows' cell codes. On exact joint inputs this
-reduces to the exact factor-change computation.
+Mechanism-shift localization scores a node, per environment, by the total
+variation between the environment's conditional and the pooled one in each
+parent context, weighted by the context's frequency in the environment
+(after the per-context invariance tests of CD-NOD, Huang et al., JMLR 21,
+2020, and ICP, Peters, Buhlmann & Meinshausen, JRSS-B 78, 2016). The score
+is a closed form over cell counts, one ``bincount`` of the rows' cell codes
+per environment, for the observed split and every permutation of the null.
+On exact joint inputs it is the exact factor distance instead.
 """
 
 from __future__ import annotations
@@ -32,8 +36,7 @@ import numpy as np
 
 from .graphs import Dag
 from .scm import Dataset, _philox
-from .tables import (ConditionalTable, DiscreteJoint, _cells, _conditional_distance,
-                     conditional, factorize)
+from .tables import DiscreteJoint, _cells, factor_distance
 
 __all__ = [
     "DiscoveryError",
@@ -62,10 +65,8 @@ _PRUNE_THRESHOLD = 0.05
 # a calibrated shift threshold is this quantile of the permutation null,
 # Bonferroni-adjusted over the nodes
 _NULL_QUANTILE = 0.95
-# a calibrated shift threshold never falls below this factor distance
+# a calibrated shift threshold never falls below this shift
 _MIN_EFFECT = 0.02
-# a parent context seen fewer times than this makes a shift inconclusive
-_MIN_CONTEXT_COUNT = 5
 
 
 class DiscoveryError(ValueError):
@@ -552,19 +553,30 @@ def lingam_multivariate(data: Dataset,
 @dataclass(frozen=True)
 class LocalizationResult:
     changed: tuple[str, ...]
-    inconclusive: tuple[str, ...]
     distances: dict
 
     def to_json_obj(self) -> dict:
-        return {"changed": list(self.changed),
-                "inconclusive": list(self.inconclusive),
-                "distances": self.distances}
+        return {"changed": list(self.changed), "distances": self.distances}
 
 
-def _counted_joint(columns: Sequence[str], cells: np.ndarray,
-                   shape: tuple[int, ...]) -> DiscreteJoint:
-    counts = np.bincount(cells, minlength=math.prod(shape)).reshape(shape)
-    return DiscreteJoint(columns, counts / counts.sum())
+def _weighted_shifts(counts: np.ndarray, columns: tuple[str, ...],
+                     g: Dag) -> dict[str, np.ndarray]:
+    """Per node v, one shift per environment of the stacked cell counts
+    ``counts`` (E, *shape): sum_c q_e(c) TV(q_e(v | c), pooled(v | c)) over
+    v's parent contexts c, which is
+    1/2 sum_{c,x} |n_e(c, x) - n_e(c) n(c, x) / n(c)| / n_e."""
+    cell_axes = tuple(range(1, counts.ndim))
+    size = counts.sum(axis=cell_axes)
+    out = {}
+    for v in g.nodes:
+        kept = {1 + columns.index(u) for u in (v, *g.parents(v))}
+        joint = counts.sum(axis=tuple(k for k in cell_axes if k not in kept),
+                           keepdims=True)
+        context = joint.sum(axis=1 + columns.index(v), keepdims=True)
+        pooled = joint.sum(axis=0)
+        expected = context * (pooled / np.maximum(context.sum(axis=0), 1))
+        out[v] = 0.5 * np.abs(joint - expected).sum(axis=cell_axes) / size
+    return out
 
 
 def localize_mechanism_change(environments: Sequence, g: Dag,
@@ -573,16 +585,19 @@ def localize_mechanism_change(environments: Sequence, g: Dag,
     """Per environment, the nodes whose causal conditional differs from the
     pooled one beyond a threshold.
 
-    Environments are Datasets sharing columns (a column with more than 32
-    distinct pooled values is cut into 5 bins at its pooled quantiles) or
-    exact DiscreteJoints, in which case the computation is the exact
-    factor-change one. With ``eps=None`` a per-node threshold is calibrated
-    by permuting environment labels ``n_perm`` times and taking a
-    Bonferroni-adjusted ``_NULL_QUANTILE`` of the max-over-environment
-    factor distances; shifts below ``_MIN_EFFECT`` are additionally treated
-    as sampling noise. A shift at a node with a parent context seen in an
-    environment but fewer than ``_MIN_CONTEXT_COUNT`` times is reported as
-    inconclusive.
+    Environments are exact DiscreteJoints, where a node's distance is the
+    factor distance from the mixture's conditional and any difference
+    above ``eps`` (default 1e-9) is a change, or Datasets sharing columns
+    (a column with more than 32 distinct pooled values is cut into 5 bins
+    at its pooled quantiles), where it is the context-weighted shift of
+    ``_weighted_shifts``. With ``eps=None`` a per-node threshold is
+    calibrated by permuting environment labels ``n_perm`` times: the
+    ceil((n_perm + 1) q_eff)-th smallest max-over-environment shift, with
+    the Bonferroni-adjusted q_eff = 1 - (1 - ``_NULL_QUANTILE``) / nodes,
+    capped at the largest draw and never below ``_MIN_EFFECT``. Below 79
+    permutations for two nodes and 159 for four, the default 60 included,
+    it is the largest draw; such counts are not refused, and the
+    thresholds are reported with the distances.
     """
     if len(environments) < 2:
         raise DiscoveryError("need at least two environments")
@@ -595,14 +610,10 @@ def localize_mechanism_change(environments: Sequence, g: Dag,
             raise DiscoveryError("graph nodes must match the joint's variables")
         envs = [e.permute(names) for e in environments]
         mixture = DiscreteJoint(names, sum(e.probs for e in envs) / len(envs))
-        pooled = dict(zip(g.nodes, factorize(mixture, g)))
         thr = eps if eps is not None else 1e-9
-        out = []
-        for env in envs:
-            dists = _distances(pooled, env, g)
-            changed = tuple(v for v in g.nodes if dists[v] > thr)
-            out.append(LocalizationResult(changed, (), dists))
-        return out
+        dists = [{v: factor_distance(mixture, env, g, v) for v in g.nodes} for env in envs]
+        return [LocalizationResult(tuple(v for v in g.nodes if d[v] > thr), d)
+                for d in dists]
 
     if not all(isinstance(e, Dataset) for e in environments):
         raise DiscoveryError("environments must be all Datasets or all joints")
@@ -619,21 +630,19 @@ def localize_mechanism_change(environments: Sequence, g: Dag,
             edges = np.quantile(column, np.linspace(0, 1, 6)[1:-1])
             column[:] = np.searchsorted(edges, column)
     _, cells, shape = _cells(rows.T)
-    pooled = dict(zip(g.nodes, factorize(_counted_joint(columns, cells, shape), g)))
-    env_counts = [np.bincount(part, minlength=math.prod(shape)).reshape(shape)
-                  for part in np.split(cells, cuts)]
 
+    def shifts(codes: np.ndarray) -> dict[str, np.ndarray]:
+        counts = np.stack([np.bincount(part, minlength=math.prod(shape)).reshape(shape)
+                           for part in np.split(codes, cuts)])
+        return _weighted_shifts(counts, columns, g)
+
+    observed = shifts(cells)
     if eps is None:
         rng = _philox(seed)
         null_stats = {v: [] for v in g.nodes}
         for _ in range(n_perm):
-            worst = {v: 0.0 for v in g.nodes}
-            for part in np.split(cells[rng.permutation(cells.size)], cuts):
-                fake = _counted_joint(columns, part, shape)
-                for v, dist in _distances(pooled, fake, g).items():
-                    worst[v] = max(worst[v], dist)
-            for v in g.nodes:
-                null_stats[v].append(worst[v])
+            for v, shift in shifts(cells[rng.permutation(cells.size)]).items():
+                null_stats[v].append(shift.max())
         # Bonferroni across nodes, conservative order statistic
         q_eff = 1.0 - (1.0 - _NULL_QUANTILE) / max(1, len(g.nodes))
         k = min(n_perm - 1, max(0, int(np.ceil((n_perm + 1) * q_eff)) - 1))
@@ -644,34 +653,8 @@ def localize_mechanism_change(environments: Sequence, g: Dag,
     else:
         thresholds = {v: float(eps) for v in g.nodes}
 
-    out = []
-    for counts in env_counts:
-        changed, inconclusive = [], []
-        dists = _distances(pooled, DiscreteJoint(columns, counts / counts.sum()), g)
-        for v, dist in dists.items():
-            if dist > thresholds[v]:
-                if _has_thin_context(counts, columns, g, v, _MIN_CONTEXT_COUNT):
-                    inconclusive.append(v)
-                else:
-                    changed.append(v)
-        out.append(LocalizationResult(tuple(changed), tuple(inconclusive),
-                                      {"distances": dists,
-                                       "thresholds": thresholds}))
-    return out
-
-
-def _distances(pooled: dict[str, ConditionalTable], q: DiscreteJoint,
-               g: Dag) -> dict[str, float]:
-    """Per node, the factor distance of ``q``'s causal conditional from the
-    pooled one."""
-    return {v: _conditional_distance(pooled[v], conditional(q, v, g.parents(v)))
-            for v in g.nodes}
-
-
-def _has_thin_context(counts: np.ndarray, columns: tuple[str, ...], g: Dag,
-                      node: str, min_count: int) -> bool:
-    """Whether a parent context of ``node`` appears in the cell ``counts``
-    (one axis per column) but fewer than ``min_count`` times."""
-    pa_axes = {columns.index(p) for p in g.parents(node)}
-    context = counts.sum(axis=tuple(k for k in range(counts.ndim) if k not in pa_axes))
-    return bool(((context > 0) & (context < min_count)).any())
+    dists = [{v: float(observed[v][e]) for v in g.nodes}
+             for e in range(len(environments))]
+    return [LocalizationResult(tuple(v for v in g.nodes if d[v] > thresholds[v]),
+                               {"distances": d, "thresholds": thresholds})
+            for d in dists]

@@ -99,6 +99,34 @@ def test_exemplar_malformed_list_parameter_exits_2(tmp_path, capfd):
     assert "bad parameters for 'urn2'" in capfd.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["urnN", "--n", "4", "--param", "k0=50,50,50,50"],
+    ["urn2", "--param", "coin_biases=0.5,0.5,0.8,0.2"],
+])
+def test_exemplar_list_parameter_from_commas(argv, tmp_path):
+    out = tmp_path / "x.csv"
+    assert run(["exemplar", *argv, "--seed", "1", "--samples", "5", "--out", str(out)]) == 0
+    key, raw = argv[-1].split("=")
+    assert _read(out.with_suffix(".json"))["notes"][key] == [float(v) for v in raw.split(",")]
+
+
+@pytest.mark.parametrize("argv", [
+    # a wrong length, an empty element or a non-number
+    ["urnN", "--n", "4", "--param", "k0=50,50,50"],
+    ["urnN", "--n", "4", "--param", "k0=50,,50,50"],
+    ["urnN", "--n", "4", "--param", "k0=50,50,50,x"],
+    ["urn2", "--param", "coin_biases=0.5,0.5,0.8"],
+    ["urn2", "--param", "coin_biases=0.5,0.5,0.8,0.2,"],
+    ["urn2", "--param", "coin_biases=0.5,a,0.8,0.2"],
+    ["urn2", "--param", "kb0=50,50"],
+])
+def test_exemplar_bad_list_parameter_exits_2(argv, tmp_path, capfd):
+    rc = run(["exemplar", *argv, "--seed", "1", "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert f"bad parameters for {argv[0]!r}" in capfd.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("name", ["urn2", "urnN", "bundles"])
 @pytest.mark.parametrize("param", ["seed=3", "coin_biases=0", "coin_biases=0.5"])
 def test_urn_exemplar_parameters_no_build_takes_exit_2(name, param, tmp_path, capfd):
@@ -249,13 +277,9 @@ def test_discover_shift_localizes(tmp_path):
     shifted = tmp_path / "shifted.csv"
     assert run(["exemplar", "urn2", "--kb0", "50", "--kr0", "50", "--rounds",
                 "3", "--seed", "5", "--samples", "8000", "--out", str(base)]) == 0
-    # the shifted environment needs a list-valued parameter, which --param
-    # does not express; build it through the API
-    from phenocausal import urn_bivariate
-
-    ds = urn_bivariate(kb0=50, kr0=50, rounds=3,
-                       coin_biases=(0.5, 0.5, 0.8, 0.2)).sample(8000, 6)
-    shifted.write_text(ds.to_csv())
+    assert run(["exemplar", "urn2", "--kb0", "50", "--kr0", "50", "--rounds",
+                "3", "--seed", "6", "--samples", "8000", "--param",
+                "coin_biases=0.5,0.5,0.8,0.2", "--out", str(shifted)]) == 0
     graph = tmp_path / "g.json"
     graph.write_text(json.dumps({"nodes": ["Kb", "Kr"],
                                  "edges": [["Kb", "Kr"]]}))
@@ -270,6 +294,23 @@ def test_discover_shift_localizes(tmp_path):
     for env in obj["result"]:
         union |= set(env["changed"])
     assert union == {"Kr"}
+
+
+def test_discover_shift_flags_a_shift_of_the_whole_support(tmp_path):
+    # Kr's initial count 50 against 54 at 1000 rows: the maximum over parent
+    # contexts had a threshold of 0.773 here and flagged nothing
+    for kr0, seed in (("50", "1"), ("54", "2")):
+        assert run(["exemplar", "urn2", "--kb0", "50", "--kr0", kr0, "--rounds", "3",
+                    "--samples", "1000", "--seed", seed,
+                    "--out", str(tmp_path / f"kr{kr0}.csv")]) == 0
+    (tmp_path / "g.txt").write_text("Kb -> Kr\n")
+    out = tmp_path / "shift.json"
+    assert run(["discover", "--method", "shift", "--in", str(tmp_path / "kr50.csv"),
+                "--in2", str(tmp_path / "kr54.csv"), "--graph", str(tmp_path / "g.txt"),
+                "--seed", "3", "--out", str(out)]) == 0
+    obj = _read(out)
+    _validate(obj, "discovery")
+    assert [env["changed"] for env in obj["result"]] == [["Kr"], ["Kr"]]
 
 
 def _discover_rc(tmp_path, text: str) -> int:

@@ -27,7 +27,8 @@ PARAMS = st.sampled_from([
     "potato_elasticity=0.5", "shift=nan", "initial_packages=1", "k0=5",
     "unknown=1", "noequals", "demand_per_rabbit=inf", "potato_elasticity=nan",
     "bias_shift=inf", "barrier_offset=inf", "kb0=50.5", "kr0=3.5", "rounds=2.5",
-    "rounds=2.0", "initial_packages=4.7",
+    "rounds=2.0", "initial_packages=4.7", "coin_biases=0.5,0.5,0.8,0.2", "k0=5,5",
+    "kb0=50,", "coin_biases=0.5,,x",
 ])
 EPS = st.sampled_from(["1e-9", "0", "-1", "nan", "inf", "0.05"])
 

@@ -452,6 +452,43 @@ def test_shifted_a2_bias_localized_to_kr():
     assert union == {"Kr"}
 
 
+@pytest.mark.parametrize("shifted", [None, 1, 2, 3, 4])
+def test_chain_shift_is_flagged_at_its_own_node_alone(shifted):
+    # the benchmark's 4-node chain; class Aj moves Kj, whose parents are
+    # K(j+1) .. K4. Scored by the maximum over parent contexts, no shift at
+    # K1 or K2 was flagged, a shift at K4 flagged K3 too at seeds 11-33, and
+    # K3 was flagged at seed 55 with no shift at all
+    coins = [0.5] * 8
+    if shifted:
+        coins[2 * shifted - 2:2 * shifted] = (0.8, 0.2)
+    base = urn_chain(n=4, k0=(30,) * 4, rounds=3, coin_biases=(0.5,) * 8)
+    other = urn_chain(n=4, k0=(30,) * 4, rounds=3, coin_biases=tuple(coins))
+    expected = (f"K{shifted}",) if shifted else ()
+    for seed in (11, 22, 33, 44, 55):
+        out = localize_mechanism_change([base.sample(10_000, seed),
+                                         other.sample(10_000, seed + 1)],
+                                        base.ground_truth, seed=seed)
+        assert [r.changed for r in out] == [expected, expected], seed
+
+
+def _flagged(kr0: int, i: int) -> set[str]:
+    base = urn_bivariate(kb0=50, kr0=50, rounds=3)
+    other = urn_bivariate(kb0=50, kr0=kr0, rounds=3)
+    out = localize_mechanism_change([base.sample(1000, 100 + 2 * i),
+                                     other.sample(1000, 101 + 2 * i)],
+                                    base.ground_truth, seed=i)
+    return set().union(*(set(r.changed) for r in out))
+
+
+def test_one_ball_more_of_kr_is_flagged_at_1000_rows():
+    # the maximum over parent contexts flagged 4 of these 40 pairs
+    assert sum("Kr" in _flagged(51, i) for i in range(40)) >= 36
+
+
+def test_same_law_pairs_are_rarely_flagged_at_1000_rows():
+    assert sum(bool(_flagged(50, i)) for i in range(40)) <= 2
+
+
 def test_exact_joints_reduce_to_changed_factors():
     rng = np.random.default_rng(12)
     g = Dag(("A", "B", "C"), [("A", "B"), ("B", "C")])

@@ -9,8 +9,9 @@
 * The closed-form one-regressor OLS against ``lstsq``.
 * Multivariate LiNGAM from one Gram matrix and the strided points against
   the full-column DirectLiNGAM it replaced.
-* Joints counted with ``bincount`` over raveled cell codes against the
-  row-by-row level-map builder.
+* The context-weighted shift of mechanism-shift localization, from
+  stacked cell counts, against a per-context loop over the conditionals of
+  joints from the row-by-row level-map builder.
 """
 
 from __future__ import annotations
@@ -600,7 +601,7 @@ def test_gram_lingam_skips_rounding_noise_residual(chain3):
 
 
 # ---------------------------------------------------------------------------
-# Joints from rows
+# Context-weighted shifts from cell counts
 # ---------------------------------------------------------------------------
 
 
@@ -616,49 +617,43 @@ def dataset_joint_rowwise(rows: np.ndarray, level_maps: list[dict]) -> DiscreteJ
                          counts / counts.sum())
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(d=st.integers(1, 4), n=st.integers(1, 400),
-       levels=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
-def test_counted_joints_match_rowwise(d, n, levels, seed):
-    rng = np.random.default_rng(seed)
-    values = rng.normal(size=(d, levels)) * 10
-    rows = np.column_stack([rng.choice(values[k], size=n) for k in range(d)])
-    level_maps = [{v: i for i, v in enumerate(np.unique(rows[:, k]))}
-                  for k in range(d)]
-    columns = tuple(f"c{k}" for k in range(d))
-    _, cells, shape = tables._cells(rows.T)
-    perm = rng.permutation(n)
-    for idx in (np.arange(n), perm[: max(1, n // 3)], perm[n // 3:]):
-        fast = discovery._counted_joint(columns, cells[idx], shape)
-        ref = dataset_joint_rowwise(rows[idx], level_maps)
-        assert fast.names == ref.names
-        assert np.array_equal(fast.probs, ref.probs)
-
-
-def has_thin_context_rowwise(rows: np.ndarray, columns: tuple[str, ...], g,
-                             node: str, min_count: int) -> bool:
-    """The former row-sorting check: the parent contexts counted with
-    ``np.unique`` over the environment's rows."""
+def weighted_shift_by_context(env: DiscreteJoint, pooled: DiscreteJoint, g,
+                              node: str) -> float:
+    """sum_c q_e(c) TV(q_e(node | c), pooled(node | c)), one parent context
+    at a time, from the two joints' conditionals."""
     pa = g.parents(node)
-    if not pa:
-        return rows.shape[0] < min_count
-    pa_idx = [columns.index(p) for p in pa]
-    _, counts = np.unique(rows[:, pa_idx], axis=0, return_counts=True)
-    return bool((counts < min_count).any())
+    own = tables.conditional(env, node, pa)
+    ref = tables.conditional(pooled, node, pa)
+    context = env.marginal((*pa, node)).permute((*pa, node)).probs.sum(axis=-1)
+    total = 0.0
+    for c in np.ndindex(*context.shape):
+        if own.defined[c]:
+            total += context[c] * 0.5 * np.abs(own.table[c] - ref.table[c]).sum()
+    return total
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(d=st.integers(1, 4), n=st.integers(2, 300), levels=st.integers(1, 5),
-       min_count=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
-def test_thin_context_from_counts_matches_rowwise(d, n, levels, min_count, seed):
+@given(d=st.integers(1, 4), n_env=st.integers(2, 3), n=st.integers(1, 200),
+       levels=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_weighted_shifts_match_context_loop(d, n_env, n, levels, seed):
+    # few rows over up to 5^4 cells leave cells empty, and a level can
+    # appear in one environment only
     rng = np.random.default_rng(seed)
-    rows = rng.integers(0, levels, size=(n, d)).astype(float)
     columns = tuple(f"c{k}" for k in range(d))
     g = random_dag(columns, rng)
+    parts = [rng.integers(0, levels, size=(int(rng.integers(1, n + 1)), d)).astype(float)
+             for _ in range(n_env)]
+    rows = np.vstack(parts)
+    level_maps = [{v: i for i, v in enumerate(np.unique(rows[:, k]))}
+                  for k in range(d)]
     _, cells, shape = tables._cells(rows.T)
-    size = int(rng.integers(1, n))
-    for part, env_rows in ((cells[:size], rows[:size]), (cells[size:], rows[size:])):
-        counts = np.bincount(part, minlength=int(np.prod(shape))).reshape(shape)
+    counts = np.stack([np.bincount(part, minlength=math.prod(shape)).reshape(shape)
+                       for part in np.split(cells, np.cumsum([len(p) for p in parts])[:-1])])
+    fast = discovery._weighted_shifts(counts, columns, g)
+    pooled = dataset_joint_rowwise(rows, level_maps)
+    assert set(fast) == set(columns)
+    for e, part in enumerate(parts):
+        env = dataset_joint_rowwise(part, level_maps)
         for v in columns:
-            assert discovery._has_thin_context(counts, columns, g, v, min_count) == \
-                has_thin_context_rowwise(env_rows, columns, g, v, min_count)
+            assert fast[v].shape == (n_env,)
+            assert abs(fast[v][e] - weighted_shift_by_context(env, pooled, g, v)) <= 1e-12

@@ -207,7 +207,9 @@ def _passed_parameters(path: Path, signatures: dict[str, list[str]],
 # - concept exports, which nothing calls (``CONCEPTS``): ``is_markov.eps`` and
 #   the four of ``permutation_threshold``;
 # - ``localize_mechanism_change.n_perm``: the benchmark's traced ``joints``
-#   counter reads it, and ROADMAP item 4 decides its value;
+#   counter reads it. It stays at 60 with its rule in the docstring: the
+#   threshold is the largest null draw below 79 permutations for two nodes
+#   and 159 for four, and smaller counts are reported, not refused;
 # - each trial function's ``index``: ``verify._trial_at`` passes it to the
 #   function it is bound to;
 # - ``VerificationReport.extras``: an artifact field kept empty until the
@@ -224,8 +226,10 @@ UNREAD_DEFAULTS = {
 def test_every_defaulted_parameter_is_passed_by_a_caller():
     # a tolerance or option that every caller leaves at its default fails
     # here. The exemplar constructors are exempt, because the CLI's
-    # ``--param`` reaches any of their parameters; so are enums, whose call
-    # signature is the functional API of ``Enum``, and exceptions.
+    # ``--param`` reaches any of their parameters, the list-valued
+    # ``coin_biases`` and ``k0`` too (a value with commas is a tuple); so
+    # are enums, whose call signature is the functional API of ``Enum``,
+    # and exceptions.
     signatures = {name: inspect.signature(value) for name, value in _declared().items()
                   if callable(value) and not (isinstance(value, type)
                                               and issubclass(value, (Enum, Exception)))}
