@@ -38,8 +38,8 @@ import numpy as np
 
 from .graphs import DAG_ENUMERATION_CAP, Dag, _walk, all_dags
 from .scm import GeneralScm
-from .tables import (DiscreteJoint, _conditional_distance, _local_statements,
-                     _worst_local_residual, ci_residual, conditional)
+from .tables import (DiscreteJoint, _local_statements, _worst_local_residual,
+                     ci_residual, factor_distance)
 
 __all__ = [
     "StatisticalAction",
@@ -260,12 +260,10 @@ class _StatisticalSuite:
         """``changed_factors(baseline, effect of action a, g, eps)``."""
         out = []
         for v in g.nodes:
-            pa = g.parents(v)
-            key = (a, v, pa)
+            key = (a, v, g.parents(v))
             if key not in self._distances:
-                self._distances[key] = _conditional_distance(
-                    conditional(self.baseline, v, pa),
-                    conditional(self._joint(a + 1), v, pa))
+                self._distances[key] = factor_distance(
+                    self.baseline, self._joint(a + 1), g, v)
             if self._distances[key] > self.eps:
                 out.append(v)
         return tuple(out)
@@ -646,13 +644,8 @@ def _direction_verdict(valid: Sequence[tuple[Dag, ClassificationReport]],
     """The verdict of ``bivariate_direction`` from the valid graphs over
     (x, y)."""
     keys = {frozenset(g.edges) for g, _ in valid}
-    fwd = frozenset({(x, y)})
-    bwd = frozenset({(y, x)})
-    empty: frozenset = frozenset()
-    if keys == {fwd}:
-        return DirectionVerdict.X_CAUSES_Y
-    if keys == {bwd}:
-        return DirectionVerdict.Y_CAUSES_X
-    if keys == {empty}:
-        return DirectionVerdict.CONFOUNDED
-    return DirectionVerdict.UNDETERMINED
+    if len(keys) != 1:
+        return DirectionVerdict.UNDETERMINED
+    return {frozenset({(x, y)}): DirectionVerdict.X_CAUSES_Y,
+            frozenset({(y, x)}): DirectionVerdict.Y_CAUSES_X,
+            frozenset(): DirectionVerdict.CONFOUNDED}[keys.pop()]

@@ -154,17 +154,12 @@ class _UrnProcess:
     rounds: int
 
     def __post_init__(self):
-        try:
-            k0 = tuple(operator.index(k) for k in self.k0)
-            rounds = operator.index(self.rounds)
-        except TypeError:
-            raise ScmError(f"ball counts and rounds must be integers, got "
-                           f"k0={list(self.k0)}, rounds={self.rounds!r}") from None
+        *k0, rounds = _integers(**_listed("k0", self.k0), rounds=self.rounds)
         for mv in self.moves:
             if not 0.0 <= mv.prob <= 1.0:  # NaN too
                 raise ScmError(f"move {mv.label} coin bias must lie in [0, 1], "
                                f"got {mv.prob!r}")
-        object.__setattr__(self, "k0", k0)
+        object.__setattr__(self, "k0", tuple(k0))
         object.__setattr__(self, "rounds", rounds)
 
     def _steps(self) -> np.ndarray:
@@ -303,14 +298,38 @@ def _pair(label: str, deltas: Mapping[str, int], p_plus: float,
                  for sign, d, p in (("+", deltas, p_plus), ("-", back, p_minus)))
 
 
+def _listed(name: str, values: Sequence) -> dict[str, object]:
+    """The elements of the list parameter ``name``, keyed ``name[i]``."""
+    try:
+        return {f"{name}[{i}]": v for i, v in enumerate(values)}
+    except TypeError:
+        raise TypeError(f"{name} must be a list, got {values!r}") from None
+
+
+def _each(convert: Callable, what: str, **values) -> tuple:
+    """``convert`` of each of ``values``; the first it refuses is named."""
+    out = []
+    for name, value in values.items():
+        try:
+            out.append(convert(value))
+        except (TypeError, ValueError):
+            raise ScmError(f"{what}, got {name}={value!r}") from None
+    return tuple(out)
+
+
+def _integers(**values) -> tuple[int, ...]:
+    return _each(operator.index, "urn sizes, counts and rounds must be integers", **values)
+
+
 def _coin_biases(coin_biases: Sequence[float] | None, n: int) -> tuple[float, ...]:
     """The coins (p1+, p1-, ..., pn+, pn-) of n action classes; all 0.5 by
     default."""
     if coin_biases is None:
         return (0.5,) * (2 * n)
-    biases = tuple(float(b) for b in coin_biases)
+    biases = _each(float, "coin biases must be numbers",
+                   **_listed("coin_biases", coin_biases))
     if len(biases) != 2 * n:
-        raise ScmError(f"need 2*{n} coin biases")
+        raise ScmError(f"need 2*{n} coin biases, got coin_biases of length {len(biases)}")
     return biases
 
 
@@ -354,6 +373,7 @@ def urn_bivariate(kb0: int = 50, kr0: int = 50, rounds: int = 5,
     coin biases by ``bias_shift`` and replace the exact process joint; each
     is a callable that computes its joint when first resolved.
     """
+    kb0, kr0, rounds = _integers(kb0=kb0, kr0=kr0, rounds=rounds)
     if rounds >= min(kb0, kr0):
         raise ScmError("need rounds < min(kb0, kr0)")
     if rounds < 1:
@@ -410,16 +430,15 @@ def urn_chain(n: int = 4, k0: Sequence[int] | None = None, rounds: int = 5,
     the grandchild). ``endpoint="high"`` moves the free add/remove actions
     to type n, which reverses every edge.
     """
+    n, rounds = _integers(n=n, rounds=rounds)
     if n < 2:
         raise ScmError("need n >= 2 ball types")
-    if k0 is None:
-        k0 = (50,) * n
-    k0 = tuple(k0)
+    k0 = _integers(**_listed("k0", (50,) * n if k0 is None else k0))
+    if len(k0) != n:
+        raise ScmError(f"need {n} initial counts k0, got {len(k0)}")
     if rounds >= min(k0) or rounds < 1:
         raise ScmError("need 1 <= rounds < min(k0)")
     biases = _coin_biases(coin_biases, n)
-    if len(k0) != n:
-        raise ScmError(f"need {n} initial counts k0, got {len(k0)}")
     if endpoint not in ("low", "high"):
         raise ScmError("endpoint must be 'low' or 'high'")
 
@@ -465,12 +484,14 @@ def bundles_chain(n: int = 4, rounds: int = 5,
     (default rounds + 1) so that no wrap-back is ever refused and the
     process matches the linear form K_j = K_{j+1} + N_j exactly.
     """
+    n, rounds = _integers(n=n, rounds=rounds)
     if n < 2:
         raise ScmError("need n >= 2 package types")
     if rounds < 1:
         raise ScmError("need at least one round")
     biases = _coin_biases(coin_biases, n)
-    r0 = initial_packages if initial_packages is not None else rounds + 1
+    r0, = _integers(initial_packages=rounds + 1 if initial_packages is None
+                    else initial_packages)
     if r0 <= rounds:
         raise ScmError("need initial_packages > rounds")
 
@@ -745,7 +766,9 @@ def farmers(exchange_factor: float = 2.0, potato_elasticity: float = 0.0,
     random base quantity B. The single action family renegotiates F. With
     elasticity 0, KP is robust to the change and the verdict is KP -> KE;
     at the egg-invariance elasticity 1 the direction flips; anything in
-    between is a declared grey zone.
+    between is a declared grey zone: the renegotiated F moves the child's
+    parent contexts to values the baseline never reaches, so nothing
+    refutes either direction and both are valid.
     """
     e = float(potato_elasticity)
     f0 = float(exchange_factor)

@@ -7,8 +7,8 @@ sampling error. Tables are immutable numpy arrays; all operations return
 new values.
 
 Zero-probability conditioning contexts are never fabricated: conditional
-tables flag them as undefined, and factor-change detection skips contexts
-that are unreachable under both distributions being compared.
+tables flag them as undefined, and factor-change detection compares only
+the contexts that both distributions being compared reach.
 
 Every check here is a question about conditionals, so the conditional is
 the cached unit: ``conditional(p, target, given)`` is computed once per
@@ -244,10 +244,7 @@ def factorize(p: DiscreteJoint, g: Dag) -> list[ConditionalTable]:
     of the tables reconstructs ``p`` entrywise.
     """
     _check_same_variables(p, g)
-    out = []
-    for node in g.nodes:
-        out.append(conditional(p, node, g.parents(node)))
-    return out
+    return [conditional(p, node, g.parents(node)) for node in g.nodes]
 
 
 def conditional(p: DiscreteJoint, target: str, given: Iterable[str]) -> ConditionalTable:
@@ -295,9 +292,7 @@ def product_joint(g: Dag, factors: Sequence[ConditionalTable]) -> DiscreteJoint:
     by_target = {f.target: f for f in factors}
     if set(by_target) != set(g.nodes):
         raise TableError("factors must cover exactly the graph's nodes")
-    cards: dict[str, int] = {}
-    for f in factors:
-        cards[f.target] = f.table.shape[-1]
+    cards = {f.target: f.table.shape[-1] for f in factors}
     n = len(g.nodes)
     shape = tuple(cards[v] for v in g.nodes)
     result = np.ones(shape)
@@ -395,8 +390,7 @@ def _worst_local_residual(statements, residual, eps: float
 def is_markov(p: DiscreteJoint, g: Dag, eps: float = 1e-9) -> bool:
     """True iff every conditional independence implied by ``g`` holds in
     ``p`` with residual at most ``eps``."""
-    ok, _, _ = markov_report(p, g, eps)
-    return ok
+    return markov_report(p, g, eps)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -470,26 +464,14 @@ def _replace_factor(g: Dag, factors: Sequence[ConditionalTable], j: str,
 
 def factor_distance(p: DiscreteJoint, q: DiscreteJoint, g: Dag, node: str) -> float:
     """Max-over-context total variation between the ``node`` conditionals of
-    ``p`` and ``q`` given the node's parents in ``g``.
-
-    Contexts with zero probability under both joints are skipped; a context
-    positive under exactly one counts as a full difference (1.0).
-    """
+    ``p`` and ``q`` given the node's parents in ``g``, over the contexts both
+    joints reach: a context of probability zero carries no evidence."""
     pa = g.parents(node)
-    return _conditional_distance(conditional(p, node, pa), conditional(q, node, pa))
-
-
-def _conditional_distance(fp: ConditionalTable, fq: ConditionalTable) -> float:
-    """``factor_distance`` between two conditionals of one node given the
-    same parents."""
-    if (fp.defined != fq.defined).any():
-        return 1.0
-    both = fp.defined.reshape(-1)
-    if not both.any():
-        return 0.0
+    fp, fq = conditional(p, node, pa), conditional(q, node, pa)
+    both = (fp.defined & fq.defined).reshape(-1)
     width = fp.table.shape[-1]
     diff = fp.table.reshape(-1, width)[both] - fq.table.reshape(-1, width)[both]
-    return 0.5 * float(np.abs(diff).sum(axis=1).max())
+    return 0.5 * float(np.abs(diff).sum(axis=1).max(initial=0.0))
 
 
 def changed_factors(p: DiscreteJoint, q: DiscreteJoint, g: Dag,

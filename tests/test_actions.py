@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from phenocausal.actions import unit_displacements
 from phenocausal import (
     ClassificationError,
+    ConditionalTable,
     Dag,
     DirectionVerdict,
     DiscreteJoint,
@@ -22,11 +23,13 @@ from phenocausal import (
     StatisticalAction,
     UnitAction,
     VerdictKind,
+    all_dags,
     bivariate_direction,
     build_exemplar,
     classify_statistical,
     classify_unit,
     exact_joint,
+    product_joint,
     random_conditional,
     random_dag,
     random_markov_joint,
@@ -36,6 +39,7 @@ from phenocausal import (
     urn_chain,
     valid_graphs,
 )
+from test_discovery import root_shift_to_an_unreached_value
 
 
 def _urn2():
@@ -239,27 +243,57 @@ def test_valid_graphs_node_cap():
         valid_graphs(ex.scm, ex.unit_actions, mode="unit", trials=10, seed=1)
 
 
-def test_supergraphs_logged_not_asserted(caplog):
-    # adding edges to a valid graph usually stays valid in the statistical
-    # encoding; counterexamples are logged by this test rather than failing
-    rng = np.random.default_rng(7)
-    counterexamples = 0
-    checked = 0
-    for _ in range(10):
-        g = Dag(("a", "b", "c"), [("a", "b")])
-        cards = {v: 2 for v in g.nodes}
-        p = random_markov_joint(g, cards, rng)
-        t = random_conditional(g, "b", cards, rng)
-        action = StatisticalAction("soft", soft_intervention(p, g, "b", t))
-        base_valid = classify_statistical(g, p, (action,)).valid
-        super_g = Dag(("a", "b", "c"), [("a", "b"), ("a", "c")])
-        super_valid = classify_statistical(super_g, p, (action,)).valid
-        checked += 1
-        if base_valid and not super_valid:
-            counterexamples += 1
-    assert checked == 10
-    if counterexamples:
-        print(f"supergraph-validity counterexamples: {counterexamples}/10")
+def _zeroed_conditional(g: Dag, node: str, cards: dict, rng, rate: float
+                        ) -> ConditionalTable:
+    """Random conditional of ``node`` given its parents in ``g`` with entries
+    zeroed at ``rate``; each context keeps one positive entry."""
+    shape = tuple(cards[u] for u in g.parents(node)) + (cards[node],)
+    raw = (rng.random(shape) + 0.05) * (rng.random(shape) >= rate)
+    raw[..., 0][~raw.any(axis=-1)] = 1.0
+    return ConditionalTable(node, g.parents(node), raw / raw.sum(axis=-1, keepdims=True))
+
+
+def _soft_intervention_instance(seed: int, rate: float):
+    """A generating DAG on 2-4 nodes, its product-joint baseline and one soft
+    intervention on each of 1 to n nodes, every conditional zeroed at
+    ``rate``. Each joint is the product of its factors, so each action
+    changes exactly one conditional of the generating graph, whatever
+    contexts the baseline leaves unreached."""
+    rng = np.random.default_rng(seed)
+    names = tuple("ABCD"[:int(rng.integers(2, 5))])
+    g = random_dag(names, rng, edge_prob=0.6)
+    cards = {v: int(rng.integers(2, 4)) for v in names}
+    factors = [_zeroed_conditional(g, v, cards, rng, rate) for v in names]
+    targets = rng.choice(names, size=int(rng.integers(1, len(names) + 1)), replace=False)
+    actions = []
+    for v in g.sorted_tuple(targets):
+        t = _zeroed_conditional(g, v, cards, rng, rate)
+        effect = product_joint(g, [t if f.target == v else f for f in factors])
+        actions.append(StatisticalAction(f"soft-{v}", effect))
+    return g, product_joint(g, factors), tuple(actions)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6))
+def test_generating_graph_is_valid_under_zero_cell_soft_interventions(seed):
+    # a context that only one joint reaches carries no evidence, so a child
+    # of an intervened node does not read as changed there
+    g, baseline, actions = _soft_intervention_instance(seed, 0.35)
+    valid = {frozenset(h.edges) for h, _ in valid_graphs(baseline, actions)}
+    assert frozenset(g.edges) in valid
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6), st.sampled_from((0.0, 0.35)))
+def test_valid_set_is_up_closed(seed, rate):
+    # every DAG that contains a valid DAG is valid (README, "Contexts of
+    # probability zero")
+    _, baseline, actions = _soft_intervention_instance(seed, rate)
+    valid = {frozenset(h.edges) for h, _ in valid_graphs(baseline, actions)}
+    for h in all_dags(baseline.names):
+        edges = frozenset(h.edges)
+        if any(v <= edges for v in valid):
+            assert edges in valid
 
 
 def test_bivariate_direction_urn():
@@ -281,6 +315,16 @@ def test_independent_pair_with_marginal_actions_undetermined():
     keys = {frozenset(g.edges) for g, _ in out}
     assert frozenset() in keys and len(keys) >= 2
     assert bivariate_direction(p, actions) is DirectionVerdict.UNDETERMINED
+
+
+def test_root_shift_to_an_unreached_value_is_assigned_to_the_root():
+    # the baseline never reaches X = 1, so p(Y | X) is compared at X = 0 alone
+    p, q, g = root_shift_to_an_unreached_value()
+    action = StatisticalAction("shift-x", q)
+    out = valid_graphs(p, (action,), mode="statistical")
+    assert [sorted(h.edges) for h, _ in out] == [[("X", "Y")]]
+    report = classify_statistical(g, p, (action,))
+    assert [(v.kind, v.node) for v in report.verdicts] == [(VerdictKind.ASSIGNED, "X")]
 
 
 def test_dependence_creating_action_violates_empty_graph():

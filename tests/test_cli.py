@@ -111,7 +111,7 @@ def test_exemplar_list_parameter_from_commas(argv, tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    # a wrong length, an empty element or a non-number
+    # a wrong length, an empty element, a non-number or no list at all
     ["urnN", "--n", "4", "--param", "k0=50,50,50"],
     ["urnN", "--n", "4", "--param", "k0=50,,50,50"],
     ["urnN", "--n", "4", "--param", "k0=50,50,50,x"],
@@ -119,11 +119,22 @@ def test_exemplar_list_parameter_from_commas(argv, tmp_path):
     ["urn2", "--param", "coin_biases=0.5,0.5,0.8,0.2,"],
     ["urn2", "--param", "coin_biases=0.5,a,0.8,0.2"],
     ["urn2", "--param", "kb0=50,50"],
+    ["urnN", "--n", "4", "--param", "k0=50"],
 ])
 def test_exemplar_bad_list_parameter_exits_2(argv, tmp_path, capfd):
     rc = run(["exemplar", *argv, "--seed", "1", "--out", str(tmp_path / "x.csv")])
     assert rc == 2
-    assert f"bad parameters for {argv[0]!r}" in capfd.readouterr().err
+    err = capfd.readouterr().err
+    # one line that names the parameter and, for a list, its first bad element
+    assert err.startswith(f"bad parameters for {argv[0]!r}: ") and err.count("\n") == 1
+    key, value = argv[-1].split("=")
+    assert key in err
+    for i, element in enumerate(value.split(",")):
+        try:
+            float(element)
+        except ValueError:
+            assert f"{key}[{i}]={element!r}" in err
+            break
     assert not any(tmp_path.iterdir())
 
 
@@ -527,6 +538,22 @@ def test_classify_statistical_mode(tmp_path):
     obj = _read(out)
     _validate(obj, "classification")
     assert obj["mode"] == "statistical"
+
+
+@pytest.mark.parametrize("elasticity", ["0.3", "0.5", "0.7"])
+def test_classify_farmers_grey_zone_validates_both_directions(elasticity, tmp_path):
+    # the renegotiated F moves the child's parent contexts to values the
+    # baseline never reaches, so nothing refutes either direction
+    out = tmp_path / "cls.json"
+    rc = run(["classify", "farmers", "--param", f"potato_elasticity={elasticity}",
+              "--seed", "0", "--enumerate", "--out", str(out)])
+    assert rc == 0
+    obj = _read(out)
+    _validate(obj, "classification")
+    assert obj["ground_truth_report"]["valid"]
+    assert obj["direction"] == "Undetermined"
+    assert sorted(g["edges"] for g in obj["valid_graphs"]) == [[["KE", "KP"]],
+                                                               [["KP", "KE"]]]
 
 
 @pytest.mark.parametrize("argv, theta", [

@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 import phenocausal.cli
 import phenocausal.verify
 from phenocausal import (
+    ConditionalTable,
     Dag,
     Dataset,
     DiscoveryError,
@@ -30,6 +31,7 @@ from phenocausal import (
     lingam_multivariate,
     localize_mechanism_change,
     permutation_threshold,
+    product_joint,
     random_conditional,
     random_markov_joint,
     soft_intervention,
@@ -489,6 +491,16 @@ def test_same_law_pairs_are_rarely_flagged_at_1000_rows():
     assert sum(bool(_flagged(50, i)) for i in range(40)) <= 2
 
 
+def root_shift_to_an_unreached_value():
+    """p(X) = (1, 0) and q(X) = (1/2, 1/2) with one shared p(Y | X): the
+    baseline never reaches X = 1, so only X's conditional reads as changed."""
+    g = Dag(("X", "Y"), [("X", "Y")])
+    y_given_x = ConditionalTable("Y", ("X",), np.array([[0.3, 0.7], [0.6, 0.4]]))
+    p = product_joint(g, [ConditionalTable("X", (), np.array([1.0, 0.0])), y_given_x])
+    q = product_joint(g, [ConditionalTable("X", (), np.array([0.5, 0.5])), y_given_x])
+    return p, q, g
+
+
 def test_exact_joints_reduce_to_changed_factors():
     rng = np.random.default_rng(12)
     g = Dag(("A", "B", "C"), [("A", "B"), ("B", "C")])
@@ -496,10 +508,12 @@ def test_exact_joints_reduce_to_changed_factors():
     p = random_markov_joint(g, cards, rng)
     t = random_conditional(g, "B", cards, rng)
     q = soft_intervention(p, g, "B", t)
-    out = localize_mechanism_change([p, q], g, eps=1e-9)
-    direct = changed_factors(p, q, g, 1e-9)
-    assert out[0].changed == direct == ("B",)
-    assert out[1].changed == direct
+    for (p, q, g), target in (((p, q, g), ("B",)),
+                              (root_shift_to_an_unreached_value(), ("X",))):
+        out = localize_mechanism_change([p, q], g, eps=1e-9)
+        direct = changed_factors(p, q, g, 1e-9)
+        assert out[0].changed == direct == target
+        assert out[1].changed == direct
 
 
 def test_continuous_columns_are_binned():
