@@ -20,9 +20,13 @@ variation between the environment's conditional and the pooled one in each
 parent context, weighted by the context's frequency in the environment
 (after the per-context invariance tests of CD-NOD, Huang et al., JMLR 21,
 2020, and ICP, Peters, Buhlmann & Meinshausen, JRSS-B 78, 2016). The score
-is a closed form over cell counts, one ``bincount`` of the rows' cell codes
-per environment, for the observed split and every permutation of the null.
-On exact joint inputs it is the exact factor distance instead.
+is a closed form over the counts of the occupied cells, two weighted
+``bincount``s per node, for the observed split and every draw of the null.
+A null draw relabels the pooled rows by one multivariate hypergeometric
+split of those counts per environment, equal in law to a permutation of
+the environment labels, with nothing of the rows' number or the level
+grid's size in it. On exact joint inputs it is the exact factor distance
+instead.
 """
 
 from __future__ import annotations
@@ -559,23 +563,64 @@ class LocalizationResult:
         return {"changed": list(self.changed), "distances": self.distances}
 
 
-def _weighted_shifts(counts: np.ndarray, columns: tuple[str, ...],
-                     g: Dag) -> dict[str, np.ndarray]:
-    """Per node v, one shift per environment of the stacked cell counts
-    ``counts`` (E, *shape): sum_c q_e(c) TV(q_e(v | c), pooled(v | c)) over
-    v's parent contexts c, which is
-    1/2 sum_{c,x} |n_e(c, x) - n_e(c) n(c, x) / n(c)| / n_e."""
-    cell_axes = tuple(range(1, counts.ndim))
-    size = counts.sum(axis=cell_axes)
+def _shift_index(occupied: np.ndarray, shape: tuple[int, ...],
+                 columns: tuple[str, ...], g: Dag, n_env: int
+                 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Per node v, where the counts of the ``occupied`` cells of the level
+    grid ``shape`` go in v's scores, stacked for ``n_env`` environments:
+    the flat (environment, (parents, v) cell) index of each (environment,
+    occupied cell), and the flat (environment, parent context) index of
+    each (environment, (parents, v) cell). Each index takes every value
+    below ``n_env`` times its number of cells or contexts, so its
+    ``bincount`` has exactly that length."""
+    coords = np.unravel_index(occupied, shape)
+    env = np.arange(n_env)[:, None]
     out = {}
     for v in g.nodes:
-        kept = {1 + columns.index(u) for u in (v, *g.parents(v))}
-        joint = counts.sum(axis=tuple(k for k in cell_axes if k not in kept),
-                           keepdims=True)
-        context = joint.sum(axis=1 + columns.index(v), keepdims=True)
-        pooled = joint.sum(axis=0)
-        expected = context * (pooled / np.maximum(context.sum(axis=0), 1))
-        out[v] = 0.5 * np.abs(joint - expected).sum(axis=cell_axes) / size
+        kept = [columns.index(u) for u in (*g.parents(v), v)]
+        code = np.ravel_multi_index([coords[k] for k in kept],
+                                    [shape[k] for k in kept])
+        joints, joint_of_cell = np.unique(code, return_inverse=True)
+        contexts, context_of_joint = np.unique(joints // shape[kept[-1]],
+                                               return_inverse=True)
+        out[v] = ((env * joints.size + joint_of_cell).ravel(),
+                  (env * contexts.size + context_of_joint).ravel())
+    return out
+
+
+def _weighted_shifts(counts: np.ndarray,
+                     index: dict[str, tuple[np.ndarray, np.ndarray]]
+                     ) -> dict[str, np.ndarray]:
+    """Per node v, one shift per environment of the occupied cells' counts
+    ``counts`` (E, K) placed by ``_shift_index``: sum_c q_e(c)
+    TV(q_e(v | c), pooled(v | c)) over v's parent contexts c, which is
+    1/2 sum_{c,x} |n_e(c, x) - n_e(c) n(c, x) / n(c)| / n_e."""
+    n_env = counts.shape[0]
+    size = counts.sum(axis=1)
+    weights = counts.ravel()
+    out = {}
+    for v, (joint_at, context_at) in index.items():
+        joint = np.bincount(joint_at, weights=weights).reshape(n_env, -1)
+        context = np.bincount(context_at, weights=joint.ravel()).reshape(n_env, -1)
+        of_joint = context_at[:joint.shape[1]]   # environment 0's, unshifted
+        expected = context[:, of_joint] * (joint.sum(axis=0) / context.sum(axis=0)[of_joint])
+        out[v] = 0.5 * np.abs(joint - expected).sum(axis=1) / size
+    return out
+
+
+def _relabel(pooled: np.ndarray, sizes: Sequence[int],
+             rng: np.random.Generator) -> np.ndarray:
+    """The cell counts (E, K) of one uniformly random relabeling of the
+    ``pooled`` rows into environments of ``sizes`` rows: for e = 0 .. E-2, a
+    multivariate hypergeometric draw of ``sizes[e]`` rows from those not yet
+    placed; the last environment takes the rest. The product of these
+    hypergeometric laws is the law of the counts under a uniform
+    permutation of the environment labels."""
+    out = np.empty((len(sizes), pooled.size), dtype=np.int64)
+    out[-1] = pooled   # the rows not yet placed
+    for e, size in enumerate(sizes[:-1]):
+        out[e] = rng.multivariate_hypergeometric(out[-1], size, method="marginals")
+        out[-1] -= out[e]
     return out
 
 
@@ -590,14 +635,18 @@ def localize_mechanism_change(environments: Sequence, g: Dag,
     above ``eps`` (default 1e-9) is a change, or Datasets sharing columns
     (a column with more than 32 distinct pooled values is cut into 5 bins
     at its pooled quantiles), where it is the context-weighted shift of
-    ``_weighted_shifts``. With ``eps=None`` a per-node threshold is
-    calibrated by permuting environment labels ``n_perm`` times: the
-    ceil((n_perm + 1) q_eff)-th smallest max-over-environment shift, with
-    the Bonferroni-adjusted q_eff = 1 - (1 - ``_NULL_QUANTILE``) / nodes,
-    capped at the largest draw and never below ``_MIN_EFFECT``. Below 79
-    permutations for two nodes and 159 for four, the default 60 included,
-    it is the largest draw; such counts are not refused, and the
-    thresholds are reported with the distances.
+    ``_weighted_shifts`` over the counts of the occupied cells. With
+    ``eps=None`` a per-node threshold is calibrated on ``n_perm``
+    relabelings of the pooled rows, each a sequential multivariate
+    hypergeometric split of the occupied cells' pooled counts into the
+    environments' sizes (``_relabel``), equal in law to a uniform
+    permutation of the environment labels: the ceil((n_perm + 1) q_eff)-th
+    smallest max-over-environment shift, with the Bonferroni-adjusted
+    q_eff = 1 - (1 - ``_NULL_QUANTILE``) / nodes, capped at the largest
+    draw and never below ``_MIN_EFFECT``. Below 79 relabelings for two
+    nodes and 159 for four, the default 60 included, it is the largest
+    draw; such counts are not refused, and the thresholds are reported
+    with the distances. An environment without rows is refused.
     """
     if len(environments) < 2:
         raise DiscoveryError("need at least two environments")
@@ -623,25 +672,27 @@ def localize_mechanism_change(environments: Sequence, g: Dag,
     if tuple(sorted(columns)) != tuple(sorted(g.nodes)):
         raise DiscoveryError("graph nodes must match the data columns")
 
-    cuts = np.cumsum([e.rows.shape[0] for e in environments])[:-1]
+    sizes = [e.rows.shape[0] for e in environments]
+    if 0 in sizes:
+        raise DiscoveryError(f"environment {sizes.index(0)} has no rows")
     rows = np.vstack([e.rows for e in environments])  # a new, writable array
     for column in rows.T:  # 5 bins at the pooled quantiles above 32 levels
         if np.unique(column).size > 32:
             edges = np.quantile(column, np.linspace(0, 1, 6)[1:-1])
             column[:] = np.searchsorted(edges, column)
     _, cells, shape = _cells(rows.T)
-
-    def shifts(codes: np.ndarray) -> dict[str, np.ndarray]:
-        counts = np.stack([np.bincount(part, minlength=math.prod(shape)).reshape(shape)
-                           for part in np.split(codes, cuts)])
-        return _weighted_shifts(counts, columns, g)
-
-    observed = shifts(cells)
+    occupied, cell = np.unique(cells, return_inverse=True)
+    env = np.repeat(np.arange(len(sizes)), sizes)
+    counts = np.bincount(env * occupied.size + cell,
+                         minlength=len(sizes) * occupied.size).reshape(len(sizes), -1)
+    index = _shift_index(occupied, shape, columns, g, len(sizes))
+    observed = _weighted_shifts(counts, index)
     if eps is None:
         rng = _philox(seed)
+        pooled = counts.sum(axis=0)
         null_stats = {v: [] for v in g.nodes}
         for _ in range(n_perm):
-            for v, shift in shifts(cells[rng.permutation(cells.size)]).items():
+            for v, shift in _weighted_shifts(_relabel(pooled, sizes, rng), index).items():
                 null_stats[v].append(shift.max())
         # Bonferroni across nodes, conservative order statistic
         q_eff = 1.0 - (1.0 - _NULL_QUANTILE) / max(1, len(g.nodes))

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
@@ -312,9 +313,16 @@ def _each(convert: Callable, what: str, **values) -> tuple:
     for name, value in values.items():
         try:
             out.append(convert(value))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # int(inf) overflows
             raise ScmError(f"{what}, got {name}={value!r}") from None
     return tuple(out)
+
+
+def _real(value):
+    """``value`` itself if it is a real number; anything else is refused."""
+    if not isinstance(value, numbers.Real):
+        raise TypeError(value)
+    return value
 
 
 def _integers(**values) -> tuple[int, ...]:
@@ -536,6 +544,10 @@ def rabbits(n_rabbits: int = 5, food_supply: float | None = None,
     days (the statistical units); the appetizer scales demand by
     ``appetite_factor``.
     """
+    _each(_real, "n_rabbits, food_supply, demand_per_rabbit and appetite_factor "
+          "must be numbers", n_rabbits=n_rabbits, demand_per_rabbit=demand_per_rabbit,
+          appetite_factor=appetite_factor,
+          **({} if food_supply is None else {"food_supply": food_supply}))
     if not 0 < n_rabbits < math.inf:
         raise ScmError("need at least one rabbit, and finitely many")
     if demand_per_rabbit <= 0 or appetite_factor <= 1.0:
@@ -662,6 +674,7 @@ def macro_pair(action_choice: str = "act-on-1s", shift: float = 1.0) -> Exemplar
     """
     if action_choice not in _MACRO_CHOICES:
         raise ScmError("action_choice must be 'act-on-1s' or 'act-on-2s'")
+    _each(_real, "shift must be a number", shift=shift)
     if not (math.isfinite(shift) and shift != 0):
         raise ScmError("shift must be finite and nonzero")
     name, shifted = _MACRO_CHOICES[action_choice]
@@ -713,14 +726,15 @@ def ball_track(start_distribution_param: float = 0.6,
     The statistical actions change the start-position distribution (older
     children start higher) or move the light barrier one step.
     """
-    theta = float(start_distribution_param)
+    theta, = _each(float, "start_distribution_param must be a number",
+                   start_distribution_param=start_distribution_param)
     if not 0 < theta < math.inf:
         raise ScmError("start_distribution_param must be positive and finite")
     positions = range(4)
     # sqrt speed law in quarter units, sensor-quantized
     speed_units = [round(4 * math.sqrt(x + 1)) for x in positions]
     jitter = ((-1, 0.25), (0, 0.5), (1, 0.25))
-    offset = int(barrier_offset)
+    offset, = _each(int, "barrier_offset must be an integer", barrier_offset=barrier_offset)
 
     x = np.repeat(np.arange(len(positions)), len(jitter))
 
@@ -770,9 +784,9 @@ def farmers(exchange_factor: float = 2.0, potato_elasticity: float = 0.0,
     parent contexts to values the baseline never reaches, so nothing
     refutes either direction and both are valid.
     """
-    e = float(potato_elasticity)
-    f0 = float(exchange_factor)
-    change = float(factor_change)
+    e, f0, change = _each(float, "exchange_factor, potato_elasticity and factor_change "
+                          "must be numbers", potato_elasticity=potato_elasticity,
+                          exchange_factor=exchange_factor, factor_change=factor_change)
     if not all(map(math.isfinite, (e, f0, change))):
         raise ScmError("exchange_factor, potato_elasticity and factor_change "
                        "must be finite")

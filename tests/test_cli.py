@@ -120,6 +120,11 @@ def test_exemplar_list_parameter_from_commas(argv, tmp_path):
     ["urn2", "--param", "coin_biases=0.5,a,0.8,0.2"],
     ["urn2", "--param", "kb0=50,50"],
     ["urnN", "--n", "4", "--param", "k0=50"],
+    # a list for a single parameter of the other exemplars
+    ["farmers", "--param", "potato_elasticity=0.3,0.5"],
+    ["balltrack", "--param", "barrier_offset=1,2"],
+    ["rabbits1", "--param", "n_rabbits=5,5"],
+    ["macro1", "--param", "shift=1,2"],
 ])
 def test_exemplar_bad_list_parameter_exits_2(argv, tmp_path, capfd):
     rc = run(["exemplar", *argv, "--seed", "1", "--out", str(tmp_path / "x.csv")])

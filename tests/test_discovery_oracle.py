@@ -9,14 +9,20 @@
 * The closed-form one-regressor OLS against ``lstsq``.
 * Multivariate LiNGAM from one Gram matrix and the strided points against
   the full-column DirectLiNGAM it replaced.
-* The context-weighted shift of mechanism-shift localization, from
-  stacked cell counts, against a per-context loop over the conditionals of
-  joints from the row-by-row level-map builder.
+* The context-weighted shift of mechanism-shift localization, from the
+  counts of the occupied cells, against a per-context loop over the
+  conditionals of joints from the row-by-row level-map builder, and
+  against the dense-grid score it replaced.
+* The null's sequential hypergeometric splits against the exact shares
+  of all environment label assignments.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,6 +36,7 @@ from phenocausal.discovery import (_MAX_DCOR_POINTS, _NORMALITY_ALPHA, _PRUNE_TH
                                    DiscoveryError, DiscoveryResult, _binary_exponent,
                                    _integer_at_least, _normality_pvalue, _ols1,
                                    independence_statistic, permutation_threshold)
+from phenocausal.scm import _philox
 from phenocausal.tables import DiscreteJoint
 
 # ---------------------------------------------------------------------------
@@ -632,6 +639,51 @@ def weighted_shift_by_context(env: DiscreteJoint, pooled: DiscreteJoint, g,
     return total
 
 
+def dense_weighted_shifts(counts: np.ndarray, columns: tuple[str, ...],
+                          g) -> dict[str, np.ndarray]:
+    """The dense-grid score the occupied-cell one replaced: per node v, one
+    shift per environment of the stacked cell counts ``counts`` (E, *shape),
+    1/2 sum_{c,x} |n_e(c, x) - n_e(c) n(c, x) / n(c)| / n_e over the whole
+    level grid."""
+    cell_axes = tuple(range(1, counts.ndim))
+    size = counts.sum(axis=cell_axes)
+    out = {}
+    for v in g.nodes:
+        kept = {1 + columns.index(u) for u in (v, *g.parents(v))}
+        joint = counts.sum(axis=tuple(k for k in cell_axes if k not in kept),
+                           keepdims=True)
+        context = joint.sum(axis=1 + columns.index(v), keepdims=True)
+        pooled = joint.sum(axis=0)
+        expected = context * (pooled / np.maximum(context.sum(axis=0), 1))
+        out[v] = 0.5 * np.abs(joint - expected).sum(axis=cell_axes) / size
+    return out
+
+
+def both_shifts(parts: list[np.ndarray], columns: tuple[str, ...], g):
+    """The occupied-cell shifts and the dense-grid ones of the row blocks
+    ``parts``, one per environment, coded as localization codes them."""
+    rows = np.vstack(parts)
+    _, cells, shape = tables._cells(rows.T)
+    occupied, cell = np.unique(cells, return_inverse=True)
+    env = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
+    counts = np.bincount(env * occupied.size + cell,
+                         minlength=len(parts) * occupied.size).reshape(len(parts), -1)
+    index = discovery._shift_index(occupied, shape, columns, g, len(parts))
+    dense = np.stack([np.bincount(part, minlength=math.prod(shape)).reshape(shape)
+                      for part in np.split(cells, np.cumsum([len(p) for p in parts])[:-1])])
+    return (discovery._weighted_shifts(counts, index),
+            dense_weighted_shifts(dense, columns, g))
+
+
+def assert_match_dense(fast: dict, dense: dict) -> None:
+    """Equal up to the order of summation: each cell's term is the same
+    float, so the sums agree to within a few ulps."""
+    assert set(fast) == set(dense)
+    for v in dense:
+        assert fast[v].shape == dense[v].shape
+        assert (np.abs(fast[v] - dense[v]) <= 1e-15 * np.abs(dense[v])).all(), v
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(d=st.integers(1, 4), n_env=st.integers(2, 3), n=st.integers(1, 200),
        levels=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
@@ -646,14 +698,134 @@ def test_weighted_shifts_match_context_loop(d, n_env, n, levels, seed):
     rows = np.vstack(parts)
     level_maps = [{v: i for i, v in enumerate(np.unique(rows[:, k]))}
                   for k in range(d)]
-    _, cells, shape = tables._cells(rows.T)
-    counts = np.stack([np.bincount(part, minlength=math.prod(shape)).reshape(shape)
-                       for part in np.split(cells, np.cumsum([len(p) for p in parts])[:-1])])
-    fast = discovery._weighted_shifts(counts, columns, g)
+    fast, dense = both_shifts(parts, columns, g)
+    assert_match_dense(fast, dense)
     pooled = dataset_joint_rowwise(rows, level_maps)
-    assert set(fast) == set(columns)
     for e, part in enumerate(parts):
         env = dataset_joint_rowwise(part, level_maps)
         for v in columns:
             assert fast[v].shape == (n_env,)
             assert abs(fast[v][e] - weighted_shift_by_context(env, pooled, g, v)) <= 1e-12
+
+
+def _chain_pair(shifted: int | None, seed: int):
+    coins = [0.5] * 8
+    if shifted:
+        coins[2 * shifted - 2:2 * shifted] = (0.8, 0.2)
+    base = urn_chain(n=4, k0=(30,) * 4, rounds=3, coin_biases=(0.5,) * 8)
+    other = urn_chain(n=4, k0=(30,) * 4, rounds=3, coin_biases=tuple(coins))
+    return [base.sample(10_000, seed), other.sample(10_000, seed + 1)], base.ground_truth
+
+
+@pytest.mark.parametrize("shifted", [None, 1, 2, 3, 4])
+@pytest.mark.parametrize("seed", [11, 44])
+def test_weighted_shifts_match_dense_on_the_chain(shifted, seed):
+    # 20,000 rows over a level grid of about 30,000 cells, 1,500 occupied
+    envs, g = _chain_pair(shifted, seed)
+    assert_match_dense(*both_shifts([e.rows for e in envs], envs[0].columns, g))
+
+
+# ---------------------------------------------------------------------------
+# The null's relabelings: sequential hypergeometric splits
+# ---------------------------------------------------------------------------
+
+
+def split_probability(pooled: tuple[int, ...], split: np.ndarray) -> Fraction:
+    """The sequential rule's probability of the split ``split`` (E, K) of
+    the pooled counts: the product over e < E - 1 of the multivariate
+    hypergeometric pmf of row e given the cells not yet placed."""
+    left = list(pooled)
+    prob = Fraction(1)
+    for row in split[:-1]:
+        ways = math.prod(math.comb(n, x) for n, x in zip(left, row))
+        prob *= Fraction(ways, math.comb(sum(left), int(row.sum())))
+        left = [n - int(x) for n, x in zip(left, row)]
+    assert left == list(split[-1])
+    return prob
+
+
+def label_shares(pooled: tuple[int, ...], sizes: tuple[int, ...]) -> dict:
+    """Each split's share of all assignments of ``sizes[e]`` of the pooled
+    rows to environment e, every assignment counted once."""
+    cell = np.repeat(np.arange(len(pooled)), pooled)
+    shares = Counter()
+
+    def assign(free: tuple[int, ...], e: int, labels: np.ndarray) -> None:
+        if e == len(sizes) - 1:
+            labels[list(free)] = e
+            split = np.zeros((len(sizes), len(pooled)), dtype=np.int64)
+            np.add.at(split, (labels, cell), 1)
+            shares[split.tobytes()] += 1
+            return
+        for chosen in itertools.combinations(free, sizes[e]):
+            labels[list(chosen)] = e
+            assign(tuple(i for i in free if i not in chosen), e + 1, labels)
+
+    assign(tuple(range(cell.size)), 0, np.zeros(cell.size, dtype=np.int64))
+    total = sum(shares.values())
+    return {key: Fraction(n, total) for key, n in shares.items()}
+
+
+@st.composite
+def pooled_tables(draw):
+    pooled = tuple(draw(st.lists(st.integers(0, 4), min_size=1, max_size=4)
+                        .filter(lambda c: 2 <= sum(c) <= 8)))
+    n_env = draw(st.integers(2, min(3, sum(pooled))))
+    cuts = sorted(draw(st.lists(st.integers(1, sum(pooled) - 1), min_size=n_env - 1,
+                                max_size=n_env - 1, unique=True)))
+    sizes = tuple(np.diff([0, *cuts, sum(pooled)]).tolist())
+    return pooled, sizes
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(table=pooled_tables())
+def test_sequential_split_is_equal_in_law_to_label_permutation(table):
+    pooled, sizes = table
+    shares = label_shares(pooled, sizes)
+    for key, share in shares.items():
+        split = np.frombuffer(key, dtype=np.int64).reshape(len(sizes), len(pooled))
+        assert split_probability(pooled, split) == share
+    # the rule puts no mass outside the splits some assignment gives
+    assert sum(shares.values()) == 1
+
+
+@pytest.mark.parametrize("sizes", [(3, 5), (2, 3, 3)])
+def test_seeded_splits_follow_the_hypergeometric_law(sizes):
+    pooled = np.array([3, 1, 2, 2])
+    rng = _philox(0)
+    drawn = Counter(discovery._relabel(pooled, sizes, rng).tobytes() for _ in range(20_000))
+    shares = label_shares(tuple(pooled.tolist()), sizes)
+    assert set(drawn) <= set(shares)
+    for key, share in shares.items():
+        assert abs(drawn[key] / 20_000 - float(share)) <= 0.01
+
+
+class _SplitSpy:
+    """A generator that counts its hypergeometric splits and refuses to
+    permute."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.splits = 0
+
+    def multivariate_hypergeometric(self, *args, **kwargs):
+        self.splits += 1
+        return self.rng.multivariate_hypergeometric(*args, **kwargs)
+
+    def permutation(self, *args, **kwargs):
+        raise AssertionError("the null permuted rows")
+
+
+@pytest.mark.parametrize("n_env", [2, 3])
+def test_null_draws_one_split_per_environment_but_the_last(n_env, monkeypatch):
+    spies = []
+
+    def spy(seed):
+        spies.append(_SplitSpy(_philox(seed)))
+        return spies[-1]
+
+    monkeypatch.setattr(discovery, "_philox", spy)
+    ex = urn_chain(n=3, k0=(20,) * 3, rounds=2)
+    envs = [ex.sample(300, seed) for seed in range(n_env)]
+    discovery.localize_mechanism_change(envs, ex.ground_truth, n_perm=17, seed=4)
+    assert len(spies) == 1 and spies[0].splits == 17 * (n_env - 1)

@@ -142,4 +142,4 @@ def test_golden_discover_shift(tmp_path, monkeypatch):
                 "--in2", "env2.csv", "--graph", "graph.txt", "--seed", "3",
                 "--out", "shift.json"]) == 0
     digest = hashlib.sha256(Path("shift.json").read_bytes()).hexdigest()
-    assert digest == "5796837b7f1b4d834e959335f7a97108eead2790e560f96ffd4f1c6ec97893d9"
+    assert digest == "82aba2f3e7671ca36fe6ece17286d089f05b922ee64c9708e90bc92e46b51c3a"
