@@ -325,6 +325,12 @@ def _real(value):
     return value
 
 
+def _count(value) -> int:
+    """``value`` as an int that a float can hold; anything else is refused."""
+    float(operator.index(value))  # OverflowError beyond the float range
+    return operator.index(value)
+
+
 def _integers(**values) -> tuple[int, ...]:
     return _each(operator.index, "urn sizes, counts and rounds must be integers", **values)
 
@@ -544,17 +550,16 @@ def rabbits(n_rabbits: int = 5, food_supply: float | None = None,
     days (the statistical units); the appetizer scales demand by
     ``appetite_factor``.
     """
-    _each(_real, "n_rabbits, food_supply, demand_per_rabbit and appetite_factor "
-          "must be numbers", n_rabbits=n_rabbits, demand_per_rabbit=demand_per_rabbit,
-          appetite_factor=appetite_factor,
+    n, = _each(_count, "n_rabbits must be a finite integer", n_rabbits=n_rabbits)
+    _each(_real, "food_supply, demand_per_rabbit and appetite_factor must be numbers",
+          demand_per_rabbit=demand_per_rabbit, appetite_factor=appetite_factor,
           **({} if food_supply is None else {"food_supply": food_supply}))
-    if not 0 < n_rabbits < math.inf:
-        raise ScmError("need at least one rabbit, and finitely many")
+    if n < 1:
+        raise ScmError("need at least one rabbit")
     if demand_per_rabbit <= 0 or appetite_factor <= 1.0:
         raise ScmError("need positive demand and appetite_factor > 1")
     if scenario not in (1, 2):
         raise ScmError("scenario must be 1 or 2")
-    n = n_rabbits
     d = demand_per_rabbit
     d_lo, d_hi = 0.8 * d, 1.2 * d
     if food_supply is None:
@@ -734,7 +739,8 @@ def ball_track(start_distribution_param: float = 0.6,
     # sqrt speed law in quarter units, sensor-quantized
     speed_units = [round(4 * math.sqrt(x + 1)) for x in positions]
     jitter = ((-1, 0.25), (0, 0.5), (1, 0.25))
-    offset, = _each(int, "barrier_offset must be an integer", barrier_offset=barrier_offset)
+    offset, = _each(_count, "barrier_offset must be a finite integer",
+                    barrier_offset=barrier_offset)
 
     x = np.repeat(np.arange(len(positions)), len(jitter))
 

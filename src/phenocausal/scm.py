@@ -257,14 +257,24 @@ class Dataset:
 
     def to_csv(self) -> str:
         """Header line, then one line per row; integral values below 1e15
-        in magnitude print as integers, others as ``repr(float)``."""
+        in magnitude print as integers, others as ``repr(float)``.
+
+        Each column's distinct values are formatted once, into a byte table
+        of one NUL-padded row per value that ends in the value's separator.
+        The data lines are these rows gathered by each cell's value, side by
+        side, with the padding dropped."""
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerow(self.columns)
         if not self.columns:
             return buf.getvalue() + "\n" * len(self.rows)
-        cells = [_format_column(col) for col in self.rows.T]
-        return buf.getvalue() + "".join(
-            line + "\n" for line in map(",".join, zip(*cells)))
+        blocks = []
+        for j, col in enumerate(self.rows.T):
+            levels, inv = np.unique(col, return_inverse=True)
+            sep = "\n" if j == len(self.columns) - 1 else ","
+            table = np.array([text + sep for text in _format_column(levels)], dtype=bytes)
+            blocks.append(table.view(np.uint8).reshape(len(levels), table.itemsize)[inv])
+        lines = np.concatenate(blocks, axis=1)
+        return buf.getvalue() + lines[lines != 0].tobytes().decode("ascii")
 
     @classmethod
     def from_csv(cls, text: str, seed: int | None = None) -> "Dataset":

@@ -125,6 +125,12 @@ def test_exemplar_list_parameter_from_commas(argv, tmp_path):
     ["balltrack", "--param", "barrier_offset=1,2"],
     ["rabbits1", "--param", "n_rabbits=5,5"],
     ["macro1", "--param", "shift=1,2"],
+    # a count that is not an integer
+    ["balltrack", "--param", "barrier_offset=1.5"],
+    ["rabbits1", "--param", "n_rabbits=2.5"],
+    # a count beyond the float range
+    ["balltrack", "--param", f"barrier_offset={10**309}"],
+    ["rabbits1", "--param", f"n_rabbits={10**309}"],
 ])
 def test_exemplar_bad_list_parameter_exits_2(argv, tmp_path, capfd):
     rc = run(["exemplar", *argv, "--seed", "1", "--out", str(tmp_path / "x.csv")])
@@ -163,7 +169,7 @@ def test_urn_exemplar_parameters_no_build_takes_exit_2(name, param, tmp_path, ca
     # integer parameters given as infinity
     ("balltrack", ["barrier_offset=inf"]), ("bundles", ["initial_packages=inf"]),
     # finite parameters whose rabbit states overflow
-    ("rabbits1", ["n_rabbits=1e308"]), ("rabbits1", ["demand_per_rabbit=1e308"]),
+    ("rabbits1", [f"n_rabbits={10**308}"]), ("rabbits1", ["demand_per_rabbit=1e308"]),
     # a non-finite demand, and a demand whose default food supply overflows
     ("rabbits2", ["demand_per_rabbit=nan"]), ("rabbits2", ["demand_per_rabbit=1e308"]),
 ])
@@ -580,7 +586,7 @@ def test_classify_non_finite_displacement_exits_2(tmp_path, capfd):
     out = tmp_path / "cls.json"
     for extra in ([], ["--enumerate"]):
         rc = run(["classify", "rabbits2", "--seed", "1", "--param",
-                  "n_rabbits=1e308", "--out", str(out)] + extra)
+                  f"n_rabbits={10**308}", "--out", str(out)] + extra)
         err = capfd.readouterr().err
         assert rc == 2
         assert "non-finite displacement" in err
@@ -589,7 +595,8 @@ def test_classify_non_finite_displacement_exits_2(tmp_path, capfd):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("param", ["n_rabbits=1e308", "demand_per_rabbit=1e308"])
+@pytest.mark.parametrize("param", [
+    pytest.param(f"n_rabbits={10**308}", id="n_rabbits=10**308"), "demand_per_rabbit=1e308"])
 def test_classify_rabbits_overflowing_states_exit_2(param, tmp_path, capfd):
     # refused at build, before the baseline states reach the unit reading
     out = tmp_path / "cls.json"

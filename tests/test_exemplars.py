@@ -300,6 +300,8 @@ def test_rabbits_directions_reverse_between_scenarios():
 def test_rabbits_parameter_validation():
     with pytest.raises(ScmError):
         rabbits(n_rabbits=0)
+    with pytest.raises(ScmError, match="n_rabbits must be a finite integer"):
+        rabbits(n_rabbits=10**309)
     with pytest.raises(ScmError):
         rabbits(scenario=2, food_supply=1000.0)
 
@@ -317,7 +319,7 @@ def test_non_finite_parameters_refused(build, param, value):
 
 
 @pytest.mark.parametrize("params", [
-    {"n_rabbits": 1e308}, {"demand_per_rabbit": 1e308}, {"appetite_factor": 1e308},
+    {"n_rabbits": 10**308}, {"demand_per_rabbit": 1e308}, {"appetite_factor": 1e308},
     {"demand_per_rabbit": math.inf}, {"demand_per_rabbit": math.nan},
     {"appetite_factor": math.inf}, {"appetite_factor": math.nan},
     # only (n + 1) * d_hi overflows

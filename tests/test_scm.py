@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from phenocausal import exemplars
+from phenocausal import scm as scm_module
 from phenocausal.actions import unit_displacements
 from phenocausal.scm import NOISE_COMBO_CAP, _binomial_pmf
 from phenocausal import (
@@ -350,6 +351,58 @@ def _datasets(draw, names, min_width=0, min_rows=0):
 @given(_datasets(["a", "b", "c d", "a,b", 'q"x', " s", "", "é"]))
 def test_to_csv_matches_row_by_row_writer(ds):
     assert ds.to_csv() == _reference_to_csv(ds)
+
+
+# pools whose values merge or nearly merge: the two zeros, 1e15 and its
+# neighbours (the integer-branch edge), the smallest subnormals
+_TIED_POOLS = [(0.0, -0.0), (0.0, -0.0, 1.0, 0.5),
+               (1e15, np.nextafter(1e15, 0.0), np.nextafter(1e15, 2e15), -1e15, 7.0),
+               (5e-324, -5e-324, 0.0, -0.0)]
+
+
+@st.composite
+def _tied_datasets(draw):
+    # up to 400 rows of at most 6 distinct values per column, as exemplar
+    # samples have; the cells index the pool through a drawn numpy seed
+    width = draw(st.integers(1, 4))
+    columns = tuple(draw(st.lists(st.sampled_from(["a", "b", "c d", "a,b", 'q"x', "é"]),
+                                  min_size=width, max_size=width, unique=True)))
+    n = draw(st.integers(0, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = []
+    for _ in range(width):
+        pool = draw(st.one_of(
+            st.sampled_from(_TIED_POOLS),
+            st.lists(st.sampled_from(_EDGE_VALUES), min_size=1, max_size=6),
+            st.lists(draw(st.sampled_from([_INTEGRAL, _ANY_VALUE])), min_size=1, max_size=6)))
+        cols.append(np.array(pool, dtype=float)[rng.integers(len(pool), size=n)])
+    return Dataset(columns, np.array(cols).T.reshape(n, width))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_tied_datasets())
+def test_to_csv_matches_row_by_row_writer_on_repeated_values(ds):
+    assert ds.to_csv() == _reference_to_csv(ds)
+
+
+@pytest.mark.parametrize("name", sorted(exemplars.EXEMPLARS))
+def test_to_csv_matches_row_by_row_writer_on_exemplar_samples(name):
+    ds = exemplars.build_exemplar(name).sample(2000, 11)
+    assert ds.to_csv() == _reference_to_csv(ds)
+
+
+@pytest.mark.parametrize("rows", [
+    exemplars.urn_chain(n=4).sample(2000, 5).rows,
+    exemplars.build_exemplar("macro1").sample(2000, 5).rows,
+    np.array([[0.0, 1e15, 0.5], [-0.0, 1e15, 0.25], [0.0, 3.0, 0.5], [-0.0, 1e15, 0.5]]),
+])
+def test_to_csv_formats_each_distinct_value_once(rows):
+    ds = Dataset(tuple(f"c{j}" for j in range(rows.shape[1])), rows)
+    with mock.patch.object(scm_module, "_format_column", wraps=scm_module._format_column) as spy:
+        ds.to_csv()
+    assert spy.call_count == rows.shape[1]
+    for (args, _), col in zip(spy.call_args_list, rows.T):
+        assert args[0].tolist() == sorted(set(col.tolist()))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
