@@ -368,12 +368,21 @@ def unit_displacements(scm: GeneralScm, actions: Sequence[UnitAction],
             raise ClassificationError(
                 f"action {action.label!r} gives a non-finite displacement")
         if arr.size:
-            arr = np.unique(arr, axis=0)
+            arr = _unique_rows(arr)
         labels.append(action.label)
         rows.append(arr)
         inapplicable.append(not applicable.all())
     return _Displacements(tuple(scm.nodes), tuple(labels), tuple(rows),
                           tuple(inapplicable))
+
+
+def _unique_rows(arr: np.ndarray) -> np.ndarray:
+    """The distinct rows of a non-empty 2-d array in lexicographic order, as
+    ``np.unique(arr, axis=0)`` gives them, from one ``np.lexsort``."""
+    arr = arr[np.lexsort(arr.T[::-1])]
+    keep = np.ones(len(arr), dtype=bool)
+    keep[1:] = (arr[1:] != arr[:-1]).any(axis=1)
+    return arr[keep]
 
 
 def _consistent_solution(m: np.ndarray, b: np.ndarray,

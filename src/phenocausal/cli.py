@@ -27,8 +27,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .actions import (ClassificationError, _direction_verdict, classify_statistical,
-                      classify_unit, valid_graphs)
+from .actions import (ClassificationError, VerdictKind, _direction_verdict,
+                      classify_statistical, classify_unit, valid_graphs)
 from .discovery import (DiscoveryError, lingam_bivariate, lingam_multivariate,
                         localize_mechanism_change)
 from .exemplars import EXEMPLARS, build_exemplar
@@ -196,6 +196,9 @@ def _cmd_classify(args) -> int:
                 obj["direction"] = _direction_verdict(valid, *nodes).value
     except ClassificationError as exc:
         raise SystemExit2(str(exc))
+    if report.verdicts and all(v.kind is VerdictKind.IDENTITY for v in report.verdicts):
+        sys.stderr.write(f"classify: every action is an identity at eps {args.eps!r}; "
+                         "no change exceeds it\n")
     _emit(obj, args.out)
     return 0 if report.valid else 1
 

@@ -244,9 +244,8 @@ class Dataset:
         if rows.ndim != 2 or rows.shape[1] != len(columns):
             raise ScmError(
                 f"rows shape {rows.shape} does not match {len(columns)} columns")
-        finite = np.isfinite(rows).all(axis=1)
-        if not finite.all():
-            k = int(np.argmin(finite))
+        if not np.isfinite(rows).all():  # the row-wise pass only names the row
+            k = int(np.argmin(np.isfinite(rows).all(axis=1)))
             raise ScmError(f"row {k} holds a non-finite value: {rows[k].tolist()}")
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)

@@ -14,7 +14,8 @@ Every check here is a question about conditionals, so the conditional is
 the cached unit: ``conditional(p, target, given)`` is computed once per
 joint, straight from ``p``'s array, and kept on ``p`` for every later call
 (the joint is frozen and its array read-only). Only returned values are
-validated; no intermediate joint is built on the way.
+validated; no intermediate joint is built on the way. ``changed_factors``
+compares two joints' conditionals in one stacked pass and keeps none.
 """
 
 from __future__ import annotations
@@ -259,28 +260,40 @@ def conditional(p: DiscreteJoint, target: str, given: Iterable[str]) -> Conditio
 
 def _conditional(p: DiscreteJoint, target: str, given: tuple[str, ...]
                  ) -> ConditionalTable:
-    sub = _marginal_array(p, (*given, target))
-    ctx = sub.sum(axis=-1)
-    defined = ctx > 0.0
-    # the slices of zero-probability contexts stay unset (out=None): the
-    # constructor neither reads them nor keeps them
-    table = np.divide(sub, ctx[..., None], out=None, where=defined[..., None])
+    table, defined = _divide_by_context(_marginal_array(p, (*given, target)))
     return ConditionalTable(target, given, table, defined)
 
 
-def _marginal_array(p: DiscreteJoint, names: tuple[str, ...]) -> np.ndarray:
+def _divide_by_context(sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(table, defined) of the conditional of ``sub``'s last axis given its
+    other axes: ``defined`` marks the contexts of positive mass."""
+    ctx = sub.sum(axis=-1)
+    defined = ctx > 0.0
+    # the slices of zero-probability contexts stay unset (out=None): no
+    # caller reads them
+    table = np.divide(sub, ctx[..., None], out=None, where=defined[..., None])
+    return table, defined
+
+
+def _marginal_array(p: DiscreteJoint, names: tuple[str, ...],
+                    probs: np.ndarray | None = None) -> np.ndarray:
     """The marginal table of ``p`` over ``names``, axes in that order.
 
     The values of ``p.marginal(names).permute(names).probs``, laid out in
     the same memory order, so reductions over it add in the same order.
+    ``probs`` replaces ``p.probs`` by an array whose last axes are ``p``'s
+    and whose leading axes (several joints over ``p``'s variables stacked)
+    are kept in front.
     """
     axes = [p.axis(n) for n in names]
     if len(set(axes)) != len(axes):
         raise TableError(f"repeated variable in {list(names)}")
-    drop = tuple(i for i in range(len(p.names)) if i not in axes)
+    t = p.probs if probs is None else probs
+    lead = t.ndim - len(p.names)
+    drop = tuple(lead + i for i in range(len(p.names)) if i not in axes)
     kept = sorted(axes)
-    t = p.probs.sum(axis=drop) if drop else p.probs
-    return np.transpose(t, [kept.index(i) for i in axes])
+    t = t.sum(axis=drop) if drop else t
+    return np.transpose(t, [*range(lead), *(lead + kept.index(i) for i in axes)])
 
 
 def product_joint(g: Dag, factors: Sequence[ConditionalTable]) -> DiscreteJoint:
@@ -292,9 +305,7 @@ def product_joint(g: Dag, factors: Sequence[ConditionalTable]) -> DiscreteJoint:
     by_target = {f.target: f for f in factors}
     if set(by_target) != set(g.nodes):
         raise TableError("factors must cover exactly the graph's nodes")
-    cards = {f.target: f.table.shape[-1] for f in factors}
-    n = len(g.nodes)
-    shape = tuple(cards[v] for v in g.nodes)
+    shape = tuple(by_target[v].table.shape[-1] for v in g.nodes)
     result = np.ones(shape)
     for f in factors:
         if tuple(f.given) != g.parents(f.target):
@@ -302,14 +313,14 @@ def product_joint(g: Dag, factors: Sequence[ConditionalTable]) -> DiscreteJoint:
                 f"factor for {f.target!r} conditions on {f.given}, graph parents "
                 f"are {g.parents(f.target)}")
         tab = np.where(f.defined[..., None], f.table, 0.0)
-        axes = [g.nodes.index(v) for v in (*f.given, f.target)]
+        axes = [g._index[v] for v in (*f.given, f.target)]
         # transpose the factor so its axes are in ascending destination
         # order, then pad singleton axes for broadcasting
-        order = np.argsort(axes)
-        axis_set = set(axes)
-        view = np.transpose(tab, order).reshape(
-            [shape[i] if i in axis_set else 1 for i in range(n)])
-        result = result * view
+        order = sorted(range(len(axes)), key=axes.__getitem__)
+        padded = [1] * len(shape)
+        for i in axes:
+            padded[i] = shape[i]
+        result = result * tab.transpose(order).reshape(padded)
     return DiscreteJoint(g.nodes, result)
 
 
@@ -468,21 +479,43 @@ def factor_distance(p: DiscreteJoint, q: DiscreteJoint, g: Dag, node: str) -> fl
     joints reach: a context of probability zero carries no evidence."""
     pa = g.parents(node)
     fp, fq = conditional(p, node, pa), conditional(q, node, pa)
-    both = (fp.defined & fq.defined).reshape(-1)
-    width = fp.table.shape[-1]
-    diff = fp.table.reshape(-1, width)[both] - fq.table.reshape(-1, width)[both]
+    return _shared_context_tv(fp.table, fp.defined, fq.table, fq.defined)
+
+
+def _shared_context_tv(a: np.ndarray, a_defined: np.ndarray,
+                       b: np.ndarray, b_defined: np.ndarray) -> float:
+    """Max-over-context total variation between two conditional tables of
+    one shape (target axis last), over the contexts both define; the slices
+    of the other contexts are never read."""
+    both = (a_defined & b_defined).reshape(-1)
+    width = a.shape[-1]
+    diff = a.reshape(-1, width)[both] - b.reshape(-1, width)[both]
     return 0.5 * float(np.abs(diff).sum(axis=1).max(initial=0.0))
 
 
 def changed_factors(p: DiscreteJoint, q: DiscreteJoint, g: Dag,
                     eps: float = 1e-9) -> tuple[str, ...]:
     """Nodes whose causal conditional (w.r.t. ``g``) differs between ``p``
-    and ``q`` by more than ``eps`` in max-over-context total variation."""
+    and ``q`` by more than ``eps`` in max-over-context total variation.
+
+    Each node's ``factor_distance``, read from both joints in one pass: the
+    family's marginal, context mass and division are taken once for the two
+    joints stacked in ``p``'s variable order, and nothing is kept in either
+    joint's memo."""
     if set(p.names) != set(q.names):
         raise TableError("distributions must share variables")
     _check_same_variables(p, g)
-    return g.sorted_tuple(
-        n for n in g.nodes if factor_distance(p, q, g, n) > eps)
+    q = q.permute(p.names)
+    if p.cards != q.cards:
+        raise TableError("shape mismatch")
+    stacked = np.stack((p.probs, q.probs))
+    changed = []
+    for node in g.nodes:
+        table, defined = _divide_by_context(
+            _marginal_array(p, (*g.parents(node), node), stacked))
+        if _shared_context_tv(table[0], defined[0], table[1], defined[1]) > eps:
+            changed.append(node)
+    return tuple(changed)
 
 
 def tv_distance(p: DiscreteJoint, q: DiscreteJoint) -> float:

@@ -339,11 +339,12 @@ def _adjustment(ps: DiscreteJoint, x: str, y: str, z: Sequence[str]) -> np.ndarr
     """Backdoor adjustment sum_z p(y | x=v, z) p(z) on an exact table, one
     row per value v of x."""
     # axes (x, *z, y); contexts of probability zero contribute nothing
-    cond = np.nan_to_num(conditional(ps, y, (x, *z)).table, nan=0.0)
+    f = conditional(ps, y, (x, *z))
+    cond = np.where(f.defined[..., None], f.table, 0.0)
     if not z:
         return cond
     pz = _marginal_array(ps, tuple(z))[..., None]
-    return np.array([(c * pz).reshape(-1, c.shape[-1]).sum(axis=0) for c in cond])
+    return (cond * pz).reshape(len(cond), -1, cond.shape[-1]).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------

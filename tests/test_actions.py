@@ -613,6 +613,26 @@ def test_unit_displacements_match_per_state_reference(name):
                                          maps=_former_rabbit_maps(ex)))
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_unique_rows_match_np_unique(data):
+    from phenocausal.actions import _unique_rows
+
+    width = data.draw(st.integers(1, 4))
+    values = data.draw(st.sampled_from((
+        st.integers(-2, 2).map(float),
+        st.floats(-1e3, 1e3, allow_nan=False),
+        st.sampled_from((0.0, -0.0, 1.0, -1.5)))))
+    arr = np.array(data.draw(st.lists(st.lists(values, min_size=width, max_size=width),
+                                      min_size=1, max_size=40)))
+    got, want = _unique_rows(arr), np.unique(arr, axis=0)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    # both take 0.0 and -0.0 as equal, but either may survive
+    assert np.array_equal(got, want)
+    if not np.signbit(arr[arr == 0.0]).any():
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name", ["rabbits1", "rabbits2", "urn2"])
 def test_unit_displacements_call_each_map_once(name):

@@ -682,6 +682,21 @@ def test_classify_bad_eps_exits_2(argv, eps, tmp_path, capfd):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["unit", "statistical"])
+def test_classify_names_an_eps_that_swallows_every_change(mode, tmp_path, capfd):
+    argv = ["classify", "urn2", "--mode", mode, "--seed", "1", "--trials", "20",
+            "--enumerate"]
+    plain, huge = tmp_path / "plain.json", tmp_path / "huge.json"
+    assert run(argv + ["--out", str(plain)]) == 0
+    assert capfd.readouterr().err == ""
+    assert run(argv + ["--eps", "1e6", "--out", str(huge)]) == 0
+    assert capfd.readouterr().err == ("classify: every action is an identity at eps "
+                                      "1000000.0; no change exceeds it\n")
+    obj = json.loads(huge.read_text())
+    assert {v["kind"] for v in obj["ground_truth_report"]["verdicts"]} == {"identity"}
+    assert obj["direction"] == "Undetermined"
+
+
 @pytest.mark.parametrize("eps", ["nan", "-1", "inf"])
 def test_discover_shift_bad_eps_exits_2(eps, tmp_path, capfd):
     a, b, g = _shift_inputs(tmp_path)

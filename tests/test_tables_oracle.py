@@ -2,10 +2,12 @@
 
 ``conditional`` takes its marginal straight from the joint's array and
 memoizes the table on the joint, ``ci_residual`` reduces over every positive
-context in one array pass, and ``product_joint`` zeroes undefined slices
-through the ``defined`` mask. The references below are the former paths:
-the marginal-then-permute conditional with the copy-and-assign masking, the
-per-context residual loop and the ``nan_to_num`` product. The properties
+context in one array pass, ``product_joint`` zeroes undefined slices
+through the ``defined`` mask, and ``changed_factors`` compares the
+conditionals of both joints in one stacked pass. The references below are
+the former paths: the marginal-then-permute conditional with the
+copy-and-assign masking, the per-context residual loop, the ``nan_to_num``
+product and the node-by-node ``factor_distance`` loop. The properties
 require equal bits, not closeness.
 """
 
@@ -16,13 +18,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from phenocausal import (
+    Dag,
     DiscreteJoint,
     TableError,
+    changed_factors,
     ci_residual,
     conditional,
+    factor_distance,
     factorize,
     product_joint,
     random_dag,
+    random_markov_joint,
 )
 from phenocausal import tables
 
@@ -149,6 +155,7 @@ def test_product_joint_matches_nan_to_num(data):
     q = product_joint(g, factors)
     assert q.names == g.nodes
     assert np.array_equal(q.probs, ref)
+    assert q.probs.flags.c_contiguous
 
 
 def test_conditional_is_computed_once_per_joint(monkeypatch):
@@ -170,3 +177,70 @@ def test_conditional_is_computed_once_per_joint(monkeypatch):
     twin = DiscreteJoint(p.names, p.probs)
     assert conditional(twin, "Y", ("X", "Z")) is not first
     assert calls == [("Y", ("X", "Z")), ("Y", ("Z", "X")), ("Y", ("X", "Z"))]
+
+
+def _loop_changed_factors(p: DiscreteJoint, q: DiscreteJoint, g, eps: float
+                          ) -> tuple[str, ...]:
+    """``changed_factors`` as ``factor_distance`` node by node."""
+    return g.sorted_tuple(n for n in g.nodes if factor_distance(p, q, g, n) > eps)
+
+
+@st.composite
+def _joint_pairs(draw, joints):
+    """(p, q, g): a joint from ``joints``, a joint over the same variables
+    and cardinalities mixed into it at a drawn weight (zero cells of both
+    stay zero), in p's or a shuffled variable order, and a random DAG."""
+    p = draw(joints)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    other = rng.random(p.cards) * (rng.random(p.cards) >= 0.5)
+    if other.sum() == 0:
+        other = p.probs
+    t = draw(st.sampled_from((0.0, 1e-13, 1e-10, 1e-3, 0.3, 1.0)))
+    q = DiscreteJoint(p.names, (1 - t) * p.probs + t * other / other.sum())
+    q = q.permute(draw(st.sampled_from((p.names, draw(st.permutations(p.names))))))
+    g = random_dag(draw(st.permutations(p.names)), rng, edge_prob=0.5)
+    return p, q, g
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from((_joints(), _WIDE)).flatmap(_joint_pairs))
+def test_changed_factors_matches_factor_distance_loop(pq):
+    p, q, g = pq
+    # the loop sums each joint in its own memory order, the one pass both in
+    # p's variable order, C-ordered. On two joints so laid out, as
+    # product_joint and marginal build them, both add in the same order
+    cp = DiscreteJoint(p.names, np.ascontiguousarray(p.probs))
+    cq = DiscreteJoint(p.names, np.ascontiguousarray(q.permute(p.names).probs))
+    # thresholds at each distance and just below it: a distance off by one
+    # bit flips a node in or out
+    near = [eps for node in g.nodes for d in [factor_distance(cp, cq, g, node)]
+            for eps in (d, np.nextafter(d, -1.0))]
+    for eps in (0.0, 1e-12, 1e-9, 0.05, 0.5, *near):
+        assert changed_factors(cp, cq, g, eps) == _loop_changed_factors(cp, cq, g, eps)
+    # in other layouts and orders the sums differ by rounding alone, which a
+    # threshold of 1e-12 or more never sees
+    for eps in (1e-12, 1e-9, 0.05, 0.5):
+        assert changed_factors(p, q, g, eps) == _loop_changed_factors(p, q, g, eps)
+
+
+def test_changed_factors_builds_no_conditional_and_keeps_no_memo(monkeypatch):
+    rng = np.random.default_rng(5)
+    g = random_dag(["A", "B", "C", "D"], rng, edge_prob=0.6)
+    cards = {"A": 2, "B": 3, "C": 2, "D": 2}
+    p = random_markov_joint(g, cards, rng)
+    q = random_markov_joint(g, cards, rng).permute(("D", "C", "B", "A"))
+
+    def refuse(joint, target, given):
+        raise AssertionError(f"conditional of {target!r} given {given} computed")
+
+    monkeypatch.setattr(tables, "_conditional", refuse)
+    assert changed_factors(p, q, g) == g.nodes
+    assert p._conditionals == {} and q._conditionals == {}
+
+
+def test_changed_factors_refuses_mismatched_cardinalities():
+    p = DiscreteJoint(("X", "Y"), np.full((2, 2), 0.25))
+    q = DiscreteJoint(("Y", "X"), np.full((2, 3), 1 / 6))
+    g = Dag(("X", "Y"), [("X", "Y")])
+    with pytest.raises(TableError, match="shape mismatch"):
+        changed_factors(p, q, g)

@@ -5,7 +5,9 @@ determinism."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -50,8 +52,9 @@ from phenocausal import graphs, tables
 from phenocausal.exemplars import _UrnProcess
 from phenocausal.graphs import _reachable_inside
 from phenocausal.scm import NOISE_COMBO_CAP, _philox
-from phenocausal.tables import _replace_factor
+from phenocausal.tables import _marginal_array, _replace_factor
 from phenocausal.verify import (
+    _adjustment,
     _do_marginal,
     _random_factors,
     boundary_trial,
@@ -571,6 +574,18 @@ def test_boundary_trial_equals_the_former_trial(trial_seed, max_nodes):
         assert abs(got_floats[key] - value) <= 1e-15, key
 
 
+# SHA-256 of the JSON of the boundary records at seeds 0-499, recorded with
+# the node-by-node factor comparison, the argsort product and the per-x
+# adjustment: the faster paths keep every record's bytes
+_BOUNDARY_RECORDS_SHA256 = "b5c4e3e0869f0e087d545846c26ae10ba8661d365cfffafa91ee0f83f31782f7"
+
+
+def test_boundary_records_keep_their_bytes():
+    records = [boundary_trial(s, index=s).to_json_obj() for s in range(500)]
+    text = json.dumps(records, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == _BOUNDARY_RECORDS_SHA256
+
+
 def test_boundary_trial_marginalizes_once_and_never_refactorizes(monkeypatch):
     import phenocausal.verify as verify
 
@@ -645,6 +660,37 @@ def test_do_marginal_by_adjustment_equals_truncated_factorization(n, seed):
             for v in range(2):
                 want = hard_intervention(p, g, x, v).marginal((y,)).probs
                 assert np.abs(_do_marginal(p, g, x, y)[v] - want).max() <= 1e-15
+
+
+def _loop_adjustment(ps, x, y, z):
+    """The adjustment summed over z once per value of x."""
+    cond = np.nan_to_num(conditional(ps, y, (x, *z)).table, nan=0.0)
+    if not z:
+        return cond
+    pz = _marginal_array(ps, tuple(z))[..., None]
+    return np.array([(c * pz).reshape(-1, c.shape[-1]).sum(axis=0) for c in cond])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_adjustment_equals_the_per_x_sum(data):
+    # joints with zero cells in a shuffled variable order, so some contexts
+    # are undefined and the marginal of z is a transposed view
+    cards = data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=5))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    probs = rng.random(cards) * (rng.random(cards) >= data.draw(
+        st.sampled_from((0.0, 0.3, 0.6))))
+    if probs.sum() == 0:
+        probs.flat[0] = 1.0
+    names = [f"V{i}" for i in range(len(cards))]
+    ps = DiscreteJoint(names, probs / probs.sum()).permute(
+        data.draw(st.permutations(names)))
+    x, y, *rest = data.draw(st.permutations(names))
+    z = tuple(rest[:data.draw(st.integers(0, len(rest)))])
+    got = _adjustment(ps, x, y, z)
+    want = _loop_adjustment(ps, x, y, z)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
